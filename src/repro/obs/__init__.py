@@ -4,7 +4,10 @@ This subpackage is the host-side telemetry counterpart to the
 machine-independent work accounting in :mod:`repro.machine.profile` (see
 ``docs/OBSERVABILITY.md`` for how the two relate):
 
-* :mod:`repro.obs.trace` — nestable spans with a no-op disabled path;
+* :mod:`repro.obs.trace` — the one span model: nestable spans with a
+  no-op disabled path, a context-carried current span (innermost scope
+  wins) and the ``bind`` / ``activate`` / ``adopt`` hops across threads
+  and processes;
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms the
   instrumented kernels tick at phase granularity;
 * :mod:`repro.obs.sink` — memory ring buffer, JSONL file and tee sinks;
@@ -20,9 +23,9 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
 * :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency
   exemplars), payload validator and the ``repro obs serve`` HTTP
   endpoint;
-* :mod:`repro.obs.reqtrace` — context-carried per-request span trees
-  with deterministic head sampling, tail capture of slow requests into a
-  bounded store, and the latency exemplar store;
+* :mod:`repro.obs.reqtrace` — a request as a root span on its own
+  tracer, with deterministic head sampling, tail capture of slow requests
+  into a bounded store, and the latency exemplar store;
 * :mod:`repro.obs.slo` — rolling availability/latency objectives with
   multi-window burn-rate alerting feeding the watchdog alert stream.
 
@@ -68,9 +71,6 @@ from repro.obs.reqtrace import (
     ExemplarStore,
     RequestTrace,
     RequestTracer,
-    bind,
-    current_trace,
-    rspan,
 )
 from repro.obs.slo import SloTracker
 from repro.obs.prof import (
@@ -93,6 +93,8 @@ from repro.obs.sink import (
 from repro.obs.trace import (
     Span,
     Tracer,
+    activate,
+    bind,
     current_tracer,
     disable_tracing,
     emit_event,
@@ -129,6 +131,8 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
     "current_tracer",
+    "activate",
+    "bind",
     "format_span_tree",
     "TelemetryCollector",
     "Watchdog",
@@ -143,9 +147,6 @@ __all__ = [
     "RequestTracer",
     "ExemplarStore",
     "EXEMPLARS",
-    "current_trace",
-    "rspan",
-    "bind",
     "SloTracker",
     "MemoryProfiler",
     "enable_memory_profiling",

@@ -1,33 +1,29 @@
-"""Per-request tracing: context-carried span trees across the service stack.
+"""Per-request tracing: sampled request span trees on the one span model.
 
 A served query crosses four execution domains — the asyncio route, the
 query :class:`~concurrent.futures.ThreadPoolExecutor`, the epoch-pinned
-kernel, and (for sharded ``/components``) :class:`~repro.parallel.pool.WorkerPool`
-processes.  The module-global :class:`~repro.obs.trace.Tracer` cannot
-attribute spans to *one request* once several run concurrently, so this
-module adds a request-scoped layer on top of it:
+kernel, and (for sharded ``/components``)
+:class:`~repro.parallel.pool.WorkerPool` processes.  There is no second
+span system for that: a request is a *root span on its own
+:class:`~repro.obs.trace.Tracer`*, and everything else is
+:mod:`repro.obs.trace`.
 
-* :class:`RequestTrace` — one request's span tree.  It is carried in a
-  :class:`~contextvars.ContextVar` (:func:`current_trace`), acts as its own
-  root span, and hands out child spans via :meth:`RequestTrace.span` /
-  the module-level :func:`rspan` helper (a no-op when no trace is active).
-  Events use the exact dict shape of :class:`~repro.obs.trace.Span`, so the
-  Chrome-trace / speedscope exporters in :mod:`repro.obs.export` render
-  request trees unchanged.
-* :class:`RequestTracer` — the per-service store.  **Head sampling** is
-  deterministic (every ``head_every``-th request keeps its spans);
-  **tail sampling** always keeps requests whose total latency breaches
+* :class:`RequestTrace` — one request: a per-request tracer whose sink
+  keeps the first ``max_spans`` events and counts the rest, plus the
+  request's root :class:`~repro.obs.trace.Span`.  While the root (or a
+  descendant) is the current span, every plain
+  :func:`~repro.obs.trace.span` — the service's own and the kernels' —
+  records into this request's tree and nowhere else (innermost scope
+  wins); :func:`~repro.obs.trace.bind` / :func:`~repro.obs.trace.activate`
+  carry the root across the executor hop and into the drainer thread, and
+  :meth:`~repro.obs.trace.Tracer.adopt` folds in the spans pool workers
+  shipped back.
+* :class:`RequestTracer` — the per-service store and the sampling policy
+  applied when a request finishes.  **Head sampling** is deterministic
+  (every ``head_every``-th request keeps its spans); **tail sampling**
+  always keeps requests whose total latency breaches
   ``slow_threshold_seconds``, into a bounded in-memory slow-query store
   (served at ``GET /debug/slow``).
-* :func:`bind` / :func:`activate` — explicit context propagation.
-  ``contextvars`` do **not** flow into ``loop.run_in_executor`` callables
-  (unlike ``asyncio.to_thread``), so the service wraps executor functions
-  with :func:`bind`; the drainer thread wraps batch application with
-  :func:`activate`.
-* Cross-process propagation: :meth:`RequestTrace.context` is the wire
-  form (``trace_id``/``request_id``) the :class:`~repro.parallel.pool.WorkerPool`
-  task envelope carries, and :meth:`RequestTrace.adopt` folds the span
-  events a worker shipped back into the requesting trace.
 * :class:`ExemplarStore` — most-recent trace id per latency-histogram
   bucket, rendered as OpenMetrics exemplars by
   :func:`repro.obs.expose.to_openmetrics`.
@@ -44,271 +40,75 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Callable, Iterator, Optional, TypeVar, Union
+from typing import Any, Optional
 
 from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry
+from repro.obs.sink import TraceSink
+from repro.obs.trace import Span, Tracer, span_event
 
 __all__ = [
     "RequestTrace",
     "RequestTracer",
     "ExemplarStore",
     "EXEMPLARS",
-    "current_trace",
-    "rspan",
-    "activate",
-    "bind",
 ]
 
-_T = TypeVar("_T")
 
-#: The active request trace for this execution context (thread / task).
-_CURRENT: ContextVar[Optional["RequestTrace"]] = ContextVar(
-    "repro_request_trace", default=None
-)
+class _BoundedSink(TraceSink):
+    """Keeps the first ``max_events`` events and counts the ones past that."""
 
+    def __init__(self, max_events: int) -> None:
+        self.max_events = max_events
+        self.events: list[dict[str, Any]] = []
+        self.n_dropped = 0
+        self.lock = threading.Lock()
 
-def current_trace() -> Optional["RequestTrace"]:
-    """The :class:`RequestTrace` active in this context, or None."""
-    return _CURRENT.get()
-
-
-class _NullRequestSpan:
-    """Inert span handed out when no request trace is active."""
-
-    __slots__ = ()
-    enabled = False
-
-    def __enter__(self) -> "_NullRequestSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> "_NullRequestSpan":
-        """Ignore attributes (no active trace)."""
-        return self
+    def emit(self, event: dict[str, Any]) -> None:
+        """Store ``event``, or count it as dropped once the cap is reached."""
+        with self.lock:
+            if len(self.events) < self.max_events:
+                self.events.append(event)
+            else:
+                self.n_dropped += 1
 
 
-_NULL_RSPAN = _NullRequestSpan()
+class RequestTrace(Tracer):
+    """One request: a per-request tracer and the root span of its tree.
 
-
-class _RequestSpan:
-    """One recorded interval inside a :class:`RequestTrace` (context manager)."""
-
-    __slots__ = ("trace", "name", "span_id", "parent_id", "attrs", "t_start", "duration")
-    enabled = True
-
-    def __init__(
-        self,
-        trace: "RequestTrace",
-        name: str,
-        span_id: int,
-        parent_id: int,
-        attrs: dict[str, Any],
-    ) -> None:
-        self.trace = trace
-        self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.attrs = attrs
-        self.t_start = 0.0
-        self.duration = 0.0
-
-    def set(self, **attrs: Any) -> "_RequestSpan":
-        """Attach/override attributes on this span."""
-        self.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "_RequestSpan":
-        self.trace._push(self.span_id)
-        self.t_start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        self.duration = time.perf_counter() - self.t_start
-        self.trace._pop(self.span_id)
-        if exc_type is not None:
-            self.attrs.setdefault("error", exc_type.__name__)
-        self.trace._record(self)
-        return False
-
-
-class RequestTrace:
-    """One request's span tree, carried by context across threads/processes.
-
-    The trace itself is the root span (``span_id == ROOT_ID``, synthesised
-    by :meth:`RequestTracer.finish` with the whole-request duration); child
-    spans opened while no other span is on the stack parent at the root,
-    which is what stitches executor-thread and drainer-thread spans into a
-    single connected tree.
+    ``root`` is an ordinary :class:`~repro.obs.trace.Span` whose lifetime is
+    the request's (:meth:`RequestTracer.start` to
+    :meth:`RequestTracer.finish`), so it is put in scope with
+    :func:`~repro.obs.trace.activate` / :func:`~repro.obs.trace.bind`
+    rather than entered; spans opened beneath it parent at it, which is what
+    stitches executor-thread, drainer-thread and adopted worker spans into
+    one connected tree.  Every event is stamped with the request identity.
     """
 
-    ROOT_ID = 1
-
-    __slots__ = (
-        "tracer",
-        "trace_id",
-        "request_id",
-        "name",
-        "kind",
-        "sampled_head",
-        "attrs",
-        "events",
-        "t_start",
-        "duration",
-        "n_dropped",
-        "_ids",
-        "_stack",
-        "_lock",
-    )
+    sink: _BoundedSink
 
     def __init__(
         self,
-        tracer: "RequestTracer",
         trace_id: str,
         request_id: int,
         name: str,
         kind: str,
         sampled_head: bool,
         attrs: dict[str, Any],
+        max_spans: int,
     ) -> None:
-        self.tracer = tracer
+        super().__init__(_BoundedSink(max_spans))
         self.trace_id = trace_id
         self.request_id = request_id
-        self.name = name
         self.kind = kind
         self.sampled_head = sampled_head
-        self.attrs = attrs
-        self.events: list[dict[str, Any]] = []
-        self.t_start = time.perf_counter()
-        self.duration = 0.0
-        self.n_dropped = 0
-        self._ids = itertools.count(self.ROOT_ID + 1)
-        self._stack: list[int] = []
-        self._lock = threading.Lock()
+        attrs.update(trace_id=trace_id, request_id=request_id)
+        self.root = Span(self, name, next(self._ids), None, attrs)
+        self.root.t_start = time.perf_counter()
 
-    # -------------------------------------------------------------- #
-    # span recording
-    # -------------------------------------------------------------- #
-
-    def span(self, name: str, **attrs: Any) -> _RequestSpan:
-        """Open a child span (use as a context manager)."""
-        with self._lock:
-            parent = self._stack[-1] if self._stack else self.ROOT_ID
-            sid = next(self._ids)
-        return _RequestSpan(self, name, sid, parent, attrs)
-
-    def _push(self, span_id: int) -> None:
-        with self._lock:
-            self._stack.append(span_id)
-
-    def _pop(self, span_id: int) -> None:
-        with self._lock:
-            if self._stack and self._stack[-1] == span_id:
-                self._stack.pop()
-
-    def _record(self, sp: _RequestSpan) -> None:
-        ev = {
-            "type": "span",
-            "name": sp.name,
-            "span_id": sp.span_id,
-            "parent_id": sp.parent_id,
-            "t_start": sp.t_start,
-            "duration": sp.duration,
-            "attrs": {
-                **sp.attrs,
-                "trace_id": self.trace_id,
-                "request_id": self.request_id,
-            },
-        }
-        with self._lock:
-            if len(self.events) < self.tracer.max_spans:
-                self.events.append(ev)
-            else:
-                self.n_dropped += 1
-
-    def adopt(self, events: list[dict[str, Any]], worker: Optional[int] = None) -> None:
-        """Fold span events shipped back by a worker process into this trace.
-
-        Span ids are remapped into this trace's id space; worker-side roots
-        (events whose parent is not in the shipped batch) parent at the span
-        currently open in the adopting thread (the shard span), so the tree
-        stays connected end to end.
-        """
-        with self._lock:
-            parent_open = self._stack[-1] if self._stack else self.ROOT_ID
-            remap: dict[Any, int] = {}
-            for ev in events:
-                if ev.get("type") == "span":
-                    remap[ev.get("span_id")] = next(self._ids)
-            for ev in events:
-                if ev.get("type") != "span":
-                    continue
-                attrs = dict(ev.get("attrs", {}))
-                if worker is not None:
-                    attrs.setdefault("worker", worker)
-                attrs["trace_id"] = self.trace_id
-                attrs["request_id"] = self.request_id
-                pid = ev.get("parent_id")
-                adopted = {
-                    "type": "span",
-                    "name": ev.get("name", "?"),
-                    "span_id": remap[ev.get("span_id")],
-                    "parent_id": remap.get(pid, parent_open),
-                    "t_start": ev.get("t_start", 0.0),
-                    "duration": ev.get("duration", 0.0),
-                    "attrs": attrs,
-                }
-                if len(self.events) < self.tracer.max_spans:
-                    self.events.append(adopted)
-                else:
-                    self.n_dropped += 1
-
-    # -------------------------------------------------------------- #
-    # propagation
-    # -------------------------------------------------------------- #
-
-    def context(self) -> dict[str, Any]:
-        """Wire form carried across process boundaries (task envelope)."""
-        return {"trace_id": self.trace_id, "request_id": self.request_id}
-
-
-def rspan(name: str, **attrs: Any) -> Union[_RequestSpan, _NullRequestSpan]:
-    """A child span of the active request trace (no-op when none is active)."""
-    trace = _CURRENT.get()
-    if trace is None:
-        return _NULL_RSPAN
-    return trace.span(name, **attrs)
-
-
-@contextmanager
-def activate(trace: Optional[RequestTrace]) -> Iterator[Optional[RequestTrace]]:
-    """Make ``trace`` the active request context for the ``with`` body."""
-    token = _CURRENT.set(trace)
-    try:
-        yield trace
-    finally:
-        _CURRENT.reset(token)
-
-
-def bind(trace: Optional[RequestTrace], fn: Callable[..., _T]) -> Callable[..., _T]:
-    """Wrap ``fn`` so it runs with ``trace`` active in its own context.
-
-    ``loop.run_in_executor`` does **not** copy the caller's context into the
-    executor thread, so the service binds the request explicitly before
-    shipping query kernels across.
-    """
-
-    def bound(*args: Any, **kwargs: Any) -> _T:
-        token = _CURRENT.set(trace)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _CURRENT.reset(token)
-
-    return bound
+    def record(self, event: dict[str, Any]) -> None:
+        """Stamp one finished event with the request identity and keep it."""
+        event["attrs"].update(trace_id=self.trace_id, request_id=self.request_id)
+        super().record(event)
 
 
 class ExemplarStore:
@@ -406,7 +206,7 @@ class RequestTracer:
         request_id = next(self._seq)
         sampled_head = self.head_every > 0 and (request_id - 1) % self.head_every == 0
         trace_id = f"{self._id_prefix}{request_id:08x}"
-        return RequestTrace(self, trace_id, request_id, name, kind, sampled_head, dict(attrs))
+        return RequestTrace(trace_id, request_id, name, kind, sampled_head, attrs, self.max_spans)
 
     def finish(
         self,
@@ -421,44 +221,26 @@ class RequestTracer:
         or slow) the summary carries the full ``events`` span tree, root
         included.
         """
-        duration = time.perf_counter() - trace.t_start
-        trace.duration = duration
+        root = trace.root
+        duration = root.duration = time.perf_counter() - root.t_start
         slow = duration >= self.slow_threshold_seconds
         kept = trace.sampled_head or slow
         sampled = "head" if trace.sampled_head else ("tail" if slow else "none")
-        with trace._lock:
-            events = list(trace.events)
-            dropped = trace.n_dropped
-        root_attrs: dict[str, Any] = {
-            **trace.attrs,
-            "kind": trace.kind,
-            "status": int(status),
-            "sampled": sampled,
-            "trace_id": trace.trace_id,
-            "request_id": trace.request_id,
-        }
-        if error is not None:
-            root_attrs["error"] = error
-        root = {
-            "type": "span",
-            "name": trace.name,
-            "span_id": RequestTrace.ROOT_ID,
-            "parent_id": None,
-            "t_start": trace.t_start,
-            "duration": duration,
-            "attrs": root_attrs,
-        }
+        sink = trace.sink
+        with sink.lock:
+            n_events, dropped = len(sink.events), sink.n_dropped
+            events = list(sink.events) if kept else None
         summary: dict[str, Any] = {
             "trace_id": trace.trace_id,
             "request_id": trace.request_id,
-            "name": trace.name,
+            "name": root.name,
             "kind": trace.kind,
             "status": int(status),
             "duration_seconds": duration,
             "slow": slow,
             "sampled": sampled,
-            "epoch": trace.attrs.get("epoch"),
-            "n_spans": len(events) + 1,
+            "epoch": root.attrs.get("epoch"),
+            "n_spans": n_events + 1,
             "n_dropped_spans": dropped,
             "error": error,
         }
@@ -469,14 +251,19 @@ class RequestTracer:
             self.registry.inc("obs.reqtrace.slow")
         if dropped:
             self.registry.inc("obs.reqtrace.dropped_spans", dropped)
-        record = {**summary, "events": [root, *events]}
+        record = summary
+        if events is not None:
+            root.set(kind=trace.kind, status=int(status), sampled=sampled)
+            if error is not None:
+                root.set(error=error)
+            record = {**summary, "events": [span_event(root), *events]}
         with self._lock:
             self._recent.append(summary)
             if slow:
                 self._slow.append(record)
             elif trace.sampled_head:
                 self._sampled.append(record)
-        return record if kept else summary
+        return record
 
     # -------------------------------------------------------------- #
     # stores

@@ -17,17 +17,32 @@ through the module-level :func:`span` factory:
 
 Tracing is *off* by default.  When off, :func:`span` returns a shared no-op
 singleton — no object allocation, no clock reads, no sink traffic — so
-instrumented hot paths cost one function call and one ``is None`` test
-(measurably < 2% on a 100k-update stream; see the obs test-suite's overhead
-test).  Events are emitted on span *exit* (children before parents);
-:func:`format_span_tree` rebuilds and renders the tree afterwards.
+instrumented hot paths cost one function call, one context-variable read
+and one ``is None`` test (measurably < 2% on a 100k-update stream; see the
+obs test-suite's overhead test).  Events are emitted on span *exit*
+(children before parents); :func:`format_span_tree` rebuilds and renders
+the tree afterwards.
+
+This is the only span model.  The innermost open span is carried in one
+:class:`~contextvars.ContextVar`, so parentage is per thread and per
+asyncio task, and :func:`span` records into the tracer of that span —
+*innermost scope wins*: inside a served request (a root span on a
+per-request tracer, see :mod:`repro.obs.reqtrace`) a kernel's plain
+``span("core.bfs")`` lands in that request's tree and nowhere else;
+outside any scope it lands on the process tracer.  Context variables do
+not follow work handed to another thread, so :func:`bind` and
+:func:`activate` carry a span across such a hop explicitly, and
+:meth:`Tracer.adopt` folds spans recorded in another process under the
+span open here.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING, Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar, Token
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from repro.obs.sink import MemorySink, TraceSink
 from repro.util.timing import format_seconds
@@ -44,9 +59,13 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
     "current_tracer",
+    "activate",
+    "bind",
     "format_span_tree",
     "set_memory_hook",
 ]
+
+_T = TypeVar("_T")
 
 #: Optional per-span memory sampler (installed by :mod:`repro.obs.prof`).
 #: Kept as a module global so the disabled cost is one ``is None`` test on
@@ -59,8 +78,8 @@ def set_memory_hook(hook: object | None) -> None:
     """Install/remove the span memory sampler (see :mod:`repro.obs.prof`).
 
     ``hook`` must provide ``on_enter(span)`` and ``on_exit(span)``; it is
-    called around every enabled span, after the span is pushed on the
-    tracer stack and before the timer starts (entry) / after the timer
+    called around every enabled span, after the span becomes the current
+    one and before the timer starts (entry) / after the timer
     stops and before the event is emitted (exit), so sampling time is not
     charged to the span's duration.
     """
@@ -90,8 +109,11 @@ _NULL_SPAN = _NullSpan()
 class Span:
     """One live traced region.  Use as a context manager."""
 
-    __slots__ = ("tracer", "name", "span_id", "parent_id", "attrs", "t_start", "duration")
+    __slots__ = (
+        "tracer", "name", "span_id", "parent_id", "attrs", "t_start", "duration", "_token"
+    )
     enabled = True
+    _token: "Token[Span | None]"
 
     def __init__(
         self,
@@ -115,7 +137,7 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self.tracer._stack.append(self.span_id)
+        self._token = _CURRENT.set(self)
         hook = _MEM_HOOK
         if hook is not None:
             hook.on_enter(self)  # type: ignore[attr-defined]
@@ -124,25 +146,43 @@ class Span:
 
     def __exit__(self, exc_type: type | None, exc: object, tb: object) -> bool:
         self.duration = time.perf_counter() - self.t_start
-        stack = self.tracer._stack
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
+        _CURRENT.reset(self._token)
         hook = _MEM_HOOK
         if hook is not None:
             hook.on_exit(self)  # type: ignore[attr-defined]
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self.tracer._emit(self)
+        self.tracer.record(span_event(self))
         return False
 
 
-class Tracer:
-    """Span factory bound to one sink (and optionally one run manifest).
+#: The innermost open span of this execution context (thread / asyncio task).
+_CURRENT: ContextVar[Span | None] = ContextVar("repro_span", default=None)
 
-    The parent of a new span is whatever span is currently open — spans nest
-    lexically, which matches the library's synchronous kernels.  Every
-    emitted event carries the manifest id when a manifest is attached, so a
-    JSONL trace is attributable to a commit/seed/machine on its own.
+
+def span_event(sp: Span) -> dict:
+    """The event dict of one span — the shape every sink and exporter reads."""
+    return {
+        "type": "span",
+        "name": sp.name,
+        "span_id": sp.span_id,
+        "parent_id": sp.parent_id,
+        "t_start": sp.t_start,
+        "duration": sp.duration,
+        "attrs": dict(sp.attrs),
+    }
+
+
+class Tracer:
+    """One span tree's id space and sink (and optionally one run manifest).
+
+    Spans are opened through the module-level :func:`span`; the parent of a
+    new span is the span open in the calling context (thread / asyncio
+    task), whose tracer it joins — spans nest lexically, which matches the
+    library's synchronous kernels, and concurrent threads or tasks keep
+    separate parent chains.  Every emitted event carries the manifest id
+    when a manifest is attached, so a JSONL trace is attributable to a
+    commit/seed/machine on its own.
     """
 
     def __init__(
@@ -150,29 +190,11 @@ class Tracer:
     ) -> None:
         self.sink = sink if sink is not None else MemorySink()
         self.manifest = manifest
-        self._stack: list[int] = []
         self._ids = itertools.count(1)
         self.n_events = 0
 
-    def span(self, name: str, **attrs: object) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        return Span(self, name, next(self._ids), parent, attrs)
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._stack)
-
-    def _emit(self, sp: Span) -> None:
-        event = {
-            "type": "span",
-            "name": sp.name,
-            "span_id": sp.span_id,
-            "parent_id": sp.parent_id,
-            "t_start": sp.t_start,
-            "duration": sp.duration,
-            "attrs": dict(sp.attrs),
-        }
+    def record(self, event: dict) -> None:
+        """Stamp one finished event (the run-manifest id) and hand it to the sink."""
         if self.manifest is not None:
             event["manifest_id"] = self.manifest.id
         self.n_events += 1
@@ -193,11 +215,30 @@ class Tracer:
             "t_start": time.perf_counter(),
             "attrs": dict(fields),
         }
-        if self.manifest is not None:
-            event["manifest_id"] = self.manifest.id
-        self.n_events += 1
-        self.sink.emit(event)
+        self.record(event)
         return event
+
+    def adopt(self, events: Iterable[dict], worker: int | None = None) -> None:
+        """Fold span events recorded by another process into this tracer.
+
+        Span ids are remapped into this tracer's id space; the shipped
+        roots (events whose parent is not in the batch) parent at the span
+        open in the adopting context, so the tree stays connected across
+        the process boundary.  ``worker`` tags each adopted span.
+        """
+        cur = _CURRENT.get()
+        parent_open = cur.span_id if cur is not None and cur.tracer is self else None
+        spans = [ev for ev in events if ev.get("type") == "span"]
+        remap = {ev["span_id"]: next(self._ids) for ev in spans}
+        for ev in spans:
+            adopted = dict(ev)
+            adopted["span_id"] = remap[ev["span_id"]]
+            adopted["parent_id"] = remap.get(ev.get("parent_id"), parent_open)
+            attrs = dict(ev.get("attrs", {}))
+            if worker is not None:
+                attrs.setdefault("worker", worker)
+            adopted["attrs"] = attrs
+            self.record(adopted)
 
 
 #: The process-wide tracer (None = tracing disabled).
@@ -220,19 +261,29 @@ def disable_tracing() -> None:
 
 
 def tracing_enabled() -> bool:
+    """Whether a process-wide tracer is installed."""
     return _TRACER is not None
 
 
 def current_tracer() -> Tracer | None:
-    return _TRACER
+    """The tracer :func:`span` records into here: innermost scope, else process."""
+    cur = _CURRENT.get()
+    return _TRACER if cur is None else cur.tracer
 
 
 def span(name: str, **attrs: object) -> "Span | _NullSpan":
-    """Open a span on the process tracer (no-op singleton when disabled)."""
+    """Open a span in the innermost scope (no-op singleton when there is none).
+
+    The scope is the tracer of the span open in this context, else the
+    process tracer; so one span belongs to exactly one tree.
+    """
+    cur = _CURRENT.get()
+    if cur is not None:
+        return Span(cur.tracer, name, next(cur.tracer._ids), cur.span_id, attrs)
     t = _TRACER
     if t is None:
         return _NULL_SPAN
-    return t.span(name, **attrs)
+    return Span(t, name, next(t._ids), None, attrs)
 
 
 def emit_event(name: str, *, type: str = "event", **fields: object) -> dict | None:
@@ -241,6 +292,38 @@ def emit_event(name: str, *, type: str = "event", **fields: object) -> dict | No
     if t is None:
         return None
     return t.emit_event(name, type=type, **fields)
+
+
+@contextmanager
+def activate(sp: Span | None) -> Iterator[Span | None]:
+    """Make ``sp`` the current span for the ``with`` body, untimed.
+
+    For a span whose lifetime is managed elsewhere (a request root) and
+    for threads that do work on its behalf; ``None`` clears the scope.
+    """
+    token = _CURRENT.set(sp)
+    try:
+        yield sp
+    finally:
+        _CURRENT.reset(token)
+
+
+def bind(sp: Span | None, fn: Callable[..., _T]) -> Callable[..., _T]:
+    """Wrap ``fn`` so it runs with ``sp`` as the current span.
+
+    ``loop.run_in_executor`` does **not** copy the caller's context into the
+    executor thread, so the service binds the request's root span explicitly
+    before shipping query kernels across.
+    """
+
+    def bound(*args: object, **kwargs: object) -> _T:
+        token = _CURRENT.set(sp)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _CURRENT.reset(token)
+
+    return bound
 
 
 # --------------------------------------------------------------------- #

@@ -17,18 +17,15 @@ Design points:
   :class:`~repro.errors.WorkerCrashError` (and a worker that raises
   re-raises here with the worker traceback attached) instead of hanging on
   a queue that will never fill.
-* **Trace adoption** — when the parent has tracing enabled, workers record
-  spans into a private in-memory sink and ship the events back with their
-  result; :meth:`WorkerPool.run_tasks` re-emits them under the parent's
-  tracer (fresh span ids, parented at the current open span, tagged with
-  the worker id) so one JSONL trace shows the whole fan-out under the
-  parent's run manifest.  When a request trace
-  (:mod:`repro.obs.reqtrace`) is active in the dispatching context, its
-  ``trace_id``/``request_id`` additionally ride the task envelope, workers
-  record spans even without an ambient tracer, and the shipped events are
-  folded into the requesting trace (:meth:`RequestTrace.adopt`) — after
-  the stale-round filter, so an abandoned round's spans never orphan into
-  a newer request.
+* **Trace adoption** — when a tracer is in scope in the dispatching
+  context (the process tracer, or the request whose span is open there),
+  the task envelope says so, workers record spans into a private
+  in-memory sink and ship the events back with their result, and
+  :meth:`WorkerPool.run_tasks` folds them into that tracer
+  (:meth:`~repro.obs.trace.Tracer.adopt`: fresh span ids, parented at the
+  current open span, tagged with the worker id) — after the stale-round
+  filter, so an abandoned round's spans never orphan into a newer
+  request.  One JSONL trace, or one request tree, shows the whole fan-out.
 * **Heartbeats** — with ``heartbeat_interval`` set, each worker runs a
   tiny daemon thread posting liveness beats (current task, busy time,
   RSS, tasks completed) onto the result queue.  The parent records the
@@ -59,6 +56,7 @@ happens under the ``spawn`` start method.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 import traceback
@@ -67,7 +65,6 @@ from typing import Any, Callable, Sequence
 from repro.errors import ParallelError, WorkerCrashError
 from repro.obs import METRICS, current_tracer, disable_tracing, enable_tracing, span
 from repro.obs.metrics import snapshot_delta
-from repro.obs.reqtrace import current_trace as current_request_trace
 from repro.obs.prof import (
     disable_memory_profiling,
     enable_memory_profiling,
@@ -198,7 +195,7 @@ def _worker_main(
         msg = task_q.get()
         if msg is None:
             break
-        task_id, name, descriptors, payload, traced, memprof, trace_ctx = msg
+        task_id, name, descriptors, payload, traced, memprof = msg
         state["busy_since"] = time.monotonic()
         state["task"] = name
         state["task_id"] = task_id
@@ -209,22 +206,16 @@ def _worker_main(
             if fn is None:
                 raise ParallelError(f"worker has no task {name!r}; registered: {sorted(_TASKS)}")
             sink = None
-            # A request-trace context piggybacks span recording even when the
-            # parent has no ambient tracer: the shipped events become the
-            # request's per-shard worker spans (RequestTrace.adopt).
-            if traced or trace_ctx is not None:
+            if traced:
                 sink = MemorySink()
                 enable_tracing(sink)
             if memprof:
                 enable_memory_profiling()
-            span_attrs: dict[str, Any] = {"worker": worker_id, "task": task_id}
-            if trace_ctx is not None:
-                span_attrs["trace_id"] = trace_ctx.get("trace_id")
             before = METRICS.snapshot()
             t0 = time.perf_counter()
             try:
                 with measure_block() as mem:
-                    with span(f"parallel.{name}", **span_attrs):
+                    with span(f"parallel.{name}", worker=worker_id, task=task_id):
                         out = fn(_worker_views(arenas, descriptors), payload)
             finally:
                 telemetry = snapshot_delta(before, METRICS.snapshot())
@@ -371,7 +362,10 @@ class WorkerPool:
                 name=f"repro-worker-{wid}",
                 daemon=True,
             )
-            proc.start()
+            # In an empty context: a forked worker would otherwise inherit the
+            # span open in this thread and record its own spans into a copy
+            # of that span's tracer instead of the sink it ships back.
+            contextvars.Context().run(proc.start)
             self._task_qs.append(tq)
             self._procs.append(proc)
         self._started = True
@@ -423,9 +417,7 @@ class WorkerPool:
         if not tasks:
             return []
         self.start()
-        traced = current_tracer() is not None
-        rtrace = current_request_trace()
-        trace_ctx = rtrace.context() if rtrace is not None else None
+        tracer = current_tracer()
         memprof = memory_profiling_enabled()
         base = self._task_counter
         self._task_counter += len(tasks)
@@ -435,7 +427,7 @@ class WorkerPool:
                 raise ParallelError(f"unknown task {spec.name!r}")
             dispatched_at[base + i] = self._now()
             self._task_qs[i % self.workers].put(
-                (base + i, spec.name, spec.arenas, spec.payload, traced, memprof, trace_ctx)
+                (base + i, spec.name, spec.arenas, spec.payload, tracer is not None, memprof)
             )
         METRICS.inc("parallel.pool.tasks_dispatched", len(tasks))
         results: dict[int, Any] = {}
@@ -451,12 +443,10 @@ class WorkerPool:
                 continue
             if not base <= task_id < base + len(tasks):
                 continue  # stale result from an abandoned round
-            if events:
-                self._adopt_events(events, worker_id)
-                if rtrace is not None:
-                    # After the staleness filter on purpose: an abandoned
-                    # round's spans never orphan into a newer request trace.
-                    rtrace.adopt(events, worker=worker_id)
+            if events and tracer is not None:
+                # After the staleness filter on purpose: an abandoned
+                # round's spans never orphan into a newer request trace.
+                tracer.adopt(events, worker=worker_id)
             if telemetry:
                 self._merge_telemetry(worker_id, telemetry, dispatched_at.get(task_id))
             if status == "ok":
@@ -620,25 +610,3 @@ class WorkerPool:
             METRICS.set(f"worker{worker_id}.memory.peak_bytes", float(peak))
             rollup = METRICS.gauge("workers.memory.peak_bytes")
             rollup.set(max(rollup.value, float(peak)))
-
-    def _adopt_events(self, events: list[dict], worker_id: int) -> None:
-        """Re-emit worker span events under the parent tracer."""
-        tracer = current_tracer()
-        if tracer is None:
-            return
-        parent_open = tracer._stack[-1] if tracer._stack else None
-        remap: dict[int, int] = {}
-        for ev in events:
-            remap[ev["span_id"]] = next(tracer._ids)
-        for ev in events:
-            adopted = dict(ev)
-            adopted["span_id"] = remap[ev["span_id"]]
-            pid = ev.get("parent_id")
-            adopted["parent_id"] = remap.get(pid, parent_open) if pid is not None else parent_open
-            attrs = dict(ev.get("attrs", {}))
-            attrs.setdefault("worker", worker_id)
-            adopted["attrs"] = attrs
-            if tracer.manifest is not None:
-                adopted["manifest_id"] = tracer.manifest.id
-            tracer.n_events += 1
-            tracer.sink.emit(adopted)

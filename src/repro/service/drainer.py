@@ -34,8 +34,8 @@ from repro.api import DynamicGraph
 from repro.core.update_engine import apply_stream
 from repro.errors import ServiceError
 from repro.generators.streams import UpdateStream
-from repro.obs import METRICS, span
-from repro.obs.reqtrace import RequestTracer, activate, rspan
+from repro.obs import METRICS, activate, span
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.slo import SloTracker
 from repro.service.epoch import Epoch, EpochStore
 
@@ -203,15 +203,14 @@ class UpdateDrainer:
             if tracer is not None
             else None
         )
+        root = trace.root if trace is not None else None
         t_batch = time.perf_counter()
         error: Optional[str] = None
         try:
-            with activate(trace):
+            with activate(root):
                 if self.throttle > 0:
                     time.sleep(self.throttle)
-                with span("service.apply_batch", updates=len(stream)) as sp, rspan(
-                    "service.drain.apply", updates=len(stream)
-                ):
+                with span("service.drain.apply", updates=len(stream)) as sp:
                     t0 = time.perf_counter()
                     res = apply_stream(
                         self.graph.rep, stream, undirected=self.undirected, reset_stats=True
@@ -226,10 +225,10 @@ class UpdateDrainer:
                     if elapsed > 0:
                         METRICS.observe("service.updates.mups", res.n_updates / elapsed / 1e6)
                     sp.set(misses=res.misses, seconds=elapsed)
-                with rspan("service.drain.rotate"):
+                with span("service.drain.rotate"):
                     epoch = self.rotate()
-                if trace is not None:
-                    trace.attrs["epoch"] = epoch.id
+                if root is not None:
+                    root.set(epoch=epoch.id)
         except BaseException as exc:
             error = type(exc).__name__
             raise

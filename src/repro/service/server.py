@@ -25,12 +25,15 @@ Endpoints (GET, JSON unless noted):
   deterministic head samples)
 * ``/slo`` — burn-rate state of the query/update SLO trackers
 
-Every routed query runs under a :class:`~repro.obs.reqtrace.RequestTrace`
-(deterministic head sampling + always-keep tail sampling); the context is
-bound across the executor hop explicitly, the epoch-pinned kernels open
-``service.epoch.read`` spans, and sharded ``/components`` queries adopt
-the per-shard worker spans shipped back through the pool envelope — one
-connected tree per request, exportable via the Chrome-trace exporter.
+Every routed query is the root span of its own
+:class:`~repro.obs.reqtrace.RequestTrace` (deterministic head sampling +
+always-keep tail sampling).  The root is bound across the executor hop
+explicitly; beneath it the service's ``service.exec.*`` /
+``service.epoch.read`` spans, the kernels' own spans and — for sharded
+``/components`` — the per-shard worker spans shipped back through the pool
+envelope are all plain :func:`~repro.obs.trace.span` calls landing in that
+request: one connected tree per request, exportable via the Chrome-trace
+exporter.
 
 Errors map onto status codes: bad input (unknown vertex, malformed
 parameter) is a 400 carrying the :class:`~repro.errors.GraphError` message;
@@ -56,8 +59,8 @@ from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.errors import GraphError, ServiceError, WorkerCrashError
-from repro.obs import METRICS, to_openmetrics
-from repro.obs.reqtrace import RequestTrace, RequestTracer, bind, rspan
+from repro.obs import METRICS, bind, span, to_openmetrics
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.slo import SloTracker
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
@@ -174,7 +177,7 @@ class GraphService:
     def _pinned(self) -> Iterator[Epoch]:
         """Pin an epoch for one kernel, under a ``service.epoch.read`` span."""
         with self.store.reading() as epoch:
-            with rspan(
+            with span(
                 "service.epoch.read", epoch=epoch.id, mutations=epoch.mutation_count
             ):
                 yield epoch
@@ -340,9 +343,9 @@ class GraphService:
         METRICS.set("service.queries.inflight", float(self._inflight))
         t0 = time.perf_counter()
         try:
-            # contextvars don't cross run_in_executor: bind the trace into
-            # the executor thread explicitly so kernel rspans attach to it.
-            run = fn if trace is None else bind(trace, self._exec_traced(trace, route, fn))
+            # contextvars don't cross run_in_executor: bind the request root
+            # into the executor thread explicitly so kernel spans attach to it.
+            run = fn if trace is None else bind(trace.root, self._exec_traced(route, fn))
             body = await loop.run_in_executor(self._executor, run)
         except BaseException as exc:
             elapsed = time.perf_counter() - t0
@@ -366,21 +369,17 @@ class GraphService:
         if tracer is not None and trace is not None:
             epoch_id = body.get("epoch") if isinstance(body, dict) else None
             if epoch_id is not None:
-                trace.attrs["epoch"] = epoch_id
+                trace.root.set(epoch=epoch_id)
             tracer.finish(trace, status=200)
             tracer.exemplars.observe("service.query.seconds", elapsed, trace.trace_id)
         self.slo_query.record(elapsed)
         return 200, "application/json", json.dumps(body)
 
-    def _exec_traced(
-        self, trace: RequestTrace, route: str, fn: Callable[[], dict]
-    ) -> Callable[[], dict]:
-        """Wrap a query kernel in the executor-level span of ``trace``."""
+    def _exec_traced(self, route: str, fn: Callable[[], dict]) -> Callable[[], dict]:
+        """Wrap a query kernel in the request's executor-level span."""
 
         def run() -> dict:
-            with trace.span(
-                f"service.exec{route}", thread=threading.current_thread().name
-            ):
+            with span(f"service.exec{route}", thread=threading.current_thread().name):
                 return fn()
 
         return run

@@ -35,7 +35,6 @@ from repro.adjacency.csr import CSRGraph, csr_from_arrays
 from repro.core.components import connected_components
 from repro.errors import ServiceError
 from repro.obs import METRICS, span
-from repro.obs.reqtrace import rspan
 from repro.parallel.pool import TaskSpec, WorkerPool, task
 from repro.parallel.shm import ShmArena
 
@@ -102,9 +101,7 @@ def shard_components(
     pool.start()
     src = np.repeat(np.arange(n, dtype=np.int64), snapshot.degrees())
     arrays = {"src": src, "dst": snapshot.targets}
-    with span("service.shard_components", n=n, arcs=snapshot.n_arcs, shards=p), rspan(
-        "service.shard_components", n=n, arcs=snapshot.n_arcs, shards=p
-    ):
+    with span("service.shard_components", n=n, arcs=snapshot.n_arcs, shards=p):
         with ShmArena.create(arrays) as arena:
             specs = []
             for shard in range(p):

@@ -18,7 +18,7 @@ from repro.obs.export import (
 
 
 def ev(name, span_id, parent_id, t0, dur, **attrs):
-    """Hand-rolled span event in the shape Tracer._emit produces."""
+    """Hand-rolled span event in the shape repro.obs.trace.span_event produces."""
     return {
         "type": "span",
         "name": name,

@@ -1,17 +1,16 @@
 """Tests for repro.obs.reqtrace: sampling, span trees, propagation, stores."""
 
 import threading
+import time
 
+import pytest
+
+from repro import obs
+from repro.obs import activate, bind, current_tracer, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry
-from repro.obs.reqtrace import (
-    ExemplarStore,
-    RequestTracer,
-    activate,
-    bind,
-    current_trace,
-    rspan,
-)
+from repro.obs.reqtrace import ExemplarStore, RequestTracer
+from repro.obs.trace import _NULL_SPAN
 
 
 def tracer(**kw):
@@ -58,15 +57,19 @@ class TestSampling:
         a, b = t.start("q"), t.start("q")
         assert a.trace_id != b.trace_id
         assert a.request_id == 1 and b.request_id == 2
-        assert a.context() == {"trace_id": a.trace_id, "request_id": 1}
+        with activate(a.root), span("child"):
+            pass
+        (child,) = t.finish(a)["events"][1:]
+        assert child["attrs"]["trace_id"] == a.trace_id
+        assert child["attrs"]["request_id"] == 1
 
 
 class TestSpanTree:
     def test_nested_spans_parent_correctly(self):
         t = tracer(head_every=1)
         trace = t.start("route")
-        with trace.span("outer"):
-            with trace.span("inner", k=1):
+        with activate(trace.root), span("outer"):
+            with span("inner", k=1):
                 pass
         record = t.finish(trace)
         by_name = {e["name"]: e for e in record["events"]}
@@ -79,11 +82,8 @@ class TestSpanTree:
     def test_span_error_attribute_on_exception(self):
         t = tracer(head_every=1)
         trace = t.start("route")
-        try:
-            with trace.span("boom"):
-                raise ValueError("x")
-        except ValueError:
-            pass
+        with pytest.raises(ValueError), activate(trace.root), span("boom"):
+            raise ValueError("x")
         record = t.finish(trace, status=500, error="ValueError")
         boom = next(e for e in record["events"] if e["name"] == "boom")
         assert boom["attrs"]["error"] == "ValueError"
@@ -92,8 +92,8 @@ class TestSpanTree:
     def test_exported_tree_validates_as_chrome_trace(self):
         t = tracer(head_every=1)
         trace = t.start("route")
-        with trace.span("exec"):
-            with trace.span("kernel"):
+        with activate(trace.root), span("exec"):
+            with span("kernel"):
                 pass
         record = t.finish(trace)
         assert validate_chrome_trace(to_chrome_trace(record["events"])) == []
@@ -101,12 +101,14 @@ class TestSpanTree:
     def test_span_cap_counts_drops(self):
         t = tracer(head_every=1, max_spans=2)
         trace = t.start("route")
-        for _ in range(5):
-            with trace.span("s"):
-                pass
+        with activate(trace.root):
+            for _ in range(5):
+                with span("s"):
+                    pass
         record = t.finish(trace)
         assert record["n_spans"] == 3  # root + 2 kept
         assert record["n_dropped_spans"] == 3
+        assert len(record["events"]) == 3
 
     def test_stores_are_bounded(self):
         t = tracer(head_every=0, slow_threshold_seconds=0.0, max_slow=2, max_recent=3)
@@ -118,70 +120,92 @@ class TestSpanTree:
 
 
 class TestPropagation:
-    def test_rspan_is_noop_without_active_trace(self):
-        assert current_trace() is None
-        sp = rspan("nothing", k=1)
-        assert not sp.enabled
+    def test_span_is_noop_singleton_without_an_active_scope(self):
+        assert current_tracer() is None
+        sp = span("nothing", k=1)
+        assert sp is _NULL_SPAN and not sp.enabled
         with sp:
             sp.set(more=2)  # swallowed, not recorded
 
     def test_activate_scopes_the_context(self):
         t = tracer(head_every=1)
         trace = t.start("route")
-        with activate(trace):
-            assert current_trace() is trace
-            with rspan("inside"):
+        with activate(trace.root):
+            assert current_tracer() is trace
+            with span("inside"):
                 pass
-        assert current_trace() is None
+        assert current_tracer() is None
+        assert span("outside") is _NULL_SPAN
         record = t.finish(trace)
         assert [e["name"] for e in record["events"]] == ["route", "inside"]
 
-    def test_bind_carries_trace_into_another_thread(self):
+    def test_innermost_scope_wins_over_the_process_tracer(self):
+        process = obs.enable_tracing()
+        t = tracer(head_every=1)
+        trace = t.start("route")
+        with span("process.outer"):
+            with activate(trace.root), span("request.kernel"):
+                pass
+            with span("process.inner"):
+                pass
+        assert [e["name"] for e in process.sink.events] == ["process.inner", "process.outer"]
+        request, kernel = t.finish(trace)["events"]
+        # one span, one tree: the request's span never parents into the other tracer
+        assert kernel["name"] == "request.kernel"
+        assert kernel["parent_id"] == request["span_id"]
+
+    def test_bind_carries_the_root_into_another_thread(self):
         t = tracer(head_every=1)
         trace = t.start("route")
 
         def work():
-            assert current_trace() is trace
-            with rspan("threaded"):
+            assert current_tracer() is trace
+            with span("threaded"):
                 pass
 
-        thread = threading.Thread(target=bind(trace, work))
+        thread = threading.Thread(target=bind(trace.root, work))
         thread.start()
         thread.join()
-        assert current_trace() is None  # binding never leaks out
+        assert current_tracer() is None  # binding never leaks out
         record = t.finish(trace)
         threaded = next(e for e in record["events"] if e["name"] == "threaded")
-        assert threaded["parent_id"] == trace.ROOT_ID
+        assert threaded["parent_id"] == trace.root.span_id
 
-    def test_adopt_remaps_worker_spans_under_open_span(self):
-        import time
-
+    @pytest.mark.parametrize("target", ["process", "request"])
+    def test_adopt_remaps_worker_spans_under_open_span(self, target):
         t = tracer(head_every=1)
         trace = t.start("route")
-        with trace.span("shard") as shard:
+        if target == "process":
+            adopter, scope = obs.enable_tracing(), None
+        else:
+            adopter, scope = trace, trace.root
+        with activate(scope), span("shard") as shard:
             # Worker spans share the parent's perf_counter domain (same
             # CLOCK_MONOTONIC), so real adopted intervals nest inside the
-            # shard span; mimic that here.
+            # shard span; mimic that here.  Their ids (1, 2) collide with
+            # the adopter's own on purpose.
             now = time.perf_counter()
             worker_events = [
-                {"type": "span", "name": "parallel.kernel", "span_id": 7,
+                {"type": "span", "name": "parallel.kernel", "span_id": 1,
                  "parent_id": None, "t_start": now, "duration": 5e-4, "attrs": {}},
-                {"type": "span", "name": "parallel.sub", "span_id": 8,
-                 "parent_id": 7, "t_start": now + 1e-4, "duration": 2e-4,
+                {"type": "span", "name": "parallel.sub", "span_id": 2,
+                 "parent_id": 1, "t_start": now + 1e-4, "duration": 2e-4,
                  "attrs": {}},
             ]
             time.sleep(0.002)
-            trace.adopt(worker_events, worker=3)
-        record = t.finish(trace)
-        by_name = {e["name"]: e for e in record["events"]}
+            adopter.adopt(worker_events, worker=3)
+        events = adopter.sink.events if target == "process" else t.finish(trace)["events"]
+        by_name = {e["name"]: e for e in events}
         kernel, sub = by_name["parallel.kernel"], by_name["parallel.sub"]
         # worker root hangs off the span that was open while adopting
         assert kernel["parent_id"] == shard.span_id
         assert sub["parent_id"] == kernel["span_id"]
-        assert kernel["span_id"] not in (7, 8)  # remapped into trace id-space
-        assert kernel["attrs"]["worker"] == 3
-        assert sub["attrs"]["trace_id"] == trace.trace_id
-        assert validate_chrome_trace(to_chrome_trace(record["events"])) == []
+        ids = [e["span_id"] for e in events]
+        assert len(ids) == len(set(ids))  # remapped into the adopter's id-space
+        assert kernel["attrs"]["worker"] == 3 and sub["attrs"]["worker"] == 3
+        if target == "request":
+            assert sub["attrs"]["trace_id"] == trace.trace_id
+        assert validate_chrome_trace(to_chrome_trace(events)) == []
 
 
 class TestExemplarStore:

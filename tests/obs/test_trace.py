@@ -1,5 +1,7 @@
 """Tests for repro.obs.trace: span nesting, disabled path, rendering."""
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -76,13 +78,83 @@ class TestSpanNesting:
         events = {e["name"]: e for e in tracer.sink.events}
         assert 0 < events["inner"]["duration"] <= events["outer"]["duration"]
 
-    def test_depth_tracks_open_spans(self, tracer):
-        assert tracer.depth == 0
-        with obs.span("a"):
-            assert tracer.depth == 1
-            with obs.span("b"):
-                assert tracer.depth == 2
-        assert tracer.depth == 0
+    def test_scope_tracks_open_spans(self, tracer):
+        assert obs.span("probe").parent_id is None
+        with obs.span("a") as a:
+            assert obs.span("probe").parent_id == a.span_id
+            with obs.span("b") as b:
+                assert obs.span("probe").parent_id == b.span_id
+            assert obs.span("probe").parent_id == a.span_id
+        assert obs.span("probe").parent_id is None
+
+
+class TestConcurrentScopes:
+    """The current span is per thread / per asyncio task, not per process."""
+
+    def test_interleaved_threads_parent_only_within_their_thread(self, tracer):
+        a_open, b_done = threading.Event(), threading.Event()
+
+        def thread_a():
+            with obs.span("A.outer"):
+                a_open.set()
+                b_done.wait(10)
+                with obs.span("A.inner"):
+                    pass
+
+        def thread_b():
+            a_open.wait(10)
+            with obs.span("B.outer"):
+                with obs.span("B.inner"):
+                    pass
+            b_done.set()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        events = {e["name"]: e for e in tracer.sink.events}
+        for who in "AB":
+            assert events[f"{who}.outer"]["parent_id"] is None
+            assert events[f"{who}.inner"]["parent_id"] == events[f"{who}.outer"]["span_id"]
+
+    def test_out_of_order_exit_across_threads_leaves_no_dead_parent(self, tracer):
+        # A enters, B enters, A exits, B exits — each span held by its own thread.
+        gates = {name: (threading.Event(), threading.Event()) for name in "AB"}
+
+        def hold(name):
+            entered, leave = gates[name]
+            with obs.span(name):
+                entered.set()
+                leave.wait(10)
+
+        threads = {name: threading.Thread(target=hold, args=(name,)) for name in "AB"}
+        for name in "AB":
+            threads[name].start()
+            gates[name][0].wait(10)
+        for name in "AB":
+            gates[name][1].set()
+            threads[name].join()
+        with obs.span("afterwards") as later:
+            pass
+        assert later.parent_id is None
+        assert all(e["parent_id"] is None for e in tracer.sink.events)
+
+    def test_concurrent_asyncio_tasks_keep_separate_parent_chains(self, tracer):
+        async def request(name):
+            with obs.span(f"{name}.outer"):
+                await asyncio.sleep(0.001)  # let the other task open its span
+                with obs.span(f"{name}.inner"):
+                    await asyncio.sleep(0.001)
+
+        async def main():
+            await asyncio.gather(request("x"), request("y"))
+
+        asyncio.run(main())
+        events = {e["name"]: e for e in tracer.sink.events}
+        for who in "xy":
+            assert events[f"{who}.outer"]["parent_id"] is None
+            assert events[f"{who}.inner"]["parent_id"] == events[f"{who}.outer"]["span_id"]
 
 
 class TestSpanAttrs:

@@ -66,6 +66,20 @@ class TestTraceAdoption:
         inner = next(e for e in events if e["name"] == "parallel.selftest.echo.inner")
         assert inner["parent_id"] == worker_ev["span_id"]
 
+    def test_workers_forked_inside_an_open_span_still_ship_spans(self):
+        tracer = enable_tracing()
+        try:
+            from repro.obs import span
+
+            with span("parent.round") as parent:
+                with WorkerPool(2, timeout=60.0) as p:
+                    p.run_tasks([TaskSpec("selftest.echo", {"value": 5})])
+            events = tracer.sink.events
+        finally:
+            disable_tracing()
+        worker_ev = next(e for e in events if e["name"] == "parallel.selftest.echo")
+        assert worker_ev["parent_id"] == parent.span_id
+
     def test_span_ids_do_not_collide_with_parent_ids(self, pool):
         tracer = enable_tracing()
         try:

@@ -10,10 +10,11 @@ from repro.__main__ import main
 from repro.api import DynamicGraph
 from repro.errors import WorkerCrashError
 from repro.generators.parallel import iter_update_chunks
+from repro.obs import activate, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.live import TelemetryCollector, Watchdog
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.reqtrace import ExemplarStore, RequestTracer, activate
+from repro.obs.reqtrace import ExemplarStore, RequestTracer
 from repro.obs.slo import SloTracker
 from repro.parallel.pool import TaskSpec, WorkerPool
 from repro.service import GraphService, ShardRouter
@@ -110,6 +111,8 @@ class TestSpanTree:
         assert applies[-1]["epoch"] is not None
         names = {e["name"] for e in applies[-1]["events"]}
         assert {"service.drain.apply", "service.drain.rotate"} <= names
+        # the kernels' own spans ride along, no second API
+        assert {"update_engine.apply_stream", "api.snapshot"} <= names
 
     def test_exec_span_runs_on_executor_thread(self, traced):
         handle, service, _ = traced
@@ -117,6 +120,16 @@ class TestSpanTree:
         record = request_tree(service, "service.connected")
         execs = [e for e in record["events"] if e["name"] == "service.exec.connected"]
         assert execs and execs[0]["attrs"]["thread"] != "MainThread"
+
+    def test_bfs_kernel_span_lands_under_the_request(self, traced):
+        handle, service, _ = traced
+        get_json(handle.url + "/bfs?source=3")
+        record = request_tree(service, "service.bfs")
+        by_name = {e["name"]: e for e in record["events"]}
+        chain = ["core.bfs", "service.epoch.read", "service.exec.bfs", "service.bfs"]
+        for child, parent in zip(chain, chain[1:]):
+            assert by_name[child]["parent_id"] == by_name[parent]["span_id"]
+        assert by_name["core.bfs"]["attrs"]["trace_id"] == record["trace_id"]
 
     def test_traced_bodies_bit_identical_to_untraced(self, traced):
         handle, service, batches = traced
@@ -192,15 +205,15 @@ class TestPoolRestart:
         pool = WorkerPool(2, timeout=60.0).start()
         try:
             trace = tracer.start("service.components")
-            with activate(trace):
-                with trace.span("shard.round1"):
+            with activate(trace.root):
+                with span("shard.round1"):
                     with pytest.raises(WorkerCrashError):
                         pool.run_tasks(
                             [TaskSpec("selftest.exit", {})]
                             + [TaskSpec("selftest.echo", {"value": 1})] * 3
                         )
                 pool.restart()
-                with trace.span("shard.round2") as round2:
+                with span("shard.round2") as round2:
                     out = pool.run_tasks(
                         [TaskSpec("selftest.echo", {"value": k}) for k in range(4)]
                     )
