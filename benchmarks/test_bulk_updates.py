@@ -2,13 +2,16 @@
 
 Per-representation structural-update throughput with the
 :mod:`repro.adjacency.bulkops` fast path on, with the scalar time measured
-inline for the speedup ratio.  Three hard assertions back the PR's
+inline for the speedup ratio.  Four hard assertions back the PRs'
 acceptance criteria:
 
 * the vectorised ``apply_arcs`` is at least 5x faster than the scalar loop
   on a 1M-update insertion stream into Dyn-arr;
 * the zero-copy snapshot pipeline (grouped ``to_arrays`` + sort-free CSR)
   is at least 5x faster than the scalar export + sorting build;
+* the ``hybrid`` export (level-synchronous treap pass + per-vertex
+  placement) is at least 2x faster than the per-vertex walk on a scale-14
+  R-MAT graph after a mixed stream, and bit-equal to it;
 * no representation's vectorised path is slower than its scalar path
   (beyond timing noise — for the treap the two are intentionally the same
   algorithm, so the ratio hovers at 1.0).
@@ -30,6 +33,8 @@ from repro.adjacency.epart import EPartAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.adjacency.vpart import VPartAdjacency
+from repro.api import DynamicGraph
+from repro.generators import mixed_stream, rmat_graph
 
 N = 100_000
 M_LARGE = 1_000_000
@@ -128,6 +133,30 @@ def test_snapshot_pipeline_csr_1m(benchmark):
     benchmark.extra_info["scalar_seconds"] = round(scalar_seconds, 6)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= 5.0, f"zero-copy snapshot only {speedup:.1f}x faster"
+
+
+def test_snapshot_pipeline_hybrid(benchmark):
+    """Rotation cost on ``hybrid``: the export must beat the per-vertex walk >=2x."""
+    base = rmat_graph(14, 8, seed=SEED)
+    g = DynamicGraph.from_edgelist(base, representation="hybrid")
+    fresh = rmat_graph(14, 16, seed=SEED + 1)
+    g.apply(mixed_stream(base, 49152, 0.75, SEED + 2, insert_edges=fresh))
+    rep = g.rep
+
+    fast = benchmark.pedantic(rep.to_arrays, rounds=5, iterations=1, warmup_rounds=1)
+    vec_seconds = float(benchmark.stats.stats.mean)
+    t0 = time.perf_counter()
+    slow = rep.to_arrays_scalar()
+    scalar_seconds = time.perf_counter() - t0
+    speedup = scalar_seconds / vec_seconds
+
+    for a, b in zip(fast, slow):
+        np.testing.assert_array_equal(a, b)
+    benchmark.extra_info["n_arcs"] = rep.n_arcs
+    benchmark.extra_info["n_treap_arcs"] = rep.treap.n_arcs
+    benchmark.extra_info["scalar_seconds"] = round(scalar_seconds, 6)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup >= 2.0, f"hybrid export only {speedup:.1f}x faster than the walk"
 
 
 @pytest.mark.parametrize(

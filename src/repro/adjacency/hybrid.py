@@ -292,22 +292,23 @@ class HybridAdjacency(AdjacencyRepresentation):
             self.bulk_insert_scalar(src[idx_s], dst[idx_s], t[idx_s])
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged live-arc export: each vertex lives on exactly one side,
-        so a stable merge by source reproduces the scalar per-vertex walk."""
+        """Merged live-arc export: each vertex lives on exactly one side, so
+        an arc's merged position is its position on its own side plus the
+        other side's arcs at smaller sources — the scalar per-vertex walk."""
         self.arr.use_bulkops = self.use_bulkops
-        s1, d1, t1 = self.arr.to_arrays()
-        s2, d2, t2 = self.treap.to_arrays()
+        arr, treap = self.arr.to_arrays(), self.treap.to_arrays()
+        s1, s2 = arr[0], treap[0]
         if not s2.size:
-            return s1, d1, t1
+            return arr
         if not s1.size:
-            return s2, d2, t2
-        s = np.concatenate([s1, s2])
-        order = np.argsort(s, kind="stable")
-        return (
-            s[order],
-            np.concatenate([d1, d2])[order],
-            np.concatenate([t1, t2])[order],
-        )
+            return treap
+        pos1 = np.arange(s1.size) + np.cumsum(np.bincount(s2, minlength=self.n))[s1]
+        pos2 = np.arange(s2.size) + np.cumsum(np.bincount(s1, minlength=self.n))[s2]
+        out = tuple(np.empty(s1.size + s2.size, dtype=np.int64) for _ in range(3))
+        for merged, a1, a2 in zip(out, arr, treap):
+            merged[pos1] = a1
+            merged[pos2] = a2
+        return out
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -20,13 +20,19 @@ Set operations (union / intersection / difference) on adjacency sets are
 provided as well; the paper notes they are the building blocks for batched
 updates, traversal and induced subgraphs.
 
-Implementation notes: nodes live in parallel Python lists (an index-based
-pool — no per-node objects); deleted nodes go on a free list for reuse.  The
-recursive descents mirror the textbook split/merge formulation and count
-every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
+Implementation notes: nodes live in parallel ``array('q')`` buffers (an
+index-based pool — no per-node objects — that numpy reads in place); deleted
+nodes go on a free list for reuse.  Insert, delete, split and merge are loops
+over the one root-to-leaf path the textbook recursion follows (equal keys form
+a right spine as deep as their multiplicity, so depth is not logarithmic) and
+count every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
+The whole-structure export is one level-synchronous numpy pass over the
+forest; ``_inorder`` walks a single vertex's treap.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -56,15 +62,15 @@ class TreapAdjacency(AdjacencyRepresentation):
     def __init__(self, n: int, *, seed: int | np.random.Generator | None = None) -> None:
         super().__init__(n)
         self._rng = make_rng(seed)
-        self.root = [_NIL] * n
-        # Node pool: parallel lists indexed by node id.
-        self._key: list[int] = []
-        self._prio: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._ts: list[int] = []
+        self.root = array("q", [_NIL]) * n
+        # Node pool: parallel int64 buffers indexed by node id.
+        self._key = array("q")
+        self._prio = array("q")
+        self._left = array("q")
+        self._right = array("q")
+        self._ts = array("q")
         self._free: list[int] = []
-        self._live_deg = [0] * n
+        self._live_deg = array("q", [0]) * n
         # Pre-drawn priorities, refilled in blocks (drawing one random int64
         # per insert through numpy is slow).
         self._prio_block: list[int] = []
@@ -100,63 +106,72 @@ class TreapAdjacency(AdjacencyRepresentation):
         return len(self._key)
 
     # ------------------------------------------------------------------ #
-    # core treap algorithms (recursive; every visited node is counted)
+    # core treap algorithms (one loop per descent; every visited node is counted)
     # ------------------------------------------------------------------ #
+
+    # Each descent carries a *hole* ``col[at]``: the child cell (or, before
+    # the first step, a one-off result cell) that receives the next subtree.
 
     def _split(self, t: int, k: int) -> tuple[int, int]:
         """Split subtree ``t`` into (< k, >= k) by key.  Counts rotations."""
-        if t == _NIL:
-            return _NIL, _NIL
-        self.stats.rotations += 1
-        if self._key[t] < k:
-            l, r = self._split(self._right[t], k)
-            self._right[t] = l
-            return t, r
-        l, r = self._split(self._left[t], k)
-        self._left[t] = r
-        return l, t
+        key, left, right = self._key, self._left, self._right
+        out = array("q", (_NIL, _NIL))
+        lo_col, lo_at, hi_col, hi_at = out, 0, out, 1
+        while t != _NIL:
+            self.stats.rotations += 1
+            if key[t] < k:
+                lo_col[lo_at] = t
+                lo_col, lo_at, t = right, t, right[t]
+            else:
+                hi_col[hi_at] = t
+                hi_col, hi_at, t = left, t, left[t]
+        lo_col[lo_at] = hi_col[hi_at] = _NIL
+        return out[0], out[1]
 
     def _merge(self, a: int, b: int) -> int:
         """Merge treaps with all keys in ``a`` <= all keys in ``b``."""
-        if a == _NIL:
-            return b
-        if b == _NIL:
-            return a
-        self.stats.rotations += 1
-        if self._prio[a] > self._prio[b]:
-            self._right[a] = self._merge(self._right[a], b)
-            return a
-        self._left[b] = self._merge(a, self._left[b])
-        return b
+        prio, left, right = self._prio, self._left, self._right
+        out = array("q", (_NIL,))
+        col, at = out, 0
+        while a != _NIL and b != _NIL:
+            self.stats.rotations += 1
+            if prio[a] > prio[b]:
+                col[at] = a
+                col, at, a = right, a, right[a]
+            else:
+                col[at] = b
+                col, at, b = left, b, left[b]
+        col[at] = b if a == _NIL else a
+        return out[0]
 
     def _insert_node(self, t: int, nd: int) -> int:
-        if t == _NIL:
-            return nd
-        self.stats.nodes_visited += 1
-        if self._prio[nd] > self._prio[t]:
-            l, r = self._split(t, self._key[nd])
-            self._left[nd] = l
-            self._right[nd] = r
-            return nd
-        if self._key[nd] < self._key[t]:
-            self._left[t] = self._insert_node(self._left[t], nd)
-        else:
-            self._right[t] = self._insert_node(self._right[t], nd)
-        return t
+        key, prio = self._key, self._prio
+        k, p = key[nd], prio[nd]
+        out = array("q", (t,))
+        col, at = out, 0
+        while t != _NIL:
+            self.stats.nodes_visited += 1
+            if p > prio[t]:
+                self._left[nd], self._right[nd] = self._split(t, k)
+                break
+            col = self._left if k < key[t] else self._right
+            at, t = t, col[t]
+        col[at] = nd
+        return out[0]
 
     def _delete_key(self, t: int, v: int) -> tuple[int, bool]:
-        if t == _NIL:
-            return _NIL, False
-        self.stats.nodes_visited += 1
-        if v < self._key[t]:
-            self._left[t], found = self._delete_key(self._left[t], v)
-            return t, found
-        if v > self._key[t]:
-            self._right[t], found = self._delete_key(self._right[t], v)
-            return t, found
-        merged = self._merge(self._left[t], self._right[t])
-        self._free.append(t)
-        return merged, True
+        key = self._key
+        out = array("q", (t,))
+        col, at = out, 0
+        while t != _NIL:
+            self.stats.nodes_visited += 1
+            if v == key[t]:
+                col[at] = self._merge(self._left[t], self._right[t])
+                self._free.append(t)
+                return out[0], True
+            col = self._left if v < key[t] else self._right
+            at, t = t, col[t]
+        return out[0], False
 
     def _find(self, t: int, v: int) -> int:
         while t != _NIL:
@@ -253,24 +268,50 @@ class TreapAdjacency(AdjacencyRepresentation):
         self.stats.inserts += int(src.size)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live-arc export with one buffer for all in-order walks.
+        """Live-arc export: one level-synchronous pass over the whole forest.
 
         Emits exactly what the scalar per-vertex export does (ascending
-        source, in-order targets) without materialising per-vertex numpy
-        arrays: ``_live_deg`` already holds every walk's length.
+        source, in-order targets).  Levels are discovered top-down from all
+        roots at once, subtree sizes taken bottom-up, and every node gets
+        its in-order slot top-down (``slot = start + size[left]``), so
+        positions come from tree structure and equal keys keep their order.
+        Cost is O(nodes + depth x per-level numpy overhead).  The results
+        are fresh arrays; the pool views die with this frame, so the pool
+        can grow again afterwards.
         """
-        keys: list[int] = []
-        tss: list[int] = []
-        for t_root in self.root:
-            if t_root != _NIL:
-                self._inorder(t_root, keys, tss)
-        src = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.asarray(self._live_deg, dtype=np.int64)
-        )
+        left = np.frombuffer(self._left, dtype=np.int64)
+        right = np.frombuffer(self._right, dtype=np.int64)
+        deg = np.frombuffer(self._live_deg, dtype=np.int64)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
+        roots = np.frombuffer(self.root, dtype=np.int64)
+        live = np.flatnonzero(roots != _NIL)
+        nodes = tops = roots[live]
+        levels = []
+        while nodes.size:
+            lc, rc = left[nodes], right[nodes]
+            levels.append((nodes, lc, rc))
+            kids = np.concatenate((lc, rc))
+            nodes = kids[kids != _NIL]
+        # One spare trailing entry: child id _NIL (-1) reads size 0 there.
+        size = np.zeros(left.size + 1, dtype=np.int64)
+        for nodes, lc, rc in reversed(levels):
+            size[nodes] = 1 + size[lc] + size[rc]
+        start = np.empty(left.size + 1, dtype=np.int64)
+        start[tops] = (np.cumsum(deg) - deg)[live]
+        slots = []
+        for nodes, lc, rc in levels:
+            first = start[nodes]
+            slot = first + size[lc]
+            start[lc] = first
+            start[rc] = slot + 1
+            slots.append(slot)
+        order = np.empty(src.size, dtype=np.int64)
+        if levels:
+            order[np.concatenate(slots)] = np.concatenate([nodes for nodes, _, _ in levels])
         return (
             src,
-            np.asarray(keys, dtype=np.int64),
-            np.asarray(tss, dtype=np.int64),
+            np.frombuffer(self._key, dtype=np.int64)[order],
+            np.frombuffer(self._ts, dtype=np.int64)[order],
         )
 
     # ------------------------------------------------------------------ #

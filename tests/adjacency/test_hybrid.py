@@ -1,9 +1,15 @@
 """Tests for the Hybrid-arr-treap representation."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.errors import GraphError
+from tests.adjacency.test_treap import (
+    assert_export_matches_walk,
+    check_export_along,
+    export_ops,
+)
 
 
 class TestMigration:
@@ -117,6 +123,59 @@ class TestOperations:
         assert h.stats.migrations == 0
         assert h.arr.stats.inserts == 0
         assert h.treap.stats.inserts == 0
+
+
+class TestExport:
+    @pytest.mark.parametrize("downshift", [False, True])
+    @given(export_ops)
+    @settings(max_examples=50, deadline=None)
+    def test_interleaved_stream_matches_walk(self, downshift, ops):
+        check_export_along(
+            HybridAdjacency(5, degree_thresh=4, downshift=downshift, seed=9), ops
+        )
+
+    def test_every_vertex_on_the_array_side(self):
+        h = HybridAdjacency(4, degree_thresh=8, seed=1)
+        for u, v in [(3, 0), (0, 2), (3, 1), (0, 2)]:
+            h.insert(u, v, ts=u + v)
+        assert h.n_treap_vertices() == 0
+        assert_export_matches_walk(h)
+
+    def test_every_vertex_on_the_treap_side(self):
+        h = HybridAdjacency(3, degree_thresh=1, seed=1)
+        for u in range(3):
+            for i in range(4):
+                h.insert(u, i % 3, ts=i)
+        assert h.n_treap_vertices() == 3 and h.arr.n_arcs == 0
+        assert_export_matches_walk(h)
+
+    def test_treap_side_emptied_again(self):
+        h = HybridAdjacency(3, degree_thresh=1, seed=1)
+        h.insert(0, 1)
+        h.insert(0, 2)  # migrates 0
+        h.insert(1, 0)
+        assert h.delete(0, 1) and h.delete(0, 2)
+        assert [a.tolist() for a in h.to_arrays()] == [[1], [0], [0]]
+
+    def test_parallel_arcs_past_the_recursion_limit(self):
+        h = HybridAdjacency(2, seed=1)
+        for i in range(3000):
+            h.insert(0, 1, ts=i)
+        assert_export_matches_walk(h)
+        for _ in range(3000):
+            assert h.delete(0, 1)
+        assert h.n_arcs == 0
+
+    def test_export_survives_later_updates(self):
+        h = HybridAdjacency(3, degree_thresh=2, seed=1)
+        for v in [2, 0, 1]:
+            h.insert(0, v, ts=v + 10)  # treap side
+        h.insert(1, 2, ts=5)  # array side
+        first = h.to_arrays()
+        h.insert(0, 1, ts=99)
+        h.delete(1, 2)
+        assert [a.tolist() for a in first] == [[0, 0, 0, 1], [0, 1, 2, 2], [10, 11, 12, 5]]
+        assert_export_matches_walk(h)
 
 
 class TestPhase:

@@ -1,7 +1,11 @@
 """Tests for the treap representation, including its structural invariants."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adjacency.treap import TreapAdjacency, _NIL
 
@@ -23,6 +27,42 @@ def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
 
     rec(t.root[u], -(1 << 62), 1 << 62, 1 << 63)
     return count
+
+
+def check_treap_depth(t: TreapAdjacency, u: int) -> int:
+    """Longest root-to-leaf path of vertex u's treap, in nodes."""
+    depth, level = 0, [t.root[u]]
+    while level := [c for nd in level if nd != _NIL for c in (t._left[nd], t._right[nd])]:
+        depth += 1
+    return depth
+
+
+def assert_export_matches_walk(rep):
+    """``to_arrays`` (level pass) against ``to_arrays_scalar`` (per-vertex walk)."""
+    fast, ref = rep.to_arrays(), rep.to_arrays_scalar()
+    for a, b in zip(fast, ref):
+        assert a.dtype == np.int64 and a.flags.owndata
+        assert np.array_equal(a, b)
+    assert fast[0].size == rep.n_arcs
+
+
+#: (is_insert, u, v): three sources and five keys, so duplicate keys, emptied
+#: treaps and free-list reuse all occur within one short stream.
+export_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 4)), max_size=150
+)
+
+
+def check_export_along(rep, ops):
+    """Apply ``export_ops`` to ``rep``, comparing the exports every ten steps."""
+    for i, (is_insert, u, v) in enumerate(ops):
+        if is_insert:
+            rep.insert(u, v, ts=i)  # distinct time-stamps on equal keys
+        else:
+            rep.delete(u, v)
+        if i % 10 == 0:
+            assert_export_matches_walk(rep)
+    assert_export_matches_walk(rep)
 
 
 class TestInsertDelete:
@@ -97,6 +137,67 @@ class TestInsertDelete:
             a.insert(0, v)
             b.insert(0, v)
         assert a._key == b._key and a._prio == b._prio
+
+
+class TestExport:
+    @given(export_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_stream_matches_walk(self, ops):
+        check_export_along(TreapAdjacency(5, seed=9), ops)
+
+    def test_no_node_ever(self):
+        t = TreapAdjacency(3, seed=1)
+        assert [a.tolist() for a in t.to_arrays()] == [[], [], []]
+        assert_export_matches_walk(t)
+
+    def test_every_node_on_the_free_list(self):
+        t = TreapAdjacency(3, seed=1)
+        for v in [2, 0, 2, 1]:
+            t.insert(1, v)
+        for v in [2, 0, 2, 1]:
+            assert t.delete(1, v)
+        assert t.n_nodes == 4 and t.root[1] == _NIL
+        assert_export_matches_walk(t)
+
+    def test_one_treap_emptied_beside_a_live_one(self):
+        t = TreapAdjacency(3, seed=1)
+        t.insert(0, 1, 5)
+        t.insert(2, 0, 6)
+        t.insert(2, 0, 7)
+        assert t.delete(0, 1)
+        assert [a.tolist() for a in t.to_arrays()] == [[2, 2], [0, 0], [6, 7]]
+        t.insert(1, 2, 8)  # reuses the freed node
+        assert_export_matches_walk(t)
+
+    def test_parallel_arcs_form_a_deep_chain(self):
+        """Equal keys make a spine as deep as their multiplicity: far past
+        the recursion limit, and one export level per node."""
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        t = TreapAdjacency(2, seed=1)
+        for i in range(depth):
+            t.insert(0, 1, ts=i)
+        assert t.n_nodes == depth
+        assert_export_matches_walk(t)
+        assert sorted(t.to_arrays()[2].tolist()) == list(range(depth))
+        assert check_treap_depth(t, 0) == depth
+        for _ in range(depth):
+            assert t.delete(0, 1)
+        assert t.n_arcs == 0 and t.root[0] == _NIL
+
+    def test_exports_own_their_memory(self):
+        """A published snapshot must not alias the pool: a later insert
+        grows the pool (no ``BufferError``) and the old export stays put."""
+        t = TreapAdjacency(3, seed=1)
+        for v in [2, 0, 1]:
+            t.insert(0, v, ts=v + 10)
+        first = t.to_arrays()
+        nbr, ts = t.neighbors_with_ts(0)
+        t.insert(0, 1, ts=99)
+        t.delete(0, 2)
+        assert [a.tolist() for a in first] == [[0, 0, 0], [0, 1, 2], [10, 11, 12]]
+        assert (nbr.tolist(), ts.tolist()) == ([0, 1, 2], [10, 11, 12])
+        assert t.to_arrays()[1].tolist() == [0, 1, 1]
 
 
 class TestSetOperations:
