@@ -77,7 +77,6 @@ def _stream(m, n, insert_frac=1.1, seed=SEED):
 
 def _scalar_seconds(kind, n, op, src, dst, ts):
     rep = _build(kind, n)
-    rep.use_bulkops = False
     t0 = time.perf_counter()
     rep.apply_arcs_scalar(op, src, dst, ts)
     return time.perf_counter() - t0
@@ -89,7 +88,6 @@ def test_bulk_insert_dynarr_1m(benchmark):
 
     def vectorised():
         rep = _build("dynarr", N)
-        rep.use_bulkops = True
         rep.apply_arcs(op, src, dst, ts)
         return rep
 
@@ -111,7 +109,6 @@ def test_snapshot_pipeline_csr_1m(benchmark):
     """Acceptance headline: zero-copy snapshot >=5x over scalar export."""
     op, src, dst, ts = _stream(M_LARGE, N)
     rep = _build("dynarr", N)
-    rep.use_bulkops = True
     rep.apply_arcs(op, src, dst, ts)
 
     def zero_copy():
@@ -169,7 +166,6 @@ def test_bulk_updates_representation(benchmark, kind):
 
     def vectorised():
         rep = _build(kind, n)
-        rep.use_bulkops = True
         rep.apply_arcs(op, src, dst, ts)
         return rep
 

@@ -87,7 +87,6 @@ def test_kernel_delete_match(benchmark, graph):
     def make(tier):
         rep = DynArrAdjacency(graph.n, initial_capacity=2)
         construct(rep, graph)
-        rep.use_bulkops = True
         rep.kernel_tier = tier
         return rep
 

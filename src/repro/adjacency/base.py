@@ -137,6 +137,14 @@ class AdjacencyRepresentation(abc.ABC):
     #: different emission order must set this to False.
     to_arrays_grouped: bool = True
 
+    #: Kernel-tier request ("scalar" | "vectorised" | "compiled"); None
+    #: defers to :func:`repro.kernels.resolve_tier` (env var, then
+    #: auto-probe).  Wrappers forward it to the structure they own.
+    kernel_tier: str | None = None
+    #: Arc operations the :mod:`repro.adjacency.bulkops` kernels applied
+    #: (which path ran; not a work counter).
+    vectorised_arc_ops: int = 0
+
     def __init__(self, n: int) -> None:
         if n < 0:
             raise VertexError(f"vertex count must be >= 0, got {n}")
@@ -144,15 +152,6 @@ class AdjacencyRepresentation(abc.ABC):
         self.stats = UpdateStats()
         self._arcs_live = 0
         self._mutations = 0
-        #: Per-instance override for the vectorised bulk kernels: True
-        #: forces them, False forces the scalar path, None defers to
-        #: :mod:`repro.adjacency.bulkops` defaults (env + batch size).
-        self.use_bulkops: bool | None = None
-        #: Per-instance kernel-tier override ("scalar" | "vectorised" |
-        #: "compiled"); None defers to :func:`repro.kernels.resolve_tier`
-        #: (env var, then auto-probe).  Tier "scalar" forces the reference
-        #: loops even when :attr:`use_bulkops` is True.
-        self.kernel_tier: str | None = None
 
     # ------------------------------------------------------------------ #
     # abstract hot-path operations

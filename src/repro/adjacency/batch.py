@@ -85,6 +85,19 @@ class BatchedAdjacency(AdjacencyRepresentation):
         self.batched_updates = 0
         self.batches = 0
 
+    @property
+    def kernel_tier(self) -> str | None:
+        """The inner structure's tier."""
+        return self.inner.kernel_tier
+
+    @kernel_tier.setter
+    def kernel_tier(self, tier: str | None) -> None:
+        self.inner.kernel_tier = tier
+
+    @property
+    def vectorised_arc_ops(self) -> int:
+        return self.inner.vectorised_arc_ops
+
     # Delegated single-op interface -------------------------------------- #
 
     def insert(self, u: int, v: int, ts: int = 0) -> None:
@@ -114,13 +127,11 @@ class BatchedAdjacency(AdjacencyRepresentation):
 
     def bulk_insert(self, src, dst, ts=None) -> None:
         """Delegate to the inner structure's (vectorised) bulk ingest."""
-        self.inner.use_bulkops = self.use_bulkops
         before = self.inner.n_arcs
         self.inner.bulk_insert(src, dst, ts)
         self._n_arcs += self.inner.n_arcs - before
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        self.inner.use_bulkops = self.use_bulkops
         return self.inner.to_arrays()
 
     # Batched path -------------------------------------------------------- #
@@ -139,7 +150,6 @@ class BatchedAdjacency(AdjacencyRepresentation):
         t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
         if src.size == 0:
             return 0
-        self.inner.use_bulkops = self.use_bulkops
         order = np.argsort(src, kind="stable")
         misses = self.inner.apply_arcs(op[order], src[order], dst[order], t[order])
         applied = int(src.size)

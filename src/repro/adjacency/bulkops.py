@@ -38,21 +38,17 @@ streams.  Representations whose semantics are order-sensitive beyond
 per-vertex grouping (treap rotations consume a shared priority stream) keep
 the scalar path and only opt into the validated tight-loop ingest.
 
-Dispatch is controlled per instance (``rep.use_bulkops``: ``True`` forces
-the vectorised path, ``False`` forces scalar, ``None`` defers to the module
-default) and globally by the ``REPRO_BULKOPS`` environment variable
-(``0`` disables).  Batches below :data:`MIN_BULK_SIZE` stay scalar — the
-fixed cost of the argsorts outweighs the win there.  On top of that sits
-the three-level kernel tier (:mod:`repro.kernels`): tier ``scalar``
-overrides everything back to the reference loop, and tier ``compiled``
-replaces the ballot-style matching passes in :func:`apply_mixed` with the
-fused single-pass :func:`repro.kernels.loops.delete_match` — bit-identical
-counters, one pass instead of ~12.
+Dispatch follows the one kernel-tier knob (:mod:`repro.kernels`; see
+:func:`enabled`): tier ``scalar`` is the reference loop, ``vectorised`` the
+kernels here, and ``compiled`` additionally replaces the ballot-style
+matching passes in :func:`apply_mixed` with the fused single-pass
+:func:`repro.kernels.loops.delete_match` — bit-identical counters, one pass
+instead of ~12.  When nobody named a tier, batches below
+:data:`MIN_BULK_SIZE` stay scalar — the fixed cost of the argsorts
+outweighs the win there.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -60,7 +56,6 @@ from repro import kernels
 from repro.errors import GraphError
 
 __all__ = [
-    "ENABLED_DEFAULT",
     "MIN_BULK_SIZE",
     "MAX_KEY_N",
     "enabled",
@@ -78,10 +73,8 @@ INSERT = 1
 #: Deleted-slot marker; must match ``repro.adjacency.dynarr.TOMBSTONE``.
 TOMBSTONE = -1
 
-#: Module-wide default, overridable per representation instance.
-ENABLED_DEFAULT = os.environ.get("REPRO_BULKOPS", "1") != "0"
-
-#: Below this many arcs the scalar loop wins (argsort fixed costs).
+#: Below this many arcs the scalar loop wins (argsort fixed costs); applies
+#: only when the tier was auto-probed, never to one somebody asked for.
 MIN_BULK_SIZE = 48
 
 #: Largest vertex count for which an arc (u, v) packs into one int64 key
@@ -91,12 +84,8 @@ MAX_KEY_N = int(np.sqrt(np.iinfo(np.int64).max)) - 1
 
 def enabled(rep, size: int) -> bool:
     """Should ``rep`` take the vectorised path for a batch of ``size`` arcs?"""
-    if kernels.resolve_tier(rep) == "scalar":
-        return False  # tier "scalar" forces the reference loop outright
-    flag = getattr(rep, "use_bulkops", None)
-    if flag is False:
-        return False
-    if flag is None and (not ENABLED_DEFAULT or size < MIN_BULK_SIZE):
+    tier = kernels.requested_tier(rep)
+    if tier == "scalar" or (tier is None and size < MIN_BULK_SIZE):
         return False
     return size > 0 and rep.n <= MAX_KEY_N
 
@@ -227,6 +216,7 @@ def bulk_insert(rep, src: np.ndarray, dst: np.ndarray, ts: np.ndarray) -> None:
     rep.live[uniq] += counts
     rep.stats.inserts += int(s.size)
     rep._n_arcs += int(s.size)
+    rep.vectorised_arc_ops += int(s.size)
     rep._account_bulk(uniq, cnt0, counts)
 
 
@@ -409,6 +399,7 @@ def _finish_mixed(
     rep.stats.delete_misses += n_miss
     rep.stats.probe_words += probe_words
     rep._n_arcs += n_ins_total - n_succ
+    rep.vectorised_arc_ops += n_ins_total + n_succ + n_miss
     rep._account_bulk(uniq, cnt0, k_ins)
     return n_miss
 

@@ -29,13 +29,6 @@ class CSRGraph:
     time-stamps are present.
     """
 
-    # Class-level kernel-tier override (deliberately unannotated so the
-    # frozen dataclass does not turn it into a field): per-instance
-    # selection for frozen snapshots goes through the ``kernel_tier``
-    # kwarg of the consuming algorithms, per-class/global selection
-    # through this attribute or ``REPRO_KERNEL_TIER``.
-    kernel_tier = None
-
     n: int
     offsets: np.ndarray
     targets: np.ndarray

@@ -115,6 +115,19 @@ class HybridAdjacency(AdjacencyRepresentation):
         self.treap = TreapAdjacency(n, seed=seed)
         self.mode = bytearray(n)  # _MODE_ARRAY / _MODE_TREAP per vertex
 
+    @property
+    def kernel_tier(self) -> str | None:
+        """The array side's tier (the treap has no kernels to dispatch)."""
+        return self.arr.kernel_tier
+
+    @kernel_tier.setter
+    def kernel_tier(self, tier: str | None) -> None:
+        self.arr.kernel_tier = tier
+
+    @property
+    def vectorised_arc_ops(self) -> int:
+        return self.arr.vectorised_arc_ops
+
     # ------------------------------------------------------------------ #
     # migration
     # ------------------------------------------------------------------ #
@@ -254,7 +267,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         op = np.asarray(op, dtype=np.int8)
         if self.downshift or not bulkops.enabled(self, op.size):
             return super().apply_arcs(op, src, dst, ts)
-        self.arr.use_bulkops = self.use_bulkops
         src = check_vertex_ids(src, self.n, "src")
         dst = check_vertex_ids(dst, self.n, "dst")
         t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
@@ -281,7 +293,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         if not bulkops.enabled(self, src.size):
             self.bulk_insert_scalar(src, dst, t)
             return
-        self.arr.use_bulkops = self.use_bulkops
         fast = self._array_stable_mask(src, np.bincount(src, minlength=self.n))
         idx_f = np.flatnonzero(fast)
         if idx_f.size:
@@ -295,7 +306,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         """Merged live-arc export: each vertex lives on exactly one side, so
         an arc's merged position is its position on its own side plus the
         other side's arcs at smaller sources — the scalar per-vertex walk."""
-        self.arr.use_bulkops = self.use_bulkops
         arr, treap = self.arr.to_arrays(), self.treap.to_arrays()
         s1, s2 = arr[0], treap[0]
         if not s2.size:

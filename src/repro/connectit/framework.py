@@ -215,17 +215,82 @@ def _finish_arcs(graph: CSRGraph, uf: UnionFind) -> tuple[np.ndarray, np.ndarray
     return np.ascontiguousarray(roots[asrc[mask]]), np.ascontiguousarray(roots[adst[mask]])
 
 
-def _serial_connect(graph: CSRGraph, spec: ConnectItSpec) -> ConnectItResult:
-    """Serial sample-finish driver."""
+@task("connectit.finish")
+def _connectit_finish(views: dict, payload: dict) -> dict:
+    """One finish-arc range, unioned into a private structure (worker side).
+
+    Returns the range's local spanning-forest edges (the arcs whose union
+    succeeded) — a connectivity-equivalent compression of the range — plus
+    the worker's counters for the parent to fold in.
+    """
+    lo, hi = payload["lo"], payload["hi"]
+    uf = UnionFind(
+        payload["n"], union_rule=payload["union_rule"], compaction=payload["compaction"]
+    )
+    uf.kernel_tier = payload["tier"]
+    src = views["src"][lo:hi]
+    dst = views["dst"][lo:hi]
+    linked = uf.union_arcs(src, dst)
+    return {
+        "hook_u": src[linked],
+        "hook_v": dst[linked],
+        "counters": uf.counters.to_dict(),
+        "fragment": {"arcs": int(hi - lo), "forest_edges": int(np.count_nonzero(linked))},
+    }
+
+
+def _pool_finish(uf: UnionFind, fsrc: np.ndarray, fdst: np.ndarray, pool: WorkerPool) -> list[dict]:
+    """Finish on the pool; returns the per-chunk fragments.
+
+    Workers union disjoint arc ranges into private structures and return
+    their local spanning forests; the parent replays those (few) edges in
+    chunk order and folds the workers' counters into ``uf.counters``.  The
+    replayed edge set has the same connectivity closure as the full finish
+    set, so the partition — and the canonical labels — are bit-identical to
+    the serial finish at every worker count.
+    """
+    if not fsrc.size:
+        return []
+    payload = {
+        "n": uf.n,
+        "union_rule": uf.union_rule,
+        "compaction": uf.compaction,
+        "tier": kernels.resolve_tier(uf),
+    }
+    with ShmArena.create({"src": fsrc, "dst": fdst}) as arena:
+        outs = pool.run_tasks(
+            [
+                TaskSpec(
+                    "connectit.finish", {"lo": lo, "hi": hi, **payload}, arenas=(arena.descriptor,)
+                )
+                for lo, hi in range_chunks(int(fsrc.size), pool.workers)
+            ]
+        )
+    for out in outs:  # deterministic chunk order
+        uf.union_arcs(out["hook_u"], out["hook_v"])
+        uf.counters.add(WorkCounters.from_dict(out["counters"]))
+    return [out["fragment"] for out in outs]
+
+
+def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> ConnectItResult:
+    """The sample-finish driver: sample in this process, finish here
+    (``pool`` None, the serial backend) or on ``pool``."""
     n = graph.n
     uf = UnionFind(n, union_rule=spec.union_rule, compaction=spec.compaction)
-    with span("connectit.components", variant=spec.name, n=n, arcs=graph.n_arcs) as sp:
+    workers = 1 if pool is None else pool.start().workers
+    with span(
+        "connectit.components", variant=spec.name, n=n, arcs=graph.n_arcs, workers=workers
+    ) as sp:
         with span("connectit.sample", strategy=spec.sampling):
             stats = run_sampling(graph, uf, spec.sampling, k=spec.k)
         sample_counters = uf.counters.snapshot()
         fsrc, fdst = _finish_arcs(graph, uf)
+        fragments: list[dict] = []
         with span("connectit.finish", arcs=int(fsrc.size)):
-            uf.union_arcs(fsrc, fdst)
+            if pool is None:
+                uf.union_arcs(fsrc, fdst)
+            else:
+                fragments = _pool_finish(uf, fsrc, fdst, pool)
         finish_counters = uf.counters.since(sample_counters)
         labels = uf.components()
         sp.set(
@@ -243,113 +308,8 @@ def _serial_connect(graph: CSRGraph, spec: ConnectItSpec) -> ConnectItResult:
         finish_counters=finish_counters,
         sample=stats,
         meta={
-            "backend": "serial",
-            "workers": 1,
-            "n": n,
-            "arcs": graph.n_arcs,
-            "sample_arcs": int(stats.attempts),
-            "finish_arcs": int(fsrc.size),
-            "kernel_tier": kernels.resolve_tier(uf),
-            "footprint_bytes": uf.memory_bytes() + int(_ARC_BYTES) * graph.n_arcs,
-        },
-    )
-
-
-@task("connectit.finish")
-def _connectit_finish(views: dict, payload: dict) -> dict:
-    """One finish-arc range, unioned into a private structure (worker side).
-
-    Returns the range's local spanning-forest edges (the arcs whose union
-    succeeded) — a connectivity-equivalent compression of the range — plus
-    the worker's counters for the parent to fold in.
-    """
-    lo, hi = payload["lo"], payload["hi"]
-    uf = UnionFind(
-        payload["n"], union_rule=payload["union_rule"], compaction=payload["compaction"]
-    )
-    src = views["src"][lo:hi]
-    dst = views["dst"][lo:hi]
-    hook_u = []
-    hook_v = []
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if uf.union(u, v):
-            hook_u.append(u)
-            hook_v.append(v)
-    return {
-        "hook_u": np.asarray(hook_u, dtype=np.int64),
-        "hook_v": np.asarray(hook_v, dtype=np.int64),
-        "counters": uf.counters.to_dict(),
-        "fragment": {"arcs": int(hi - lo), "forest_edges": len(hook_u)},
-    }
-
-
-def _process_connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool) -> ConnectItResult:
-    """Process-backend driver: sample in the parent, finish on the pool.
-
-    Workers union disjoint arc ranges into private structures and return
-    their local spanning forests; the parent replays those (few) edges in
-    chunk order.  The replayed edge set has the same connectivity closure
-    as the full finish set, so the partition — and the canonical labels —
-    are bit-identical to the serial driver at every worker count.
-    """
-    n = graph.n
-    uf = UnionFind(n, union_rule=spec.union_rule, compaction=spec.compaction)
-    pool.start()
-    with span(
-        "connectit.components", variant=spec.name, n=n, arcs=graph.n_arcs, workers=pool.workers
-    ) as sp:
-        with span("connectit.sample", strategy=spec.sampling):
-            stats = run_sampling(graph, uf, spec.sampling, k=spec.k)
-        sample_counters = uf.counters.snapshot()
-        fsrc, fdst = _finish_arcs(graph, uf)
-        worker_counters = WorkCounters()
-        fragments: list[dict] = []
-        if fsrc.size:
-            chunks = range_chunks(int(fsrc.size), pool.workers)
-            with span("connectit.finish", arcs=int(fsrc.size)):
-                with ShmArena.create({"src": fsrc, "dst": fdst}) as arena:
-                    outs = pool.run_tasks(
-                        [
-                            TaskSpec(
-                                "connectit.finish",
-                                {
-                                    "lo": lo,
-                                    "hi": hi,
-                                    "n": n,
-                                    "union_rule": spec.union_rule,
-                                    "compaction": spec.compaction,
-                                },
-                                arenas=(arena.descriptor,),
-                            )
-                            for lo, hi in chunks
-                        ]
-                    )
-                for out in outs:  # deterministic chunk order
-                    uf.union_arcs(out["hook_u"], out["hook_v"])
-                    worker_counters.add(WorkCounters.from_dict(out["counters"]))
-                    fragments.append(out["fragment"])
-        finish_counters = uf.counters.since(sample_counters)
-        finish_counters.add(worker_counters)
-        labels = uf.components()
-        sp.set(
-            components=int(np.unique(labels).size) if n else 0,
-            finish_arcs=int(fsrc.size),
-            forest_edges=sum(f["forest_edges"] for f in fragments),
-        )
-    counters = sample_counters.snapshot()
-    counters.add(finish_counters)
-    METRICS.inc("connectit.runs")
-    METRICS.inc("connectit.unions", counters.unions)
-    return ConnectItResult(
-        labels=labels,
-        spec=spec,
-        counters=counters,
-        sample_counters=sample_counters,
-        finish_counters=finish_counters,
-        sample=stats,
-        meta={
-            "backend": "process",
-            "workers": pool.workers,
+            "backend": "serial" if pool is None else "process",
+            "workers": workers,
             "n": n,
             "arcs": graph.n_arcs,
             "sample_arcs": int(stats.attempts),

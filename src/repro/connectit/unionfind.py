@@ -128,8 +128,7 @@ class UnionFind:
         self.rank = np.zeros(self.n, dtype=np.int8) if union_rule == "rank" else None
         self.size = np.ones(self.n, dtype=np.int64) if union_rule == "size" else None
         self.counters = WorkCounters()
-        #: Kernel-tier override for :meth:`union_arcs`; None defers to
-        #: :func:`repro.kernels.resolve_tier` (env var, then auto-probe).
+        #: Kernel-tier request for :meth:`union_arcs` (:mod:`repro.kernels`).
         self.kernel_tier: str | None = None
 
     # ------------------------------------------------------------------ #
@@ -241,44 +240,36 @@ class UnionFind:
                 c.compaction_writes += 1
                 v = pv
 
-    def union_arcs(self, src: np.ndarray, dst: np.ndarray) -> int:
-        """Union every ``(src[i], dst[i])`` pair in order; returns the hook count.
-
-        The bulk entry point the sampling and finish phases drive; identical
-        to looping :meth:`union` (it *is* that loop, kept in one place so
-        the drivers stay readable).  Under kernel tier ``compiled`` the loop
-        runs as the fused :func:`repro.kernels.loops.union_arcs` — same
-        union/compaction rules, bit-identical :class:`WorkCounters`.
-        """
-        if kernels.resolve_tier(self) == "compiled" and src.size:
-            linked = self.union_arcs_compiled(src, dst)
-            return int(np.count_nonzero(linked))
-        hooks = 0
-        union = self.union
-        for u, v in zip(src.tolist(), dst.tolist()):
-            if union(u, v):
-                hooks += 1
-        return hooks
-
-    def union_arcs_compiled(
+    def union_arcs(
         self, src: np.ndarray, dst: np.ndarray, pre_resolved: bool = False
     ) -> np.ndarray:
-        """Run the fused union kernel over the batch; returns the linked mask.
+        """Union every ``(src[i], dst[i])`` pair in order; returns the linked mask.
 
         ``linked[i]`` is True exactly when pair ``i`` merged two distinct
-        trees (the information :meth:`union` returns per call).  With
-        ``pre_resolved`` True, pairs with equal endpoints count one union
-        attempt and nothing else — the convention of
-        :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`,
-        whose batch findroot pass already resolved them.  Counters are
-        folded into :attr:`counters` bit-identically to the scalar loop.
+        trees (what :meth:`union` returns per call).  The one bulk entry
+        point, for sampling, finish, the finish workers and
+        :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`.
+        With ``pre_resolved`` True, equal endpoints count one union attempt
+        and nothing else (``insert_batch``'s findroot pass resolved them).
+        Tier ``compiled`` runs the fused
+        :func:`repro.kernels.loops.union_arcs`; every other tier loops
+        :meth:`union` — same rules, bit-identical :class:`WorkCounters`.
         """
+        if kernels.resolve_tier(self) != "compiled":
+            pairs = zip(src.tolist(), dst.tolist())
+            union = self.union
+            if pre_resolved:
+                self.counters.unions += int(np.count_nonzero(src == dst))
+                linked = [u != v and union(u, v) for u, v in pairs]
+            else:
+                linked = [union(u, v) for u, v in pairs]
+            return np.array(linked, dtype=np.bool_)
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         linked = np.zeros(src.size, dtype=np.bool_)
         rank = self.rank if self.rank is not None else np.zeros(0, dtype=np.int8)
         size = self.size if self.size is not None else np.zeros(0, dtype=np.int64)
-        c = np.zeros(5, dtype=np.int64)
+        c = np.zeros(5, dtype=np.int64)  # slots in WorkCounters field order
         kernels.get("union_arcs")(
             self.parent,
             rank,
@@ -291,12 +282,7 @@ class UnionFind:
             pre_resolved,
             c,
         )
-        cs = self.counters
-        cs.finds += int(c[kernels.C_FINDS])
-        cs.unions += int(c[kernels.C_UNIONS])
-        cs.hooks += int(c[kernels.C_HOOKS])
-        cs.pointer_chases += int(c[kernels.C_CHASES])
-        cs.compaction_writes += int(c[kernels.C_COMPACTIONS])
+        self.counters.add(WorkCounters(*map(int, c)))
         return linked
 
     def bulk_hook(self, vertices: np.ndarray, root: int) -> int:

@@ -13,7 +13,7 @@ id of its component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.machine.profile import Phase, WorkProfile
 
-__all__ = ["ComponentsResult", "connected_components"]
+__all__ = ["ComponentsResult", "connected_components", "hook_min_labels", "hook_and_jump"]
 
 _ALU_PER_ARC = 6.0
 _ALU_PER_JUMP = 4.0
@@ -87,6 +87,47 @@ class ComponentsResult:
         )
 
 
+def hook_min_labels(prev: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One hooking sweep: concurrent min of ``prev`` over both arc directions
+    (CSR snapshots here store both arcs of an undirected edge, but guard for
+    one-directional inputs by propagating both ways)."""
+    labels = prev.copy()
+    np.minimum.at(labels, src, prev[dst])
+    np.minimum.at(labels, dst, prev[src])
+    return labels
+
+
+def _pass_limit(n: int, max_passes: int | None) -> int:
+    return max_passes if max_passes is not None else 2 * int(np.ceil(np.log2(n + 1))) + 4
+
+
+def hook_and_jump(
+    n: int, hook: Callable[[np.ndarray], np.ndarray], n_arcs: int, max_passes: int | None
+) -> tuple[np.ndarray, int, int, int]:
+    """The pass loop: ``hook`` the labels, pointer-jump, until a fixed point.
+
+    ``hook(prev)`` is one hooking sweep over all ``n_arcs`` arcs, in process
+    or on a pool.  Returns ``(labels, passes, jump_rounds, arcs_processed)``.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    limit = _pass_limit(n, max_passes)
+    passes = 0
+    jumps = 0
+    while True:
+        passes += 1
+        prev = labels
+        labels = hook(prev)
+        # Pointer jumping until every label is a fixed point.
+        while True:
+            jumped = labels[labels]
+            jumps += 1
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, prev) or passes >= limit:
+            return labels, passes, jumps, 2 * n_arcs * passes
+
+
 def connected_components(
     graph: CSRGraph, *, max_passes: int | None = None, kernel_tier: str | None = None
 ) -> ComponentsResult:
@@ -95,53 +136,26 @@ def connected_components(
     ``max_passes`` is a safety valve for adversarial graphs; label
     propagation with full pointer jumping converges in O(log n) passes.
 
-    ``kernel_tier`` overrides the dispatch (:mod:`repro.kernels`) for this
-    call; None consults the ``REPRO_KERNEL_TIER`` env var then the
-    auto-probe.  Tier ``compiled`` runs the fused
+    ``kernel_tier`` requests a tier (:mod:`repro.kernels`) for this call;
+    None consults the ``REPRO_KERNEL_TIER`` env var then the auto-probe.
+    Tier ``compiled`` runs the fused
     :func:`repro.kernels.loops.sv_components` loop — identical labels and
     pass/jump/arc accounting; the SV sweep is inherently vectorised, so
     tier ``scalar`` takes the numpy path too.  The resolved tier lands in
     the result's ``meta`` (and thus in the work profile).
     """
-    probe = graph if kernel_tier is None else SimpleNamespace(kernel_tier=kernel_tier)
-    tier = kernels.resolve_tier(probe)
+    tier = kernels.resolve_tier(kernel_tier)
     n = graph.n
-    labels = np.arange(n, dtype=np.int64)
     if n == 0:
-        return ComponentsResult(labels, 0, 0, 0, meta={"kernel_tier": tier})
+        return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0, meta={"kernel_tier": tier})
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     dst = graph.targets
-    passes = 0
-    jumps = 0
-    arcs_processed = 0
-    limit = max_passes if max_passes is not None else 2 * int(np.ceil(np.log2(n + 1))) + 4
     if tier == "compiled":
-        passes, jumps, arcs_processed = kernels.get("sv_components")(labels, src, dst, limit)
-        return ComponentsResult(
-            labels,
-            int(passes),
-            int(jumps),
-            int(arcs_processed),
-            meta={"kernel_tier": tier},
+        labels = np.arange(n, dtype=np.int64)
+        limit = _pass_limit(n, max_passes)
+        passes, jumps, arcs = kernels.get("sv_components")(labels, src, dst, limit)
+    else:
+        labels, passes, jumps, arcs = hook_and_jump(
+            n, lambda prev: hook_min_labels(prev, src, dst), int(dst.size), max_passes
         )
-    while True:
-        passes += 1
-        prev = labels.copy()
-        # Hooking: concurrent min over both arc directions (CSR snapshots in
-        # this library store both arcs of an undirected edge, but guard for
-        # one-directional inputs by propagating both ways).
-        np.minimum.at(labels, src, prev[dst])
-        np.minimum.at(labels, dst, prev[src])
-        arcs_processed += 2 * dst.size
-        # Pointer jumping until every label is a fixed point.
-        while True:
-            jumped = labels[labels]
-            jumps += 1
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels, prev):
-            break
-        if passes >= limit:
-            break
-    return ComponentsResult(labels, passes, jumps, arcs_processed, meta={"kernel_tier": tier})
+    return ComponentsResult(labels, int(passes), int(jumps), int(arcs), meta={"kernel_tier": tier})

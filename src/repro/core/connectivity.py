@@ -230,23 +230,12 @@ class ConnectivityIndex:
             roots_u = forest.findroot_batch(us)
             roots_v = forest.findroot_batch(vs)
             uf = UnionFind(forest.n, union_rule=union_rule, compaction=compaction)
-            tier = kernels.resolve_tier(forest)
-            if tier == "compiled" and us.size:
-                # The union-find replay is independent of the forest, so
-                # the fused kernel resolves the whole batch first and the
-                # winning edges touch the forest afterwards, in batch
-                # order — identical forest, hops, counters and links.
-                linked = uf.union_arcs_compiled(roots_u, roots_v, pre_resolved=True)
-                for i in np.flatnonzero(linked).tolist():
-                    forest.add_edge(int(us[i]), int(vs[i]))
-            else:
-                linked = np.zeros(us.size, dtype=bool)
-                for i, (ru, rv) in enumerate(zip(roots_u.tolist(), roots_v.tolist())):
-                    if ru == rv:
-                        uf.counters.unions += 1  # examined; redundant before the batch
-                    elif uf.union(ru, rv):
-                        forest.add_edge(int(us[i]), int(vs[i]))
-                        linked[i] = True
+            uf.kernel_tier = tier = kernels.resolve_tier(forest)
+            # The replay is independent of the forest: resolve the whole
+            # batch, then link the winning edges in batch order.
+            linked = uf.union_arcs(roots_u, roots_v, pre_resolved=True)
+            for i in np.flatnonzero(linked).tolist():
+                forest.add_edge(int(us[i]), int(vs[i]))
             sp.set(links=int(linked.sum()), trees=forest.n_trees())
         hops = int(forest.hops - hops_before)
         n_links = int(linked.sum())

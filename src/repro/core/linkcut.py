@@ -33,11 +33,36 @@ from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.core.components import ComponentsResult, connected_components
 from repro.errors import GraphError, NotInForestError, VertexError
+from repro.kernels import loops
 from repro.machine.profile import ProfileBuilder, WorkProfile
 
-__all__ = ["LinkCutForest", "ConstructionRecord"]
+__all__ = ["LinkCutForest", "ConstructionRecord", "chase_roots"]
 
 _NIL = -1
+
+
+def chase_roots(parent: np.ndarray, vertices: np.ndarray, tier: str) -> tuple[np.ndarray, int]:
+    """Roots of ``vertices`` (a copy) and the pointer hops the chase took.
+
+    The one root chase, behind :meth:`LinkCutForest.findroot_batch` and the
+    process backend's query workers, on an already resolved ``tier``:
+    ``compiled`` and ``scalar`` chase each query to its root in one loop
+    (:func:`repro.kernels.loops.findroot_batch`, compiled or as plain
+    Python); ``vectorised`` advances all chains one hop per vector pass, as
+    the simulated machine runs the queries concurrently.  The hop total is
+    the sum of the query depths on every tier.
+    """
+    v = np.array(vertices, dtype=np.int64)
+    if tier != "vectorised":
+        chase = kernels.get("findroot_batch") if tier == "compiled" else loops.findroot_batch
+        return v, int(chase(parent, v))
+    hops = 0
+    active = parent[v] != _NIL
+    while np.any(active):
+        v[active] = parent[v[active]]
+        hops += int(np.count_nonzero(active))
+        active = parent[v] != _NIL
+    return v, hops
 
 
 @dataclass(frozen=True)
@@ -66,8 +91,7 @@ class LinkCutForest:
         self.version = 0
         #: findroot pointer hops since the last counter reset (profiles).
         self.hops = 0
-        #: Kernel-tier override for :meth:`findroot_batch`; None defers to
-        #: :func:`repro.kernels.resolve_tier` (env var, then auto-probe).
+        #: Kernel-tier request for :meth:`findroot_batch` (:mod:`repro.kernels`).
         self.kernel_tier: str | None = None
 
     # ------------------------------------------------------------------ #
@@ -195,34 +219,14 @@ class LinkCutForest:
     # ------------------------------------------------------------------ #
 
     def findroot_batch(self, vertices) -> np.ndarray:
-        """Roots of many vertices at once.
-
-        Parallel pointer chasing: all chains advance one hop per vector
-        pass, so the pass count equals the maximum depth — the simulated
-        machine runs the queries concurrently the same way.  The hop total
-        (sum of query depths) is identical across kernel tiers: the
-        ``compiled`` tier chases each query to its root in one fused loop
-        (:func:`repro.kernels.loops.findroot_batch`), the ``scalar`` tier
-        loops :meth:`findroot`, and both account the same hops.
-        """
-        v = np.asarray(vertices, dtype=np.int64).copy()
+        """Roots of many vertices at once (:func:`chase_roots` on this
+        forest's tier); the hops land in :attr:`hops`."""
+        v = np.asarray(vertices, dtype=np.int64)
         if v.size and (v.min() < 0 or v.max() >= self.n):
             raise VertexError("vertex id out of range in findroot_batch")
-        tier = kernels.resolve_tier(self)
-        if tier == "compiled":
-            self.hops += int(kernels.get("findroot_batch")(self.parent, v))
-            return v
-        if tier == "scalar":
-            for i in range(v.size):
-                v[i] = self.findroot(int(v[i]))
-            return v
-        parent = self.parent
-        active = parent[v] != _NIL
-        while np.any(active):
-            v[active] = parent[v[active]]
-            self.hops += int(np.count_nonzero(active))
-            active = parent[v] != _NIL
-        return v
+        roots, hops = chase_roots(self.parent, v, kernels.resolve_tier(self))
+        self.hops += hops
+        return roots
 
     def connected_batch(self, us, vs) -> np.ndarray:
         """Vectorised connectivity queries (bool array)."""

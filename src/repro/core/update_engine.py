@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.edgelist import EdgeList
 from repro.generators.streams import UpdateStream, insertion_stream
@@ -71,7 +70,6 @@ def apply_stream(
     phase_name: str = "updates",
     reset_stats: bool = True,
     probe_scale: float = 1.0,
-    vectorised: bool | None = None,
 ) -> UpdateResult:
     """Apply ``stream`` to ``rep`` and return results plus the work profile.
 
@@ -85,14 +83,12 @@ def apply_stream(
     :func:`repro.machine.scale.rmat_size_biased_growth`); the default leaves
     measurements untouched.
 
-    ``vectorised`` controls the :mod:`repro.adjacency.bulkops` fast path for
-    the duration of this stream only (the representation's own
-    ``use_bulkops`` flag is restored afterwards): ``True`` forces the
-    vectorised kernels, ``False`` forces the scalar reference loops, and
-    ``None`` (the default) keeps the representation's current setting.  The
-    two paths are counter-equivalent (see docs/PERFORMANCE.md), so the
-    simulated work profile is identical either way; only ``host_seconds``
-    and the derived ``host_mups`` change.
+    Which path applies the arcs is the representation's ``kernel_tier``
+    (:mod:`repro.kernels`); the paths are counter-equivalent (see
+    docs/PERFORMANCE.md), so the simulated work profile is identical either
+    way and only ``host_seconds`` / ``host_mups`` change.
+    ``meta["vectorised"]`` reports whether the bulk kernels applied any of
+    this stream's arcs.
     """
     if rep.n != stream.n:
         raise ValueError(
@@ -111,16 +107,11 @@ def apply_stream(
     ) as sp:
         op, src, dst, ts = _arc_stream(stream, undirected)
         hot = HotStats.from_keys(src) if src.size else HotStats()
-        saved_flag = rep.use_bulkops
-        if vectorised is not None:
-            rep.use_bulkops = vectorised
-        try:
-            with Timer() as t:
-                with span(f"adjacency.{rep.kind}.apply_arcs", n_arc_ops=int(op.size)):
-                    misses = rep.apply_arcs(op, src, dst, ts)
-        finally:
-            fast_path = bulkops.enabled(rep, int(op.size))
-            rep.use_bulkops = saved_flag
+        bulk_before = rep.vectorised_arc_ops
+        with Timer() as t:
+            with span(f"adjacency.{rep.kind}.apply_arcs", n_arc_ops=int(op.size)):
+                misses = rep.apply_arcs(op, src, dst, ts)
+        fast_path = rep.vectorised_arc_ops > bulk_before
         if probe_scale != 1.0:
             # Applies to the representation's own counters only: for the hybrid
             # structure the long scans live in treaps at scale (its array probes
@@ -198,20 +189,15 @@ def construct(
     shuffle: bool = False,
     seed=None,
     phase_name: str = "construction",
-    vectorised: bool | None = None,
 ) -> UpdateResult:
     """Build ``rep`` from a graph "treated as a series of insertions".
 
     This is the workload of Figures 1–4: every edge arrives as an insertion
     (optionally shuffled, the paper's hot-burst mitigation).  All-insert
     streams route through each representation's ``bulk_insert``, which is
-    vectorised for the array-backed structures (``vectorised`` is threaded
-    through to :func:`apply_stream`).
+    vectorised for the array-backed structures.
     """
     if undirected is None:
         undirected = not graph.directed
     stream = insertion_stream(graph, shuffle=shuffle, seed=seed)
-    return apply_stream(
-        rep, stream, undirected=undirected, phase_name=phase_name,
-        vectorised=vectorised,
-    )
+    return apply_stream(rep, stream, undirected=undirected, phase_name=phase_name)

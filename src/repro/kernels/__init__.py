@@ -5,26 +5,30 @@ loops with numpy passes, but the hottest kernels are still *sequences* of
 full-array passes with temporaries.  This package supplies the third tier —
 fused single-pass loops (:mod:`repro.kernels.loops`) compiled with
 ``numba.njit(cache=True)`` when numba is installed (``pip install
-repro[jit]``) — behind a three-level dispatch that extends the existing
-``use_bulkops`` / ``REPRO_BULKOPS`` pattern:
+repro[jit]``) — and the one dispatch knob every kernel consults:
 
 ========== =============================================================
 tier       meaning
 ========== =============================================================
-scalar     the per-op reference loops (forces ``bulkops`` off too)
+scalar     the per-op reference loops
 vectorised the numpy bulk kernels (the default without numba)
 compiled   the fused numba loops (the default when numba imports)
 ========== =============================================================
 
-Selection precedence, checked at every dispatch point by
-:func:`resolve_tier`:
+Selection precedence, checked once per kernel call by :func:`resolve_tier`:
 
 1. the ``REPRO_KERNEL_TIER`` environment variable (read live);
-2. the consulted object's ``kernel_tier`` attribute (representations,
+2. the owning structure's ``kernel_tier`` attribute (representations,
    :class:`~repro.core.linkcut.LinkCutForest`,
-   :class:`~repro.connectit.unionfind.UnionFind` all default it to None);
+   :class:`~repro.connectit.unionfind.UnionFind` all default it to None;
+   wrappers forward theirs to the structure they own) or the
+   ``kernel_tier=`` keyword of a function kernel;
 3. the import-time auto-probe: ``compiled`` when numba is importable,
    else ``vectorised``.
+
+A tier named at level 1 or 2 is honoured at every batch size; only an
+auto-probed one leaves small adjacency batches on the scalar loop.
+Process-backend drivers resolve in the parent and ship the tier to workers.
 
 Requesting ``compiled`` when numba is absent raises a clear
 :class:`~repro.errors.GraphError`; the probe itself is silent (no
@@ -61,6 +65,7 @@ __all__ = [
     "numba_version",
     "probe_error",
     "default_tier",
+    "requested_tier",
     "resolve_tier",
     "get",
     "force_available",
@@ -69,11 +74,6 @@ __all__ = [
     "describe",
     "RULE_CODES",
     "COMP_CODES",
-    "C_FINDS",
-    "C_UNIONS",
-    "C_HOOKS",
-    "C_CHASES",
-    "C_COMPACTIONS",
 ]
 
 #: The dispatch levels, slowest-reference first.
@@ -91,17 +91,11 @@ RULE_CODES = {"rank": 0, "size": 1, "rem": 2}
 #: Compaction-rule codes for :func:`loops.find_root`.
 COMP_CODES = {"none": 0, "halving": 1, "splitting": 2, "full": 3}
 
-#: Slots of the 5-wide int64 counter array the union-find kernels tick.
-C_FINDS, C_UNIONS, C_HOOKS, C_CHASES, C_COMPACTIONS = 0, 1, 2, 3, 4
-
 #: Where each kernel is dispatched from (shown by ``python -m repro kernels``).
 KERNEL_SITES = {
     "delete_match": "repro.adjacency.bulkops.apply_mixed",
-    "findroot_batch": "repro.core.linkcut.LinkCutForest.findroot_batch",
-    "union_arcs": (
-        "repro.connectit.unionfind.UnionFind.union_arcs / "
-        "repro.core.connectivity.ConnectivityIndex.insert_batch"
-    ),
+    "findroot_batch": "repro.core.linkcut.chase_roots",
+    "union_arcs": "repro.connectit.unionfind.UnionFind.union_arcs",
     "sv_components": "repro.core.components.connected_components",
 }
 
@@ -165,21 +159,26 @@ def _validate(tier: str, source: str) -> str:
     return tier
 
 
-def resolve_tier(obj: object | None = None) -> str:
-    """The tier in effect for ``obj`` (env var > attribute > auto-probe).
+def requested_tier(obj: object | None = None) -> str | None:
+    """The tier somebody asked for (env var > ``obj``), or None for nobody.
 
-    ``obj`` is whatever structure the dispatch point owns — an adjacency
-    representation, a forest, a union-find — consulted for its
-    ``kernel_tier`` attribute; None (or an object without the attribute)
-    falls through to the auto-probed default.
+    ``obj`` is a tier name, or the structure the dispatch point owns (a
+    representation, a forest, a union-find) with its ``kernel_tier``.
     """
     env = os.environ.get(ENV_VAR)
     if env:
         return _validate(env, f"environment variable {ENV_VAR}")
+    if isinstance(obj, str):
+        return _validate(obj, "the kernel_tier argument")
     tier = getattr(obj, "kernel_tier", None)
     if tier is not None:
         return _validate(str(tier), f"{type(obj).__name__}.kernel_tier")
-    return default_tier()
+    return None
+
+
+def resolve_tier(obj: object | None = None) -> str:
+    """The tier in effect for ``obj``: the requested one, else the auto-probe."""
+    return requested_tier(obj) or default_tier()
 
 
 def get(name: str) -> Callable[..., Any]:

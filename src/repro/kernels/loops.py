@@ -27,9 +27,9 @@ they replace:
   of :func:`repro.core.components.connected_components`, with the hooking
   min-accumulate and the synchronous jump rounds fused per pass.
 
-Counter accounting uses a 5-slot int64 array (see the ``C_*`` constants in
-:mod:`repro.kernels`): ``[finds, unions, hooks, pointer_chases,
-compaction_writes]``.
+Counter accounting uses a 5-slot int64 array in the field order of
+:class:`repro.connectit.unionfind.WorkCounters`: ``[finds, unions, hooks,
+pointer_chases, compaction_writes]``.
 """
 
 from __future__ import annotations

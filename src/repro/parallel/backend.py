@@ -71,8 +71,11 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def connectit_components(self, graph: CSRGraph, spec: "ConnectItSpec") -> "ConnectItResult":
-        """Sample-finish connectivity (:mod:`repro.connectit`) on this backend."""
-        raise NotImplementedError
+        """Sample-finish connectivity (:mod:`repro.connectit`): one driver,
+        finishing on this backend's ``pool`` when it owns one."""
+        from repro.connectit.framework import _connect
+
+        return _connect(graph, spec, getattr(self, "pool", None))
 
     def rmat_edges(
         self,
@@ -125,12 +128,6 @@ class SerialBackend(ExecutionBackend):
         before = forest.hops
         answers = forest.connected_batch(us, vs)
         return answers, forest.hops - before
-
-    def connectit_components(self, graph: CSRGraph, spec: "ConnectItSpec") -> "ConnectItResult":
-        """Run the serial sample-finish driver."""
-        from repro.connectit.framework import _serial_connect
-
-        return _serial_connect(graph, spec)
 
     def rmat_edges(
         self,
@@ -188,12 +185,6 @@ class ProcessBackend(ExecutionBackend):
     ) -> tuple[np.ndarray, int]:
         """Fan the query batch out over the worker pool."""
         return parallel_query_batch(forest, us, vs, self.pool)
-
-    def connectit_components(self, graph: CSRGraph, spec: "ConnectItSpec") -> "ConnectItResult":
-        """Run the sample-finish driver with the finish phase on the pool."""
-        from repro.connectit.framework import _process_connect
-
-        return _process_connect(graph, spec, self.pool)
 
     def rmat_edges(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.components import ComponentsResult
+from repro.core.components import ComponentsResult, hook_and_jump, hook_min_labels
 from repro.obs import METRICS, span
 from repro.parallel.partition import range_chunks
 from repro.parallel.pool import TaskSpec, WorkerPool, task
@@ -37,9 +37,7 @@ def _components_hook(views: dict, payload: dict) -> dict:
     src = views["src"][lo:hi]
     dst = views["dst"][lo:hi]
     prev = views["labels"]
-    local = prev.copy()
-    np.minimum.at(local, src, prev[dst])
-    np.minimum.at(local, dst, prev[src])
+    local = hook_min_labels(prev, src, dst)
     changed = np.nonzero(local != prev)[0]
     return {
         "idx": np.ascontiguousarray(changed),
@@ -60,55 +58,34 @@ def parallel_connected_components(
     in the work profile built from it).
     """
     n = graph.n
-    labels = np.arange(n, dtype=np.int64)
     if n == 0:
-        return ComponentsResult(labels, 0, 0, 0)
+        return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0)
     pool.start()
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     dst = graph.targets
-    passes = 0
-    jumps = 0
-    arcs_processed = 0
     fragments: list[list[dict]] = []
-    limit = max_passes if max_passes is not None else 2 * int(np.ceil(np.log2(n + 1))) + 4
-    arrays = {"src": src, "dst": dst, "labels": labels}
+    arrays = {"src": src, "dst": dst, "labels": np.arange(n, dtype=np.int64)}
     with ShmArena.create(arrays) as arena:
-        descriptor = arena.descriptor
         shared_labels = arena.view("labels")
-        chunks = range_chunks(int(dst.size), pool.workers)
+        tasks = [
+            TaskSpec("components.hook", {"lo": lo, "hi": hi}, arenas=(arena.descriptor,))
+            for lo, hi in range_chunks(int(dst.size), pool.workers)
+        ]
+
+        def pool_hook(prev: np.ndarray) -> np.ndarray:
+            """Fan one hooking sweep out and fold the workers' proposals."""
+            shared_labels[...] = prev
+            outs = pool.run_tasks(tasks)
+            fragments.append([o["fragment"] for o in outs])
+            labels = prev.copy()
+            for o in outs:
+                np.minimum.at(labels, o["idx"], o["val"])
+            return labels
+
         with span("parallel.components", n=n, arcs=int(dst.size), workers=pool.workers) as sp:
-            while True:
-                passes += 1
-                prev = shared_labels.copy()
-                if chunks:
-                    outs = pool.run_tasks(
-                        [
-                            TaskSpec(
-                                "components.hook",
-                                {"lo": lo, "hi": hi},
-                                arenas=(descriptor,),
-                            )
-                            for lo, hi in chunks
-                        ]
-                    )
-                else:
-                    outs = []
-                fragments.append([o["fragment"] for o in outs])
-                labels = prev.copy()
-                for o in outs:
-                    np.minimum.at(labels, o["idx"], o["val"])
-                arcs_processed += 2 * dst.size
-                while True:
-                    jumped = labels[labels]
-                    jumps += 1
-                    if np.array_equal(jumped, labels):
-                        break
-                    labels = jumped
-                if np.array_equal(labels, prev):
-                    break
-                if passes >= limit:
-                    break
-                shared_labels[...] = labels
+            labels, passes, jumps, arcs_processed = hook_and_jump(
+                n, pool_hook, int(dst.size), max_passes
+            )
             sp.set(passes=passes, components=int(np.unique(labels).size))
     METRICS.inc("parallel.components_runs")
     return ComponentsResult(

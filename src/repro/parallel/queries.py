@@ -3,19 +3,21 @@
 The paper's observation for section 3.1 — *"the queries can be processed in
 parallel, as they only involve memory reads"* — maps directly onto the
 process backend: the forest's parent array goes into shared memory once,
-the query pairs are split into contiguous ranges, and each worker runs the
-same vectorised root-chase as :meth:`repro.core.linkcut
-.LinkCutForest.findroot_batch` over its slice.  A query's answer and its
-hop count depend only on its two endpoints' depths, so partition boundaries
-change neither: answers concatenate back in submission order and the hop
-total is the exact sum the serial batch would have counted.
+the query pairs are split into contiguous ranges, and each worker runs
+:func:`repro.core.linkcut.chase_roots` — the chase behind
+``findroot_batch``, on the tier the parent resolved — over its slice.  A
+query's answer and its hop count depend only on its two endpoints' depths,
+so partition boundaries change neither: answers concatenate back in
+submission order and the hop total is the exact sum the serial batch would
+have counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.linkcut import LinkCutForest
+from repro import kernels
+from repro.core.linkcut import LinkCutForest, chase_roots
 from repro.errors import GraphError
 from repro.obs import METRICS, span
 from repro.parallel.partition import range_chunks
@@ -23,20 +25,6 @@ from repro.parallel.pool import TaskSpec, WorkerPool, task
 from repro.parallel.shm import ShmArena
 
 __all__ = ["parallel_query_batch"]
-
-_NIL = -1
-
-
-def _chase_roots(parent: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Vectorised findroot over ``v`` (copy); returns (roots, hops)."""
-    v = v.copy()
-    hops = 0
-    active = parent[v] != _NIL
-    while np.any(active):
-        v[active] = parent[v[active]]
-        hops += int(np.count_nonzero(active))
-        active = parent[v] != _NIL
-    return v, hops
 
 
 @task("queries.connected")
@@ -46,8 +34,8 @@ def _queries_connected(views: dict, payload: dict) -> dict:
     parent = views["parent"]
     us = views["us"][lo:hi]
     vs = views["vs"][lo:hi]
-    ru, hops_u = _chase_roots(parent, us)
-    rv, hops_v = _chase_roots(parent, vs)
+    ru, hops_u = chase_roots(parent, us, payload["tier"])
+    rv, hops_v = chase_roots(parent, vs, payload["tier"])
     # Worker-side mirror of the oracle's parent-side ticks: the pool ships
     # these back as telemetry, so the parent's ``workers.connectivity.*``
     # rollup equals the serial backend's counters for the same batch.
@@ -88,15 +76,16 @@ def parallel_query_batch(
     pool.start()
     arrays = {"parent": forest.parent, "us": us, "vs": vs}
     with ShmArena.create(arrays) as arena:
-        descriptor = arena.descriptor
-        chunks = range_chunks(int(us.size), pool.workers)
+        tier = kernels.resolve_tier(forest)
         with span("parallel.query_batch", n_queries=int(us.size), workers=pool.workers) as sp:
             outs = pool.run_tasks(
                 [
                     TaskSpec(
-                        "queries.connected", {"lo": lo, "hi": hi}, arenas=(descriptor,)
+                        "queries.connected",
+                        {"lo": lo, "hi": hi, "tier": tier},
+                        arenas=(arena.descriptor,),
                     )
-                    for lo, hi in chunks
+                    for lo, hi in range_chunks(int(us.size), pool.workers)
                 ]
             )
             connected = np.concatenate([o["connected"] for o in outs])

@@ -9,6 +9,7 @@ The scalar-vs-vectorised *equivalence* checks live in test_equivalence.py.
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.dynarr import DynArrAdjacency, TOMBSTONE
 from repro.adjacency.mempool import IntPool
@@ -82,29 +83,39 @@ class TestDispatchGate:
         # must never drift apart.
         assert bulkops.TOMBSTONE == TOMBSTONE
 
-    def test_explicit_flag_wins(self):
+    def test_explicit_tier_wins(self, monkeypatch):
+        # A tier somebody asked for is honoured at every batch size, from
+        # the instance attribute and from the environment alike.
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         rep = DynArrAdjacency(4)
-        rep.use_bulkops = True
+        rep.kernel_tier = "vectorised"
         assert bulkops.enabled(rep, 1)
-        rep.use_bulkops = False
+        rep.kernel_tier = "scalar"
         assert not bulkops.enabled(rep, 10**6)
+        monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
+        assert bulkops.enabled(rep, 1)
+        assert bulkops.enabled(DynArrAdjacency(4), 1)
 
-    def test_default_threshold(self):
+    def test_default_threshold(self, monkeypatch):
+        # The cut-off applies only to the auto-probed tier.
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
         rep = DynArrAdjacency(4)
-        assert rep.use_bulkops is None
-        if bulkops.ENABLED_DEFAULT:
+        assert rep.kernel_tier is None
+        assert not bulkops.enabled(rep, bulkops.MIN_BULK_SIZE - 1)
+        assert bulkops.enabled(rep, bulkops.MIN_BULK_SIZE)
+        with kernels.force_available():  # probe says "compiled": same cut-off
             assert not bulkops.enabled(rep, bulkops.MIN_BULK_SIZE - 1)
             assert bulkops.enabled(rep, bulkops.MIN_BULK_SIZE)
 
     def test_empty_batch_never_vectorised(self):
         rep = DynArrAdjacency(4)
-        rep.use_bulkops = True
+        rep.kernel_tier = "vectorised"
         assert not bulkops.enabled(rep, 0)
 
     def test_huge_vertex_count_falls_back(self):
         rep = DynArrAdjacency.__new__(DynArrAdjacency)
         rep.n = bulkops.MAX_KEY_N + 1
-        rep.use_bulkops = True
+        rep.kernel_tier = "vectorised"
         assert not bulkops.enabled(rep, 100)
 
 

@@ -91,9 +91,8 @@ def run_pair(kind, op, src, dst, ts, tier="vectorised"):
     """Apply one stream to a ``tier`` instance and a scalar instance."""
     n = max(int(src.max(initial=0)) + 1, int(dst.max(initial=0)) + 1, 2)
     vec, ref = build(kind, n), build(kind, n)
-    vec.use_bulkops = True
     vec.kernel_tier = tier
-    ref.use_bulkops = False
+    ref.kernel_tier = "scalar"
     m_vec = vec.apply_arcs(op, src, dst, ts)
     m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
     return vec, ref, m_vec, m_ref
@@ -176,9 +175,8 @@ class TestSeededEquivalence:
         n = 6
         with tier_ctx(tier):
             vec, ref = build(kind, n), build(kind, n)
-            vec.use_bulkops = True
             vec.kernel_tier = tier
-            ref.use_bulkops = False
+            ref.kernel_tier = "scalar"
             for trial in range(5):
                 rng = np.random.default_rng(50 + trial)
                 op, src, dst, ts = make_stream(rng, n, 200, 0.55)
@@ -229,7 +227,7 @@ class TestSnapshotPipeline:
         rng = np.random.default_rng(9)
         rep = DynArrAdjacency(50)
         op, src, dst, ts = make_stream(rng, 50, 2000, 0.7)
-        rep.use_bulkops = True
+        rep.kernel_tier = "vectorised"
         rep.apply_arcs(op, src, dst, ts)
         a_src, a_dst, a_ts = rep.to_arrays()
         fast = csr_from_arrays(rep.n, a_src, a_dst, a_ts, assume_grouped=True)
@@ -249,7 +247,7 @@ class TestSnapshotPipeline:
     def test_representation_snapshot_consistent(self, kind):
         rng = np.random.default_rng(11)
         rep = build(kind, 9)
-        rep.use_bulkops = True
+        rep.kernel_tier = "vectorised"
         op, src, dst, ts = make_stream(rng, 9, 300, 0.65)
         rep.apply_arcs(op, src, dst, ts)
         g = csr_from_representation(rep)

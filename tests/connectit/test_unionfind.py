@@ -97,7 +97,7 @@ def test_union_arcs_returns_hooks():
     uf = UnionFind(4)
     src = np.array([0, 1, 2, 0], dtype=np.int64)
     dst = np.array([1, 2, 3, 3], dtype=np.int64)
-    assert uf.union_arcs(src, dst) == 3
+    assert uf.union_arcs(src, dst).tolist() == [True, True, True, False]
     assert uf.n_components() == 1
 
 

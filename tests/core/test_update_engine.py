@@ -5,6 +5,7 @@ import pytest
 
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
+from repro.adjacency.treap import TreapAdjacency
 from repro.core.update_engine import apply_stream, construct
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import (
@@ -72,6 +73,22 @@ class TestApplyStream:
         assert res.profile.name == "construction"
         assert res.profile.meta["n_updates"] == graph.m
         assert res.profile.meta["representation"] == "dynarr"
+
+    @pytest.mark.parametrize(
+        "make, ran_vectorised",
+        [
+            (DynArrAdjacency, True),
+            (lambda n: HybridAdjacency(n, seed=1), True),
+            # Neither has a vectorised apply for a mixed stream.
+            (lambda n: TreapAdjacency(n, seed=1), False),
+            (lambda n: HybridAdjacency(n, seed=1, downshift=True), False),
+        ],
+        ids=["dynarr", "hybrid", "treap", "hybrid-downshift"],
+    )
+    def test_vectorised_meta_reports_the_path_that_ran(self, graph, make, ran_vectorised):
+        res = apply_stream(make(graph.n), mixed_stream(graph, 500, 0.5, seed=3))
+        assert res.meta["vectorised"] is ran_vectorised
+        assert res.profile.meta["vectorised"] is ran_vectorised
 
     def test_hot_stats_from_arc_sources(self, graph):
         rep = DynArrAdjacency(graph.n)

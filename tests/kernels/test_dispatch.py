@@ -1,10 +1,11 @@
 """Dispatch semantics of the three-level kernel tier.
 
 Precedence (env var > instance attribute > auto-probe), validation errors,
-the silent import probe, and the interaction with the ``use_bulkops``
-dispatch the tier extends.
+the silent import probe, the tier as the bulk-kernel gate, wrappers
+forwarding their tier, and the ``KERNEL_SITES`` table naming real code.
 """
 
+import importlib
 import subprocess
 import sys
 
@@ -13,7 +14,9 @@ import pytest
 
 from repro import kernels
 from repro.adjacency import bulkops
+from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.dynarr import DynArrAdjacency
+from repro.adjacency.hybrid import HybridAdjacency
 from repro.connectit.unionfind import UnionFind
 from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError
@@ -106,6 +109,22 @@ class TestProbe:
         assert d["default_tier"] in kernels.TIERS
         assert d["available"] == kernels.numba_available()
 
+    @pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
+    def test_dispatch_sites_exist(self, name):
+        # `python -m repro kernels` prints this table; every entry must be
+        # an importable module followed by an attribute path.
+        parts = kernels.KERNEL_SITES[name].split(".")
+        for split in range(len(parts) - 1, 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:split]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[split:]:
+                obj = getattr(obj, attr)
+            assert callable(obj)
+            return
+        pytest.fail(f"no importable module in {kernels.KERNEL_SITES[name]!r}")
+
     @requires_numba
     def test_compiled_kernels_are_dispatchers(self):
         # With numba installed every kernel must be a JIT Dispatcher.
@@ -114,15 +133,13 @@ class TestProbe:
 
 
 class TestBulkopsInteraction:
-    def test_scalar_tier_overrides_use_bulkops(self):
+    def test_scalar_tier_disables_bulkops(self):
         rep = DynArrAdjacency(8)
-        rep.use_bulkops = True
         rep.kernel_tier = "scalar"
         assert not bulkops.enabled(rep, 10_000)
 
     def test_vectorised_tier_keeps_bulkops_dispatch(self):
         rep = DynArrAdjacency(8)
-        rep.use_bulkops = True
         rep.kernel_tier = "vectorised"
         assert bulkops.enabled(rep, 10_000)
 
@@ -132,7 +149,6 @@ class TestBulkopsInteraction:
         src = rng.integers(0, 8, 300)
         dst = rng.integers(0, 8, 300)
         a = DynArrAdjacency(8)
-        a.use_bulkops = True
         a.kernel_tier = "scalar"
         b = DynArrAdjacency(8)
         m_a = a.apply_arcs(op, src, dst)
@@ -141,3 +157,26 @@ class TestBulkopsInteraction:
         from dataclasses import asdict
 
         assert asdict(a.stats) == asdict(b.stats)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: HybridAdjacency(64, seed=1), lambda: BatchedAdjacency(64)],
+        ids=["hybrid", "batched"],
+    )
+    def test_wrapper_tier_reaches_the_inner_dynarr(self, make, monkeypatch, fetched_kernels):
+        # Where the probe says "compiled", a wrapper pinned to "vectorised"
+        # must not fall into the delete_match loop kernel because the
+        # dyn-arr it owns resolved a tier of its own.
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        rng = np.random.default_rng(3)
+        op = np.where(rng.random(400) < 0.6, 1, -1).astype(np.int8)
+        src = rng.integers(0, 64, 400)
+        dst = rng.integers(0, 64, 400)
+        with kernels.force_available():
+            rep = make()
+            rep.kernel_tier = "vectorised"
+            rep.apply_arcs(op, src, dst)
+            assert fetched_kernels == []
+            assert rep.vectorised_arc_ops > 0  # and the bulk kernels did run
+            rep.kernel_tier = None  # auto-probe: the loop kernel is right
+            rep.apply_arcs(op, src, dst)
+            assert fetched_kernels == ["delete_match"]

@@ -1,8 +1,9 @@
 """The process backend's contract: bit-identical results to serial.
 
 Swept across every registered adjacency representation (the snapshot each
-produces is the graph the kernels see), several seeds, worker counts, and
-the time-stamp-filtered BFS variant; cross-checked against networkx where a
+produces is the graph the kernels see), several seeds, worker counts, the
+kernel tiers (workers run the tier the parent resolved), and the
+time-stamp-filtered BFS variant; cross-checked against networkx where a
 reference is cheap.  A hypothesis sweep feeds arbitrary small edge lists
 through both backends.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.adjacency.csr import build_csr, csr_from_arrays, csr_from_representation
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.core.bfs import bfs
@@ -22,7 +24,7 @@ from repro.generators.rmat import rmat_graph
 from repro.generators.reference import to_networkx
 from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
-from repro.parallel.queries import parallel_query_batch
+from repro.parallel.queries import _queries_connected, parallel_query_batch
 from repro.core.linkcut import LinkCutForest
 
 KINDS = sorted(REPRESENTATIONS)
@@ -47,7 +49,7 @@ def assert_bfs_equal(serial, par):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_bfs_and_components_identical_across_representations(kind, pool):
+def test_bfs_and_components_identical_across_representations(kind, pool, at_tier):
     graph = rmat_graph(8, 8, seed=31, ts_range=(1, 50))
     rep = build_rep(kind, graph.n)
     construct(rep, graph)
@@ -56,12 +58,15 @@ def test_bfs_and_components_identical_across_representations(kind, pool):
     source = int(np.argmax(csr.degrees()))
     assert_bfs_equal(bfs(csr, source), parallel_bfs(csr, source, pool))
 
-    serial_cc = connected_components(csr)
-    par_cc = parallel_connected_components(csr, pool)
-    np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
-    assert serial_cc.n_passes == par_cc.n_passes
-    assert serial_cc.jump_rounds == par_cc.jump_rounds
-    assert serial_cc.arcs_processed == par_cc.arcs_processed
+    for tier in kernels.TIERS:
+        with at_tier(tier, pool) as p:
+            serial_cc = connected_components(csr)
+            par_cc = parallel_connected_components(csr, p)
+        assert serial_cc.meta["kernel_tier"] == tier
+        np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
+        assert serial_cc.n_passes == par_cc.n_passes
+        assert serial_cc.jump_rounds == par_cc.jump_rounds
+        assert serial_cc.arcs_processed == par_cc.arcs_processed
 
 
 @pytest.mark.parametrize("seed", [3, 17, 92])
@@ -98,7 +103,7 @@ def test_components_match_networkx(pool):
     assert par.n_components == expected
 
 
-def test_query_batch_identical(pool):
+def test_query_batch_identical(pool, at_tier):
     graph = rmat_graph(9, 8, seed=11)
     csr = build_csr(graph)
     forest, _ = LinkCutForest.from_csr(csr)
@@ -106,13 +111,33 @@ def test_query_batch_identical(pool):
     us = rng.integers(0, csr.n, size=5000, dtype=np.int64)
     vs = rng.integers(0, csr.n, size=5000, dtype=np.int64)
 
-    hops_before = forest.hops
-    serial = forest.connected_batch(us, vs)
-    serial_hops = forest.hops - hops_before
+    seen = []
+    for tier in kernels.TIERS:
+        with at_tier(tier, pool) as p:
+            hops_before = forest.hops
+            serial = forest.connected_batch(us, vs)
+            serial_hops = forest.hops - hops_before
+            answers, hops = parallel_query_batch(forest, us, vs, p)
+        np.testing.assert_array_equal(serial, answers)
+        assert hops == serial_hops
+        seen.append((answers.tolist(), hops))
+    assert seen[0] == seen[1] == seen[2]
 
-    answers, hops = parallel_query_batch(forest, us, vs, pool)
-    np.testing.assert_array_equal(serial, answers)
-    assert hops == serial_hops
+
+def test_query_task_runs_the_tier_it_is_sent(fetched_kernels):
+    # The worker side of the contract, in process: the task dispatches on
+    # the tier in its payload, not on one it resolves for itself.
+    forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
+    ends = np.arange(forest.n, dtype=np.int64)
+    views = {"parent": forest.parent, "us": ends, "vs": ends[::-1].copy()}
+    outs = []
+    for tier, expect in (("scalar", []), ("vectorised", []), ("compiled", ["findroot_batch"] * 2)):
+        del fetched_kernels[:]
+        outs.append(_queries_connected(views, {"lo": 0, "hi": forest.n, "tier": tier}))
+        assert fetched_kernels == expect
+    for out in outs[1:]:
+        np.testing.assert_array_equal(out["connected"], outs[0]["connected"])
+        assert out["hops"] == outs[0]["hops"]
 
 
 @settings(max_examples=25, deadline=None)
