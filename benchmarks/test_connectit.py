@@ -1,22 +1,29 @@
 """Benchmark: sample-finish connectivity kernels (repro.connectit).
 
-Two gated kernels:
+Three gated kernels:
 
 * the sampled composition (k-out + rank/halving) on an R-MAT scale-16
   graph, asserting label identity with the Shiloach–Vishkin kernel and the
   >= 3x union-work reduction the ablation gate requires;
+* the unsampled finish (default rank/halving, every arc through
+  :meth:`UnionFind.union_arcs`) against the per-pair :meth:`UnionFind.union`
+  loop, asserting identical forests and counters and that the batch is
+  never the slower of the two (both run on the same buffers, so the margin
+  is the per-call overhead only: about 1.2x);
 * the :meth:`ConnectivityIndex.insert_batch` union-find fast path against
   the sequential :meth:`insert_edge` loop, asserting identical link
   decisions.
 
-Both land in ``BENCH_repro.json`` and are regression-gated against
+All land in ``BENCH_repro.json`` and are regression-gated against
 ``benchmarks/baseline.json`` in CI.
 """
+
+import time
 
 import numpy as np
 
 from repro.adjacency.csr import build_csr
-from repro.connectit import ConnectItSpec, connect_components
+from repro.connectit import ConnectItSpec, UnionFind, connect_components
 from repro.core.components import connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.generators.rmat import rmat_graph
@@ -50,6 +57,35 @@ def test_connectit_sampled_components(benchmark):
     benchmark.extra_info["identical"] = True
 
 
+def test_connectit_unsampled_finish(benchmark):
+    csr = build_csr(rmat_graph(SCALE, EDGE_FACTOR, seed=SEED))
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    dst = csr.targets
+
+    ref = UnionFind(csr.n)
+    t0 = time.perf_counter()
+    ref_linked = [ref.union(u, v) for u, v in zip(src.tolist(), dst.tolist())]
+    loop_seconds = time.perf_counter() - t0
+
+    def batch():
+        uf = UnionFind(csr.n)
+        return uf, uf.union_arcs(src, dst)
+
+    uf, linked = benchmark.pedantic(batch, rounds=3, iterations=1, warmup_rounds=0)
+
+    assert linked.tolist() == ref_linked
+    np.testing.assert_array_equal(uf.parent, ref.parent)
+    np.testing.assert_array_equal(uf.rank, ref.rank)
+    assert uf.counters == ref.counters
+    speedup = loop_seconds / float(benchmark.stats.stats.min)
+    benchmark.extra_info["scale"] = SCALE
+    benchmark.extra_info["arcs"] = int(src.size)
+    benchmark.extra_info["per_pair_seconds"] = round(loop_seconds, 6)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["identical"] = True
+    assert speedup >= 1.0, f"union_arcs {speedup:.2f}x the speed of the union loop"
+
+
 def test_connectit_insert_batch(benchmark):
     graph = rmat_graph(12, 4, seed=SEED)
     csr = build_csr(graph)
@@ -57,8 +93,6 @@ def test_connectit_insert_batch(benchmark):
     k = 20_000
     us = rng.integers(0, graph.n, size=k, dtype=np.int64)
     vs = rng.integers(0, graph.n, size=k, dtype=np.int64)
-
-    import time
 
     seq_index = ConnectivityIndex.from_csr(csr)
     t0 = time.perf_counter()

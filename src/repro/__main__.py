@@ -509,9 +509,10 @@ def cmd_kernels(args: argparse.Namespace) -> int:
 
     Prints numba availability, the ``REPRO_KERNEL_TIER`` override, the
     auto-probed default tier and — per kernel — the tier it would resolve
-    to plus the call site it is dispatched from.  ``--warmup`` additionally
-    JIT-compiles every kernel now and reports the compile cost that
-    benchmark runs exclude from timed sections.
+    to, the call site it is dispatched from and what that tier runs
+    there.  ``--warmup`` additionally JIT-compiles every kernel now and
+    reports the compile cost that benchmark runs exclude from timed
+    sections.
     """
     from repro import kernels
 
@@ -534,6 +535,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     for name, info in d["kernels"].items():
         tier = info["tier"] if info["tier"] is not None else "error"
         print(f"  {name:<{width}}  {tier:<10}  {info['dispatched_from']}")
+        if info["runs"] is not None:
+            print(f"  {'':<{width}}  {'':<10}  runs {info['runs']}")
     if args.warmup:
         info = kernels.warmup(force=True)
         print()

@@ -23,12 +23,15 @@ deterministic, so a variant's counters are reproducible run to run.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro import kernels
 from repro.errors import GraphError
+from repro.kernels import loops
+from repro.util.validation import check_same_length, check_vertex_ids
 
 __all__ = ["UNION_RULES", "COMPACTION_RULES", "WorkCounters", "UnionFind"]
 
@@ -39,6 +42,9 @@ UNION_RULES = ("rank", "size", "rem")
 #: path it walks).  ``rem`` performs its own splicing during the union walk,
 #: so under Rem's algorithm the compaction rule only affects explicit finds.
 COMPACTION_RULES = ("full", "splitting", "halving", "none")
+
+#: Words per piece when the parent buffer is filled with the identity.
+_FILL_WORDS = 8192
 
 
 @dataclass
@@ -105,11 +111,19 @@ class UnionFind:
     compaction:
         One of :data:`COMPACTION_RULES`.
 
-    The structure is deliberately scalar (Python loops over a numpy parent
-    array): union-find is a dependent pointer-chasing workload, which is
-    exactly what the counters must measure.  The label *extraction*
-    (:meth:`components`, :meth:`flat_roots`) is vectorised and counter-free —
-    it is a read-only epilogue, not part of the algorithm's work.
+    Union-find is a dependent pointer-chasing workload, which is exactly
+    what the counters must measure, so the algorithm is a loop of scalar
+    loads and stores.  The store is therefore three ``array`` buffers
+    (``'q'`` parent, ``'b'`` rank, ``'q'`` size; allocated once, never
+    resized) whose items the interpreter reads as plain ints: the per-op
+    methods and the interpreted :meth:`union_arcs` index them directly.
+    :attr:`parent`, :attr:`rank` and :attr:`size` are zero-copy ndarray views
+    of the same memory, for the vectorised users (:meth:`bulk_hook`, the
+    label extraction, the compiled kernel) and for callers that write a
+    forest in directly; a write through either side is seen by the other.
+    The label *extraction* (:meth:`components`, :meth:`flat_roots`) is
+    vectorised and counter-free — it is a read-only epilogue, not part of
+    the algorithm's work.
     """
 
     def __init__(self, n: int, union_rule: str = "rank", compaction: str = "halving") -> None:
@@ -124,12 +138,35 @@ class UnionFind:
         self.n = int(n)
         self.union_rule = union_rule
         self.compaction = compaction
-        self.parent = np.arange(self.n, dtype=np.int64)
-        self.rank = np.zeros(self.n, dtype=np.int8) if union_rule == "rank" else None
-        self.size = np.ones(self.n, dtype=np.int64) if union_rule == "size" else None
+        self._parent = array("q", [0]) * self.n
+        parent = self.parent
+        # The identity, a cache-sized piece at a time: one whole-array arange
+        # is a second n-word block, and freeing it makes the allocator trim
+        # and re-fault the heap on every construction (insert_batch builds
+        # one structure per batch).
+        for lo in range(0, self.n, _FILL_WORDS):
+            hi = min(lo + _FILL_WORDS, self.n)
+            parent[lo:hi] = np.arange(lo, hi, dtype=np.int64)
+        self._rank = array("b", [0]) * self.n if union_rule == "rank" else None
+        self._size = array("q", [1]) * self.n if union_rule == "size" else None
         self.counters = WorkCounters()
         #: Kernel-tier request for :meth:`union_arcs` (:mod:`repro.kernels`).
         self.kernel_tier: str | None = None
+
+    @property
+    def parent(self) -> np.ndarray:
+        """The parent buffer as a writable int64 view."""
+        return np.frombuffer(self._parent, dtype=np.int64)
+
+    @property
+    def rank(self) -> np.ndarray | None:
+        """The rank buffer as a writable int8 view (None unless union by rank)."""
+        return None if self._rank is None else np.frombuffer(self._rank, dtype=np.int8)
+
+    @property
+    def size(self) -> np.ndarray | None:
+        """The size buffer as a writable int64 view (None unless union by size)."""
+        return None if self._size is None else np.frombuffer(self._size, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # core operations
@@ -137,24 +174,24 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         """Root of ``x``'s tree, applying the configured compaction rule."""
-        parent = self.parent
+        parent = self._parent
         c = self.counters
         c.finds += 1
         comp = self.compaction
         x = int(x)
         if comp == "none":
             while True:
-                p = int(parent[x])
+                p = parent[x]
                 if p == x:
                     return x
                 c.pointer_chases += 1
                 x = p
         if comp == "halving":
             while True:
-                p = int(parent[x])
+                p = parent[x]
                 if p == x:
                     return x
-                g = int(parent[p])
+                g = parent[p]
                 c.pointer_chases += 2
                 parent[x] = g
                 c.compaction_writes += 1
@@ -162,10 +199,10 @@ class UnionFind:
             # unreachable
         if comp == "splitting":
             while True:
-                p = int(parent[x])
+                p = parent[x]
                 if p == x:
                     return x
-                g = int(parent[p])
+                g = parent[p]
                 c.pointer_chases += 2
                 parent[x] = g
                 c.compaction_writes += 1
@@ -173,13 +210,13 @@ class UnionFind:
         # full: walk to the root, then re-point the whole path at it.
         root = x
         while True:
-            p = int(parent[root])
+            p = parent[root]
             if p == root:
                 break
             c.pointer_chases += 1
             root = p
         while x != root:
-            p = int(parent[x])
+            p = parent[x]
             parent[x] = root
             c.pointer_chases += 1
             c.compaction_writes += 1
@@ -196,30 +233,30 @@ class UnionFind:
         if ru == rv:
             return False
         c = self.counters
-        if self.rank is not None:
-            rank = self.rank
+        if self._rank is not None:
+            rank = self._rank
             if rank[ru] < rank[rv]:
                 ru, rv = rv, ru
             elif rank[ru] == rank[rv]:
                 rank[ru] += 1
-            self.parent[rv] = ru
+            self._parent[rv] = ru
         else:
-            size = self.size
+            size = self._size
             assert size is not None
             if size[ru] < size[rv] or (size[ru] == size[rv] and rv < ru):
                 ru, rv = rv, ru
             size[ru] += size[rv]
-            self.parent[rv] = ru
+            self._parent[rv] = ru
         c.hooks += 1
         return True
 
     def _union_rem(self, u: int, v: int) -> bool:
         """Rem's algorithm: the union walk splices as it goes (no finds)."""
-        parent = self.parent
+        parent = self._parent
         c = self.counters
         while True:
-            pu = int(parent[u])
-            pv = int(parent[v])
+            pu = parent[u]
+            pv = parent[v]
             c.pointer_chases += 2
             if pu == pv:
                 return False
@@ -251,31 +288,40 @@ class UnionFind:
         :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`.
         With ``pre_resolved`` True, equal endpoints count one union attempt
         and nothing else (``insert_batch``'s findroot pass resolved them).
-        Tier ``compiled`` runs the fused
-        :func:`repro.kernels.loops.union_arcs`; every other tier loops
-        :meth:`union` — same rules, bit-identical :class:`WorkCounters`.
+
+        Every tier runs the one body, :func:`repro.kernels.loops.union_arcs`:
+        ``compiled`` through the numba Dispatcher over the ndarray views,
+        every other tier interpreted over the buffers themselves (endpoints
+        as lists, a ``bytearray`` mask, a list of counters — containers whose
+        items are plain ints, so a pointer chase boxes nothing).  Same rules,
+        bit-identical :class:`WorkCounters`; :meth:`union` is the per-pair
+        reference.  Endpoints are validated once per call: an id outside
+        ``[0, n)`` raises :class:`~repro.errors.VertexError`, unequal lengths
+        :class:`~repro.errors.GraphError`.
         """
-        if kernels.resolve_tier(self) != "compiled":
-            pairs = zip(src.tolist(), dst.tolist())
-            union = self.union
-            if pre_resolved:
-                self.counters.unions += int(np.count_nonzero(src == dst))
-                linked = [u != v and union(u, v) for u, v in pairs]
-            else:
-                linked = [union(u, v) for u, v in pairs]
-            return np.array(linked, dtype=np.bool_)
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        linked = np.zeros(src.size, dtype=np.bool_)
-        rank = self.rank if self.rank is not None else np.zeros(0, dtype=np.int8)
-        size = self.size if self.size is not None else np.zeros(0, dtype=np.int64)
-        c = np.zeros(5, dtype=np.int64)  # slots in WorkCounters field order
-        kernels.get("union_arcs")(
-            self.parent,
-            rank,
-            size,
-            src,
-            dst,
+        src = check_vertex_ids(src, self.n, "src")
+        dst = check_vertex_ids(dst, self.n, "dst")
+        check_same_length([("src", src), ("dst", dst)])
+        if kernels.resolve_tier(self) == "compiled":
+            # The Dispatcher is typed: ndarrays throughout, and a 0-length
+            # dummy for an auxiliary the rule does not use.
+            fn = kernels.get("union_arcs")
+            stores = (
+                self.parent,
+                self.rank if self._rank is not None else np.zeros(0, dtype=np.int8),
+                self.size if self._size is not None else np.zeros(0, dtype=np.int64),
+                np.ascontiguousarray(src),
+                np.ascontiguousarray(dst),
+            )
+            linked = np.zeros(src.size, dtype=np.bool_)
+            c = np.zeros(5, dtype=np.int64)  # slots in WorkCounters field order
+        else:
+            fn = loops.union_arcs
+            stores = (self._parent, self._rank, self._size, src.tolist(), dst.tolist())
+            linked = bytearray(src.size)
+            c = [0] * 5
+        fn(
+            *stores,
             kernels.RULE_CODES[self.union_rule],
             kernels.COMP_CODES[self.compaction],
             linked,
@@ -283,7 +329,7 @@ class UnionFind:
             c,
         )
         self.counters.add(WorkCounters(*map(int, c)))
-        return linked
+        return np.frombuffer(linked, dtype=np.bool_)
 
     def bulk_hook(self, vertices: np.ndarray, root: int) -> int:
         """Hook singleton ``vertices`` directly under ``root`` (one write each).

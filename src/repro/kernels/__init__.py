@@ -15,6 +15,14 @@ vectorised the numpy bulk kernels (the default without numba)
 compiled   the fused numba loops (the default when numba imports)
 ========== =============================================================
 
+A kernel with no numpy form runs its :mod:`~repro.kernels.loops` body on
+every tier: ``union_arcs`` is a dependent pointer chase, so ``scalar`` and
+``vectorised`` both run :func:`loops.union_arcs` interpreted, over the
+``array`` buffers :class:`~repro.connectit.unionfind.UnionFind` stores its
+forest in, and ``compiled`` runs the same function through numba over
+ndarray views of those buffers.  :data:`TIER_BODIES` lists what every
+tier executes for every kernel.
+
 Selection precedence, checked once per kernel call by :func:`resolve_tier`:
 
 1. the ``REPRO_KERNEL_TIER`` environment variable (read live);
@@ -50,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
+import types
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -74,6 +83,7 @@ __all__ = [
     "describe",
     "RULE_CODES",
     "COMP_CODES",
+    "TIER_BODIES",
 ]
 
 #: The dispatch levels, slowest-reference first.
@@ -99,6 +109,31 @@ KERNEL_SITES = {
     "sv_components": "repro.core.components.connected_components",
 }
 
+#: What each tier executes behind each dispatch site (also shown by
+#: ``python -m repro kernels``, for the tier in effect).
+TIER_BODIES = {
+    "delete_match": {
+        "scalar": "the per-op reference loop",
+        "vectorised": "the numpy sort/segment/cummax cascade",
+        "compiled": "the numpy kernels + loops.delete_match, compiled",
+    },
+    "findroot_batch": {
+        "scalar": "loops.findroot_batch, interpreted",
+        "vectorised": "one hop per numpy pass",
+        "compiled": "loops.findroot_batch, compiled",
+    },
+    "union_arcs": {
+        "scalar": "loops.union_arcs, interpreted over the array buffers",
+        "vectorised": "loops.union_arcs, interpreted over the array buffers",
+        "compiled": "loops.union_arcs, compiled, over ndarray views of the buffers",
+    },
+    "sv_components": {
+        "scalar": "the numpy sweep (no scalar port)",
+        "vectorised": "the numpy sweep",
+        "compiled": "loops.sv_components, compiled",
+    },
+}
+
 _available = False
 _numba_version: str | None = None
 _probe_error: str | None = None
@@ -114,9 +149,16 @@ try:  # pragma: no cover - exercised only with numba installed
 
     # The union kernel calls the find/rem helpers through the module
     # globals, so those must become Dispatchers before the outer wrap.
+    _uncompiled: dict[str, Any] = dict(vars(loops))
     loops.find_root = numba.njit(cache=True)(loops.find_root)
     loops.rem_union = numba.njit(cache=True)(loops.rem_union)
     _impls = {name: numba.njit(cache=True)(fn) for name, fn in _impls.items()}
+    # ``loops.union_arcs`` is also the body UnionFind runs interpreted on
+    # the tiers below compiled, over buffers and lists that must not reach
+    # a Dispatcher: rebound to the saved globals, its helper calls keep
+    # resolving to the uncompiled definitions.
+    _body: Any = types.FunctionType(loops.union_arcs.__code__, _uncompiled, "union_arcs")
+    loops.union_arcs = _body
     _available = True
     _numba_version = str(numba.__version__)
 except Exception as exc:  # noqa: BLE001 - any import/instrumentation failure
@@ -342,7 +384,11 @@ def describe() -> dict[str, Any]:
         "resolved_tier": tier,
         "resolve_error": error,
         "kernels": {
-            name: {"tier": tier, "dispatched_from": KERNEL_SITES[name]}
+            name: {
+                "tier": tier,
+                "dispatched_from": KERNEL_SITES[name],
+                "runs": TIER_BODIES[name].get(tier),
+            }
             for name in KERNEL_NAMES
         },
     }

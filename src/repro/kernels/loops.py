@@ -22,7 +22,11 @@ they replace:
 * :func:`union_arcs` (with :func:`find_root` / :func:`rem_union`) — the
   union-by-rank / union-by-size / Rem's-splice inner loops of
   :class:`repro.connectit.unionfind.UnionFind`, including the
-  ``WorkCounters`` accounting, over a whole arc batch.
+  ``WorkCounters`` accounting, over a whole arc batch.  This one also
+  runs uncompiled in production: it is the union loop of every tier, and
+  below ``compiled`` ``UnionFind.union_arcs`` feeds it ``array`` buffers,
+  lists and a ``bytearray`` (plain-int items), so it indexes and takes
+  ``len`` of its arguments and uses nothing ndarray-specific.
 * :func:`sv_components` — the Shiloach–Vishkin hook + pointer-jump rounds
   of :func:`repro.core.components.connected_components`, with the hooking
   min-accumulate and the synchronous jump rounds fused per pass.
@@ -245,7 +249,7 @@ def union_arcs(
     the :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`
     convention for edges already resolved by the batch findroot pass.
     """
-    for i in range(src.size):
+    for i in range(len(src)):
         u = src[i]
         v = dst[i]
         c[1] += 1

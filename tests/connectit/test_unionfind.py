@@ -1,5 +1,8 @@
 """Unit tests for the pluggable union-find substrate."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from repro.connectit.unionfind import (
     UnionFind,
     WorkCounters,
 )
-from repro.errors import GraphError
+from repro.errors import GraphError, VertexError
 
 ALL_VARIANTS = [(u, c) for u in UNION_RULES for c in COMPACTION_RULES]
 
@@ -101,6 +104,55 @@ def test_union_arcs_returns_hooks():
     assert uf.n_components() == 1
 
 
+def test_union_arcs_rejects_bad_endpoints():
+    # A negative id used to wrap (linking 3 and 2), an id >= n escaped as a
+    # bare IndexError, and unequal lengths were truncated by zip.
+    uf = UnionFind(4)
+    for src, dst, error in (
+        ([-1], [2], VertexError),
+        ([1], [4], VertexError),
+        ([0, 1], [2], GraphError),
+    ):
+        with pytest.raises(error):
+            uf.union_arcs(np.array(src), np.array(dst))
+    assert uf.parent.tolist() == [0, 1, 2, 3]
+    assert uf.counters == WorkCounters()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("union_rule", UNION_RULES)
+def test_union_arcs_empty_batch_and_tiny_universes(n, union_rule):
+    uf = UnionFind(n, union_rule=union_rule)
+    empty = np.empty(0, dtype=np.int64)
+    linked = uf.union_arcs(empty, empty)
+    assert linked.dtype == np.bool_ and linked.shape == (0,)
+    assert uf.counters == WorkCounters()
+    labels = list(range(n))
+    if n:
+        assert uf.union_arcs(np.array([0]), np.array([n - 1])).tolist() == [n > 1]
+        labels[n - 1] = 0
+    assert uf.components().tolist() == labels
+    assert uf.parent.dtype == np.int64 and uf.parent.shape == (n,)
+    for view, dtype in ((uf.rank, np.int8), (uf.size, np.int64)):
+        assert view is None or (view.dtype == dtype and view.shape == (n,))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda uf: pickle.loads(pickle.dumps(uf))])
+@pytest.mark.parametrize("union_rule", UNION_RULES)
+def test_copies_keep_views_and_buffers_coherent(clone, union_rule):
+    uf = UnionFind(6, union_rule=union_rule)
+    uf.union_arcs(np.array([0, 2]), np.array([1, 3]))
+    twin = clone(uf)
+    assert twin.parent.tolist() == uf.parent.tolist()
+    assert twin.counters == uf.counters
+    # A write through the copy's view reaches the copy's find, and only it.
+    twin.parent[5] = 4
+    assert twin.find(5) == 4 and uf.find(5) == 5
+    assert twin.union_arcs(np.array([4]), np.array([0])).tolist() == [True]
+    assert twin.find(5) == twin.find(1) and uf.find(4) == 4
+    assert twin.memory_bytes() == uf.memory_bytes()
+
+
 def test_bulk_hook_counts_and_merges():
     uf = UnionFind(10)
     hooked = uf.bulk_hook(np.array([1, 2, 3]), 0)
@@ -180,3 +232,64 @@ def test_hypothesis_equivalence_with_naive_dsu(n, edges, variant):
         v %= n
         assert uf.union(u, v) == ref.union(u, v)
     assert uf.components().tolist() == ref.labels()
+
+
+# One step of a mixed drive: the per-op API, the batch entry point, the BFS
+# sampling hook, or a raw write of a parent pointer through the ndarray view.
+_steps = st.one_of(
+    st.tuples(st.just("union"), st.integers(0, 29), st.integers(0, 29)),
+    st.tuples(st.just("find"), st.integers(0, 29)),
+    st.tuples(
+        st.just("union_arcs"),
+        st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=12),
+    ),
+    st.tuples(st.just("bulk_hook"), st.integers(0, 29)),
+    st.tuples(st.just("write"), st.integers(0, 29)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    steps=st.lists(_steps, max_size=30),
+    variant=st.sampled_from(ALL_VARIANTS),
+)
+def test_hypothesis_mixed_entry_points_share_one_store(n, steps, variant):
+    """Every entry point reads and writes the same forest.
+
+    ``uf`` is driven through all of them; ``ref`` sees the same operations
+    through ``union``/``find`` and writes to its view only.  Forest,
+    rank/size and counters must agree after every step.
+    """
+    union_rule, compaction = variant
+    uf = UnionFind(n, union_rule=union_rule, compaction=compaction)
+    ref = UnionFind(n, union_rule=union_rule, compaction=compaction)
+    for op, *args in steps:
+        if op == "union":
+            u, v = (a % n for a in args)
+            assert uf.union(u, v) == ref.union(u, v)
+        elif op == "find":
+            assert uf.find(args[0] % n) == ref.find(args[0] % n)
+        elif op == "union_arcs":
+            pairs = [(u % n, v % n) for u, v in args[0]]
+            src = np.array([u for u, _ in pairs], dtype=np.int64)
+            dst = np.array([v for _, v in pairs], dtype=np.int64)
+            assert uf.union_arcs(src, dst).tolist() == [ref.union(u, v) for u, v in pairs]
+        elif op == "bulk_hook":
+            # Valid on singleton trees only; rem also needs parent <= child.
+            roots = ref.flat_roots()
+            root = int(roots[args[0] % n])
+            lone = np.flatnonzero(np.bincount(roots, minlength=n) == 1)
+            lone = lone[lone > root] if union_rule == "rem" else lone[lone != root]
+            assert uf.bulk_hook(lone, root) == ref.bulk_hook(lone, root)
+        else:
+            # Re-point a vertex at its root: legal under every rule, and only
+            # visible to the next find if views and buffers are one store.
+            x = args[0] % n
+            root = int(ref.flat_roots()[x])
+            uf.parent[x] = ref.parent[x] = root
+        assert uf.parent.tolist() == ref.parent.tolist()
+        assert uf.counters == ref.counters
+    for mine, theirs in ((uf.rank, ref.rank), (uf.size, ref.size)):
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.tolist() == theirs.tolist()

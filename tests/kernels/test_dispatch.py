@@ -6,8 +6,10 @@ forwarding their tier, and the ``KERNEL_SITES`` table naming real code.
 """
 
 import importlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,64 @@ class TestProbe:
         # With numba installed every kernel must be a JIT Dispatcher.
         for name in kernels.KERNEL_NAMES:
             assert hasattr(kernels.get(name), "py_func"), name
+
+
+#: A stand-in ``numba`` module whose Dispatchers accept what a real typed
+#: one accepts (ndarrays and scalars) and fail on anything else.
+FAKE_NUMBA = """
+import numpy as np
+
+__version__ = "0.0+fake"
+
+
+class Dispatcher:
+    def __init__(self, fn):
+        self.py_func = fn
+
+    def __call__(self, *args):
+        for a in args:
+            assert isinstance(a, (np.ndarray, np.generic, int)), type(a)
+        return self.py_func(*args)
+
+
+def njit(cache=False):
+    return Dispatcher
+"""
+
+UNION_UNDER_FAKE_NUMBA = """
+import numpy as np
+from repro import kernels
+from repro.connectit.unionfind import UNION_RULES, UnionFind
+
+assert kernels.numba_available() and kernels.numba_version() == "0.0+fake"
+rng = np.random.default_rng(5)
+src, dst = rng.integers(0, 60, (2, 400))
+for rule in UNION_RULES:
+    ref = UnionFind(60, union_rule=rule)
+    expect = [ref.union(u, v) for u, v in zip(src.tolist(), dst.tolist())]
+    for tier in kernels.TIERS:
+        uf = UnionFind(60, union_rule=rule)
+        uf.kernel_tier = tier
+        assert uf.union_arcs(src, dst).tolist() == expect, (rule, tier)
+        assert uf.parent.tolist() == ref.parent.tolist(), (rule, tier)
+        assert uf.counters == ref.counters, (rule, tier)
+"""
+
+
+def test_interpreted_union_never_enters_a_dispatcher(tmp_path):
+    # With numba installed the union helpers in repro.kernels.loops are
+    # rebound to Dispatchers for the compiled kernel; the tiers below it
+    # run the same body over array buffers and lists, which must keep
+    # reaching the uncompiled helpers.
+    (tmp_path / "numba.py").write_text(FAKE_NUMBA)
+    src_dir = Path(kernels.__file__).parents[2]
+    proc = subprocess.run(
+        [sys.executable, "-c", UNION_UNDER_FAKE_NUMBA],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src_dir}", kernels.ENV_VAR: ""},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBulkopsInteraction:

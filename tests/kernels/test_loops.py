@@ -2,12 +2,16 @@
 
 These exercise :mod:`repro.kernels.loops` head-on (through
 :func:`repro.kernels.get`, so a real numba Dispatcher is covered when
-installed): the union-find loops against the scalar :class:`UnionFind`
-across all 12 rule × compaction combinations, the pointer chase against the
+installed): the union-find loops on every tier against the per-pair
+:meth:`UnionFind.union` oracle across all 12 rule × compaction
+combinations, the pointer chase against the
 level-synchronous batch, and the SV loop against the numpy pass structure.
 The ``apply_mixed`` delete-matching path has its own end-to-end coverage in
 ``tests/adjacency/test_equivalence.py``.
 """
+
+import itertools
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -28,45 +32,59 @@ def random_arcs(seed, n, k):
     )
 
 
-@pytest.mark.parametrize("rule", UNION_RULES)
-@pytest.mark.parametrize("comp", COMPACTION_RULES)
-def test_union_arcs_matches_scalar(rule, comp):
+def union_cases(*axes):
+    """The product of ``axes`` × kernel tier, one ``pytest.param`` each.
+
+    Tier None is whatever the install resolves to (interpreted over the
+    ``array`` buffers without numba) and keeps the bare id; ``scalar`` pins
+    the interpreted path, ``compiled`` the ndarray-view path (a real
+    Dispatcher with numba, the same body uncompiled without).
+    """
+    return [
+        pytest.param(*combo, tier, id="-".join(combo) + (f"-{tier}" if tier else ""))
+        for combo in itertools.product(*axes)
+        for tier in (None, "scalar", "compiled")
+    ]
+
+
+@pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
+def test_union_arcs_matches_scalar(comp, rule, tier):
     n = 200
     src, dst = random_arcs(13, n, 1500)
     ref = UnionFind(n, union_rule=rule, compaction=comp)
     linked_ref = [ref.union(u, v) for u, v in zip(src.tolist(), dst.tolist())]
 
-    jit = UnionFind(n, union_rule=rule, compaction=comp)
-    jit.kernel_tier = "compiled"
-    with kernels.force_available():
-        linked = jit.union_arcs(src, dst)
+    uf = UnionFind(n, union_rule=rule, compaction=comp)
+    uf.kernel_tier = tier
+    with kernels.force_available() if tier == "compiled" else nullcontext():
+        linked = uf.union_arcs(src, dst)
+    assert linked.dtype == np.bool_
     assert linked.tolist() == linked_ref
-    np.testing.assert_array_equal(jit.parent, ref.parent)
+    np.testing.assert_array_equal(uf.parent, ref.parent)
     if rule == "rank":
-        np.testing.assert_array_equal(jit.rank, ref.rank)
+        np.testing.assert_array_equal(uf.rank, ref.rank)
     if rule == "size":
-        np.testing.assert_array_equal(jit.size, ref.size)
-    assert jit.counters.to_dict() == ref.counters.to_dict()
+        np.testing.assert_array_equal(uf.size, ref.size)
+    assert uf.counters.to_dict() == ref.counters.to_dict()
 
 
-@pytest.mark.parametrize("rule", UNION_RULES)
-def test_union_arcs_pre_resolved_convention(rule):
+@pytest.mark.parametrize("rule,tier", union_cases(UNION_RULES))
+def test_union_arcs_pre_resolved_convention(rule, tier):
     # Equal endpoints with pre_resolved: one union attempt, nothing else —
     # the insert_batch contract for edges its findroot pass resolved.
     n = 10
     src = np.array([3, 3, 4], dtype=np.int64)
     dst = np.array([3, 5, 4], dtype=np.int64)
-    for tier in ("scalar", "compiled"):
-        uf = UnionFind(n, union_rule=rule)
-        uf.kernel_tier = tier
-        with kernels.force_available():
-            linked = uf.union_arcs(src, dst, pre_resolved=True)
-        assert linked.tolist() == [False, True, False]
-        c = uf.counters
-        assert c.unions == 3
-        assert c.hooks == 1
-        if rule != "rem":
-            assert c.finds == 2  # only the genuine union performed finds
+    uf = UnionFind(n, union_rule=rule)
+    uf.kernel_tier = tier
+    with kernels.force_available() if tier == "compiled" else nullcontext():
+        linked = uf.union_arcs(src, dst, pre_resolved=True)
+    assert linked.tolist() == [False, True, False]
+    ref = UnionFind(n, union_rule=rule)
+    assert ref.union(3, 5)
+    ref.counters.unions += 2  # the two resolved pairs: attempts, nothing else
+    assert uf.counters == ref.counters
+    np.testing.assert_array_equal(uf.parent, ref.parent)
 
 
 def test_findroot_batch_matches_vectorised():
