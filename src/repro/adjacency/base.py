@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import VertexError
 from repro.machine.profile import Phase
+from repro.util.validation import check_op_codes, check_same_length, check_vertex_ids
 
 __all__ = ["UpdateStats", "HotStats", "AdjacencyRepresentation"]
 
@@ -231,6 +232,7 @@ class AdjacencyRepresentation(abc.ABC):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
+        check_same_length((("src", src), ("dst", dst), ("ts", t)))
         ins = self.insert
         for u, v, lbl in zip(src.tolist(), dst.tolist(), t.tolist()):
             ins(u, v, lbl)
@@ -246,10 +248,11 @@ class AdjacencyRepresentation(abc.ABC):
     def apply_arcs_scalar(self, op, src, dst, ts=None) -> int:
         """Reference stream application: strict arrival order, one op at a
         time.  Returns the number of failed deletes."""
-        op = np.asarray(op, dtype=np.int8)
+        op = check_op_codes(op)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
+        check_same_length((("op", op), ("src", src), ("dst", dst), ("ts", t)))
         misses = 0
         ins = self.insert
         dele = self.delete
@@ -268,8 +271,9 @@ class AdjacencyRepresentation(abc.ABC):
         streams process strictly in arrival order unless a subclass provides
         an equivalence-preserving vectorised override.
         """
-        op = np.asarray(op, dtype=np.int8)
+        op = check_op_codes(op)
         if op.size and bool(np.all(op == 1)):
+            check_same_length((("op", op), ("src", src)))
             self.bulk_insert(src, dst, ts)
             return 0
         return self.apply_arcs_scalar(op, src, dst, ts)
@@ -301,6 +305,19 @@ class AdjacencyRepresentation(abc.ABC):
         return np.fromiter(
             (self.degree(u) for u in range(self.n)), dtype=np.int64, count=self.n
         )
+
+    def _checked_batch(self, src, dst, ts, op=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Range-checked int64 ``(src, dst, ts)`` of one length (``op``'s too).
+
+        The once-per-call validation of the bulk paths: nothing has been
+        applied when it raises.
+        """
+        src = check_vertex_ids(src, self.n, "src")
+        dst = check_vertex_ids(dst, self.n, "dst")
+        t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
+        named = [("src", src), ("dst", dst), ("ts", t)]
+        check_same_length(named if op is None else [("op", op), *named])
+        return src, dst, t
 
     def check_vertex(self, u: int) -> None:
         """Raise :class:`~repro.errors.VertexError` for an out-of-range id."""

@@ -35,8 +35,10 @@ Counter equivalence is not best-effort: ``tests/adjacency/test_equivalence``
 asserts bit-identical ``UpdateStats``, adjacency contents, miss counts and
 pool footprints against the scalar reference on randomized and adversarial
 streams.  Representations whose semantics are order-sensitive beyond
-per-vertex grouping (treap rotations consume a shared priority stream) keep
-the scalar path and only opt into the validated tight-loop ingest.
+per-vertex grouping (treap rotations consume a shared priority stream) use
+none of these kernels: their bulk path is one fused arrival-order loop
+(:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`) behind the same
+:func:`enabled` switch.
 
 Dispatch follows the one kernel-tier knob (:mod:`repro.kernels`; see
 :func:`enabled`): tier ``scalar`` is the reference loop, ``vectorised`` the

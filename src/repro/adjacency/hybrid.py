@@ -12,6 +12,12 @@ The paper finds ``degree_thresh = 32`` a reasonable insertion/deletion
 trade-off for R-MAT small-world inputs on its platforms, and notes that the
 threshold could be tuned at runtime from the observed insert:delete ratio
 (exercised by ``benchmarks/test_ablation_degree_thresh.py``).
+
+Batches are applied as an exact partition (:meth:`HybridAdjacency.
+_apply_partitioned`): arcs whose owner is in array mode when they arrive
+take the vectorised dyn-arr kernels, the rest the treap's fused
+arrival-order run, with migrations at precomputed cut points — every
+counter, pool byte and export identical to per-op ``insert`` / ``delete``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
-from repro.util.validation import check_vertex_ids
+from repro.util.validation import check_op_codes
 
 __all__ = ["HybridAdjacency", "DEFAULT_DEGREE_THRESH", "recommend_degree_thresh"]
 
@@ -133,7 +139,8 @@ class HybridAdjacency(AdjacencyRepresentation):
     # ------------------------------------------------------------------ #
 
     def _migrate_up(self, u: int) -> None:
-        """Move vertex ``u``'s live adjacencies from the array to a treap."""
+        """Move vertex ``u``'s live adjacencies from the array to a treap
+        (one fused run, in block order: the priorities per-op inserts draw)."""
         nbr, ts = self.arr.neighbors_with_ts(u)
         # Clear the array block: drop counts, abandon the block.
         off = int(self.arr.off[u])
@@ -146,8 +153,7 @@ class HybridAdjacency(AdjacencyRepresentation):
         self.arr.live[u] = 0
         nodes_before = self.treap.stats.nodes_visited
         rot_before = self.treap.stats.rotations
-        for v, lbl in zip(nbr.tolist(), ts.tolist()):
-            self.treap.insert(u, v, lbl)
+        self.treap._apply_run(None, [u] * int(nbr.size), nbr.tolist(), ts.tolist())
         # Re-inserting into the treap inflated its counters; that work is
         # real but belongs to the migration (done once, outside the
         # per-update lock), so reclassify it — otherwise the treap's
@@ -238,69 +244,87 @@ class HybridAdjacency(AdjacencyRepresentation):
     # bulk paths
     # ------------------------------------------------------------------ #
 
-    def _array_stable_mask(self, src: np.ndarray, ins_counts: np.ndarray) -> np.ndarray:
-        """Per-arc mask: owner provably stays in array mode all batch long.
+    def _apply_partitioned(self, op, src, dst, t) -> int:
+        """Apply a validated batch (``op`` None: all inserts) as two halves.
 
-        A vertex migrates only when an *insert* pushes its occupancy past
-        ``degree_thresh`` (deletes never trigger it), so an array-mode
-        vertex whose occupancy plus this batch's inserts stays within the
-        threshold can take the whole batch on the dyn-arr side — without
-        consuming any treap priorities, which keeps the shared priority
-        stream (and therefore treap structure and counters) identical to
-        the sequential interleaving.
+        ``arr.cnt`` only grows on insert and deletes never migrate, so when
+        an array-mode vertex crosses ``degree_thresh`` is a function of its
+        occupancy ``cnt0`` and the rank of each insert among its own: the
+        insert of rank ``degree_thresh - cnt0`` migrates it.  Every arc that
+        arrives while its owner is in array mode — all arcs of vertices that
+        never cross, and a crossing vertex's arcs before its migration point
+        — goes through the vectorised dyn-arr kernels in one call: those
+        arcs consume no treap priorities and the two sides touch disjoint
+        per-vertex state, so hoisting them commutes with the sequential
+        interleaving.  The rest replays through the treap's fused run in
+        arrival order, cut only at the migration points, where
+        :meth:`_migrate_up` finds the array block exactly as the per-op
+        path would.  Counters, pool bytes and exports stay bit-identical.
         """
+        k = int(src.size)
+        ins_at = np.arange(k) if op is None else np.flatnonzero(op == 1)
+        ins_src = src[ins_at]
         mode = np.frombuffer(self.mode, dtype=np.uint8)
-        ok = (mode == _MODE_ARRAY) & (self.arr.cnt + ins_counts <= self.degree_thresh)
-        return ok[src]
+        room = np.maximum(self.degree_thresh - self.arr.cnt, 0)
+        crosses = (mode == _MODE_ARRAY) & (np.bincount(ins_src, minlength=self.n) > room)
+        # Per vertex, the arrival index from which its arcs are treap-side:
+        # a crossing vertex's is its insert of rank ``room`` (stable sort by
+        # owner keeps arrival order within each owner's run).
+        treap_from = np.where(mode == _MODE_TREAP, 0, k)
+        theirs = crosses[ins_src]
+        ins_at, ins_src = ins_at[theirs], ins_src[theirs]
+        order = np.argsort(ins_src, kind="stable")
+        owners, starts, _ = bulkops.group_runs(ins_src[order])
+        cut_at = treap_from[owners] = ins_at[order[starts + room[owners]]]
+        on_treap = np.arange(k) >= treap_from[src]
+        misses = 0
+        idx = np.flatnonzero(~on_treap)
+        if idx.size and op is None:
+            self.arr.bulk_insert(src[idx], dst[idx], t[idx])
+        elif idx.size:
+            misses = self.arr.apply_arcs(op[idx], src[idx], dst[idx], t[idx])
+        idx = np.flatnonzero(on_treap)
+        if idx.size:
+            ops = None if op is None else op[idx].tolist()
+            us, vs, tss = src[idx].tolist(), dst[idx].tolist(), t[idx].tolist()
 
-    def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Partitioned stream application.
+            def run(lo: int, hi: int) -> int:
+                return self.treap._apply_run(
+                    None if ops is None else ops[lo:hi], us[lo:hi], vs[lo:hi], tss[lo:hi]
+                )
 
-        Arcs on provably-stable array vertices run through the dyn-arr
-        vectorised kernels; everything else (treap-mode vertices and
-        vertices this batch pushes across the threshold) replays the strict
-        scalar loop in arrival order.  The two halves touch disjoint
-        vertices, so the split commutes with the sequential interleaving and
-        all counters stay bit-identical.  ``downshift`` re-couples deletes
-        to migrations, so it disables the fast path entirely.
-        """
-        op = np.asarray(op, dtype=np.int8)
-        if self.downshift or not bulkops.enabled(self, op.size):
-            return super().apply_arcs(op, src, dst, ts)
-        src = check_vertex_ids(src, self.n, "src")
-        dst = check_vertex_ids(dst, self.n, "dst")
-        t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-        ins_counts = np.bincount(src[op == 1], minlength=self.n)
-        fast = self._array_stable_mask(src, ins_counts)
-        idx_f = np.flatnonzero(fast)
-        if idx_f.size == 0:
-            return self.apply_arcs_scalar(op, src, dst, t)
-        before = self.arr.n_arcs
-        misses = self.arr.apply_arcs(op[idx_f], src[idx_f], dst[idx_f], t[idx_f])
-        self._n_arcs += self.arr.n_arcs - before
-        if idx_f.size != op.size:
-            idx_s = np.flatnonzero(~fast)
-            misses += self.apply_arcs_scalar(op[idx_s], src[idx_s], dst[idx_s], t[idx_s])
+            by_arrival = np.argsort(cut_at)
+            lo = 0
+            for hi, u in zip(
+                np.searchsorted(idx, cut_at[by_arrival]).tolist(),
+                owners[by_arrival].tolist(),
+            ):
+                misses += run(lo, hi)
+                self._migrate_up(u)
+                lo = hi
+            misses += run(lo, idx.size)
+        self._n_arcs = self.arr.n_arcs + self.treap.n_arcs
         return misses
 
+    def apply_arcs(self, op, src, dst, ts=None) -> int:
+        """Partitioned stream application (see :meth:`_apply_partitioned`).
+
+        ``downshift`` re-couples deletes to migrations and tier ``scalar``
+        asks for the reference, so both take the strict per-op loop.
+        """
+        op = check_op_codes(op)
+        if self.downshift or not bulkops.enabled(self, op.size):
+            return super().apply_arcs(op, src, dst, ts)
+        src, dst, t = self._checked_batch(src, dst, ts, op)
+        return self._apply_partitioned(op, src, dst, t)
+
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Partitioned bulk ingest (same stability argument as apply_arcs)."""
-        src = check_vertex_ids(src, self.n, "src")
-        dst = check_vertex_ids(dst, self.n, "dst")
-        t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-        if src.size == 0:
-            return
-        if not bulkops.enabled(self, src.size):
+        """Partitioned bulk ingest (inserts never downshift)."""
+        src, dst, t = self._checked_batch(src, dst, ts)
+        if bulkops.enabled(self, src.size):
+            self._apply_partitioned(None, src, dst, t)
+        else:
             self.bulk_insert_scalar(src, dst, t)
-            return
-        fast = self._array_stable_mask(src, np.bincount(src, minlength=self.n))
-        idx_f = np.flatnonzero(fast)
-        if idx_f.size:
-            self.arr.bulk_insert(src[idx_f], dst[idx_f], t[idx_f])
-            self._n_arcs += int(idx_f.size)
-        if idx_f.size != src.size:
-            idx_s = np.flatnonzero(~fast)
-            self.bulk_insert_scalar(src[idx_s], dst[idx_s], t[idx_s])
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged live-arc export: each vertex lives on exactly one side, so

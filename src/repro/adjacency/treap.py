@@ -26,20 +26,26 @@ nodes go on a free list for reuse.  Insert, delete, split and merge are loops
 over the one root-to-leaf path the textbook recursion follows (equal keys form
 a right spine as deep as their multiplicity, so depth is not logarithmic) and
 count every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
-The whole-structure export is one level-synchronous numpy pass over the
-forest; ``_inorder`` walks a single vertex's treap.
+Batches (``bulk_insert``, ``apply_arcs``, the hybrid's treap side and its
+migrations) run those same loop bodies fused into :meth:`TreapAdjacency.
+_apply_run`, bit-identical to the per-op methods, which remain the public
+API, the ``scalar`` tier and the oracle.  The whole-structure export is one
+level-synchronous numpy pass over the forest; ``_inorder`` walks a single
+vertex's treap.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 
 import numpy as np
 
+from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.adjacency.base import LOCK_HOLD_PER_NODE
 from repro.util.seeding import make_rng
-from repro.util.validation import check_vertex_ids
+from repro.util.validation import check_op_codes
 
 __all__ = ["TreapAdjacency"]
 
@@ -79,12 +85,15 @@ class TreapAdjacency(AdjacencyRepresentation):
     # node pool
     # ------------------------------------------------------------------ #
 
+    def _refill_prios(self) -> list[int]:
+        """Draw the next block of priorities (the old one is used up)."""
+        self._prio_block = self._rng.integers(
+            0, np.iinfo(np.int64).max, size=4096, dtype=np.int64
+        ).tolist()
+        return self._prio_block
+
     def _new_node(self, v: int, ts: int) -> int:
-        if not self._prio_block:
-            self._prio_block = self._rng.integers(
-                0, np.iinfo(np.int64).max, size=4096, dtype=np.int64
-            ).tolist()
-        prio = self._prio_block.pop()
+        prio = (self._prio_block or self._refill_prios()).pop()
         if self._free:
             nd = self._free.pop()
             self._key[nd] = v
@@ -245,27 +254,120 @@ class TreapAdjacency(AdjacencyRepresentation):
     # bulk paths
     # ------------------------------------------------------------------ #
 
+    def _apply_run(self, ops, us, vs, tss) -> int:
+        """Apply one run of arcs in arrival order; returns the failed deletes.
+
+        The one batch loop over treap nodes: plain lists in (``ops`` holds
+        +1 / -1 codes, None meaning all inserts; ids already range-checked),
+        pool buffers, roots, free list and priority block bound to locals,
+        :meth:`_new_node` / :meth:`_insert_node` / :meth:`_split` inlined for
+        an insert and :meth:`_delete_key` / :meth:`_merge` for a delete,
+        counters kept in local ints and written back once.  Each descent
+        carries the same hole as the per-op methods, starting at
+        ``root[u]`` itself.  It draws priorities and reuses free nodes in
+        the order the per-op replay would, so pool bytes, roots, free list,
+        unconsumed priorities and every counter come out bit-identical —
+        which is also why it may not regroup the run (see
+        ``docs/PERFORMANCE.md``).
+        """
+        key, prio, left, right, stamp = self._key, self._prio, self._left, self._right, self._ts
+        root, deg, free, block = self.root, self._live_deg, self._free, self._prio_block
+        visited = rotations = inserts = deletes = misses = 0
+        for o, u, v, lbl in zip(repeat(1) if ops is None else ops, us, vs, tss):
+            t = root[u]
+            col, at = root, u
+            if o == 1:
+                if not block:
+                    block = self._refill_prios()
+                p = block.pop()
+                if free:
+                    nd = free.pop()
+                    key[nd] = v
+                    prio[nd] = p
+                    left[nd] = right[nd] = _NIL
+                    stamp[nd] = lbl
+                else:
+                    nd = len(key)
+                    key.append(v)
+                    prio.append(p)
+                    left.append(_NIL)
+                    right.append(_NIL)
+                    stamp.append(lbl)
+                while t != _NIL:
+                    visited += 1
+                    if p > prio[t]:
+                        # Split t by v straight into nd's two child cells.
+                        lo_col, lo_at, hi_col, hi_at = left, nd, right, nd
+                        while t != _NIL:
+                            rotations += 1
+                            if key[t] < v:
+                                lo_col[lo_at] = t
+                                lo_col, lo_at, t = right, t, right[t]
+                            else:
+                                hi_col[hi_at] = t
+                                hi_col, hi_at, t = left, t, left[t]
+                        lo_col[lo_at] = hi_col[hi_at] = _NIL
+                        break
+                    col = left if v < key[t] else right
+                    at, t = t, col[t]
+                col[at] = nd
+                deg[u] += 1
+                inserts += 1
+                continue
+            while t != _NIL:
+                visited += 1
+                k = key[t]
+                if v == k:
+                    # Merge t's children into the hole t leaves.
+                    a, b = left[t], right[t]
+                    while a != _NIL and b != _NIL:
+                        rotations += 1
+                        if prio[a] > prio[b]:
+                            col[at] = a
+                            col, at, a = right, a, right[a]
+                        else:
+                            col[at] = b
+                            col, at, b = left, b, left[b]
+                    col[at] = b if a == _NIL else a
+                    free.append(t)
+                    deg[u] -= 1
+                    deletes += 1
+                    break
+                col = left if v < k else right
+                at, t = t, col[t]
+            else:
+                misses += 1
+        stats = self.stats
+        stats.nodes_visited += visited
+        stats.rotations += rotations
+        stats.inserts += inserts
+        stats.deletes += deletes
+        stats.delete_misses += misses
+        self._n_arcs += inserts - deletes
+        return misses
+
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Batch ingest: upfront validation, then a tight descent loop.
+        """Batch ingest: one validation, then the fused run.
 
         Treap structure depends on the order nodes consume the shared
         pre-drawn priority stream, so arcs cannot be regrouped — rotations
         and node-visit counters would diverge from the sequential path.
-        This override only hoists the per-arc validation and attribute
-        lookups out of the loop; structure and counters stay bit-identical.
+        Tier ``scalar`` keeps the per-op :meth:`insert` loop.
         """
-        src = check_vertex_ids(src, self.n, "src")
-        dst = check_vertex_ids(dst, self.n, "dst")
-        t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-        root = self.root
-        deg = self._live_deg
-        new_node = self._new_node
-        insert_node = self._insert_node
-        for u, v, lbl in zip(src.tolist(), dst.tolist(), t.tolist()):
-            root[u] = insert_node(root[u], new_node(v, lbl))
-            deg[u] += 1
-        self._n_arcs += int(src.size)
-        self.stats.inserts += int(src.size)
+        src, dst, t = self._checked_batch(src, dst, ts)
+        if bulkops.enabled(self, src.size):
+            self._apply_run(None, src.tolist(), dst.tolist(), t.tolist())
+        else:
+            self.bulk_insert_scalar(src, dst, t)
+
+    def apply_arcs(self, op, src, dst, ts=None) -> int:
+        """Mixed stream in arrival order through the fused run (tier
+        ``scalar``: the per-op :meth:`insert` / :meth:`delete` loop)."""
+        op = check_op_codes(op)
+        src, dst, t = self._checked_batch(src, dst, ts, op)
+        if bulkops.enabled(self, op.size):
+            return self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist())
+        return self.apply_arcs_scalar(op, src, dst, t)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live-arc export: one level-synchronous pass over the whole forest.
@@ -273,8 +375,8 @@ class TreapAdjacency(AdjacencyRepresentation):
         Emits exactly what the scalar per-vertex export does (ascending
         source, in-order targets).  Levels are discovered top-down from all
         roots at once, subtree sizes taken bottom-up, and every node gets
-        its in-order slot top-down (``slot = start + size[left]``), so
-        positions come from tree structure and equal keys keep their order.
+        its in-order slot top-down (``slot = first + size of left subtree``),
+        so positions come from tree structure and equal keys keep their order.
         Cost is O(nodes + depth x per-level numpy overhead).  The results
         are fresh arrays; the pool views die with this frame, so the pool
         can grow again afterwards.
@@ -285,29 +387,33 @@ class TreapAdjacency(AdjacencyRepresentation):
         src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
         roots = np.frombuffer(self.root, dtype=np.int64)
         live = np.flatnonzero(roots != _NIL)
-        nodes = tops = roots[live]
+        nodes = roots[live]
         levels = []
         while nodes.size:
-            lc, rc = left[nodes], right[nodes]
-            levels.append((nodes, lc, rc))
-            kids = np.concatenate((lc, rc))
-            nodes = kids[kids != _NIL]
-        # One spare trailing entry: child id _NIL (-1) reads size 0 there.
-        size = np.zeros(left.size + 1, dtype=np.int64)
-        for nodes, lc, rc in reversed(levels):
-            size[nodes] = 1 + size[lc] + size[rc]
-        start = np.empty(left.size + 1, dtype=np.int64)
-        start[tops] = (np.cumsum(deg) - deg)[live]
+            kids = np.concatenate((left[nodes], right[nodes]))
+            has = np.flatnonzero(kids != _NIL)
+            levels.append((nodes, has))
+            nodes = kids[has]
+        # The next level is this level's existing children, lefts then
+        # rights, so per-child values travel between consecutive levels by
+        # position: ``has`` scatters them up and gathers them down.
+        below = np.empty(0, dtype=np.int64)
+        left_sizes = []
+        for nodes, has in reversed(levels):
+            ks = np.zeros(2 * nodes.size, dtype=np.int64)
+            ks[has] = below
+            left_size, right_size = ks[: nodes.size], ks[nodes.size :]
+            left_sizes.append(left_size)
+            below = 1 + left_size + right_size
+        first = (np.cumsum(deg) - deg)[live]
         slots = []
-        for nodes, lc, rc in levels:
-            first = start[nodes]
-            slot = first + size[lc]
-            start[lc] = first
-            start[rc] = slot + 1
+        for (_, has), left_size in zip(levels, reversed(left_sizes)):
+            slot = first + left_size
             slots.append(slot)
+            first = np.concatenate((first, slot + 1))[has]
         order = np.empty(src.size, dtype=np.int64)
         if levels:
-            order[np.concatenate(slots)] = np.concatenate([nodes for nodes, _, _ in levels])
+            order[np.concatenate(slots)] = np.concatenate([nodes for nodes, _ in levels])
         return (
             src,
             np.frombuffer(self._key, dtype=np.int64)[order],
@@ -319,14 +425,20 @@ class TreapAdjacency(AdjacencyRepresentation):
     # ------------------------------------------------------------------ #
 
     def _copy_subtree(self, t: int) -> int:
-        if t == _NIL:
-            return _NIL
-        nd = self._new_node(self._key[t], self._ts[t])
-        self._prio[nd] = self._prio[t]
-        self.stats.nodes_visited += 1
-        self._left[nd] = self._copy_subtree(self._left[t])
-        self._right[nd] = self._copy_subtree(self._right[t])
-        return nd
+        """Pre-order copy of subtree ``t``; a stack, not recursion, because
+        the input is a multiset whose equal-key spines are arbitrarily deep."""
+        out = array("q", (_NIL,))
+        stack = [(t, out, 0)]
+        while stack:
+            t, col, at = stack.pop()
+            if t == _NIL:
+                continue
+            nd = col[at] = self._new_node(self._key[t], self._ts[t])
+            self._prio[nd] = self._prio[t]
+            self.stats.nodes_visited += 1
+            stack.append((self._right[t], self._right, nd))
+            stack.append((self._left[t], self._left, nd))
+        return out[0]
 
     def _union(self, a: int, b: int) -> int:
         """Destructive set union of two subtrees (duplicates collapse)."""
@@ -384,11 +496,17 @@ class TreapAdjacency(AdjacencyRepresentation):
         return a
 
     def _free_subtree(self, t: int) -> None:
-        if t == _NIL:
-            return
-        self._free_subtree(self._left[t])
-        self._free_subtree(self._right[t])
-        self._free.append(t)
+        """Free-list subtree ``t`` in post-order (node, right, left walked
+        off a stack, then reversed — same reason as :meth:`_copy_subtree`)."""
+        order = []
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if t != _NIL:
+                order.append(t)
+                stack.append(self._left[t])
+                stack.append(self._right[t])
+        self._free.extend(reversed(order))
 
     def _set_op_arrays(self, u: int, w: int, op: str) -> np.ndarray:
         self.check_vertex(u)

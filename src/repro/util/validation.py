@@ -18,6 +18,7 @@ __all__ = [
     "as_index_array",
     "check_vertex_ids",
     "check_same_length",
+    "check_op_codes",
     "check_positive",
     "check_probability",
 ]
@@ -75,6 +76,23 @@ def check_same_length(named_arrays: Iterable[tuple[str, np.ndarray]]) -> int:
                 f"{name} has {len(arr)}"
             )
     return length or 0
+
+
+def check_op_codes(op, name: str = "op") -> np.ndarray:
+    """Validate +1 (insert) / -1 (delete) update codes; returns an int8 array.
+
+    Checked before the narrowing cast, so a code such as 257 cannot wrap
+    into a valid one.
+    """
+    arr = np.asarray(op)
+    if arr.ndim != 1:
+        raise GraphError(f"{name} must be 1-D, got shape {arr.shape}")
+    bad = arr[(arr != 1) & (arr != -1)]
+    if bad.size:
+        raise GraphError(
+            f"{name}: update code {bad[0]} is neither +1 (insert) nor -1 (delete)"
+        )
+    return arr.astype(np.int8, copy=False)
 
 
 def check_positive(value: float, name: str) -> float:

@@ -1,15 +1,41 @@
 """Tests for the Hybrid-arr-treap representation."""
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.adjacency.hybrid import HybridAdjacency
+from repro.api import DynamicGraph
 from repro.errors import GraphError
+from repro.generators.streams import UpdateStream
 from tests.adjacency.test_treap import (
     assert_export_matches_walk,
     check_export_along,
+    drive_pair,
     export_ops,
+    fused_batches,
+    treap_state,
 )
+
+
+def hybrid_state(h: HybridAdjacency) -> dict:
+    """Everything the partitioned apply must leave as the per-op replay does."""
+    return {
+        "mode": bytes(h.mode),
+        "stats": asdict(h.stats),
+        "arr_stats": asdict(h.arr.stats),
+        "arr_arrays": [a.tolist() for a in h.arr.to_arrays()],
+        "treap": treap_state(h.treap),
+        "n_arcs": h.n_arcs,
+        "memory_bytes": h.memory_bytes(),
+        "arrays": [a.tolist() for a in h.to_arrays()],
+    }
+
+
+def hybrid_pair(n, degree_thresh):
+    return tuple(HybridAdjacency(n, degree_thresh=degree_thresh, seed=9) for _ in range(2))
 
 
 class TestMigration:
@@ -123,6 +149,114 @@ class TestOperations:
         assert h.stats.migrations == 0
         assert h.arr.stats.inserts == 0
         assert h.treap.stats.inserts == 0
+
+
+class TestPartitionedApply:
+    """``apply_arcs`` / ``bulk_insert`` (dyn-arr kernels + the treap's fused
+    run, cut at migration points) against per-op ``insert`` / ``delete``."""
+
+    @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
+    @given(fused_batches)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_op_replay(self, degree_thresh, batches):
+        drive_pair(*hybrid_pair(4, degree_thresh), batches, hybrid_state)
+
+    @pytest.mark.parametrize("degree_thresh", [4, 32, 128])
+    def test_long_batches_with_crossings(self, degree_thresh):
+        rng = np.random.default_rng(degree_thresh)
+        batches = [
+            [(bool(i), int(u), int(v)) for i, u, v in zip(
+                rng.random(600) < 0.75, rng.integers(0, 6, 600), rng.integers(0, 6, 600))]
+            for _ in range(3)
+        ]
+        bulk, twin = hybrid_pair(6, degree_thresh)
+        drive_pair(bulk, twin, batches, hybrid_state)
+        assert bulk.stats.migrations == 6  # ~225 inserts per vertex: all cross
+
+    def test_first_arc_of_a_batch_migrates(self):
+        fill = [(True, 0, v) for v in (1, 2, 3, 1)]  # occupancy == degree_thresh
+        batch = [(True, 0, 2), (False, 0, 1), (True, 1, 0)]
+        bulk, twin = hybrid_pair(4, 4)
+        drive_pair(bulk, twin, [fill], hybrid_state)
+        assert bulk.mode[0] == 0
+        drive_pair(bulk, twin, [batch], hybrid_state)
+        assert bulk.mode[0] == 1 and bulk.stats.migration_words == 4
+
+    def test_last_arc_of_a_batch_migrates(self):
+        fill = [(True, 0, 1), (True, 0, 2)]
+        batch = [(True, 0, 3), (False, 0, 3), (True, 1, 2), (True, 0, 1), (False, 0, 0), (True, 0, 2)]
+        bulk, twin = hybrid_pair(4, 4)
+        drive_pair(bulk, twin, [fill, batch], hybrid_state)
+        # The tombstone counts toward occupancy, but only live arcs move.
+        assert bulk.mode[0] == 1 and bulk.stats.migration_words == 3
+        assert bulk.treap.stats.inserts == 1 and bulk.arr.stats.delete_misses == 1
+
+    def test_two_vertices_cross_in_one_batch(self):
+        # Vertex 3 crosses before vertex 1 in arrival order: the cuts must
+        # be taken by arrival, not by vertex id, or priorities are misdealt.
+        batch = [(True, 3, 0), (True, 1, 0), (True, 3, 1), (True, 3, 2), (True, 1, 1),
+                 (False, 3, 0), (True, 3, 3), (True, 1, 2), (True, 3, 0), (True, 1, 3),
+                 (False, 1, 0), (True, 3, 1), (True, 1, 0), (True, 0, 0)]
+        bulk, twin = hybrid_pair(4, 3)
+        drive_pair(bulk, twin, [batch], hybrid_state)
+        assert bytes(bulk.mode) == bytes([0, 1, 0, 1]) and bulk.stats.migrations == 2
+
+    def test_built_from_empty_past_the_threshold_in_one_bulk_insert(self):
+        batch = [(True, 2, v % 4) for v in range(10)] + [(True, 0, 1)]
+        bulk, twin = hybrid_pair(4, 4)
+        drive_pair(bulk, twin, [batch], hybrid_state)
+        assert bulk.mode[2] == 1 and bulk.treap.n_arcs == 10 and bulk.arr.n_arcs == 1
+
+    def test_empty_batch(self):
+        h = HybridAdjacency(3, degree_thresh=1, seed=1)
+        h.kernel_tier = "vectorised"
+        h.bulk_insert([0, 0, 1], [1, 2, 0])
+        before = hybrid_state(h)
+        h.bulk_insert([], [])
+        assert h.apply_arcs([], [], []) == 0
+        assert hybrid_state(h) == before
+
+    def test_balanced_batch_cannot_serve_a_stale_snapshot(self):
+        g = DynamicGraph(4, "hybrid", directed=True, degree_thresh=1, seed=1)
+        g.rep.kernel_tier = "vectorised"
+        g.rep.bulk_insert([0, 0], [1, 2])  # vertex 0 on the treap side
+        assert g.snapshot().neighbors(0).tolist() == [1, 2]
+        before = g.rep.mutation_count
+        g.apply(UpdateStream(4, [1, -1], [0, 0], [3, 1], [0, 0]))
+        assert g.rep.n_arcs == 2 and g.rep.mutation_count > before
+        assert g.snapshot().neighbors(0).tolist() == [2, 3]
+
+
+class TestBatchValidation:
+    """Malformed batches raise before any arc is applied, on every tier."""
+
+    @pytest.fixture(params=["scalar", "vectorised"])
+    def h(self, request):
+        h = HybridAdjacency(4, degree_thresh=1, seed=1)
+        h.kernel_tier = request.param
+        h.bulk_insert([0, 0, 1], [1, 2, 0])
+        return h
+
+    def test_short_dst(self, h):
+        before = hybrid_state(h)
+        with pytest.raises(GraphError):
+            h.apply_arcs([1, -1, 1], [0, 0, 1], [3, 1])
+        assert hybrid_state(h) == before
+
+    def test_short_ts(self, h):
+        before = hybrid_state(h)
+        with pytest.raises(GraphError):
+            h.apply_arcs([1, -1, 1], [0, 0, 1], [3, 1, 2], [7, 8])
+        with pytest.raises(GraphError):
+            h.bulk_insert([0, 1], [3, 2], [7])
+        assert hybrid_state(h) == before
+
+    def test_op_code_other_than_insert_or_delete(self, h):
+        before = hybrid_state(h)
+        for codes in ([1, 0, 2], [1, -1, 257]):
+            with pytest.raises(GraphError):
+                h.apply_arcs(codes, [0, 0, 0], [1, 1, 1])
+        assert hybrid_state(h) == before
 
 
 class TestExport:

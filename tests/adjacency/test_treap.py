@@ -1,6 +1,7 @@
 """Tests for the treap representation, including its structural invariants."""
 
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency.treap import TreapAdjacency, _NIL
+from repro.errors import GraphError
 
 
 def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
@@ -63,6 +65,59 @@ def check_export_along(rep, ops):
         if i % 10 == 0:
             assert_export_matches_walk(rep)
     assert_export_matches_walk(rep)
+
+
+def treap_state(t: TreapAdjacency) -> dict:
+    """Everything the fused run must leave exactly as the per-op replay does."""
+    return {
+        "pool": [buf.tobytes() for buf in (t._key, t._prio, t._left, t._right, t._ts)],
+        "root": t.root.tobytes(),
+        "live_deg": t._live_deg.tobytes(),
+        "free": list(t._free),
+        "prio_block": list(t._prio_block),
+        "stats": asdict(t.stats),
+        "n_arcs": t.n_arcs,
+        "memory_bytes": t.memory_bytes(),
+        "arrays": [a.tolist() for a in t.to_arrays()],
+    }
+
+
+#: Batches of (is_insert, u, v) over three sources and four keys: duplicate
+#: arcs, self-loops, delete misses and deletes of a key held several times
+#: all occur within a few dozen operations.
+fused_batches = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from([True, True, False]), st.integers(0, 2), st.integers(0, 3)),
+        max_size=60,
+    ),
+    max_size=4,
+)
+
+
+def drive_pair(bulk, twin, batches, state):
+    """``bulk`` takes each batch through ``bulk_insert`` / ``apply_arcs``,
+    ``twin`` through per-op ``insert`` / ``delete``; ``state`` must agree
+    after every batch.  Time-stamps are distinct across the whole drive."""
+    bulk.kernel_tier = "vectorised"  # small batches must not fall back to per-op
+    stamp = 0
+    for batch in batches:
+        us = [u for _, u, _ in batch]
+        vs = [v for _, _, v in batch]
+        tss = list(range(stamp, stamp + len(batch)))
+        stamp += len(batch)
+        if batch and all(is_insert for is_insert, _, _ in batch):
+            bulk.bulk_insert(us, vs, tss)
+            misses = 0
+        else:
+            misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
+        expected = 0
+        for (is_insert, u, v), ts in zip(batch, tss):
+            if is_insert:
+                twin.insert(u, v, ts)
+            elif not twin.delete(u, v):
+                expected += 1
+        assert misses == expected
+        assert state(bulk) == state(twin)
 
 
 class TestInsertDelete:
@@ -200,6 +255,63 @@ class TestExport:
         assert t.to_arrays()[1].tolist() == [0, 1, 1]
 
 
+class TestFusedRun:
+    """``bulk_insert`` / ``apply_arcs`` (one ``_apply_run``) against the
+    per-op methods, which stay the oracle."""
+
+    @given(fused_batches)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_op_replay(self, batches):
+        drive_pair(TreapAdjacency(4, seed=9), TreapAdjacency(4, seed=9), batches, treap_state)
+
+    def test_run_crosses_the_priority_refill(self):
+        rng = np.random.default_rng(5)
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(5000, 2))]
+        bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
+        drive_pair(bulk, twin, [batch], treap_state)
+        assert len(bulk._prio_block) == 2 * 4096 - 5000
+
+    def test_free_list_reuse_inside_one_run(self):
+        batch = [(True, 0, 1), (True, 0, 2), (False, 0, 1), (True, 0, 3), (False, 0, 0)]
+        bulk, twin = TreapAdjacency(4, seed=1), TreapAdjacency(4, seed=1)
+        drive_pair(bulk, twin, [batch], treap_state)
+        assert bulk.n_nodes == 2 and bulk.neighbors(0).tolist() == [2, 3]
+
+    def test_deep_equal_key_spine(self):
+        depth = 1100
+        assert depth > sys.getrecursionlimit()
+        bulk, twin = TreapAdjacency(2, seed=1), TreapAdjacency(2, seed=1)
+        drive_pair(bulk, twin, [[(True, 0, 1)] * depth], treap_state)
+        assert check_treap_depth(bulk, 0) == depth
+        drive_pair(bulk, twin, [[(False, 0, 1)] * depth + [(True, 0, 1)]], treap_state)
+        assert bulk.n_arcs == 1
+
+    def test_empty_batch(self):
+        t = TreapAdjacency(3, seed=1)
+        t.insert(0, 1)
+        before = treap_state(t)
+        t.bulk_insert([], [])
+        assert t.apply_arcs([], [], []) == 0
+        assert treap_state(t) == before
+
+    def test_balanced_batch_still_counts_as_a_mutation(self):
+        t = TreapAdjacency(3, seed=1)
+        t.kernel_tier = "vectorised"
+        t.insert(0, 1)
+        before = t.mutation_count
+        assert t.apply_arcs([1, -1], [0, 0], [2, 1]) == 0
+        assert t.n_arcs == 1 and t.mutation_count > before
+
+    @pytest.mark.parametrize("tier", ["scalar", "vectorised"])
+    def test_ragged_bulk_insert_is_rejected_whole(self, tier):
+        t = TreapAdjacency(8, seed=1)
+        t.kernel_tier = tier
+        before = treap_state(t)
+        with pytest.raises(GraphError):
+            t.bulk_insert([0, 0, 0], [1, 2])
+        assert treap_state(t) == before
+
+
 class TestSetOperations:
     @pytest.fixture
     def t(self):
@@ -248,6 +360,18 @@ class TestSetOperations:
         assert t.union_neighbors(0, 1).tolist() == sorted(a | b)
         assert t.intersect_neighbors(0, 1).tolist() == sorted(a & b)
         assert t.difference_neighbors(0, 1).tolist() == sorted(a - b)
+
+    def test_key_held_more_often_than_the_recursion_limit(self):
+        """The operands are multisets: 1 500 parallel arcs make a right
+        spine 1 500 deep, which the copy and the free must not recurse down."""
+        t = TreapAdjacency(4, seed=7)
+        t.bulk_insert([0] * 1500 + [0, 2, 2], [1] * 1500 + [3, 1, 2])
+        visited = t.stats.nodes_visited
+        assert t.union_neighbors(0, 2).tolist() == [1, 2, 3]
+        assert t.intersect_neighbors(0, 2).tolist() == [1]
+        assert t.difference_neighbors(0, 2).tolist() == [3]
+        assert t.stats.nodes_visited > visited + 3 * 1503  # every copied node counted
+        assert t.degree(0) == 1501 and t.neighbors(2).tolist() == [1, 2]
 
 
 class TestAccounting:

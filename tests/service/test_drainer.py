@@ -1,5 +1,8 @@
 """Update drainer: batches applied in order, epochs rotate, errors surface."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core.components import connected_components
 from repro.errors import ServiceError
 from repro.generators.parallel import iter_update_chunks
 from repro.service import EpochStore, UpdateDrainer
+from repro.service import drainer as drainer_mod
 
 SCALE = 9
 
@@ -74,3 +78,58 @@ class TestDrain:
         drainer.submit(chunks()[0])
         with pytest.raises(ServiceError, match="drainer died"):
             drainer.close()
+
+
+# Arrays that each outgrow the last by a page, as the exports of a graph
+# under inserts do, counting those glibc had to map afresh.
+_GROWING_BLOCKS = """
+import ctypes, sys
+import numpy as np
+from repro.service.drainer import keep_large_blocks_on_heap
+
+class MallInfo(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except (OSError, AttributeError):
+    sys.exit(3)
+mallinfo2.restype = MallInfo
+
+def mapped_afresh(first_words):
+    n = 0
+    for k in range(8):
+        before = mallinfo2().hblks
+        block = np.empty(first_words + 512 * k, dtype=np.int64)
+        n += mallinfo2().hblks > before
+        del block
+    return n
+
+history_decides = mapped_afresh(1 << 17)
+if not keep_large_blocks_on_heap():
+    sys.exit(3)
+print(history_decides, mapped_afresh(1 << 18))
+"""
+
+
+class TestAllocatorPolicy:
+    def test_growing_blocks_are_recycled_once_the_policy_is_set(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _GROWING_BLOCKS], capture_output=True, text=True
+        )
+        if done.returncode == 3:
+            pytest.skip("no glibc mallopt / mallinfo2 here")
+        assert done.returncode == 0, done.stderr
+        # Left to its history glibc maps every one of them; afterwards none.
+        assert done.stdout.split() == ["8", "0"]
+
+    def test_start_sets_it_and_survives_its_absence(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            drainer_mod, "keep_large_blocks_on_heap", lambda: calls.append(1) or False
+        )
+        with UpdateDrainer(DynamicGraph(8), EpochStore()):
+            pass
+        assert calls == [1]

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import GraphError, VertexError
 from repro.util.validation import (
     as_index_array,
+    check_op_codes,
     check_positive,
     check_probability,
     check_same_length,
@@ -77,6 +78,22 @@ class TestCheckSameLength:
 
     def test_empty_iterable(self):
         assert check_same_length([]) == 0
+
+
+class TestCheckOpCodes:
+    def test_valid_codes_become_int8(self):
+        out = check_op_codes([1, -1, 1])
+        assert out.dtype == np.int8 and out.tolist() == [1, -1, 1]
+        assert check_op_codes([]).size == 0
+
+    @pytest.mark.parametrize("bad", [0, 2, 257, -255])
+    def test_anything_else_is_rejected_before_the_cast(self, bad):
+        with pytest.raises(GraphError, match=f"update code {bad} "):
+            check_op_codes([1, bad, -1])
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(GraphError, match="1-D"):
+            check_op_codes(1)
 
 
 class TestScalarChecks:
