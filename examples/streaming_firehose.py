@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> None:
     collector = obs.enable_live_telemetry(interval=0.25)
     server = None
     if serve:
-        server = obs.TelemetryServer(collector=collector).start()
+        server = obs.TelemetryServer(collector=collector)
         print(f"live metrics: {server.url}/metrics  (scrape with "
               f"python -m repro obs scrape {server.url} --check)")
 
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> None:
           f"{1e3 * lat.quantile(0.5):.0f}ms p99 {1e3 * lat.quantile(0.99):.0f}ms")
     if server is not None:
         print(f"served {server.n_scrapes} scrape(s)")
-        server.stop()
+        server.close()
     obs.disable_live_telemetry()
     assert monitor.n_edges == WINDOW * BATCH
     print(f"\nsteady state: {monitor.n_edges} live edges "

@@ -569,7 +569,6 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
     obs.METRICS.reset()
     collector = obs.enable_live_telemetry(interval=args.interval)
     server = obs.TelemetryServer(collector=collector, host=args.host, port=args.port)
-    server.start()
     if args.url_file:
         Path(args.url_file).write_text(server.url + "\n")
     _say(args, f"serving live telemetry on {server.url} "
@@ -590,7 +589,7 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
         _say(args, f"ran {rounds} workload round(s); "
                    f"served {server.n_scrapes} scrape(s); "
                    f"{len(collector.store)} series collected")
-        server.stop()
+        server.close()
         obs.disable_live_telemetry()
     return 0
 
@@ -715,18 +714,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs_scrape(args: argparse.Namespace) -> int:
-    """One-shot scrape of a running endpoint; optionally validate/save it."""
-    import urllib.error
+def _fetch(url: str, timeout: float) -> str | None:
+    """GET ``url`` as text; on failure print the ``error:`` line and return None."""
     import urllib.request
 
+    try:
+        return urllib.request.urlopen(url, timeout=timeout).read().decode()
+    except (OSError, ValueError) as exc:  # URLError is an OSError
+        print(f"error: fetch of {url} failed: {exc}")
+        return None
+
+
+def cmd_obs_scrape(args: argparse.Namespace) -> int:
+    """One-shot scrape of a running endpoint; optionally validate/save it."""
     from repro.obs.expose import validate_openmetrics
 
-    url = _metrics_url(args.url)
-    try:
-        body = urllib.request.urlopen(url, timeout=args.timeout).read().decode()
-    except (urllib.error.URLError, OSError) as exc:
-        print(f"error: scrape of {url} failed: {exc}")
+    body = _fetch(_metrics_url(args.url), args.timeout)
+    if body is None:
         return 2
     if args.out:
         Path(args.out).write_text(body)
@@ -747,37 +751,24 @@ def cmd_obs_scrape(args: argparse.Namespace) -> int:
 def cmd_obs_top(args: argparse.Namespace) -> int:
     """Render a running collector's windowed rollups as a terminal table."""
     import json
-    import urllib.error
-    import urllib.request
 
     from repro.obs.expose import format_rollups
 
-    url = args.url.rstrip("/") + "/metrics.json"
-    try:
-        payload = json.loads(
-            urllib.request.urlopen(url, timeout=args.timeout).read().decode()
-        )
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        print(f"error: fetch of {url} failed: {exc}")
+    body = _fetch(args.url.rstrip("/") + "/metrics.json", args.timeout)
+    if body is None:
         return 2
-    print(format_rollups(payload.get("rollups", {}), top=args.top))
+    print(format_rollups(json.loads(body).get("rollups", {}), top=args.top))
     return 0
 
 
 def cmd_obs_slo(args: argparse.Namespace) -> int:
     """Render a running service's SLO burn-rate state from ``GET /slo``."""
     import json
-    import urllib.error
-    import urllib.request
 
-    url = args.url.rstrip("/") + "/slo"
-    try:
-        payload = json.loads(
-            urllib.request.urlopen(url, timeout=args.timeout).read().decode()
-        )
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        print(f"error: fetch of {url} failed: {exc}")
+    body = _fetch(args.url.rstrip("/") + "/slo", args.timeout)
+    if body is None:
         return 2
+    payload = json.loads(body)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0

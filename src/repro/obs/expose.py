@@ -19,10 +19,10 @@ Three layers, mirroring how :mod:`repro.obs.export` treats traces:
   naming rules, family grouping, exemplar placement, single EOF) and
   raises ``ValueError`` naming the first violation, so CI can assert a
   scrape is well-formed without a Prometheus binary in the container;
-* :class:`TelemetryServer` — a stdlib ``ThreadingHTTPServer`` exposing
-  ``/metrics`` (OpenMetrics), ``/metrics.json`` (raw snapshot plus the
-  collector's windowed rollups) and ``/healthz``, used by
-  ``repro obs serve``.
+* :func:`telemetry_response` — ``/metrics`` (OpenMetrics) and
+  ``/metrics.json`` (raw snapshot plus the collector's windowed rollups),
+  defined once: :class:`TelemetryServer` (``repro obs serve``) serves them
+  over :mod:`repro.util.httpd` and the graph service falls through to them.
 
 Only the Python standard library is used — no prometheus_client, no new
 dependencies.
@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry
 from repro.obs.reqtrace import EXEMPLARS, ExemplarStore
+from repro.util import httpd
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.live import TelemetryCollector
@@ -58,6 +58,7 @@ __all__ = [
     "to_openmetrics",
     "validate_openmetrics",
     "format_rollups",
+    "telemetry_response",
     "TelemetryServer",
     "CONTENT_TYPE",
 ]
@@ -360,8 +361,23 @@ def _fmt_cell(v: Any) -> str:
     return f"{f:,.3f}" if abs(f) >= 0.001 else f"{f:.3g}"
 
 
-class TelemetryServer:
-    """Threaded HTTP server exposing live metrics (``repro obs serve``).
+def telemetry_response(
+    path: str, registry: MetricsRegistry, collector: "Optional[TelemetryCollector]"
+) -> Optional[httpd.Reply]:
+    """The reply to ``GET /metrics`` or ``/metrics.json``; None for any other path."""
+    if path == "/metrics":
+        return 200, CONTENT_TYPE, to_openmetrics(registry)
+    if path == "/metrics.json":
+        payload = {
+            "snapshot": registry.snapshot(),
+            "rollups": collector.store.rollups() if collector is not None else {},
+        }
+        return 200, httpd.JSON, json.dumps(payload, sort_keys=True)
+    return None
+
+
+class TelemetryServer(httpd.BackgroundServer):
+    """Background HTTP endpoint exposing live metrics (``repro obs serve``).
 
     Routes:
 
@@ -370,9 +386,9 @@ class TelemetryServer:
       collector's windowed rollups (when a collector is attached);
     * ``GET /healthz`` — liveness probe (``ok``).
 
-    ``port=0`` binds an ephemeral port; :attr:`url` reports the bound
-    address.  The server runs on a daemon thread and never blocks the
-    workload it observes.
+    Bound and serving once constructed (``port=0`` binds an ephemeral port;
+    :attr:`url` reports the bound address), on a daemon event-loop thread
+    that never blocks the workload it observes; :meth:`close` releases it.
     """
 
     def __init__(
@@ -386,77 +402,14 @@ class TelemetryServer:
         self.registry = registry if registry is not None else METRICS
         self.collector = collector
         self.n_scrapes = 0
-        server = self
+        super().__init__(partial(httpd.start_server, self._handle), host, port)
 
-        class _Handler(BaseHTTPRequestHandler):
-            def log_message(self, fmt: str, *args: Any) -> None:  # noqa: A002
-                pass  # quiet: the workload's stdout is the product
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                if self.path == "/metrics":
-                    server.n_scrapes += 1
-                    body = to_openmetrics(server.registry).encode()
-                    self._reply(200, CONTENT_TYPE, body)
-                elif self.path == "/metrics.json":
-                    server.n_scrapes += 1
-                    payload: dict[str, Any] = {
-                        "snapshot": server.registry.snapshot(),
-                        "rollups": (
-                            server.collector.store.rollups()
-                            if server.collector is not None
-                            else {}
-                        ),
-                    }
-                    body = json.dumps(payload, sort_keys=True).encode()
-                    self._reply(200, "application/json", body)
-                elif self.path == "/healthz":
-                    self._reply(200, "text/plain", b"ok\n")
-                else:
-                    self._reply(404, "text/plain", b"not found\n")
-
-            def _reply(self, code: int, ctype: str, body: bytes) -> None:
-                self.send_response(code)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0``)."""
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        host = self._httpd.server_address[0]
-        return f"http://{host}:{self.port}"
-
-    def start(self) -> "TelemetryServer":
-        """Serve on a daemon thread (idempotent; returns ``self``)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-telemetry-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down and release the socket."""
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "TelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    async def _handle(self, path: str, params: dict) -> httpd.Reply:
+        """Route one request: the shared telemetry routes, then ``/healthz``."""
+        reply = telemetry_response(path, self.registry, self.collector)
+        if reply is not None:
+            self.n_scrapes += 1
+            return reply
+        if path == "/healthz":
+            return 200, "text/plain", "ok\n"
+        return httpd.not_found(path)

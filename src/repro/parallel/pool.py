@@ -175,7 +175,6 @@ def _worker_main(
     import repro.parallel.bfs  # noqa: F401
     import repro.parallel.components  # noqa: F401
     import repro.parallel.queries  # noqa: F401
-    import repro.service.shards  # noqa: F401
 
     state: dict[str, Any] = {"task_id": None, "task": None, "busy_since": 0.0, "n_done": 0}
     hb_stop: Any = None

@@ -9,9 +9,10 @@ connectivity/BFS/components queries.  Readers never block the writer:
 * :mod:`repro.service.drainer` — the single writer
   (:class:`UpdateDrainer`) applying batched update streams through the
   vectorised/compiled ``apply_arcs`` path and rotating epochs;
-* :mod:`repro.service.shards` — optional Vpart-sharded components
-  execution over :class:`~repro.parallel.pool.WorkerPool` processes
-  (:class:`ShardRouter`), bit-identical to the serial kernel;
+* :mod:`repro.service.shards` — optional process-backend components
+  execution (:class:`ShardRouter`: ``repro.parallel``'s driver over a
+  :class:`~repro.parallel.pool.WorkerPool`, crash recovery), bit-identical
+  to the serial kernel;
 * :mod:`repro.service.server` — the asyncio HTTP front end
   (:class:`GraphService`) and its thread-backed :class:`ServiceHandle`.
 
@@ -22,14 +23,13 @@ See ``docs/SERVICE.md`` for the architecture and consistency model, and
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
 from repro.service.server import GraphService, ServiceHandle
-from repro.service.shards import ShardRouter, shard_components
+from repro.service.shards import ShardRouter
 
 __all__ = [
     "Epoch",
     "EpochStore",
     "UpdateDrainer",
     "ShardRouter",
-    "shard_components",
     "GraphService",
     "ServiceHandle",
 ]

@@ -1,10 +1,11 @@
-"""Asyncio HTTP front end: concurrent graph queries over pinned epochs.
+"""The graph service: routes and query kernels over pinned epochs.
 
 One :class:`GraphService` ties the service pieces together — the
 :class:`~repro.service.epoch.EpochStore` readers pin, the
 :class:`~repro.service.drainer.UpdateDrainer` that is the structure's only
 writer, and an optional :class:`~repro.service.shards.ShardRouter` for
-process-sharded components queries.  The event loop only parses requests
+process-sharded components queries.  The wire is :mod:`repro.util.httpd`;
+this module is the handler behind it.  The event loop only routes requests
 and shapes responses; every graph kernel runs on a small thread pool
 (``run_in_executor``) with its epoch pinned for exactly the kernel's
 duration, so a slow query neither blocks the accept loop nor the writer.
@@ -18,8 +19,9 @@ Endpoints (GET, JSON unless noted):
 * ``/component?v=`` — one vertex's label and component size
 * ``/bfs?source=[&ts_lo=&ts_hi=][&full=1]`` — traversal summary
   (``full`` adds the distance array)
-* ``/metrics`` — OpenMetrics text exposition of the process registry
-  (with latency exemplars naming recent trace ids)
+* ``/metrics``, ``/metrics.json`` — the shared telemetry routes
+  (:func:`repro.obs.expose.telemetry_response`): OpenMetrics text with
+  trace-id exemplars, and the raw snapshot plus the live collector's rollups
 * ``/debug/slow`` — the bounded slow-query store: full span trees of
   requests that breached the latency threshold (``?sampled=1`` adds the
   deterministic head samples)
@@ -30,16 +32,16 @@ Every routed query is the root span of its own
 always-keep tail sampling).  The root is bound across the executor hop
 explicitly; beneath it the service's ``service.exec.*`` /
 ``service.epoch.read`` spans, the kernels' own spans and — for sharded
-``/components`` — the per-shard worker spans shipped back through the pool
+``/components`` — the per-worker hook spans shipped back through the pool
 envelope are all plain :func:`~repro.obs.trace.span` calls landing in that
 request: one connected tree per request, exportable via the Chrome-trace
 exporter.
 
-Errors map onto status codes: bad input (unknown vertex, malformed
-parameter) is a 400 carrying the :class:`~repro.errors.GraphError` message;
-an unknown path is a 404; service-protocol failures are 503.  A crashed
-shard worker is recovered transparently (``pool.restart()`` + one retry,
-then serial fallback) — the query still answers.
+Errors map onto status codes through the wire's one
+:func:`~repro.util.httpd.error_status` (bad input is a 400 carrying the
+:class:`~repro.errors.GraphError` message, service-protocol failures are
+503); an unknown path is a 404.  A crashed shard worker is recovered
+transparently (``pool.restart()`` + one retry, then serial fallback).
 """
 
 from __future__ import annotations
@@ -51,24 +53,23 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Union
-from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
 from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
-from repro.errors import GraphError, ServiceError, WorkerCrashError
-from repro.obs import METRICS, bind, span, to_openmetrics
+from repro.errors import GraphError, WorkerCrashError
+from repro.obs import METRICS, bind, current_collector, span
+from repro.obs.expose import telemetry_response
 from repro.obs.reqtrace import RequestTracer
 from repro.obs.slo import SloTracker
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
 from repro.service.shards import ShardRouter
+from repro.util import httpd
 
 __all__ = ["GraphService", "ServiceHandle"]
-
-_MAX_REQUEST_BYTES = 65536
 
 
 class GraphService:
@@ -287,7 +288,7 @@ class GraphService:
     # HTTP plumbing
     # ------------------------------------------------------------------ #
 
-    async def _dispatch(self, path: str, params: dict) -> tuple[int, str, str]:
+    async def _dispatch(self, path: str, params: dict) -> httpd.Reply:
         """Route one request; returns (status, content_type, body)."""
 
         def qint(name: str) -> int:
@@ -304,17 +305,15 @@ class GraphService:
         fn: Optional[Callable[[], dict]] = None
         if path == "/healthz":
             cur = self.store.current
-            return 200, "application/json", json.dumps(
+            return 200, httpd.JSON, json.dumps(
                 {"ok": True, "epoch": cur.id if cur is not None else None}
             )
-        if path == "/metrics":
-            return 200, "application/openmetrics-text", to_openmetrics(METRICS)
         if path == "/stats":
-            return 200, "application/json", json.dumps(self._q_stats())
+            return 200, httpd.JSON, json.dumps(self._q_stats())
         if path == "/debug/slow":
-            return 200, "application/json", json.dumps(self._q_debug_slow(params))
+            return 200, httpd.JSON, json.dumps(self._q_debug_slow(params))
         if path == "/slo":
-            return 200, "application/json", json.dumps(self._q_slo())
+            return 200, httpd.JSON, json.dumps(self._q_slo())
         if path == "/connected":
             u, v = qint("u"), qint("v")
             fn = lambda: self._q_connected(u, v)  # noqa: E731
@@ -330,7 +329,7 @@ class GraphService:
                 ts_range = (qint("ts_lo"), qint("ts_hi"))
             fn = lambda: self._q_bfs(source, ts_range, full)  # noqa: E731
         if fn is None:
-            return 404, "application/json", json.dumps({"error": f"no route {path}"})
+            return telemetry_response(path, METRICS, current_collector()) or httpd.not_found(path)
         loop = asyncio.get_running_loop()
         tracer = self.reqtrace
         route = path.replace("/", ".")
@@ -341,6 +340,7 @@ class GraphService:
         )
         self._inflight += 1
         METRICS.set("service.queries.inflight", float(self._inflight))
+        status, error = 200, None
         t0 = time.perf_counter()
         try:
             # contextvars don't cross run_in_executor: bind the request root
@@ -348,32 +348,26 @@ class GraphService:
             run = fn if trace is None else bind(trace.root, self._exec_traced(route, fn))
             body = await loop.run_in_executor(self._executor, run)
         except BaseException as exc:
-            elapsed = time.perf_counter() - t0
-            status = (
-                400 if isinstance(exc, GraphError)
-                else 503 if isinstance(exc, ServiceError)
-                else 500
-            )
-            if tracer is not None and trace is not None:
-                tracer.finish(trace, status=status, error=type(exc).__name__)
-            self.slo_query.record(elapsed, error=status >= 500)
+            status, error = httpd.error_status(exc), type(exc).__name__
             raise
         finally:
             self._inflight -= 1
             METRICS.set("service.queries.inflight", float(self._inflight))
-        elapsed = time.perf_counter() - t0
-        self.n_queries += 1
-        METRICS.inc("service.queries")
-        METRICS.inc(f"service.query{route}")
-        METRICS.observe("service.query.seconds", elapsed)
-        if tracer is not None and trace is not None:
-            epoch_id = body.get("epoch") if isinstance(body, dict) else None
-            if epoch_id is not None:
-                trace.root.set(epoch=epoch_id)
-            tracer.finish(trace, status=200)
-            tracer.exemplars.observe("service.query.seconds", elapsed, trace.trace_id)
-        self.slo_query.record(elapsed)
-        return 200, "application/json", json.dumps(body)
+            elapsed = time.perf_counter() - t0
+            ok = status == 200
+            if ok:
+                self.n_queries += 1
+                METRICS.inc("service.queries")
+                METRICS.inc(f"service.query{route}")
+                METRICS.observe("service.query.seconds", elapsed)
+            if tracer is not None and trace is not None:
+                if ok and body.get("epoch") is not None:
+                    trace.root.set(epoch=body["epoch"])
+                tracer.finish(trace, status=status, error=error)
+                if ok:
+                    tracer.exemplars.observe("service.query.seconds", elapsed, trace.trace_id)
+            self.slo_query.record(elapsed, error=status >= 500)
+        return 200, httpd.JSON, json.dumps(body)
 
     def _exec_traced(self, route: str, fn: Callable[[], dict]) -> Callable[[], dict]:
         """Wrap a query kernel in the request's executor-level span."""
@@ -384,47 +378,6 @@ class GraphService:
 
         return run
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """One connection, one request (``Connection: close`` semantics)."""
-        status, ctype, body = 500, "application/json", json.dumps({"error": "internal"})
-        try:
-            raw = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=30.0
-            )
-            if len(raw) > _MAX_REQUEST_BYTES:
-                raise GraphError("request too large")
-            line = raw.split(b"\r\n", 1)[0].decode("latin-1")
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "GET":
-                status, body = 405, json.dumps({"error": "GET only"})
-            else:
-                url = urlsplit(parts[1])
-                params = parse_qs(url.query)
-                status, ctype, body = await self._dispatch(url.path, params)
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                asyncio.TimeoutError, UnicodeDecodeError):
-            status, body = 400, json.dumps({"error": "malformed request"})
-        except GraphError as exc:
-            status, body = 400, json.dumps({"error": str(exc)})
-        except ServiceError as exc:
-            status, body = 503, json.dumps({"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - last-resort 500, keep serving
-            METRICS.inc("service.http.errors")
-            status, body = 500, json.dumps({"error": f"{type(exc).__name__}: {exc}"})
-        try:
-            payload = body.encode("utf-8")
-            writer.write(
-                f"HTTP/1.1 {status} {'OK' if status == 200 else 'ERR'}\r\n"
-                f"Content-Type: {ctype}; charset=utf-8\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n".encode("latin-1") + payload
-            )
-            await writer.drain()
-        except (ConnectionError, OSError):  # pragma: no cover - client gone
-            pass
-        finally:
-            writer.close()
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -432,7 +385,7 @@ class GraphService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Publish epoch 0, start the drainer, and bind the asyncio server."""
         self.drainer.start()
-        return await asyncio.start_server(self._handle, host, port)
+        return await httpd.start_server(self._dispatch, host, port)
 
     def start_background(self, host: str = "127.0.0.1", port: int = 0) -> "ServiceHandle":
         """Run the server on a daemon event-loop thread; returns a handle."""
@@ -448,7 +401,7 @@ class GraphService:
                 self.router.close()
 
 
-class ServiceHandle:
+class ServiceHandle(httpd.BackgroundServer):
     """A running :class:`GraphService` on its own event-loop thread.
 
     Gives synchronous callers (tests, the CLI's stream feeder, the CI
@@ -458,36 +411,13 @@ class ServiceHandle:
 
     def __init__(self, service: GraphService, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service-loop", daemon=True
-        )
-        self._thread.start()
-        fut = asyncio.run_coroutine_threadsafe(service.start(host, port), self._loop)
-        self._server = fut.result(timeout=30.0)
-        sock = self._server.sockets[0].getsockname()
-        self.host, self.port = sock[0], int(sock[1])
-        self.url = f"http://{self.host}:{self.port}"
+        super().__init__(service.start, host, port)
 
     def submit(self, stream: Any, *, timeout: Optional[float] = None) -> None:
         """Enqueue one update batch (same backpressure as the service)."""
         self.service.submit(stream, timeout=timeout)
 
     def close(self) -> None:
-        """Stop accepting, drain pending updates, stop the loop thread."""
-
-        async def _shutdown() -> None:
-            self._server.close()
-            await self._server.wait_closed()
-
-        asyncio.run_coroutine_threadsafe(_shutdown(), self._loop).result(timeout=30.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30.0)
-        self._loop.close()
+        """Stop accepting, stop the loop thread, then drain and stop the writer."""
+        super().close()
         self.service.close()
-
-    def __enter__(self) -> "ServiceHandle":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -254,8 +254,8 @@ class TestTelemetryServer:
             assert exc.value.code == 404
 
     def test_stop_releases_socket(self):
-        server = TelemetryServer(MetricsRegistry()).start()
+        server = TelemetryServer(MetricsRegistry())
         url = server.url
-        server.stop()
+        server.close()
         with pytest.raises((urllib.error.URLError, OSError)):
             urllib.request.urlopen(url + "/healthz", timeout=0.5)

@@ -42,10 +42,14 @@ class TestHeartbeats:
     def test_beats_flow_between_rounds(self, hb_pool):
         hb_pool.run_tasks([TaskSpec("selftest.echo", {"value": 1})])
 
-        def both_beating():
-            return len(hb_pool.poll_heartbeats()) == hb_pool.workers
+        def both_beating_idle():
+            # a beat sent before the worker cleared its task state may come first
+            beats = hb_pool.poll_heartbeats()
+            return len(beats) == hb_pool.workers and all(
+                b["task_id"] is None for b in beats.values()
+            )
 
-        assert wait_for(both_beating)
+        assert wait_for(both_beating_idle)
         beats = hb_pool.heartbeats()
         assert sorted(beats) == [0, 1]
         for beat in beats.values():

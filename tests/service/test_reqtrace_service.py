@@ -62,10 +62,10 @@ class TestSpanTree:
         # route -> executor -> epoch pin -> shard fan-out -> worker spans
         assert "service.exec.components" in names
         assert "service.epoch.read" in names
-        assert "service.shard_components" in names
+        assert "parallel.components" in names
         workers = [
             e for e in record["events"]
-            if e["name"] == "parallel.service.shard_components"
+            if e["name"] == "parallel.components.hook"
         ]
         assert workers, "no worker spans adopted across the process boundary"
         assert all("worker" in e["attrs"] for e in workers)
@@ -91,7 +91,7 @@ class TestSpanTree:
         records = [
             r for r in service.reqtrace.sampled()
             if r["name"] == "service.components"
-            and any(e["name"] == "parallel.service.shard_components"
+            and any(e["name"] == "parallel.components.hook"
                     for e in r["events"])
         ]
         assert records, "no sharded components trace captured"

@@ -357,3 +357,24 @@ class TestObs:
             assert main(["obs", "top", server.url, "--top", "5"]) == 0
             out = capsys.readouterr().out
         assert "updates.applied" in out and "p99" in out
+
+    def test_top_and_scrape_work_against_a_service(self, capsys):
+        """The graph service serves the same two telemetry routes."""
+        from repro import obs
+        from repro.api import DynamicGraph
+        from repro.service import GraphService
+
+        obs.METRICS.reset()
+        obs.METRICS.inc("updates.applied", 7)
+        collector = obs.enable_live_telemetry(interval=3600)
+        try:
+            collector.tick()
+            with GraphService(DynamicGraph(16)).start_background() as handle:
+                assert main(["obs", "top", handle.url, "--top", "5"]) == 0
+                out = capsys.readouterr().out
+                assert "updates.applied" in out and "p99" in out
+                assert main(["obs", "scrape", handle.url, "--check"]) == 0
+                out = capsys.readouterr().out
+                assert "updates_applied_total 7" in out and "payload valid:" in out
+        finally:
+            obs.disable_live_telemetry()
