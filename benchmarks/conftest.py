@@ -21,6 +21,7 @@ append-only ledger behind ``python -m repro bench diff`` / ``trend``.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,19 @@ def pytest_sessionstart(session):
     :func:`repro.kernels.bench_meta`).
     """
     kernels.warmup()
+
+
+def best_of(fn, rounds: int):
+    """(best-of-``rounds`` seconds, last result) of a zero-arg callable.
+
+    For gates that assert a ratio of two timings taken inside one test.
+    """
+    best, out = float("inf"), None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
 
 
 def attach_series(benchmark, result: FigureResult) -> None:

@@ -9,6 +9,7 @@ machine simulation.
 
 import pytest
 
+from benchmarks.conftest import best_of
 from repro.adjacency.csr import build_csr
 from repro.adjacency.registry import make_representation
 from repro.core.bfs import bfs
@@ -17,8 +18,10 @@ from repro.core.connectivity import ConnectivityIndex
 from repro.core.betweenness import temporal_betweenness
 from repro.core.induced import induced_subgraph
 from repro.core.update_engine import apply_stream, construct
+from repro.generators.reference import path_graph
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import deletion_stream, mixed_stream
+from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
 SCALE = 12
 GRAPH = rmat_graph(SCALE, 8, seed=77, ts_range=(1, 100))
@@ -69,17 +72,38 @@ def test_host_mixed_updates(benchmark):
                        rounds=3, iterations=1)
 
 
+def _gate_against_oracle(benchmark, res, floor, **kwargs):
+    """Shipped ``bfs`` vs the sort-based commit, measured here, side by side.
+
+    The gate is the ratio of two timings taken in this process one after
+    the other, so it holds on any box; no stored ceiling is involved.
+    """
+    assert_bfs_equal(unique_commit_bfs(CSR, 0, **kwargs), res)
+    oracle_s, _ = best_of(lambda: unique_commit_bfs(CSR, 0, **kwargs), 15)
+    shipped_s, _ = best_of(lambda: bfs(CSR, 0, **kwargs), 15)
+    ratio = oracle_s / shipped_s
+    benchmark.extra_info["speedup_vs_unique_commit"] = round(ratio, 2)
+    assert ratio >= floor, f"bfs only {ratio:.2f}x the np.unique commit (floor {floor}x)"
+
+
 def test_host_bfs(benchmark):
     res = benchmark(lambda: bfs(CSR, 0))
     benchmark.extra_info["edges_per_sec"] = round(
         res.total_edges_scanned / benchmark.stats["mean"], 0
     )
     assert res.n_reached > 1
+    _gate_against_oracle(benchmark, res, 2.0)
+    # One vertex per level: what a level costs before any arc is touched.
+    path = build_csr(path_graph(20_000))
+    benchmark.extra_info["us_per_level_path20k"] = round(
+        best_of(lambda: bfs(path, 0), 5)[0] / 20_000 * 1e6, 2
+    )
 
 
 def test_host_timestamped_bfs(benchmark):
     res = benchmark(lambda: bfs(CSR, 0, ts_range=(20, 80)))
     assert res.n_reached >= 1
+    _gate_against_oracle(benchmark, res, 1.5, ts_range=(20, 80))
 
 
 def test_host_components(benchmark):

@@ -11,12 +11,12 @@ three ported kernels.  JIT compilation happens in the module fixture (and
 the session-wide ``pytest_sessionstart`` warmup), never in a timed round.
 """
 
-import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import best_of
 from repro import kernels
 from repro.adjacency.csr import build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
@@ -54,16 +54,6 @@ def csr(graph):
     return build_csr(graph)
 
 
-def _best(fn, rounds=ROUNDS):
-    """(best-of-``rounds`` seconds, last result) for a zero-arg callable."""
-    best, out = float("inf"), None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
 def _record(benchmark, name, vec_s, comp_s, **extra):
     SPEEDUPS[name] = speedup = vec_s / comp_s if comp_s > 0 else float("inf")
     benchmark.extra_info.update(
@@ -98,7 +88,7 @@ def test_kernel_delete_match(benchmark, graph):
         run, setup=lambda: ((make("compiled"),), {}), rounds=ROUNDS, iterations=1
     )
     comp_s = benchmark.stats["min"]
-    vec_s, ref = _best(lambda: run(make("vectorised")))
+    vec_s, ref = best_of(lambda: run(make("vectorised")), ROUNDS)
 
     assert asdict(jit.stats) == asdict(ref.stats)
     assert jit.n_arcs == ref.n_arcs
@@ -122,7 +112,7 @@ def test_kernel_findroot_batch(benchmark, csr):
         lambda: run("compiled"), rounds=ROUNDS, iterations=1
     )
     comp_s = benchmark.stats["min"]
-    vec_s, (ref_roots, ref_hops) = _best(lambda: run("vectorised"))
+    vec_s, (ref_roots, ref_hops) = best_of(lambda: run("vectorised"), ROUNDS)
 
     np.testing.assert_array_equal(jit_roots, ref_roots)
     assert jit_hops == ref_hops
@@ -136,7 +126,7 @@ def test_kernel_sv_components(benchmark, csr):
         iterations=1,
     )
     comp_s = benchmark.stats["min"]
-    vec_s, ref = _best(lambda: connected_components(csr, kernel_tier="vectorised"))
+    vec_s, ref = best_of(lambda: connected_components(csr, kernel_tier="vectorised"), ROUNDS)
 
     np.testing.assert_array_equal(jit.labels, ref.labels)
     assert (jit.n_passes, jit.jump_rounds, jit.arcs_processed) == (

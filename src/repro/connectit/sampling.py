@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import bfs
+from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 
 from repro.connectit.unionfind import UnionFind
@@ -72,14 +73,8 @@ def _kout_arcs(graph: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = graph.offsets
     degrees = np.diff(offsets)
     take = np.minimum(degrees, k)
-    total = int(take.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     src = np.repeat(np.arange(graph.n, dtype=np.int64), take)
-    # Positions 0..take[v]-1 within each vertex's adjacency range.
-    local = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(take) - take, take)
-    idx = np.repeat(offsets[:-1], take) + local
+    idx, _ = gather_ranges(offsets[:-1], take)
     return src, graph.targets[idx]
 
 

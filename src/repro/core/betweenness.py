@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.frontier import gather_ranges
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
@@ -110,11 +111,7 @@ def _brandes_from_source(
         edges_scanned += total
         if total == 0:
             break
-        base = np.repeat(starts, counts)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        idx = base + offs
+        idx, _ = gather_ranges(starts, counts)
         v_arr = np.repeat(frontier, counts)
         w_arr = targets[idx]
         if temporal:

@@ -8,13 +8,15 @@ dynamic graphs the paper augments the traversal with a time-stamp check —
 edges outside the query's time interval are filtered during the visit, which
 "requires no additional memory" (section 3.3, Figure 10).
 
-The implementation here is frontier-vectorised: each level gathers all
-frontier adjacencies with numpy index arithmetic (the Python-level work per
-level is O(1) calls), so correctness-scale runs are fast, and each level is
-recorded as one simulated phase — frontier width, edges scanned, heaviest
-frontier vertex — so the machine model sees the true level structure
-(few wide levels for small-world graphs, which is what makes the paper's
-Figure 10 scale).
+The implementation here is frontier-vectorised: each level is one call of
+:func:`repro.core.frontier.expand` — gather all frontier adjacencies with
+numpy index arithmetic, then give each new vertex the first arc that
+reached it in gather order by a concurrent-min write, never by sorting the
+candidate arcs — so a level is O(arcs scanned) work in O(1) Python calls.
+Each level is recorded as one simulated phase — frontier width, edges
+scanned, heaviest frontier vertex — so the machine model sees the true
+level structure (few wide levels for small-world graphs, which is what
+makes the paper's Figure 10 scale).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.frontier import expand
 from repro.errors import VertexError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
@@ -96,6 +99,7 @@ def bfs(
     dist = np.full(graph.n, -1, dtype=np.int64)
     parent = np.full(graph.n, -1, dtype=np.int64)
     dist[source] = 0
+    slot = np.empty(graph.n, dtype=np.int64)  # scratch, touched only at candidates
 
     res = BFSResult(source=source, dist=dist, parent=parent, ts_range=ts_range)
     frontier = np.array([source], dtype=np.int64)
@@ -103,8 +107,7 @@ def bfs(
     with span("core.bfs", source=int(source), n=graph.n, filtered=ts_range is not None) as sp:
         while frontier.size:
             starts = offsets[frontier]
-            ends = offsets[frontier + 1]
-            counts = ends - starts
+            counts = offsets[frontier + 1] - starts
             total = int(counts.sum())
             res.frontier_sizes.append(int(frontier.size))
             res.edges_scanned.append(total)
@@ -113,29 +116,14 @@ def bfs(
                 break
             if total == 0:
                 break
-            # Flatten all adjacency ranges of the frontier into one index array.
-            reps = np.repeat(frontier, counts)
-            base = np.repeat(starts, counts)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            idx = base + offs
-            nbrs = targets[idx]
-            if ts_range is not None:
-                lo, hi = ts_range
-                keep = (ts[idx] >= lo) & (ts[idx] <= hi)
-                nbrs = nbrs[keep]
-                reps = reps[keep]
-            unvisited = dist[nbrs] < 0
-            nbrs = nbrs[unvisited]
-            reps = reps[unvisited]
-            if nbrs.size == 0:
+            new, owners = expand(frontier, starts, counts, targets, dist, slot, ts, ts_range)
+            if new.size == 0:
                 break
-            uniq, first = np.unique(nbrs, return_index=True)
             level += 1
-            dist[uniq] = level
-            parent[uniq] = reps[first]
-            frontier = uniq
+            dist[new] = level
+            parent[new] = owners
+            new.sort()
+            frontier = new
         sp.set(levels=res.n_levels, reached=res.n_reached,
                edges_scanned=res.total_edges_scanned)
     METRICS.inc("bfs.runs")

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import bfs
+from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
 from repro.util.seeding import make_rng
@@ -149,12 +150,9 @@ def stress_centrality(
             edges_scanned += total
             if total == 0:
                 break
-            base = np.repeat(starts, counts)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
+            idx, _ = gather_ranges(starts, counts)
             v_arr = np.repeat(frontier, counts)
-            w_arr = targets[base + offs]
+            w_arr = targets[idx]
             fresh = w_arr[dist[w_arr] < 0]
             if fresh.size:
                 fresh = np.unique(fresh)

@@ -13,8 +13,9 @@ of the tree is small."*
 link / cut / parent, findroot by pointer chasing, and connectivity queries
 as two findroots.  Construction from a graph follows the paper: a lock-free
 level-synchronous parallel BFS produces the spanning tree of each component
-(one multi-rooted traversal covers the whole forest), with connected
-components supplying the roots.
+(one multi-rooted traversal covers the whole forest, each level one
+:func:`repro.core.frontier.expand`, the step :func:`repro.core.bfs.bfs`
+runs), with connected components supplying the roots.
 
 Beyond the paper's operations, :meth:`add_edge` (reroot + link, supporting
 arbitrary edge insertions) and :meth:`cut_with_replacement` (spanning-forest
@@ -32,6 +33,7 @@ import numpy as np
 from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.core.components import ComponentsResult, connected_components
+from repro.core.frontier import expand
 from repro.errors import GraphError, NotInForestError, VertexError
 from repro.kernels import loops
 from repro.machine.profile import ProfileBuilder, WorkProfile
@@ -113,6 +115,7 @@ class LinkCutForest:
         dist = np.full(graph.n, -1, dtype=np.int64)
         roots = comps.roots()
         dist[roots] = 0
+        slot = np.empty(graph.n, dtype=np.int64)  # scratch, touched only at candidates
         frontier = roots
         builder = ProfileBuilder("linkcut-construction", n=graph.n, arcs=graph.n_arcs)
         builder.extend(comps.profile(graph).phases)
@@ -124,15 +127,7 @@ class LinkCutForest:
             total = int(counts.sum())
             if total == 0:
                 break
-            reps = np.repeat(frontier, counts)
-            base = np.repeat(starts, counts)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            nbrs = targets[base + offs]
-            unvisited = dist[nbrs] < 0
-            nbrs = nbrs[unvisited]
-            reps = reps[unvisited]
+            new, owners = expand(frontier, starts, counts, targets, dist, slot)
             builder.phase(
                 f"bfs-level{level}",
                 alu_ops=8.0 * total + 6.0 * frontier.size,
@@ -141,13 +136,13 @@ class LinkCutForest:
                 footprint_bytes=footprint,
                 barriers=2.0,
             )
-            if nbrs.size == 0:
+            if new.size == 0:
                 break
-            uniq, first = np.unique(nbrs, return_index=True)
             level += 1
-            dist[uniq] = level
-            forest.parent[uniq] = reps[first]
-            frontier = uniq
+            dist[new] = level
+            forest.parent[new] = owners
+            new.sort()
+            frontier = new
         forest.version += 1
         max_depth = int(dist.max()) if graph.n else 0
         record = ConstructionRecord(

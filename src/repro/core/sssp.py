@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.frontier import gather_ranges
 from repro.errors import GraphError, VertexError
 from repro.machine.profile import Phase, WorkProfile
 
@@ -61,11 +62,7 @@ def _relax(frontier, offsets, targets, weights, mask, dist):
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), 0, 0
-    base = np.repeat(starts, counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = base + offs
+    idx, _ = gather_ranges(starts, counts)
     sel = mask[idx]
     idx = idx[sel]
     if idx.size == 0:

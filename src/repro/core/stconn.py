@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.frontier import expand
 from repro.errors import VertexError
 from repro.machine.profile import Phase, WorkProfile
 
@@ -32,26 +33,14 @@ class STConnResult:
     meta: dict = field(default_factory=dict)
 
 
-def _expand(frontier, offsets, targets, ts, ts_range, dist, level):
+def _expand(frontier, offsets, targets, ts, ts_range, dist, slot, level):
     """One BFS level; returns (new_frontier, edges_scanned)."""
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    base = np.repeat(starts, counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = base + offs
-    nbrs = targets[idx]
-    if ts_range is not None:
-        lo, hi = ts_range
-        nbrs = nbrs[(ts[idx] >= lo) & (ts[idx] <= hi)]
-    nbrs = nbrs[dist[nbrs] < 0]
-    if nbrs.size == 0:
-        return np.empty(0, dtype=np.int64), total
-    uniq = np.unique(nbrs)
-    dist[uniq] = level
-    return uniq, total
+    new, _ = expand(frontier, starts, counts, targets, dist, slot, ts, ts_range)
+    dist[new] = level
+    new.sort()
+    return new, int(counts.sum())
 
 
 def st_connectivity(
@@ -88,6 +77,7 @@ def st_connectivity(
     dist_t = np.full(graph.n, -1, dtype=np.int64)
     dist_s[s] = 0
     dist_t[t] = 0
+    slot = np.empty(graph.n, dtype=np.int64)  # scratch shared by both searches
     frontier_s = np.array([s], dtype=np.int64)
     frontier_t = np.array([t], dtype=np.int64)
     level_s = level_t = 0
@@ -111,7 +101,7 @@ def st_connectivity(
         if frontier_s.size <= frontier_t.size:
             level_s += 1
             frontier_s, e = _expand(
-                frontier_s, graph.offsets, graph.targets, graph.ts, ts_range, dist_s, level_s
+                frontier_s, graph.offsets, graph.targets, graph.ts, ts_range, dist_s, slot, level_s
             )
             scanned += e
             phases.append(_phase(e, frontier_s.size))
@@ -119,7 +109,7 @@ def st_connectivity(
         else:
             level_t += 1
             frontier_t, e = _expand(
-                frontier_t, graph.offsets, graph.targets, graph.ts, ts_range, dist_t, level_t
+                frontier_t, graph.offsets, graph.targets, graph.ts, ts_range, dist_t, slot, level_t
             )
             scanned += e
             phases.append(_phase(e, frontier_t.size))

@@ -5,13 +5,15 @@ unchanged; each level's edge gather — the O(m) hot part — fans out to the
 worker pool.  The frontier (always sorted, as in the serial kernel) is
 split into contiguous degree-balanced chunks (:func:`weighted_chunks`, the
 paper's unbalanced-degree optimisation at partition granularity); each
-worker gathers its chunk's adjacencies from the shared CSR arrays, applies
-the time-stamp filter and the not-yet-visited test against the shared
-``dist`` array, and returns only the surviving ``(neighbour, parent)``
-candidate pairs.  The parent concatenates the chunks *in order* — restoring
-exactly the serial kernel's flattened gather order — and applies the same
-``np.unique`` visit commit, so distances, parents and per-level statistics
-are bit-identical to the serial backend at every worker count.
+worker runs the serial level body (:func:`repro.core.frontier.expand`) on
+its chunk — gather from the shared CSR arrays, time-stamp filter,
+not-yet-visited test against the shared ``dist`` array — and returns only
+the chunk's first discoveries: one ``(neighbour, parent)`` pair per distinct
+new vertex.  The parent concatenates the chunks *in order* and keeps each
+vertex's earliest pair (:func:`repro.core.frontier.first_occurrence`): the
+earliest chunk holding a vertex wins, which is the serial kernel's flattened
+gather order, so distances, parents and per-level statistics are
+bit-identical to the serial backend at every worker count.
 
 Workers also return a per-partition work-profile fragment (edges scanned,
 frontier vertices, heaviest vertex); the driver folds these into per-level
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import BFSResult, bfs_profile
+from repro.core.frontier import expand, first_occurrence
 from repro.errors import VertexError
 from repro.machine.profile import WorkProfile
 from repro.obs import METRICS, span
@@ -38,14 +41,9 @@ __all__ = ["parallel_bfs", "parallel_bfs_profile"]
 
 @task("bfs.level")
 def _bfs_level(views: dict, payload: dict) -> dict:
-    """Gather one frontier chunk's adjacencies (worker side)."""
-    lo, hi = payload["lo"], payload["hi"]
-    frontier = views["frontier"][lo:hi]
-    offsets = views["offsets"]
-    targets = views["targets"]
-    dist = views["dist"]
-    ts_range = payload["ts_range"]
-
+    """One frontier chunk's first discoveries (worker side)."""
+    frontier = views["frontier"][payload["lo"] : payload["hi"]]
+    offsets, dist = views["offsets"], views["dist"]
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
     total = int(counts.sum())
@@ -59,28 +57,13 @@ def _bfs_level(views: dict, payload: dict) -> dict:
     # out levels surface per-worker under ``worker{i}.bfs.level.edges``
     # while inlined levels land in the parent registry directly.
     METRICS.inc("bfs.level.edges", total)
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return {"nbrs": empty, "reps": empty, "fragment": fragment}
-    reps = np.repeat(frontier, counts)
-    base = np.repeat(starts, counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = base + offs
-    nbrs = targets[idx]
-    if ts_range is not None:
-        ts = views["ts"]
-        lo_t, hi_t = ts_range
-        keep = (ts[idx] >= lo_t) & (ts[idx] <= hi_t)
-        nbrs = nbrs[keep]
-        reps = reps[keep]
-    unvisited = dist[nbrs] < 0
-    # Copy out of shared memory: the parent writes dist/frontier after the
-    # round, and the result crosses the process boundary by pickle anyway.
-    return {
-        "nbrs": np.ascontiguousarray(nbrs[unvisited]),
-        "reps": np.ascontiguousarray(reps[unvisited]),
-        "fragment": fragment,
-    }
+    slot = np.empty(dist.size, dtype=np.int64)  # scratch, touched only at candidates
+    new, owners = expand(
+        frontier, starts, counts, views["targets"], dist, slot, views.get("ts"), payload["ts_range"]
+    )
+    # Fresh arrays, not views of shared memory: the parent writes
+    # dist/frontier after the round and the reply is pickled anyway.
+    return {"nbrs": new, "reps": owners, "fragment": fragment}
 
 
 #: Levels scanning fewer edges than this run inline in the parent: a queue
@@ -116,6 +99,7 @@ def parallel_bfs(
     dist = np.full(graph.n, -1, dtype=np.int64)
     parent = np.full(graph.n, -1, dtype=np.int64)
     dist[source] = 0
+    slot = np.empty(graph.n, dtype=np.int64)  # merge scratch, touched only at candidates
 
     arrays = {
         "offsets": graph.offsets,
@@ -134,6 +118,7 @@ def parallel_bfs(
         shared_dist = arena.view("dist")
         shared_frontier = arena.view("frontier")
         res.dist = shared_dist  # live view during the traversal
+        views = {**arrays, "dist": shared_dist, "frontier": shared_frontier}  # inlined levels
         frontier = np.array([source], dtype=np.int64)
         with span(
             "parallel.bfs",
@@ -154,19 +139,8 @@ def parallel_bfs(
                     break
                 shared_frontier[: frontier.size] = frontier
                 if total <= small_level_edges or pool.workers == 1:
-                    views = {
-                        "frontier": shared_frontier,
-                        "offsets": graph.offsets,
-                        "targets": graph.targets,
-                        "dist": shared_dist,
-                    }
-                    if graph.ts is not None:
-                        views["ts"] = graph.ts
                     outs = [
-                        _bfs_level(
-                            views,
-                            {"lo": 0, "hi": frontier.size, "ts_range": ts_range},
-                        )
+                        _bfs_level(views, {"lo": 0, "hi": frontier.size, "ts_range": ts_range})
                     ]
                     outs[0]["fragment"]["inline"] = True
                 else:
@@ -187,11 +161,12 @@ def parallel_bfs(
                 reps = np.concatenate([o["reps"] for o in outs])
                 if nbrs.size == 0:
                     break
-                uniq, first = np.unique(nbrs, return_index=True)
+                first = first_occurrence(nbrs, slot)
+                frontier = nbrs[first]
                 level += 1
-                shared_dist[uniq] = level
-                parent[uniq] = reps[first]
-                frontier = uniq
+                shared_dist[frontier] = level
+                parent[frontier] = reps[first]
+                frontier.sort()
             sp.set(
                 levels=res.n_levels,
                 reached=res.n_reached,

@@ -4,11 +4,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.adjacency.csr import build_csr
+from repro.adjacency.csr import build_csr, csr_from_arrays
 from repro.core.bfs import bfs, bfs_profile
 from repro.edgelist import EdgeList
 from repro.errors import VertexError
 from repro.generators.reference import grid_graph, path_graph, star_graph
+from repro.generators.rmat import rmat_graph
+from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
 
 class TestCorrectness:
@@ -70,6 +72,67 @@ class TestCorrectness:
         csr = build_csr(path_graph(10))
         res = bfs(csr, 0, max_levels=3)
         assert res.dist.max() == 3
+
+
+class TestMatchesUniqueCommitOracle:
+    """Bit-identity with the sort-based commit: which valid parent is fixed."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 92])
+    def test_rmat_seeds(self, seed):
+        csr = build_csr(rmat_graph(10, 8, seed=seed, ts_range=(1, 100)))
+        for source in (0, csr.n // 2, int(np.argmax(csr.degrees()))):
+            for ts_range in (None, (1, 100), (10, 40)):
+                assert_bfs_equal(
+                    unique_commit_bfs(csr, source, ts_range=ts_range),
+                    bfs(csr, source, ts_range=ts_range),
+                )
+
+    def test_multigraph_parallel_arcs(self):
+        # Duplicates inside one frontier vertex's list and across vertices.
+        src = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3])
+        dst = np.array([2, 1, 2, 1, 3, 3, 3, 4, 4, 4, 4])
+        csr = csr_from_arrays(5, np.concatenate([src, dst]), np.concatenate([dst, src]))
+        for source in range(5):
+            assert_bfs_equal(unique_commit_bfs(csr, source), bfs(csr, source))
+
+    def test_ts_range_filters_out_the_would_be_winner(self):
+        # 3 is reachable from 1 (stamp 50) and from 2 (stamp 5): unfiltered
+        # the lower-id 1 wins, inside (0, 10) only 2 can.
+        g = EdgeList(4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]),
+                     ts=np.array([5, 5, 50, 5]))
+        csr = build_csr(g)
+        assert bfs(csr, 0).parent[3] == 1
+        filtered = bfs(csr, 0, ts_range=(0, 10))
+        assert filtered.parent[3] == 2
+        assert_bfs_equal(unique_commit_bfs(csr, 0, ts_range=(0, 10)), filtered)
+
+    def test_max_levels(self, small_rmat_csr):
+        for max_levels in (0, 1, 2):
+            assert_bfs_equal(
+                unique_commit_bfs(small_rmat_csr, 0, max_levels=max_levels),
+                bfs(small_rmat_csr, 0, max_levels=max_levels),
+            )
+
+    def test_isolated_source(self):
+        csr = build_csr(EdgeList(3, np.array([1]), np.array([2])))
+        assert_bfs_equal(unique_commit_bfs(csr, 0), bfs(csr, 0))
+
+    @pytest.mark.parametrize(
+        "make", [lambda: path_graph(20_000), lambda: grid_graph(200, 200)], ids=["path", "grid"]
+    )
+    def test_deep_graphs(self, make):
+        csr = build_csr(make())
+        source = csr.n // 3
+        assert_bfs_equal(unique_commit_bfs(csr, source), bfs(csr, source))
+
+    def test_parent_is_smallest_neighbour_on_previous_level(self, small_rmat_csr):
+        csr = small_rmat_csr
+        res = bfs(csr, 0)
+        for v in res.reached().tolist():
+            if v == 0:
+                continue
+            nbrs = csr.neighbors(v)
+            assert res.parent[v] == nbrs[res.dist[nbrs] == res.dist[v] - 1].min()
 
 
 class TestTemporalFilter:

@@ -8,7 +8,9 @@ from repro.adjacency.dynarr import DynArrAdjacency
 from repro.core.components import connected_components
 from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError, NotInForestError, VertexError
-from repro.generators.reference import path_graph, star_graph
+from repro.generators.reference import grid_graph, path_graph, star_graph
+from repro.generators.rmat import rmat_graph
+from tests.core.bfs_oracle import unique_commit_forest
 
 
 class TestBasicOps:
@@ -142,6 +144,20 @@ class TestConstruction:
         forest, record = LinkCutForest.from_csr(build_csr(star_graph(50)))
         assert forest.n_trees() == 1
         assert record.max_depth == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: rmat_graph(10, 8, seed=3), lambda: rmat_graph(9, 2, seed=17),
+         lambda: path_graph(2_000), lambda: grid_graph(40, 40)],
+        ids=["rmat", "rmat-sparse", "path", "grid"],
+    )
+    def test_matches_unique_commit_oracle(self, make):
+        # Multi-source: one root per component, many components when sparse.
+        csr = build_csr(make())
+        forest, record = LinkCutForest.from_csr(csr)
+        parent, levels, max_depth = unique_commit_forest(csr, record.components.roots())
+        np.testing.assert_array_equal(forest.parent, parent)
+        assert (record.levels, record.max_depth) == (levels, max_depth)
 
 
 class TestDynamicMaintenance:

@@ -8,6 +8,8 @@ reference is cheap.  A hypothesis sweep feeds arbitrary small edge lists
 through both backends.
 """
 
+from contextlib import nullcontext
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
 from repro.parallel.queries import _queries_connected, parallel_query_batch
 from repro.core.linkcut import LinkCutForest
+from repro.parallel.pool import WorkerPool
+from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
 KINDS = sorted(REPRESENTATIONS)
 
@@ -38,14 +42,6 @@ def build_rep(kind, n):
     if kind == "treap":
         return make_representation(kind, n, seed=1)
     return make_representation(kind, n)
-
-
-def assert_bfs_equal(serial, par):
-    np.testing.assert_array_equal(serial.dist, par.dist)
-    np.testing.assert_array_equal(serial.parent, par.parent)
-    assert serial.frontier_sizes == par.frontier_sizes
-    assert serial.edges_scanned == par.edges_scanned
-    assert serial.max_frontier_degree == par.max_frontier_degree
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -92,6 +88,27 @@ def test_bfs_inline_threshold_sweep(pool):
     serial = bfs(csr, 0)
     for thresh in (0, 64, 10**9):
         assert_bfs_equal(serial, parallel_bfs(csr, 0, pool, small_level_edges=thresh))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_bfs_vertex_first_reached_from_two_chunks(workers, pool):
+    # 0 fans out to 1..6; every one of those reaches the shared vertex 7 and
+    # a private leaf.  With every level fanned out, each chunk of level 1
+    # ships 7 as one of its first discoveries: the earliest chunk must win,
+    # as the serial gather order has it.
+    mid = np.arange(1, 7)
+    src = np.concatenate([np.zeros(6, dtype=np.int64), mid, mid])
+    dst = np.concatenate([mid, np.full(6, 7), mid + 7])
+    csr = csr_from_arrays(14, np.concatenate([src, dst]), np.concatenate([dst, src]))
+    serial = bfs(csr, 0)
+    assert serial.parent[7] == 1
+    assert_bfs_equal(unique_commit_bfs(csr, 0), serial)
+    shared = workers == pool.workers  # the session pool must outlive this test
+    with nullcontext(pool) if shared else WorkerPool(workers, timeout=120.0) as p:
+        fragments = []
+        par = parallel_bfs(csr, 0, p, small_level_edges=0, fragments_out=fragments)
+    assert_bfs_equal(serial, par)
+    assert len(fragments[1]) == workers and all(f["edges"] for f in fragments[1])
 
 
 def test_components_match_networkx(pool):
