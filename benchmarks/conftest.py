@@ -10,37 +10,27 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Every benchmark session additionally writes ``BENCH_repro.json`` at the
-repository root: per-kernel host seconds plus whatever simulated
-seconds/MUPS the benchmark attached to ``extra_info``, stamped with the run
-manifest (commit, seed, interpreter) so entries are comparable across
-commits — the perf trajectory ROADMAP asks for.  The same entries are
-also appended as one line to ``benchmarks/history.jsonl``, the
-append-only ledger behind ``python -m repro bench diff`` / ``trend``.
+The gates here are ratios and identities measured inside each test, so
+they hold on any box.  No host timing is recorded from this suite: the
+repository's one timing ledger is ``bench/`` (``bench/README.md``,
+``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
 from repro import kernels
 from repro.experiments import FigureResult
-from repro.obs import ensure_manifest
-from repro.obs.bench import update_bench_file
-from repro.obs.history import DEFAULT_HISTORY_PATH, append_bench_history
-from repro.util.jsonify import jsonify
 
 
 def pytest_sessionstart(session):
     """Warm the compiled kernel tier before any timed section runs.
 
     A no-op without numba; with it, first-call JIT compilation happens
-    here — never inside a benchmark round — and its cost is reported
-    separately as ``compile_seconds`` on every recorded entry (via
-    :func:`repro.kernels.bench_meta`).
+    here — never inside a benchmark round.
     """
     kernels.warmup()
 
@@ -78,53 +68,6 @@ def attach_series(benchmark, result: FigureResult) -> None:
 def assert_figure(result: FigureResult) -> None:
     failures = result.failed_checks()
     assert not failures, f"{result.figure} shape checks failed: {failures}"
-
-
-def _bench_mean_seconds(bench) -> float | None:
-    """Host seconds of one recorded benchmark (defensive across versions)."""
-    stats = getattr(bench, "stats", None)
-    if stats is None:
-        return None
-    inner = getattr(stats, "stats", stats)
-    mean = getattr(inner, "mean", None)
-    try:
-        return None if mean is None else float(mean)
-    except (TypeError, ValueError):
-        return None
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Merge the session's benchmarks into the ``BENCH_repro.json`` artifact.
-
-    Merging (rather than overwriting) matters because the CI
-    bench-regression job runs each benchmark file in its own pytest
-    invocation: every invocation contributes its entries, entries for
-    re-run kernels are replaced, and the rest of the document survives
-    (see :func:`repro.obs.bench.merge_bench_document`).
-    """
-    bs = getattr(session.config, "_benchmarksession", None)
-    if bs is None or not getattr(bs, "benchmarks", None):
-        return
-    meta = kernels.bench_meta()
-    entries = []
-    for bench in bs.benchmarks:
-        # Tier provenance on every row (a benchmark's own extra_info wins,
-        # e.g. when it timed a specific tier rather than the default one).
-        extra = {**meta, **dict(getattr(bench, "extra_info", {}) or {})}
-        entry = {
-            "kernel": bench.fullname,
-            "group": getattr(bench, "group", None),
-            "host_seconds": _bench_mean_seconds(bench),
-            "extra_info": jsonify(extra),
-        }
-        entries.append(entry)
-    root = Path(__file__).resolve().parent.parent
-    manifest = ensure_manifest().to_dict()
-    update_bench_file(root / "BENCH_repro.json", entries, manifest=manifest)
-    # Same entries, second artifact: one append-only ledger line per
-    # session so ``python -m repro bench diff/trend`` can compare runs
-    # across commits (see repro.obs.history).
-    append_bench_history(root / DEFAULT_HISTORY_PATH, entries, manifest=manifest)
 
 
 @pytest.fixture

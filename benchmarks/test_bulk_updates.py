@@ -18,9 +18,8 @@ acceptance criteria:
 * no representation's vectorised path is slower than its scalar path
   (beyond timing noise).
 
-The timed kernels land in ``BENCH_repro.json`` via the suite's
-``pytest_sessionfinish`` hook and are gated against
-``benchmarks/baseline.json`` by the CI ``bench-regression`` job.
+Every gate is a ratio measured inside the test (the CI ``kernel-gates``
+job runs them); absolute host timings are ``bench/``'s to record.
 """
 
 import time

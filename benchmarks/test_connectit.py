@@ -13,9 +13,6 @@ Three gated kernels:
 * the :meth:`ConnectivityIndex.insert_batch` union-find fast path against
   the sequential :meth:`insert_edge` loop, asserting identical link
   decisions.
-
-All land in ``BENCH_repro.json`` and are regression-gated against
-``benchmarks/baseline.json`` in CI.
 """
 
 import time

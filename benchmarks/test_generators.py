@@ -1,6 +1,6 @@
 """Benchmark: generator throughput — serial vs parallel, plus chunked MUPS.
 
-Three kernels for ``BENCH_repro.json`` and the history ledger:
+Three kernels:
 
 * ``test_generator_serial_edges`` — the in-process ``rmat_edges`` draw,
   reported as edges/sec;

@@ -66,8 +66,9 @@ def test_obs_collector_overhead(benchmark):
     benchmark.extra_info["collector_ticks"] = n_ticks
     benchmark.extra_info["series_collected"] = n_series
 
-    # One ledger-visible round with the collector live (what this kernel
-    # tracks across runs); the gate itself uses the paired ratios above.
+    # One pytest-benchmark round with the collector live (what the
+    # session's timing table shows); the gate itself uses the paired
+    # ratios above.
     if benchmark.enabled:
         obs.enable_live_telemetry(interval=INTERVAL)
         try:

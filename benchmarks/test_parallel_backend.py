@@ -1,11 +1,11 @@
 """Benchmark: serial vs process backend on the same BFS + components run.
 
-Records the measured speedup of the shared-memory process backend next to
-the serial kernels in ``BENCH_repro.json`` ``extra_info``.  The hard
-assertion is *identity* — the process backend's contract — not speed: on a
-single-CPU runner the process backend is slower (IPC overhead with no
-parallel hardware), and the honest number is the interesting one.  A
-speedup floor is only asserted when the host actually has spare CPUs.
+Measures the speedup of the shared-memory process backend next to the
+serial kernels (``extra_info``).  The hard assertion is *identity* — the
+process backend's contract — not speed: on a single-CPU runner the process
+backend is slower (IPC overhead with no parallel hardware), and the honest
+number is the interesting one.  A speedup floor is only asserted when the
+host actually has spare CPUs.
 """
 
 import os

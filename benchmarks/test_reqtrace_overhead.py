@@ -91,8 +91,9 @@ def test_reqtrace_overhead(benchmark):
         benchmark.extra_info["head_sampled"] = len(tracer.sampled())
         benchmark.extra_info["recent_tracked"] = len(tracer.recent())
 
-        # One ledger-visible round of the traced storm (what this kernel
-        # tracks across runs); the gate itself uses the paired ratios.
+        # One pytest-benchmark round of the traced storm (what the
+        # session's timing table shows); the gate itself uses the paired
+        # ratios.
         if benchmark.enabled:
             benchmark.pedantic(_storm, args=(traced_handle,), rounds=1, iterations=1)
 

@@ -3,8 +3,7 @@
 The tentpole claim of the serving runtime (docs/SERVICE.md) measured end to
 end: a writer thread drains batched R-MAT updates through the vectorised
 ``apply_arcs`` path while reader threads fire concurrent HTTP queries at
-pinned epochs.  Recorded in ``extra_info`` (and therefore in
-``benchmarks/history.jsonl``):
+pinned epochs.  Reported in ``extra_info``:
 
 * ``update_mups`` — millions of updates applied per second *under load*;
 * ``query_p50_ms`` / ``query_p99_ms`` — concurrent query latency;

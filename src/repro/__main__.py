@@ -15,22 +15,16 @@ Commands:
   manifest-stamped JSONL trace (see docs/OBSERVABILITY.md).  Takes
   ``--backend process --workers N`` to execute the analysis kernels on the
   shared-memory worker pool (docs/PARALLEL.md); the ``fig08``/``fig10``
-  workloads then also time serial vs process, verify bit-identity, merge
-  the measured comparison into ``BENCH_repro.json`` and append it to the
-  bench-history ledger; the ``genscale`` workload does the same for
-  communication-free parallel R-MAT generation plus chunked-stream
-  construction (docs/GENERATORS.md).  ``--chrome``/``--speedscope``/``--folded``
-  additionally export the trace for ``chrome://tracing``, speedscope and
-  flamegraph tools; ``--memprof`` turns on per-span memory accounting;
-  ``--quiet`` and ``--no-manifest`` trim the output/provenance for
-  scripted runs;
-* ``bench`` — inspect the bench-history ledger
-  (``benchmarks/history.jsonl``): ``bench diff A B`` prints per-kernel
-  deltas between two recorded runs, ``bench trend`` the whole trajectory,
-  both flagging drift beyond ``--threshold``.  Exit codes are distinct
-  and scriptable: **0** clean, **3** drift beyond the threshold (only
-  with ``--fail-on-drift``), **2** usage or ledger errors (unknown run
-  selector, missing/corrupt history);
+  workloads then also time serial vs process, verify bit-identity (exit
+  non-zero on a mismatch) and print the measured comparison; the
+  ``genscale`` workload does the same for communication-free parallel
+  R-MAT generation plus chunked-stream construction (docs/GENERATORS.md).
+  Nothing but ``--out`` and the requested exports is written: host timings
+  are recorded by ``bench/`` alone (``bench/README.md``).
+  ``--chrome``/``--speedscope``/``--folded`` additionally export the trace
+  for ``chrome://tracing``, speedscope and flamegraph tools; ``--memprof``
+  turns on per-span memory accounting; ``--quiet`` and ``--no-manifest``
+  trim the output/provenance for scripted runs;
 * ``kernels`` — show the compiled-kernel tier dispatch state
   (docs/PERFORMANCE.md): numba availability, the ``REPRO_KERNEL_TIER``
   override, the auto-probed default, and where each kernel dispatches
@@ -217,26 +211,48 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
         sim.sweep(profile, n_items=max(res.total_edges_scanned, 1))
 
 
+def _compare_with_serial(args, backend, run_serial, run_backend, same, detail):
+    """Time ``run_serial()`` against ``run_backend()`` and print the comparison.
+
+    Exits non-zero unless ``same(serial, other)``: the backend's result must
+    be bit-identical to the serial kernel's.  ``detail(serial)`` words what
+    was computed.  Host seconds are printed, not recorded — ``bench/`` is
+    the only ledger (``bench/README.md``).
+    """
+    import time
+
+    t0 = time.perf_counter()
+    serial = run_serial()
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    other = run_backend()
+    other_s = time.perf_counter() - t0
+    if not same(serial, other):
+        raise SystemExit(
+            f"backend {backend.name!r} results differ from serial — "
+            "determinism contract violated"
+        )
+    speedup = serial_s / other_s if other_s > 0 else float("inf")
+    _say(
+        args,
+        f"{args.workload}: serial {serial_s:.3f}s vs {backend.name} "
+        f"({getattr(backend, 'workers', 1)} workers) {other_s:.3f}s -> "
+        f"speedup {speedup:.2f}x [results identical; {detail(serial)}]",
+    )
+
+
 def _trace_backend_compare(args: argparse.Namespace, backend) -> None:
     """The ``fig08`` / ``fig10`` workloads: measured serial-vs-process runs.
 
     Runs the figure's kernel once on the serial backend and once on the
-    requested one, asserts the results are bit-identical, prints the
-    measured wall-clock comparison, merges a ``trace.<workload>`` entry
-    (host seconds, speedup, manifest) into ``BENCH_repro.json`` and
-    appends the run to the bench-history ledger.
+    requested one, asserts the results are bit-identical and prints the
+    measured wall-clock comparison.
     """
-    import time
-
-    import numpy as np
-
-    from repro import kernels, obs
+    from repro import obs
     from repro.adjacency.csr import build_csr
     from repro.core.bfs import bfs
     from repro.core.connectivity import ConnectivityIndex
     from repro.generators import rmat_graph
-    from repro.obs.bench import update_bench_file
-    from repro.obs.history import DEFAULT_HISTORY_PATH, append_bench_history
 
     ts_range = (0, 1000)
     graph = rmat_graph(args.scale, args.edge_factor, seed=args.seed, ts_range=ts_range)
@@ -245,61 +261,25 @@ def _trace_backend_compare(args: argparse.Namespace, backend) -> None:
 
     if args.workload == "fig10":
         source = int(np.argmax(csr.degrees()))
-        t0 = time.perf_counter()
-        serial = bfs(csr, source, ts_range=ts_range)
-        serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        other = backend.bfs(csr, source, ts_range=ts_range)
-        other_s = time.perf_counter() - t0
-        identical = bool(
-            np.array_equal(serial.dist, other.dist)
-            and np.array_equal(serial.parent, other.parent)
+        _compare_with_serial(
+            args, backend,
+            lambda: bfs(csr, source, ts_range=ts_range),
+            lambda: backend.bfs(csr, source, ts_range=ts_range),
+            lambda a, b: np.array_equal(a.dist, b.dist)
+            and np.array_equal(a.parent, b.parent),
+            lambda r: f"{r.n_levels} levels, {r.n_reached}/{csr.n} reached",
         )
-        detail = f"{serial.n_levels} levels, {serial.n_reached}/{csr.n} reached"
     else:  # fig08
         index = ConnectivityIndex.from_csr(csr)
-        t0 = time.perf_counter()
-        serial = index.random_query_batch(args.queries, seed=args.seed)
-        serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        other = index.random_query_batch(args.queries, seed=args.seed, backend=backend)
-        other_s = time.perf_counter() - t0
-        identical = bool(np.array_equal(serial.connected, other.connected))
-        detail = f"{args.queries} queries, {serial.hops_per_query:.1f} hops/query"
-
-    if not identical:
-        raise SystemExit(
-            f"backend {backend.name!r} results differ from serial — "
-            "determinism contract violated"
+        _compare_with_serial(
+            args, backend,
+            lambda: index.random_query_batch(args.queries, seed=args.seed),
+            lambda: index.random_query_batch(
+                args.queries, seed=args.seed, backend=backend
+            ),
+            lambda a, b: np.array_equal(a.connected, b.connected),
+            lambda r: f"{args.queries} queries, {r.hops_per_query:.1f} hops/query",
         )
-    speedup = serial_s / other_s if other_s > 0 else float("inf")
-    workers = getattr(backend, "workers", 1)
-    _say(
-        args,
-        f"{args.workload}: serial {serial_s:.3f}s vs {backend.name} "
-        f"({workers} workers) {other_s:.3f}s -> speedup {speedup:.2f}x "
-        f"[results identical; {detail}]",
-    )
-    entry = {
-        "kernel": f"trace.{args.workload}[scale={args.scale}]",
-        "group": "trace-backend",
-        "host_seconds": other_s,
-        "extra_info": {
-            "backend": backend.name,
-            "workers": workers,
-            "serial_seconds": serial_s,
-            "speedup_vs_serial": round(speedup, 3),
-            "identical_to_serial": identical,
-            "detail": detail,
-            **kernels.bench_meta(),
-        },
-    }
-    doc = update_bench_file(Path.cwd() / "BENCH_repro.json", [entry])
-    _say(args, f"merged measured comparison into BENCH_repro.json "
-               f"({doc['n_benchmarks']} entries)")
-    record = append_bench_history(Path.cwd() / DEFAULT_HISTORY_PATH, [entry])
-    _say(args, f"appended run to {DEFAULT_HISTORY_PATH} "
-               f"({record['n_kernels']} kernel(s))")
 
 
 def _trace_genscale(args: argparse.Namespace, backend) -> None:
@@ -310,34 +290,29 @@ def _trace_genscale(args: argparse.Namespace, backend) -> None:
     bit-identity, then rebuilds the graph through the streaming
     :func:`~repro.generators.parallel.iter_edge_chunks` path into a
     :class:`~repro.api.DynamicGraph` and reports construction MUPS.
-    Merges a ``trace.genscale`` entry into ``BENCH_repro.json`` and the
-    bench-history ledger, like the other backend-compare workloads.
     """
     import time
 
-    from repro import kernels, obs
+    from repro import obs
     from repro.api import DynamicGraph
     from repro.generators.parallel import iter_edge_chunks
     from repro.generators.rmat import rmat_edges
-    from repro.obs.bench import update_bench_file
-    from repro.obs.history import DEFAULT_HISTORY_PATH, append_bench_history
 
     m = args.edge_factor * (1 << args.scale)
-    with obs.span("trace.generate_serial", scale=args.scale, m=m):
-        t0 = time.perf_counter()
-        s_src, s_dst = rmat_edges(args.scale, m, seed=args.seed)
-        serial_s = time.perf_counter() - t0
-    with obs.span("trace.generate_backend", backend=backend.name, m=m):
-        t0 = time.perf_counter()
-        b_src, b_dst = backend.rmat_edges(args.scale, m, seed=args.seed)
-        other_s = time.perf_counter() - t0
-    identical = bool(np.array_equal(s_src, b_src) and np.array_equal(s_dst, b_dst))
-    if not identical:
-        raise SystemExit(
-            f"backend {backend.name!r} generation differs from serial — "
-            "slice-protocol determinism contract violated"
-        )
-    del s_src, s_dst, b_src, b_dst
+
+    def draw_serial():
+        with obs.span("trace.generate_serial", scale=args.scale, m=m):
+            return rmat_edges(args.scale, m, seed=args.seed)
+
+    def draw_backend():
+        with obs.span("trace.generate_backend", backend=backend.name, m=m):
+            return backend.rmat_edges(args.scale, m, seed=args.seed)
+
+    _compare_with_serial(
+        args, backend, draw_serial, draw_backend,
+        lambda a, b: np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]),
+        lambda r: f"{m} edges",
+    )
     with obs.span("trace.chunked_construction", scale=args.scale, m=m):
         t0 = time.perf_counter()
         g = DynamicGraph.from_edge_chunks(
@@ -347,48 +322,18 @@ def _trace_genscale(args: argparse.Namespace, backend) -> None:
         )
         construct_s = time.perf_counter() - t0
     mups = m / construct_s / 1e6 if construct_s > 0 else float("inf")
-    speedup = serial_s / other_s if other_s > 0 else float("inf")
-    workers = getattr(backend, "workers", 1)
-    detail = (
-        f"{m} edges, chunked construction {g.n_edges} stored edges "
-        f"at {mups:.2f} MUPS"
-    )
     _say(
         args,
-        f"genscale: serial generate {serial_s:.3f}s vs {backend.name} "
-        f"({workers} workers) {other_s:.3f}s -> speedup {speedup:.2f}x "
-        f"[edges identical; {detail}]",
+        f"genscale: chunked construction {g.n_edges} stored edges "
+        f"at {mups:.2f} MUPS",
     )
-    entry = {
-        "kernel": f"trace.genscale[scale={args.scale}]",
-        "group": "trace-backend",
-        "host_seconds": other_s,
-        "extra_info": {
-            "backend": backend.name,
-            "workers": workers,
-            "serial_seconds": serial_s,
-            "speedup_vs_serial": round(speedup, 3),
-            "identical_to_serial": identical,
-            "construct_seconds": round(construct_s, 6),
-            "construct_mups": round(mups, 3),
-            "detail": detail,
-            **kernels.bench_meta(),
-        },
-    }
-    doc = update_bench_file(Path.cwd() / "BENCH_repro.json", [entry])
-    _say(args, f"merged measured comparison into BENCH_repro.json "
-               f"({doc['n_benchmarks']} entries)")
-    record = append_bench_history(Path.cwd() / DEFAULT_HISTORY_PATH, [entry])
-    _say(args, f"appended run to {DEFAULT_HISTORY_PATH} "
-               f"({record['n_kernels']} kernel(s))")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro import kernels, obs
 
     # Warm the compiled kernel tier (no-op without numba) so first-call JIT
-    # compilation can never land inside a timed section, BENCH_repro.json or
-    # the bench-history ledger; the cost is ledgered as ``compile_seconds``.
+    # compilation can never land inside a timed section.
     wu = kernels.warmup()
     if wu["compile_seconds"] > 0:
         _say(
@@ -397,9 +342,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{wu['compile_seconds']:.3f}s (excluded from timings)",
         )
     if args.scale is None:
-        # The figure workloads default to the scale-12 R-MAT instance the
-        # benchmark baseline uses; genscale defaults a bit larger (it is
-        # generation-bound); the quickstart slices stay smaller.
+        # The figure workloads default to a scale-12 R-MAT instance;
+        # genscale defaults a bit larger (it is generation-bound); the
+        # quickstart slices stay smaller.
         if args.workload in ("fig08", "fig10"):
             args.scale = 12
         elif args.workload == "genscale":
@@ -459,49 +404,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         p = obs.write_folded(args.folded, memory.events)
         _say(args, f"wrote folded stacks (flamegraph.pl et al.) -> {p}")
     return 0
-
-
-#: ``repro bench`` exit codes (documented in ``--help`` and DOCS).
-BENCH_EXIT_CLEAN = 0
-BENCH_EXIT_USAGE = 2
-BENCH_EXIT_DRIFT = 3
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.history import (
-        HistoryError,
-        diff_records,
-        format_diff,
-        format_trend,
-        load_history,
-        select_record,
-        trend_rows,
-    )
-
-    records = load_history(args.history)
-    try:
-        if args.bench_command == "diff":
-            a = select_record(records, args.a)
-            b = select_record(records, args.b)
-            rows = diff_records(a, b)
-            print(format_diff(a, b, rows, threshold=args.threshold))
-            drifted = [
-                r for r in rows
-                if r["delta_pct"] is not None and abs(r["delta_pct"]) > args.threshold
-            ]
-        else:  # trend
-            rows = trend_rows(records)
-            print(format_trend(records, rows, threshold=args.threshold))
-            drifted = [
-                r for r in rows
-                if r["total_pct"] is not None and abs(r["total_pct"]) > args.threshold
-            ]
-    except HistoryError as exc:
-        print(f"error: {exc}")
-        return BENCH_EXIT_USAGE
-    if args.fail_on_drift and drifted:
-        return BENCH_EXIT_DRIFT
-    return BENCH_EXIT_CLEAN
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
@@ -875,28 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-manifest", action="store_true",
                    help="skip run-manifest capture/stamping (fast scripted runs)")
     p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "bench", help="inspect the bench-history ledger (diff/trend across runs)"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    for name, help_text in (
-        ("diff", "per-kernel deltas between two recorded runs"),
-        ("trend", "per-kernel trajectory across all recorded runs"),
-    ):
-        bp = bench_sub.add_parser(name, help=help_text)
-        if name == "diff":
-            bp.add_argument("a", help="run selector: index, latest/previous/first, "
-                                      "or manifest-id/git-sha prefix")
-            bp.add_argument("b", help="run selector (positive %% = B slower than A)")
-        bp.add_argument("--history", default=str(Path("benchmarks") / "history.jsonl"),
-                        help="ledger path (default: benchmarks/history.jsonl)")
-        bp.add_argument("--threshold", type=float, default=25.0,
-                        help="drift flag threshold in %% (default: 25)")
-        bp.add_argument("--fail-on-drift", action="store_true",
-                        help="exit 3 when any kernel drifts beyond the threshold "
-                             "(0 = clean, 2 = usage/ledger error)")
-        bp.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "kernels", help="show the compiled-kernel tier dispatch state"

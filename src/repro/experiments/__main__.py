@@ -17,43 +17,18 @@ meta — to a report file; the nightly CI job uploads this as its artifact.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
 
-from repro.experiments import FIGURE_MODULES, FigureResult, get_figure
-from repro.experiments.report import ABLATIONS, ablation_runners, figure_index_table
+from repro.experiments import FIGURE_MODULES, get_figure
+from repro.experiments.report import (
+    ABLATIONS,
+    ablation_runners,
+    figure_index_table,
+    figure_to_dict,
+)
 from repro.obs import ensure_manifest
-from repro.util.jsonify import jsonify
-
-
-def _result_dict(name: str, result: FigureResult) -> dict:
-    """Flatten one figure result for the JSON report."""
-    return {
-        "module": name,
-        "figure": result.figure,
-        "title": result.title,
-        "notes": result.notes,
-        "all_passed": result.all_passed,
-        "checks": {
-            desc: {"passed": ok, "detail": detail}
-            for desc, (ok, detail) in result.checks.items()
-        },
-        "rows": result.rows,
-        "meta": result.meta,
-        "series": [
-            {
-                "label": s.label,
-                "machine": s.result.machine,
-                "threads": list(s.result.threads),
-                "seconds": s.result.seconds,
-                "speedups": s.result.speedups,
-                "mups": s.result.mups,
-            }
-            for s in result.series
-        ],
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,20 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write a machine-readable report of every result",
     )
     parser.add_argument(
-        "--backend",
-        default="serial",
-        choices=["serial", "process"],
-        help="graph-generation backend for the figures that accept one "
-             "(process = communication-free parallel R-MAT on the worker "
-             "pool, bit-identical to serial; see docs/GENERATORS.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-backend worker count (default: visible CPUs)",
-    )
-    parser.add_argument(
         "--memprof",
         action="store_true",
         help="measure peak heap/RSS of each figure's kernel "
@@ -125,19 +86,10 @@ def main(argv: list[str] | None = None) -> int:
     failed = 0
     report: list[dict] = []
     for name in args.figures:
-        run = get_figure(name)
-        kwargs = {}
-        # Only some figures take an execution backend; pass it through
-        # where the signature accepts it so the rest stay untouched.
-        params = inspect.signature(run).parameters
-        if "backend" in params:
-            kwargs["backend"] = args.backend
-            if "workers" in params:
-                kwargs["workers"] = args.workers
-        result = run(quick=not args.full, **kwargs)
+        result = get_figure(name)(quick=not args.full)
         print(result.render())
         print()
-        report.append(_result_dict(name, result))
+        report.append({"module": name, **figure_to_dict(result)})
         if not result.all_passed:
             failed += 1
 
@@ -146,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             result = fn(quick=not args.full)
             print(result.render())
             print()
-            report.append(_result_dict(fn.__name__, result))
+            report.append({"module": fn.__name__, **figure_to_dict(result)})
             if not result.all_passed:
                 failed += 1
 
@@ -158,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             "n_failed": failed,
             "results": report,
         }
-        Path(args.json).write_text(json.dumps(jsonify(doc), indent=2, sort_keys=True))
+        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True))
         print(f"wrote report for {len(report)} experiment(s) to {args.json}")
 
     if failed:

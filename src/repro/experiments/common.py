@@ -29,7 +29,6 @@ __all__ = [
     "SeriesSpec",
     "FigureResult",
     "measured_scale",
-    "attach_backend_comparison",
     "footprint_coefficients",
     "measured_memory_meta",
     "scaled_sweep",
@@ -134,54 +133,6 @@ class FigureResult:
                 mark = "PASS" if ok else "FAIL"
                 lines.append(f"[{mark}] {desc}" + (f" ({detail})" if detail else ""))
         return "\n".join(lines)
-
-
-def attach_backend_comparison(
-    fig: FigureResult,
-    *,
-    kernel: str,
-    backend_name: str,
-    workers: int,
-    serial_seconds: float,
-    backend_seconds: float,
-    identical: bool,
-    detail: str = "",
-) -> None:
-    """Record a measured serial-vs-backend run next to the simulated curves.
-
-    The scaling series above are *simulated* (machine/scale.py); when an
-    experiment is run with ``backend="process"`` it also times the measured
-    kernel under both backends on this host.  The comparison lands as a
-    result row (so ``render()`` prints it beside the sweep tables), a meta
-    block (so exported JSON carries it), and a correctness check — the
-    process drivers' contract is bit-identical results, so any mismatch
-    fails the figure.
-    """
-    speedup = serial_seconds / backend_seconds if backend_seconds > 0 else 0.0
-    fig.rows.append(
-        {
-            "kernel": kernel,
-            "backend": backend_name,
-            "workers": workers,
-            "serial_s": round(serial_seconds, 4),
-            "backend_s": round(backend_seconds, 4),
-            "speedup": round(speedup, 2),
-        }
-    )
-    fig.meta["measured_backend"] = {
-        "kernel": kernel,
-        "backend": backend_name,
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "backend_seconds": backend_seconds,
-        "speedup_vs_serial": speedup,
-        "identical_to_serial": identical,
-    }
-    fig.check(
-        f"{backend_name} backend bit-identical to serial ({kernel})",
-        identical,
-        detail or f"speedup {speedup:.2f}x with {workers} workers",
-    )
 
 
 def measured_memory_meta(mem) -> dict:

@@ -34,16 +34,11 @@ TARGET_SCALES = (14, 16, 18, 20, 22, 24)
 EDGE_FACTOR = 10
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     """Reproduce Figure 1 (a: 1 core, b: 8 cores)."""
     mscale = measured_scale(15, 12, quick)
     n0 = 1 << mscale
-    graph = rmat_graph(mscale, EDGE_FACTOR, seed=seed, backend=backend, workers=workers)
+    graph = rmat_graph(mscale, EDGE_FACTOR, seed=seed)
     arcs0 = 2 * graph.m
     deg = np.bincount(graph.src, minlength=graph.n) + np.bincount(
         graph.dst, minlength=graph.n
@@ -90,7 +85,6 @@ def run(
         ),
         meta={
             "measured_scale": mscale,
-            "gen_backend": backend,
             "targets": TARGET_SCALES,
             "host_seconds": res.host_seconds,
             "host_mups": res.profile.meta.get("host_mups", 0.0),

@@ -33,14 +33,9 @@ TARGET_M = 268_000_000
 INITIAL_SIZE = 16
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(15, 12, quick)
-    graph = rmat_graph(mscale, 10, seed=seed, backend=backend, workers=workers)
+    graph = rmat_graph(mscale, 10, seed=seed)
     n0, m0 = graph.n, graph.m
     deg = np.bincount(graph.src, minlength=n0) + np.bincount(graph.dst, minlength=n0)
 
@@ -79,7 +74,7 @@ def run(
         title="Dyn-arr vs Dyn-arr-nr construction MUPS, UltraSPARC T2",
         series=series,
         notes=f"measured at n=2^{mscale}; target 33.5M vertices / 268M edges",
-        meta={"measured_scale": mscale, "gen_backend": backend, "host": host},
+        meta={"measured_scale": mscale, "host": host},
     )
     da = fig.get("Dyn-arr")
     nr = fig.get("Dyn-arr-nr")

@@ -38,14 +38,9 @@ TARGET_N = 1 << 25
 TARGET_M = 268_000_000
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(15, 12, quick)
-    graph = rmat_graph(mscale, 10, seed=seed, backend=backend, workers=workers)
+    graph = rmat_graph(mscale, 10, seed=seed)
     n0, m0 = graph.n, graph.m
     deg = np.bincount(graph.src, minlength=n0) + np.bincount(graph.dst, minlength=n0)
 
@@ -98,7 +93,7 @@ def run(
         title="Insertion strategies on 8 cores: Dyn-arr-nr vs batched/Vpart/Epart",
         series=series,
         notes=f"measured at n=2^{mscale}; batched series is the semi-sort lower-bound cost",
-        meta={"measured_scale": mscale, "gen_backend": backend, "host": host},
+        meta={"measured_scale": mscale, "host": host},
     )
 
     for tag, full in (("T2", 64), ("T1", 32)):

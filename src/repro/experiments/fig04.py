@@ -41,14 +41,9 @@ def make_reps(n: int, expected_arcs: int, seed: int):
     )
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(14, 11, quick)
-    graph = rmat_graph(mscale, 10, seed=seed, backend=backend, workers=workers)
+    graph = rmat_graph(mscale, 10, seed=seed)
     n0, m0 = graph.n, graph.m
 
     series = []
@@ -84,7 +79,7 @@ def run(
         title="Construction MUPS: Dyn-arr vs Treaps vs Hybrid, UltraSPARC T2",
         series=series,
         notes=f"measured at n=2^{mscale}; target 33.5M / 268M",
-        meta={"measured_scale": mscale, "gen_backend": backend, "host": host},
+        meta={"measured_scale": mscale, "host": host},
     )
     da = fig.get("Dyn-arr")
     tr = fig.get("Treaps")

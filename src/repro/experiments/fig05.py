@@ -39,14 +39,9 @@ TARGET_DELETES = 20_000_000
 TARGET_SCALE = 25
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(14, 11, quick)
-    graph = rmat_graph(mscale, 10, seed=seed, backend=backend, workers=workers)
+    graph = rmat_graph(mscale, 10, seed=seed)
     n0, m0 = graph.n, graph.m
     # Same deletion fraction as the paper: 20M of 268M edges.
     k_del = max(1, int(round(m0 * TARGET_DELETES / TARGET_M)))
@@ -101,7 +96,7 @@ def run(
             f"measured at n=2^{mscale} with {k_del} deletions "
             f"(paper ratio: 20M of 268M edges)"
         ),
-        meta={"measured_scale": mscale, "k_del": k_del, "gen_backend": backend, "host": host},
+        meta={"measured_scale": mscale, "k_del": k_del, "host": host},
     )
     da = fig.get("Dyn-arr")
     tr = fig.get("Treaps")

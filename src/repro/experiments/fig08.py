@@ -8,16 +8,11 @@ the paper's headline rate for this network is 7.3M queries per second.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.core.connectivity import ConnectivityIndex
 from repro.experiments.common import (
     FigureResult,
     SeriesSpec,
     T2_THREADS,
-    attach_backend_comparison,
     measured_scale,
     scaled_sweep,
 )
@@ -32,12 +27,7 @@ __all__ = ["run", "TARGET_QUERIES"]
 TARGET_QUERIES = 1_000_000
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(15, 12, quick)
     graph, csr, forest, record = build_measured_forest(mscale, seed)
     n0, m0 = graph.n, graph.m
@@ -45,9 +35,7 @@ def run(
 
     index = ConnectivityIndex(forest, record)
     query_seed = mix_seed(seed, "fig08-queries")
-    t0 = time.perf_counter()
     qr = index.random_query_batch(k_measured, seed=query_seed)
-    serial_seconds = time.perf_counter() - t0
 
     # The query working set is the parent array; hop counts per query grow
     # with the BFS-tree depth, O(log n) for small-world graphs — captured by
@@ -119,25 +107,4 @@ def run(
         s.speedup_at(64) >= s.speedup_at(32),
         f"{s.speedup_at(64):.1f} vs {s.speedup_at(32):.1f}",
     )
-    if backend != "serial":
-        # Same seed → same query pairs; only the execution policy differs.
-        t0 = time.perf_counter()
-        qr_be = index.random_query_batch(
-            k_measured, seed=query_seed, backend=backend, workers=workers
-        )
-        backend_seconds = time.perf_counter() - t0
-        identical = (
-            np.array_equal(qr.connected, qr_be.connected)
-            and qr.total_hops == qr_be.total_hops
-        )
-        be_workers = qr_be.profile.meta.get("workers", workers) or 1
-        attach_backend_comparison(
-            fig,
-            kernel="connectivity queries",
-            backend_name=str(backend),
-            workers=int(be_workers),
-            serial_seconds=serial_seconds,
-            backend_seconds=backend_seconds,
-            identical=identical,
-        )
     return fig

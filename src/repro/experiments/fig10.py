@@ -8,8 +8,6 @@ parallel speedup of 13.1.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.adjacency.csr import build_csr
@@ -17,7 +15,6 @@ from repro.core.bfs import bfs, bfs_profile
 from repro.experiments.common import (
     FigureResult,
     P570_CPUS,
-    attach_backend_comparison,
     measured_scale,
     scaled_sweep,
 )
@@ -35,12 +32,7 @@ EDGE_FACTOR = 8
 TS_RANGE = (0, 1000)
 
 
-def run(
-    quick: bool = False,
-    seed: int = DEFAULT_SEED,
-    backend: str = "serial",
-    workers: int | None = None,
-) -> FigureResult:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     mscale = measured_scale(15, 12, quick)
     graph = rmat_graph(mscale, EDGE_FACTOR, seed=seed, ts_range=TS_RANGE)
     csr = build_csr(graph)
@@ -51,9 +43,7 @@ def run(
     # paper does ("time-stamps on edges such that the entire graph is in one
     # giant component").
     source = int(np.argmax(csr.degrees()))
-    t0 = time.perf_counter()
     result = bfs(csr, source, ts_range=TS_RANGE)
-    serial_seconds = time.perf_counter() - t0
     profile = bfs_profile(csr, result, degree_split=True)
 
     inst = ScaledInstance(
@@ -101,30 +91,4 @@ def run(
         result.n_reached >= 0.5 * n0,
         f"reached {result.n_reached} of {n0}",
     )
-    if backend != "serial":
-        from repro.parallel.backend import resolve_backend
-
-        be, owned = resolve_backend(backend, workers=workers)
-        try:
-            t0 = time.perf_counter()
-            presult = be.bfs(csr, source, ts_range=TS_RANGE)
-            backend_seconds = time.perf_counter() - t0
-        finally:
-            if owned:
-                be.close()
-        identical = (
-            np.array_equal(result.dist, presult.dist)
-            and np.array_equal(result.parent, presult.parent)
-            and result.frontier_sizes == presult.frontier_sizes
-            and result.edges_scanned == presult.edges_scanned
-        )
-        attach_backend_comparison(
-            fig,
-            kernel="time-stamped BFS",
-            backend_name=be.name,
-            workers=getattr(be, "workers", 1),
-            serial_seconds=serial_seconds,
-            backend_seconds=backend_seconds,
-            identical=identical,
-        )
     return fig

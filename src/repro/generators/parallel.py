@@ -22,10 +22,10 @@ Three layers build on the slice protocol:
   list is never resident), feeding the ``UpdateStream`` builders and
   :func:`~repro.core.update_engine.apply_stream` at scales where the
   materialised list would not fit in memory;
-* :func:`rmat_edges_parallel` / :func:`rmat_graph_parallel` — a
-  :class:`~repro.parallel.pool.WorkerPool` driver generating slices in
-  parallel into a :class:`~repro.parallel.shm.ShmArena`, behind the
-  ``backend="process"`` switch of :func:`~repro.generators.rmat.rmat_graph`.
+* :func:`rmat_edges_parallel` — a :class:`~repro.parallel.pool.WorkerPool`
+  driver generating slices in parallel into a
+  :class:`~repro.parallel.shm.ShmArena`, behind the ``backend="process"``
+  switch of :func:`~repro.generators.rmat.rmat_graph`.
 
 Time-stamps in the streaming path follow their own sliceable rule
 (:func:`uniform_timestamps_range`): the serial
@@ -34,8 +34,8 @@ integer rejection sampling, whose variable draw consumption cannot be
 jumped over, so the sliced rule instead floors one uniform double per
 edge, drawn from a :func:`~repro.util.seeding.mix_seed`-derived stream at
 the edge's *global* offset — time labels too are independent of the
-slicing.  (The fully materialised :func:`rmat_graph_parallel` keeps the
-serial time-stamp rule, so its output is bit-identical to
+slicing.  (The fully materialised ``rmat_graph(backend="process")`` keeps
+the serial time-stamp rule, so its output is bit-identical to the serial
 :func:`~repro.generators.rmat.rmat_graph` end to end.)
 """
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
-from repro.generators.rmat import PAPER_RMAT, RMATParams
+from repro.generators.rmat import PAPER_RMAT, RMATParams, _draw_level
 from repro.generators.streams import INSERT, UpdateStream
 from repro.obs import METRICS
 from repro.util.seeding import DEFAULT_SEED, mix_seed
@@ -65,7 +65,6 @@ __all__ = [
     "iter_edge_chunks",
     "iter_update_chunks",
     "rmat_edges_parallel",
-    "rmat_graph_parallel",
 ]
 
 #: Default streaming chunk size: 2^18 edges = 4 MiB per int64 endpoint
@@ -157,26 +156,12 @@ def rmat_edges_range(
     k = hi - lo
     src = np.zeros(k, dtype=np.int64)
     dst = np.zeros(k, dtype=np.int64)
-    a, b, c, d = params.as_tuple()
     stride = _level_stride(params, m)
     for level in range(scale):
-        g = _generator_at(seed_int, level * stride)
-        if params.noise > 0.0:
-            # Same jitter arithmetic as the serial generator, drawn from
-            # the same four stream positions at the start of the level.
-            jitter = 1.0 + params.noise * (2.0 * g.random(4) - 1.0)
-            pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
-            s = pa + pb + pc + pd
-            pa, pb, pc = pa / s, pb / s, pc / s
-        else:
-            pa, pb, pc = a, b, c
-        g.bit_generator.advance(lo)
-        u = g.random(k)
-        dst_bit = ((u >= pa) & (u < pa + pb)) | (u >= pa + pb + pc)
-        src_bit = u >= pa + pb
-        bit = np.int64(1) << np.int64(scale - 1 - level)
-        src += bit * src_bit
-        dst += bit * dst_bit
+        _draw_level(
+            _generator_at(seed_int, level * stride),
+            params, scale - 1 - level, src, dst, skip=lo,
+        )
     return src, dst
 
 
@@ -408,13 +393,13 @@ def rmat_edges_parallel(
 
     if m < 0:
         raise GraphError(f"edge count must be >= 0, got {m}")
+    if n_slices is not None and n_slices <= 0:
+        raise GraphError(f"n_slices must be positive, got {n_slices}")
     seed_int = _require_int_seed(seed)
     owned = pool is None
     if pool is None:
         pool = WorkerPool(workers)
-    slices = int(n_slices) if n_slices else pool.workers
-    if slices <= 0:
-        raise GraphError(f"n_slices must be positive, got {n_slices}")
+    slices = pool.workers if n_slices is None else int(n_slices)
     arrays = {
         "gen_src": np.empty(m, dtype=np.int64),
         "gen_dst": np.empty(m, dtype=np.int64),
@@ -459,54 +444,6 @@ def rmat_edges_parallel(
         if owned:
             pool.shutdown()
     return src, dst, ts
-
-
-def rmat_graph_parallel(
-    scale: int,
-    edge_factor: int = 10,
-    *,
-    m: int | None = None,
-    params: RMATParams = PAPER_RMAT,
-    seed: int | None = None,
-    ts_range: tuple[int, int] | None = None,
-    directed: bool = False,
-    pool: "WorkerPool | None" = None,
-    workers: int | None = None,
-    n_slices: int | None = None,
-) -> EdgeList:
-    """Parallel drop-in for :func:`~repro.generators.rmat.rmat_graph`.
-
-    Topology comes from :func:`rmat_edges_parallel`; time labels keep the
-    *serial* rule (drawn in the parent from the same
-    ``mix_seed(seed, "timestamps")`` stream ``rmat_graph`` uses), so for
-    an integer seed the returned :class:`EdgeList` is bit-identical to
-    ``rmat_graph(scale, edge_factor, m=m, params=params, seed=seed,
-    ts_range=ts_range)`` — generation backend is purely an execution
-    policy, like the kernel backends.
-    """
-    from repro.generators.timestamps import uniform_timestamps
-
-    seed_int = _require_int_seed(seed)
-    n = 1 << scale
-    if m is None:
-        m = edge_factor * n
-    src, dst, _ = rmat_edges_parallel(
-        scale, m, params=params, seed=seed_int, pool=pool, workers=workers,
-        n_slices=n_slices,
-    )
-    ts = None
-    if ts_range is not None:
-        ts = uniform_timestamps(
-            m, ts_range[0], ts_range[1], mix_seed(seed_int, "timestamps")
-        )
-    return EdgeList(
-        n,
-        src,
-        dst,
-        ts=ts,
-        directed=directed,
-        meta={"generator": "rmat", "scale": scale, "params": params.as_tuple()},
-    )
 
 
 def _register_pool_task() -> None:

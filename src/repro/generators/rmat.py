@@ -63,6 +63,42 @@ class RMATParams:
 PAPER_RMAT = RMATParams(0.6, 0.15, 0.15, 0.10)
 
 
+def _draw_level(
+    rng: np.random.Generator,
+    params: RMATParams,
+    shift: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    skip: int = 0,
+) -> None:
+    """One recursion level: add bit ``shift`` to the endpoints each edge draws.
+
+    ``rng`` stands at the level's first draw: the four jitter draws when
+    ``params.noise > 0``, then one uniform double per edge of the whole
+    stream.  ``skip`` jumps the edge draws that precede ``src``/``dst``'s
+    range (:func:`repro.generators.parallel.rmat_edges_range`); the serial
+    generator owns the whole level and skips nothing.
+    """
+    a, b, c, d = params.as_tuple()
+    if params.noise > 0.0:
+        # Multiplicative jitter, renormalised, one draw per level.
+        jitter = 1.0 + params.noise * (2.0 * rng.random(4) - 1.0)
+        pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
+        s = pa + pb + pc + pd
+        pa, pb, pc = pa / s, pb / s, pc / s
+    else:
+        pa, pb, pc = a, b, c
+    if skip:  # only the sliced path jumps: a caller's Generator may lack advance()
+        rng.bit_generator.advance(skip)
+    u = rng.random(src.size)
+    # Cumulative thresholds for quadrant selection.
+    dst_bit = ((u >= pa) & (u < pa + pb)) | (u >= pa + pb + pc)
+    src_bit = u >= pa + pb
+    bit = np.int64(1) << np.int64(shift)
+    src += bit * src_bit
+    dst += bit * dst_bit
+
+
 def rmat_edges(
     scale: int,
     m: int,
@@ -82,23 +118,8 @@ def rmat_edges(
     rng = make_rng(seed)
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    a, b, c, d = params.as_tuple()
-    # Cumulative thresholds for quadrant selection.
     for level in range(scale):
-        if params.noise > 0.0:
-            # Multiplicative jitter, renormalised, one draw per level.
-            jitter = 1.0 + params.noise * (2.0 * rng.random(4) - 1.0)
-            pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
-            s = pa + pb + pc + pd
-            pa, pb, pc = pa / s, pb / s, pc / s
-        else:
-            pa, pb, pc = a, b, c
-        u = rng.random(m)
-        dst_bit = ((u >= pa) & (u < pa + pb)) | (u >= pa + pb + pc)
-        src_bit = u >= pa + pb
-        bit = np.int64(1) << np.int64(scale - 1 - level)
-        src += bit * src_bit
-        dst += bit * dst_bit
+        _draw_level(rng, params, scale - 1 - level, src, dst)
     return src, dst
 
 

@@ -79,7 +79,6 @@ __all__ = [
     "get",
     "force_available",
     "warmup",
-    "bench_meta",
     "describe",
     "RULE_CODES",
     "COMP_CODES",
@@ -313,8 +312,8 @@ def warmup(force: bool = False) -> dict[str, Any]:
 
     Each kernel is invoked twice on tiny inputs: the first (cold) call
     triggers compilation, the second (warm) call measures steady-state
-    dispatch, and the difference is reported as ``compile_seconds`` — the
-    quantity benchmark plumbing records separately from kernel timings.
+    dispatch, and the difference is reported as ``compile_seconds``,
+    separate from kernel timings.
     Results are cached (``cached`` is True on repeat calls) unless
     ``force``; without numba this is a cheap no-op reporting zeros.
     """
@@ -350,21 +349,6 @@ def warmup(force: bool = False) -> dict[str, Any]:
         "cached": False,
     }
     return dict(_warmup_info)
-
-
-def bench_meta() -> dict[str, Any]:
-    """Tier provenance for benchmark rows (warms up as a side effect).
-
-    The dict — ``kernel_tier`` plus the warmup's ``compile_seconds`` —
-    is what ``benchmarks/conftest.py`` and the trace CLI stamp into
-    ``BENCH_repro.json`` entries so timings across tiers stay comparable
-    and compile cost is visible but never mixed into kernel seconds.
-    """
-    info = warmup()
-    return {
-        "kernel_tier": default_tier(),
-        "compile_seconds": float(info["compile_seconds"]),
-    }
 
 
 def describe() -> dict[str, Any]:

@@ -16,8 +16,6 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
   (tracemalloc + RSS);
 * :mod:`repro.obs.export` — Chrome-trace / speedscope / folded-stack
   exporters over recorded span streams;
-* :mod:`repro.obs.history` — the append-only bench-history ledger behind
-  ``python -m repro bench diff/trend``;
 * :mod:`repro.obs.live` — background telemetry collector (ring-buffer
   time series with windowed rollups) and the worker watchdog;
 * :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency

@@ -1,7 +1,7 @@
 """Continuous telemetry: background collection, time-series windows, watchdog.
 
-Everything in :mod:`repro.obs` so far is *post-hoc*: traces, bench ledgers
-and manifests are written while a run executes but read after it finishes.
+Everything in :mod:`repro.obs` so far is *post-hoc*: traces and manifests
+are written while a run executes but read after it finishes.
 A long-running service (the streaming-connectivity server the ROADMAP
 builds toward) needs the complementary *live* view — what is the process
 doing right now, and is anything wedged.  This module provides it in three

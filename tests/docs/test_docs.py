@@ -92,16 +92,16 @@ def test_detects_missing_path_reference(doc_dir):
     assert len(problems) == 1 and "src/repro/nope.py" in problems[0]
 
 
-def test_generated_paths_may_be_absent_but_nothing_else(doc_dir):
+def test_no_path_is_exempt_for_being_a_run_artifact(doc_dir):
+    # A fresh checkout must satisfy the docs: a named path that does not
+    # exist is a problem even when it is a gitignored output such as
+    # ``report.json``.
     md = doc_dir / "docs" / "X.md"
     md.write_text(
-        "the ledger `benchmarks/history.jsonl` feeds [the snapshot](../BENCH_repro.json)\n"
-        "but `benchmarks/other.jsonl` and [this](../BENCH_other.json) are typos\n"
+        "the run writes `benchmarks/results.jsonl` and [a report](../report.json)\n"
     )
-    for generated in check_docs.GENERATED_PATHS:
-        assert not (doc_dir / generated).exists()
     problems = check_docs.check_links(md)
-    assert len(problems) == 2 and all(p.startswith("docs/X.md:2:") for p in problems)
+    assert len(problems) == 2 and all(p.startswith("docs/X.md:1:") for p in problems)
 
 
 def test_path_references_inside_code_fences_are_ignored(doc_dir):

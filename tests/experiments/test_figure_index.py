@@ -3,16 +3,15 @@
 Three sync directions are pinned: the markdown block between the
 ``GENERATED FIGURE INDEX`` markers equals :func:`figure_index_table`
 verbatim; every metadata row matches what the figure module actually does
-(title strings in the source, ``backend`` keyword in the run signature);
-and every referenced benchmark file exists on disk.
+(title strings in the source); and every referenced benchmark file exists
+on disk.
 """
 
 from __future__ import annotations
 
-import inspect
 from pathlib import Path
 
-from repro.experiments import FIGURE_MODULES, get_figure
+from repro.experiments import FIGURE_MODULES
 from repro.experiments.report import FIGURE_INDEX, figure_index_table
 
 REPO = Path(__file__).resolve().parents[2]
@@ -35,13 +34,6 @@ def test_benchmark_files_exist():
     for name, meta in FIGURE_INDEX.items():
         path = REPO / meta["benchmark"]
         assert path.is_file(), f"{name}: missing benchmark {meta['benchmark']}"
-
-
-def test_backends_column_matches_runner_signature():
-    for name, meta in FIGURE_INDEX.items():
-        params = inspect.signature(get_figure(name)).parameters
-        expected = "serial, process" if "backend" in params else "serial"
-        assert meta["backends"] == expected, name
 
 
 def test_titles_match_module_source():

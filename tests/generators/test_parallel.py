@@ -20,7 +20,6 @@ from repro.generators.parallel import (
     rmat_edges_parallel,
     rmat_edges_range,
     rmat_edges_slice,
-    rmat_graph_parallel,
     slice_bounds,
     uniform_timestamps_range,
 )
@@ -234,14 +233,6 @@ class TestParallelDriver:
         np.testing.assert_array_equal(ref_dst, dst)
         np.testing.assert_array_equal(ref_ts, ts)
 
-    def test_graph_parallel_matches_rmat_graph(self, pool):
-        a = rmat_graph(7, 6, seed=13, ts_range=(0, 200))
-        b = rmat_graph_parallel(7, 6, seed=13, ts_range=(0, 200), pool=pool)
-        np.testing.assert_array_equal(a.src, b.src)
-        np.testing.assert_array_equal(a.dst, b.dst)
-        np.testing.assert_array_equal(a.timestamps(), b.timestamps())
-        assert a.meta == b.meta
-
     def test_rmat_graph_backend_switch(self, pool):
         from repro.parallel.backend import ProcessBackend
 
@@ -252,6 +243,12 @@ class TestParallelDriver:
         np.testing.assert_array_equal(a.src, b.src)
         np.testing.assert_array_equal(a.dst, b.dst)
         np.testing.assert_array_equal(a.timestamps(), b.timestamps())
+
+    def test_zero_slices_rejected_like_the_slice_protocol(self, pool):
+        # 0 is not "default to one slice per worker": slice_bounds and
+        # iter_edge_chunks reject it, and so does the driver.
+        with pytest.raises(GraphError, match="n_slices must be positive"):
+            rmat_edges_parallel(6, 100, seed=3, pool=pool, n_slices=0)
 
     def test_worker_crash_surfaces_and_pool_survives(self, pool):
         # An invalid time range is only validated worker-side, so the task

@@ -1,10 +1,9 @@
 """The warmup contract: compile cost measured once, reported separately.
 
 Benchmark plumbing (``benchmarks/conftest.py``, ``repro trace``) calls
-:func:`repro.kernels.warmup` before any timed section and stamps
-``bench_meta()`` into recorded rows, so first-call JIT compilation can
-never contaminate kernel timings — it is ledgered as ``compile_seconds``
-instead.
+:func:`repro.kernels.warmup` before any timed section, so first-call JIT
+compilation can never contaminate kernel timings — it is reported as
+``compile_seconds`` instead.
 """
 
 import numpy as np
@@ -43,13 +42,6 @@ def test_warmup_compiles_every_kernel():
         assert stats["compile_seconds"] == max(
             stats["cold_seconds"] - stats["warm_seconds"], 0.0
         )
-
-
-def test_bench_meta_keys():
-    meta = kernels.bench_meta()
-    assert meta["kernel_tier"] == kernels.default_tier()
-    assert isinstance(meta["compile_seconds"], float)
-    assert meta["compile_seconds"] >= 0.0
 
 
 def test_warmup_calls_are_valid_invocations():

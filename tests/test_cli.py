@@ -147,15 +147,10 @@ class TestSimulate:
 
 class TestTraceFlagsAndExporters:
     WORKLOADS = ["quickstart", "updates", "bfs", "connectivity",
-                 "components", "connectit", "fig08", "fig10"]
+                 "components", "connectit", "fig08", "fig10", "genscale"]
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_every_workload_quiet_no_manifest(
-        self, workload, tmp_path, monkeypatch, capsys
-    ):
-        # fig08/fig10 write BENCH_repro.json + benchmarks/history.jsonl
-        # into the cwd; keep that inside the temp dir.
-        monkeypatch.chdir(tmp_path)
+    def test_every_workload_quiet_no_manifest(self, workload, tmp_path, capsys):
         assert main([
             "trace", workload, "--scale", "8", "--edge-factor", "4",
             "--updates", "100", "--queries", "400",
@@ -201,74 +196,49 @@ class TestTraceFlagsAndExporters:
         assert not memory_profiling_enabled()
         assert not obs.tracing_enabled()
 
-    def test_fig08_appends_history(self, tmp_path, monkeypatch, capsys):
-        from repro.obs.history import load_history
-
+    def test_backend_compare_writes_only_the_out_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(tmp_path)
-        for _ in range(2):
+        for workload in ("fig08", "fig10", "genscale"):
             assert main([
-                "trace", "fig08", "--scale", "8", "--edge-factor", "4",
-                "--queries", "400", "--quiet", "--out", str(tmp_path / "t.jsonl"),
+                "trace", workload, "--scale", "8", "--edge-factor", "4",
+                "--queries", "400", "--out", "t.jsonl",
             ]) == 0
+            assert "speedup" in capsys.readouterr().out
+            assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+    @pytest.mark.parametrize("workload", ["fig08", "fig10", "genscale"])
+    def test_backend_result_differing_from_serial_exits_nonzero(
+        self, workload, tmp_path, monkeypatch, capsys
+    ):
+        from repro.parallel.backend import SerialBackend
+
+        class Lossy(SerialBackend):
+            def bfs(self, *args, **kwargs):
+                res = super().bfs(*args, **kwargs)
+                res.dist[0] += 1
+                return res
+
+            def query_batch(self, *args, **kwargs):
+                answers, hops = super().query_batch(*args, **kwargs)
+                answers[0] ^= True
+                return answers, hops
+
+            def rmat_edges(self, *args, **kwargs):
+                src, dst = super().rmat_edges(*args, **kwargs)
+                src[0] ^= 1
+                return src, dst
+
+        monkeypatch.setattr(
+            "repro.__main__._resolve_trace_backend", lambda args: Lossy()
+        )
+        with pytest.raises(SystemExit, match="differ from serial"):
+            main([
+                "trace", workload, "--scale", "8", "--edge-factor", "4",
+                "--queries", "400", "--quiet", "--out", str(tmp_path / "t.jsonl"),
+            ])
         capsys.readouterr()
-        records = load_history(tmp_path / "benchmarks" / "history.jsonl")
-        assert len(records) == 2
-        assert all("trace.fig08[scale=8]" in r["kernels"] for r in records)
-
-
-class TestBench:
-    def seed_history(self, path, values):
-        from repro.obs.history import append_bench_history
-
-        for i, v in enumerate(values):
-            append_bench_history(
-                path,
-                [{"kernel": "k", "host_seconds": v}],
-                manifest={"id": f"m{i}", "git_sha": f"sha{i}",
-                          "created": f"2026-08-0{i + 1}T00:00:00Z"},
-            )
-
-    def test_diff_prints_percentage(self, tmp_path, capsys):
-        hist = tmp_path / "history.jsonl"
-        self.seed_history(hist, [1.0, 2.0])
-        assert main(["bench", "diff", "first", "latest",
-                     "--history", str(hist)]) == 0
-        out = capsys.readouterr().out
-        assert "+100.0%" in out and "!! drift" in out
-
-    def test_diff_fail_on_drift(self, tmp_path, capsys):
-        from repro.__main__ import BENCH_EXIT_CLEAN, BENCH_EXIT_DRIFT
-
-        hist = tmp_path / "history.jsonl"
-        self.seed_history(hist, [1.0, 2.0])
-        # Drift has its own exit code (3), distinct from usage errors (2),
-        # so CI scripts can branch on the failure mode.
-        assert main(["bench", "diff", "0", "-1", "--history", str(hist),
-                     "--fail-on-drift"]) == BENCH_EXIT_DRIFT == 3
-        assert main(["bench", "diff", "0", "-1", "--history", str(hist),
-                     "--threshold", "150", "--fail-on-drift"]) == BENCH_EXIT_CLEAN == 0
-        capsys.readouterr()
-
-    def test_trend_fail_on_drift_uses_drift_code(self, tmp_path, capsys):
-        hist = tmp_path / "history.jsonl"
-        self.seed_history(hist, [1.0, 1.05, 2.0])
-        assert main(["bench", "trend", "--history", str(hist),
-                     "--fail-on-drift"]) == 3
-        capsys.readouterr()
-
-    def test_trend_walks_trajectory(self, tmp_path, capsys):
-        hist = tmp_path / "history.jsonl"
-        self.seed_history(hist, [1.0, 1.1, 1.2])
-        assert main(["bench", "trend", "--history", str(hist)]) == 0
-        out = capsys.readouterr().out
-        assert "3 recorded run(s)" in out and "+20.0%" in out
-
-    def test_empty_history_messages(self, tmp_path, capsys):
-        hist = tmp_path / "none.jsonl"
-        assert main(["bench", "trend", "--history", str(hist)]) == 0
-        assert "empty" in capsys.readouterr().out
-        assert main(["bench", "diff", "0", "1", "--history", str(hist)]) == 2
-        assert "error:" in capsys.readouterr().out
 
 
 class TestKernels:

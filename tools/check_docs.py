@@ -8,8 +8,7 @@ Stdlib-only, run by the ``docs`` CI job (and locally) in two modes:
     resolves to a real file, and that every back-ticked repository path
     (``src/repro/...``, ``docs/...``, ``tests/...``, ...) names something
     that actually exists.  Absolute URLs, anchors and badge links that
-    escape the repository root are skipped, and so are the gitignored run
-    artifacts named in ``GENERATED_PATHS``, which a fresh checkout lacks.
+    escape the repository root are skipped.
 
 ``python tools/check_docs.py --doctest``
     Extract every fenced ``pycon`` block from the documentation set and
@@ -33,10 +32,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: The documentation set the checks cover.
 DOC_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
-
-#: Gitignored run artifacts the docs may name although a fresh checkout
-#: does not have them (paths relative to the repository root).
-GENERATED_PATHS = ("benchmarks/history.jsonl", "BENCH_repro.json")
 
 #: Markdown inline links: [text](target).  Images share the syntax.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -91,8 +86,6 @@ def check_links(path: Path) -> list[str]:
                 # e.g. the README CI badge (../../actions/...), which is a
                 # GitHub-site path, not a repository file.
                 continue
-            if resolved.relative_to(REPO).as_posix() in GENERATED_PATHS:
-                continue
             if not resolved.exists():
                 problems.append(f"{rel}:{lineno}: broken link -> {target}")
 
@@ -100,8 +93,6 @@ def check_links(path: Path) -> list[str]:
             token = match.group(1)
             if any(ch in token for ch in "*{<") or "..." in token:
                 continue  # glob, placeholder or ellipsis, not a literal path
-            if token in GENERATED_PATHS:
-                continue
             if not (REPO / token).exists():
                 problems.append(f"{rel}:{lineno}: missing path -> {token}")
 
