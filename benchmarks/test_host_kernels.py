@@ -7,17 +7,23 @@ query rates.  Useful for tracking real-code regressions independent of the
 machine simulation.
 """
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from benchmarks.conftest import best_of
+from repro.adjacency import bulkops
 from repro.adjacency.csr import build_csr
+from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.registry import make_representation
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.betweenness import temporal_betweenness
 from repro.core.induced import induced_subgraph
-from repro.core.update_engine import apply_stream, construct
+from repro.core.update_engine import _arc_stream, apply_stream, construct
+from repro.generators.parallel import iter_update_chunks
 from repro.generators.reference import path_graph
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import deletion_stream, mixed_stream
@@ -70,6 +76,46 @@ def test_host_mixed_updates(benchmark):
 
     benchmark.pedantic(lambda rep: apply_stream(rep, stream), setup=setup,
                        rounds=3, iterations=1)
+
+
+def _argsort_order(keys, bound):
+    """The stable argsort + gather ``bulkops.stable_order`` replaced: the oracle."""
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def test_host_semisort(benchmark, monkeypatch):
+    """Packed-key semisort vs stable argsort + gather on one construction chunk.
+
+    One scale-17 ``iter_update_chunks`` chunk, 65 536 edges = 131 072 arc
+    sources, the unit the ``batch_insert`` workload applies 16 times.  Both
+    sides are timed here, one after the other, so the ratio holds on any
+    box (the floor leaves room for a numpy without the SIMD sort).
+    """
+    chunk = next(iter_update_chunks(17, edge_factor=8, seed=77, chunk_edges=65536))
+    _, src, dst, ts = _arc_stream(chunk, True)
+    assert src.size == 131_072
+
+    order, sorted_keys = benchmark(lambda: bulkops.stable_order(src, chunk.n))
+    want_order, want_keys = _argsort_order(src, chunk.n)
+    assert np.array_equal(order, want_order) and np.array_equal(sorted_keys, want_keys)
+    oracle_s, _ = best_of(lambda: _argsort_order(src, chunk.n), 15)
+    shipped_s, _ = best_of(lambda: bulkops.stable_order(src, chunk.n), 15)
+    ratio = oracle_s / shipped_s
+    benchmark.extra_info["speedup_vs_stable_argsort"] = round(ratio, 2)
+    assert ratio >= 2.0, f"semisort only {ratio:.2f}x the stable argsort (floor 2.0x)"
+
+    shipped = DynArrAdjacency(chunk.n)
+    shipped.bulk_insert(src, dst, ts)
+    monkeypatch.setattr(bulkops, "stable_order", _argsort_order)
+    oracle = DynArrAdjacency(chunk.n)
+    oracle.bulk_insert(src, dst, ts)
+    assert shipped.vectorised_arc_ops == oracle.vectorised_arc_ops == src.size
+    for name in ("off", "cap", "cnt", "live", "_adj", "_ts"):
+        assert np.array_equal(getattr(shipped, name), getattr(oracle, name)), name
+    assert asdict(shipped.stats) == asdict(oracle.stats)
+    assert shipped.pool.used == oracle.pool.used
+    assert shipped.memory_bytes() == oracle.memory_bytes()
 
 
 def _gate_against_oracle(benchmark, res, floor, **kwargs):

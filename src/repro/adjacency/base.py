@@ -114,11 +114,17 @@ class HotStats:
     max_unit_frac: float = 0.0
 
     @staticmethod
-    def from_keys(keys) -> "HotStats":
-        from repro.machine.contention import hot_spot_stats
+    def from_keys(keys: np.ndarray, n: int) -> "HotStats":
+        """Statistics of a stream of vertex ids already validated against ``n``.
 
-        total, mx, frac = hot_spot_stats(keys)
-        return HotStats(total, mx, frac)
+        One counting pass over ids in ``[0, n)``; equal to
+        :func:`repro.machine.contention.hot_spot_stats`, which sorts because
+        it takes arbitrary keys.
+        """
+        if not keys.size:
+            return HotStats()
+        mx = int(np.bincount(keys, minlength=n).max())
+        return HotStats(int(keys.size), mx, mx / keys.size)
 
 
 class AdjacencyRepresentation(abc.ABC):

@@ -14,6 +14,10 @@ This module provides both pieces:
 * :class:`BatchedAdjacency` — a working batched representation: updates are
   buffered, semi-sorted, and applied per vertex group onto an inner
   Dyn-arr, with the sort's work charged in the profile.
+
+The host-side sort is :func:`repro.adjacency.bulkops.stable_order` (one
+packed-key ``ndarray.sort``); :func:`semisort_phase` charges the *modelled*
+radix passes and does not depend on how the host sorts.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
+from repro.adjacency.bulkops import stable_order
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
+from repro.util.validation import check_op_codes
 
 __all__ = ["semisort_phase", "BatchedAdjacency", "apply_batched"]
 
@@ -139,19 +145,20 @@ class BatchedAdjacency(AdjacencyRepresentation):
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Semi-sort the batch by source vertex, then apply per vertex.
 
-        Within a vertex, original arrival order is preserved (stable sort),
-        so the final structure state matches in-order application whenever
-        updates to distinct vertices commute — which they do, since each
-        update touches exactly one source vertex's list.
+        Within a vertex, original arrival order is preserved (the packed-key
+        semisort :func:`~repro.adjacency.bulkops.stable_order` returns the
+        stable order), so the final structure state matches in-order
+        application whenever updates to distinct vertices commute — which
+        they do, since each update touches exactly one source vertex's list.
+        The inner structure receives a grouped stream, which its own
+        grouping step recognises and does not sort again.
         """
-        op = np.asarray(op, dtype=np.int8)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
+        op = check_op_codes(op)
+        src, dst, t = self._checked_batch(src, dst, ts, op)
         if src.size == 0:
             return 0
-        order = np.argsort(src, kind="stable")
-        misses = self.inner.apply_arcs(op[order], src[order], dst[order], t[order])
+        order, grouped = stable_order(src, self.n)
+        misses = self.inner.apply_arcs(op[order], grouped, dst[order], t[order])
         applied = int(src.size)
         self.batched_updates += applied
         self.batches += 1
@@ -207,7 +214,7 @@ def apply_batched(
     """
     if batch_size <= 0:
         raise GraphError(f"batch size must be positive, got {batch_size}")
-    op = np.asarray(op, dtype=np.int8)
+    op = check_op_codes(op)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)

@@ -8,9 +8,12 @@ group-by-owner kernels (the strategy ConnectIt and GBBS use for batched
 updates) that the :class:`~repro.adjacency.dynarr.DynArrAdjacency` family
 plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_arrays``:
 
-* **Grouping** — one stable argsort by owning vertex turns the stream into
-  contiguous per-vertex runs (:func:`group_runs`), after which every append
-  is a single fancy-indexed store (:func:`gather_index`).
+* **Grouping** — one packed-key semisort by owning vertex
+  (:func:`stable_order`: the arrival index rides in the low bits of a unique
+  key, so one in-place ``ndarray.sort`` returns the stable order *and* the
+  sorted owners) turns the stream into contiguous per-vertex runs
+  (:func:`group_runs`), after which every append is a single fancy-indexed
+  store (:func:`gather_index`).
 * **Capacity replay** — :func:`ensure_capacity` replays the sequential
   doubling schedule in closed form: per vertex, the blocks the one-at-a-time
   path would have allocated, copied and abandoned are summed analytically,
@@ -46,8 +49,8 @@ kernels here, and ``compiled`` additionally replaces the ballot-style
 matching passes in :func:`apply_mixed` with the fused single-pass
 :func:`repro.kernels.loops.delete_match` — bit-identical counters, one pass
 instead of ~12.  When nobody named a tier, batches below
-:data:`MIN_BULK_SIZE` stay scalar — the fixed cost of the argsorts
-outweighs the win there.
+:data:`MIN_BULK_SIZE` stay scalar — the fixed per-call cost of the grouping
+and gather passes outweighs the win there.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "MIN_BULK_SIZE",
     "MAX_KEY_N",
     "enabled",
+    "stable_order",
     "group_runs",
     "segment_ranks",
     "gather_index",
@@ -75,13 +79,18 @@ INSERT = 1
 #: Deleted-slot marker; must match ``repro.adjacency.dynarr.TOMBSTONE``.
 TOMBSTONE = -1
 
-#: Below this many arcs the scalar loop wins (argsort fixed costs); applies
-#: only when the tier was auto-probed, never to one somebody asked for.
+#: Below this many arcs the scalar loop wins (the fixed cost of a dozen
+#: numpy calls per batch); applies only when the tier was auto-probed, never
+#: to one somebody asked for.
 MIN_BULK_SIZE = 48
 
 #: Largest vertex count for which an arc (u, v) packs into one int64 key
 #: (u * n + v < 2**63); the mixed kernel falls back to scalar beyond it.
 MAX_KEY_N = int(np.sqrt(np.iinfo(np.int64).max)) - 1
+
+#: Widest packed sort key in bits (key above arrival index, see
+#: :func:`stable_order`): a non-negative int64 with a bit to spare.
+PACK_BITS = 62
 
 
 def enabled(rep, size: int) -> bool:
@@ -105,6 +114,43 @@ def segment_ranks(counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+
+
+def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` where ``order`` is the stable argsort of ``keys``.
+
+    The group-by-owner step of every batched update (paper section 2.1.2:
+    semi-sort the updates by vertex, then apply), for validated int64 ``keys``
+    in ``[0, bound)``.  Each key is packed above its arrival index —
+    ``keys << bits | arange(m)`` with ``bits = (m - 1).bit_length()`` — and
+    the packed array is sorted in place: the packed keys are unique, so any
+    correct sort (numpy's introsort, the SIMD sort where it is dispatched)
+    puts equal ``keys`` in arrival order, which is what a stable sort of
+    ``keys`` alone would do, at a fraction of the cost of the timsort numpy
+    runs when asked for a stable sort of 64-bit integers.  The low bits of the
+    result are the permutation and the high bits the sorted keys, so callers
+    need no ``keys[order]`` gather.
+
+    What it does depends only on the input: keys already non-decreasing (a
+    stream :class:`~repro.adjacency.batch.BatchedAdjacency` grouped, a
+    ``to_arrays`` export) return the identity and ``keys`` itself, not a
+    copy; a key too wide to pack (``bound`` and arrival index together past
+    :data:`PACK_BITS`, reachable only for (owner, target) pair keys on graphs
+    beyond about 2**24 vertices) takes the comparison sort.
+    """
+    m = int(keys.size)
+    if m < 2 or (keys[1:] >= keys[:-1]).all():
+        return np.arange(m, dtype=np.int64), keys
+    bits = (m - 1).bit_length()
+    if (bound - 1).bit_length() + bits > PACK_BITS:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys << bits
+    packed |= np.arange(m, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    return order, packed
 
 
 def group_runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,8 +236,9 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
         new_off = rep.pool.alloc_many(newcap)
         rep._refresh_views()
         used = cnt[gv]
-        rep._adj[gather_index(new_off, used)] = rep._adj[gather_index(off[gv], used)]
-        rep._ts[gather_index(new_off, used)] = rep._ts[gather_index(off[gv], used)]
+        to, frm = gather_index(new_off, used), gather_index(off[gv], used)
+        rep._adj[to] = rep._adj[frm]
+        rep._ts[to] = rep._ts[frm]
         off[gv] = new_off
         cap[gv] = newcap
         rep.stats.resize_events += events
@@ -206,8 +253,7 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
 
 def bulk_insert(rep, src: np.ndarray, dst: np.ndarray, ts: np.ndarray) -> None:
     """Grouped vectorised append; counters identical to the scalar loop."""
-    order = np.argsort(src, kind="stable")
-    s = src[order]
+    order, s = stable_order(src, rep.n)
     uniq, _, counts = group_runs(s)
     cnt0 = rep.cnt[uniq]
     ensure_capacity(rep, uniq, counts)
@@ -230,9 +276,8 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
     ``AdjacencyRepresentation.apply_arcs_scalar``.
     """
     n = rep.n
-    order = np.argsort(src, kind="stable")
+    order, s = stable_order(src, n)
     o = op[order]
-    s = src[order]
     d = dst[order]
     t = ts[order]
     ins = o == INSERT
@@ -271,14 +316,12 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
         live_mask = gvals != TOMBSTONE
         gkey = np.repeat(uniq, cnt0)[live_mask] * n + gvals[live_mask]
         gslot = segment_ranks(cnt0)[live_mask]
-        g_order = np.argsort(gkey, kind="stable")  # slots ascending per key
-        gkey_s = gkey[g_order]
+        g_order, gkey_s = stable_order(gkey, n * n)  # slots ascending per key
         gslot_s = gslot[g_order]
 
         # --- ops in (owner, target) key order --------------------------- #
         okey = s * n + d
-        k_order = np.argsort(okey, kind="stable")
-        key_s = okey[k_order]
+        k_order, key_s = stable_order(okey, n * n)
         ins2 = ins64[k_order]
         kuniq, kstarts, kcounts = group_runs(key_s)
 

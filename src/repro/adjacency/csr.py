@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.bulkops import stable_order
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
 
@@ -155,10 +156,13 @@ def csr_from_arrays(
     (arcs grouped by source, the contract of
     ``AdjacencyRepresentation.to_arrays``), which makes the build zero-copy
     for the payload columns: offsets come from one bincount and ``dst`` /
-    ``ts`` are used as-is, skipping the stable argsort and the gather it
+    ``ts`` are used as-is, skipping the semisort and the gather it
     implies.  The claim is verified with one O(m) monotonicity check — a
     misdeclared input falls back to the sorting path rather than producing
-    a silently scrambled graph.
+    a silently scrambled graph.  The sorting path is the packed-key
+    semisort the update kernels group by
+    (:func:`repro.adjacency.bulkops.stable_order`): arcs of one source keep
+    their input order.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -167,7 +171,7 @@ def csr_from_arrays(
     np.cumsum(counts, out=offsets[1:])
     if assume_grouped and (src.size < 2 or bool(np.all(src[:-1] <= src[1:]))):
         return CSRGraph(n, offsets, dst, ts=ts, w=w, meta=meta or {})
-    order = np.argsort(src, kind="stable")
+    order, _ = stable_order(src, n)
     return CSRGraph(
         n,
         offsets,

@@ -21,7 +21,7 @@ from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.mempool import IntPool
 from repro.errors import GraphError
-from repro.util.validation import check_vertex_ids
+from repro.util.validation import check_op_codes, check_vertex_ids
 
 __all__ = ["DynArrAdjacency"]
 
@@ -254,7 +254,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         adjacency contents and :class:`UpdateStats` bit-identical to the
         scalar path (the equivalence suite enforces this).
         """
-        op = np.asarray(op, dtype=np.int8)
+        op = check_op_codes(op)
         if op.size and bool(np.all(op == 1)):
             self.bulk_insert(src, dst, ts)
             return 0
@@ -292,7 +292,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         one gathered store.  Final adjacency content and
         :class:`UpdateStats` match the sequential path exactly (tests
         enforce this); only the pool's internal block layout may differ.
-        Small batches fall back to the scalar loop (argsort fixed costs).
+        Small batches fall back to the scalar loop (``MIN_BULK_SIZE``).
         """
         src = check_vertex_ids(src, self.n, "src")
         dst = check_vertex_ids(dst, self.n, "dst")

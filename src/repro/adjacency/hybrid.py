@@ -273,8 +273,8 @@ class HybridAdjacency(AdjacencyRepresentation):
         treap_from = np.where(mode == _MODE_TREAP, 0, k)
         theirs = crosses[ins_src]
         ins_at, ins_src = ins_at[theirs], ins_src[theirs]
-        order = np.argsort(ins_src, kind="stable")
-        owners, starts, _ = bulkops.group_runs(ins_src[order])
+        order, grouped = bulkops.stable_order(ins_src, self.n)
+        owners, starts, _ = bulkops.group_runs(grouped)
         cut_at = treap_from[owners] = ins_at[order[starts + room[owners]]]
         on_treap = np.arange(k) >= treap_from[src]
         misses = 0

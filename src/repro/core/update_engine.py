@@ -106,7 +106,7 @@ def apply_stream(
         undirected=undirected,
     ) as sp:
         op, src, dst, ts = _arc_stream(stream, undirected)
-        hot = HotStats.from_keys(src) if src.size else HotStats()
+        hot = HotStats.from_keys(src, rep.n)
         bulk_before = rep.vectorised_arc_ops
         with Timer() as t:
             with span(f"adjacency.{rep.kind}.apply_arcs", n_arc_ops=int(op.size)):

@@ -19,10 +19,16 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.adjacency.bulkops import stable_order
 from repro.edgelist import EdgeList
-from repro.errors import StreamError
+from repro.errors import GraphError, StreamError
 from repro.util.seeding import make_rng
-from repro.util.validation import check_probability, check_same_length, check_vertex_ids
+from repro.util.validation import (
+    check_op_codes,
+    check_probability,
+    check_same_length,
+    check_vertex_ids,
+)
 
 __all__ = [
     "INSERT",
@@ -57,12 +63,10 @@ class UpdateStream:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        op = np.asarray(self.op, dtype=np.int8)
-        if op.ndim != 1:
-            raise StreamError("op must be 1-D")
-        bad = np.setdiff1d(np.unique(op), [INSERT, DELETE])
-        if bad.size:
-            raise StreamError(f"invalid op codes: {bad.tolist()}")
+        try:
+            op = check_op_codes(self.op)
+        except GraphError as exc:
+            raise StreamError(str(exc)) from None
         src = check_vertex_ids(self.src, self.n, "src")
         dst = check_vertex_ids(self.dst, self.n, "dst")
         ts = np.asarray(self.ts, dtype=np.int64)
@@ -264,11 +268,13 @@ def mixed_stream(
 def semisort(stream: UpdateStream) -> tuple[UpdateStream, np.ndarray]:
     """Stable sort of the updates by source vertex (paper section 2.1.2).
 
-    Returns the reordered stream and the permutation applied.  The sort
-    itself is the paper's lower bound on batched-update cost; the experiment
-    harness charges its work separately.
+    Returns the reordered stream and the permutation applied: updates of one
+    source keep their arrival order (the packed-key semisort the adjacency
+    kernels group by, :func:`repro.adjacency.bulkops.stable_order`).  The
+    sort itself is the paper's lower bound on batched-update cost; the
+    experiment harness charges its modelled work separately.
     """
-    perm = np.argsort(stream.src, kind="stable")
+    perm, _ = stable_order(stream.src, stream.n)
     return stream.select(perm), perm
 
 
