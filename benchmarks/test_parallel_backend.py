@@ -9,6 +9,8 @@ host actually has spare CPUs.
 """
 
 import os
+import statistics
+import time
 
 import numpy as np
 
@@ -34,8 +36,6 @@ def test_parallel_backend_bfs_and_components(benchmark):
     csr = build_csr(rmat_graph(SCALE, EDGE_FACTOR, seed=29))
     source = int(np.argmax(csr.degrees()))
 
-    import time
-
     t0 = time.perf_counter()
     serial_bfs = bfs(csr, source)
     serial_cc = connected_components(csr)
@@ -52,6 +52,17 @@ def test_parallel_backend_bfs_and_components(benchmark):
         par_bfs, par_cc = benchmark.pedantic(
             parallel_pair, rounds=3, iterations=1, warmup_rounds=0
         )
+
+        # Steady state stays steady: a pool that strands a shared-memory
+        # segment per call gets slower as they pile up.  The best of calls
+        # 16-20 against the median of calls 3-5: a 4 ms call is preempted
+        # often enough on a shared box that any single late call can double.
+        calls = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            be.bfs(csr, source)
+            calls.append(time.perf_counter() - t0)
+        assert min(calls[15:]) <= 1.5 * statistics.median(calls[2:5])
 
     np.testing.assert_array_equal(serial_bfs.dist, par_bfs.dist)
     np.testing.assert_array_equal(serial_bfs.parent, par_bfs.parent)

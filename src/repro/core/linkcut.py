@@ -27,6 +27,7 @@ are flagged as extensions in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -50,21 +51,34 @@ def chase_roots(parent: np.ndarray, vertices: np.ndarray, tier: str) -> tuple[np
     process backend's query workers, on an already resolved ``tier``:
     ``compiled`` and ``scalar`` chase each query to its root in one loop
     (:func:`repro.kernels.loops.findroot_batch`, compiled or as plain
-    Python); ``vectorised`` advances all chains one hop per vector pass, as
-    the simulated machine runs the queries concurrently.  The hop total is
-    the sum of the query depths on every tier.
+    Python); ``vectorised`` advances every unfinished chain one hop per
+    vector pass (:func:`_chase_passes`), as the simulated machine runs the
+    queries concurrently.  The hop total is the sum of the query depths on
+    every tier.
     """
     v = np.array(vertices, dtype=np.int64)
     if tier != "vectorised":
         chase = kernels.get("findroot_batch") if tier == "compiled" else loops.findroot_batch
         return v, int(chase(parent, v))
-    hops = 0
-    active = parent[v] != _NIL
-    while np.any(active):
-        v[active] = parent[v[active]]
-        hops += int(np.count_nonzero(active))
-        active = parent[v] != _NIL
-    return v, hops
+    return v, sum(int(idx.size) for idx in _chase_passes(parent, v))
+
+
+def _chase_passes(parent: np.ndarray, v: np.ndarray) -> Iterator[np.ndarray]:
+    """Chase ``v`` to its roots in place, one hop per vector pass.
+
+    Yields, before each pass, the positions of ``v`` still below a root —
+    only those chains are gathered again, so a pass costs what is left of
+    the batch, not the batch.
+    """
+    nxt = parent[v]
+    idx = np.flatnonzero(nxt != _NIL)
+    nxt = nxt[idx]
+    while idx.size:
+        yield idx
+        v[idx] = nxt
+        nxt = parent[nxt]
+        alive = nxt != _NIL
+        idx, nxt = idx[alive], nxt[alive]
 
 
 @dataclass(frozen=True)
@@ -230,17 +244,14 @@ class LinkCutForest:
     def depths(self) -> np.ndarray:
         """Depth of every vertex (roots at depth 0).
 
-        All chains advance one hop per vector pass; pass count equals the
-        maximum tree depth, mirroring how the simulated machine would chase
-        the pointers concurrently.
+        Every unfinished chain advances one hop per vector pass
+        (:func:`_chase_passes`); pass count equals the maximum tree depth,
+        mirroring how the simulated machine would chase the pointers
+        concurrently.
         """
         depth = np.zeros(self.n, dtype=np.int64)
-        cur = self.parent.copy()
-        active = cur != _NIL
-        while np.any(active):
-            depth[active] += 1
-            cur[active] = self.parent[cur[active]]
-            active = cur != _NIL
+        for idx in _chase_passes(self.parent, np.arange(self.n, dtype=np.int64)):
+            depth[idx] += 1
         return depth
 
     # ------------------------------------------------------------------ #

@@ -400,13 +400,8 @@ def rmat_edges_parallel(
     if pool is None:
         pool = WorkerPool(workers)
     slices = pool.workers if n_slices is None else int(n_slices)
-    arrays = {
-        "gen_src": np.empty(m, dtype=np.int64),
-        "gen_dst": np.empty(m, dtype=np.int64),
-    }
-    if ts_range is not None:
-        arrays["gen_ts"] = np.empty(m, dtype=np.int64)
-    arena = ShmArena.create(arrays)
+    names = ("gen_src", "gen_dst") + (("gen_ts",) if ts_range is not None else ())
+    arena = ShmArena.allocate({name: (np.int64, (m,)) for name in names})
     try:
         specs = []
         for idx in range(slices):

@@ -2,7 +2,11 @@
 
 The parent process runs the level loop of :func:`repro.core.bfs.bfs`
 unchanged; each level's edge gather — the O(m) hot part — fans out to the
-worker pool.  The frontier (always sorted, as in the serial kernel) is
+worker pool.  Workers read the graph from the pool's resident snapshot arena
+(:meth:`~repro.parallel.pool.WorkerPool.resident`: copied once per snapshot,
+not per call); this call's ``dist`` and ``frontier`` scratch live in a small
+arena of their own, allocated without a source copy and unlinked on return.
+The frontier (always sorted, as in the serial kernel) is
 split into contiguous degree-balanced chunks (:func:`weighted_chunks`, the
 paper's unbalanced-degree optimisation at partition granularity); each
 worker runs the serial level body (:func:`repro.core.frontier.expand`) on
@@ -94,31 +98,28 @@ def parallel_bfs(
         raise VertexError(f"source {source} out of range [0, {graph.n})")
     if ts_range is not None and graph.ts is None:
         raise VertexError("graph has no time-stamps; cannot filter by ts_range")
-    pool.start()
-
-    dist = np.full(graph.n, -1, dtype=np.int64)
+    resident = pool.resident(graph)
     parent = np.full(graph.n, -1, dtype=np.int64)
-    dist[source] = 0
     slot = np.empty(graph.n, dtype=np.int64)  # merge scratch, touched only at candidates
-
-    arrays = {
-        "offsets": graph.offsets,
-        "targets": graph.targets,
-        "dist": dist,
-        # Frontier scratch buffer: at most n vertices per level.
-        "frontier": np.zeros(max(graph.n, 1), dtype=np.int64),
-    }
-    if graph.ts is not None:
-        arrays["ts"] = graph.ts
-
-    res = BFSResult(source=source, dist=dist, parent=parent, ts_range=ts_range)
     level = 0
-    with ShmArena.create(arrays) as arena:
-        descriptor = arena.descriptor
+    # This call's mutable state; ``frontier`` is scratch, at most n vertices per level.
+    with ShmArena.allocate(
+        {"dist": (np.int64, (graph.n,)), "frontier": (np.int64, (max(graph.n, 1),))}
+    ) as arena:
+        arenas = (resident, arena.descriptor)
         shared_dist = arena.view("dist")
         shared_frontier = arena.view("frontier")
-        res.dist = shared_dist  # live view during the traversal
-        views = {**arrays, "dist": shared_dist, "frontier": shared_frontier}  # inlined levels
+        shared_dist[...] = -1
+        shared_dist[source] = 0
+        # ``dist`` is the live view during the traversal.
+        res = BFSResult(source=source, dist=shared_dist, parent=parent, ts_range=ts_range)
+        views = {  # inlined levels read the graph's own arrays
+            "offsets": graph.offsets,
+            "targets": graph.targets,
+            "ts": graph.ts,
+            "dist": shared_dist,
+            "frontier": shared_frontier,
+        }
         frontier = np.array([source], dtype=np.int64)
         with span(
             "parallel.bfs",
@@ -150,7 +151,7 @@ def parallel_bfs(
                             TaskSpec(
                                 "bfs.level",
                                 {"lo": lo, "hi": hi, "ts_range": ts_range},
-                                arenas=(descriptor,),
+                                arenas=arenas,
                             )
                             for lo, hi in chunks
                         ]

@@ -11,6 +11,11 @@ mins over a partition of the arcs equals the min over all arcs, so the
 merged labels are bit-identical to the serial pass at every worker count;
 pointer jumping (O(n), cheap, and already vectorised) stays in the parent.
 
+The arcs are not shipped: ``dst`` is a slice of the pool's resident
+``targets`` and each range's ``src`` is rebuilt from the resident
+``offsets`` (:meth:`~repro.parallel.pool.WorkerPool.resident`); the only
+per-call shared state is the ``labels`` snapshot of the current pass.
+
 Workers return only the entries their range actually improved — for a
 small-world graph the proposal set shrinks geometrically with the pass
 number, so later rounds ship almost nothing.
@@ -34,8 +39,14 @@ __all__ = ["parallel_connected_components"]
 def _components_hook(views: dict, payload: dict) -> dict:
     """One arc range's min-label proposals (worker side)."""
     lo, hi = payload["lo"], payload["hi"]
-    src = views["src"][lo:hi]
-    dst = views["dst"][lo:hi]
+    # The range's sources from the resident ``offsets``: vertices first..last-1
+    # own arcs lo..hi-1, the two end vertices possibly only in part.
+    offsets = views["offsets"]
+    first = int(np.searchsorted(offsets, lo, side="right")) - 1
+    last = int(np.searchsorted(offsets, hi, side="left"))
+    owned = np.diff(np.clip(offsets[first : last + 1], lo, hi))
+    src = np.repeat(np.arange(first, last, dtype=np.int64), owned)
+    dst = views["targets"][lo:hi]
     prev = views["labels"]
     local = hook_min_labels(prev, src, dst)
     changed = np.nonzero(local != prev)[0]
@@ -60,16 +71,15 @@ def parallel_connected_components(
     n = graph.n
     if n == 0:
         return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0)
-    pool.start()
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    dst = graph.targets
+    n_arcs = graph.n_arcs
+    resident = pool.resident(graph)
     fragments: list[list[dict]] = []
-    arrays = {"src": src, "dst": dst, "labels": np.arange(n, dtype=np.int64)}
-    with ShmArena.create(arrays) as arena:
+    with ShmArena.allocate({"labels": (np.int64, (n,))}) as arena:  # this call's state
+        arenas = (resident, arena.descriptor)
         shared_labels = arena.view("labels")
         tasks = [
-            TaskSpec("components.hook", {"lo": lo, "hi": hi}, arenas=(arena.descriptor,))
-            for lo, hi in range_chunks(int(dst.size), pool.workers)
+            TaskSpec("components.hook", {"lo": lo, "hi": hi}, arenas=arenas)
+            for lo, hi in range_chunks(n_arcs, pool.workers)
         ]
 
         def pool_hook(prev: np.ndarray) -> np.ndarray:
@@ -82,10 +92,8 @@ def parallel_connected_components(
                 np.minimum.at(labels, o["idx"], o["val"])
             return labels
 
-        with span("parallel.components", n=n, arcs=int(dst.size), workers=pool.workers) as sp:
-            labels, passes, jumps, arcs_processed = hook_and_jump(
-                n, pool_hook, int(dst.size), max_passes
-            )
+        with span("parallel.components", n=n, arcs=n_arcs, workers=pool.workers) as sp:
+            labels, passes, jumps, arcs_processed = hook_and_jump(n, pool_hook, n_arcs, max_passes)
             sp.set(passes=passes, components=int(np.unique(labels).size))
     METRICS.inc("parallel.components_runs")
     return ComponentsResult(

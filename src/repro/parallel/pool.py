@@ -9,6 +9,16 @@ shared memory.
 
 Design points:
 
+* **One arena lifecycle** — the pool owns the *resident* arena: a
+  snapshot's immutable CSR arrays, copied in by the first driver call on
+  that snapshot object (:meth:`WorkerPool.resident`), reused by every later
+  one, replaced when another snapshot arrives, unlinked by shutdown,
+  restart and crash teardown.  Everything else is a per-call arena its
+  driver creates and unlinks.  A worker unmaps, at the start of each task,
+  every arena that task does not name, so it maps the resident arena plus
+  the current call's and an unlinked segment never outlives that worker's
+  next task.
+
 * **Deterministic routing** — task ``i`` of a round goes to worker
   ``i % p`` and results are re-ordered by task index before they are
   returned, so callers can merge partial results in submission order.
@@ -60,7 +70,8 @@ import contextvars
 import os
 import time
 import traceback
-from typing import Any, Callable, Sequence
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ParallelError, WorkerCrashError
 from repro.obs import METRICS, current_tracer, disable_tracing, enable_tracing, span
@@ -73,6 +84,9 @@ from repro.obs.prof import (
 )
 from repro.obs.sink import MemorySink
 from repro.parallel.shm import ArenaDescriptor, ShmArena
+
+if TYPE_CHECKING:
+    from repro.adjacency.csr import CSRGraph
 
 __all__ = ["TaskSpec", "WorkerPool", "task", "default_workers"]
 
@@ -126,12 +140,16 @@ class TaskSpec:
 def _worker_views(
     cache: dict[str, ShmArena], descriptors: Sequence[ArenaDescriptor]
 ) -> dict[str, Any]:
+    """The arrays a task names; arenas it does not name are unmapped first
+    (an unlinked segment only gives its pages back once nobody maps it)."""
+    keys = [d.shm_name or repr(d.specs) for d in descriptors]
+    for stale in cache.keys() - keys:
+        cache.pop(stale).close()
     views: dict[str, Any] = {}
-    for d in descriptors:
-        arena = cache.get(d.shm_name or repr(d.specs))
+    for key, d in zip(keys, descriptors):
+        arena = cache.get(key)
         if arena is None:
-            arena = ShmArena.attach(d)
-            cache[d.shm_name or repr(d.specs)] = arena
+            arena = cache[key] = ShmArena.attach(d)
         views.update(arena.views())
     return views
 
@@ -260,6 +278,14 @@ def _selftest_tick(views: dict, payload: dict) -> int:
     return n
 
 
+@task("selftest.mapped")
+def _selftest_mapped(views: dict, payload: dict) -> list[str]:
+    """Shared-memory segments this worker maps right now (arena lifecycle tests)."""
+    with open("/proc/self/maps") as fh:
+        names = {line.split("/dev/shm/", 1)[1].split()[0] for line in fh if "/dev/shm/" in line}
+    return sorted(n for n in names if not n.startswith("sem."))  # queue locks live there too
+
+
 @task("selftest.exit")
 def _selftest_exit(views: dict, payload: dict) -> None:
     # Simulates a hard worker crash (segfault/OOM-kill): no exception, no
@@ -341,6 +367,9 @@ class WorkerPool:
         #: Monotonic task ids across rounds, so a late result from a timed-out
         #: round can never be mistaken for one of the current round's.
         self._task_counter = 0
+        #: The one snapshot published to the workers: ``(weakref to the
+        #: graph, its arena)``; see :meth:`resident`.
+        self._resident: tuple[weakref.ref, ShmArena] | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -373,12 +402,10 @@ class WorkerPool:
         return self
 
     def shutdown(self) -> None:
-        """Stop the workers (idempotent)."""
+        """Stop the workers and unlink the resident arena (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if not self._started:
-            return
         for tq in self._task_qs:
             try:
                 tq.put(None)
@@ -386,14 +413,24 @@ class WorkerPool:
                 pass
         for proc in self._procs:
             proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for q in (*self._task_qs, self._result_q):
-            if q is not None:
-                q.close()
-        self._procs.clear()
-        self._task_qs.clear()
+        self._reap()
+
+    def resident(self, graph: "CSRGraph") -> ArenaDescriptor:
+        """Descriptor of the arena holding ``graph``'s ``offsets`` / ``targets`` / ``ts``.
+
+        Copied into shared memory on the first call and reused while the same
+        snapshot *object* keeps arriving; a different one replaces it (the
+        old segment is unlinked here, unmapped by each worker at its next
+        task).  :meth:`shutdown`, :meth:`restart` and a crash release it.
+        """
+        self.start()
+        if self._resident is None or self._resident[0]() is not graph:
+            self._release_resident()
+            arrays = {"offsets": graph.offsets, "targets": graph.targets}
+            if graph.ts is not None:
+                arrays["ts"] = graph.ts
+            self._resident = (weakref.ref(graph), ShmArena.create(arrays))
+        return self._resident[1].descriptor
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -511,19 +548,8 @@ class WorkerPool:
         marked it closed; round state (the task counter) survives so stale
         results from the previous generation are still filtered out.
         """
-        if self._started:
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for q in (*self._task_qs, self._result_q):
-                if q is not None:
-                    q.close()
-        self._procs.clear()
-        self._task_qs.clear()
-        self._result_q = None
+        self._reap()
         self._heartbeats.clear()
-        self._started = False
         self._closed = False
         METRICS.inc("parallel.pool.restarts")
         return self.start()
@@ -554,7 +580,9 @@ class WorkerPool:
                 dead = [(p.name, p.exitcode) for p in self._procs if not p.is_alive()]
                 if dead:
                     names = ", ".join(f"{n} (exit {c})" for n, c in dead)
-                    self._teardown_after_crash()
+                    # Round integrity is gone once one worker dies.
+                    self._reap()
+                    self._closed = True
                     raise WorkerCrashError(
                         f"worker process died mid-round: {names}; "
                         f"{n_done}/{n_expected} results received"
@@ -565,8 +593,8 @@ class WorkerPool:
                         f"{n_done}/{n_expected} results"
                     ) from None
 
-    def _teardown_after_crash(self) -> None:
-        """Kill the survivors: round integrity is gone once one worker dies."""
+    def _reap(self) -> None:
+        """Kill what still runs; drop the queues and the resident arena."""
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
@@ -578,7 +606,13 @@ class WorkerPool:
         self._task_qs.clear()
         self._result_q = None
         self._started = False
-        self._closed = True
+        self._release_resident()
+
+    def _release_resident(self) -> None:
+        held, self._resident = self._resident, None
+        if held is not None:
+            held[1].close()
+            held[1].unlink()
 
     def _merge_telemetry(
         self, worker_id: int, telemetry: dict, dispatched: float | None

@@ -2,8 +2,10 @@
 
 The paper's observation for section 3.1 — *"the queries can be processed in
 parallel, as they only involve memory reads"* — maps directly onto the
-process backend: the forest's parent array goes into shared memory once,
-the query pairs are split into contiguous ranges, and each worker runs
+process backend: the forest's parent array and the query endpoints go into
+one per-call arena (the forest is mutable, so nothing of it is resident;
+the segment is unlinked on return and each worker unmaps it at its next
+task), the query pairs are split into contiguous ranges, and each worker runs
 :func:`repro.core.linkcut.chase_roots` — the chase behind
 ``findroot_batch``, on the tier the parent resolved — over its slice.  A
 query's answer and its hop count depend only on its two endpoints' depths,

@@ -2,12 +2,19 @@
 
 A :class:`ShmArena` packs a set of named numpy arrays into one
 ``multiprocessing.shared_memory.SharedMemory`` segment.  The parent process
-creates the arena (copying each array in once); workers attach via the
-picklable :class:`ArenaDescriptor` and get numpy views directly onto the
-segment — no serialisation, no per-task copies.  This is what lets the
-process backend traverse multi-megabyte CSR adjacency arrays from every
-worker at memory speed (the paper's shared-memory SMP model, recovered in
-Python).
+lays the arena out (:meth:`ShmArena.allocate`, zero-filled, nothing copied)
+or lays it out and copies arrays in (:meth:`ShmArena.create`); workers
+attach via the picklable :class:`ArenaDescriptor` and get numpy views
+directly onto the segment — no serialisation, no per-task copies.  This is
+what lets the process backend traverse multi-megabyte CSR adjacency arrays
+from every worker at memory speed (the paper's shared-memory SMP model,
+recovered in Python).
+
+Lifetime has one rule: whoever created a segment closes and unlinks it, and
+an unlinked segment's pages are only returned once the last process has
+unmapped it.  The pool's resident snapshot arena and the workers' side of
+that rule live in :mod:`repro.parallel.pool`; the drivers' per-call arenas
+are ``with`` blocks.
 
 Mutability is part of the contract: the parent's view of an array and every
 worker's view alias the same bytes, so e.g. the BFS ``dist`` array updated
@@ -27,6 +34,7 @@ from multiprocessing import shared_memory
 from typing import Iterator, Mapping
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.errors import ParallelError
 
@@ -95,21 +103,27 @@ class ShmArena:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def create(cls, arrays: Mapping[str, np.ndarray]) -> "ShmArena":
-        """Copy ``arrays`` into a fresh shared segment (parent side)."""
-        if not arrays:
+    def allocate(cls, layout: Mapping[str, tuple[DTypeLike, tuple[int, ...]]]) -> "ShmArena":
+        """A fresh segment laid out for ``name -> (dtype, shape)`` (parent side).
+
+        Nothing is copied: POSIX shared memory starts zero-filled, and a page
+        is only faulted in when someone first touches it.
+        """
+        if not layout:
             raise ParallelError("cannot create an empty shared arena")
         specs: list[ArraySpec] = []
         offset = 0
-        for name, arr in arrays.items():
-            a = np.ascontiguousarray(arr)
-            offset = _aligned(offset)
-            specs.append(ArraySpec(name, a.dtype.str, tuple(a.shape), offset))
-            offset += a.nbytes
-        shm = None
-        if offset > 0:
-            shm = shared_memory.SharedMemory(create=True, size=offset)
-        arena = cls(shm, tuple(specs), owner=True)
+        for name, (dtype, shape) in layout.items():
+            spec = ArraySpec(name, np.dtype(dtype).str, tuple(shape), _aligned(offset))
+            specs.append(spec)
+            offset = spec.offset + spec.nbytes
+        shm = shared_memory.SharedMemory(create=True, size=offset) if offset > 0 else None
+        return cls(shm, tuple(specs), owner=True)
+
+    @classmethod
+    def create(cls, arrays: Mapping[str, np.ndarray]) -> "ShmArena":
+        """:meth:`allocate` a segment shaped like ``arrays``, then copy each in."""
+        arena = cls.allocate({name: (a.dtype, a.shape) for name, a in arrays.items()})
         for name, arr in arrays.items():
             view = arena.view(name)
             if view.size:

@@ -9,6 +9,7 @@ from repro.generators.rmat import rmat_graph
 from repro.adjacency.csr import build_csr
 from repro.api import DynamicGraph
 from repro.obs import METRICS
+from repro.parallel.shm import ArenaDescriptor
 from repro.service import GraphService, ShardRouter
 
 
@@ -55,6 +56,9 @@ class TestCrashRecovery:
 
             def start(self):
                 pass
+
+            def resident(self, graph):
+                return ArenaDescriptor("", ())
 
             def restart(self):
                 self.n_restarts += 1
