@@ -7,9 +7,10 @@ Three gated kernels:
   >= 3x union-work reduction the ablation gate requires;
 * the unsampled finish (default rank/halving, every arc through
   :meth:`UnionFind.union_arcs`) against the per-pair :meth:`UnionFind.union`
-  loop, asserting identical forests and counters and that the batch is
-  never the slower of the two (both run on the same buffers, so the margin
-  is the per-call overhead only: about 1.2x);
+  loop, asserting identical forests and counters and that the batch is at
+  least 2x faster (both run on the same buffers; the batch body keeps its
+  counters in locals, calls nothing and counts an arc already settled
+  under one root instead of executing it: 3-4x);
 * the :meth:`ConnectivityIndex.insert_batch` union-find fast path against
   the sequential :meth:`insert_edge` loop, asserting identical link
   decisions.
@@ -80,7 +81,7 @@ def test_connectit_unsampled_finish(benchmark):
     benchmark.extra_info["per_pair_seconds"] = round(loop_seconds, 6)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["identical"] = True
-    assert speedup >= 1.0, f"union_arcs {speedup:.2f}x the speed of the union loop"
+    assert speedup >= 2.0, f"union_arcs {speedup:.2f}x the speed of the union loop (floor 2x)"
 
 
 def test_connectit_insert_batch(benchmark):

@@ -129,6 +129,15 @@ def variant_matrix(
     )
 
 
+def _count_components(labels: np.ndarray) -> int:
+    """Distinct canonical labels: a component's minimum id labels itself.
+
+    Exactly one vertex per component is its own label, so the count needs
+    no sort (``np.unique`` of 2^16 labels was a fifth of a k-out run).
+    """
+    return int(np.count_nonzero(labels == np.arange(labels.size, dtype=np.int64)))
+
+
 @dataclass(frozen=True)
 class ConnectItResult:
     """Labels plus the measured work of one sample-finish run.
@@ -150,9 +159,7 @@ class ConnectItResult:
     @property
     def n_components(self) -> int:
         """Number of connected components."""
-        if self.labels.size == 0:
-            return 0
-        return int(np.unique(self.labels).size)
+        return _count_components(self.labels)
 
     def profile(self, name: str | None = None) -> WorkProfile:
         """The run's measured work as a machine-model :class:`WorkProfile`.
@@ -294,7 +301,7 @@ def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> C
         finish_counters = uf.counters.since(sample_counters)
         labels = uf.components()
         sp.set(
-            components=int(np.unique(labels).size) if n else 0,
+            components=_count_components(labels),
             unions=uf.counters.unions,
             finish_arcs=int(fsrc.size),
         )

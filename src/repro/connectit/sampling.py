@@ -82,10 +82,10 @@ def _fill_giant(uf: UnionFind, stats: SampleStats) -> None:
     """Record the largest sampled tree into ``stats``."""
     if uf.n == 0:
         return
-    roots = uf.flat_roots()
-    uniq, counts = np.unique(roots, return_counts=True)
+    # Tree sizes by root id, no sort; the first maximum is the smallest root.
+    counts = np.bincount(uf.flat_roots(), minlength=uf.n)
     top = int(np.argmax(counts))
-    stats.giant_root = int(uniq[top])
+    stats.giant_root = top
     stats.giant_fraction = float(counts[top]) / float(uf.n)
 
 

@@ -295,7 +295,11 @@ class UnionFind:
         as lists, a ``bytearray`` mask, a list of counters — containers whose
         items are plain ints, so a pointer chase boxes nothing).  Same rules,
         bit-identical :class:`WorkCounters`; :meth:`union` is the per-pair
-        reference.  Endpoints are validated once per call: an id outside
+        reference and its ticks are the counter convention: the body keeps
+        them in locals, and for an arc already settled under one root (both
+        endpoints the root or its children) it skips the finds — they would
+        store only values already there — and adds their ticks in closed
+        form.  Endpoints are validated once per call: an id outside
         ``[0, n)`` raises :class:`~repro.errors.VertexError`, unequal lengths
         :class:`~repro.errors.GraphError`.
         """
@@ -382,7 +386,7 @@ class UnionFind:
 
     def n_components(self) -> int:
         """Number of distinct trees."""
-        return int(np.unique(self.flat_roots()).size)
+        return int(np.count_nonzero(self.parent == np.arange(self.n, dtype=np.int64)))
 
     def memory_bytes(self) -> int:
         """Bytes held by the parent and auxiliary arrays."""

@@ -20,8 +20,10 @@ every tier: ``union_arcs`` is a dependent pointer chase, so ``scalar`` and
 ``vectorised`` both run :func:`loops.union_arcs` interpreted, over the
 ``array`` buffers :class:`~repro.connectit.unionfind.UnionFind` stores its
 forest in, and ``compiled`` runs the same function through numba over
-ndarray views of those buffers.  :data:`TIER_BODIES` lists what every
-tier executes for every kernel.
+ndarray views of those buffers.  No body calls another (``union_arcs``
+reads nothing from its module but builtins), so one ``njit`` wrap per body
+is all the compiled tier adds and :mod:`~repro.kernels.loops` is never rebound.
+:data:`TIER_BODIES` lists what every tier executes for every kernel.
 
 Selection precedence, checked once per kernel call by :func:`resolve_tier`:
 
@@ -58,7 +60,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import types
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -97,7 +98,7 @@ KERNEL_NAMES = ("delete_match", "findroot_batch", "union_arcs", "sv_components")
 #: Union-rule codes for :func:`loops.union_arcs`.
 RULE_CODES = {"rank": 0, "size": 1, "rem": 2}
 
-#: Compaction-rule codes for :func:`loops.find_root`.
+#: Compaction-rule codes for :func:`loops.union_arcs`.
 COMP_CODES = {"none": 0, "halving": 1, "splitting": 2, "full": 3}
 
 #: Where each kernel is dispatched from (shown by ``python -m repro kernels``).
@@ -146,18 +147,9 @@ _impls: dict[str, Callable[..., Any]] = {
 try:  # pragma: no cover - exercised only with numba installed
     import numba
 
-    # The union kernel calls the find/rem helpers through the module
-    # globals, so those must become Dispatchers before the outer wrap.
-    _uncompiled: dict[str, Any] = dict(vars(loops))
-    loops.find_root = numba.njit(cache=True)(loops.find_root)
-    loops.rem_union = numba.njit(cache=True)(loops.rem_union)
+    # The bodies call no helpers, so one wrap each is the whole compiled
+    # story; ``loops`` keeps the plain functions the lower tiers run.
     _impls = {name: numba.njit(cache=True)(fn) for name, fn in _impls.items()}
-    # ``loops.union_arcs`` is also the body UnionFind runs interpreted on
-    # the tiers below compiled, over buffers and lists that must not reach
-    # a Dispatcher: rebound to the saved globals, its helper calls keep
-    # resolving to the uncompiled definitions.
-    _body: Any = types.FunctionType(loops.union_arcs.__code__, _uncompiled, "union_arcs")
-    loops.union_arcs = _body
     _available = True
     _numba_version = str(numba.__version__)
 except Exception as exc:  # noqa: BLE001 - any import/instrumentation failure

@@ -177,10 +177,10 @@ for rule in UNION_RULES:
 
 
 def test_interpreted_union_never_enters_a_dispatcher(tmp_path):
-    # With numba installed the union helpers in repro.kernels.loops are
-    # rebound to Dispatchers for the compiled kernel; the tiers below it
-    # run the same body over array buffers and lists, which must keep
-    # reaching the uncompiled helpers.
+    # With numba installed kernels.get("union_arcs") is a typed Dispatcher;
+    # the tiers below compiled run the same body over array buffers and
+    # lists, which must keep reaching the plain loops.union_arcs (it calls
+    # no helper, so nothing inside it can resolve to a Dispatcher either).
     (tmp_path / "numba.py").write_text(FAKE_NUMBA)
     src_dir = Path(kernels.__file__).parents[2]
     proc = subprocess.run(

@@ -15,6 +15,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.connectit.unionfind import COMPACTION_RULES, UNION_RULES, UnionFind
@@ -22,6 +24,7 @@ from repro.core.components import connected_components
 from repro.core.linkcut import LinkCutForest
 from repro.generators.rmat import rmat_graph
 from repro.adjacency.csr import build_csr
+from repro.kernels import loops
 
 
 def random_arcs(seed, n, k):
@@ -85,6 +88,116 @@ def test_union_arcs_pre_resolved_convention(rule, tier):
     ref.counters.unions += 2  # the two resolved pairs: attempts, nothing else
     assert uf.counters == ref.counters
     np.testing.assert_array_equal(uf.parent, ref.parent)
+
+
+def check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=False, forest=None):
+    """``union_arcs`` over ``arcs`` vs the per-pair ``union`` loop, everything compared.
+
+    ``forest`` is an optional parent array written into both structures
+    first (deep trees the balanced rules would never build themselves).
+    With ``pre_resolved`` the oracle skips equal endpoints after counting
+    the attempt, which is the whole of that convention.
+    """
+    ref = UnionFind(n, union_rule=rule, compaction=comp)
+    uf = UnionFind(n, union_rule=rule, compaction=comp)
+    uf.kernel_tier = tier
+    if forest is not None:
+        ref.parent[:] = forest
+        uf.parent[:] = forest
+    expect = []
+    for u, v in arcs:
+        if pre_resolved and u == v:
+            ref.counters.unions += 1
+            expect.append(False)
+        else:
+            expect.append(ref.union(u, v))
+    src = np.array([u for u, _ in arcs], dtype=np.int64)
+    dst = np.array([v for _, v in arcs], dtype=np.int64)
+    with kernels.force_available() if tier == "compiled" else nullcontext():
+        linked = uf.union_arcs(src, dst, pre_resolved=pre_resolved)
+    assert linked.tolist() == expect
+    np.testing.assert_array_equal(uf.parent, ref.parent)
+    for mine, theirs in ((uf.rank, ref.rank), (uf.size, ref.size)):
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.tolist() == theirs.tolist()
+    assert uf.counters.to_dict() == ref.counters.to_dict()
+
+
+def _star(centre, leaves):
+    return [(centre, leaf) for leaf in leaves]
+
+
+def _settled_cases():
+    """Inputs that live on the settled-arc branch of ``union_arcs`` and its edges.
+
+    Each entry is ``(n, arcs, forest)``; vertex 0 ends up the root of every
+    star under all three union rules (lowest id, first hooked onto).
+    """
+    star = _star(0, range(1, 9))
+    second_pass = (
+        [(i, i + 1) for i in range(1, 8)]  # child / child
+        + [(i, 0) for i in range(1, 9)]  # child / root
+        + star  # root / child
+    )
+    rng = np.random.default_rng(17)
+    pairs = rng.integers(0, 16, (40, 2)).tolist()
+    two_stars = _star(0, range(1, 5)) + _star(5, range(6, 10))
+    path = np.maximum(np.arange(12) - 1, 0)  # parent[i] = i - 1: depth i
+    return {
+        # Second pass entirely settled: nothing to chase, store or hook.
+        "star-twice": (9, star + second_pass, None),
+        # A self-loop on a root (hooked-onto and untouched) and on a child.
+        "self-loops": (10, star + [(0, 0), (3, 3), (9, 9), (3, 3), (0, 0)], None),
+        "arc-then-reverse": (16, [a for u, v in pairs for a in ((u, v), (v, u))], None),
+        # Endpoints at depth >= 2: the check fails, the chase runs, and the
+        # same arc is (sooner or later, by compaction rule) settled after it.
+        "deep-path": (12, [(11, 7)] * 5 + [(10, 11)] * 4 + [(4, 0), (11, 0)] * 2, path),
+        # Joining two flat stars leaves one root's children at depth 2 with
+        # equal parents that are no longer a root: the check must fail.
+        "two-stars-joined": (10, two_stars + [(3, 8)] + two_stars + [(6, 7), (9, 1)] * 2, None),
+    }
+
+
+SETTLED_CASES = _settled_cases()
+
+
+@pytest.mark.parametrize("case", SETTLED_CASES)
+@pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
+def test_union_arcs_settled_branch_matches_oracle(comp, rule, tier, case):
+    n, arcs, forest = SETTLED_CASES[case]
+    check_against_union_oracle(n, arcs, rule, comp, tier, forest=forest)
+
+
+@pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
+def test_union_arcs_pre_resolved_root_space_matches_oracle(comp, rule, tier):
+    # insert_batch hands over roots: equal ones are attempts and nothing
+    # else, unequal ones union as usual — and go stale as the batch hooks
+    # them, so later arcs name children and settled pairs too.
+    forest = np.array([0, 0, 0, 3, 3, 5, 6, 6])
+    arcs = [(0, 0), (3, 3), (0, 3), (3, 0), (5, 5), (5, 6), (6, 5), (6, 6), (3, 6), (0, 6)]
+    check_against_union_oracle(8, arcs, rule, comp, tier, pre_resolved=True, forest=forest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    arcs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=200),
+    variant=st.sampled_from(union_cases(COMPACTION_RULES, UNION_RULES)),
+    pre_resolved=st.booleans(),
+)
+def test_hypothesis_union_arcs_matches_oracle_on_colliding_arcs(n, arcs, variant, pre_resolved):
+    # A dozen vertices and up to 200 arcs: almost every arc lands on a tree
+    # built by the ones before it, which is where the settled branch lives.
+    comp, rule, tier = variant.values
+    arcs = [(u % n, v % n) for u, v in arcs]
+    check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=pre_resolved)
+
+
+def test_union_arcs_body_is_self_contained():
+    # No helper calls and no module globals: what lets one njit wrap be the
+    # whole compiled story and the interpreted tiers call this very object.
+    assert set(loops.union_arcs.__code__.co_names) <= {"len", "range"}
+    assert loops.union_arcs.__globals__ is vars(loops)  # never rebound
 
 
 def test_findroot_batch_matches_vectorised():
