@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.adjacency.csr import CSRGraph, csr_from_arrays
 from repro.errors import VertexError
 from repro.machine.profile import Phase
 from repro.util.validation import check_op_codes, check_same_length, check_vertex_ids
@@ -131,18 +132,12 @@ class AdjacencyRepresentation(abc.ABC):
     """Common behaviour for all dynamic adjacency structures.
 
     Subclasses implement the arc-level mutators and queries; this base class
-    provides input validation, bulk ingest, snapshot export and work-profile
-    construction.
+    provides input validation, bulk ingest, the reference snapshot export
+    and work-profile construction.
     """
 
     #: Short registry name, set by subclasses ("dynarr", "treap", ...).
     kind: str = "abstract"
-
-    #: True when :meth:`to_arrays` emits arcs grouped by ascending source
-    #: vertex (every implementation here does); lets the CSR builder skip
-    #: its stable sort.  Subclasses overriding :meth:`to_arrays` with a
-    #: different emission order must set this to False.
-    to_arrays_grouped: bool = True
 
     #: Kernel-tier request ("scalar" | "vectorised" | "compiled"); None
     #: defers to :func:`repro.kernels.resolve_tier` (env var, then
@@ -298,13 +293,20 @@ class AdjacencyRepresentation(abc.ABC):
             return e, e.copy(), e.copy()
         return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(tss)
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Export all live arcs as ``(src, dst, ts)`` arrays (snapshotting).
-
-        Arcs are grouped by ascending source vertex (see
-        :attr:`to_arrays_grouped`), in per-vertex storage order.
+    def to_csr(self) -> CSRGraph:
+        """CSR snapshot of the live arcs (``meta["source"]``: the kind), each
+        vertex's in storage order.  This reference walk is the base class's
+        and the ``scalar`` tier's; structures override it to take offsets
+        from the live degrees they keep and write each arc straight into place.
         """
-        return self.to_arrays_scalar()
+        src, dst, ts = self.to_arrays_scalar()
+        return csr_from_arrays(self.n, src, dst, ts, meta={"source": self.kind})
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live arcs of :meth:`to_csr` as ``(src, dst, ts)`` arrays
+        (ascending source, per-vertex storage order)."""
+        g = self.to_csr()
+        return np.repeat(np.arange(self.n, dtype=np.int64), g.degrees()), g.targets, g.ts
 
     def degrees(self) -> np.ndarray:
         """All live out-degrees (int64 array of length n)."""

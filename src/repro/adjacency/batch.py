@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.adjacency.bulkops import stable_order
+from repro.adjacency.csr import CSRGraph
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
@@ -137,8 +138,11 @@ class BatchedAdjacency(AdjacencyRepresentation):
         self.inner.bulk_insert(src, dst, ts)
         self._n_arcs += self.inner.n_arcs - before
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.inner.to_arrays()
+    def to_csr(self) -> CSRGraph:
+        """The inner structure's export, under this wrapper's name."""
+        g = self.inner.to_csr()
+        g.meta["source"] = self.kind
+        return g
 
     # Batched path -------------------------------------------------------- #
 

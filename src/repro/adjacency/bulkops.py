@@ -6,7 +6,7 @@ interpreter-level call per arc cannot come near the memory-bound regime the
 machine model reasons about.  This module supplies the batch-sorted
 group-by-owner kernels (the strategy ConnectIt and GBBS use for batched
 updates) that the :class:`~repro.adjacency.dynarr.DynArrAdjacency` family
-plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_arrays``:
+plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_csr``:
 
 * **Grouping** — one packed-key semisort by owning vertex
   (:func:`stable_order`: the arrival index rides in the low bits of a unique
@@ -71,7 +71,6 @@ __all__ = [
     "ensure_capacity",
     "bulk_insert",
     "apply_mixed",
-    "to_arrays",
 ]
 
 #: Insert op code in update streams (deletes are -1).
@@ -132,8 +131,8 @@ def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     need no ``keys[order]`` gather.
 
     What it does depends only on the input: keys already non-decreasing (a
-    stream :class:`~repro.adjacency.batch.BatchedAdjacency` grouped, a
-    ``to_arrays`` export) return the identity and ``keys`` itself, not a
+    stream :class:`~repro.adjacency.batch.BatchedAdjacency` grouped, the
+    reference export's ``src``) return the identity and ``keys`` itself, not a
     copy; a key too wide to pack (``bound`` and arrival index together past
     :data:`PACK_BITS`, reachable only for (owner, target) pair keys on graphs
     beyond about 2**24 vertices) takes the comparison sort.
@@ -167,8 +166,13 @@ def group_runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def gather_index(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat pool indices of the blocks ``[off, off+count)`` concatenated."""
-    return np.repeat(offsets, counts) + segment_ranks(counts)
+    """Flat pool indices of the blocks ``[off, off+count)`` concatenated:
+    one repeat of ``off - start`` (``start``: the block's output position)
+    plus each element's output position."""
+    starts = np.cumsum(counts) - counts
+    idx = np.repeat(offsets - starts, counts)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return idx
 
 
 def _segment_prefix(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -447,16 +451,3 @@ def _finish_mixed(
     rep.vectorised_arc_ops += n_ins_total + n_succ + n_miss
     rep._account_bulk(uniq, cnt0, k_ins)
     return n_miss
-
-
-def to_arrays(rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-gather live-arc export for the dynarr family (grouped by src)."""
-    touched = np.flatnonzero(rep.cnt)
-    if touched.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    used = rep.cnt[touched]
-    idx = gather_index(rep.off[touched], used)
-    vals = rep._adj[idx]
-    keep = vals != TOMBSTONE
-    return np.repeat(touched, used)[keep], vals[keep], rep._ts[idx][keep]

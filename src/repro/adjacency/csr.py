@@ -4,8 +4,8 @@ The cache-friendly adjacency-array representation the paper builds on for
 static graphs (section 2.1, citing Park, Penner & Prasanna): one offsets
 array and one packed targets array, with an optional parallel time-stamp
 column.  Every analysis kernel in :mod:`repro.core` consumes this format;
-dynamic representations export to it via :func:`csr_from_representation`
-(the paper's kernels likewise run over a consolidated adjacency structure).
+dynamic representations export to it via ``rep.to_csr()`` (the paper's
+kernels likewise run over a consolidated adjacency structure).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.adjacency.bulkops import stable_order
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
 
-__all__ = ["CSRGraph", "build_csr", "csr_from_representation"]
+__all__ = ["CSRGraph", "build_csr", "csr_from_representation", "csr_offsets"]
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,13 @@ def build_csr(graph: EdgeList, *, symmetrize: bool | None = None) -> CSRGraph:
     return csr_from_arrays(graph.n, src, dst, ts, w=w, meta=dict(graph.meta))
 
 
+def csr_offsets(degrees: np.ndarray) -> np.ndarray:
+    """CSR ``offsets`` (length ``len(degrees) + 1``) for per-vertex arc counts."""
+    offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return offsets
+
+
 def csr_from_arrays(
     n: int,
     src: np.ndarray,
@@ -148,30 +155,22 @@ def csr_from_arrays(
     *,
     w: np.ndarray | None = None,
     meta: dict | None = None,
-    assume_grouped: bool = False,
 ) -> CSRGraph:
     """CSR from parallel arc arrays (already symmetrised if desired).
 
-    ``assume_grouped`` declares that ``src`` is already non-decreasing
-    (arcs grouped by source, the contract of
-    ``AdjacencyRepresentation.to_arrays``), which makes the build zero-copy
-    for the payload columns: offsets come from one bincount and ``dst`` /
-    ``ts`` are used as-is, skipping the semisort and the gather it
-    implies.  The claim is verified with one O(m) monotonicity check — a
-    misdeclared input falls back to the sorting path rather than producing
-    a silently scrambled graph.  The sorting path is the packed-key
-    semisort the update kernels group by
-    (:func:`repro.adjacency.bulkops.stable_order`): arcs of one source keep
-    their input order.
+    Arcs are grouped by source with the packed-key semisort the update
+    kernels use (:func:`repro.adjacency.bulkops.stable_order`): arcs of one
+    source keep their input order.  A source column that is already
+    non-decreasing comes back from the semisort as the identity, and the
+    payload columns are then used as given, without a gather.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if assume_grouped and (src.size < 2 or bool(np.all(src[:-1] <= src[1:]))):
+    offsets = csr_offsets(counts)
+    order, grouped = stable_order(src, n)
+    if grouped is src:
         return CSRGraph(n, offsets, dst, ts=ts, w=w, meta=meta or {})
-    order, _ = stable_order(src, n)
     return CSRGraph(
         n,
         offsets,
@@ -183,18 +182,6 @@ def csr_from_arrays(
 
 
 def csr_from_representation(rep) -> CSRGraph:
-    """Snapshot a dynamic representation's live arcs into CSR form.
-
-    Every representation's ``to_arrays`` advertises grouped-by-source output
-    via ``to_arrays_grouped``, so the snapshot pipeline is sort-free: one
-    gathered export plus a bincount.
-    """
-    src, dst, ts = rep.to_arrays()
-    return csr_from_arrays(
-        rep.n,
-        src,
-        dst,
-        ts,
-        meta={"source": rep.kind},
-        assume_grouped=bool(getattr(rep, "to_arrays_grouped", False)),
-    )
+    """:meth:`~repro.adjacency.base.AdjacencyRepresentation.to_csr` as a plain
+    function, the name the API, the window and the snapshot gates call."""
+    return rep.to_csr()

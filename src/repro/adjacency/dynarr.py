@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation
+from repro.adjacency.csr import CSRGraph, csr_offsets
 from repro.adjacency.mempool import IntPool
 from repro.errors import GraphError
 from repro.util.validation import check_op_codes, check_vertex_ids
@@ -95,7 +97,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         if pool is None:
             # One column for targets, one for time labels; sized so typical
             # construction needs no pool-level growth.
-            pool = IntPool(max(64, int(cap0.sum()) or 64), fill_value=TOMBSTONE, columns=2)
+            pool = IntPool(max(64, int(cap0.sum()) or 64), columns=2)
         elif pool.columns != 2:
             raise GraphError("DynArrAdjacency needs a 2-column pool (adj, ts)")
         self.pool = pool
@@ -307,15 +309,23 @@ class DynArrAdjacency(AdjacencyRepresentation):
         else:
             self.bulk_insert_scalar(src, dst, ts)
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live-arc export via one gathered read (grouped by source vertex).
+    def _live_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(targets, ts)`` of the live arcs, ascending owner then slot: one
+        gather of the occupied slots (never past ``cnt``), filtered only when
+        tombstones exist."""
+        idx = bulkops.gather_index(self.off, self.cnt)
+        targets, ts = self._adj[idx], self._ts[idx]
+        if idx.size != int(self.live.sum()):
+            keep = targets != TOMBSTONE
+            targets, ts = targets[keep], ts[keep]
+        return targets, ts
 
-        Identical output to the scalar per-vertex walk: ascending source,
-        per-vertex slot order, tombstones dropped.
-        """
-        if bulkops.enabled(self, int(self.cnt.sum())):
-            return bulkops.to_arrays(self)
-        return self.to_arrays_scalar()
+    def to_csr(self) -> CSRGraph:
+        """Offsets from ``live``, arcs from :meth:`_live_arcs`."""
+        if kernels.requested_tier(self) == "scalar":
+            return super().to_csr()
+        targets, ts = self._live_arcs()
+        return CSRGraph(self.n, csr_offsets(self.live), targets, ts, meta={"source": self.kind})
 
     # ------------------------------------------------------------------ #
 

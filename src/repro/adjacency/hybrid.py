@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import (
     ALU_PER_NODE,
@@ -33,6 +34,7 @@ from repro.adjacency.base import (
     HotStats,
     UpdateStats,
 )
+from repro.adjacency.csr import CSRGraph, csr_offsets
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.errors import GraphError
@@ -326,23 +328,21 @@ class HybridAdjacency(AdjacencyRepresentation):
         else:
             self.bulk_insert_scalar(src, dst, t)
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged live-arc export: each vertex lives on exactly one side, so
-        an arc's merged position is its position on its own side plus the
-        other side's arcs at smaller sources — the scalar per-vertex walk."""
-        arr, treap = self.arr.to_arrays(), self.treap.to_arrays()
-        s1, s2 = arr[0], treap[0]
-        if not s2.size:
-            return arr
-        if not s1.size:
-            return treap
-        pos1 = np.arange(s1.size) + np.cumsum(np.bincount(s2, minlength=self.n))[s1]
-        pos2 = np.arange(s2.size) + np.cumsum(np.bincount(s1, minlength=self.n))[s2]
-        out = tuple(np.empty(s1.size + s2.size, dtype=np.int64) for _ in range(3))
-        for merged, a1, a2 in zip(out, arr, treap):
-            merged[pos1] = a1
-            merged[pos2] = a2
-        return out
+    def to_csr(self) -> CSRGraph:
+        """A vertex's arcs sit on one side (either migration empties the side
+        it leaves): offsets from ``arr.live`` plus the treap degrees, then the
+        array side's arcs and the treap's in-order runs are written from
+        their vertex's offset.  Tier ``scalar`` takes the reference walk."""
+        if kernels.requested_tier(self) == "scalar":
+            return super().to_csr()
+        arr = self.arr
+        offsets = csr_offsets(arr.live + np.frombuffer(self.treap._live_deg, dtype=np.int64))
+        targets = np.empty(int(offsets[-1]), dtype=np.int64)
+        ts = np.empty_like(targets)
+        at = bulkops.gather_index(offsets[:-1], arr.live)
+        targets[at], ts[at] = arr._live_arcs()
+        self.treap._scatter_inorder(offsets, targets, ts)
+        return CSRGraph(self.n, offsets, targets, ts, meta={"source": self.kind})
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -24,23 +24,23 @@ __all__ = ["IntPool"]
 class IntPool:
     """Bump-pointer allocator over a growable int64 array.
 
-    Allocation returns an *offset* into :attr:`data`; freed blocks are not
-    recycled (the structures here only grow blocks, matching the paper's
-    scheme where a resized adjacency array abandons its old block).  The
+    Allocation returns an *offset* into :attr:`data`; the pool fills
+    nothing, so a block holds garbage until its owner writes it and growth
+    touches only the prefix it copies.  Freed blocks are not recycled (the
+    structures here only grow blocks, matching the paper's scheme where a resized adjacency array abandons its old block).  The
     pool tracks the abandoned footprint so space-overhead experiments can
     report it.
     """
 
-    __slots__ = ("data", "used", "abandoned", "grow_events", "fill_value", "_columns")
+    __slots__ = ("data", "used", "abandoned", "grow_events", "_columns")
 
-    def __init__(self, capacity: int = 1024, fill_value: int = -1, columns: int = 1) -> None:
+    def __init__(self, capacity: int = 1024, columns: int = 1) -> None:
         if capacity <= 0:
             raise GraphError(f"pool capacity must be positive, got {capacity}")
         if columns < 1:
             raise GraphError(f"pool needs >= 1 column, got {columns}")
-        self.fill_value = fill_value
         self._columns = columns
-        self.data = np.full((columns, capacity), fill_value, dtype=np.int64)
+        self.data = np.empty((columns, capacity), dtype=np.int64)
         self.used = 0
         self.abandoned = 0
         self.grow_events = 0
@@ -73,7 +73,7 @@ class IntPool:
             new_cap = self.capacity
             while self.used + size > new_cap:
                 new_cap *= 2
-            grown = np.full((self._columns, new_cap), self.fill_value, dtype=np.int64)
+            grown = np.empty((self._columns, new_cap), dtype=np.int64)
             grown[:, : self.used] = self.data[:, : self.used]
             self.data = grown
             self.grow_events += 1

@@ -41,9 +41,11 @@ from itertools import repeat
 
 import numpy as np
 
+from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.adjacency.base import LOCK_HOLD_PER_NODE
+from repro.adjacency.csr import CSRGraph, csr_offsets
 from repro.util.seeding import make_rng
 from repro.util.validation import check_op_codes
 
@@ -369,22 +371,22 @@ class TreapAdjacency(AdjacencyRepresentation):
             return self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist())
         return self.apply_arcs_scalar(op, src, dst, t)
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Live-arc export: one level-synchronous pass over the whole forest.
+    def _scatter_inorder(self, offsets: np.ndarray, targets: np.ndarray, ts: np.ndarray) -> None:
+        """Write every vertex's in-order ``(key, stamp)`` run at ``offsets[u]``.
 
-        Emits exactly what the scalar per-vertex export does (ascending
-        source, in-order targets).  Levels are discovered top-down from all
-        roots at once, subtree sizes taken bottom-up, and every node gets
-        its in-order slot top-down (``slot = first + size of left subtree``),
-        so positions come from tree structure and equal keys keep their order.
-        Cost is O(nodes + depth x per-level numpy overhead).  The results
-        are fresh arrays; the pool views die with this frame, so the pool
-        can grow again afterwards.
+        One level-synchronous pass over the whole forest: levels are
+        discovered top-down from all roots at once, subtree sizes taken
+        bottom-up, and every node gets its in-order slot top-down (``slot =
+        first + size of left subtree``, with ``first = offsets[u]`` at u's
+        root), where its key and stamp are stored — so positions come from
+        tree structure and equal keys keep their order.  Cost is O(nodes +
+        depth x per-level numpy overhead).  The pool views die with this
+        frame, so the pool can grow again afterwards.
         """
+        key = np.frombuffer(self._key, dtype=np.int64)
+        stamp = np.frombuffer(self._ts, dtype=np.int64)
         left = np.frombuffer(self._left, dtype=np.int64)
         right = np.frombuffer(self._right, dtype=np.int64)
-        deg = np.frombuffer(self._live_deg, dtype=np.int64)
-        src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
         roots = np.frombuffer(self.root, dtype=np.int64)
         live = np.flatnonzero(roots != _NIL)
         nodes = roots[live]
@@ -405,20 +407,22 @@ class TreapAdjacency(AdjacencyRepresentation):
             left_size, right_size = ks[: nodes.size], ks[nodes.size :]
             left_sizes.append(left_size)
             below = 1 + left_size + right_size
-        first = (np.cumsum(deg) - deg)[live]
-        slots = []
-        for (_, has), left_size in zip(levels, reversed(left_sizes)):
+        first = offsets[live]
+        for (nodes, has), left_size in zip(levels, reversed(left_sizes)):
             slot = first + left_size
-            slots.append(slot)
+            targets[slot] = key[nodes]
+            ts[slot] = stamp[nodes]
             first = np.concatenate((first, slot + 1))[has]
-        order = np.empty(src.size, dtype=np.int64)
-        if levels:
-            order[np.concatenate(slots)] = np.concatenate([nodes for nodes, _ in levels])
-        return (
-            src,
-            np.frombuffer(self._key, dtype=np.int64)[order],
-            np.frombuffer(self._ts, dtype=np.int64)[order],
-        )
+
+    def to_csr(self) -> CSRGraph:
+        """Offsets from the live degrees, arcs from :meth:`_scatter_inorder`."""
+        if kernels.requested_tier(self) == "scalar":
+            return super().to_csr()
+        offsets = csr_offsets(np.frombuffer(self._live_deg, dtype=np.int64))
+        targets = np.empty(int(offsets[-1]), dtype=np.int64)
+        ts = np.empty_like(targets)
+        self._scatter_inorder(offsets, targets, ts)
+        return CSRGraph(self.n, offsets, targets, ts, meta={"source": self.kind})
 
     # ------------------------------------------------------------------ #
     # set operations (paper: union / intersection / difference on treaps)

@@ -9,8 +9,8 @@ well for a small number of threads").
 
 Storage is identical to :class:`~repro.adjacency.dynarr.DynArrAdjacency` —
 including the vectorised bulk kernels (grouped ``apply_arcs`` /
-``bulk_insert`` / gathered ``to_arrays`` from
-:mod:`repro.adjacency.bulkops`), which are inherited unchanged; what changes
+``bulk_insert`` from :mod:`repro.adjacency.bulkops`) and the gathered
+``to_csr`` export, which are inherited unchanged; what changes
 is the parallel cost profile: no synchronisation, but a per-thread
 replicated stream scan.
 """

@@ -43,6 +43,14 @@ __all__ = ["LinkCutForest", "ConstructionRecord", "chase_roots"]
 
 _NIL = -1
 
+#: Query pairs :meth:`LinkCutForest.connected_batch` chases at once, so a
+#: batch's temporaries stay a few blocks large (about 3 MiB) whatever its
+#: length.  Chasing a million pairs at once takes about 40 MiB per call, and
+#: whether glibc keeps those pages for the next call or hands them back to
+#: be faulted in again depends on what the process freed before (7 400
+#: faults and a quarter of the query time, in some processes and not others).
+_QUERY_BLOCK = 1 << 16
+
 
 def chase_roots(parent: np.ndarray, vertices: np.ndarray, tier: str) -> tuple[np.ndarray, int]:
     """Roots of ``vertices`` (a copy) and the pointer hops the chase took.
@@ -238,8 +246,18 @@ class LinkCutForest:
         return roots
 
     def connected_batch(self, us, vs) -> np.ndarray:
-        """Vectorised connectivity queries (bool array)."""
-        return self.findroot_batch(us) == self.findroot_batch(vs)
+        """Vectorised connectivity queries (bool array), chased
+        :data:`_QUERY_BLOCK` pairs at a time."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        if us.shape != vs.shape or us.ndim != 1:
+            raise GraphError("query endpoint arrays must be 1-D and equal length")
+        out = np.empty(us.size, dtype=bool)
+        for lo in range(0, us.size, _QUERY_BLOCK):
+            hi = lo + _QUERY_BLOCK
+            np.equal(self.findroot_batch(us[lo:hi]), self.findroot_batch(vs[lo:hi]),
+                     out=out[lo:hi])
+        return out
 
     def depths(self) -> np.ndarray:
         """Depth of every vertex (roots at depth 0).

@@ -9,9 +9,9 @@ compiled ``apply_arcs`` path (:func:`repro.core.update_engine.apply_stream`)
 and publishes a fresh epoch to the :class:`~repro.service.epoch.EpochStore`
 at batch boundaries.
 
-Because the snapshot pipeline is sort-free (grouped ``to_arrays`` →
-``csr_from_arrays(assume_grouped=True)``) a rotation costs one gathered
-export, so the default policy publishes after **every** batch: epoch lag is
+Because the snapshot export writes every live arc straight into CSR
+(``rep.to_csr()``: offsets from the live degrees, no sort) a rotation costs
+one gathered export, so the default policy publishes after **every** batch: epoch lag is
 then exactly zero at each batch boundary.  ``rotate_min_interval`` coalesces
 rotations for very small batches; the ``service.epoch.lag_updates`` gauge
 and :attr:`UpdateDrainer.max_observed_lag` record how far the live

@@ -5,9 +5,9 @@ concurrent readers (query handlers).  Readers must never block the writer
 and the writer must never mutate what a reader is looking at.  Both follow
 from one rule: **snapshots are immutable and epochs are refcounted**.
 
-* The writer *publishes*: it builds a fresh zero-copy CSR snapshot of the
-  dynamic structure (``csr_from_arrays(assume_grouped=True)`` via the
-  grouped ``to_arrays`` export) and installs it as the new current
+* The writer *publishes*: it builds a fresh CSR snapshot of the dynamic
+  structure (``rep.to_csr()``, which writes the live arcs straight into
+  CSR) and installs it as the new current
   :class:`Epoch`, keyed on the representation's monotonic
   ``mutation_count``.  Publishing takes a short O(1) critical section and
   never waits for readers.

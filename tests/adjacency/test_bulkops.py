@@ -296,6 +296,26 @@ class TestPrimitives:
         expected = [o + j for o, c in zip(offsets, counts) for j in range(int(c))]
         assert bulkops.gather_index(offsets, counts).tolist() == expected
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 10_000), st.integers(0, 6)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gather_index_matches_concatenated_ranges(self, blocks):
+        # Zero counts (including the -1 offset of an unallocated dyn-arr
+        # block) and an empty input must contribute nothing.
+        offsets = np.array([o for o, _ in blocks], dtype=np.int64)
+        counts = np.array([c for _, c in blocks], dtype=np.int64)
+        expected = np.concatenate(
+            [np.arange(o, o + c, dtype=np.int64) for o, c in blocks]
+            + [np.empty(0, dtype=np.int64)]
+        )
+        got = bulkops.gather_index(offsets, counts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
 
 class TestAllocMany:
     def test_matches_sequential_allocs(self):

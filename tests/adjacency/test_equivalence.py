@@ -224,24 +224,31 @@ class TestHypothesisEquivalence:
 
 class TestSnapshotPipeline:
     def test_grouped_csr_equals_sorted_csr(self):
+        # The direct export (already grouped) equals the scalar export with
+        # its source groups reversed, so csr_from_arrays must semisort it.
         rng = np.random.default_rng(9)
         rep = DynArrAdjacency(50)
         op, src, dst, ts = make_stream(rng, 50, 2000, 0.7)
         rep.kernel_tier = "vectorised"
         rep.apply_arcs(op, src, dst, ts)
-        a_src, a_dst, a_ts = rep.to_arrays()
-        fast = csr_from_arrays(rep.n, a_src, a_dst, a_ts, assume_grouped=True)
-        slow = csr_from_arrays(rep.n, a_src, a_dst, a_ts, assume_grouped=False)
+        fast = rep.to_csr()
+        s_src, s_dst, s_ts = rep.to_arrays_scalar()
+        flip = np.argsort(-s_src, kind="stable")
+        slow = csr_from_arrays(rep.n, s_src[flip], s_dst[flip], s_ts[flip])
         assert np.array_equal(fast.offsets, slow.offsets)
         assert np.array_equal(fast.targets, slow.targets)
         assert np.array_equal(fast.ts, slow.ts)
 
-    def test_misdeclared_grouping_falls_back(self):
-        src = np.array([3, 0, 1], dtype=np.int64)
-        dst = np.array([1, 2, 0], dtype=np.int64)
-        g = csr_from_arrays(4, src, dst, assume_grouped=True)
-        assert g.neighbors(0).tolist() == [2]
+    def test_unsorted_source_is_grouped(self):
+        src = np.array([3, 0, 1, 0], dtype=np.int64)
+        dst = np.array([1, 2, 0, 3], dtype=np.int64)
+        g = csr_from_arrays(4, src, dst)
+        assert g.neighbors(0).tolist() == [2, 3]
         assert g.neighbors(3).tolist() == [1]
+        # A sorted source column is the semisort's identity: the payload is
+        # used as given, not gathered.
+        grouped = csr_from_arrays(4, np.sort(src), dst)
+        assert np.shares_memory(grouped.targets, dst)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_representation_snapshot_consistent(self, kind):

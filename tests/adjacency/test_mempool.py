@@ -1,8 +1,17 @@
 """Tests for the chunked memory pool."""
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
+from repro.adjacency import bulkops
+from repro.adjacency.batch import BatchedAdjacency
+from repro.adjacency.dynarr import TOMBSTONE, DynArrAdjacency
+from repro.adjacency.epart import EPartAdjacency
+from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.mempool import IntPool
+from repro.adjacency.vpart import VPartAdjacency
 from repro.errors import GraphError
 
 
@@ -64,10 +73,6 @@ class TestColumns:
 
 
 class TestAccounting:
-    def test_fill_value(self):
-        p = IntPool(4, fill_value=-1)
-        assert p.data[0, 0] == -1
-
     def test_abandon(self):
         p = IntPool(16)
         p.alloc(8)
@@ -86,3 +91,118 @@ class TestAccounting:
     def test_invalid_capacity(self):
         with pytest.raises(GraphError):
             IntPool(0)
+
+
+# --------------------------------------------------------------------- #
+# the pool fills nothing: no reader may look past a vertex's ``cnt``
+# --------------------------------------------------------------------- #
+
+
+class FillingPool(IntPool):
+    """A pool that writes ``fill`` into every slot it has not handed out yet,
+    at construction and after every allocation (so also across the whole
+    unused tail after each growth, mid-batch)."""
+
+    def __init__(self, capacity: int, fill: int) -> None:
+        super().__init__(capacity, columns=2)
+        self.fill = fill
+        self.data[:] = fill
+
+    def alloc(self, size: int) -> int:
+        off = super().alloc(size)
+        self.data[:, off:] = self.fill
+        return off
+
+
+def poison_dead_slots(arr: DynArrAdjacency) -> None:
+    """Fill every pool slot outside each vertex's ``[off, off + cnt)``:
+    block tails, abandoned blocks and the unallocated remainder."""
+    dead = np.ones(arr.pool.capacity, dtype=bool)
+    dead[bulkops.gather_index(arr.off, arr.cnt)] = False
+    arr.pool.data[:, dead] = arr.pool.fill
+
+
+def build(kind: str, n: int, fill: int):
+    """A ``kind`` instance whose array storage draws from a FillingPool."""
+    pool = FillingPool(16, fill)
+    if kind == "dynarr":
+        return DynArrAdjacency(n, pool=pool)
+    if kind == "dynarr-nr":
+        rep = DynArrAdjacency(n, initial_capacity=np.full(n, 256), resize=False, pool=pool)
+        rep.kind = "dynarr-nr"
+        return rep
+    if kind == "vpart":
+        return VPartAdjacency(n, pool=pool)
+    if kind == "epart":
+        return EPartAdjacency(n, split_thresh=4, pool=pool)
+    if kind == "batched":
+        return BatchedAdjacency(n, pool=pool)
+    if kind == "hybrid":
+        return HybridAdjacency(n, degree_thresh=5, seed=3, array_kwargs={"pool": pool})
+    raise AssertionError(kind)
+
+
+def array_side(rep) -> DynArrAdjacency:
+    return getattr(rep, "arr", getattr(rep, "inner", rep))
+
+
+def observed(rep) -> dict:
+    g = rep.to_csr()
+    stats = rep.combined_stats() if isinstance(rep, HybridAdjacency) else rep.stats
+    return {
+        "csr": (g.offsets.tolist(), g.targets.tolist(), g.ts.tolist(), g.meta["source"]),
+        "neighbors": [rep.neighbors(u).tolist() for u in range(rep.n)],
+        "stats": asdict(stats),
+        "n_arcs": rep.n_arcs,
+        "memory_bytes": rep.memory_bytes(),
+    }
+
+
+class TestUnfilledPool:
+    """Twin structures see the same streams; one pool reads as the old
+    tombstone fill wherever nothing was written, the other as an in-range
+    vertex id (0 is what a fresh page reads).  A reader that looked past a
+    vertex's ``cnt`` would match, count or export the poison."""
+
+    N = 64
+
+    @pytest.mark.parametrize("fill", [0, 5])
+    @pytest.mark.parametrize("tier", ["vectorised", "scalar"])
+    @pytest.mark.parametrize(
+        "kind", ["dynarr", "dynarr-nr", "vpart", "epart", "batched", "hybrid"]
+    )
+    def test_poisoned_slots_are_never_read(self, kind, tier, fill):
+        twin, poisoned = build(kind, self.N, TOMBSTONE), build(kind, self.N, fill)
+        for rep in (twin, poisoned):
+            rep.kernel_tier = tier
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            k = 120
+            op = np.where(rng.random(k) < 0.6, 1, -1).astype(np.int8)
+            # Two hot sources (hybrid migrates them mid-batch) and many cold
+            # ones that stay in array blocks; few targets, so deletes hit.
+            hot = rng.random(k) < 0.5
+            src = np.where(hot, rng.integers(0, 2, size=k), rng.integers(2, self.N, size=k))
+            dst = rng.integers(0, 8, size=k)
+            ts = rng.integers(0, 1000, size=k)
+            for rep in (twin, poisoned):
+                poison_dead_slots(array_side(rep))
+            # The vectorised delete matcher (tier vectorised) or the scalar
+            # loop (tier scalar), with hybrid migrations mid-batch.
+            misses = [rep.apply_arcs(op, src, dst, ts) for rep in (twin, poisoned)]
+            assert misses[0] == misses[1]
+            assert observed(poisoned) == observed(twin)
+            # Per-op deletes: hits, misses and probe words.
+            us, vs = rng.integers(0, self.N, size=12), rng.integers(0, 8, size=12)
+            for u, v in zip(us.tolist(), vs.tolist()):
+                for rep in (twin, poisoned):
+                    poison_dead_slots(array_side(rep))
+                assert poisoned.delete(u, v) == twin.delete(u, v)
+            assert observed(poisoned) == observed(twin)
+        # The streams exercised what the guard is for: pool growth,
+        # tombstones and (on hybrid) migrations.
+        arr = array_side(twin)
+        assert arr.pool.grow_events > 0
+        assert (arr.cnt > arr.live).any()
+        if kind == "hybrid":
+            assert twin.stats.migrations > 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.adjacency.csr import build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
+from repro.core import linkcut
 from repro.core.components import connected_components
 from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError, NotInForestError, VertexError
@@ -97,6 +98,24 @@ class TestBatchOps:
         f.link(4, 3)
         out = f.connected_batch([0, 0, 3], [2, 4, 4])
         assert out.tolist() == [True, False, True]
+
+    def test_connected_batch_in_blocks(self, monkeypatch):
+        f = LinkCutForest(60)
+        rng = np.random.default_rng(3)
+        for v in range(1, 60):
+            if v % 7:  # every seventh vertex stays a root: several trees
+                f.link(v, int(rng.integers(0, v)))
+        us, vs = rng.integers(0, 60, 100), rng.integers(0, 60, 100)
+        f.hops = 0  # link() counted its cycle checks
+        whole = f.connected_batch(us, vs)
+        whole_hops, f.hops = f.hops, 0
+        monkeypatch.setattr(linkcut, "_QUERY_BLOCK", 7)  # 100 pairs: 14 full blocks + 2
+        assert np.array_equal(f.connected_batch(us, vs), whole)
+        assert f.hops == whole_hops
+        assert whole.tolist() == [f.findroot(int(u)) == f.findroot(int(v)) for u, v in zip(us, vs)]
+        assert f.connected_batch([], []).size == 0
+        with pytest.raises(GraphError):
+            f.connected_batch([0, 1], [0])
 
     def test_batch_out_of_range(self):
         with pytest.raises(VertexError):
