@@ -22,17 +22,7 @@ import time
 
 import pytest
 
-from repro import kernels
 from repro.experiments import FigureResult
-
-
-def pytest_sessionstart(session):
-    """Warm the compiled kernel tier before any timed section runs.
-
-    A no-op without numba; with it, first-call JIT compilation happens
-    here — never inside a benchmark round.
-    """
-    kernels.warmup()
 
 
 def best_of(fn, rounds: int):

@@ -7,7 +7,7 @@ acceptance criteria:
 
 * the vectorised ``apply_arcs`` is at least 5x faster than the scalar loop
   on a 1M-update insertion stream into Dyn-arr;
-* the snapshot export (``csr_from_representation``, i.e. ``rep.to_csr()``:
+* the snapshot export (``rep.to_csr()``:
   offsets from the live degrees, arcs gathered straight into CSR) is at
   least 5x faster than the scalar export + generic CSR build on Dyn-arr;
 * the ``hybrid`` export (both sides writing into one CSR: array-side
@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.adjacency.batch import BatchedAdjacency
-from repro.adjacency.csr import csr_from_arrays, csr_from_representation
+from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.epart import EPartAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
@@ -113,9 +113,7 @@ def test_snapshot_pipeline_csr_1m(benchmark):
     rep = _build("dynarr", N)
     rep.apply_arcs(op, src, dst, ts)
 
-    csr = benchmark.pedantic(
-        csr_from_representation, args=(rep,), rounds=3, iterations=1, warmup_rounds=0
-    )
+    csr = benchmark.pedantic(rep.to_csr, rounds=3, iterations=1, warmup_rounds=0)
     vec_seconds = float(benchmark.stats.stats.mean)
 
     t0 = time.perf_counter()
@@ -140,9 +138,7 @@ def test_snapshot_pipeline_hybrid(benchmark):
     g.apply(mixed_stream(base, 49152, 0.75, SEED + 2, insert_edges=fresh))
     rep = g.rep
 
-    fast = benchmark.pedantic(
-        csr_from_representation, args=(rep,), rounds=5, iterations=1, warmup_rounds=1
-    )
+    fast = benchmark.pedantic(rep.to_csr, rounds=5, iterations=1, warmup_rounds=1)
     vec_seconds = float(benchmark.stats.stats.mean)
     t0 = time.perf_counter()
     s_src, s_dst, s_ts = rep.to_arrays_scalar()

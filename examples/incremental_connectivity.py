@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adjacency.csr import csr_from_representation
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.dynamic_connectivity import DynamicConnectivity
 from repro.generators.rmat import rmat_graph
@@ -52,7 +51,7 @@ def main() -> None:
             queries = rng.integers(0, base.n, (50, 2))
             incr_answers = dyn.connected_batch(queries[:, 0], queries[:, 1])
         with Timer() as t_rebuild:
-            index = ConnectivityIndex.from_csr(csr_from_representation(dyn.rep))
+            index = ConnectivityIndex.from_csr(dyn.rep.to_csr())
             rebuild_answers = index.forest.connected_batch(
                 queries[:, 0], queries[:, 1]
             )

@@ -25,11 +25,6 @@ Commands:
   for ``chrome://tracing``, speedscope and flamegraph tools; ``--memprof``
   turns on per-span memory accounting; ``--quiet`` and ``--no-manifest``
   trim the output/provenance for scripted runs;
-* ``kernels`` — show the compiled-kernel tier dispatch state
-  (docs/PERFORMANCE.md): numba availability, the ``REPRO_KERNEL_TIER``
-  override, the auto-probed default, and where each kernel dispatches
-  from; ``--warmup`` JIT-compiles everything now and reports the
-  compile cost benchmark runs keep out of timed sections;
 * ``obs`` — the live telemetry runtime (docs/OBSERVABILITY.md):
   ``obs serve`` runs a workload with the background collector on and an
   OpenMetrics endpoint up, ``obs scrape`` fetches (and with ``--check``
@@ -330,17 +325,8 @@ def _trace_genscale(args: argparse.Namespace, backend) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro import kernels, obs
+    from repro import obs
 
-    # Warm the compiled kernel tier (no-op without numba) so first-call JIT
-    # compilation can never land inside a timed section.
-    wu = kernels.warmup()
-    if wu["compile_seconds"] > 0:
-        _say(
-            args,
-            f"kernel warmup: tier {wu['tier']!r} compiled in "
-            f"{wu['compile_seconds']:.3f}s (excluded from timings)",
-        )
     if args.scale is None:
         # The figure workloads default to a scale-12 R-MAT instance;
         # genscale defaults a bit larger (it is generation-bound); the
@@ -404,50 +390,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         p = obs.write_folded(args.folded, memory.events)
         _say(args, f"wrote folded stacks (flamegraph.pl et al.) -> {p}")
     return 0
-
-
-def cmd_kernels(args: argparse.Namespace) -> int:
-    """Show the compiled-kernel dispatch state (``docs/PERFORMANCE.md``).
-
-    Prints numba availability, the ``REPRO_KERNEL_TIER`` override, the
-    auto-probed default tier and — per kernel — the tier it would resolve
-    to, the call site it is dispatched from and what that tier runs
-    there.  ``--warmup`` additionally JIT-compiles every kernel now and
-    reports the compile cost that benchmark runs exclude from timed
-    sections.
-    """
-    from repro import kernels
-
-    d = kernels.describe()
-    numba_state = (
-        f"available (numba {d['numba_version']})"
-        if d["available"]
-        else f"not available ({d['probe_error'] or 'numba not installed'})"
-    )
-    print(f"compiled tier : {numba_state}")
-    print(f"env override  : {kernels.ENV_VAR}={d['env']}"
-          if d["env"] is not None else f"env override  : {kernels.ENV_VAR} unset")
-    print(f"default tier  : {d['default_tier']} (auto-probed)")
-    if d["resolve_error"] is not None:
-        print(f"resolved tier : error — {d['resolve_error']}")
-    else:
-        print(f"resolved tier : {d['resolved_tier']}")
-    print()
-    width = max(len(name) for name in kernels.KERNEL_NAMES)
-    for name, info in d["kernels"].items():
-        tier = info["tier"] if info["tier"] is not None else "error"
-        print(f"  {name:<{width}}  {tier:<10}  {info['dispatched_from']}")
-        if info["runs"] is not None:
-            print(f"  {'':<{width}}  {'':<10}  runs {info['runs']}")
-    if args.warmup:
-        info = kernels.warmup(force=True)
-        print()
-        print(f"warmup: tier {info['tier']!r}, "
-              f"compile {info['compile_seconds']:.3f}s "
-              f"(cold {info['cold_seconds']:.3f}s, warm {info['warm_seconds']:.3f}s)")
-        for name, stats in info["kernels"].items():
-            print(f"  {name:<{width}}  compile {stats['compile_seconds']:.3f}s")
-    return 1 if d["resolve_error"] is not None else 0
 
 
 def _metrics_url(base: str) -> str:
@@ -535,7 +477,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = GraphService(
         graph,
         router=router,
-        kernel_tier=args.kernel_tier,
         query_threads=args.query_threads,
         rotate_min_interval=args.rotate_interval,
         reqtrace=tracer if tracer is not None else False,
@@ -779,13 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "kernels", help="show the compiled-kernel tier dispatch state"
-    )
-    p.add_argument("--warmup", action="store_true",
-                   help="JIT-compile every kernel now and report compile cost")
-    p.set_defaults(fn=cmd_kernels)
-
-    p = sub.add_parser(
         "obs", help="live telemetry: serve/scrape/inspect OpenMetrics endpoints"
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
@@ -869,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="components execution: serial kernel or sharded workers")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --backend process")
-    p.add_argument("--kernel-tier", default=None,
-                   choices=["python", "scalar", "vector", "compiled"],
-                   help="kernel tier override for the serial query kernels")
     p.add_argument("--query-threads", type=int, default=4,
                    help="query executor width (default: 4)")
     p.add_argument("--rotate-interval", type=float, default=0.0,

@@ -139,9 +139,9 @@ class AdjacencyRepresentation(abc.ABC):
     #: Short registry name, set by subclasses ("dynarr", "treap", ...).
     kind: str = "abstract"
 
-    #: Kernel-tier request ("scalar" | "vectorised" | "compiled"); None
-    #: defers to :func:`repro.kernels.resolve_tier` (env var, then
-    #: auto-probe).  Wrappers forward it to the structure they own.
+    #: Kernel-tier request ("scalar" | "vectorised"); None defers to
+    #: :func:`repro.kernels.resolve_tier` (env var, then the default).
+    #: Wrappers forward it to the structure they own.
     kernel_tier: str | None = None
     #: Arc operations the :mod:`repro.adjacency.bulkops` kernels applied
     #: (which path ran; not a work counter).

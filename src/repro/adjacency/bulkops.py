@@ -45,10 +45,7 @@ none of these kernels: their bulk path is one fused arrival-order loop
 
 Dispatch follows the one kernel-tier knob (:mod:`repro.kernels`; see
 :func:`enabled`): tier ``scalar`` is the reference loop, ``vectorised`` the
-kernels here, and ``compiled`` additionally replaces the ballot-style
-matching passes in :func:`apply_mixed` with the fused single-pass
-:func:`repro.kernels.loops.delete_match` — bit-identical counters, one pass
-instead of ~12.  When nobody named a tier, batches below
+kernels here.  When nobody named a tier, batches below
 :data:`MIN_BULK_SIZE` stay scalar — the fixed per-call cost of the grouping
 and gather passes outweighs the win there.
 """
@@ -79,8 +76,8 @@ INSERT = 1
 TOMBSTONE = -1
 
 #: Below this many arcs the scalar loop wins (the fixed cost of a dozen
-#: numpy calls per batch); applies only when the tier was auto-probed, never
-#: to one somebody asked for.
+#: numpy calls per batch); applies only to the default tier, never to one
+#: somebody asked for.
 MIN_BULK_SIZE = 48
 
 #: Largest vertex count for which an arc (u, v) packs into one int64 key
@@ -332,39 +329,6 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
         lo = np.searchsorted(gkey_s, kuniq, side="left")
         e_grp = np.searchsorted(gkey_s, kuniq, side="right") - lo
 
-        if kernels.resolve_tier(rep) == "compiled":
-            # Fused single-pass matching: same ballot math, one loop, no
-            # temporaries (see repro.kernels.loops.delete_match).
-            n_del = int(o.size) - n_ins_total
-            scratch = np.empty(max(n_ins_total, 1), dtype=np.int64)
-            tomb_out = np.empty(max(n_del, 1), dtype=np.int64)
-            succ_out = np.empty(max(n_del, 1), dtype=np.int64)
-            n_miss, n_succ, probe_words = kernels.get("delete_match")(
-                key_s,
-                ins2,
-                np.repeat(e_grp, kcounts),
-                np.repeat(lo, kcounts),
-                gslot_s,
-                vins_before[k_order],
-                cnt0_op[k_order],
-                off_op[k_order],
-                scratch,
-                tomb_out,
-                succ_out,
-            )
-            n_miss = int(n_miss)
-            n_succ = int(n_succ)
-            probe_words = int(probe_words)
-            if n_succ:
-                rep._adj[tomb_out[:n_succ]] = TOMBSTONE
-                owners = s[k_order][succ_out[:n_succ]]
-                dec = np.bincount(
-                    np.searchsorted(uniq, owners), minlength=uniq.size
-                ).astype(np.int64)
-            return _finish_mixed(
-                rep, uniq, cnt0, k_ins, dec, n_ins_total, n_succ, n_miss, probe_words
-            )
-
         grp = np.repeat(np.arange(kuniq.size, dtype=np.int64), kcounts)
 
         a = _segment_prefix(ins2, kstarts, kcounts)  # same-key inserts before
@@ -426,21 +390,6 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
                 np.searchsorted(uniq, owners), minlength=uniq.size
             ).astype(np.int64)
 
-    return _finish_mixed(rep, uniq, cnt0, k_ins, dec, n_ins_total, n_succ, n_miss, probe_words)
-
-
-def _finish_mixed(
-    rep,
-    uniq: np.ndarray,
-    cnt0: np.ndarray,
-    k_ins: np.ndarray,
-    dec: np.ndarray,
-    n_ins_total: int,
-    n_succ: int,
-    n_miss: int,
-    probe_words: int,
-) -> int:
-    """Shared :func:`apply_mixed` epilogue: occupancy, stats, pool accounting."""
     rep.cnt[uniq] = cnt0 + k_ins
     rep.live[uniq] += k_ins - dec
     rep.stats.inserts += n_ins_total

@@ -18,7 +18,7 @@ from repro.adjacency.bulkops import stable_order
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
 
-__all__ = ["CSRGraph", "build_csr", "csr_from_representation", "csr_offsets"]
+__all__ = ["CSRGraph", "build_csr", "csr_offsets"]
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,3 @@ def csr_from_arrays(
         w=None if w is None else np.asarray(w, dtype=np.int64)[order],
         meta=meta or {},
     )
-
-
-def csr_from_representation(rep) -> CSRGraph:
-    """:meth:`~repro.adjacency.base.AdjacencyRepresentation.to_csr` as a plain
-    function, the name the API, the window and the snapshot gates call."""
-    return rep.to_csr()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.base import AdjacencyRepresentation
-from repro.adjacency.csr import CSRGraph, csr_from_representation
+from repro.adjacency.csr import CSRGraph
 from repro.adjacency.registry import make_representation
 from repro.core.bfs import BFSResult, bfs
 from repro.core.betweenness import BetweennessResult, temporal_betweenness
@@ -253,7 +253,7 @@ class DynamicGraph:
         if refresh or self._snapshot is None or self._snapshot_key != key:
             forced = refresh and self._snapshot is not None and self._snapshot_key == key
             with span("api.snapshot", n=self.n, arcs=self.rep.n_arcs):
-                self._snapshot = csr_from_representation(self.rep)
+                self._snapshot = self.rep.to_csr()
             self._snapshot_key = self.rep.mutation_count
             METRICS.inc(
                 "api.snapshot_forced_rebuilds" if forced else "api.snapshot_rebuilds"

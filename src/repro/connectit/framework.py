@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
@@ -234,7 +233,6 @@ def _connectit_finish(views: dict, payload: dict) -> dict:
     uf = UnionFind(
         payload["n"], union_rule=payload["union_rule"], compaction=payload["compaction"]
     )
-    uf.kernel_tier = payload["tier"]
     src = views["src"][lo:hi]
     dst = views["dst"][lo:hi]
     linked = uf.union_arcs(src, dst)
@@ -258,12 +256,7 @@ def _pool_finish(uf: UnionFind, fsrc: np.ndarray, fdst: np.ndarray, pool: Worker
     """
     if not fsrc.size:
         return []
-    payload = {
-        "n": uf.n,
-        "union_rule": uf.union_rule,
-        "compaction": uf.compaction,
-        "tier": kernels.resolve_tier(uf),
-    }
+    payload = {"n": uf.n, "union_rule": uf.union_rule, "compaction": uf.compaction}
     with ShmArena.create({"src": fsrc, "dst": fdst}) as arena:
         outs = pool.run_tasks(
             [
@@ -321,7 +314,6 @@ def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> C
             "arcs": graph.n_arcs,
             "sample_arcs": int(stats.attempts),
             "finish_arcs": int(fsrc.size),
-            "kernel_tier": kernels.resolve_tier(uf),
             "footprint_bytes": uf.memory_bytes() + int(_ARC_BYTES) * graph.n_arcs,
             "fragments": fragments,
         },

@@ -119,8 +119,8 @@ class UnionFind:
     methods and the interpreted :meth:`union_arcs` index them directly.
     :attr:`parent`, :attr:`rank` and :attr:`size` are zero-copy ndarray views
     of the same memory, for the vectorised users (:meth:`bulk_hook`, the
-    label extraction, the compiled kernel) and for callers that write a
-    forest in directly; a write through either side is seen by the other.
+    label extraction) and for callers that write a forest in directly; a
+    write through either side is seen by the other.
     The label *extraction* (:meth:`components`, :meth:`flat_roots`) is
     vectorised and counter-free — it is a read-only epilogue, not part of
     the algorithm's work.
@@ -150,8 +150,6 @@ class UnionFind:
         self._rank = array("b", [0]) * self.n if union_rule == "rank" else None
         self._size = array("q", [1]) * self.n if union_rule == "size" else None
         self.counters = WorkCounters()
-        #: Kernel-tier request for :meth:`union_arcs` (:mod:`repro.kernels`).
-        self.kernel_tier: str | None = None
 
     @property
     def parent(self) -> np.ndarray:
@@ -289,10 +287,9 @@ class UnionFind:
         With ``pre_resolved`` True, equal endpoints count one union attempt
         and nothing else (``insert_batch``'s findroot pass resolved them).
 
-        Every tier runs the one body, :func:`repro.kernels.loops.union_arcs`:
-        ``compiled`` through the numba Dispatcher over the ndarray views,
-        every other tier interpreted over the buffers themselves (endpoints
-        as lists, a ``bytearray`` mask, a list of counters — containers whose
+        The one body, :func:`repro.kernels.loops.union_arcs`, runs on every
+        kernel tier, interpreted over the buffers themselves (endpoints as
+        lists, a ``bytearray`` mask, a list of counters — containers whose
         items are plain ints, so a pointer chase boxes nothing).  Same rules,
         bit-identical :class:`WorkCounters`; :meth:`union` is the per-pair
         reference and its ticks are the counter convention: the body keeps
@@ -306,33 +303,21 @@ class UnionFind:
         src = check_vertex_ids(src, self.n, "src")
         dst = check_vertex_ids(dst, self.n, "dst")
         check_same_length([("src", src), ("dst", dst)])
-        if kernels.resolve_tier(self) == "compiled":
-            # The Dispatcher is typed: ndarrays throughout, and a 0-length
-            # dummy for an auxiliary the rule does not use.
-            fn = kernels.get("union_arcs")
-            stores = (
-                self.parent,
-                self.rank if self._rank is not None else np.zeros(0, dtype=np.int8),
-                self.size if self._size is not None else np.zeros(0, dtype=np.int64),
-                np.ascontiguousarray(src),
-                np.ascontiguousarray(dst),
-            )
-            linked = np.zeros(src.size, dtype=np.bool_)
-            c = np.zeros(5, dtype=np.int64)  # slots in WorkCounters field order
-        else:
-            fn = loops.union_arcs
-            stores = (self._parent, self._rank, self._size, src.tolist(), dst.tolist())
-            linked = bytearray(src.size)
-            c = [0] * 5
-        fn(
-            *stores,
+        linked = bytearray(src.size)
+        c = [0] * 5  # slots in WorkCounters field order
+        loops.union_arcs(
+            self._parent,
+            self._rank,
+            self._size,
+            src.tolist(),
+            dst.tolist(),
             kernels.RULE_CODES[self.union_rule],
             kernels.COMP_CODES[self.compaction],
             linked,
             pre_resolved,
             c,
         )
-        self.counters.add(WorkCounters(*map(int, c)))
+        self.counters.add(WorkCounters(*c))
         return np.frombuffer(linked, dtype=np.bool_)
 
     def bulk_hook(self, vertices: np.ndarray, root: int) -> int:

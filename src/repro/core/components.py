@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.machine.profile import Phase, WorkProfile
 
@@ -97,10 +96,6 @@ def hook_min_labels(prev: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.nd
     return labels
 
 
-def _pass_limit(n: int, max_passes: int | None) -> int:
-    return max_passes if max_passes is not None else 2 * int(np.ceil(np.log2(n + 1))) + 4
-
-
 def hook_and_jump(
     n: int, hook: Callable[[np.ndarray], np.ndarray], n_arcs: int, max_passes: int | None
 ) -> tuple[np.ndarray, int, int, int]:
@@ -110,7 +105,7 @@ def hook_and_jump(
     or on a pool.  Returns ``(labels, passes, jump_rounds, arcs_processed)``.
     """
     labels = np.arange(n, dtype=np.int64)
-    limit = _pass_limit(n, max_passes)
+    limit = max_passes if max_passes is not None else 2 * int(np.ceil(np.log2(n + 1))) + 4
     passes = 0
     jumps = 0
     while True:
@@ -128,34 +123,20 @@ def hook_and_jump(
             return labels, passes, jumps, 2 * n_arcs * passes
 
 
-def connected_components(
-    graph: CSRGraph, *, max_passes: int | None = None, kernel_tier: str | None = None
-) -> ComponentsResult:
+def connected_components(graph: CSRGraph, *, max_passes: int | None = None) -> ComponentsResult:
     """Label every vertex with its component's minimum vertex id.
 
     ``max_passes`` is a safety valve for adversarial graphs; label
     propagation with full pointer jumping converges in O(log n) passes.
-
-    ``kernel_tier`` requests a tier (:mod:`repro.kernels`) for this call;
-    None consults the ``REPRO_KERNEL_TIER`` env var then the auto-probe.
-    Tier ``compiled`` runs the fused
-    :func:`repro.kernels.loops.sv_components` loop — identical labels and
-    pass/jump/arc accounting; the SV sweep is inherently vectorised, so
-    tier ``scalar`` takes the numpy path too.  The resolved tier lands in
-    the result's ``meta`` (and thus in the work profile).
+    The SV sweep is inherently vectorised, so it is one body on every
+    kernel tier.
     """
-    tier = kernels.resolve_tier(kernel_tier)
     n = graph.n
     if n == 0:
-        return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0, meta={"kernel_tier": tier})
+        return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0)
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     dst = graph.targets
-    if tier == "compiled":
-        labels = np.arange(n, dtype=np.int64)
-        limit = _pass_limit(n, max_passes)
-        passes, jumps, arcs = kernels.get("sv_components")(labels, src, dst, limit)
-    else:
-        labels, passes, jumps, arcs = hook_and_jump(
-            n, lambda prev: hook_min_labels(prev, src, dst), int(dst.size), max_passes
-        )
-    return ComponentsResult(labels, int(passes), int(jumps), int(arcs), meta={"kernel_tier": tier})
+    labels, passes, jumps, arcs = hook_and_jump(
+        n, lambda prev: hook_min_labels(prev, src, dst), int(dst.size), max_passes
+    )
+    return ComponentsResult(labels, passes, jumps, arcs)

@@ -230,7 +230,6 @@ class ConnectivityIndex:
             roots_u = forest.findroot_batch(us)
             roots_v = forest.findroot_batch(vs)
             uf = UnionFind(forest.n, union_rule=union_rule, compaction=compaction)
-            uf.kernel_tier = tier = kernels.resolve_tier(forest)
             # The replay is independent of the forest: resolve the whole
             # batch, then link the winning edges in batch order.
             linked = uf.union_arcs(roots_u, roots_v, pre_resolved=True)
@@ -259,7 +258,7 @@ class ConnectivityIndex:
                 "union_rule": union_rule,
                 "compaction": compaction,
                 "counters": c.to_dict(),
-                "kernel_tier": tier,
+                "kernel_tier": kernels.resolve_tier(forest),
                 **manifest_meta(),
             },
         )

@@ -219,11 +219,10 @@ class DynamicConnectivity:
 
         O(n + m) — testing aid.  Raises :class:`GraphError` on divergence.
         """
-        from repro.adjacency.csr import csr_from_representation
         from repro.core.components import connected_components
 
         self.forest.validate()
-        comps = connected_components(csr_from_representation(self.rep))
+        comps = connected_components(self.rep.to_csr())
         roots = self.forest.findroot_batch(np.arange(self.n))
         # Two vertices must share a component iff they share a root:
         # the root -> component-label map must be a bijection.

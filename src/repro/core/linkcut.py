@@ -57,17 +57,15 @@ def chase_roots(parent: np.ndarray, vertices: np.ndarray, tier: str) -> tuple[np
 
     The one root chase, behind :meth:`LinkCutForest.findroot_batch` and the
     process backend's query workers, on an already resolved ``tier``:
-    ``compiled`` and ``scalar`` chase each query to its root in one loop
-    (:func:`repro.kernels.loops.findroot_batch`, compiled or as plain
-    Python); ``vectorised`` advances every unfinished chain one hop per
-    vector pass (:func:`_chase_passes`), as the simulated machine runs the
-    queries concurrently.  The hop total is the sum of the query depths on
-    every tier.
+    ``scalar`` chases each query to its root in one loop
+    (:func:`repro.kernels.loops.findroot_batch`); ``vectorised`` advances
+    every unfinished chain one hop per vector pass (:func:`_chase_passes`),
+    as the simulated machine runs the queries concurrently.  The hop total
+    is the sum of the query depths on both tiers.
     """
     v = np.array(vertices, dtype=np.int64)
-    if tier != "vectorised":
-        chase = kernels.get("findroot_batch") if tier == "compiled" else loops.findroot_batch
-        return v, int(chase(parent, v))
+    if tier == "scalar":
+        return v, int(loops.findroot_batch(parent, v))
     return v, sum(int(idx.size) for idx in _chase_passes(parent, v))
 
 

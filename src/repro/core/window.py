@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.adjacency.base import AdjacencyRepresentation
-from repro.adjacency.csr import CSRGraph, csr_from_representation
+from repro.adjacency.csr import CSRGraph
 from repro.adjacency.registry import make_representation
 from repro.core.dynamic_connectivity import DynamicConnectivity
 from repro.errors import GraphError, StreamError
@@ -169,7 +169,7 @@ class SlidingWindowGraph:
 
     def snapshot(self) -> CSRGraph:
         """CSR of the live window."""
-        return csr_from_representation(self.rep)
+        return self.rep.to_csr()
 
     def validate(self) -> None:
         """Invariants: arc count matches live batches; index consistent."""

@@ -8,7 +8,7 @@ connectivity/BFS/components queries.  Readers never block the writer:
   (:class:`EpochStore`), keyed on the representation's mutation counter;
 * :mod:`repro.service.drainer` — the single writer
   (:class:`UpdateDrainer`) applying batched update streams through the
-  vectorised/compiled ``apply_arcs`` path and rotating epochs;
+  vectorised ``apply_arcs`` path and rotating epochs;
 * :mod:`repro.service.shards` — optional process-backend components
   execution (:class:`ShardRouter`: ``repro.parallel``'s driver over a
   :class:`~repro.parallel.pool.WorkerPool`, crash recovery), bit-identical

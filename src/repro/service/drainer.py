@@ -4,8 +4,8 @@ One :class:`UpdateDrainer` owns the dynamic graph.  Producers (the CLI's
 stream feeder, a test, an ingest pipeline) :meth:`~UpdateDrainer.submit`
 bounded :class:`~repro.generators.streams.UpdateStream` batches — typically
 straight from :func:`repro.generators.parallel.iter_update_chunks` — onto a
-bounded queue; the drain loop applies each batch through the vectorised /
-compiled ``apply_arcs`` path (:func:`repro.core.update_engine.apply_stream`)
+bounded queue; the drain loop applies each batch through the vectorised
+``apply_arcs`` path (:func:`repro.core.update_engine.apply_stream`)
 and publishes a fresh epoch to the :class:`~repro.service.epoch.EpochStore`
 at batch boundaries.
 

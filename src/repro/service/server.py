@@ -83,8 +83,6 @@ class GraphService:
     router:
         Optional :class:`~repro.service.shards.ShardRouter` to execute
         ``/components`` across worker processes (serial kernel otherwise).
-    kernel_tier:
-        Forwarded to the serial kernels (None = env var / auto-probe).
     query_threads:
         Executor width for query kernels (default 4).
     max_queue / rotate_min_interval:
@@ -104,7 +102,6 @@ class GraphService:
         graph: DynamicGraph,
         *,
         router: Optional[ShardRouter] = None,
-        kernel_tier: Optional[str] = None,
         query_threads: int = 4,
         max_queue: int = 8,
         rotate_min_interval: float = 0.0,
@@ -134,7 +131,6 @@ class GraphService:
             reqtrace=self.reqtrace, slo=self.slo_update,
         )
         self.router = router
-        self.kernel_tier = kernel_tier
         self._executor = ThreadPoolExecutor(
             max_workers=int(query_threads), thread_name_prefix="repro-query"
         )
@@ -168,7 +164,7 @@ class GraphService:
                         return self.router.components(snap)
                     except WorkerCrashError:
                         METRICS.inc("service.shard.fallbacks")
-            return connected_components(snap, kernel_tier=self.kernel_tier).labels
+            return connected_components(snap).labels
 
         labels = epoch.cached("components.labels", compute)
         assert isinstance(labels, np.ndarray)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adjacency.csr import CSRGraph, build_csr, csr_from_representation
+from repro.adjacency.csr import CSRGraph, build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
@@ -93,7 +93,7 @@ class TestFromRepresentation:
         rep.insert(0, 1, 5)
         rep.insert(0, 2, 6)
         rep.insert(3, 0, 7)
-        csr = csr_from_representation(rep)
+        csr = rep.to_csr()
         assert csr.n_arcs == 3
         assert sorted(csr.neighbors(0).tolist()) == [1, 2]
         _, ts = csr.neighbors_with_ts(3)
@@ -104,5 +104,5 @@ class TestFromRepresentation:
         rep.insert(0, 1)
         rep.insert(0, 2)
         rep.delete(0, 1)
-        csr = csr_from_representation(rep)
+        csr = rep.to_csr()
         assert csr.neighbors(0).tolist() == [2]

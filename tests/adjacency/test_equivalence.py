@@ -10,44 +10,40 @@ tests drive a scalar and a vectorised instance through identical streams —
 seeded sweeps across all seven kinds, plus hypothesis-generated adversarial
 streams for the dyn-arr family — and diff all of it.
 
-The same contract extends to the ``compiled`` kernel tier
-(:mod:`repro.kernels`): every stream here re-runs with
-``rep.kernel_tier = "compiled"`` under
-:func:`repro.kernels.force_available`, which drives the exact loop bodies
-numba would compile (as pure Python when numba is absent), so the fused
-:func:`repro.kernels.loops.delete_match` path is diffed against the scalar
-reference on every interpreter.
+Every stream also runs against the deleted ``compiled`` kernel tier: a
+representation pinned to it must raise :class:`~repro.errors.GraphError`
+before a single arc lands, so stale configuration fails loudly instead of
+half-applying a batch.
 """
 
-from contextlib import contextmanager, nullcontext
+import os
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.adjacency.batch import BatchedAdjacency
-from repro.adjacency.csr import csr_from_arrays, csr_from_representation
+from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.epart import EPartAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.adjacency.vpart import VPartAdjacency
+from repro import kernels
+from repro.errors import GraphError
 
 KINDS = ["dynarr", "dynarr-nr", "treap", "hybrid", "vpart", "epart", "batched"]
 
+#: A tier name this repository no longer has (numba's, removed).
+DELETED_TIER = "compiled"
+
 #: The non-reference kernel tiers the equivalence contract covers; the
-#: scalar instance in every pair *is* the "scalar" tier.
-TIERS = ["vectorised", "compiled"]
-
-
-@contextmanager
-def tier_ctx(tier):
-    """Make ``tier`` dispatchable: force kernel availability for compiled."""
-    with kernels.force_available() if tier == "compiled" else nullcontext():
-        yield
+#: scalar instance in every pair *is* the "scalar" tier.  The deleted tier
+#: rides along to be refused.
+TIERS = ["vectorised", DELETED_TIER]
 
 
 def build(kind, n, seed=7):
@@ -87,9 +83,13 @@ def observable_state(rep):
     }
 
 
+def size_for(src, dst):
+    return max(int(src.max(initial=0)) + 1, int(dst.max(initial=0)) + 1, 2)
+
+
 def run_pair(kind, op, src, dst, ts, tier="vectorised"):
     """Apply one stream to a ``tier`` instance and a scalar instance."""
-    n = max(int(src.max(initial=0)) + 1, int(dst.max(initial=0)) + 1, 2)
+    n = size_for(src, dst)
     vec, ref = build(kind, n), build(kind, n)
     vec.kernel_tier = tier
     ref.kernel_tier = "scalar"
@@ -100,8 +100,27 @@ def run_pair(kind, op, src, dst, ts, tier="vectorised"):
 
 def check_stream(kind, op, src, dst, ts, tier="vectorised"):
     """Full equivalence check of one stream at one kernel tier."""
-    with tier_ctx(tier):
+    if tier == DELETED_TIER:
+        assert_refused(build(kind, size_for(src, dst)), op, src, dst, ts)
+    else:
         assert_equivalent(*run_pair(kind, op, src, dst, ts, tier))
+
+
+def assert_refused(rep, op, src, dst, ts):
+    """``rep`` pinned to the deleted tier raises and keeps its observable state.
+
+    The environment override outranks the attribute, so it is cleared while
+    the refusal is checked (a suite run under ``REPRO_KERNEL_TIER=scalar``
+    would otherwise apply the batch).
+    """
+    before, tier = observable_state(rep), rep.kernel_tier
+    rep.kernel_tier = DELETED_TIER
+    with mock.patch.dict(os.environ):
+        os.environ.pop(kernels.ENV_VAR, None)
+        with pytest.raises(GraphError, match=f"unknown kernel tier {DELETED_TIER!r}"):
+            rep.apply_arcs(op, src, dst, ts)
+    assert observable_state(rep) == before
+    rep.kernel_tier = tier
 
 
 def assert_equivalent(vec, ref, m_vec, m_ref):
@@ -171,18 +190,21 @@ class TestSeededEquivalence:
 
     def test_multi_batch_accumulation(self, kind, tier):
         # Several consecutive batches: later batches start from non-empty
-        # structures, exercising the pre-existing-supply path.
+        # structures, exercising the pre-existing-supply path.  At the
+        # deleted tier each batch is first refused by the non-empty
+        # structure, then applied on the vectorised tier.
         n = 6
-        with tier_ctx(tier):
-            vec, ref = build(kind, n), build(kind, n)
-            vec.kernel_tier = tier
-            ref.kernel_tier = "scalar"
-            for trial in range(5):
-                rng = np.random.default_rng(50 + trial)
-                op, src, dst, ts = make_stream(rng, n, 200, 0.55)
-                m_vec = vec.apply_arcs(op, src, dst, ts)
-                m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
-                assert_equivalent(vec, ref, m_vec, m_ref)
+        vec, ref = build(kind, n), build(kind, n)
+        vec.kernel_tier = "vectorised" if tier == DELETED_TIER else tier
+        ref.kernel_tier = "scalar"
+        for trial in range(5):
+            rng = np.random.default_rng(50 + trial)
+            op, src, dst, ts = make_stream(rng, n, 200, 0.55)
+            if tier == DELETED_TIER:
+                assert_refused(vec, op, src, dst, ts)
+            m_vec = vec.apply_arcs(op, src, dst, ts)
+            m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
+            assert_equivalent(vec, ref, m_vec, m_ref)
 
 
 hypothesis_stream = st.lists(
@@ -257,7 +279,7 @@ class TestSnapshotPipeline:
         rep.kernel_tier = "vectorised"
         op, src, dst, ts = make_stream(rng, 9, 300, 0.65)
         rep.apply_arcs(op, src, dst, ts)
-        g = csr_from_representation(rep)
+        g = rep.to_csr()
         assert g.n_arcs == rep.n_arcs
         for u in range(rep.n):
             nbr, t = rep.neighbors_with_ts(u)

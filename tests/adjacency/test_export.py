@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.adjacency.csr import csr_from_arrays, csr_from_representation
+from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.registry import make_representation
 from repro.generators.rmat import rmat_graph
@@ -142,7 +142,7 @@ def test_dynarr_snapshot_allocation_budget(monkeypatch):
     assert int(rep.cnt.sum()) == m
     tracemalloc.start()
     try:
-        csr = csr_from_representation(rep)
+        csr = rep.to_csr()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

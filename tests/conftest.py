@@ -2,53 +2,18 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.adjacency.csr import build_csr
 from repro.edgelist import EdgeList
 from repro.generators.rmat import rmat_graph
 from repro.generators.reference import erdos_renyi, to_networkx
-from repro.parallel.pool import WorkerPool
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def fetched_kernels(monkeypatch):
-    """Names passed to ``kernels.get`` while the test runs, in call order."""
-    fetched = []
-    real_get = kernels.get
-    monkeypatch.setattr(kernels, "get", lambda name: fetched.append(name) or real_get(name))
-    return fetched
-
-
-@pytest.fixture
-def at_tier(monkeypatch):
-    """``with at_tier(tier, pool) as p:`` — run a block at one kernel tier.
-
-    Pins ``REPRO_KERNEL_TIER`` and yields a pool whose workers can run the
-    tier: ``pool`` itself, or — for ``compiled`` without numba — a fresh one
-    forked inside ``force_available``, so its workers inherit the forced
-    availability and drive the same pure-Python loop bodies as the parent.
-    """
-
-    @contextmanager
-    def ctx(tier, pool):
-        monkeypatch.setenv(kernels.ENV_VAR, tier)
-        if tier != "compiled" or kernels.numba_available():
-            yield pool
-            return
-        with kernels.force_available(), WorkerPool(pool.workers, method="fork") as forked:
-            yield forked
-
-    return ctx
 
 
 @pytest.fixture(scope="session")

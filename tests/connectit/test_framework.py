@@ -21,7 +21,6 @@ from repro.connectit import (
     connect_components,
     variant_matrix,
 )
-from repro.connectit.framework import _connectit_finish
 from repro.core.components import connected_components
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
@@ -52,23 +51,21 @@ def test_all_variants_match_networkx(graph_family, spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.name for s in ALL_SPECS])
 def test_compiled_tier_bit_identical(graph_family, spec, monkeypatch):
-    # The compiled kernel tier must reproduce every variant bit-for-bit:
-    # labels AND the full WorkCounters accounting of both phases.  Driven
-    # through force_available so the fused loop bodies run (as pure Python)
-    # even where numba is not installed.
+    # ConnectIt runs one union body and consults no kernel tier, so a stale
+    # REPRO_KERNEL_TIER naming the deleted compiled tier changes nothing:
+    # labels AND the full WorkCounters accounting of both phases are
+    # bit-identical to a run with the variable unset.
     _, _, csr = graph_family
-    monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     ref = connect_components(csr, spec)
     monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-    with kernels.force_available():
-        jit = connect_components(csr, spec)
-    np.testing.assert_array_equal(jit.labels, ref.labels)
-    assert jit.counters.to_dict() == ref.counters.to_dict()
-    assert jit.sample_counters.to_dict() == ref.sample_counters.to_dict()
-    assert jit.finish_counters.to_dict() == ref.finish_counters.to_dict()
-    assert jit.sample.to_dict() == ref.sample.to_dict()
-    assert ref.meta["kernel_tier"] == "vectorised"
-    assert jit.meta["kernel_tier"] == "compiled"
+    stale = connect_components(csr, spec)
+    np.testing.assert_array_equal(stale.labels, ref.labels)
+    assert stale.counters.to_dict() == ref.counters.to_dict()
+    assert stale.sample_counters.to_dict() == ref.sample_counters.to_dict()
+    assert stale.finish_counters.to_dict() == ref.finish_counters.to_dict()
+    assert stale.sample.to_dict() == ref.sample.to_dict()
+    assert stale.meta == ref.meta
 
 
 def test_matches_shiloach_vishkin(graph_family):
@@ -88,45 +85,24 @@ def test_matches_shiloach_vishkin(graph_family):
     ],
     ids=lambda s: s.name,
 )
-def test_process_backend_bit_identical(graph_family, pool, spec, at_tier):
-    # At every kernel tier (the finish workers run the tier the parent
-    # resolved): process labels equal serial labels, and each backend's
-    # WorkCounters are the same on all tiers.
+def test_process_backend_bit_identical(graph_family, pool, spec, monkeypatch):
+    # At every kernel tier: process labels equal serial labels, and each
+    # backend's WorkCounters are the same on both tiers.
     _, _, csr = graph_family
     seen = []
     for tier in kernels.TIERS:
-        with at_tier(tier, pool) as p:
-            serial = connect_components(csr, spec)
-            be = ProcessBackend.__new__(ProcessBackend)
-            be.pool = p
-            parallel = connect_components(csr, spec, backend=be)
+        monkeypatch.setenv(kernels.ENV_VAR, tier)
+        serial = connect_components(csr, spec)
+        be = ProcessBackend.__new__(ProcessBackend)
+        be.pool = pool
+        parallel = connect_components(csr, spec, backend=be)
         np.testing.assert_array_equal(serial.labels, parallel.labels)
         assert parallel.meta["backend"] == "process"
         assert parallel.meta["workers"] == pool.workers
-        assert serial.meta["kernel_tier"] == parallel.meta["kernel_tier"] == tier
         seen.append(
             [r.to_dict() for r in (serial.counters, parallel.counters, parallel.finish_counters)]
         )
-    assert seen[0] == seen[1] == seen[2]
-
-
-def test_finish_task_runs_the_tier_it_is_sent(monkeypatch, fetched_kernels):
-    # The worker side, in process: the finish task unions on the tier in
-    # its payload and ships the same forest edges and counters on each.
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    rng = np.random.default_rng(4)
-    views = {"src": rng.integers(0, 40, 300), "dst": rng.integers(0, 40, 300)}
-    payload = {"lo": 20, "hi": 280, "n": 40, "union_rule": "rank", "compaction": "halving"}
-    outs = []
-    with kernels.force_available():
-        for tier, expect in (("scalar", []), ("vectorised", []), ("compiled", ["union_arcs"])):
-            del fetched_kernels[:]
-            outs.append(_connectit_finish(views, {**payload, "tier": tier}))
-            assert fetched_kernels == expect
-    for out in outs[1:]:
-        np.testing.assert_array_equal(out["hook_u"], outs[0]["hook_u"])
-        np.testing.assert_array_equal(out["hook_v"], outs[0]["hook_v"])
-        assert out["counters"] == outs[0]["counters"]
+    assert seen[0] == seen[1]
 
 
 def test_sampling_reduces_finish_work(small_rmat_csr):

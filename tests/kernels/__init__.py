@@ -1,1 +1,1 @@
-"""Tests for the compiled kernel tier (:mod:`repro.kernels`)."""
+"""Tests for the kernel-tier knob and loop bodies (:mod:`repro.kernels`)."""

@@ -1,17 +1,17 @@
-"""Direct loop-vs-reference equivalence for the fused kernel bodies.
+"""Direct loop-vs-reference equivalence for the pointer-chase loop bodies.
 
-These exercise :mod:`repro.kernels.loops` head-on (through
-:func:`repro.kernels.get`, so a real numba Dispatcher is covered when
-installed): the union-find loops on every tier against the per-pair
-:meth:`UnionFind.union` oracle across all 12 rule × compaction
-combinations, the pointer chase against the
-level-synchronous batch, and the SV loop against the numpy pass structure.
-The ``apply_mixed`` delete-matching path has its own end-to-end coverage in
-``tests/adjacency/test_equivalence.py``.
+These exercise :mod:`repro.kernels.loops` head-on: the union-find loop on
+both tiers against the per-pair :meth:`UnionFind.union` oracle across all 12
+rule × compaction combinations, and the root chase against the
+level-synchronous batch.  The two kernels with one body on every tier —
+``union_arcs`` and the SV components sweep — are also run with
+``REPRO_KERNEL_TIER`` naming the deleted ``compiled`` tier, which neither
+consults.
 """
 
 import itertools
-from contextlib import nullcontext
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +26,9 @@ from repro.generators.rmat import rmat_graph
 from repro.adjacency.csr import build_csr
 from repro.kernels import loops
 
+#: A tier name this repository no longer has (numba's, removed).
+DELETED_TIER = "compiled"
+
 
 def random_arcs(seed, n, k):
     rng = np.random.default_rng(seed)
@@ -38,16 +41,20 @@ def random_arcs(seed, n, k):
 def union_cases(*axes):
     """The product of ``axes`` × kernel tier, one ``pytest.param`` each.
 
-    Tier None is whatever the install resolves to (interpreted over the
-    ``array`` buffers without numba) and keeps the bare id; ``scalar`` pins
-    the interpreted path, ``compiled`` the ndarray-view path (a real
-    Dispatcher with numba, the same body uncompiled without).
+    Tier None leaves ``REPRO_KERNEL_TIER`` as it is and keeps the bare id;
+    ``scalar`` pins it, and so does the deleted tier.  ``union_arcs`` is one
+    body that reads no tier, and these cases hold it to that.
     """
     return [
         pytest.param(*combo, tier, id="-".join(combo) + (f"-{tier}" if tier else ""))
         for combo in itertools.product(*axes)
-        for tier in (None, "scalar", "compiled")
+        for tier in (None, "scalar", DELETED_TIER)
     ]
+
+
+def at_tier(tier):
+    """Pin ``REPRO_KERNEL_TIER`` to ``tier`` inside the block (None: leave it)."""
+    return mock.patch.dict(os.environ, {kernels.ENV_VAR: tier} if tier else {})
 
 
 @pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
@@ -58,8 +65,7 @@ def test_union_arcs_matches_scalar(comp, rule, tier):
     linked_ref = [ref.union(u, v) for u, v in zip(src.tolist(), dst.tolist())]
 
     uf = UnionFind(n, union_rule=rule, compaction=comp)
-    uf.kernel_tier = tier
-    with kernels.force_available() if tier == "compiled" else nullcontext():
+    with at_tier(tier):
         linked = uf.union_arcs(src, dst)
     assert linked.dtype == np.bool_
     assert linked.tolist() == linked_ref
@@ -79,8 +85,7 @@ def test_union_arcs_pre_resolved_convention(rule, tier):
     src = np.array([3, 3, 4], dtype=np.int64)
     dst = np.array([3, 5, 4], dtype=np.int64)
     uf = UnionFind(n, union_rule=rule)
-    uf.kernel_tier = tier
-    with kernels.force_available() if tier == "compiled" else nullcontext():
+    with at_tier(tier):
         linked = uf.union_arcs(src, dst, pre_resolved=True)
     assert linked.tolist() == [False, True, False]
     ref = UnionFind(n, union_rule=rule)
@@ -100,7 +105,6 @@ def check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=False, fo
     """
     ref = UnionFind(n, union_rule=rule, compaction=comp)
     uf = UnionFind(n, union_rule=rule, compaction=comp)
-    uf.kernel_tier = tier
     if forest is not None:
         ref.parent[:] = forest
         uf.parent[:] = forest
@@ -113,7 +117,7 @@ def check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=False, fo
             expect.append(ref.union(u, v))
     src = np.array([u for u, _ in arcs], dtype=np.int64)
     dst = np.array([v for _, v in arcs], dtype=np.int64)
-    with kernels.force_available() if tier == "compiled" else nullcontext():
+    with at_tier(tier):
         linked = uf.union_arcs(src, dst, pre_resolved=pre_resolved)
     assert linked.tolist() == expect
     np.testing.assert_array_equal(uf.parent, ref.parent)
@@ -194,8 +198,8 @@ def test_hypothesis_union_arcs_matches_oracle_on_colliding_arcs(n, arcs, variant
 
 
 def test_union_arcs_body_is_self_contained():
-    # No helper calls and no module globals: what lets one njit wrap be the
-    # whole compiled story and the interpreted tiers call this very object.
+    # No helper calls and no module globals: every name a pointer chase
+    # touches is a local, and UnionFind calls this very object.
     assert set(loops.union_arcs.__code__.co_names) <= {"len", "range"}
     assert loops.union_arcs.__globals__ is vars(loops)  # never rebound
 
@@ -211,32 +215,35 @@ def test_findroot_batch_matches_vectorised():
     ref_hops = forest.hops - before
 
     v = queries.copy()
-    with kernels.force_available():
-        hops = int(kernels.get("findroot_batch")(forest.parent, v))
+    hops = loops.findroot_batch(forest.parent, v)
     np.testing.assert_array_equal(v, ref_roots)
     assert hops == ref_hops
 
 
-def test_sv_components_matches_numpy():
+def sv_at_deleted_tier(monkeypatch, g, **kw):
+    """``connected_components(g)`` with the variable unset, then at the deleted tier."""
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    ref = connected_components(g, **kw)
+    monkeypatch.setenv(kernels.ENV_VAR, DELETED_TIER)
+    return ref, connected_components(g, **kw)
+
+
+def test_sv_components_matches_numpy(monkeypatch):
+    # The SV sweep is one numpy body on every tier: a stale environment
+    # naming the deleted tier leaves labels and all three counters as they
+    # are with the variable unset.
     for seed in (3, 4, 5):
         g = build_csr(rmat_graph(scale=8, edge_factor=6, seed=seed))
-        ref = connected_components(g)
-        labels = np.arange(g.n, dtype=np.int64)
-        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        limit = 2 * int(np.ceil(np.log2(g.n + 1))) + 4
-        with kernels.force_available():
-            passes, jumps, arcs = kernels.get("sv_components")(
-                labels, src, g.targets, limit
-            )
-        np.testing.assert_array_equal(labels, ref.labels)
-        assert (int(passes), int(jumps), int(arcs)) == (
+        ref, stale = sv_at_deleted_tier(monkeypatch, g)
+        np.testing.assert_array_equal(stale.labels, ref.labels)
+        assert (stale.n_passes, stale.jump_rounds, stale.arcs_processed) == (
             ref.n_passes,
             ref.jump_rounds,
             ref.arcs_processed,
         )
 
 
-def test_sv_components_respects_max_passes():
+def test_sv_components_respects_max_passes(monkeypatch):
     # A long path needs many passes; the limit must clip identically.
     n = 120
     src = np.concatenate(
@@ -251,9 +258,7 @@ def test_sv_components_respects_max_passes():
     from repro.adjacency.csr import CSRGraph
 
     g = CSRGraph(n, np.cumsum(offsets), dst[order])
-    ref = connected_components(g, max_passes=1)
-    with kernels.force_available():
-        jit = connected_components(g, max_passes=1, kernel_tier="compiled")
-    np.testing.assert_array_equal(jit.labels, ref.labels)
-    assert jit.n_passes == ref.n_passes == 1
-    assert jit.jump_rounds == ref.jump_rounds
+    ref, stale = sv_at_deleted_tier(monkeypatch, g, max_passes=1)
+    np.testing.assert_array_equal(stale.labels, ref.labels)
+    assert stale.n_passes == ref.n_passes == 1
+    assert stale.jump_rounds == ref.jump_rounds

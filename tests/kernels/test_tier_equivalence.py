@@ -1,9 +1,8 @@
-"""End-to-end compiled-vs-default bit-identity through the public APIs.
+"""End-to-end scalar-vs-vectorised bit-identity through the public APIs.
 
-Each test runs a whole workload twice — once at the explicitly-pinned
-``vectorised`` tier, once at ``compiled`` (under ``force_available`` so the
-path is driven with or without numba) — and diffs every observable:
-labels, parents, hop totals, counters, profile metadata.
+Each test runs a whole workload twice — once at the ``scalar`` tier, once
+at ``vectorised`` — and diffs every observable: labels, parents, hop
+totals, counters, profile metadata.
 """
 
 import numpy as np
@@ -22,45 +21,39 @@ def _csr(scale=9, seed=17):
 
 def test_connected_components_tiers(monkeypatch):
     g = _csr()
+    monkeypatch.setenv(kernels.ENV_VAR, "scalar")
+    sca = connected_components(g)
     monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-    ref = connected_components(g)
-    monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-    with kernels.force_available():
-        jit = connected_components(g)
-    np.testing.assert_array_equal(jit.labels, ref.labels)
-    assert (jit.n_passes, jit.jump_rounds, jit.arcs_processed) == (
-        ref.n_passes,
-        ref.jump_rounds,
-        ref.arcs_processed,
+    vec = connected_components(g)
+    np.testing.assert_array_equal(sca.labels, vec.labels)
+    assert (sca.n_passes, sca.jump_rounds, sca.arcs_processed) == (
+        vec.n_passes,
+        vec.jump_rounds,
+        vec.arcs_processed,
     )
-    assert ref.meta["kernel_tier"] == "vectorised"
-    assert jit.meta["kernel_tier"] == "compiled"
-    # The tier rides into the work profile's meta.
-    assert jit.profile(g).meta["kernel_tier"] == "compiled"
+    assert sca.profile(g).meta == vec.profile(g).meta
 
 
 def test_forest_construction_and_queries_tiers(monkeypatch):
     g = _csr(seed=23)
+    monkeypatch.setenv(kernels.ENV_VAR, "scalar")
+    f_sca, rec_sca = LinkCutForest.from_csr(g)
     monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-    f_ref, rec_ref = LinkCutForest.from_csr(g)
-    monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-    with kernels.force_available():
-        f_jit, rec_jit = LinkCutForest.from_csr(g)
-    np.testing.assert_array_equal(f_jit.parent, f_ref.parent)
-    assert rec_jit.max_depth == rec_ref.max_depth
+    f_vec, rec_vec = LinkCutForest.from_csr(g)
+    np.testing.assert_array_equal(f_sca.parent, f_vec.parent)
+    assert rec_sca.max_depth == rec_vec.max_depth
 
     rng = np.random.default_rng(2)
     us = rng.integers(0, g.n, 4000).astype(np.int64)
     vs = rng.integers(0, g.n, 4000).astype(np.int64)
+    monkeypatch.setenv(kernels.ENV_VAR, "scalar")
+    sca = ConnectivityIndex(f_sca).query_batch(us, vs)
     monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-    ref = ConnectivityIndex(f_ref).query_batch(us, vs)
-    monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-    with kernels.force_available():
-        jit = ConnectivityIndex(f_jit).query_batch(us, vs)
-    np.testing.assert_array_equal(jit.connected, ref.connected)
-    assert jit.total_hops == ref.total_hops
-    assert ref.profile.meta["kernel_tier"] == "vectorised"
-    assert jit.profile.meta["kernel_tier"] == "compiled"
+    vec = ConnectivityIndex(f_vec).query_batch(us, vs)
+    np.testing.assert_array_equal(sca.connected, vec.connected)
+    assert sca.total_hops == vec.total_hops
+    assert sca.profile.meta["kernel_tier"] == "scalar"
+    assert vec.profile.meta["kernel_tier"] == "vectorised"
 
 
 def test_insert_batch_tiers(monkeypatch):
@@ -69,18 +62,17 @@ def test_insert_batch_tiers(monkeypatch):
     us = rng.integers(0, g.n, 1500).astype(np.int64)
     vs = rng.integers(0, g.n, 1500).astype(np.int64)
     for rule, comp in (("rank", "halving"), ("size", "none"), ("rem", "splitting")):
+        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
+        idx_sca = ConnectivityIndex.from_csr(g)
+        sca = idx_sca.insert_batch(us, vs, union_rule=rule, compaction=comp)
         monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-        idx_ref = ConnectivityIndex.from_csr(g)
-        ref = idx_ref.insert_batch(us, vs, union_rule=rule, compaction=comp)
-        monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-        with kernels.force_available():
-            idx_jit = ConnectivityIndex.from_csr(g)
-            jit = idx_jit.insert_batch(us, vs, union_rule=rule, compaction=comp)
-        np.testing.assert_array_equal(jit.linked, ref.linked)
-        np.testing.assert_array_equal(idx_jit.forest.parent, idx_ref.forest.parent)
-        assert jit.total_hops == ref.total_hops
-        assert jit.profile.meta["counters"] == ref.profile.meta["counters"]
-        assert jit.profile.meta["kernel_tier"] == "compiled"
+        idx_vec = ConnectivityIndex.from_csr(g)
+        vec = idx_vec.insert_batch(us, vs, union_rule=rule, compaction=comp)
+        np.testing.assert_array_equal(sca.linked, vec.linked)
+        np.testing.assert_array_equal(idx_sca.forest.parent, idx_vec.forest.parent)
+        assert sca.total_hops == vec.total_hops
+        assert sca.profile.meta["counters"] == vec.profile.meta["counters"]
+        assert sca.profile.meta["kernel_tier"] == "scalar"
 
 
 def test_scalar_tier_findroot_batch_matches(monkeypatch):

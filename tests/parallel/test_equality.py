@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.adjacency.csr import build_csr, csr_from_arrays, csr_from_representation
+from repro.kernels import loops
+from repro.adjacency.csr import build_csr, csr_from_arrays
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
@@ -45,20 +46,19 @@ def build_rep(kind, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_bfs_and_components_identical_across_representations(kind, pool, at_tier):
+def test_bfs_and_components_identical_across_representations(kind, pool, monkeypatch):
     graph = rmat_graph(8, 8, seed=31, ts_range=(1, 50))
     rep = build_rep(kind, graph.n)
     construct(rep, graph)
-    csr = csr_from_representation(rep)
+    csr = rep.to_csr()
 
     source = int(np.argmax(csr.degrees()))
     assert_bfs_equal(bfs(csr, source), parallel_bfs(csr, source, pool))
 
     for tier in kernels.TIERS:
-        with at_tier(tier, pool) as p:
-            serial_cc = connected_components(csr)
-            par_cc = parallel_connected_components(csr, p)
-        assert serial_cc.meta["kernel_tier"] == tier
+        monkeypatch.setenv(kernels.ENV_VAR, tier)
+        serial_cc = connected_components(csr)
+        par_cc = parallel_connected_components(csr, pool)
         np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
         assert serial_cc.n_passes == par_cc.n_passes
         assert serial_cc.jump_rounds == par_cc.jump_rounds
@@ -120,7 +120,7 @@ def test_components_match_networkx(pool):
     assert par.n_components == expected
 
 
-def test_query_batch_identical(pool, at_tier):
+def test_query_batch_identical(pool, monkeypatch):
     graph = rmat_graph(9, 8, seed=11)
     csr = build_csr(graph)
     forest, _ = LinkCutForest.from_csr(csr)
@@ -130,31 +130,34 @@ def test_query_batch_identical(pool, at_tier):
 
     seen = []
     for tier in kernels.TIERS:
-        with at_tier(tier, pool) as p:
-            hops_before = forest.hops
-            serial = forest.connected_batch(us, vs)
-            serial_hops = forest.hops - hops_before
-            answers, hops = parallel_query_batch(forest, us, vs, p)
+        monkeypatch.setenv(kernels.ENV_VAR, tier)
+        hops_before = forest.hops
+        serial = forest.connected_batch(us, vs)
+        serial_hops = forest.hops - hops_before
+        answers, hops = parallel_query_batch(forest, us, vs, pool)
         np.testing.assert_array_equal(serial, answers)
         assert hops == serial_hops
         seen.append((answers.tolist(), hops))
-    assert seen[0] == seen[1] == seen[2]
+    assert seen[0] == seen[1]
 
 
-def test_query_task_runs_the_tier_it_is_sent(fetched_kernels):
+def test_query_task_runs_the_tier_it_is_sent(monkeypatch):
     # The worker side of the contract, in process: the task dispatches on
     # the tier in its payload, not on one it resolves for itself.
     forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
     ends = np.arange(forest.n, dtype=np.int64)
     views = {"parent": forest.parent, "us": ends, "vs": ends[::-1].copy()}
+    chases = []
+    chase = loops.findroot_batch
+    monkeypatch.setattr(loops, "findroot_batch", lambda *a: chases.append(1) or chase(*a))
+    monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
     outs = []
-    for tier, expect in (("scalar", []), ("vectorised", []), ("compiled", ["findroot_batch"] * 2)):
-        del fetched_kernels[:]
+    for tier, expect in (("scalar", 2), ("vectorised", 0)):
+        del chases[:]
         outs.append(_queries_connected(views, {"lo": 0, "hi": forest.n, "tier": tier}))
-        assert fetched_kernels == expect
-    for out in outs[1:]:
-        np.testing.assert_array_equal(out["connected"], outs[0]["connected"])
-        assert out["hops"] == outs[0]["hops"]
+        assert len(chases) == expect
+    np.testing.assert_array_equal(outs[1]["connected"], outs[0]["connected"])
+    assert outs[1]["hops"] == outs[0]["hops"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.adjacency.csr import csr_from_representation
 from repro.adjacency.registry import make_representation
 from repro.api import DynamicGraph
 from repro.core.bfs import bfs
@@ -31,7 +30,7 @@ class TestStreamThenAnalyze:
         graph = rmat_graph(9, 8, seed=51, ts_range=(1, 40))
         rep = make_representation(kind, graph.n, **({"seed": 1} if kind != "dynarr" else {}))
         construct(rep, graph)
-        csr = csr_from_representation(rep)
+        csr = rep.to_csr()
 
         # snapshot must equal the direct CSR of the symmetrised input
         nx_graph = to_networkx(graph, multigraph=True)
@@ -52,7 +51,7 @@ class TestStreamThenAnalyze:
         dels = deletion_stream(graph, 80, seed=3)
         apply_stream(rep, dels)
 
-        csr = csr_from_representation(rep)
+        csr = rep.to_csr()
         index = ConnectivityIndex.from_csr(csr)
 
         G = nx.MultiGraph()
