@@ -38,11 +38,12 @@ from repro.core.frontier import gather_ranges
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
-from repro.util.seeding import make_rng
+from repro.util.seeding import pick_sources
 
 __all__ = [
     "BetweennessResult",
     "EdgeBetweennessResult",
+    "brandes_forward",
     "temporal_betweenness",
     "edge_betweenness",
     "temporal_bc_exact",
@@ -75,20 +76,17 @@ class BetweennessResult:
         return [(int(v), float(self.scores[v])) for v in order]
 
 
-def _brandes_from_source(
-    graph: CSRGraph,
-    s: int,
-    scores: np.ndarray,
-    *,
-    temporal: bool,
-    edge_scores: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """One source traversal + accumulation; returns (levels, edges_scanned).
+def brandes_forward(
+    graph: CSRGraph, s: int, *, temporal: bool = False
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]], int, int]:
+    """Brandes' forward pass from ``s``: ``(sigma, level_arcs, levels, edges_scanned)``.
 
-    Vectorised per level: the frontier's adjacency arcs are gathered with
-    index arithmetic; sigma accumulation uses ``np.add.at`` (the PRAM
-    concurrent-add); the per-level arc lists are retained for the backward
-    dependency sweep.
+    ``sigma[v]`` counts the shortest (with ``temporal``, label-increasing)
+    paths from ``s`` to ``v``; ``level_arcs`` holds each level's
+    shortest-path DAG arcs as ``(tails, heads, CSR arc ids)``, which every
+    backward sweep walks in reverse.  Vectorised per level: the frontier's
+    adjacency arcs are gathered with index arithmetic and sigma accumulates
+    by ``np.add.at`` (the PRAM concurrent-add).
     """
     offsets, targets = graph.offsets, graph.targets
     ts = graph.ts
@@ -140,19 +138,24 @@ def _brandes_from_source(
             level_arcs.append((v_sp, w_sp, idx_sp))
         frontier = fresh
         level += 1
+    return sigma, level_arcs, level, edges_scanned
 
-    # Backward dependency accumulation, level by level (unchanged from the
-    # static algorithm, per the paper).  Each DAG arc's own contribution is
-    # the edge-betweenness increment when requested.
-    delta = np.zeros(n, dtype=np.float64)
+
+def _dependencies(
+    sigma: np.ndarray,
+    level_arcs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    arc_scores: np.ndarray | None = None,
+) -> np.ndarray:
+    """Brandes' backward sweep (unchanged from the static algorithm, per the
+    paper): each vertex's dependency, the source's own entry included.  Each
+    DAG arc's contribution is added to ``arc_scores`` when given."""
+    delta = np.zeros(sigma.size, dtype=np.float64)
     for v_sp, w_sp, idx_sp in reversed(level_arcs):
         contrib = sigma[v_sp] / sigma[w_sp] * (1.0 + delta[w_sp])
-        if edge_scores is not None:
-            np.add.at(edge_scores, idx_sp, contrib)
+        if arc_scores is not None:
+            np.add.at(arc_scores, idx_sp, contrib)
         np.add.at(delta, v_sp, contrib)
-    delta[s] = 0.0
-    scores += delta
-    return level, edges_scanned
+    return delta
 
 
 def temporal_betweenness(
@@ -180,24 +183,16 @@ def temporal_betweenness(
     if temporal and graph.ts is None:
         raise GraphError("temporal betweenness needs a time-stamped graph")
     n = graph.n
-    if sources is None:
-        src_ids = np.arange(n, dtype=np.int64)
-    elif np.isscalar(sources):
-        k = int(sources)
-        if not 0 < k <= n:
-            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
-        rng = make_rng(seed)
-        src_ids = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    else:
-        src_ids = np.asarray(sources, dtype=np.int64)
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= n):
-            raise GraphError("source ids out of range")
+    src_ids = pick_sources(n, sources, seed)
 
     scores = np.zeros(n, dtype=np.float64)
     total_levels = 0
     edges_scanned = 0
     for s in src_ids.tolist():
-        levels, scanned = _brandes_from_source(graph, s, scores, temporal=temporal)
+        sigma, level_arcs, levels, scanned = brandes_forward(graph, s, temporal=temporal)
+        delta = _dependencies(sigma, level_arcs)
+        delta[s] = 0.0
+        scores += delta
         total_levels += levels
         edges_scanned += scanned
 
@@ -294,24 +289,11 @@ def edge_betweenness(
     if temporal and graph.ts is None:
         raise GraphError("temporal edge betweenness needs a time-stamped graph")
     n = graph.n
-    if sources is None:
-        src_ids = np.arange(n, dtype=np.int64)
-    elif np.isscalar(sources):
-        k = int(sources)
-        if not 0 < k <= n:
-            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
-        rng = make_rng(seed)
-        src_ids = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    else:
-        src_ids = np.asarray(sources, dtype=np.int64)
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= n):
-            raise GraphError("source ids out of range")
-    vertex_scores = np.zeros(n, dtype=np.float64)
+    src_ids = pick_sources(n, sources, seed)
     arc_scores = np.zeros(graph.n_arcs, dtype=np.float64)
     for s in src_ids.tolist():
-        _brandes_from_source(
-            graph, s, vertex_scores, temporal=temporal, edge_scores=arc_scores
-        )
+        sigma, level_arcs, _, _ = brandes_forward(graph, s, temporal=temporal)
+        _dependencies(sigma, level_arcs, arc_scores)
     if src_ids.size < n:
         arc_scores *= n / src_ids.size
     return EdgeBetweennessResult(

@@ -17,11 +17,17 @@ Each level is recorded as one simulated phase — frontier width, edges
 scanned, heaviest frontier vertex — so the machine model sees the true
 level structure (few wide levels for small-world graphs, which is what
 makes the paper's Figure 10 scale).
+
+:func:`level_loop` is the one level loop: serial :func:`bfs` runs it with
+``expand`` as the step, the process backend
+(:func:`repro.parallel.bfs.parallel_bfs`) with a pool fan-out, and the
+link-cut forest build from all component roots at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from repro.errors import VertexError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
 
-__all__ = ["BFSResult", "bfs", "bfs_profile"]
+__all__ = ["BFSResult", "bfs", "bfs_profile", "level_loop"]
 
 #: ALU ops per scanned edge: gather index arithmetic, visited test, branch.
 _ALU_PER_EDGE = 8.0
@@ -93,43 +99,63 @@ def bfs(
     if ts_range is not None and graph.ts is None:
         raise VertexError("graph has no time-stamps; cannot filter by ts_range")
 
-    offsets = graph.offsets
-    targets = graph.targets
-    ts = graph.ts
+    targets, ts = graph.targets, graph.ts
     dist = np.full(graph.n, -1, dtype=np.int64)
     parent = np.full(graph.n, -1, dtype=np.int64)
     dist[source] = 0
     slot = np.empty(graph.n, dtype=np.int64)  # scratch, touched only at candidates
 
+    def step(frontier, starts, counts, total):
+        return expand(frontier, starts, counts, targets, dist, slot, ts, ts_range)
+
     res = BFSResult(source=source, dist=dist, parent=parent, ts_range=ts_range)
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
     with span("core.bfs", source=int(source), n=graph.n, filtered=ts_range is not None) as sp:
-        while frontier.size:
-            starts = offsets[frontier]
-            counts = offsets[frontier + 1] - starts
-            total = int(counts.sum())
-            res.frontier_sizes.append(int(frontier.size))
-            res.edges_scanned.append(total)
-            res.max_frontier_degree.append(int(counts.max()) if counts.size else 0)
-            if max_levels is not None and level >= max_levels:
-                break
-            if total == 0:
-                break
-            new, owners = expand(frontier, starts, counts, targets, dist, slot, ts, ts_range)
-            if new.size == 0:
-                break
-            level += 1
-            dist[new] = level
-            parent[new] = owners
-            new.sort()
-            frontier = new
+        level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels)
         sp.set(levels=res.n_levels, reached=res.n_reached,
                edges_scanned=res.total_edges_scanned)
     METRICS.inc("bfs.runs")
     METRICS.inc("bfs.levels", res.n_levels)
     METRICS.inc("bfs.edges_scanned", res.total_edges_scanned)
     return res
+
+
+def level_loop(
+    res: BFSResult,
+    frontier: np.ndarray,
+    offsets: np.ndarray,
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]],
+    max_levels: int | None = None,
+) -> int:
+    """The level-synchronous loop from ``frontier``; returns the depth reached.
+
+    ``res.dist`` / ``res.parent`` already hold the starting frontier at
+    distance 0 (a multi-rooted traversal passes ``source=-1``).  Every level
+    appends its width, scanned arcs and heaviest vertex to ``res``'s lists,
+    then stops at ``max_levels`` or on a level that scans no arc; otherwise
+    ``step(frontier, starts, counts, total)`` returns the level's
+    ``(new, owners)`` in discovery order, as :func:`expand` does, and the
+    loop commits them and sorts ``new`` into the next frontier.  The level
+    that ends the traversal is recorded but reaches nothing.
+    """
+    level = 0
+    while frontier.size:
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        total = int(counts.sum())
+        res.frontier_sizes.append(int(frontier.size))
+        res.edges_scanned.append(total)
+        res.max_frontier_degree.append(int(counts.max()))
+        if total == 0 or (max_levels is not None and level >= max_levels):
+            break
+        new, owners = step(frontier, starts, counts, total)
+        if new.size == 0:
+            break
+        level += 1
+        res.dist[new] = level
+        res.parent[new] = owners
+        new.sort()
+        frontier = new
+    return level
 
 
 def bfs_profile(

@@ -8,7 +8,9 @@ centrality indices; betweenness gets the full treatment in
   (the convention networkx uses, which the tests validate against), and the
   same time-stamp filtering hook as every traversal kernel here;
 * **stress** — Brandes-style accumulation of *absolute* shortest-path
-  counts: stress(v) = Σ_{s≠v≠t} σ_st(v).  The backward pass accumulates
+  counts: stress(v) = Σ_{s≠v≠t} σ_st(v).  The forward pass is
+  betweenness's (:func:`repro.core.betweenness.brandes_forward`); the
+  backward pass accumulates
   φ(v) = Σ_{w ∈ succ(v)} (1 + φ(w)) over the shortest-path DAG and adds
   σ_sv · φ(v) per source (validated against exhaustive path enumeration).
 """
@@ -20,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.betweenness import brandes_forward
 from repro.core.bfs import bfs
-from repro.core.frontier import gather_ranges
-from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
-from repro.util.seeding import make_rng
+from repro.util.seeding import pick_sources
 
 __all__ = ["CentralityResult", "closeness_centrality", "stress_centrality"]
 
@@ -42,21 +43,6 @@ class CentralityResult:
     def top(self, k: int = 10) -> list[tuple[int, float]]:
         order = np.argsort(self.scores)[::-1][:k]
         return [(int(v), float(self.scores[v])) for v in order]
-
-
-def _pick_sources(n: int, sources, seed) -> np.ndarray:
-    if sources is None:
-        return np.arange(n, dtype=np.int64)
-    if np.isscalar(sources):
-        k = int(sources)
-        if not 0 < k <= n:
-            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
-        rng = make_rng(seed)
-        return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    src = np.asarray(sources, dtype=np.int64)
-    if src.size and (src.min() < 0 or src.max() >= n):
-        raise GraphError("source ids out of range")
-    return src
 
 
 def _traversal_profile(name, graph, edges_scanned, levels, n_sources):
@@ -93,7 +79,7 @@ def closeness_centrality(
     vertex*, so sampling scores only the sample.
     """
     n = graph.n
-    src_ids = _pick_sources(n, sources, seed)
+    src_ids = pick_sources(n, sources, seed)
     scores = np.zeros(n, dtype=np.float64)
     edges_scanned = 0
     levels = 0
@@ -130,46 +116,19 @@ def stress_centrality(
     paper's approximate betweenness.
     """
     n = graph.n
-    src_ids = _pick_sources(n, sources, seed)
-    offsets, targets = graph.offsets, graph.targets
+    src_ids = pick_sources(n, sources, seed)
     scores = np.zeros(n, dtype=np.float64)
     edges_scanned = 0
     total_levels = 0
     for s in src_ids.tolist():
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n, dtype=np.float64)
-        dist[s] = 0
-        sigma[s] = 1.0
-        frontier = np.array([s], dtype=np.int64)
-        level = 0
-        level_arcs: list[tuple[np.ndarray, np.ndarray]] = []
-        while frontier.size:
-            starts = offsets[frontier]
-            counts = offsets[frontier + 1] - starts
-            total = int(counts.sum())
-            edges_scanned += total
-            if total == 0:
-                break
-            idx, _ = gather_ranges(starts, counts)
-            v_arr = np.repeat(frontier, counts)
-            w_arr = targets[idx]
-            fresh = w_arr[dist[w_arr] < 0]
-            if fresh.size:
-                fresh = np.unique(fresh)
-                dist[fresh] = level + 1
-            on_sp = dist[w_arr] == level + 1
-            v_sp, w_sp = v_arr[on_sp], w_arr[on_sp]
-            if v_sp.size:
-                np.add.at(sigma, w_sp, sigma[v_sp])
-                level_arcs.append((v_sp, w_sp))
-            frontier = fresh
-            level += 1
-        total_levels += level
+        sigma, level_arcs, levels, scanned = brandes_forward(graph, s)
+        edges_scanned += scanned
+        total_levels += levels
         # phi(v) = sum over DAG arcs (v, w) of (1 + phi(w)): the number of
         # shortest paths from v to every downstream target.  Then
         # sigma_st(v) summed over t is sigma_sv * phi(v).
         phi = np.zeros(n, dtype=np.float64)
-        for v_sp, w_sp in reversed(level_arcs):
+        for v_sp, w_sp, _ in reversed(level_arcs):
             np.add.at(phi, v_sp, 1.0 + phi[w_sp])
         contribution = sigma * phi
         contribution[s] = 0.0

@@ -13,9 +13,9 @@ of the tree is small."*
 link / cut / parent, findroot by pointer chasing, and connectivity queries
 as two findroots.  Construction from a graph follows the paper: a lock-free
 level-synchronous parallel BFS produces the spanning tree of each component
-(one multi-rooted traversal covers the whole forest, each level one
-:func:`repro.core.frontier.expand`, the step :func:`repro.core.bfs.bfs`
-runs), with connected components supplying the roots.
+(one multi-rooted run of :func:`repro.core.bfs.level_loop` covers the whole
+forest, each level one :func:`repro.core.frontier.expand`, as in
+:func:`repro.core.bfs.bfs`), with connected components supplying the roots.
 
 Beyond the paper's operations, :meth:`add_edge` (reroot + link, supporting
 arbitrary edge insertions) and :meth:`cut_with_replacement` (spanning-forest
@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import kernels
 from repro.adjacency.csr import CSRGraph
+from repro.core.bfs import BFSResult, level_loop
 from repro.core.components import ComponentsResult, connected_components
 from repro.core.frontier import expand
 from repro.errors import GraphError, NotInForestError, VertexError
@@ -131,38 +132,30 @@ class LinkCutForest:
         """
         comps = connected_components(graph)
         forest = cls(graph.n)
-        offsets, targets = graph.offsets, graph.targets
+        targets = graph.targets
         dist = np.full(graph.n, -1, dtype=np.int64)
         roots = comps.roots()
         dist[roots] = 0
         slot = np.empty(graph.n, dtype=np.int64)  # scratch, touched only at candidates
-        frontier = roots
+
+        def step(frontier, starts, counts, total):
+            return expand(frontier, starts, counts, targets, dist, slot)
+
+        res = BFSResult(source=_NIL, dist=dist, parent=forest.parent)
+        level = level_loop(res, roots, graph.offsets, step)
         builder = ProfileBuilder("linkcut-construction", n=graph.n, arcs=graph.n_arcs)
         builder.extend(comps.profile(graph).phases)
         footprint = float(graph.memory_bytes() + 2 * 8 * graph.n)
-        level = 0
-        while frontier.size:
-            starts = offsets[frontier]
-            counts = offsets[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            new, owners = expand(frontier, starts, counts, targets, dist, slot)
-            builder.phase(
-                f"bfs-level{level}",
-                alu_ops=8.0 * total + 6.0 * frontier.size,
-                rand_accesses=float(total + frontier.size),
-                seq_bytes=8.0 * total,
-                footprint_bytes=footprint,
-                barriers=2.0,
-            )
-            if new.size == 0:
-                break
-            level += 1
-            dist[new] = level
-            forest.parent[new] = owners
-            new.sort()
-            frontier = new
+        for i, (width, arcs) in enumerate(zip(res.frontier_sizes, res.edges_scanned)):
+            if arcs:  # only the level that ends the traversal can scan none
+                builder.phase(
+                    f"bfs-level{i}",
+                    alu_ops=8.0 * arcs + 6.0 * width,
+                    rand_accesses=float(arcs + width),
+                    seq_bytes=8.0 * arcs,
+                    footprint_bytes=footprint,
+                    barriers=2.0,
+                )
         forest.version += 1
         max_depth = int(dist.max()) if graph.n else 0
         record = ConstructionRecord(

@@ -24,7 +24,7 @@ from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.errors import GraphError
-from repro.util.seeding import make_rng
+from repro.util.seeding import make_rng, pick_sources
 
 __all__ = [
     "DegreeStats",
@@ -154,18 +154,16 @@ def effective_diameter(
     Effective diameter: the given percentile of finite pairwise distances
     observed from the sampled sources — the standard small-world statistic
     ("90% of pairs within d hops").  The second value is the largest
-    eccentricity seen, a lower bound on the true diameter.
+    eccentricity seen, a lower bound on the true diameter.  ``samples`` is
+    clamped to n; a count below one raises :class:`GraphError`.
     """
     if graph.n == 0:
         return 0.0, 0
     if not 0 < percentile <= 100:
         raise GraphError(f"percentile must be in (0, 100], got {percentile}")
-    rng = make_rng(seed)
-    k = min(samples, graph.n)
-    sources = rng.choice(graph.n, size=k, replace=False)
     dists = []
     max_ecc = 0
-    for s in sources.tolist():
+    for s in pick_sources(graph.n, min(samples, graph.n), seed).tolist():
         res = bfs(graph, s)
         finite = res.dist[res.dist >= 0]
         if finite.size > 1:

@@ -24,6 +24,7 @@ import numpy as np
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
 from repro.machine.profile import Phase, WorkProfile
+from repro.util.seeding import pick_sources
 
 __all__ = [
     "TemporalReachResult",
@@ -170,21 +171,8 @@ def temporal_closeness(
     an int = a uniform sample, an array = explicit ids.  Returns an array
     of length n with zeros at unscored vertices.
     """
-    from repro.util.seeding import make_rng
-
     n = edges.n
-    if sources is None:
-        src_ids = np.arange(n, dtype=np.int64)
-    elif np.isscalar(sources):
-        k = int(sources)
-        if not 0 < k <= n:
-            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
-        rng = make_rng(seed)
-        src_ids = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    else:
-        src_ids = np.asarray(sources, dtype=np.int64)
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= n):
-            raise GraphError("source ids out of range")
+    src_ids = pick_sources(n, sources, seed)
     scores = np.zeros(n, dtype=np.float64)
     for s in src_ids.tolist():
         res = earliest_arrival(edges, s, t_start=t_start)

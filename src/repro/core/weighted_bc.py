@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
-from repro.util.seeding import make_rng
+from repro.util.seeding import pick_sources
 
 __all__ = ["WeightedBCResult", "weighted_betweenness"]
 
@@ -97,18 +96,7 @@ def weighted_betweenness(
     minimum-weight paths.  Sources follow the usual sampling convention.
     """
     n = graph.n
-    if sources is None:
-        src_ids = np.arange(n, dtype=np.int64)
-    elif np.isscalar(sources):
-        k = int(sources)
-        if not 0 < k <= n:
-            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
-        rng = make_rng(seed)
-        src_ids = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-    else:
-        src_ids = np.asarray(sources, dtype=np.int64)
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= n):
-            raise GraphError("source ids out of range")
+    src_ids = pick_sources(n, sources, seed)
     scores = np.zeros(n, dtype=np.float64)
     relaxations = 0
     for s in src_ids.tolist():

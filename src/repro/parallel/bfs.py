@@ -1,8 +1,9 @@
 """Level-synchronous BFS over shared memory (process backend).
 
-The parent process runs the level loop of :func:`repro.core.bfs.bfs`
-unchanged; each level's edge gather — the O(m) hot part — fans out to the
-worker pool.  Workers read the graph from the pool's resident snapshot arena
+The parent process runs the serial level loop
+(:func:`repro.core.bfs.level_loop`) with a pool step: each level's edge
+gather — the O(m) hot part — fans out to the worker pool.  Workers read the
+graph from the pool's resident snapshot arena
 (:meth:`~repro.parallel.pool.WorkerPool.resident`: copied once per snapshot,
 not per call); this call's ``dist`` and ``frontier`` scratch live in a small
 arena of their own, allocated without a source copy and unlinked on return.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.bfs import BFSResult, bfs_profile
+from repro.core.bfs import BFSResult, bfs_profile, level_loop
 from repro.core.frontier import expand, first_occurrence
 from repro.errors import VertexError
 from repro.machine.profile import WorkProfile
@@ -101,7 +102,6 @@ def parallel_bfs(
     resident = pool.resident(graph)
     parent = np.full(graph.n, -1, dtype=np.int64)
     slot = np.empty(graph.n, dtype=np.int64)  # merge scratch, touched only at candidates
-    level = 0
     # This call's mutable state; ``frontier`` is scratch, at most n vertices per level.
     with ShmArena.allocate(
         {"dist": (np.int64, (graph.n,)), "frontier": (np.int64, (max(graph.n, 1),))}
@@ -120,7 +120,26 @@ def parallel_bfs(
             "dist": shared_dist,
             "frontier": shared_frontier,
         }
-        frontier = np.array([source], dtype=np.int64)
+
+        def step(frontier, starts, counts, total):
+            shared_frontier[: frontier.size] = frontier
+            if total <= small_level_edges or pool.workers == 1:
+                outs = [_bfs_level(views, {"lo": 0, "hi": frontier.size, "ts_range": ts_range})]
+                outs[0]["fragment"]["inline"] = True
+            else:
+                outs = pool.run_tasks(
+                    [
+                        TaskSpec("bfs.level", {"lo": lo, "hi": hi, "ts_range": ts_range},
+                                 arenas=arenas)
+                        for lo, hi in weighted_chunks(counts, pool.workers)
+                    ]
+                )
+            if fragments_out is not None:
+                fragments_out.append([o["fragment"] for o in outs])
+            nbrs = np.concatenate([o["nbrs"] for o in outs])
+            first = first_occurrence(nbrs, slot)
+            return nbrs[first], np.concatenate([o["reps"] for o in outs])[first]
+
         with span(
             "parallel.bfs",
             source=int(source),
@@ -128,46 +147,7 @@ def parallel_bfs(
             workers=pool.workers,
             filtered=ts_range is not None,
         ) as sp:
-            while frontier.size:
-                counts = graph.offsets[frontier + 1] - graph.offsets[frontier]
-                total = int(counts.sum())
-                res.frontier_sizes.append(int(frontier.size))
-                res.edges_scanned.append(total)
-                res.max_frontier_degree.append(int(counts.max()) if counts.size else 0)
-                if max_levels is not None and level >= max_levels:
-                    break
-                if total == 0:
-                    break
-                shared_frontier[: frontier.size] = frontier
-                if total <= small_level_edges or pool.workers == 1:
-                    outs = [
-                        _bfs_level(views, {"lo": 0, "hi": frontier.size, "ts_range": ts_range})
-                    ]
-                    outs[0]["fragment"]["inline"] = True
-                else:
-                    chunks = weighted_chunks(counts, pool.workers)
-                    outs = pool.run_tasks(
-                        [
-                            TaskSpec(
-                                "bfs.level",
-                                {"lo": lo, "hi": hi, "ts_range": ts_range},
-                                arenas=arenas,
-                            )
-                            for lo, hi in chunks
-                        ]
-                    )
-                if fragments_out is not None:
-                    fragments_out.append([o["fragment"] for o in outs])
-                nbrs = np.concatenate([o["nbrs"] for o in outs])
-                reps = np.concatenate([o["reps"] for o in outs])
-                if nbrs.size == 0:
-                    break
-                first = first_occurrence(nbrs, slot)
-                frontier = nbrs[first]
-                level += 1
-                shared_dist[frontier] = level
-                parent[frontier] = reps[first]
-                frontier.sort()
+            level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels)
             sp.set(
                 levels=res.n_levels,
                 reached=res.n_reached,

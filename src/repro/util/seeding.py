@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "make_rng", "spawn_rngs", "mix_seed"]
+from repro.errors import GraphError
+
+__all__ = ["DEFAULT_SEED", "make_rng", "spawn_rngs", "mix_seed", "pick_sources"]
 
 #: Seed used throughout examples and benchmarks when the caller does not care.
 DEFAULT_SEED = 20090525  # IPDPS 2009 opening day.
@@ -67,3 +69,24 @@ def mix_seed(seed: int, *components: int | str) -> int:
             h = (h ^ np.uint64(c & 0xFFFFFFFFFFFFFFFF)) * np.uint64(0xBF58476D1CE4E5B9)
             h ^= h >> np.uint64(31)
     return int(h & np.uint64(0x7FFFFFFFFFFFFFFF))
+
+
+def pick_sources(n: int, sources, seed: int | np.random.Generator | None = None) -> np.ndarray:
+    """Source vertices of a multi-source kernel over ``n`` vertices.
+
+    ``sources`` is None (every vertex), an integer sample size k (k distinct
+    vertices drawn uniformly from ``make_rng(seed)``, ascending — the
+    paper's sampled betweenness) or an array of explicit ids, returned as
+    given after a range check.
+    """
+    if sources is None:
+        return np.arange(n, dtype=np.int64)
+    if np.isscalar(sources):
+        k = int(sources)
+        if not 0 < k <= n:
+            raise GraphError(f"source sample size must be in [1, {n}], got {k}")
+        return np.sort(make_rng(seed).choice(n, size=k, replace=False)).astype(np.int64)
+    src = np.asarray(sources, dtype=np.int64)
+    if src.size and (src.min() < 0 or src.max() >= n):
+        raise GraphError("source ids out of range")
+    return src

@@ -62,21 +62,26 @@ def unique_commit_bfs(graph, source, *, ts_range=None, max_levels=None):
 
 
 def unique_commit_forest(graph, roots):
-    """``(parent, levels, max_depth)`` of a multi-source BFS from ``roots``."""
+    """``(parent, levels, max_depth, widths, arcs)`` of a multi-source BFS
+    from ``roots``; ``widths[i]`` / ``arcs[i]`` are level i's frontier size
+    and scanned arcs, for every level scanned."""
     dist = np.full(graph.n, -1, dtype=np.int64)
     parent = np.full(graph.n, -1, dtype=np.int64)
     dist[roots] = 0
     frontier = roots
     level = 0
+    widths, arcs = [], []
     while frontier.size:
-        uniq, parents, _ = unique_commit_level(frontier, graph.offsets, graph.targets, dist)
+        uniq, parents, counts = unique_commit_level(frontier, graph.offsets, graph.targets, dist)
+        widths.append(int(frontier.size))
+        arcs.append(int(counts.sum()))
         if uniq.size == 0:
             break
         level += 1
         dist[uniq] = level
         parent[uniq] = parents
         frontier = uniq
-    return parent, level, int(dist.max()) if graph.n else 0
+    return parent, level, int(dist.max()) if graph.n else 0, widths, arcs
 
 
 def assert_bfs_equal(expected, actual):

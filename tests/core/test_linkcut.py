@@ -174,9 +174,33 @@ class TestConstruction:
         # Multi-source: one root per component, many components when sparse.
         csr = build_csr(make())
         forest, record = LinkCutForest.from_csr(csr)
-        parent, levels, max_depth = unique_commit_forest(csr, record.components.roots())
+        parent, levels, max_depth, _, _ = unique_commit_forest(csr, record.components.roots())
         np.testing.assert_array_equal(forest.parent, parent)
         assert (record.levels, record.max_depth) == (levels, max_depth)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: rmat_graph(10, 8, seed=3), lambda: path_graph(300), lambda: star_graph(50)],
+        ids=["rmat", "path", "star"],
+    )
+    def test_profile_levels_match_oracle(self, make):
+        # One bfs-level{i} phase per level that scanned arcs, costed from
+        # that level's frontier width and scanned arcs.
+        csr = build_csr(make())
+        _, record = LinkCutForest.from_csr(csr)
+        *_, widths, arcs = unique_commit_forest(csr, record.components.roots())
+        expected = [
+            (f"bfs-level{i}", 8.0 * a + 6.0 * w, float(a + w), 8.0 * a)
+            for i, (w, a) in enumerate(zip(widths, arcs))
+            if a
+        ]
+        actual = [
+            (p.name, p.alu_ops, p.rand_accesses, p.seq_bytes)
+            for p in record.profile.phases
+            if p.name.startswith("bfs-level")
+        ]
+        assert actual == expected
+        assert len(expected) == record.levels + 1
 
 
 class TestDynamicMaintenance:

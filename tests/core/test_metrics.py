@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.adjacency.csr import build_csr
+from repro.core.bfs import bfs
 from repro.core.metrics import (
     average_clustering,
     clustering_coefficient,
@@ -23,6 +24,7 @@ from repro.generators.reference import (
     to_networkx,
     watts_strogatz,
 )
+from repro.util.seeding import make_rng
 
 
 class TestDegreeStats:
@@ -120,6 +122,28 @@ class TestDiameter:
     def test_percentile_validated(self, er_csr):
         with pytest.raises(GraphError):
             effective_diameter(er_csr, percentile=0)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_invalid_sample_size(self, er_csr, samples):
+        # Used to return (0.0, 0) as if the graph had no finite distance.
+        with pytest.raises(GraphError, match="source sample size"):
+            effective_diameter(er_csr, samples=samples)
+
+    def test_sample_size_clamped_to_n(self):
+        csr = build_csr(path_graph(20))
+        assert effective_diameter(csr, samples=1000, seed=1) == effective_diameter(
+            csr, samples=20, seed=1
+        )
+
+    def test_source_order_does_not_matter(self):
+        # The sources are drawn sorted; the statistic is that of the same
+        # draw taken in the generator's order.
+        csr = build_csr(rmat_graph(9, 4, seed=84))
+        drawn = make_rng(5).choice(csr.n, size=12, replace=False)
+        dists = [bfs(csr, int(s)).dist for s in drawn]
+        finite = np.concatenate([d[d > 0] for d in dists])
+        expected = (float(np.percentile(finite, 90.0)), int(max(d.max() for d in dists)))
+        assert effective_diameter(csr, samples=12, seed=5) == expected
 
     def test_empty_graph(self):
         g = EdgeList(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64))

@@ -88,6 +88,12 @@ def test_bfs_inline_threshold_sweep(pool):
     serial = bfs(csr, 0)
     for thresh in (0, 64, 10**9):
         assert_bfs_equal(serial, parallel_bfs(csr, 0, pool, small_level_edges=thresh))
+    # Truncated traversals stop at the same level with every level fanned out.
+    for max_levels in (0, 1, 2):
+        assert_bfs_equal(
+            bfs(csr, 0, max_levels=max_levels),
+            parallel_bfs(csr, 0, pool, max_levels=max_levels, small_level_edges=0),
+        )
 
 
 @pytest.mark.parametrize("workers", [2, 3])
