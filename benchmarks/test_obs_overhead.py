@@ -1,23 +1,21 @@
-"""Benchmark: live-telemetry collector overhead on a real workload.
+"""Gate: live-telemetry collector overhead on a real workload.
 
-The ISSUE's acceptance gate: with the background collector scraping at a
-realistic interval, a representative update+components workload must run
-within 2% of its no-collector wall clock, with bit-identical results.
+With the background collector scraping at an aggressive interval, a
+representative update+components workload must run within 2% of its
+no-collector wall clock, with bit-identical results.
 
-Shared CI machines show ±10-40% *per-round* wall-clock noise, so a naive
-A/B comparison flakes regardless of round count.  The gate instead runs
+Shared machines show ±10-40% *per-round* wall-clock noise, so a naive A/B
+comparison flakes regardless of round count.  The gate instead runs
 adjacent (baseline, live) pairs — the two rounds of a pair share machine
 state far better than rounds minutes apart — and asserts on the **minimum
 per-pair ratio**: a true collector cost of X% inflates *every* pair by
 ~X%, while a noise spike inflates one side of *some* pairs, so the min
-ratio isolates the systematic component.  The measured overhead is
-recorded in ``extra_info`` alongside collector activity stats.
+ratio isolates the systematic component.
 """
-
-import time
 
 import numpy as np
 
+from benchmarks.conftest import best_of
 from repro import obs
 from repro.api import DynamicGraph
 from repro.generators import mixed_stream, rmat_graph
@@ -36,23 +34,17 @@ def workload():
     return res.n_updates, comps.labels
 
 
-def timed():
-    t0 = time.perf_counter()
-    out = workload()
-    return time.perf_counter() - t0, out
-
-
-def test_obs_collector_overhead(benchmark):
+def test_obs_collector_overhead():
     workload()  # warmup: imports, allocator, caches
 
     ratios = []
     baseline_out = live_out = None
     n_ticks = n_series = 0
     for _ in range(PAIRS):
-        baseline_s, baseline_out = timed()
+        baseline_s, baseline_out = best_of(workload, 1)
         obs.enable_live_telemetry(interval=INTERVAL)
         try:
-            live_s, live_out = timed()
+            live_s, live_out = best_of(workload, 1)
             collector = obs.current_collector()
             n_ticks += collector.n_ticks
             n_series = max(n_series, len(collector.store))
@@ -61,21 +53,6 @@ def test_obs_collector_overhead(benchmark):
         ratios.append(live_s / baseline_s)
 
     overhead_pct = 100.0 * (min(ratios) - 1.0)
-    benchmark.extra_info["overhead_pct"] = round(overhead_pct, 2)
-    benchmark.extra_info["pair_ratios"] = [round(r, 4) for r in ratios]
-    benchmark.extra_info["collector_ticks"] = n_ticks
-    benchmark.extra_info["series_collected"] = n_series
-
-    # One pytest-benchmark round with the collector live (what the
-    # session's timing table shows); the gate itself uses the paired
-    # ratios above.
-    if benchmark.enabled:
-        obs.enable_live_telemetry(interval=INTERVAL)
-        try:
-            benchmark.pedantic(workload, rounds=1, iterations=1)
-        finally:
-            obs.disable_live_telemetry()
-
     # Telemetry observes; it never participates.
     assert live_out[0] == baseline_out[0]
     assert np.array_equal(live_out[1], baseline_out[1])

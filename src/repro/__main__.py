@@ -643,6 +643,10 @@ def cmd_obs_slo(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.adjacency.registry import REPRESENTATIONS
+    from repro.machine.spec import MACHINES
+
+    representations, machines = list(REPRESENTATIONS), list(MACHINES)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Dynamic small-world graph analysis (Madduri & Bader 2009 reproduction).",
@@ -691,10 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mixed-stream length for the update workloads")
     p.add_argument("--queries", type=int, default=10_000,
                    help="connectivity query count")
-    p.add_argument("--representation", default="hybrid",
-                   choices=["dynarr", "dynarr-nr", "treap", "hybrid", "vpart",
-                            "epart", "batched"])
-    p.add_argument("--machine", default="t2", choices=["t1", "t2", "power570"])
+    p.add_argument("--representation", default="hybrid", choices=representations)
+    p.add_argument("--machine", default="t2", choices=machines)
     p.add_argument("--backend", default="serial", choices=["serial", "process"],
                    help="execution backend for the analysis kernels "
                         "(process = shared-memory worker pool)")
@@ -744,10 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--edge-factor", type=int, default=8)
     sp.add_argument("--updates", type=int, default=2000)
     sp.add_argument("--queries", type=int, default=10_000)
-    sp.add_argument("--representation", default="hybrid",
-                    choices=["dynarr", "dynarr-nr", "treap", "hybrid", "vpart",
-                             "epart", "batched"])
-    sp.add_argument("--machine", default="t2", choices=["t1", "t2", "power570"])
+    sp.add_argument("--representation", default="hybrid", choices=representations)
+    sp.add_argument("--machine", default="t2", choices=machines)
     sp.add_argument("--backend", default="serial", choices=["serial", "process"])
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--seed", type=int, default=1)
@@ -796,9 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total stream edges (default: n * edge-factor)")
     p.add_argument("--chunk-edges", type=int, default=4096,
                    help="edges per update batch (default: 4096)")
-    p.add_argument("--representation", default="hybrid",
-                   choices=["dynarr", "dynarr-nr", "treap", "hybrid", "vpart",
-                            "epart", "batched"])
+    p.add_argument("--representation", default="hybrid", choices=representations)
     p.add_argument("--backend", default="serial", choices=["serial", "process"],
                    help="components execution: serial kernel or sharded workers")
     p.add_argument("--workers", type=int, default=None,
@@ -836,10 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sweep a workload on a simulated machine")
     p.add_argument("graph")
-    p.add_argument("--representation", default="hybrid",
-                   choices=["dynarr", "dynarr-nr", "treap", "hybrid", "vpart",
-                            "epart", "batched"])
-    p.add_argument("--machine", default="t2", choices=["t1", "t2", "power570"])
+    p.add_argument("--representation", default="hybrid", choices=representations)
+    p.add_argument("--machine", default="t2", choices=machines)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_simulate)
 

@@ -11,7 +11,8 @@ of a linear scan over a potentially huge block.
 The paper finds ``degree_thresh = 32`` a reasonable insertion/deletion
 trade-off for R-MAT small-world inputs on its platforms, and notes that the
 threshold could be tuned at runtime from the observed insert:delete ratio
-(exercised by ``benchmarks/test_ablation_degree_thresh.py``).
+(swept by the ``degree_thresh`` ablation, ``python -m repro.experiments
+--ablations``).
 
 Batches are applied as an exact partition (:meth:`HybridAdjacency.
 _apply_partitioned`): arcs whose owner is in array mode when they arrive

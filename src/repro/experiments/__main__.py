@@ -62,12 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write a machine-readable report of every result",
     )
     parser.add_argument(
-        "--memprof",
-        action="store_true",
-        help="measure peak heap/RSS of each figure's kernel "
-             "(measured_peak_bytes lands in host dicts and profile meta)",
-    )
-    parser.add_argument(
         "--figure-index",
         action="store_true",
         help="print the generated fig01-fig11 index table (EXPERIMENTS.md block) and exit",
@@ -77,11 +71,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.figure_index:
         print(figure_index_table())
         return 0
-
-    if args.memprof:
-        from repro.obs.prof import enable_memory_profiling
-
-        enable_memory_profiling()
 
     failed = 0
     report: list[dict] = []

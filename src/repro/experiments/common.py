@@ -30,7 +30,6 @@ __all__ = [
     "FigureResult",
     "measured_scale",
     "footprint_coefficients",
-    "measured_memory_meta",
     "scaled_sweep",
     "T2_THREADS",
     "T1_THREADS",
@@ -133,24 +132,6 @@ class FigureResult:
                 mark = "PASS" if ok else "FAIL"
                 lines.append(f"[{mark}] {desc}" + (f" ({detail})" if detail else ""))
         return "\n".join(lines)
-
-
-def measured_memory_meta(mem) -> dict:
-    """Meta entries for a :class:`~repro.obs.prof.MeasuredBlock`.
-
-    Empty when memory profiling is off (the block was inert), so the
-    figure runners can splat this into host dicts and
-    ``WorkProfile.with_meta`` unconditionally.  The ``measured_`` prefix
-    keeps the host-sampled bytes clearly apart from the machine model's
-    *modelled* footprint figures.
-    """
-    if not getattr(mem, "enabled", False):
-        return {}
-    out = {}
-    for key, value in mem.meta().items():
-        if value is not None:
-            out[f"measured_{key}"] = int(value)
-    return out
 
 
 def _fmt(v) -> str:

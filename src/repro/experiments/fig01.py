@@ -83,13 +83,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
             "target size, footprint recomputed (cache model applies at the "
             "target size)"
         ),
-        meta={
-            "measured_scale": mscale,
-            "targets": TARGET_SCALES,
-            "host_seconds": res.host_seconds,
-            "host_mups": res.profile.meta.get("host_mups", 0.0),
-            "vectorised": res.meta.get("vectorised", False),
-        },
+        meta={"measured_scale": mscale, "targets": TARGET_SCALES},
     )
 
     # Shape checks from the paper's prose.

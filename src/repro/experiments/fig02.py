@@ -40,17 +40,11 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     deg = np.bincount(graph.src, minlength=n0) + np.bincount(graph.dst, minlength=n0)
 
     series = []
-    host = {}
     for label, rep in (
         ("Dyn-arr", DynArrAdjacency(n0, initial_capacity=INITIAL_SIZE)),
         ("Dyn-arr-nr", DynArrAdjacency.preallocated(n0, deg)),
     ):
         res = construct(rep, graph)
-        host[label] = {
-            "host_seconds": res.host_seconds,
-            "host_mups": res.profile.meta.get("host_mups", 0.0),
-            "vectorised": res.meta.get("vectorised", False),
-        }
         bpv, bpe = footprint_coefficients(rep, n0, 2 * m0)
         inst = ScaledInstance(
             n_measured=n0,
@@ -74,7 +68,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         title="Dyn-arr vs Dyn-arr-nr construction MUPS, UltraSPARC T2",
         series=series,
         notes=f"measured at n=2^{mscale}; target 33.5M vertices / 268M edges",
-        meta={"measured_scale": mscale, "host": host},
+        meta={"measured_scale": mscale},
     )
     da = fig.get("Dyn-arr")
     nr = fig.get("Dyn-arr-nr")

@@ -53,7 +53,6 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         )
 
     series: list[SeriesSpec] = []
-    host = {}
     for machine, threads in ((ULTRASPARC_T2, T2_THREADS), (ULTRASPARC_T1, T1_THREADS)):
         tag = "T2" if machine is ULTRASPARC_T2 else "T1"
         for label, rep in (
@@ -62,11 +61,6 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
             ("Epart", EPartAdjacency(n0, expected_m=2 * m0)),
         ):
             res = construct(rep, graph)
-            host[f"{label} ({tag})"] = {
-                "host_seconds": res.host_seconds,
-                "host_mups": res.profile.meta.get("host_mups", 0.0),
-                "vectorised": res.meta.get("vectorised", False),
-            }
             bpv, bpe = footprint_coefficients(rep, n0, 2 * m0)
             series.append(
                 scaled_sweep(
@@ -93,7 +87,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         title="Insertion strategies on 8 cores: Dyn-arr-nr vs batched/Vpart/Epart",
         series=series,
         notes=f"measured at n=2^{mscale}; batched series is the semi-sort lower-bound cost",
-        meta={"measured_scale": mscale, "host": host},
+        meta={"measured_scale": mscale},
     )
 
     for tag, full in (("T2", 64), ("T1", 32)):

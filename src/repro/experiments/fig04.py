@@ -16,12 +16,10 @@ from repro.experiments.common import (
     FigureResult,
     T2_THREADS,
     footprint_coefficients,
-    measured_memory_meta,
     measured_scale,
     scaled_sweep,
 )
 from repro.generators.rmat import rmat_graph
-from repro.obs.prof import measure_block
 from repro.machine.scale import ScaledInstance
 from repro.machine.spec import ULTRASPARC_T2
 from repro.util.seeding import DEFAULT_SEED
@@ -47,18 +45,8 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     n0, m0 = graph.n, graph.m
 
     series = []
-    host = {}
     for label, rep in make_reps(n0, 2 * m0, seed):
-        with measure_block() as mem:
-            res = construct(rep, graph)
-        mem_meta = measured_memory_meta(mem)
-        profile = res.profile.with_meta(**mem_meta) if mem_meta else res.profile
-        host[label] = {
-            "host_seconds": res.host_seconds,
-            "host_mups": res.profile.meta.get("host_mups", 0.0),
-            "vectorised": res.meta.get("vectorised", False),
-            **mem_meta,
-        }
+        res = construct(rep, graph)
         bpv, bpe = footprint_coefficients(rep, n0, 2 * m0)
         inst = ScaledInstance(
             n_measured=n0, m_measured=m0,
@@ -68,7 +56,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         )
         series.append(
             scaled_sweep(
-                profile, inst, ULTRASPARC_T2, T2_THREADS,
+                res.profile, inst, ULTRASPARC_T2, T2_THREADS,
                 n_items=TARGET_M, label=label,
                 logdeg_correction=(label != "Dyn-arr"),
             )
@@ -79,7 +67,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         title="Construction MUPS: Dyn-arr vs Treaps vs Hybrid, UltraSPARC T2",
         series=series,
         notes=f"measured at n=2^{mscale}; target 33.5M / 268M",
-        meta={"measured_scale": mscale, "host": host},
+        meta={"measured_scale": mscale},
     )
     da = fig.get("Dyn-arr")
     tr = fig.get("Treaps")

@@ -21,11 +21,9 @@ from repro.experiments.common import (
     FigureResult,
     T2_THREADS,
     footprint_coefficients,
-    measured_memory_meta,
     measured_scale,
     scaled_sweep,
 )
-from repro.obs.prof import measure_block
 from repro.experiments.fig04 import TARGET_M, TARGET_N, make_reps
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import deletion_stream
@@ -55,24 +53,14 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     probe_growth = rmat_size_biased_growth(mscale, TARGET_SCALE)
 
     series = []
-    host = {}
     for label, rep in make_reps(n0, 2 * m0, seed):
         construct(rep, graph)
-        with measure_block() as mem:
-            res = apply_stream(
-                rep,
-                dels,
-                phase_name="deletions",
-                probe_scale=probe_growth if label == "Dyn-arr" else 1.0,
-            )
-        mem_meta = measured_memory_meta(mem)
-        profile = res.profile.with_meta(**mem_meta) if mem_meta else res.profile
-        host[label] = {
-            "host_seconds": res.host_seconds,
-            "host_mups": res.profile.meta.get("host_mups", 0.0),
-            "vectorised": res.meta.get("vectorised", False),
-            **mem_meta,
-        }
+        res = apply_stream(
+            rep,
+            dels,
+            phase_name="deletions",
+            probe_scale=probe_growth if label == "Dyn-arr" else 1.0,
+        )
         bpv, bpe = footprint_coefficients(rep, n0, 2 * m0)
         inst = ScaledInstance(
             n_measured=n0, m_measured=m0,
@@ -82,7 +70,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
         )
         series.append(
             scaled_sweep(
-                profile, inst, ULTRASPARC_T2, T2_THREADS,
+                res.profile, inst, ULTRASPARC_T2, T2_THREADS,
                 n_items=TARGET_DELETES, label=label,
                 logdeg_correction=(label != "Dyn-arr"),
             )
@@ -96,7 +84,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
             f"measured at n=2^{mscale} with {k_del} deletions "
             f"(paper ratio: 20M of 268M edges)"
         ),
-        meta={"measured_scale": mscale, "k_del": k_del, "host": host},
+        meta={"measured_scale": mscale, "k_del": k_del},
     )
     da = fig.get("Dyn-arr")
     tr = fig.get("Treaps")

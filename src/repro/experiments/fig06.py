@@ -5,7 +5,7 @@ random updates (75% insertions, 25% deletions) on UltraSPARC T2.  Reported
 shape: "the performance of Hybrid-arr-treap and Dyn-arr are comparable in
 this case, while Treaps is slower.  For a large proportion of deletions, the
 performance of Hybrid-arr-treap would be better than Dyn-arr" (the ratio
-sweep lives in ``benchmarks/test_ablation_mix_ratio.py``).
+sweep is the ``mix_ratio`` ablation, ``python -m repro.experiments --ablations``).
 """
 
 from __future__ import annotations

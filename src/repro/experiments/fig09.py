@@ -13,12 +13,10 @@ from repro.core.induced import induced_subgraph
 from repro.experiments.common import (
     FigureResult,
     T1_THREADS,
-    measured_memory_meta,
     measured_scale,
     scaled_sweep,
 )
 from repro.generators.rmat import rmat_graph
-from repro.obs.prof import measure_block
 from repro.machine.scale import ScaledInstance
 from repro.machine.spec import ULTRASPARC_T1
 from repro.util.seeding import DEFAULT_SEED
@@ -36,10 +34,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     graph = rmat_graph(mscale, 10, seed=seed, ts_range=TS_RANGE, shuffle=True)
     n0, m0 = graph.n, graph.m
 
-    with measure_block() as mem:
-        res = induced_subgraph(graph, *INTERVAL)
-    mem_meta = measured_memory_meta(mem)
-    profile = res.profile.with_meta(**mem_meta) if mem_meta else res.profile
+    res = induced_subgraph(graph, *INTERVAL)
 
     bpe = 24.0  # src + dst + ts words per stored edge
     inst = ScaledInstance(
@@ -50,7 +45,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
     )
     series = [
         scaled_sweep(
-            profile, inst, ULTRASPARC_T1, T1_THREADS,
+            res.profile, inst, ULTRASPARC_T1, T1_THREADS,
             n_items=TARGET_M, label="induced subgraph",
         )
     ]
@@ -64,7 +59,7 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureResult:
             f"measured at n=2^{mscale}; kept {res.n_affected}/{m0} edges "
             f"({100 * kept_frac:.1f}%), strategy={res.strategy}"
         ),
-        meta={"measured_scale": mscale, "kept_frac": kept_frac, **mem_meta},
+        meta={"measured_scale": mscale, "kept_frac": kept_frac},
     )
     s = fig.get("induced subgraph")
     fig.check(

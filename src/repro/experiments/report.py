@@ -39,66 +39,54 @@ ABLATIONS: tuple[str, ...] = (
     "connectit_matrix",
 )
 
-#: Static per-figure metadata: what each reproduction runs and where its
-#: pytest benchmark lives.  The fig01–fig11 table in EXPERIMENTS.md is
-#: *generated* from this dict by :func:`figure_index_table`
+#: Static per-figure metadata: what each reproduction runs.  The fig01–fig11
+#: table in EXPERIMENTS.md is *generated* from this dict by :func:`figure_index_table`
 #: (``python -m repro.experiments --figure-index``);
 #: ``tests/experiments/test_figure_index.py`` asserts they stay in sync.
 FIGURE_INDEX: dict[str, dict] = {
     "fig01": {
         "figure": "Figure 1",
         "title": "Dyn-arr-nr insertion MUPS vs problem size (1 core / 8 cores)",
-        "benchmark": "benchmarks/test_fig01_insert_scaling.py",
     },
     "fig02": {
         "figure": "Figure 2",
         "title": "Dyn-arr vs Dyn-arr-nr construction MUPS, UltraSPARC T2",
-        "benchmark": "benchmarks/test_fig02_resizing_overhead.py",
     },
     "fig03": {
         "figure": "Figure 3",
         "title": "Insertion strategies on 8 cores: Dyn-arr-nr vs batched/Vpart/Epart",
-        "benchmark": "benchmarks/test_fig03_partitioning.py",
     },
     "fig04": {
         "figure": "Figure 4",
         "title": "Construction MUPS: Dyn-arr vs Treaps vs Hybrid, UltraSPARC T2",
-        "benchmark": "benchmarks/test_fig04_insert_representations.py",
     },
     "fig05": {
         "figure": "Figure 5",
         "title": "Deletion MUPS after construction: Dyn-arr vs Treaps vs Hybrid, T2",
-        "benchmark": "benchmarks/test_fig05_delete_representations.py",
     },
     "fig06": {
         "figure": "Figure 6",
         "title": "Mixed updates (75% ins / 25% del): Dyn-arr vs Treaps vs Hybrid, T2",
-        "benchmark": "benchmarks/test_fig06_mixed_updates.py",
     },
     "fig07": {
         "figure": "Figure 7",
         "title": "Link-cut tree construction, UltraSPARC T2 (10M vertices / 84M edges)",
-        "benchmark": "benchmarks/test_fig07_linkcut_construction.py",
     },
     "fig08": {
         "figure": "Figure 8",
         "title": "1M connectivity queries on the link-cut forest, UltraSPARC T2",
-        "benchmark": "benchmarks/test_fig08_connectivity_queries.py",
     },
     "fig09": {
         "figure": "Figure 9",
         "title": "Induced subgraph kernel (interval (20,70)), UltraSPARC T1",
-        "benchmark": "benchmarks/test_fig09_induced_subgraph.py",
     },
     "fig10": {
         "figure": "Figure 10",
         "title": "Time-stamped BFS on IBM Power 570 (500M vertices / 4B edges)",
-        "benchmark": "benchmarks/test_fig10_bfs_power570.py",
     },
     "fig11": {
         "figure": "Figure 11",
         "title": "Approximate temporal betweenness (256 sources), UltraSPARC T2",
-        "benchmark": "benchmarks/test_fig11_temporal_bc.py",
     },
 }
 
@@ -115,25 +103,18 @@ def figure_index_table() -> str:
 
     ``python -m repro.experiments --figure-index`` prints it; the block in
     EXPERIMENTS.md between the ``GENERATED FIGURE INDEX`` markers is this
-    output verbatim.  The sync test additionally pins each entry against
-    the code: the title/figure strings against the figure module source
-    and the benchmark path against the filesystem.
+    output verbatim.  The sync test additionally pins each entry's
+    title/figure strings against the figure module source.
     """
     lines = [
-        "| module | figure | title | run | benchmark |",
-        "|---|---|---|---|---|",
+        "| module | figure | title | run |",
+        "|---|---|---|---|",
     ]
     for name in FIGURE_MODULES:
         meta = FIGURE_INDEX[name]
-        runner = f"`python -m repro.experiments {name} [--full]`"
         lines.append(
-            "| `{mod}` | {figure} | {title} | {run} | `{bench}` |".format(
-                mod=f"src/repro/experiments/{name}.py",
-                figure=meta["figure"],
-                title=meta["title"],
-                run=runner,
-                bench=meta["benchmark"],
-            )
+            f"| `src/repro/experiments/{name}.py` | {meta['figure']} | {meta['title']} "
+            f"| `python -m repro.experiments {name} [--full]` |"
         )
     return "\n".join(lines)
 

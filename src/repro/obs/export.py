@@ -24,7 +24,8 @@ required fields, stack discipline, and parent/child interval containment.
 All three exporters tolerate orphaned spans (a bounded
 :class:`~repro.obs.sink.MemorySink` may have evicted an ancestor): an
 event whose parent is missing is promoted to a root, exactly like
-:func:`~repro.obs.trace.format_span_tree` does.
+:func:`~repro.obs.trace.format_span_tree` does (one builder,
+:func:`~repro.obs.trace.span_forest`, serves all four).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.obs.trace import span_forest
 from repro.util.jsonify import jsonify
 
 __all__ = [
@@ -66,22 +68,6 @@ def _tid_of(span: Mapping[str, Any]) -> int:
         return _MAIN_TID if worker is None else int(worker) + 1
     except (TypeError, ValueError):
         return _MAIN_TID
-
-
-def _span_forest(
-    spans: list[dict[str, Any]],
-) -> tuple[dict[Optional[int], list[dict[str, Any]]], dict[int, dict[str, Any]]]:
-    """Children-by-parent map (missing parents promoted to roots) + id index."""
-    by_id = {e["span_id"]: e for e in spans}
-    children: dict[Optional[int], list[dict[str, Any]]] = {}
-    for e in spans:
-        parent = e.get("parent_id")
-        if parent is not None and parent not in by_id:
-            parent = None
-        children.setdefault(parent, []).append(e)
-    for kids in children.values():
-        kids.sort(key=lambda e: float(e.get("t_start", 0.0)))
-    return children, by_id
 
 
 # --------------------------------------------------------------------- #
@@ -236,16 +222,8 @@ def to_speedscope(
 
     profiles: list[dict[str, Any]] = []
     for tid in sorted(lanes):
-        lane = lanes[tid]
-        lane_ids = {e["span_id"] for e in lane}
-        children: dict[Optional[int], list[dict[str, Any]]] = {}
-        for e in lane:
-            parent = e.get("parent_id")
-            if parent not in lane_ids:
-                parent = None  # parent lives on another lane (or was evicted)
-            children.setdefault(parent, []).append(e)
-        for kids in children.values():
-            kids.sort(key=lambda e: float(e.get("t_start", 0.0)))
+        # A parent on another lane is missing here: the span is a lane root.
+        children = span_forest(lanes[tid])
 
         out: list[dict[str, Any]] = []
 
@@ -356,7 +334,7 @@ def to_folded(events: Iterable[Mapping[str, Any]], *, sep: str = ";") -> str:
     are sorted by path for deterministic output.
     """
     spans = _spans(events)
-    children, _ = _span_forest(spans)
+    children = span_forest(spans)
     agg: dict[str, list[int]] = {}
 
     def walk(e: dict[str, Any], prefix: str) -> None:

@@ -346,7 +346,7 @@ class TelemetryCollector:
     drive the collector without the thread by calling it directly.  The
     collector observes its own cost into ``obs.live.scrape_seconds`` —
     the overhead contract (<2% on a live workload, exactly 0 when
-    disabled) is benchmarked in ``benchmarks/test_obs_overhead.py``.
+    disabled) is gated in ``benchmarks/test_obs_overhead.py``.
     """
 
     def __init__(

@@ -23,7 +23,7 @@ its own allocations and every child interval.
 Profiling is *off* by default and costs nothing when off — the span
 fast path tests one module global (see :mod:`repro.obs.trace`).  When on,
 each span pays two ``tracemalloc`` reads plus one ``/proc`` read, which is
-why it is an explicit opt-in (``--memprof`` on the CLIs,
+why it is an explicit opt-in (``repro trace --memprof``,
 :func:`enable_memory_profiling` in code) rather than always-on telemetry.
 
 >>> from repro import obs
@@ -215,7 +215,7 @@ class MeasuredBlock:
         return self.attrs.get("rss_delta_bytes")
 
     def meta(self) -> dict[str, int]:
-        """The measured figures as a dict ready for ``WorkProfile.meta``."""
+        """The measured figures as a dict (a pool task's ``telemetry["memory"]``)."""
         return dict(self.attrs)
 
     def __enter__(self) -> "MeasuredBlock":

@@ -355,6 +355,22 @@ def _fmt_attr(key: str, value: object) -> str:
     return f"{key}={value}"
 
 
+def span_forest(spans: list[dict]) -> dict[int | None, list[dict]]:
+    """Children by parent id, each list in start order; roots under ``None``.
+
+    A span whose parent is not among ``spans`` (evicted by a bounded sink,
+    or recorded on another lane) is promoted to a root.
+    """
+    ids = {e["span_id"] for e in spans}
+    children: dict[int | None, list[dict]] = {}
+    for e in spans:
+        parent = e.get("parent_id")
+        children.setdefault(parent if parent in ids else None, []).append(e)
+    for kids in children.values():
+        kids.sort(key=lambda e: float(e.get("t_start", 0.0)))
+    return children
+
+
 def format_span_tree(events: Iterable[dict]) -> str:
     """Render span events (any order) as an indented tree with durations.
 
@@ -365,20 +381,19 @@ def format_span_tree(events: Iterable[dict]) -> str:
     spans = [e for e in events if e.get("type") == "span"]
     if not spans:
         return "(no spans recorded)"
-    by_id = {e["span_id"]: e for e in spans}
-    children: dict[int | None, list[dict]] = {}
-    for e in spans:
-        parent = e.get("parent_id")
-        if parent is not None and parent not in by_id:
-            parent = None  # orphaned by ring-buffer eviction: promote to root
-        children.setdefault(parent, []).append(e)
-    for kids in children.values():
-        kids.sort(key=lambda e: e.get("t_start", 0.0))
+    children = span_forest(spans)
+    rows: list[tuple[int, dict]] = []
 
-    name_width = max(len(e["name"]) + 2 * _depth(e, by_id) for e in spans)
+    def walk(e: dict, depth: int) -> None:
+        rows.append((depth, e))
+        for kid in children.get(e["span_id"], []):
+            walk(kid, depth + 1)
+
+    for root in children.get(None, []):
+        walk(root, 0)
+    name_width = max((len(e["name"]) + 2 * depth for depth, e in rows), default=0)
     lines: list[str] = []
-
-    def render(e: dict, depth: int) -> None:
+    for depth, e in rows:
         attrs = e.get("attrs", {})
         shown = [_fmt_attr(k, attrs[k]) for k in _TREE_ATTRS if k in attrs]
         label = "  " * depth + e["name"]
@@ -386,20 +401,4 @@ def format_span_tree(events: Iterable[dict]) -> str:
         if shown:
             line += "  " + " ".join(shown)
         lines.append(line)
-        for kid in children.get(e["span_id"], []):
-            render(kid, depth + 1)
-
-    for root in children.get(None, []):
-        render(root, 0)
     return "\n".join(lines)
-
-
-def _depth(e: dict, by_id: dict) -> int:
-    d = 0
-    parent = e.get("parent_id")
-    seen = set()
-    while parent is not None and parent in by_id and parent not in seen:
-        seen.add(parent)
-        d += 1
-        parent = by_id[parent].get("parent_id")
-    return d

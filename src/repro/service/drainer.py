@@ -15,8 +15,9 @@ one gathered export, so the default policy publishes after **every** batch: epoc
 then exactly zero at each batch boundary.  ``rotate_min_interval`` coalesces
 rotations for very small batches; the ``service.epoch.lag_updates`` gauge
 and :attr:`UpdateDrainer.max_observed_lag` record how far the live
-structure ever ran ahead, so an unbounded rebuild backlog is visible (and
-gated in ``benchmarks/test_service.py``).
+structure ever ran ahead, so an unbounded rebuild backlog is visible
+(``benchmarks/test_service.py`` asserts the lag is back to zero once a
+stream drains).
 
 The queue gives backpressure, not loss: a full queue blocks the *producer*,
 never the readers — queries keep running against the pinned epochs while
@@ -204,9 +205,7 @@ class UpdateDrainer:
             raise ServiceError(
                 f"update queue stayed full for {timeout}s (depth {self._q.maxsize})"
             ) from None
-        depth = float(self._q.qsize())
-        METRICS.set("service.queue.depth", depth)
-        METRICS.set("service.update_queue.depth", depth)
+        METRICS.set("service.update_queue.depth", float(self._q.qsize()))
 
     @property
     def queue_depth(self) -> int:
@@ -284,9 +283,7 @@ class UpdateDrainer:
         try:
             while True:
                 item = self._q.get()
-                depth = float(self._q.qsize())
-                METRICS.set("service.queue.depth", depth)
-                METRICS.set("service.update_queue.depth", depth)
+                METRICS.set("service.update_queue.depth", float(self._q.qsize()))
                 if item is _CLOSE:
                     break
                 assert isinstance(item, UpdateStream)

@@ -246,7 +246,6 @@ class GraphService:
             "epochs_published": self.store.n_published,
             "epochs_live": self.store.n_live,
             "epoch_lag": self.store.lag_of(self.graph.rep.mutation_count),
-            "queue_depth": self.drainer.queue_depth,
             "update_queue_depth": self.drainer.queue_depth,
             "batches_applied": self.drainer.n_batches,
             "updates_applied": self.drainer.n_updates,

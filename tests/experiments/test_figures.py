@@ -8,6 +8,7 @@ Dyn-arr for deletions"; a failure here means the reproduction regressed.
 import pytest
 
 from repro.experiments import FIGURE_MODULES, get_figure
+from repro.experiments.report import figure_to_dict
 
 
 @pytest.mark.parametrize("name", FIGURE_MODULES)
@@ -32,6 +33,8 @@ def test_figures_deterministic():
     sa = a.get("Dyn-arr").result.seconds
     sb = b.get("Dyn-arr").result.seconds
     assert sa == sb
+    # The whole exported result, not just one series: no host timing leaks in.
+    assert figure_to_dict(a) == figure_to_dict(b)
 
 
 def test_fig05_gap_magnitude():

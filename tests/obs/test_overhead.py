@@ -13,8 +13,8 @@ Two guarantees are pinned here:
   outputs bit-identical — telemetry observes, it never participates.
 
 The <2% *enabled*-collector wall-clock gate lives in
-``benchmarks/test_obs_overhead.py`` where pytest-benchmark can time it
-properly.
+``benchmarks/test_obs_overhead.py``, outside tier-1: its paired timings
+need a machine that is not also running the rest of the suite.
 """
 
 import threading

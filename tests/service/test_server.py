@@ -53,7 +53,7 @@ class TestEndpoints:
     def test_stats_reflect_drained_stream(self, served):
         handle, service, batches = served
         _, stats = get_json(handle.url + "/stats")
-        assert stats["queue_depth"] == 0
+        assert stats["update_queue_depth"] == 0
         assert stats["epoch_lag"] == 0
         assert stats["batches_applied"] == len(batches)
         assert stats["updates_applied"] == sum(len(c) for c in batches)
