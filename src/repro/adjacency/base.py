@@ -139,10 +139,6 @@ class AdjacencyRepresentation(abc.ABC):
     #: Short registry name, set by subclasses ("dynarr", "treap", ...).
     kind: str = "abstract"
 
-    #: Kernel-tier request ("scalar" | "vectorised"); None defers to
-    #: :func:`repro.kernels.resolve_tier` (env var, then the default).
-    #: Wrappers forward it to the structure they own.
-    kernel_tier: str | None = None
     #: Arc operations the :mod:`repro.adjacency.bulkops` kernels applied
     #: (which path ran; not a work counter).
     vectorised_arc_ops: int = 0
@@ -295,9 +291,9 @@ class AdjacencyRepresentation(abc.ABC):
 
     def to_csr(self) -> CSRGraph:
         """CSR snapshot of the live arcs (``meta["source"]``: the kind), each
-        vertex's in storage order.  This reference walk is the base class's
-        and the ``scalar`` tier's; structures override it to take offsets
-        from the live degrees they keep and write each arc straight into place.
+        vertex's in storage order.  This reference walk is the base class's;
+        structures override it to take offsets from the live degrees they
+        keep and write each arc straight into place.
         """
         src, dst, ts = self.to_arrays_scalar()
         return csr_from_arrays(self.n, src, dst, ts, meta={"source": self.kind})

@@ -93,15 +93,6 @@ class BatchedAdjacency(AdjacencyRepresentation):
         self.batches = 0
 
     @property
-    def kernel_tier(self) -> str | None:
-        """The inner structure's tier."""
-        return self.inner.kernel_tier
-
-    @kernel_tier.setter
-    def kernel_tier(self, tier: str | None) -> None:
-        self.inner.kernel_tier = tier
-
-    @property
     def vectorised_arc_ops(self) -> int:
         return self.inner.vectorised_arc_ops
 

@@ -43,18 +43,18 @@ none of these kernels: their bulk path is one fused arrival-order loop
 (:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`) behind the same
 :func:`enabled` switch.
 
-Dispatch follows the one kernel-tier knob (:mod:`repro.kernels`; see
-:func:`enabled`): tier ``scalar`` is the reference loop, ``vectorised`` the
-kernels here.  When nobody named a tier, batches below
-:data:`MIN_BULK_SIZE` stay scalar — the fixed per-call cost of the grouping
-and gather passes outweighs the win there.
+The batch picks its path from its own size (:func:`enabled`): batches
+below :data:`MIN_BULK_SIZE` arcs take the per-op loop (the fixed per-call
+cost of the grouping and gather passes outweighs the win there), as do
+graphs too large to pack an arc into one key.  The per-op loops
+(``apply_arcs_scalar``, ``bulk_insert_scalar``) are that small-batch path
+and, called by name, the equivalence suite's oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.errors import GraphError
 
 __all__ = [
@@ -75,9 +75,8 @@ INSERT = 1
 #: Deleted-slot marker; must match ``repro.adjacency.dynarr.TOMBSTONE``.
 TOMBSTONE = -1
 
-#: Below this many arcs the scalar loop wins (the fixed cost of a dozen
-#: numpy calls per batch); applies only to the default tier, never to one
-#: somebody asked for.
+#: Below this many arcs the per-op loop wins (the fixed cost of a dozen
+#: numpy calls per batch).
 MIN_BULK_SIZE = 48
 
 #: Largest vertex count for which an arc (u, v) packs into one int64 key
@@ -91,10 +90,7 @@ PACK_BITS = 62
 
 def enabled(rep, size: int) -> bool:
     """Should ``rep`` take the vectorised path for a batch of ``size`` arcs?"""
-    tier = kernels.requested_tier(rep)
-    if tier == "scalar" or (tier is None and size < MIN_BULK_SIZE):
-        return False
-    return size > 0 and rep.n <= MAX_KEY_N
+    return size >= MIN_BULK_SIZE and rep.n <= MAX_KEY_N
 
 
 # --------------------------------------------------------------------- #

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.csr import CSRGraph, csr_offsets
@@ -322,8 +321,6 @@ class DynArrAdjacency(AdjacencyRepresentation):
 
     def to_csr(self) -> CSRGraph:
         """Offsets from ``live``, arcs from :meth:`_live_arcs`."""
-        if kernels.requested_tier(self) == "scalar":
-            return super().to_csr()
         targets, ts = self._live_arcs()
         return CSRGraph(self.n, csr_offsets(self.live), targets, ts, meta={"source": self.kind})
 

@@ -18,14 +18,14 @@ Batches are applied as an exact partition (:meth:`HybridAdjacency.
 _apply_partitioned`): arcs whose owner is in array mode when they arrive
 take the vectorised dyn-arr kernels, the rest the treap's fused
 arrival-order run, with migrations at precomputed cut points — every
-counter, pool byte and export identical to per-op ``insert`` / ``delete``.
+counter, pool byte and export identical to per-op ``insert`` / ``delete``,
+which batches below ``bulkops.MIN_BULK_SIZE`` arcs take instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import (
     ALU_PER_NODE,
@@ -92,12 +92,8 @@ class HybridAdjacency(AdjacencyRepresentation):
         Number of vertices.
     degree_thresh:
         Occupancy (live + tombstoned slots) at which a vertex's adjacency
-        migrates from the array to a treap.
-    downshift:
-        When True, a treap vertex whose live degree falls below
-        ``degree_thresh // 4`` migrates back to an array block (hysteresis
-        avoids thrashing at the boundary).  Off by default — the paper
-        describes the upward migration only.
+        migrates from the array to a treap.  Migration is one-way, as the
+        paper describes it: a treap vertex stays a treap vertex.
     seed:
         Treap priority seed.
     array_kwargs:
@@ -111,7 +107,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         n: int,
         *,
         degree_thresh: int = DEFAULT_DEGREE_THRESH,
-        downshift: bool = False,
         seed: int | np.random.Generator | None = None,
         array_kwargs: dict | None = None,
     ) -> None:
@@ -119,19 +114,9 @@ class HybridAdjacency(AdjacencyRepresentation):
         if degree_thresh < 1:
             raise GraphError(f"degree_thresh must be >= 1, got {degree_thresh}")
         self.degree_thresh = int(degree_thresh)
-        self.downshift = bool(downshift)
         self.arr = DynArrAdjacency(n, **(array_kwargs or {}))
         self.treap = TreapAdjacency(n, seed=seed)
         self.mode = bytearray(n)  # _MODE_ARRAY / _MODE_TREAP per vertex
-
-    @property
-    def kernel_tier(self) -> str | None:
-        """The array side's tier (the treap has no kernels to dispatch)."""
-        return self.arr.kernel_tier
-
-    @kernel_tier.setter
-    def kernel_tier(self, tier: str | None) -> None:
-        self.arr.kernel_tier = tier
 
     @property
     def vectorised_arc_ops(self) -> int:
@@ -171,19 +156,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         self.stats.migrations += 1
         self.stats.migration_words += int(nbr.size)
 
-    def _migrate_down(self, u: int) -> None:
-        """Move vertex ``u`` back to an array block (downshift enabled)."""
-        nbr, ts = self.treap.neighbors_with_ts(u)
-        for v in nbr.tolist():
-            self.treap.delete(u, v)
-        self.treap.stats.deletes -= int(nbr.size)
-        self.mode[u] = _MODE_ARRAY
-        for v, lbl in zip(nbr.tolist(), ts.tolist()):
-            self.arr.insert(u, v, lbl)
-        self.arr.stats.inserts -= int(nbr.size)
-        self.stats.migrations += 1
-        self.stats.migration_words += int(nbr.size)
-
     # ------------------------------------------------------------------ #
     # hot-path operations
     # ------------------------------------------------------------------ #
@@ -208,12 +180,6 @@ class HybridAdjacency(AdjacencyRepresentation):
             found = self.arr.delete(u, v)
         else:
             found = self.treap.delete(u, v)
-            if (
-                found
-                and self.downshift
-                and self.treap.degree(u) < self.degree_thresh // 4
-            ):
-                self._migrate_down(u)
         if found:
             self._n_arcs -= 1
         return found
@@ -310,19 +276,16 @@ class HybridAdjacency(AdjacencyRepresentation):
         return misses
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Partitioned stream application (see :meth:`_apply_partitioned`).
-
-        ``downshift`` re-couples deletes to migrations and tier ``scalar``
-        asks for the reference, so both take the strict per-op loop.
-        """
+        """Partitioned stream application (see :meth:`_apply_partitioned`);
+        small batches take the strict per-op loop."""
         op = check_op_codes(op)
-        if self.downshift or not bulkops.enabled(self, op.size):
+        if not bulkops.enabled(self, op.size):
             return super().apply_arcs(op, src, dst, ts)
         src, dst, t = self._checked_batch(src, dst, ts, op)
         return self._apply_partitioned(op, src, dst, t)
 
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Partitioned bulk ingest (inserts never downshift)."""
+        """Partitioned bulk ingest."""
         src, dst, t = self._checked_batch(src, dst, ts)
         if bulkops.enabled(self, src.size):
             self._apply_partitioned(None, src, dst, t)
@@ -330,12 +293,10 @@ class HybridAdjacency(AdjacencyRepresentation):
             self.bulk_insert_scalar(src, dst, t)
 
     def to_csr(self) -> CSRGraph:
-        """A vertex's arcs sit on one side (either migration empties the side
-        it leaves): offsets from ``arr.live`` plus the treap degrees, then the
-        array side's arcs and the treap's in-order runs are written from
-        their vertex's offset.  Tier ``scalar`` takes the reference walk."""
-        if kernels.requested_tier(self) == "scalar":
-            return super().to_csr()
+        """A vertex's arcs sit on one side (a migration empties the array
+        block it leaves): offsets from ``arr.live`` plus the treap degrees,
+        then the array side's arcs and the treap's in-order runs are written
+        from their vertex's offset."""
         arr = self.arr
         offsets = csr_offsets(arr.live + np.frombuffer(self.treap._live_deg, dtype=np.int64))
         targets = np.empty(int(offsets[-1]), dtype=np.int64)

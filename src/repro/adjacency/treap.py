@@ -29,9 +29,9 @@ count every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
 Batches (``bulk_insert``, ``apply_arcs``, the hybrid's treap side and its
 migrations) run those same loop bodies fused into :meth:`TreapAdjacency.
 _apply_run`, bit-identical to the per-op methods, which remain the public
-API, the ``scalar`` tier and the oracle.  The whole-structure export is one
-level-synchronous numpy pass over the forest; ``_inorder`` walks a single
-vertex's treap.
+API, the path of batches below ``bulkops.MIN_BULK_SIZE`` arcs and the
+oracle.  The whole-structure export is one level-synchronous numpy pass
+over the forest; ``_inorder`` walks a single vertex's treap.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from itertools import repeat
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.adjacency.base import LOCK_HOLD_PER_NODE
@@ -354,7 +353,7 @@ class TreapAdjacency(AdjacencyRepresentation):
         Treap structure depends on the order nodes consume the shared
         pre-drawn priority stream, so arcs cannot be regrouped — rotations
         and node-visit counters would diverge from the sequential path.
-        Tier ``scalar`` keeps the per-op :meth:`insert` loop.
+        Small batches keep the per-op :meth:`insert` loop.
         """
         src, dst, t = self._checked_batch(src, dst, ts)
         if bulkops.enabled(self, src.size):
@@ -363,8 +362,8 @@ class TreapAdjacency(AdjacencyRepresentation):
             self.bulk_insert_scalar(src, dst, t)
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Mixed stream in arrival order through the fused run (tier
-        ``scalar``: the per-op :meth:`insert` / :meth:`delete` loop)."""
+        """Mixed stream in arrival order through the fused run (small
+        batches: the per-op :meth:`insert` / :meth:`delete` loop)."""
         op = check_op_codes(op)
         src, dst, t = self._checked_batch(src, dst, ts, op)
         if bulkops.enabled(self, op.size):
@@ -416,8 +415,6 @@ class TreapAdjacency(AdjacencyRepresentation):
 
     def to_csr(self) -> CSRGraph:
         """Offsets from the live degrees, arcs from :meth:`_scatter_inorder`."""
-        if kernels.requested_tier(self) == "scalar":
-            return super().to_csr()
         offsets = csr_offsets(np.frombuffer(self._live_deg, dtype=np.int64))
         targets = np.empty(int(offsets[-1]), dtype=np.int64)
         ts = np.empty_like(targets)

@@ -287,9 +287,9 @@ class UnionFind:
         With ``pre_resolved`` True, equal endpoints count one union attempt
         and nothing else (``insert_batch``'s findroot pass resolved them).
 
-        The one body, :func:`repro.kernels.loops.union_arcs`, runs on every
-        kernel tier, interpreted over the buffers themselves (endpoints as
-        lists, a ``bytearray`` mask, a list of counters — containers whose
+        The one body, :func:`repro.kernels.loops.union_arcs`, runs
+        interpreted over the buffers themselves (endpoints as lists, a
+        ``bytearray`` mask, a list of counters — containers whose
         items are plain ints, so a pointer chase boxes nothing).  Same rules,
         bit-identical :class:`WorkCounters`; :meth:`union` is the per-pair
         reference and its ticks are the counter convention: the body keeps

@@ -128,8 +128,7 @@ def connected_components(graph: CSRGraph, *, max_passes: int | None = None) -> C
 
     ``max_passes`` is a safety valve for adversarial graphs; label
     propagation with full pointer jumping converges in O(log n) passes.
-    The SV sweep is inherently vectorised, so it is one body on every
-    kernel tier.
+    The SV sweep is inherently vectorised, so it is one body.
     """
     n = graph.n
     if n == 0:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.core.linkcut import ConstructionRecord, LinkCutForest
 from repro.errors import GraphError
@@ -153,7 +152,6 @@ class ConnectivityIndex:
                 "n": self.forest.n,
                 "backend": be.name,
                 "workers": int(getattr(be, "workers", 1)),
-                "kernel_tier": kernels.resolve_tier(self.forest),
                 **manifest_meta(),
             },
         )
@@ -258,7 +256,6 @@ class ConnectivityIndex:
                 "union_rule": union_rule,
                 "compaction": compaction,
                 "counters": c.to_dict(),
-                "kernel_tier": kernels.resolve_tier(forest),
                 **manifest_meta(),
             },
         )

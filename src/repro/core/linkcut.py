@@ -31,13 +31,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro import kernels
 from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import BFSResult, level_loop
 from repro.core.components import ComponentsResult, connected_components
 from repro.core.frontier import expand
 from repro.errors import GraphError, NotInForestError, VertexError
-from repro.kernels import loops
 from repro.machine.profile import ProfileBuilder, WorkProfile
 
 __all__ = ["LinkCutForest", "ConstructionRecord", "chase_roots"]
@@ -53,20 +51,16 @@ _NIL = -1
 _QUERY_BLOCK = 1 << 16
 
 
-def chase_roots(parent: np.ndarray, vertices: np.ndarray, tier: str) -> tuple[np.ndarray, int]:
+def chase_roots(parent: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, int]:
     """Roots of ``vertices`` (a copy) and the pointer hops the chase took.
 
-    The one root chase, behind :meth:`LinkCutForest.findroot_batch` and the
-    process backend's query workers, on an already resolved ``tier``:
-    ``scalar`` chases each query to its root in one loop
-    (:func:`repro.kernels.loops.findroot_batch`); ``vectorised`` advances
-    every unfinished chain one hop per vector pass (:func:`_chase_passes`),
-    as the simulated machine runs the queries concurrently.  The hop total
-    is the sum of the query depths on both tiers.
+    The one batch root chase, behind :meth:`LinkCutForest.findroot_batch`
+    and the process backend's query workers: every unfinished chain advances
+    one hop per vector pass (:func:`_chase_passes`), as the simulated machine
+    runs the queries concurrently.  The hop total is the sum of the query
+    depths, what :meth:`LinkCutForest.findroot` counts query by query.
     """
     v = np.array(vertices, dtype=np.int64)
-    if tier == "scalar":
-        return v, int(loops.findroot_batch(parent, v))
     return v, sum(int(idx.size) for idx in _chase_passes(parent, v))
 
 
@@ -114,8 +108,6 @@ class LinkCutForest:
         self.version = 0
         #: findroot pointer hops since the last counter reset (profiles).
         self.hops = 0
-        #: Kernel-tier request for :meth:`findroot_batch` (:mod:`repro.kernels`).
-        self.kernel_tier: str | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -227,12 +219,12 @@ class LinkCutForest:
     # ------------------------------------------------------------------ #
 
     def findroot_batch(self, vertices) -> np.ndarray:
-        """Roots of many vertices at once (:func:`chase_roots` on this
-        forest's tier); the hops land in :attr:`hops`."""
+        """Roots of many vertices at once (:func:`chase_roots`); the hops
+        land in :attr:`hops`."""
         v = np.asarray(vertices, dtype=np.int64)
         if v.size and (v.min() < 0 or v.max() >= self.n):
             raise VertexError("vertex id out of range in findroot_batch")
-        roots, hops = chase_roots(self.parent, v, kernels.resolve_tier(self))
+        roots, hops = chase_roots(self.parent, v)
         self.hops += hops
         return roots
 

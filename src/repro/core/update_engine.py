@@ -83,10 +83,11 @@ def apply_stream(
     :func:`repro.machine.scale.rmat_size_biased_growth`); the default leaves
     measurements untouched.
 
-    Which path applies the arcs is the representation's ``kernel_tier``
-    (:mod:`repro.kernels`); the paths are counter-equivalent (see
-    docs/PERFORMANCE.md), so the simulated work profile is identical either
-    way and only ``host_seconds`` / ``host_mups`` change.
+    Which path applies the arcs the representation picks from the batch
+    size (:func:`repro.adjacency.bulkops.enabled`); the paths are
+    counter-equivalent (see docs/PERFORMANCE.md), so the simulated work
+    profile is identical either way and only ``host_seconds`` /
+    ``host_mups`` change.
     ``meta["vectorised"]`` reports whether the bulk kernels applied any of
     this stream's arcs.
     """

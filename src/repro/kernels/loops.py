@@ -1,15 +1,11 @@
 """Dependent pointer-chase loops: the kernels that have no numpy form.
 
-* :func:`findroot_batch` — the root chase of
-  :meth:`repro.core.linkcut.LinkCutForest.findroot_batch` on the ``scalar``
-  tier, one dependent chase per query instead of one full-vector pass per
-  tree level (the ``vectorised`` form).
-* :func:`union_arcs` — the union-by-rank / union-by-size / Rem's-splice
-  loop of :class:`repro.connectit.unionfind.UnionFind` over a whole arc
-  batch, ``WorkCounters`` accounting included, calling nothing.  It is the
-  union loop of both tiers: ``UnionFind.union_arcs`` feeds it ``array``
-  buffers, lists and a ``bytearray`` (plain-int items), so it indexes and
-  takes ``len`` of its arguments and uses nothing ndarray-specific.
+:func:`union_arcs` is the union-by-rank / union-by-size / Rem's-splice loop
+of :class:`repro.connectit.unionfind.UnionFind` over a whole arc batch,
+``WorkCounters`` accounting included, calling nothing.  It is the one union
+loop: ``UnionFind.union_arcs`` feeds it ``array`` buffers, lists and a
+``bytearray`` (plain-int items), so it indexes and takes ``len`` of its
+arguments and uses nothing ndarray-specific.
 
 Counter accounting uses five slots in the field order of
 :class:`repro.connectit.unionfind.WorkCounters`: ``[finds, unions, hooks,
@@ -23,25 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["findroot_batch", "union_arcs"]
-
-
-def findroot_batch(parent: np.ndarray, vertices: np.ndarray) -> int:
-    """Chase each query to its root in place; returns the total hop count.
-
-    ``parent[v] == -1`` marks a root (``repro.core.linkcut._NIL``).  The
-    per-query dependent chase performs exactly one load per hop, so the
-    returned total equals the sum of query depths — the same number the
-    level-synchronous vectorised form accumulates one tree level at a time.
-    """
-    hops = 0
-    for i in range(vertices.size):
-        x = vertices[i]
-        while parent[x] != -1:
-            x = parent[x]
-            hops += 1
-        vertices[i] = x
-    return hops
+__all__ = ["union_arcs"]
 
 
 def union_arcs(

@@ -7,8 +7,8 @@ one per-call arena (the forest is mutable, so nothing of it is resident;
 the segment is unlinked on return and each worker unmaps it at its next
 task), the query pairs are split into contiguous ranges, and each worker runs
 :func:`repro.core.linkcut.chase_roots` — the chase behind
-``findroot_batch``, on the tier the parent resolved — over its slice.  A
-query's answer and its hop count depend only on its two endpoints' depths,
+``findroot_batch`` — over its slice.  A query's answer and its hop count
+depend only on its two endpoints' depths,
 so partition boundaries change neither: answers concatenate back in
 submission order and the hop total is the exact sum the serial batch would
 have counted.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.core.linkcut import LinkCutForest, chase_roots
 from repro.errors import GraphError
 from repro.obs import METRICS, span
@@ -36,8 +35,8 @@ def _queries_connected(views: dict, payload: dict) -> dict:
     parent = views["parent"]
     us = views["us"][lo:hi]
     vs = views["vs"][lo:hi]
-    ru, hops_u = chase_roots(parent, us, payload["tier"])
-    rv, hops_v = chase_roots(parent, vs, payload["tier"])
+    ru, hops_u = chase_roots(parent, us)
+    rv, hops_v = chase_roots(parent, vs)
     # Worker-side mirror of the oracle's parent-side ticks: the pool ships
     # these back as telemetry, so the parent's ``workers.connectivity.*``
     # rollup equals the serial backend's counters for the same batch.
@@ -78,13 +77,12 @@ def parallel_query_batch(
     pool.start()
     arrays = {"parent": forest.parent, "us": us, "vs": vs}
     with ShmArena.create(arrays) as arena:
-        tier = kernels.resolve_tier(forest)
         with span("parallel.query_batch", n_queries=int(us.size), workers=pool.workers) as sp:
             outs = pool.run_tasks(
                 [
                     TaskSpec(
                         "queries.connected",
-                        {"lo": lo, "hi": hi, "tier": tier},
+                        {"lo": lo, "hi": hi},
                         arenas=(arena.descriptor,),
                     )
                     for lo, hi in range_chunks(int(us.size), pool.workers)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.adjacency import bulkops
 from repro.adjacency.base import HotStats
 from repro.adjacency.batch import BatchedAdjacency, apply_batched
@@ -147,7 +146,6 @@ class TestStableOrder:
     def test_batched_hands_its_inner_dynarr_a_grouped_stream(self, monkeypatch):
         # BatchedAdjacency sorts once; the inner Dyn-arr's grouping step
         # must find the stream grouped and return it as-is.
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)  # the scalar tier never sorts
         seen = []
         real = bulkops.stable_order
 
@@ -177,7 +175,7 @@ BAD_OP_CODES = [0, 2, 257, -255]  # the last two wrap to +1 under an int8 cast
 
 @pytest.mark.parametrize("code", BAD_OP_CODES)
 class TestOpCodesCheckedBeforeNarrowing:
-    K = 64  # >= MIN_BULK_SIZE: the default tier takes the vectorised kernels
+    K = 64  # >= MIN_BULK_SIZE: as shipped, the batch takes the vectorised kernels
 
     def _batches(self, code):
         rng = np.random.default_rng(1)
@@ -198,13 +196,15 @@ class TestOpCodesCheckedBeforeNarrowing:
             inner.vectorised_arc_ops,
         )
 
-    @pytest.mark.parametrize("tier", [None, "vectorised", "scalar"])
-    def test_dynarr_apply_arcs(self, code, tier, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    # MIN_BULK_SIZE as shipped, lowered to 1 (vectorised) and raised past K
+    # (the per-op loop).
+    @pytest.mark.parametrize("min_bulk", [None, 1, 10**9], ids=["None", "vectorised", "scalar"])
+    def test_dynarr_apply_arcs(self, code, min_bulk, monkeypatch):
         assert self.K >= bulkops.MIN_BULK_SIZE
+        if min_bulk is not None:
+            monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
         for op, src, dst in self._batches(code):
             rep = DynArrAdjacency(8)
-            rep.kernel_tier = tier
             before = self._state(rep)
             with pytest.raises(GraphError, match="update code"):
                 rep.apply_arcs(op, src, dst)
@@ -350,39 +350,21 @@ class TestDispatchGate:
         # must never drift apart.
         assert bulkops.TOMBSTONE == TOMBSTONE
 
-    def test_explicit_tier_wins(self, monkeypatch):
-        # A tier somebody asked for is honoured at every batch size, from
-        # the instance attribute and from the environment alike.
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    def test_default_threshold(self):
         rep = DynArrAdjacency(4)
-        rep.kernel_tier = "vectorised"
-        assert bulkops.enabled(rep, 1)
-        rep.kernel_tier = "scalar"
-        assert not bulkops.enabled(rep, 10**6)
-        monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-        assert bulkops.enabled(rep, 1)
-        assert bulkops.enabled(DynArrAdjacency(4), 1)
-
-    def test_default_threshold(self, monkeypatch):
-        # The cut-off applies only to the default tier: naming that same
-        # tier lifts it.
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        rep = DynArrAdjacency(4)
-        assert rep.kernel_tier is None
+        assert bulkops.MIN_BULK_SIZE == 48
         assert not bulkops.enabled(rep, bulkops.MIN_BULK_SIZE - 1)
         assert bulkops.enabled(rep, bulkops.MIN_BULK_SIZE)
-        rep.kernel_tier = kernels.default_tier()
-        assert bulkops.enabled(rep, bulkops.MIN_BULK_SIZE - 1)
 
-    def test_empty_batch_never_vectorised(self):
+    def test_empty_batch_never_vectorised(self, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
         rep = DynArrAdjacency(4)
-        rep.kernel_tier = "vectorised"
+        assert bulkops.enabled(rep, 1)
         assert not bulkops.enabled(rep, 0)
 
     def test_huge_vertex_count_falls_back(self):
         rep = DynArrAdjacency.__new__(DynArrAdjacency)
         rep.n = bulkops.MAX_KEY_N + 1
-        rep.kernel_tier = "vectorised"
         assert not bulkops.enabled(rep, 100)
 
 

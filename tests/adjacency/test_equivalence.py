@@ -6,25 +6,27 @@ representation with exactly the same adjacency contents (per-vertex order
 included), the same miss count, the same ``UpdateStats`` counters (inserts,
 deletes, misses, probe words, resize events/copied words, treap counters,
 migrations), the same live-arc count and the same ``memory_bytes``.  These
-tests drive a scalar and a vectorised instance through identical streams —
-seeded sweeps across all seven kinds, plus hypothesis-generated adversarial
-streams for the dyn-arr family — and diff all of it.
+tests drive two twins through identical streams — one through
+``apply_arcs`` with every batch size on the bulk path, the other through the
+per-op ``apply_arcs_scalar`` — with seeded sweeps across all seven kinds,
+plus hypothesis-generated adversarial streams for the dyn-arr family, and
+diff all of it.  At the shipped :data:`~repro.adjacency.bulkops.MIN_BULK_SIZE`
+the batch size is the one thing that picks the path; the last test holds
+both sides of that cut to the same contract.
 
-Every stream also runs against the deleted ``compiled`` kernel tier: a
-representation pinned to it must raise :class:`~repro.errors.GraphError`
-before a single arc lands, so stale configuration fails loudly instead of
-half-applying a batch.
+Every stream runs with the retired tier variable left in the environment,
+naming ``vectorised`` and the deleted ``compiled`` tier: nothing reads it,
+so neither may change a path or a result.
 """
 
-import os
 from dataclasses import asdict
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adjacency import bulkops
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
@@ -32,18 +34,15 @@ from repro.adjacency.epart import EPartAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.adjacency.vpart import VPartAdjacency
-from repro import kernels
-from repro.errors import GraphError
+from tests.retired_tier import stale_tier
 
 KINDS = ["dynarr", "dynarr-nr", "treap", "hybrid", "vpart", "epart", "batched"]
 
-#: A tier name this repository no longer has (numba's, removed).
-DELETED_TIER = "compiled"
+#: The kinds that apply a whole batch at the cut with the dyn-arr bulk kernels.
+DYNARR_FAMILY = ["dynarr", "dynarr-nr", "vpart", "epart", "batched"]
 
-#: The non-reference kernel tiers the equivalence contract covers; the
-#: scalar instance in every pair *is* the "scalar" tier.  The deleted tier
-#: rides along to be refused.
-TIERS = ["vectorised", DELETED_TIER]
+#: Values a stale environment may hold in the retired tier variable.
+TIERS = ["vectorised", "compiled"]
 
 
 def build(kind, n, seed=7):
@@ -87,40 +86,23 @@ def size_for(src, dst):
     return max(int(src.max(initial=0)) + 1, int(dst.max(initial=0)) + 1, 2)
 
 
-def run_pair(kind, op, src, dst, ts, tier="vectorised"):
-    """Apply one stream to a ``tier`` instance and a scalar instance."""
+def apply_bulk(rep, op, src, dst, ts):
+    """``rep.apply_arcs`` with every non-empty batch, however small (and the
+    hybrid's array half of one), on the bulk path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
+        return rep.apply_arcs(op, src, dst, ts)
+
+
+def check_stream(kind, op, src, dst, ts, tier):
+    """Full equivalence check of one stream under a stale ``tier``: bulk
+    path vs per-op twin."""
     n = size_for(src, dst)
     vec, ref = build(kind, n), build(kind, n)
-    vec.kernel_tier = tier
-    ref.kernel_tier = "scalar"
-    m_vec = vec.apply_arcs(op, src, dst, ts)
-    m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
-    return vec, ref, m_vec, m_ref
-
-
-def check_stream(kind, op, src, dst, ts, tier="vectorised"):
-    """Full equivalence check of one stream at one kernel tier."""
-    if tier == DELETED_TIER:
-        assert_refused(build(kind, size_for(src, dst)), op, src, dst, ts)
-    else:
-        assert_equivalent(*run_pair(kind, op, src, dst, ts, tier))
-
-
-def assert_refused(rep, op, src, dst, ts):
-    """``rep`` pinned to the deleted tier raises and keeps its observable state.
-
-    The environment override outranks the attribute, so it is cleared while
-    the refusal is checked (a suite run under ``REPRO_KERNEL_TIER=scalar``
-    would otherwise apply the batch).
-    """
-    before, tier = observable_state(rep), rep.kernel_tier
-    rep.kernel_tier = DELETED_TIER
-    with mock.patch.dict(os.environ):
-        os.environ.pop(kernels.ENV_VAR, None)
-        with pytest.raises(GraphError, match=f"unknown kernel tier {DELETED_TIER!r}"):
-            rep.apply_arcs(op, src, dst, ts)
-    assert observable_state(rep) == before
-    rep.kernel_tier = tier
+    with stale_tier(tier):
+        m_vec = apply_bulk(vec, op, src, dst, ts)
+        m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
+    assert_equivalent(vec, ref, m_vec, m_ref)
 
 
 def assert_equivalent(vec, ref, m_vec, m_ref):
@@ -190,20 +172,15 @@ class TestSeededEquivalence:
 
     def test_multi_batch_accumulation(self, kind, tier):
         # Several consecutive batches: later batches start from non-empty
-        # structures, exercising the pre-existing-supply path.  At the
-        # deleted tier each batch is first refused by the non-empty
-        # structure, then applied on the vectorised tier.
+        # structures, exercising the pre-existing-supply path.
         n = 6
         vec, ref = build(kind, n), build(kind, n)
-        vec.kernel_tier = "vectorised" if tier == DELETED_TIER else tier
-        ref.kernel_tier = "scalar"
         for trial in range(5):
             rng = np.random.default_rng(50 + trial)
             op, src, dst, ts = make_stream(rng, n, 200, 0.55)
-            if tier == DELETED_TIER:
-                assert_refused(vec, op, src, dst, ts)
-            m_vec = vec.apply_arcs(op, src, dst, ts)
-            m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
+            with stale_tier(tier):
+                m_vec = apply_bulk(vec, op, src, dst, ts)
+                m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
             assert_equivalent(vec, ref, m_vec, m_ref)
 
 
@@ -251,7 +228,6 @@ class TestSnapshotPipeline:
         rng = np.random.default_rng(9)
         rep = DynArrAdjacency(50)
         op, src, dst, ts = make_stream(rng, 50, 2000, 0.7)
-        rep.kernel_tier = "vectorised"
         rep.apply_arcs(op, src, dst, ts)
         fast = rep.to_csr()
         s_src, s_dst, s_ts = rep.to_arrays_scalar()
@@ -276,7 +252,6 @@ class TestSnapshotPipeline:
     def test_representation_snapshot_consistent(self, kind):
         rng = np.random.default_rng(11)
         rep = build(kind, 9)
-        rep.kernel_tier = "vectorised"
         op, src, dst, ts = make_stream(rng, 9, 300, 0.65)
         rep.apply_arcs(op, src, dst, ts)
         g = rep.to_csr()
@@ -286,3 +261,28 @@ class TestSnapshotPipeline:
             cn, ct = g.neighbors_with_ts(u)
             assert nbr.tolist() == cn.tolist()
             assert t.tolist() == ct.tolist()
+
+
+@pytest.mark.parametrize("insert_frac", [1.1, 0.6], ids=["insert-only", "mixed"])
+@pytest.mark.parametrize(
+    "size", [bulkops.MIN_BULK_SIZE - 1, bulkops.MIN_BULK_SIZE], ids=["below-cut", "at-cut"]
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_size_cut(kind, size, insert_frac):
+    # At the shipped threshold, a batch one arc short of the cut takes the
+    # per-op loop and a batch at the cut the bulk path; both leave what the
+    # per-op twin leaves.  The batch lands on a structure that already holds
+    # arcs, so the mixed batch's deletes hit.
+    n = 10
+    rng = np.random.default_rng(size)
+    base = make_stream(rng, n, 30, 1.1)
+    op, src, dst, ts = make_stream(rng, n, size, insert_frac)
+    assert (op == -1).any() == (insert_frac < 1)
+    rep, twin = build(kind, n), build(kind, n)
+    rep.apply_arcs_scalar(*base)
+    twin.apply_arcs_scalar(*base)
+    m_rep = rep.apply_arcs(op, src, dst, ts)
+    m_twin = twin.apply_arcs_scalar(op, src, dst, ts)
+    assert_equivalent(rep, twin, m_rep, m_twin)
+    if kind in DYNARR_FAMILY:
+        assert (rep.vectorised_arc_ops > 0) == (size >= bulkops.MIN_BULK_SIZE)

@@ -3,9 +3,11 @@
 Every representation writes its live arcs straight into CSR; the reference
 is the per-vertex walk fed through the generic builder,
 ``csr_from_arrays(n, *rep.to_arrays_scalar())``.  The matrix crosses the
-seven registry kinds, plus hybrid with ``downshift``, with the default and
-``scalar`` kernel tiers and the storage states that take different export
-branches.  The allocation budget
+seven registry kinds, plus a hybrid whose crossing vertex falls back below
+its threshold (``hybrid-downshift``: the vertex keeps its treap); storage
+built by the batch paths (``default``) and by the per-op loop (``scalar``,
+whose pool layout differs); and the storage states that take different
+export branches.  The allocation budget
 pins what the direct export is for: a tombstone-free dyn-arr snapshot
 allocates little beyond its own result.
 """
@@ -15,7 +17,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.registry import make_representation
@@ -30,7 +31,7 @@ def build(kind, n):
     if kind == "hybrid":
         return make_representation(kind, n, degree_thresh=4, seed=1)
     if kind == "hybrid-downshift":
-        return make_representation("hybrid", n, degree_thresh=8, downshift=True, seed=1)
+        return make_representation("hybrid", n, degree_thresh=8, seed=1)
     if kind == "treap":
         return make_representation(kind, n, seed=1)
     return make_representation(kind, n)
@@ -66,7 +67,7 @@ def crossing(rng):
     # Vertex 0 owns nothing until the second batch, which gives it 12 inserts
     # interleaved with deletes of its own arcs: on hybrid it crosses
     # degree_thresh mid-batch.  The third batch deletes 11 of those inserts,
-    # so with downshift it moves back to an array block.
+    # taking it back below degree_thresh with its treap nearly empty.
     first = batch(rng, 10, 60, 0.8)
     first[1][first[1] == 0] = 1
     op, src, dst, ts = batch(rng, 10, 96, 0.7)
@@ -100,21 +101,20 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("tier", [None, "scalar"], ids=["default", "scalar"])
+@pytest.mark.parametrize("apply", ["apply_arcs", "apply_arcs_scalar"], ids=["default", "scalar"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_to_csr_equals_reference_walk(kind, tier, scenario):
+def test_to_csr_equals_reference_walk(kind, apply, scenario):
     n, batches = SCENARIOS[scenario](np.random.default_rng(7))
     rep = build(kind, n)
-    rep.kernel_tier = tier
     for op, src, dst, ts in batches:
-        rep.apply_arcs(op, src, dst, ts)
+        getattr(rep, apply)(op, src, dst, ts)
     arr = getattr(rep, "arr", getattr(rep, "inner", rep))
     if scenario == "emptied-vertex" and hasattr(arr, "cnt"):
         assert arr.cnt[3] == 3 and arr.live[3] == 0
-    if scenario == "crossing" and kind == "hybrid":
+    if scenario == "crossing" and kind.startswith("hybrid"):
         assert rep.mode[0] == 1 and rep.stats.migrations > 0
     if scenario == "crossing" and kind == "hybrid-downshift":
-        assert rep.mode[0] == 0 and rep.stats.migrations >= 2
+        assert rep.degree(0) < rep.degree_thresh
 
     got = rep.to_csr()
     want = csr_from_arrays(n, *rep.to_arrays_scalar())
@@ -127,14 +127,13 @@ def test_to_csr_equals_reference_walk(kind, tier, scenario):
         assert np.array_equal(a, b)
 
 
-def test_dynarr_snapshot_allocation_budget(monkeypatch):
+def test_dynarr_snapshot_allocation_budget():
     """A tombstone-free dyn-arr snapshot peaks at <= 3.5 x 8m bytes.
 
     ``tracemalloc`` sees numpy's buffers.  The result alone is 2 x 8m
     (targets and ts); the direct export adds one 8m index array.  Exporting
     ``(src, dst, ts)`` and rebuilding CSR from it peaked above 6 x 8m.
     """
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     g = rmat_graph(12, 16, seed=5)
     rep = DynArrAdjacency(g.n)
     rep.bulk_insert(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.adjacency import bulkops
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.api import DynamicGraph
 from repro.errors import GraphError
@@ -83,17 +84,8 @@ class TestMigration:
         combined = h.combined_stats()
         assert combined.inserts == 4
 
-    def test_downshift(self):
-        h = HybridAdjacency(2, degree_thresh=8, downshift=True, seed=1)
-        for i in range(9):
-            h.insert(0, i % 2)
-        assert h.mode[0] == 1
-        for _ in range(8):
-            h.delete(0, h.neighbors(0)[0])
-        assert h.mode[0] == 0
-        assert h.degree(0) == 1
-
     def test_no_downshift_by_default(self):
+        # A vertex on the treap side stays there however far its degree falls.
         h = HybridAdjacency(2, degree_thresh=4, seed=1)
         for i in range(5):
             h.insert(0, i % 2)
@@ -207,18 +199,18 @@ class TestPartitionedApply:
         drive_pair(bulk, twin, [batch], hybrid_state)
         assert bulk.mode[2] == 1 and bulk.treap.n_arcs == 10 and bulk.arr.n_arcs == 1
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
         h = HybridAdjacency(3, degree_thresh=1, seed=1)
-        h.kernel_tier = "vectorised"
         h.bulk_insert([0, 0, 1], [1, 2, 0])
         before = hybrid_state(h)
         h.bulk_insert([], [])
         assert h.apply_arcs([], [], []) == 0
         assert hybrid_state(h) == before
 
-    def test_balanced_batch_cannot_serve_a_stale_snapshot(self):
+    def test_balanced_batch_cannot_serve_a_stale_snapshot(self, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
         g = DynamicGraph(4, "hybrid", directed=True, degree_thresh=1, seed=1)
-        g.rep.kernel_tier = "vectorised"
         g.rep.bulk_insert([0, 0], [1, 2])  # vertex 0 on the treap side
         assert g.snapshot().neighbors(0).tolist() == [1, 2]
         before = g.rep.mutation_count
@@ -228,12 +220,12 @@ class TestPartitionedApply:
 
 
 class TestBatchValidation:
-    """Malformed batches raise before any arc is applied, on every tier."""
+    """Malformed batches raise before any arc is applied, on either path."""
 
-    @pytest.fixture(params=["scalar", "vectorised"])
-    def h(self, request):
+    @pytest.fixture(params=[bulkops.MIN_BULK_SIZE, 1], ids=["scalar", "vectorised"])
+    def h(self, request, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", request.param)
         h = HybridAdjacency(4, degree_thresh=1, seed=1)
-        h.kernel_tier = request.param
         h.bulk_insert([0, 0, 1], [1, 2, 0])
         return h
 
@@ -260,13 +252,28 @@ class TestBatchValidation:
 
 
 class TestExport:
-    @pytest.mark.parametrize("downshift", [False, True])
+    @pytest.mark.parametrize("bulk", [False, True])
     @given(export_ops)
     @settings(max_examples=50, deadline=None)
-    def test_interleaved_stream_matches_walk(self, downshift, ops):
-        check_export_along(
-            HybridAdjacency(5, degree_thresh=4, downshift=downshift, seed=9), ops
-        )
+    def test_interleaved_stream_matches_walk(self, bulk, ops):
+        # One op at a time, or ten at a time through the partitioned apply
+        # (every batch on the bulk path), exports checked along the way.
+        h = HybridAdjacency(5, degree_thresh=4, seed=9)
+        if not bulk:
+            check_export_along(h, ops)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
+            for lo in range(0, len(ops), 10):
+                chunk = ops[lo : lo + 10]
+                h.apply_arcs(
+                    [1 if is_insert else -1 for is_insert, _, _ in chunk],
+                    [u for _, u, _ in chunk],
+                    [v for _, _, v in chunk],
+                    range(lo, lo + len(chunk)),
+                )
+                assert_export_matches_walk(h)
+        assert_export_matches_walk(h)
 
     def test_every_vertex_on_the_array_side(self):
         h = HybridAdjacency(4, degree_thresh=8, seed=1)

@@ -167,14 +167,16 @@ class TestUnfilledPool:
     N = 64
 
     @pytest.mark.parametrize("fill", [0, 5])
-    @pytest.mark.parametrize("tier", ["vectorised", "scalar"])
+    @pytest.mark.parametrize("path", ["vectorised", "scalar"])
     @pytest.mark.parametrize(
         "kind", ["dynarr", "dynarr-nr", "vpart", "epart", "batched", "hybrid"]
     )
-    def test_poisoned_slots_are_never_read(self, kind, tier, fill):
+    def test_poisoned_slots_are_never_read(self, kind, path, fill, monkeypatch):
+        # On the vectorised path every batch, the hybrid's array half
+        # included, takes the bulk kernels.
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
+        apply = "apply_arcs" if path == "vectorised" else "apply_arcs_scalar"
         twin, poisoned = build(kind, self.N, TOMBSTONE), build(kind, self.N, fill)
-        for rep in (twin, poisoned):
-            rep.kernel_tier = tier
         rng = np.random.default_rng(17)
         for _ in range(6):
             k = 120
@@ -187,9 +189,9 @@ class TestUnfilledPool:
             ts = rng.integers(0, 1000, size=k)
             for rep in (twin, poisoned):
                 poison_dead_slots(array_side(rep))
-            # The vectorised delete matcher (tier vectorised) or the scalar
-            # loop (tier scalar), with hybrid migrations mid-batch.
-            misses = [rep.apply_arcs(op, src, dst, ts) for rep in (twin, poisoned)]
+            # The vectorised delete matcher or the per-op loop, with hybrid
+            # migrations mid-batch.
+            misses = [getattr(rep, apply)(op, src, dst, ts) for rep in (twin, poisoned)]
             assert misses[0] == misses[1]
             assert observed(poisoned) == observed(twin)
             # Per-op deletes: hits, misses and probe words.

@@ -108,13 +108,6 @@ class TestHybridModel:
         model = apply_both(rep, ops)
         assert_matches(rep, model)
 
-    @given(ops_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_downshift_preserves_content(self, ops):
-        rep = HybridAdjacency(N, degree_thresh=6, downshift=True, seed=5)
-        model = apply_both(rep, ops)
-        assert_matches(rep, model)
-
 
 class TestPoolProperties:
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=40))

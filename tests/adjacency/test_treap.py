@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adjacency import bulkops
 from repro.adjacency.treap import TreapAdjacency, _NIL
 from repro.errors import GraphError
 
@@ -98,18 +99,19 @@ def drive_pair(bulk, twin, batches, state):
     """``bulk`` takes each batch through ``bulk_insert`` / ``apply_arcs``,
     ``twin`` through per-op ``insert`` / ``delete``; ``state`` must agree
     after every batch.  Time-stamps are distinct across the whole drive."""
-    bulk.kernel_tier = "vectorised"  # small batches must not fall back to per-op
     stamp = 0
     for batch in batches:
         us = [u for _, u, _ in batch]
         vs = [v for _, _, v in batch]
         tss = list(range(stamp, stamp + len(batch)))
         stamp += len(batch)
-        if batch and all(is_insert for is_insert, _, _ in batch):
-            bulk.bulk_insert(us, vs, tss)
-            misses = 0
-        else:
-            misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)  # small batches take the bulk path too
+            if batch and all(is_insert for is_insert, _, _ in batch):
+                bulk.bulk_insert(us, vs, tss)
+                misses = 0
+            else:
+                misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
         expected = 0
         for (is_insert, u, v), ts in zip(batch, tss):
             if is_insert:
@@ -294,18 +296,18 @@ class TestFusedRun:
         assert t.apply_arcs([], [], []) == 0
         assert treap_state(t) == before
 
-    def test_balanced_batch_still_counts_as_a_mutation(self):
+    def test_balanced_batch_still_counts_as_a_mutation(self, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
         t = TreapAdjacency(3, seed=1)
-        t.kernel_tier = "vectorised"
         t.insert(0, 1)
         before = t.mutation_count
         assert t.apply_arcs([1, -1], [0, 0], [2, 1]) == 0
         assert t.n_arcs == 1 and t.mutation_count > before
 
-    @pytest.mark.parametrize("tier", ["scalar", "vectorised"])
-    def test_ragged_bulk_insert_is_rejected_whole(self, tier):
+    @pytest.mark.parametrize("min_bulk", [bulkops.MIN_BULK_SIZE, 1], ids=["scalar", "vectorised"])
+    def test_ragged_bulk_insert_is_rejected_whole(self, min_bulk, monkeypatch):
+        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
         t = TreapAdjacency(8, seed=1)
-        t.kernel_tier = tier
         before = treap_state(t)
         with pytest.raises(GraphError):
             t.bulk_insert([0, 0, 0], [1, 2])

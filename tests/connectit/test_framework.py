@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.adjacency.csr import build_csr
 from repro.connectit import (
     SAMPLING_RULES,
@@ -25,6 +24,7 @@ from repro.core.components import connected_components
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.parallel.backend import ProcessBackend
+from tests.retired_tier import stale_tier
 
 ALL_SPECS = variant_matrix(samplings=SAMPLING_RULES)
 
@@ -50,16 +50,16 @@ def test_all_variants_match_networkx(graph_family, spec):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.name for s in ALL_SPECS])
-def test_compiled_tier_bit_identical(graph_family, spec, monkeypatch):
-    # ConnectIt runs one union body and consults no kernel tier, so a stale
-    # REPRO_KERNEL_TIER naming the deleted compiled tier changes nothing:
+def test_compiled_tier_bit_identical(graph_family, spec):
+    # ConnectIt runs one union body and reads no tier, so a stale
+    # environment naming the deleted compiled tier changes nothing:
     # labels AND the full WorkCounters accounting of both phases are
     # bit-identical to a run with the variable unset.
     _, _, csr = graph_family
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    ref = connect_components(csr, spec)
-    monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-    stale = connect_components(csr, spec)
+    with stale_tier(None):
+        ref = connect_components(csr, spec)
+    with stale_tier("compiled"):
+        stale = connect_components(csr, spec)
     np.testing.assert_array_equal(stale.labels, ref.labels)
     assert stale.counters.to_dict() == ref.counters.to_dict()
     assert stale.sample_counters.to_dict() == ref.sample_counters.to_dict()
@@ -85,24 +85,15 @@ def test_matches_shiloach_vishkin(graph_family):
     ],
     ids=lambda s: s.name,
 )
-def test_process_backend_bit_identical(graph_family, pool, spec, monkeypatch):
-    # At every kernel tier: process labels equal serial labels, and each
-    # backend's WorkCounters are the same on both tiers.
+def test_process_backend_bit_identical(graph_family, pool, spec):
     _, _, csr = graph_family
-    seen = []
-    for tier in kernels.TIERS:
-        monkeypatch.setenv(kernels.ENV_VAR, tier)
-        serial = connect_components(csr, spec)
-        be = ProcessBackend.__new__(ProcessBackend)
-        be.pool = pool
-        parallel = connect_components(csr, spec, backend=be)
-        np.testing.assert_array_equal(serial.labels, parallel.labels)
-        assert parallel.meta["backend"] == "process"
-        assert parallel.meta["workers"] == pool.workers
-        seen.append(
-            [r.to_dict() for r in (serial.counters, parallel.counters, parallel.finish_counters)]
-        )
-    assert seen[0] == seen[1]
+    serial = connect_components(csr, spec)
+    be = ProcessBackend.__new__(ProcessBackend)
+    be.pool = pool
+    parallel = connect_components(csr, spec, backend=be)
+    np.testing.assert_array_equal(serial.labels, parallel.labels)
+    assert parallel.meta["backend"] == "process"
+    assert parallel.meta["workers"] == pool.workers
 
 
 def test_sampling_reduces_finish_work(small_rmat_csr):

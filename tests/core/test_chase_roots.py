@@ -1,15 +1,14 @@
-"""The vectorised root chase against the scalar loop it must equal.
+"""The vectorised root chase against the per-query chase it must equal.
 
-``chase_roots`` on tier ``vectorised`` carries a shrinking index of the
-chains still below a root; ``loops.findroot_batch`` chases one query at a
-time.  Same roots, same hop total, and the caller's array is left alone.
+``chase_roots`` carries a shrinking index of the chains still below a root;
+:meth:`LinkCutForest.findroot` chases one query at a time.  Same roots, same
+summed hops, and the caller's array is left alone.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.linkcut import LinkCutForest, chase_roots
-from repro.kernels import loops
 
 
 def path_forest(n):
@@ -22,6 +21,13 @@ def random_forest(n, seed):
     rng = np.random.default_rng(seed)
     parent = np.array([rng.integers(-1, v) if v else -1 for v in range(n)], dtype=np.int64)
     return parent
+
+
+def per_query(forest, queries):
+    """Roots and summed hops of ``findroot`` called once per query."""
+    before = forest.hops
+    roots = [forest.findroot(int(v)) for v in queries]
+    return np.array(roots, dtype=np.int64), forest.hops - before
 
 
 CASES = {
@@ -38,9 +44,10 @@ def test_vectorised_chase_equals_scalar_loop(case):
     parent, queries = CASES[case]
     queries = queries.astype(np.int64)
     kept = queries.copy()
-    want = queries.copy()
-    want_hops = loops.findroot_batch(parent, want)
-    roots, hops = chase_roots(parent, queries, "vectorised")
+    forest = LinkCutForest(parent.size)
+    forest.parent[:] = parent
+    want, want_hops = per_query(forest, queries)
+    roots, hops = chase_roots(parent, queries)
     np.testing.assert_array_equal(roots, want)
     assert hops == want_hops
     np.testing.assert_array_equal(queries, kept)
@@ -53,7 +60,7 @@ def test_depths_counts_the_same_chase():
     forest = LinkCutForest(parent.size)
     forest.parent[:] = parent
     every = np.arange(parent.size, dtype=np.int64)
-    assert int(forest.depths().sum()) == chase_roots(parent, every, "vectorised")[1]
+    assert int(forest.depths().sum()) == chase_roots(parent, every)[1]
     np.testing.assert_array_equal(LinkCutForest(1).depths(), [0])
     forest.parent[:] = path_forest(parent.size)
     np.testing.assert_array_equal(forest.depths(), every)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import TreapAdjacency
@@ -80,17 +79,13 @@ class TestApplyStream:
         [
             (DynArrAdjacency, True),
             (lambda n: HybridAdjacency(n, seed=1), True),
-            # Neither runs a bulkops kernel on a mixed stream (the treap's
-            # bulk path is its own fused arrival-order loop).
+            # The treap runs no bulkops kernel on a mixed stream (its bulk
+            # path is its own fused arrival-order loop).
             (lambda n: TreapAdjacency(n, seed=1), False),
-            (lambda n: HybridAdjacency(n, seed=1, downshift=True), False),
         ],
-        ids=["dynarr", "hybrid", "treap", "hybrid-downshift"],
+        ids=["dynarr", "hybrid", "treap"],
     )
-    def test_vectorised_meta_reports_the_path_that_ran(
-        self, graph, make, ran_vectorised, monkeypatch
-    ):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)  # CI also runs this file at scalar
+    def test_vectorised_meta_reports_the_path_that_ran(self, graph, make, ran_vectorised):
         res = apply_stream(make(graph.n), mixed_stream(graph, 500, 0.5, seed=3))
         assert res.meta["vectorised"] is ran_vectorised
         assert res.profile.meta["vectorised"] is ran_vectorised

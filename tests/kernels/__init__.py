@@ -1,1 +1,1 @@
-"""Tests for the kernel-tier knob and loop bodies (:mod:`repro.kernels`)."""
+"""Tests for :mod:`repro.kernels` and for what picks a batch's path."""

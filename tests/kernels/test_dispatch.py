@@ -1,8 +1,10 @@
-"""Dispatch semantics of the two-level kernel tier.
+"""What picks a batch's path, now that the batch size alone does.
 
-Precedence (env var > instance attribute > default), validation errors, a
-silent import that never reaches for numba, each loop body's call site, the
-tier as the bulk-kernel gate, and wrappers forwarding their tier.
+A silent import that never reaches for numba, the stubs bench/run.py
+records, each batch body's call site, the per-op (``scalar``) and bulk
+(``vectorised``) paths of an adjacency batch, and wrappers handing their
+batch to the dyn-arr they own.  A stale value in the retired tier variable
+is never read.
 """
 
 import os
@@ -19,61 +21,57 @@ from repro.adjacency import bulkops
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
+from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.connectit.unionfind import UnionFind
 from repro.core.linkcut import LinkCutForest, chase_roots
-from repro.errors import GraphError
 from repro.kernels import loops
+from tests.retired_tier import stale_tier
+
+
+def mixed_batch(n, k, seed):
+    rng = np.random.default_rng(seed)
+    op = np.where(rng.random(k) < 0.6, 1, -1).astype(np.int8)
+    return op, rng.integers(0, n, k), rng.integers(0, n, k)
 
 
 class TestPrecedence:
-    def test_default_is_probe_result(self, monkeypatch):
-        # The probe is the stub bench/run.py records: no numba, so the
-        # default is the vectorised tier.
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    def test_default_is_probe_result(self):
+        # The stub bench/run.py records as the default names the path a
+        # batch at the cut runs when nobody asks for anything: no numba,
+        # the vectorised kernels.
         assert not kernels.numba_available()
-        assert kernels.TIERS == ("scalar", "vectorised")
         assert kernels.default_tier() == "vectorised"
-        assert kernels.resolve_tier() == "vectorised"
-        assert kernels.resolve_tier(object()) == "vectorised"
+        rep = DynArrAdjacency(8)
+        k = bulkops.MIN_BULK_SIZE
+        rep.bulk_insert(np.arange(k) % 8, np.arange(k)[::-1] % 8)
+        assert rep.vectorised_arc_ops == k
 
-    def test_attribute_beats_probe(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        forest = LinkCutForest(4)
-        forest.kernel_tier = "scalar"
-        assert kernels.resolve_tier(forest) == "scalar"
-
-    def test_env_beats_attribute(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-        forest = LinkCutForest(4)
-        forest.kernel_tier = "scalar"
-        assert kernels.resolve_tier(forest) == "vectorised"
-
-    def test_none_attribute_falls_through(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        rep = DynArrAdjacency(4)
-        assert rep.kernel_tier is None
-        assert kernels.resolve_tier(rep) == kernels.default_tier()
+    def test_none_attribute_falls_through(self):
+        # No representation carries a path of its own: for every kind the
+        # gate falls through to the batch size alone.
+        sizes = range(2 * bulkops.MIN_BULK_SIZE)
+        for kind in REPRESENTATIONS:
+            extra = {"degrees": np.full(8, 4)} if kind == "dynarr-nr" else {}
+            rep = make_representation(kind, 8, **extra)
+            assert [bulkops.enabled(rep, k) for k in sizes] == [
+                k >= bulkops.MIN_BULK_SIZE for k in sizes
+            ], kind
 
 
 class TestValidation:
-    def test_unknown_tier_attribute(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        forest = LinkCutForest(4)
-        forest.kernel_tier = "turbo"
-        with pytest.raises(GraphError, match="unknown kernel tier"):
-            kernels.resolve_tier(forest)
-
-    def test_unknown_tier_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "turbo")
-        with pytest.raises(GraphError, match="unknown kernel tier"):
-            kernels.resolve_tier()
-
-    def test_compiled_without_numba_is_a_clear_error(self, monkeypatch):
-        # The deleted tier's name, left in an older environment, fails
-        # loudly, never silently falls back to the default.
-        monkeypatch.setenv(kernels.ENV_VAR, "compiled")
-        with pytest.raises(GraphError, match=r"unknown kernel tier .compiled. from environment"):
-            kernels.resolve_tier()
+    def test_unknown_tier_env(self):
+        # Nothing validates the retired variable because nothing reads it:
+        # a value that was never a tier leaves a batch as it is unset.
+        op, src, dst = mixed_batch(8, 300, 0)
+        with stale_tier(None):
+            ref = DynArrAdjacency(8)
+            m_ref = ref.apply_arcs(op, src, dst)
+        with stale_tier("turbo"):
+            rep = DynArrAdjacency(8)
+            m_rep = rep.apply_arcs(op, src, dst)
+        assert m_rep == m_ref
+        assert asdict(rep.stats) == asdict(ref.stats)
+        assert rep.vectorised_arc_ops == ref.vectorised_arc_ops > 0
 
 
 class TestProbe:
@@ -87,17 +85,20 @@ class TestProbe:
         assert proc.stderr.strip() == ""
 
     def test_probe_state_is_consistent(self):
-        # The stub bench/run.py records says no numba, and no tier needs it.
+        # The stubs bench/run.py records: no numba, the bulk kernels' name.
         assert kernels.numba_available() is False
         assert kernels.warmup() is None
-        assert kernels.default_tier() in kernels.TIERS == ("scalar", "vectorised")
+        assert kernels.default_tier() == "vectorised"
 
     @pytest.mark.parametrize("name", ["findroot_batch", "union_arcs"])
     def test_dispatch_sites_exist(self, name):
-        # Each loop body has one caller, and that caller calls it itself.
-        site = {"findroot_batch": chase_roots, "union_arcs": UnionFind.union_arcs}[name]
-        assert callable(getattr(loops, name))
-        assert name in site.__code__.co_names
+        # Each batch body is called by name from the method that owns it.
+        body, site = {
+            "findroot_batch": (chase_roots, LinkCutForest.findroot_batch),
+            "union_arcs": (loops.union_arcs, UnionFind.union_arcs),
+        }[name]
+        assert callable(body)
+        assert body.__name__ in site.__code__.co_names
 
 
 def test_interpreted_union_never_enters_a_dispatcher(tmp_path):
@@ -119,46 +120,55 @@ def test_interpreted_union_never_enters_a_dispatcher(tmp_path):
 
 
 class TestBulkopsInteraction:
-    def test_scalar_tier_disables_bulkops(self):
-        rep = DynArrAdjacency(8)
-        rep.kernel_tier = "scalar"
-        assert not bulkops.enabled(rep, 10_000)
+    def test_scalar_tier_disables_bulkops(self, monkeypatch):
+        # The per-op oracle never enters the kernels it is the oracle for,
+        # however large its batch.
+        def refuse(*args):
+            raise AssertionError("apply_arcs_scalar entered bulkops")
 
-    def test_vectorised_tier_keeps_bulkops_dispatch(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        monkeypatch.setattr(bulkops, "apply_mixed", refuse)
+        monkeypatch.setattr(bulkops, "bulk_insert", refuse)
         rep = DynArrAdjacency(8)
-        rep.kernel_tier = "vectorised"
-        assert bulkops.enabled(rep, 10_000)
+        op, src, dst = mixed_batch(8, 10_000, 1)
+        rep.apply_arcs_scalar(op, src, dst)
+        rep.bulk_insert_scalar(src, dst)
+        assert rep.vectorised_arc_ops == 0 and rep.n_arcs > 0
+
+    def test_vectorised_tier_keeps_bulkops_dispatch(self):
+        # A stale environment naming the per-op tier no longer takes a large
+        # batch off the kernels.
+        rep = DynArrAdjacency(8)
+        with stale_tier("scalar"):
+            assert bulkops.enabled(rep, 10_000)
+            rep.apply_arcs(*mixed_batch(8, 10_000, 2))
+        assert rep.vectorised_arc_ops == 10_000
 
     def test_scalar_tier_applies_scalar_semantics(self):
-        rng = np.random.default_rng(0)
-        op = np.where(rng.random(300) < 0.6, 1, -1).astype(np.int8)
-        src = rng.integers(0, 8, 300)
-        dst = rng.integers(0, 8, 300)
-        a = DynArrAdjacency(8)
-        a.kernel_tier = "scalar"
-        b = DynArrAdjacency(8)
-        m_a = a.apply_arcs(op, src, dst)
+        # Batches below the cut take the per-op loop: the same misses and
+        # stats as the oracle, and nothing counted as vectorised.
+        op, src, dst = mixed_batch(8, 300, 0)
+        a, b = DynArrAdjacency(8), DynArrAdjacency(8)
+        step = bulkops.MIN_BULK_SIZE - 1
+        m_a = sum(
+            a.apply_arcs(op[i : i + step], src[i : i + step], dst[i : i + step])
+            for i in range(0, op.size, step)
+        )
         m_b = b.apply_arcs_scalar(op, src, dst)
         assert m_a == m_b
         assert asdict(a.stats) == asdict(b.stats)
+        assert a.vectorised_arc_ops == 0
 
     @pytest.mark.parametrize(
         "make", [lambda: HybridAdjacency(64, seed=1), lambda: BatchedAdjacency(64)],
         ids=["hybrid", "batched"],
     )
-    def test_wrapper_tier_reaches_the_inner_dynarr(self, make, monkeypatch):
-        # The dyn-arr a wrapper owns runs the tier the wrapper was given,
-        # not one it resolves for itself.
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        rng = np.random.default_rng(3)
-        op = np.where(rng.random(400) < 0.6, 1, -1).astype(np.int8)
-        src = rng.integers(0, 64, 400)
-        dst = rng.integers(0, 64, 400)
+    def test_wrapper_tier_reaches_the_inner_dynarr(self, make):
+        # The dyn-arr a wrapper owns runs the path the wrapper's batch size
+        # picks, not one it picks for itself.
+        op, src, dst = mixed_batch(64, 400, 3)
         rep = make()
-        rep.kernel_tier = "scalar"
-        rep.apply_arcs(op, src, dst)
+        small = bulkops.MIN_BULK_SIZE - 1
+        rep.apply_arcs(op[:small], src[:small], dst[:small])
         assert rep.vectorised_arc_ops == 0
-        rep.kernel_tier = "vectorised"
-        rep.apply_arcs(op, src, dst)
+        rep.apply_arcs(op[small:], src[small:], dst[small:])
         assert rep.vectorised_arc_ops > 0

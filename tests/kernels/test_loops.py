@@ -1,33 +1,29 @@
-"""Direct loop-vs-reference equivalence for the pointer-chase loop bodies.
+"""Direct loop-vs-reference equivalence for the union loop body.
 
-These exercise :mod:`repro.kernels.loops` head-on: the union-find loop on
-both tiers against the per-pair :meth:`UnionFind.union` oracle across all 12
-rule × compaction combinations, and the root chase against the
-level-synchronous batch.  The two kernels with one body on every tier —
-``union_arcs`` and the SV components sweep — are also run with
-``REPRO_KERNEL_TIER`` naming the deleted ``compiled`` tier, which neither
-consults.
+These exercise :func:`repro.kernels.loops.union_arcs` head-on against the
+per-pair :meth:`UnionFind.union` oracle across all 12 rule × compaction
+combinations.  ``union_arcs`` and the SV components sweep are one body
+each that reads no tier; every union case also runs with the retired tier
+variable naming ``scalar`` and the deleted ``compiled`` tier, and the sweep
+under ``compiled``, and each must come out as it does with it unset.
 """
 
 import itertools
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro.adjacency.csr import CSRGraph, build_csr
 from repro.connectit.unionfind import COMPACTION_RULES, UNION_RULES, UnionFind
 from repro.core.components import connected_components
-from repro.core.linkcut import LinkCutForest
 from repro.generators.rmat import rmat_graph
-from repro.adjacency.csr import build_csr
 from repro.kernels import loops
+from tests.retired_tier import stale_tier
 
-#: A tier name this repository no longer has (numba's, removed).
-DELETED_TIER = "compiled"
+#: Every (compaction, rule) pair.
+VARIANTS = list(itertools.product(COMPACTION_RULES, UNION_RULES))
 
 
 def random_arcs(seed, n, k):
@@ -39,22 +35,16 @@ def random_arcs(seed, n, k):
 
 
 def union_cases(*axes):
-    """The product of ``axes`` × kernel tier, one ``pytest.param`` each.
+    """The product of ``axes`` × stale tier, one ``pytest.param`` each.
 
-    Tier None leaves ``REPRO_KERNEL_TIER`` as it is and keeps the bare id;
-    ``scalar`` pins it, and so does the deleted tier.  ``union_arcs`` is one
-    body that reads no tier, and these cases hold it to that.
+    Stale tier None unsets the retired variable and keeps the bare id;
+    ``scalar`` and ``compiled`` set it and suffix the id.
     """
     return [
         pytest.param(*combo, tier, id="-".join(combo) + (f"-{tier}" if tier else ""))
         for combo in itertools.product(*axes)
-        for tier in (None, "scalar", DELETED_TIER)
+        for tier in (None, "scalar", "compiled")
     ]
-
-
-def at_tier(tier):
-    """Pin ``REPRO_KERNEL_TIER`` to ``tier`` inside the block (None: leave it)."""
-    return mock.patch.dict(os.environ, {kernels.ENV_VAR: tier} if tier else {})
 
 
 @pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
@@ -65,7 +55,7 @@ def test_union_arcs_matches_scalar(comp, rule, tier):
     linked_ref = [ref.union(u, v) for u, v in zip(src.tolist(), dst.tolist())]
 
     uf = UnionFind(n, union_rule=rule, compaction=comp)
-    with at_tier(tier):
+    with stale_tier(tier):
         linked = uf.union_arcs(src, dst)
     assert linked.dtype == np.bool_
     assert linked.tolist() == linked_ref
@@ -85,7 +75,7 @@ def test_union_arcs_pre_resolved_convention(rule, tier):
     src = np.array([3, 3, 4], dtype=np.int64)
     dst = np.array([3, 5, 4], dtype=np.int64)
     uf = UnionFind(n, union_rule=rule)
-    with at_tier(tier):
+    with stale_tier(tier):
         linked = uf.union_arcs(src, dst, pre_resolved=True)
     assert linked.tolist() == [False, True, False]
     ref = UnionFind(n, union_rule=rule)
@@ -95,7 +85,7 @@ def test_union_arcs_pre_resolved_convention(rule, tier):
     np.testing.assert_array_equal(uf.parent, ref.parent)
 
 
-def check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=False, forest=None):
+def check_against_union_oracle(n, arcs, rule, comp, tier=None, pre_resolved=False, forest=None):
     """``union_arcs`` over ``arcs`` vs the per-pair ``union`` loop, everything compared.
 
     ``forest`` is an optional parent array written into both structures
@@ -117,7 +107,7 @@ def check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=False, fo
             expect.append(ref.union(u, v))
     src = np.array([u for u, _ in arcs], dtype=np.int64)
     dst = np.array([v for _, v in arcs], dtype=np.int64)
-    with at_tier(tier):
+    with stale_tier(tier):
         linked = uf.union_arcs(src, dst, pre_resolved=pre_resolved)
     assert linked.tolist() == expect
     np.testing.assert_array_equal(uf.parent, ref.parent)
@@ -186,15 +176,15 @@ def test_union_arcs_pre_resolved_root_space_matches_oracle(comp, rule, tier):
 @given(
     n=st.integers(min_value=1, max_value=12),
     arcs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=200),
-    variant=st.sampled_from(union_cases(COMPACTION_RULES, UNION_RULES)),
+    variant=st.sampled_from(VARIANTS),
     pre_resolved=st.booleans(),
 )
 def test_hypothesis_union_arcs_matches_oracle_on_colliding_arcs(n, arcs, variant, pre_resolved):
     # A dozen vertices and up to 200 arcs: almost every arc lands on a tree
     # built by the ones before it, which is where the settled branch lives.
-    comp, rule, tier = variant.values
+    comp, rule = variant
     arcs = [(u % n, v % n) for u, v in arcs]
-    check_against_union_oracle(n, arcs, rule, comp, tier, pre_resolved=pre_resolved)
+    check_against_union_oracle(n, arcs, rule, comp, pre_resolved=pre_resolved)
 
 
 def test_union_arcs_body_is_self_contained():
@@ -204,37 +194,16 @@ def test_union_arcs_body_is_self_contained():
     assert loops.union_arcs.__globals__ is vars(loops)  # never rebound
 
 
-def test_findroot_batch_matches_vectorised():
-    g = build_csr(rmat_graph(scale=9, edge_factor=8, seed=3))
-    forest, _ = LinkCutForest.from_csr(g)
-    rng = np.random.default_rng(1)
-    queries = rng.integers(0, g.n, 2000).astype(np.int64)
-
-    before = forest.hops
-    ref_roots = forest.findroot_batch(queries)
-    ref_hops = forest.hops - before
-
-    v = queries.copy()
-    hops = loops.findroot_batch(forest.parent, v)
-    np.testing.assert_array_equal(v, ref_roots)
-    assert hops == ref_hops
-
-
-def sv_at_deleted_tier(monkeypatch, g, **kw):
-    """``connected_components(g)`` with the variable unset, then at the deleted tier."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    ref = connected_components(g, **kw)
-    monkeypatch.setenv(kernels.ENV_VAR, DELETED_TIER)
-    return ref, connected_components(g, **kw)
-
-
-def test_sv_components_matches_numpy(monkeypatch):
-    # The SV sweep is one numpy body on every tier: a stale environment
-    # naming the deleted tier leaves labels and all three counters as they
-    # are with the variable unset.
+def test_sv_components_matches_numpy():
+    # The SV sweep is one numpy body: a stale environment naming the
+    # deleted tier leaves labels and all three counters as they are with
+    # the variable unset.
     for seed in (3, 4, 5):
         g = build_csr(rmat_graph(scale=8, edge_factor=6, seed=seed))
-        ref, stale = sv_at_deleted_tier(monkeypatch, g)
+        with stale_tier(None):
+            ref = connected_components(g)
+        with stale_tier("compiled"):
+            stale = connected_components(g)
         np.testing.assert_array_equal(stale.labels, ref.labels)
         assert (stale.n_passes, stale.jump_rounds, stale.arcs_processed) == (
             ref.n_passes,
@@ -243,8 +212,9 @@ def test_sv_components_matches_numpy(monkeypatch):
         )
 
 
-def test_sv_components_respects_max_passes(monkeypatch):
-    # A long path needs many passes; the limit must clip identically.
+def test_sv_components_respects_max_passes():
+    # The limit stops the sweep after one pass, before the pass that would
+    # confirm the labels no longer change.
     n = 120
     src = np.concatenate(
         [np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)]
@@ -255,10 +225,8 @@ def test_sv_components_respects_max_passes(monkeypatch):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.add.at(offsets, src + 1, 1)
     order = np.argsort(src, kind="stable")
-    from repro.adjacency.csr import CSRGraph
-
     g = CSRGraph(n, np.cumsum(offsets), dst[order])
-    ref, stale = sv_at_deleted_tier(monkeypatch, g, max_passes=1)
-    np.testing.assert_array_equal(stale.labels, ref.labels)
-    assert stale.n_passes == ref.n_passes == 1
-    assert stale.jump_rounds == ref.jump_rounds
+    clipped = connected_components(g, max_passes=1)
+    full = connected_components(g)
+    assert clipped.n_passes == 1 < full.n_passes
+    assert full.labels.tolist() == [0] * n

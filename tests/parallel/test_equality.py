@@ -1,9 +1,8 @@
 """The process backend's contract: bit-identical results to serial.
 
 Swept across every registered adjacency representation (the snapshot each
-produces is the graph the kernels see), several seeds, worker counts, the
-kernel tiers (workers run the tier the parent resolved), and the
-time-stamp-filtered BFS variant; cross-checked against networkx where a
+produces is the graph the kernels see), several seeds, worker counts and
+the time-stamp-filtered BFS variant; cross-checked against networkx where a
 reference is cheap.  A hypothesis sweep feeds arbitrary small edge lists
 through both backends.
 """
@@ -16,8 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.kernels import loops
 from repro.adjacency.csr import build_csr, csr_from_arrays
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.core.bfs import bfs
@@ -46,7 +43,7 @@ def build_rep(kind, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_bfs_and_components_identical_across_representations(kind, pool, monkeypatch):
+def test_bfs_and_components_identical_across_representations(kind, pool):
     graph = rmat_graph(8, 8, seed=31, ts_range=(1, 50))
     rep = build_rep(kind, graph.n)
     construct(rep, graph)
@@ -55,14 +52,12 @@ def test_bfs_and_components_identical_across_representations(kind, pool, monkeyp
     source = int(np.argmax(csr.degrees()))
     assert_bfs_equal(bfs(csr, source), parallel_bfs(csr, source, pool))
 
-    for tier in kernels.TIERS:
-        monkeypatch.setenv(kernels.ENV_VAR, tier)
-        serial_cc = connected_components(csr)
-        par_cc = parallel_connected_components(csr, pool)
-        np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
-        assert serial_cc.n_passes == par_cc.n_passes
-        assert serial_cc.jump_rounds == par_cc.jump_rounds
-        assert serial_cc.arcs_processed == par_cc.arcs_processed
+    serial_cc = connected_components(csr)
+    par_cc = parallel_connected_components(csr, pool)
+    np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
+    assert serial_cc.n_passes == par_cc.n_passes
+    assert serial_cc.jump_rounds == par_cc.jump_rounds
+    assert serial_cc.arcs_processed == par_cc.arcs_processed
 
 
 @pytest.mark.parametrize("seed", [3, 17, 92])
@@ -126,7 +121,7 @@ def test_components_match_networkx(pool):
     assert par.n_components == expected
 
 
-def test_query_batch_identical(pool, monkeypatch):
+def test_query_batch_identical(pool):
     graph = rmat_graph(9, 8, seed=11)
     csr = build_csr(graph)
     forest, _ = LinkCutForest.from_csr(csr)
@@ -134,36 +129,27 @@ def test_query_batch_identical(pool, monkeypatch):
     us = rng.integers(0, csr.n, size=5000, dtype=np.int64)
     vs = rng.integers(0, csr.n, size=5000, dtype=np.int64)
 
-    seen = []
-    for tier in kernels.TIERS:
-        monkeypatch.setenv(kernels.ENV_VAR, tier)
-        hops_before = forest.hops
-        serial = forest.connected_batch(us, vs)
-        serial_hops = forest.hops - hops_before
-        answers, hops = parallel_query_batch(forest, us, vs, pool)
-        np.testing.assert_array_equal(serial, answers)
-        assert hops == serial_hops
-        seen.append((answers.tolist(), hops))
-    assert seen[0] == seen[1]
+    hops_before = forest.hops
+    serial = forest.connected_batch(us, vs)
+    serial_hops = forest.hops - hops_before
+    answers, hops = parallel_query_batch(forest, us, vs, pool)
+    np.testing.assert_array_equal(serial, answers)
+    assert hops == serial_hops
 
 
-def test_query_task_runs_the_tier_it_is_sent(monkeypatch):
-    # The worker side of the contract, in process: the task dispatches on
-    # the tier in its payload, not on one it resolves for itself.
+def test_query_task_matches_the_serial_batch():
+    # The worker side of the contract, in process: one task over a slice
+    # answers and counts what the serial batch does for those pairs.
     forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
     ends = np.arange(forest.n, dtype=np.int64)
     views = {"parent": forest.parent, "us": ends, "vs": ends[::-1].copy()}
-    chases = []
-    chase = loops.findroot_batch
-    monkeypatch.setattr(loops, "findroot_batch", lambda *a: chases.append(1) or chase(*a))
-    monkeypatch.setenv(kernels.ENV_VAR, "vectorised")
-    outs = []
-    for tier, expect in (("scalar", 2), ("vectorised", 0)):
-        del chases[:]
-        outs.append(_queries_connected(views, {"lo": 0, "hi": forest.n, "tier": tier}))
-        assert len(chases) == expect
-    np.testing.assert_array_equal(outs[1]["connected"], outs[0]["connected"])
-    assert outs[1]["hops"] == outs[0]["hops"]
+    lo, hi = 5, forest.n - 3
+    out = _queries_connected(views, {"lo": lo, "hi": hi})
+    before = forest.hops
+    np.testing.assert_array_equal(
+        out["connected"], forest.connected_batch(views["us"][lo:hi], views["vs"][lo:hi])
+    )
+    assert out["hops"] == forest.hops - before
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,5 @@
 """Tests for the command-line interface."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.__main__ import main
@@ -244,25 +239,6 @@ class TestTraceFlagsAndExporters:
                 "--queries", "400", "--quiet", "--out", str(tmp_path / "t.jsonl"),
             ])
         capsys.readouterr()
-
-
-class TestKernels:
-    """The kernel-tier knob as the command line meets it."""
-
-    def test_unsatisfiable_env_tier_exits_nonzero(self, graph_file):
-        # A stale tier name in the environment stops the command with the
-        # tier named, instead of running on a tier nobody asked for.
-        from repro import kernels
-
-        src_dir = Path(kernels.__file__).parents[2]
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "connectivity", str(graph_file), "--random", "50"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src_dir), kernels.ENV_VAR: "compiled"},
-        )
-        assert proc.returncode != 0
-        assert "unknown kernel tier 'compiled'" in proc.stderr
 
 
 class TestObs:
