@@ -27,7 +27,9 @@ class CSRGraph:
 
     ``offsets`` has length n+1; vertex u's arcs are
     ``targets[offsets[u]:offsets[u+1]]`` with matching ``ts`` entries when
-    time-stamps are present.
+    time-stamps are present.  ``meta["symmetric"]`` (read through
+    :attr:`symmetric`) is stamped only where both arcs of every edge are
+    stored.
     """
 
     n: int
@@ -70,6 +72,16 @@ class CSRGraph:
     @property
     def n_arcs(self) -> int:
         return int(self.targets.size)
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether u→v is an arc exactly when v→u is (bottom-up BFS needs it).
+
+        True only under the stamp of :func:`build_csr` when it symmetrises
+        and of ``DynamicGraph.snapshot()`` on undirected graphs; a CSR built
+        any other way reads False whatever its arcs are.
+        """
+        return self.meta.get("symmetric") is True
 
     def degree(self, u: int) -> int:
         self._check(u)
@@ -125,6 +137,8 @@ def build_csr(graph: EdgeList, *, symmetrize: bool | None = None) -> CSRGraph:
     ``symmetrize`` defaults to "both arcs for undirected inputs, as-is for
     directed" — pass explicitly to override.  Arc order within a vertex
     follows input order (stable sort), preserving insertion/temporal order.
+    A symmetrised snapshot is stamped :attr:`CSRGraph.symmetric`; a stamp
+    the edge list carried over from an earlier snapshot is dropped.
     """
     if symmetrize is None:
         symmetrize = not graph.directed
@@ -137,7 +151,10 @@ def build_csr(graph: EdgeList, *, symmetrize: bool | None = None) -> CSRGraph:
         w = None if graph.w is None else np.concatenate([graph.w, graph.w])
     else:
         src, dst, ts, w = graph.src, graph.dst, graph.ts, graph.w
-    return csr_from_arrays(graph.n, src, dst, ts, w=w, meta=dict(graph.meta))
+    meta = {k: v for k, v in graph.meta.items() if k != "symmetric"}
+    if symmetrize:
+        meta["symmetric"] = True
+    return csr_from_arrays(graph.n, src, dst, ts, w=w, meta=meta)
 
 
 def csr_offsets(degrees: np.ndarray) -> np.ndarray:

@@ -197,12 +197,15 @@ class DynamicGraph:
         return found
 
     def apply(self, stream: UpdateStream, **kwargs) -> UpdateResult:
-        """Apply a whole update stream; returns results + work profile."""
-        kwargs.setdefault("undirected", not self.directed)
+        """Apply a whole update stream; returns results + work profile.
+
+        Edge updates symmetrise exactly when the graph is undirected, so a
+        snapshot stamped symmetric always is.
+        """
         with span(
             "api.apply", representation=self.rep.kind, n_updates=len(stream)
         ) as sp:
-            res = apply_stream(self.rep, stream, **kwargs)
+            res = apply_stream(self.rep, stream, undirected=not self.directed, **kwargs)
             sp.set(misses=res.misses, host_seconds=res.host_seconds)
         return res
 
@@ -248,12 +251,17 @@ class DynamicGraph:
         ``api.snapshot_forced_rebuilds`` instead of ``api.snapshot_rebuilds``,
         so the rebuild counter tracks structural staleness only (the
         service's epoch-lag accounting depends on that distinction).
+        An undirected graph's snapshot is stamped
+        :attr:`~repro.adjacency.csr.CSRGraph.symmetric`: every update path
+        of this class writes both arcs of an edge.
         """
         key = self.rep.mutation_count
         if refresh or self._snapshot is None or self._snapshot_key != key:
             forced = refresh and self._snapshot is not None and self._snapshot_key == key
             with span("api.snapshot", n=self.n, arcs=self.rep.n_arcs):
                 self._snapshot = self.rep.to_csr()
+            if not self.directed:
+                self._snapshot.meta["symmetric"] = True
             self._snapshot_key = self.rep.mutation_count
             METRICS.inc(
                 "api.snapshot_forced_rebuilds" if forced else "api.snapshot_rebuilds"

@@ -8,15 +8,24 @@ dynamic graphs the paper augments the traversal with a time-stamp check —
 edges outside the query's time interval are filtered during the visit, which
 "requires no additional memory" (section 3.3, Figure 10).
 
-The implementation here is frontier-vectorised: each level is one call of
-:func:`repro.core.frontier.expand` — gather all frontier adjacencies with
-numpy index arithmetic, then give each new vertex the first arc that
-reached it in gather order by a concurrent-min write, never by sorting the
-candidate arcs — so a level is O(arcs scanned) work in O(1) Python calls.
-Each level is recorded as one simulated phase — frontier width, edges
-scanned, heaviest frontier vertex — so the machine model sees the true
-level structure (few wide levels for small-world graphs, which is what
-makes the paper's Figure 10 scale).
+The implementation here is frontier-vectorised: a top-down level is one
+call of :func:`repro.core.frontier.expand` — gather all frontier
+adjacencies with numpy index arithmetic, then give each new vertex the first
+arc that reached it in gather order by a concurrent-min write, never by
+sorting the candidate arcs — so a level is O(arcs scanned) work in O(1)
+Python calls.  Each level is recorded as one simulated phase — frontier
+width, edges scanned, heaviest frontier vertex — so the machine model sees
+the true level structure (few wide levels for small-world graphs, which is
+what makes the paper's Figure 10 scale).
+
+The traversal is direction-optimizing, as in GBBS (Dhulipala, Blelloch &
+Shun): on a symmetric snapshot (:attr:`CSRGraph.symmetric`) and without a
+time-stamp filter, a level whose frontier holds more arcs than the
+unvisited vertices do runs bottom-up (:func:`repro.core.frontier.pull`),
+each unvisited vertex looking for its smallest frontier neighbour.  That is
+the parent the top-down step elects, so results are identical either way,
+and the per-level statistics keep the top-down convention (the frontier's
+arcs); :attr:`BFSResult.arcs_touched` counts what the steps actually read.
 
 :func:`level_loop` is the one level loop: serial :func:`bfs` runs it with
 ``expand`` as the step, the process backend
@@ -32,12 +41,12 @@ from typing import Callable
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.frontier import expand
+from repro.core.frontier import expand, pull
 from repro.errors import VertexError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
 
-__all__ = ["BFSResult", "bfs", "bfs_profile", "level_loop"]
+__all__ = ["BFSResult", "bfs", "bfs_profile", "level_loop", "pull_step"]
 
 #: ALU ops per scanned edge: gather index arithmetic, visited test, branch.
 _ALU_PER_EDGE = 8.0
@@ -53,6 +62,8 @@ class BFSResult:
     ``frontier_sizes[i]`` / ``edges_scanned[i]`` describe level i;
     ``max_frontier_degree[i]`` is the heaviest vertex expanded at level i
     (the load-imbalance driver when adjacency lists are not split).
+    ``arcs_touched`` is what the level steps read: the frontier's arcs on a
+    top-down level, the unvisited vertices' arcs on a bottom-up one.
     """
 
     source: int
@@ -62,6 +73,7 @@ class BFSResult:
     edges_scanned: list[int] = field(default_factory=list)
     max_frontier_degree: list[int] = field(default_factory=list)
     ts_range: tuple[int, int] | None = None
+    arcs_touched: int = 0
 
     @property
     def n_levels(self) -> int:
@@ -110,13 +122,29 @@ def bfs(
 
     res = BFSResult(source=source, dist=dist, parent=parent, ts_range=ts_range)
     with span("core.bfs", source=int(source), n=graph.n, filtered=ts_range is not None) as sp:
-        level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels)
+        level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels,
+                   pull_step(graph, dist, ts_range))
         sp.set(levels=res.n_levels, reached=res.n_reached,
-               edges_scanned=res.total_edges_scanned)
+               edges_scanned=res.total_edges_scanned, arcs_touched=res.arcs_touched)
     METRICS.inc("bfs.runs")
     METRICS.inc("bfs.levels", res.n_levels)
     METRICS.inc("bfs.edges_scanned", res.total_edges_scanned)
+    METRICS.inc("bfs.arcs_touched", res.arcs_touched)
     return res
+
+
+def pull_step(
+    graph: CSRGraph, dist: np.ndarray, ts_range: tuple[int, int] | None = None
+) -> Callable[[int], tuple[np.ndarray, np.ndarray]] | None:
+    """The bottom-up step over ``dist``, or None where only top-down is exact.
+
+    Pulling reads an unvisited vertex's own arcs in place of the frontier's
+    arcs to it, so it needs a snapshot stamped symmetric and no time-stamp
+    filter; every other traversal stays top-down.
+    """
+    if not graph.symmetric or ts_range is not None:
+        return None
+    return lambda level: pull(level, dist, graph.offsets, graph.targets)
 
 
 def level_loop(
@@ -125,6 +153,7 @@ def level_loop(
     offsets: np.ndarray,
     step: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]],
     max_levels: int | None = None,
+    pull: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> int:
     """The level-synchronous loop from ``frontier``; returns the depth reached.
 
@@ -136,18 +165,30 @@ def level_loop(
     ``(new, owners)`` in discovery order, as :func:`expand` does, and the
     loop commits them and sorts ``new`` into the next frontier.  The level
     that ends the traversal is recorded but reaches nothing.
+
+    Given ``pull`` (see :func:`pull_step`), a level whose frontier holds
+    more arcs than the vertices not yet reached runs ``pull(level)``
+    instead; every vertex reached so far sat in exactly one frontier, so
+    that remainder is the arc total less the running sum of scanned arcs.
     """
     level = 0
+    remaining = int(offsets[-1])
     while frontier.size:
         starts = offsets[frontier]
         counts = offsets[frontier + 1] - starts
         total = int(counts.sum())
+        remaining -= total
         res.frontier_sizes.append(int(frontier.size))
         res.edges_scanned.append(total)
         res.max_frontier_degree.append(int(counts.max()))
         if total == 0 or (max_levels is not None and level >= max_levels):
             break
-        new, owners = step(frontier, starts, counts, total)
+        if pull is not None and total > remaining:
+            new, owners = pull(level)
+            res.arcs_touched += remaining
+        else:
+            new, owners = step(frontier, starts, counts, total)
+            res.arcs_touched += total
         if new.size == 0:
             break
         level += 1

@@ -5,14 +5,21 @@ array (:func:`gather_ranges`); the BFS family then gives each newly reached
 vertex the first arc that reached it in that order (:func:`first_occurrence`)
 by a priority write, never by sorting the candidate arcs — a level stays
 O(arcs scanned), the paper's "optimal O(n + m) work" (section 3.3).
-:func:`expand` composes the two into one BFS level.
+:func:`expand` composes the two into one top-down ("push") BFS level.
+
+:func:`pull` is the bottom-up level of a direction-optimizing BFS (GBBS):
+every unvisited vertex looks among its own arcs for a neighbour on the
+frontier, and takes the smallest.  On a symmetric graph that is the vertex
+``expand`` elects over an ascending frontier, so the two steps commit the
+same parents; a pull pays off on the wide middle levels, where the
+unvisited vertices hold fewer arcs than the frontier does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_ranges", "first_occurrence", "expand"]
+__all__ = ["gather_ranges", "first_occurrence", "expand", "pull"]
 
 
 def gather_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,3 +77,26 @@ def expand(
     # Owners are looked up for the winning arcs only; ``keep[first]`` ascends,
     # which keeps the binary searches short.
     return cand[first], frontier[ends.searchsorted(keep[first], "right")]
+
+
+def pull(
+    level: int, dist: np.ndarray, offsets: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One bottom-up BFS level: ``(new, owners)``, both ascending in ``new``.
+
+    ``new`` holds each vertex with ``dist < 0`` that has an arc to a vertex
+    at distance ``level``, and ``owners`` the smallest such neighbour.  On a
+    symmetric CSR this is :func:`expand` over the ascending frontier
+    ``dist == level`` (the first arc in gather order comes from the smallest
+    frontier vertex adjacent to ``v``), without ``ufunc.at`` or a sort: one
+    gather of the unvisited vertices' arcs and one ``minimum.reduceat``.
+    """
+    cand = np.flatnonzero((dist < 0) & (offsets[1:] != offsets[:-1]))
+    starts = offsets[cand]
+    counts = offsets[cand + 1] - starts
+    idx, ends = gather_ranges(starts, counts)
+    nbrs = targets[idx]
+    # A neighbour off the frontier masks to n, above every vertex id.
+    best = np.minimum.reduceat(np.where(dist[nbrs] == level, nbrs, dist.size), ends - counts)
+    hit = (best < dist.size).nonzero()[0]
+    return cand[hit], best[hit]

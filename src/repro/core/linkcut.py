@@ -14,7 +14,8 @@ link / cut / parent, findroot by pointer chasing, and connectivity queries
 as two findroots.  Construction from a graph follows the paper: a lock-free
 level-synchronous parallel BFS produces the spanning tree of each component
 (one multi-rooted run of :func:`repro.core.bfs.level_loop` covers the whole
-forest, each level one :func:`repro.core.frontier.expand`, as in
+forest, each level one :func:`repro.core.frontier.expand` or, on a snapshot
+stamped symmetric, one bottom-up :func:`repro.core.frontier.pull`, as in
 :func:`repro.core.bfs.bfs`), with connected components supplying the roots.
 
 Beyond the paper's operations, :meth:`add_edge` (reroot + link, supporting
@@ -32,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.bfs import BFSResult, level_loop
+from repro.core.bfs import BFSResult, level_loop, pull_step
 from repro.core.components import ComponentsResult, connected_components
 from repro.core.frontier import expand
 from repro.errors import GraphError, NotInForestError, VertexError
@@ -134,7 +135,7 @@ class LinkCutForest:
             return expand(frontier, starts, counts, targets, dist, slot)
 
         res = BFSResult(source=_NIL, dist=dist, parent=forest.parent)
-        level = level_loop(res, roots, graph.offsets, step)
+        level = level_loop(res, roots, graph.offsets, step, pull=pull_step(graph, dist))
         builder = ProfileBuilder("linkcut-construction", n=graph.n, arcs=graph.n_arcs)
         builder.extend(comps.profile(graph).phases)
         footprint = float(graph.memory_bytes() + 2 * 8 * graph.n)

@@ -20,6 +20,10 @@ earliest chunk holding a vertex wins, which is the serial kernel's flattened
 gather order, so distances, parents and per-level statistics are
 bit-identical to the serial backend at every worker count.
 
+Bottom-up levels (:func:`repro.core.bfs.pull_step`, on snapshots stamped
+symmetric) run inline in the parent on the shared ``dist`` view, with the
+serial body; they are not fanned out.
+
 Workers also return a per-partition work-profile fragment (edges scanned,
 frontier vertices, heaviest vertex); the driver folds these into per-level
 partition records that ride along in the profile metadata
@@ -32,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.bfs import BFSResult, bfs_profile, level_loop
+from repro.core.bfs import BFSResult, bfs_profile, level_loop, pull_step
 from repro.core.frontier import expand, first_occurrence
 from repro.errors import VertexError
 from repro.machine.profile import WorkProfile
@@ -93,7 +97,8 @@ def parallel_bfs(
     ``fragments_out``, when given, receives one list per level of the
     per-partition work fragments the workers reported (levels below
     ``small_level_edges`` scanned edges carry a single parent-side
-    fragment marked ``"inline"``).
+    fragment marked ``"inline"``, bottom-up levels one marked ``"inline"``
+    and ``"pull"``).
     """
     if not 0 <= source < graph.n:
         raise VertexError(f"source {source} out of range [0, {graph.n})")
@@ -140,6 +145,19 @@ def parallel_bfs(
             first = first_occurrence(nbrs, slot)
             return nbrs[first], np.concatenate([o["reps"] for o in outs])[first]
 
+        pulled = pull_step(graph, shared_dist, ts_range)
+
+        def up(level):
+            if fragments_out is not None:
+                fragments_out.append([{
+                    "vertices": res.frontier_sizes[-1],
+                    "edges": res.edges_scanned[-1],
+                    "max_degree": res.max_frontier_degree[-1],
+                    "inline": True,
+                    "pull": True,
+                }])
+            return pulled(level)
+
         with span(
             "parallel.bfs",
             source=int(source),
@@ -147,17 +165,20 @@ def parallel_bfs(
             workers=pool.workers,
             filtered=ts_range is not None,
         ) as sp:
-            level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels)
+            level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels,
+                       None if pulled is None else up)
             sp.set(
                 levels=res.n_levels,
                 reached=res.n_reached,
                 edges_scanned=res.total_edges_scanned,
+                arcs_touched=res.arcs_touched,
             )
         # Detach from shared memory before the arena is unlinked.
         res.dist = shared_dist.copy()
     METRICS.inc("bfs.runs")
     METRICS.inc("bfs.levels", res.n_levels)
     METRICS.inc("bfs.edges_scanned", res.total_edges_scanned)
+    METRICS.inc("bfs.arcs_touched", res.arcs_touched)
     METRICS.inc("parallel.bfs_runs")
     return res
 

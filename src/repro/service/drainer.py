@@ -93,7 +93,10 @@ class UpdateDrainer:
     ----------
     graph:
         The :class:`~repro.api.DynamicGraph` absorbing the stream.  The
-        drainer is its only mutator once :meth:`start` has run.
+        drainer is its only mutator once :meth:`start` has run.  Edge
+        updates symmetrise into two arcs exactly when the graph is
+        undirected, so every epoch of an undirected graph is a snapshot
+        stamped symmetric (and may run bottom-up BFS levels).
     store:
         The :class:`~repro.service.epoch.EpochStore` rotations publish to.
     max_queue:
@@ -102,9 +105,6 @@ class UpdateDrainer:
         Minimum seconds between epoch publishes (0 = publish after every
         batch).  A final rotation always happens when the drainer closes,
         so no applied update is ever left unpublished.
-    undirected:
-        Whether edge updates symmetrise into two arcs; defaults to the
-        graph's own directedness.
     reqtrace:
         Optional :class:`~repro.obs.reqtrace.RequestTracer`: each batch
         application becomes a ``kind="update"`` request trace, so slow
@@ -121,14 +121,12 @@ class UpdateDrainer:
         *,
         max_queue: int = 8,
         rotate_min_interval: float = 0.0,
-        undirected: Optional[bool] = None,
         reqtrace: Optional[RequestTracer] = None,
         slo: Optional[SloTracker] = None,
     ) -> None:
         self.graph = graph
         self.store = store
         self.rotate_min_interval = float(rotate_min_interval)
-        self.undirected = (not graph.directed) if undirected is None else bool(undirected)
         self.reqtrace = reqtrace
         self.slo = slo
         #: Test/fault-injection hook: seconds to sleep inside each batch
@@ -253,7 +251,8 @@ class UpdateDrainer:
                 with span("service.drain.apply", updates=len(stream)) as sp:
                     t0 = time.perf_counter()
                     res = apply_stream(
-                        self.graph.rep, stream, undirected=self.undirected, reset_stats=True
+                        self.graph.rep, stream, undirected=not self.graph.directed,
+                        reset_stats=True,
                     )
                     elapsed = time.perf_counter() - t0
                     self.n_batches += 1

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.adjacency.csr import CSRGraph, build_csr
+from repro.adjacency.csr import CSRGraph, build_csr, csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
+from repro.adjacency.registry import REPRESENTATIONS
+from repro.api import DynamicGraph
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
+from repro.generators.parallel import iter_edge_chunks
 from repro.generators.reference import path_graph
+from repro.generators.streams import UpdateStream
 
 
 class TestBuildCsr:
@@ -106,3 +112,89 @@ class TestFromRepresentation:
         rep.delete(0, 1)
         csr = rep.to_csr()
         assert csr.neighbors(0).tolist() == [2]
+
+
+def rep_kwargs(kind, n):
+    if kind == "dynarr-nr":
+        return {"degrees": np.full(n, 512)}
+    if kind == "hybrid":
+        return {"degree_thresh": 4, "seed": 1}
+    if kind == "treap":
+        return {"seed": 1}
+    return {}
+
+
+def assert_equals_transpose(csr):
+    """The arcs as a multiset of ``(u, v, ts)`` equal their reverses."""
+    src = np.repeat(np.arange(csr.n), csr.degrees()).tolist()
+    dst, ts = csr.targets.tolist(), csr.ts.tolist()
+    assert sorted(zip(src, dst, ts)) == sorted(zip(dst, src, ts))
+
+
+updates = st.lists(
+    st.tuples(st.sampled_from([1, 1, -1]), st.integers(0, 9), st.integers(0, 9),
+              st.integers(0, 2)),
+    max_size=90,
+)
+
+
+class TestSymmetricStamp:
+    """``CSRGraph.symmetric``: stamped only where both arcs are stored."""
+
+    def test_build_csr_stamps_what_it_symmetrises(self):
+        directed = EdgeList(3, np.array([0, 1]), np.array([1, 2]), directed=True)
+        assert build_csr(path_graph(4)).symmetric is True
+        assert build_csr(directed, symmetrize=True).symmetric is True
+        assert build_csr(directed).symmetric is False
+        assert build_csr(path_graph(4), symmetrize=False).symmetric is False
+
+    def test_carried_stamp_is_dropped(self):
+        # to_edgelist copies meta: rebuilding one-sided must not keep the stamp.
+        back = build_csr(path_graph(4)).to_edgelist()
+        assert back.meta.get("symmetric") is True
+        assert build_csr(back, symmetrize=False).symmetric is False
+
+    def test_unstamped_constructors(self):
+        src, dst = np.array([0, 1]), np.array([1, 0])
+        assert csr_from_arrays(2, src, dst).symmetric is False
+        assert CSRGraph(2, np.array([0, 1, 2]), np.array([1, 0])).symmetric is False
+        assert DynArrAdjacency(3).to_csr().symmetric is False
+
+    def test_directed_dynamic_graph(self):
+        g = DynamicGraph.from_edges(4, [0, 1], [1, 2], directed=True, representation="dynarr")
+        assert g.snapshot().symmetric is False
+
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+    @settings(max_examples=15, deadline=None)
+    @given(ops=updates, cut=st.integers(0, 90), loops=st.lists(st.integers(0, 9), max_size=4))
+    def test_undirected_streams_stay_symmetric(self, kind, ops, cut, loops):
+        # Inserts, deletes (hits and misses), duplicates with several stamps
+        # and self-loops, in two batches: one may take the per-op loop, the
+        # other the bulk kernels.  Single-edge calls add more self-loops.
+        g = DynamicGraph(10, kind, **rep_kwargs(kind, 10))
+        for v in loops:
+            g.insert_edge(v, v, 1)
+        for part in (ops[:cut], ops[cut:]):
+            op, u, v, ts = (np.array([row[i] for row in part], dtype=np.int64) for i in range(4))
+            g.apply(UpdateStream(10, op.astype(np.int8), u, v, ts))
+            csr = g.snapshot()
+            assert csr.symmetric is True
+            assert_equals_transpose(csr)
+        if loops:
+            g.delete_edge(loops[0], loops[0])
+            assert_equals_transpose(g.snapshot())
+
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+    def test_bulk_constructors_stay_symmetric(self, kind):
+        edges = EdgeList(12, np.array([0, 0, 1, 3, 3, 5, 7]), np.array([1, 1, 2, 3, 4, 0, 7]),
+                         ts=np.array([4, 9, 1, 2, 2, 5, 6]))
+        for g in (
+            DynamicGraph.from_edgelist(edges, representation=kind, **rep_kwargs(kind, 12)),
+            DynamicGraph.from_edge_chunks(
+                1 << 6, iter_edge_chunks(6, 300, seed=5, chunk_edges=64, ts_range=(1, 9)),
+                representation=kind, **rep_kwargs(kind, 1 << 6),
+            ),
+        ):
+            csr = g.snapshot()
+            assert csr.symmetric is True
+            assert_equals_transpose(csr)

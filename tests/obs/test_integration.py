@@ -79,6 +79,9 @@ class TestKernelSpans:
         assert events["api.snapshot"]["parent_id"] == sf["span_id"]
         assert events["connectivity.from_csr"]["parent_id"] == sf["span_id"]
         assert obs.METRICS.counter("connectivity.forests_built").value == 1
+        # The link-cut build's traversal is not a BFS query: no bfs.* ticks.
+        counters = obs.METRICS.snapshot()["counters"]
+        assert not any(counters[k] for k in counters if k.startswith("bfs."))
 
     def test_bfs_spans_and_counters(self, tracer, graph_and_stream):
         g, _ = graph_and_stream
@@ -91,6 +94,9 @@ class TestKernelSpans:
         snap = obs.METRICS.snapshot()["counters"]
         assert snap["bfs.runs"] == 1
         assert snap["bfs.edges_scanned"] == res.total_edges_scanned
+        # The snapshot of an undirected graph pulls its wide levels.
+        assert 0 < res.arcs_touched < res.total_edges_scanned
+        assert core["attrs"]["arcs_touched"] == snap["bfs.arcs_touched"] == res.arcs_touched
 
     def test_connectivity_queries_counters(self, tracer, graph_and_stream):
         g, _ = graph_and_stream

@@ -170,3 +170,39 @@ def test_property_random_graphs(n, edges, source, pool):
     serial_cc = connected_components(csr)
     par_cc = parallel_connected_components(csr, pool)
     np.testing.assert_array_equal(serial_cc.labels, par_cc.labels)
+
+
+@pytest.mark.parametrize("name", ["rmat-3", "rmat-sparse", "path", "star", "grid", "multigraph"])
+def test_pull_levels_match_the_oracle(name, pool):
+    # Every top-down level fanned out; bottom-up levels run in the parent.
+    from tests.core.test_pull import GRAPHS, sources
+
+    csr = GRAPHS[name]()
+    for source in sources(csr):
+        for max_levels in (None, 1):
+            par = parallel_bfs(csr, source, pool, max_levels=max_levels, small_level_edges=0)
+            assert_bfs_equal(unique_commit_bfs(csr, source, max_levels=max_levels), par)
+            assert par.arcs_touched == bfs(csr, source, max_levels=max_levels).arcs_touched
+
+
+def test_one_fragment_per_level_pull_levels_marked(pool):
+    csr = build_csr(rmat_graph(10, 8, seed=3, ts_range=(1, 100)))
+    source = int(np.argmax(csr.degrees()))
+    fragments = []
+    par = parallel_bfs(csr, source, pool, small_level_edges=0, fragments_out=fragments)
+    assert par.arcs_touched < par.total_edges_scanned
+    # Every level here scans arcs, so each ran a step (the last reaches nothing).
+    assert all(par.edges_scanned) and len(fragments) == par.n_levels
+    pulled = [i for i, frags in enumerate(fragments) if frags[0].get("pull")]
+    assert pulled
+    for i in pulled:
+        (frag,) = fragments[i]
+        assert frag["inline"] and frag["edges"] == par.edges_scanned[i]
+        assert frag["vertices"] == par.frontier_sizes[i]
+        assert frag["max_degree"] == par.max_frontier_degree[i]
+    # A time-stamp filter never pulls.
+    fragments = []
+    filt = parallel_bfs(csr, source, pool, ts_range=(1, 100), small_level_edges=0,
+                        fragments_out=fragments)
+    assert filt.arcs_touched == filt.total_edges_scanned
+    assert not any(f.get("pull") for frags in fragments for f in frags)
