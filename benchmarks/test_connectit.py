@@ -10,7 +10,8 @@
   body keeps its counters in locals, calls nothing and counts an arc
   already settled under one root instead of executing it: 3-4x);
 * the :meth:`ConnectivityIndex.insert_batch` union-find fast path makes
-  the same link decisions as the sequential :meth:`insert_edge` loop.
+  the same link decisions as the sequential :meth:`LinkCutForest.add_edge`
+  loop.
 """
 
 import numpy as np
@@ -74,8 +75,8 @@ def test_connectit_insert_batch():
     us = rng.integers(0, graph.n, size=k, dtype=np.int64)
     vs = rng.integers(0, graph.n, size=k, dtype=np.int64)
 
-    seq_index = ConnectivityIndex.from_csr(csr)
-    seq_linked = np.array([seq_index.insert_edge(int(u), int(v)) for u, v in zip(us, vs)])
+    seq_forest = ConnectivityIndex.from_csr(csr).forest
+    seq_linked = np.array([seq_forest.add_edge(int(u), int(v)) for u, v in zip(us, vs)])
     result = ConnectivityIndex.from_csr(csr).insert_batch(us, vs)
 
     np.testing.assert_array_equal(seq_linked, result.linked)

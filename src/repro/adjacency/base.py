@@ -188,6 +188,11 @@ class AdjacencyRepresentation(abc.ABC):
         self.stats.searches += 1
         return bool(np.any(self.neighbors(u) == v))
 
+    def multiplicity(self, u: int, v: int) -> int:
+        """Copies of arc u→v (counts as a search in the statistics)."""
+        self.stats.searches += 1
+        return int(np.count_nonzero(self.neighbors(u) == v))
+
     @property
     def n_arcs(self) -> int:
         """Live arcs currently stored."""

@@ -209,6 +209,13 @@ class HybridAdjacency(AdjacencyRepresentation):
             return self.arr.has_arc(u, v)
         return self.treap.has_arc(u, v)
 
+    def multiplicity(self, u: int, v: int) -> int:
+        self.check_vertex(u)
+        self.check_vertex(v)
+        if self.mode[u] == _MODE_ARRAY:
+            return self.arr.multiplicity(u, v)
+        return self.treap.multiplicity(u, v)
+
     # ------------------------------------------------------------------ #
     # bulk paths
     # ------------------------------------------------------------------ #

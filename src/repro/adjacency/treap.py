@@ -251,6 +251,31 @@ class TreapAdjacency(AdjacencyRepresentation):
         self.stats.searches += 1
         return self._find(self.root[u], v) != _NIL
 
+    def multiplicity(self, u: int, v: int) -> int:
+        """Copies of arc u→v in O(depth + copies), not O(degree).
+
+        Equal keys are adjacent in key order, so every node holding ``v``
+        lies where a search for ``v`` goes: on into both subtrees of a node
+        holding ``v``, into one subtree of any other node.
+        """
+        self.check_vertex(u)
+        self.check_vertex(v)
+        self.stats.searches += 1
+        key, left, right = self._key, self._left, self._right
+        copies = 0
+        stack = [self.root[u]]
+        while stack:
+            t = stack.pop()
+            if t == _NIL:
+                continue
+            self.stats.nodes_visited += 1
+            if key[t] == v:
+                copies += 1
+                stack += (left[t], right[t])
+            else:
+                stack.append(left[t] if v < key[t] else right[t])
+        return copies
+
     # ------------------------------------------------------------------ #
     # bulk paths
     # ------------------------------------------------------------------ #

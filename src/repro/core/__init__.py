@@ -5,7 +5,8 @@
 * :mod:`repro.core.components` — Shiloach–Vishkin-style connected components.
 * :mod:`repro.core.linkcut` — the parent-pointer link-cut forest and its
   parallel construction (section 3.1).
-* :mod:`repro.core.connectivity` — batched connectivity-query processing.
+* :mod:`repro.core.connectivity` — batched connectivity queries, and the
+  forest kept spanning a graph under update batches.
 * :mod:`repro.core.induced` — temporal induced subgraphs (section 3.2).
 * :mod:`repro.core.stconn` — st-connectivity via bidirectional BFS.
 * :mod:`repro.core.betweenness` — temporal betweenness centrality
@@ -15,8 +16,9 @@
 
 Extensions beyond the paper's evaluated kernels (flagged in DESIGN.md):
 
-* :mod:`repro.core.dynamic_connectivity` — the representation and the
-  link-cut forest kept in sync under arbitrary update streams.
+* :meth:`repro.core.connectivity.ConnectivityIndex.apply_batch` — the
+  representation and the link-cut forest kept in sync under arbitrary
+  update streams.
 * :mod:`repro.core.sssp` — Δ-stepping single-source shortest paths (the
   paper's reference [19] and stated future-work problem).
 * :mod:`repro.core.closeness` — closeness and stress centrality, completing
@@ -28,7 +30,7 @@ Extensions beyond the paper's evaluated kernels (flagged in DESIGN.md):
 from repro.core.bfs import BFSResult, bfs, bfs_profile
 from repro.core.components import ComponentsResult, connected_components
 from repro.core.linkcut import LinkCutForest
-from repro.core.connectivity import ConnectivityIndex, QueryResult
+from repro.core.connectivity import ConnectivityIndex, MaintenanceStats, QueryResult
 from repro.core.induced import InducedResult, induced_subgraph
 from repro.core.stconn import st_connectivity, STConnResult
 from repro.core.betweenness import (
@@ -39,7 +41,6 @@ from repro.core.betweenness import (
     temporal_bc_exact,
 )
 from repro.core.update_engine import UpdateResult, apply_stream, construct
-from repro.core.dynamic_connectivity import DynamicConnectivity, MaintenanceStats
 from repro.core.sssp import SSSPResult, delta_stepping
 from repro.core.closeness import (
     CentralityResult,
@@ -98,7 +99,6 @@ __all__ = [
     "degree_stats",
     "effective_diameter",
     "giant_component_fraction",
-    "DynamicConnectivity",
     "MaintenanceStats",
     "SSSPResult",
     "delta_stepping",

@@ -1,13 +1,21 @@
-"""Connectivity-query processing over a link-cut forest (paper section 3.1).
+"""Connectivity over a link-cut forest (paper section 3.1).
 
 *"Each connectivity query involves two findroot operations, each of which
 would take O(d) time (where d is the diameter of the network). The queries
 can be processed in parallel, as they only involve memory reads."*
 
-:class:`ConnectivityIndex` bundles a graph snapshot, its spanning
-:class:`~repro.core.linkcut.LinkCutForest`, and batched query execution that
+:class:`ConnectivityIndex` bundles a spanning
+:class:`~repro.core.linkcut.LinkCutForest` with batched query execution that
 measures the actual pointer-hop counts into a work profile — the basis for
-Figure 8 (1M queries) and the paper's 7.3M-queries/second headline.
+Figure 8 (1M queries) and the paper's 7.3M-queries/second headline.  An
+index that owns the graph's adjacency representation (:meth:`ConnectivityIndex
+.from_rep`) also keeps the forest spanning that graph under update batches
+(:meth:`ConnectivityIndex.apply_batch`): an inserted edge joining two trees
+is linked, and a deleted tree edge is cut and replaced from the smaller side
+of the cut when the graph still connects the two sides.  This is the
+O(smaller side) replacement search, not poly-log Holm–de Lichtenberg–Thorup,
+matching the paper's stance that small-world diameters make simple
+structures fast.
 """
 
 from __future__ import annotations
@@ -16,14 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.csr import CSRGraph
-from repro.core.linkcut import ConstructionRecord, LinkCutForest
+from repro.core.linkcut import ConstructionRecord, Cut, LinkCutForest
+from repro.core.update_engine import UpdateResult, apply_stream
 from repro.errors import GraphError
+from repro.generators.streams import UpdateStream
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
 from repro.util.seeding import make_rng
 
-__all__ = ["ConnectivityIndex", "QueryResult", "BatchInsertResult"]
+__all__ = ["ConnectivityIndex", "QueryResult", "BatchInsertResult", "MaintenanceStats"]
 
 #: ALU ops per pointer hop (load, NIL test, loop branch).
 _ALU_PER_HOP = 4.0
@@ -63,19 +74,41 @@ class BatchInsertResult:
     meta: dict = field(default_factory=dict)
 
 
-class ConnectivityIndex:
-    """Spanning-forest connectivity oracle with batched queries.
+@dataclass
+class MaintenanceStats:
+    """Work counters of :meth:`ConnectivityIndex.apply_batch`, cumulative.
 
-    Build with :meth:`from_csr`; query with :meth:`query_batch` (pairs) or
-    :meth:`query` (single pair).  :meth:`insert_edge` / :meth:`delete_edge`
-    maintain the forest under updates (the delete path searches for a
-    replacement edge in the supplied adjacency source — see
-    :meth:`LinkCutForest.cut_with_replacement`).
+    Edge updates, not arcs: ``deletes`` counts deletes that found the edge,
+    ``delete_misses`` the rest.  ``replacement_scan_arcs`` counts the
+    adjacency arcs the smaller-side searches read
+    (:attr:`LinkCutForest.scan_arcs`).
+    """
+
+    inserts: int = 0
+    deletes: int = 0
+    delete_misses: int = 0
+    tree_links: int = 0
+    tree_cuts: int = 0
+    replacements_found: int = 0
+    replacement_scan_arcs: int = 0
+    parallel_edge_keeps: int = 0
+
+
+class ConnectivityIndex:
+    """Spanning-forest connectivity oracle with batched queries and updates.
+
+    Build with :meth:`from_csr` to query a snapshot, or with :meth:`from_rep`
+    to also maintain the forest as :meth:`apply_batch` updates the graph.
+    Query with :meth:`query_batch` (pairs) or :meth:`query` (single pair).
     """
 
     def __init__(self, forest: LinkCutForest, record: ConstructionRecord | None = None) -> None:
         self.forest = forest
         self.record = record
+        #: The undirected graph :meth:`apply_batch` updates; set only by
+        #: :meth:`from_rep` (None: queries only).
+        self.rep: AdjacencyRepresentation | None = None
+        self.stats = MaintenanceStats()
 
     @classmethod
     def from_csr(cls, graph: CSRGraph) -> "ConnectivityIndex":
@@ -84,6 +117,19 @@ class ConnectivityIndex:
             sp.set(trees=forest.n_trees())
         METRICS.inc("connectivity.forests_built")
         return cls(forest, record)
+
+    @classmethod
+    def from_rep(cls, rep: AdjacencyRepresentation) -> "ConnectivityIndex":
+        """An index that maintains a spanning forest of ``rep``'s undirected
+        graph, built from a snapshot of it (:meth:`from_csr`).  ``rep`` must
+        hold both arcs of every edge; :meth:`apply_batch` keeps it so."""
+        index = cls.from_csr(rep.to_csr())
+        index.rep = rep
+        return index
+
+    @property
+    def n(self) -> int:
+        return self.forest.n
 
     @property
     def construction_profile(self) -> WorkProfile:
@@ -183,10 +229,6 @@ class ConnectivityIndex:
     # maintenance under updates
     # ------------------------------------------------------------------ #
 
-    def insert_edge(self, u: int, v: int) -> bool:
-        """Inform the index of a new graph edge; True if the forest changed."""
-        return self.forest.add_edge(u, v)
-
     def insert_batch(
         self,
         us,
@@ -196,26 +238,25 @@ class ConnectivityIndex:
         compaction: str = "halving",
         name: str = "connectivity-insert-batch",
     ) -> BatchInsertResult:
-        """Apply many edge insertions with a union-find fast path.
+        """Link the forest for many edge insertions with a union-find fast path.
 
-        Looping :meth:`insert_edge` pays two findroots per edge even when
-        the edge is redundant for connectivity.  This path resolves all
+        Forest only: the graph's adjacency is the caller's (:meth:`apply_batch`
+        updates both).  Two findroots per edge in a loop would be paid even
+        for an edge redundant for connectivity.  This path resolves all
         endpoints once with :meth:`~repro.core.linkcut.LinkCutForest
         .findroot_batch`, then replays the batch through a
         :class:`repro.connectit.unionfind.UnionFind` over those roots —
         a union succeeds exactly when the edge joins two components that
         are still separate *at its position in the batch*, which is
-        precisely when sequential :meth:`insert_edge` would have linked
-        the forest.  Only those edges touch the forest; the resulting
-        spanning forest and connectivity are identical to the sequential
-        loop, at a fraction of the pointer chases on dense batches.
+        precisely when a sequential :meth:`LinkCutForest.add_edge` would
+        have linked the forest.  Only those edges touch the forest; the
+        resulting spanning forest is the one the sequential loop builds, at
+        a fraction of the pointer chases on dense batches.
 
         ``union_rule`` / ``compaction`` pick the union-find variant
         (:mod:`repro.connectit`); the measured forest hops and union-find
         counters land in the returned profile.
         """
-        from repro.connectit.unionfind import UnionFind
-
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape or us.ndim != 1:
@@ -225,12 +266,9 @@ class ConnectivityIndex:
         with span(
             "connectivity.insert_batch", n_edges=int(us.size), variant=f"{union_rule}/{compaction}"
         ) as sp:
-            roots_u = forest.findroot_batch(us)
-            roots_v = forest.findroot_batch(vs)
-            uf = UnionFind(forest.n, union_rule=union_rule, compaction=compaction)
+            linked, uf = self._union_roots(us, vs, union_rule, compaction)
             # The replay is independent of the forest: resolve the whole
             # batch, then link the winning edges in batch order.
-            linked = uf.union_arcs(roots_u, roots_v, pre_resolved=True)
             for i in np.flatnonzero(linked).tolist():
                 forest.add_edge(int(us[i]), int(vs[i]))
             sp.set(links=int(linked.sum()), trees=forest.n_trees())
@@ -267,19 +305,246 @@ class ConnectivityIndex:
             profile=profile,
         )
 
-    def delete_edge(self, u: int, v: int, rep) -> bool:
-        """Inform the index a graph edge was removed.
+    def _union_roots(self, us, vs, union_rule="rank", compaction="halving"):
+        """Which edges ``(us[i], vs[i])`` join two trees at their position
+        in the batch: (linked mask, the union-find), forest untouched.
 
-        ``rep`` supplies the surviving graph adjacency (``neighbors``),
-        consulted for a replacement when a tree edge is cut.  Returns True
-        when the deleted edge was a tree edge.
+        An edge inside one tree never links and never reaches the
+        union-find (nor its counters).  The rest run over their roots,
+        renumbered in ascending order to ``0..k-1``: every union rule
+        compares ranks, sizes or ids only by order, so the mask is that of a
+        union-find over all ``n`` vertices, at the size of the batch.
         """
-        f = self.forest
-        if f.parent_of(u) == v:
+        from repro.connectit.unionfind import UnionFind
+
+        roots = self.forest.findroot_batch(np.concatenate([us, vs]))
+        across = np.flatnonzero(roots[:us.size] != roots[us.size:])
+        ids, ends = np.unique(np.concatenate([roots[across], roots[us.size + across]]),
+                              return_inverse=True)
+        uf = UnionFind(ids.size, union_rule=union_rule, compaction=compaction)
+        linked = np.zeros(us.size, dtype=bool)
+        linked[across] = uf.union_arcs(ends[:across.size], ends[across.size:], pre_resolved=True)
+        return linked, uf
+
+    def apply_batch(self, stream: UpdateStream) -> UpdateResult:
+        """Apply an undirected update batch to the graph and keep the forest
+        spanning it; returns the adjacency's :func:`~repro.core.update_engine
+        .apply_stream` result.
+
+        The forest and :attr:`stats` come out as applying the updates one
+        at a time in stream order leaves them, but only a delete that may
+        cut a tree edge is taken on its own:
+
+        * Which inserts link is decided for the whole batch at once by
+          :meth:`insert_batch`'s union-find over root space; the linking
+          ones join the forest in stream order.  Only a cut that splits a
+          tree changes the components, so only such a cut, and only when a
+          later insert touches the side it splits off, decides the rest of
+          the batch again.
+        * A *candidate* delete names an edge that was a tree edge when the
+          batch began, one the batch inserts, or a replacement linked
+          earlier in the batch; one vectorised membership test finds them.
+          Any other delete leaves the forest alone.
+        * A candidate that removes the last copy of a tree edge cuts it,
+          and :meth:`LinkCutForest.cut_with_replacement` searches the
+          smaller side of the graph as it stands after that delete
+          (:class:`_GraphAt`).
+        * The adjacency then takes the whole batch in one
+          :func:`~repro.core.update_engine.apply_stream` call.
+        """
+        if self.rep is None:
+            raise GraphError("index holds no graph to update; build it with from_rep")
+        if stream.n != self.n:
+            raise GraphError("stream vertex count mismatch")
+        op, src, dst = stream.op, stream.src, stream.dst
+        key = np.minimum(src, dst) * self.n + np.maximum(src, dst)
+        inserts = np.flatnonzero(op == 1)
+        deletes = (op == -1) & (src != dst)
+        parent = self.forest.parent
+        candidate = deletes & (
+            (parent[src] == dst) | (parent[dst] == src) | np.isin(key, key[inserts])
+        )
+        links = np.zeros(len(stream), dtype=bool)
+        links[inserts] = self._union_roots(src[inserts], dst[inserts])[0]
+        graph = _GraphAt(self.rep, stream)
+        with span("connectivity.apply_batch", n_updates=len(stream)) as sp:
+            done = j = 0
+            while (nxt := np.flatnonzero(candidate[j:])).size:
+                j += int(nxt[0])
+                self._link(src, dst, links, done, j)
+                done = j
+                cut = self._delete(graph, j, int(src[j]), int(dst[j]))
+                if cut is not None and cut.replacement is not None:
+                    x, y = cut.replacement
+                    candidate[j + 1:] |= deletes[j + 1:] & (
+                        key[j + 1:] == min(x, y) * self.n + max(x, y)
+                    )
+                elif cut is not None:
+                    # The split changes which later inserts link only if one
+                    # of them touches the side split off.
+                    rest = inserts[inserts > j]
+                    if np.isin(np.concatenate([src[rest], dst[rest]]), cut.side).any():
+                        links[rest] = self._union_roots(src[rest], dst[rest])[0]
+                j += 1
+            self._link(src, dst, links, done, len(stream))
+            result = apply_stream(self.rep, stream, reset_stats=False)
+            sp.set(trees=self.forest.n_trees(), misses=result.misses)
+        s = self.stats
+        misses = result.misses // 2
+        s.inserts += int(inserts.size)
+        s.deletes += len(stream) - int(inserts.size) - misses
+        s.delete_misses += misses
+        return result
+
+    def _link(self, src, dst, links, lo: int, hi: int) -> None:
+        """Link the forest through the linking inserts among ``lo:hi``."""
+        for i in (lo + np.flatnonzero(links[lo:hi])).tolist():
+            self.forest.add_edge(int(src[i]), int(dst[i]))
+            self.stats.tree_links += 1
+
+    def _delete(self, graph: "_GraphAt", j: int, u: int, v: int) -> Cut | None:
+        """Candidate delete ``j`` of ``(u, v)``: the cut it made, if any."""
+        f, s = self.forest, self.stats
+        if f.parent[u] == v:
             child = u
-        elif f.parent_of(v) == u:
+        elif f.parent[v] == u:
             child = v
         else:
-            return False  # non-tree edge: connectivity unaffected
-        f.cut_with_replacement(child, rep)
-        return True
+            return None  # not a tree edge: the forest still spans the graph
+        graph.at = j + 1
+        if graph.copies(u, v):
+            s.parallel_edge_keeps += 1  # a parallel copy carries the link
+            return None
+        s.tree_cuts += 1
+        before = f.scan_arcs
+        cut = f.cut_with_replacement(child, graph)
+        s.replacement_scan_arcs += f.scan_arcs - before
+        s.replacements_found += cut.replacement is not None
+        return cut
+
+    # ------------------------------------------------------------------ #
+    # profiles and validation
+    # ------------------------------------------------------------------ #
+
+    def maintenance_profile(self, name: str = "connectivity-maintenance") -> WorkProfile:
+        """Work profile of the updates so far: the adjacency's phase, then
+        the forest's.
+
+        Links and cuts are O(depth) reroots plus O(1) pointer writes; the
+        dominant term is the replacement search, one dependent access per
+        arc it reads.  Forest surgery serialises per affected tree:
+        structural writes to one tree cannot run beside its queries.
+        """
+        if self.rep is None:
+            raise GraphError("index holds no graph to update; build it with from_rep")
+        s = self.stats
+        surgery = s.tree_links + s.tree_cuts
+        forest = Phase(
+            name=f"{name}/forest",
+            alu_ops=20.0 * surgery + 4.0 * s.replacement_scan_arcs,
+            rand_accesses=float(2 * surgery + s.replacement_scan_arcs),
+            footprint_bytes=float(self.forest.memory_bytes() + self.rep.memory_bytes()),
+            locks=float(surgery),
+            lock_hold_cycles=200.0,
+        )
+        return WorkProfile(
+            name,
+            (self.rep.phase(f"{name}/adjacency"), forest),
+            meta={"n": self.n, "edges": self.rep.n_arcs // 2},
+        )
+
+    def validate(self) -> None:
+        """Audit: the forest's trees are exactly the graph's components.
+
+        Compares against a from-scratch :func:`~repro.core.components
+        .connected_components` of a snapshot, O(n + m); raises
+        :class:`GraphError` on divergence.
+        """
+        from repro.core.components import connected_components
+
+        if self.rep is None:
+            raise GraphError("index holds no graph to audit; build it with from_rep")
+        self.forest.validate()
+        comps = connected_components(self.rep.to_csr())
+        roots = self.forest.findroot_batch(np.arange(self.n, dtype=np.int64))
+        # Trees and components match iff root -> label is a bijection.
+        pairs = np.unique(roots * self.n + comps.labels).size
+        trees = np.unique(roots).size
+        if not pairs == trees == comps.n_components:
+            raise GraphError(
+                f"forest has {trees} trees but the graph has {comps.n_components} "
+                f"components ({pairs} tree/component pairs)"
+            )
+
+
+class _GraphAt:
+    """``rep``'s graph after the first :attr:`at` updates of a batch that
+    has not reached ``rep`` yet: what a cut's search and a candidate's copy
+    count read.
+
+    A vertex those updates do not touch reads ``rep`` as it is.  For one
+    they do, its arcs to the vertices they name are counted in ``rep`` and
+    the updates replayed on the counts by apply_stream's per-arc rule: an
+    insert adds a copy, a delete removes one if there is one.  Arcs come
+    back in no particular order, and self-loops as ``rep`` has them (a loop
+    never crosses a cut or forms a tree edge).  ``rep`` does not change
+    while the batch is being planned, so each vertex is read from it once.
+
+    The view exists for speed.  The alternative, one ``apply_stream`` of
+    the updates up to each candidate and searches that read ``rep``
+    itself (about 27 calls per batch), made the forest's share of
+    ``benchmarks/test_connectivity_maintenance.py`` 1.6–1.8 of a
+    from-scratch ``connected_components`` against 0.3–0.5 with the view
+    (2-vCPU container): the segments' ``apply_stream`` calls alone took
+    19.8 ms per batch against 11.8 ms for one call.
+    """
+
+    def __init__(self, rep: AdjacencyRepresentation, stream: UpdateStream) -> None:
+        self.rep = rep
+        self.at = 0
+        self._read: dict[int, np.ndarray] = {}
+        pos = np.flatnonzero(stream.src != stream.dst)
+        ends = np.concatenate([stream.src[pos], stream.dst[pos]])
+        both = np.concatenate([pos, pos])
+        order = np.lexsort((both, ends))  # by vertex, then position
+        self._vertex = ends[order]
+        self._other = np.concatenate([stream.dst[pos], stream.src[pos]])[order]
+        self._pos = both[order]
+        self._op = np.concatenate([stream.op[pos], stream.op[pos]])[order]
+
+    def degree(self, x: int) -> int:
+        """``rep``'s degree of ``x``, which the search weighs its turns by."""
+        return self.rep.degree(x)
+
+    def _updates(self, x: int) -> slice:
+        """Where the updates to ``x``'s arcs before :attr:`at` sit."""
+        lo, hi = np.searchsorted(self._vertex, [x, x + 1])
+        return slice(lo, lo + int(np.searchsorted(self._pos[lo:hi], self.at)))
+
+    def copies(self, x: int, y: int) -> int:
+        """Copies of arc x→y."""
+        mine = self._updates(x)
+        m = self.rep.multiplicity(x, y)
+        for o in self._op[mine][self._other[mine] == y].tolist():
+            m = m + 1 if o == 1 else max(m - 1, 0)
+        return m
+
+    def neighbors(self, x: int) -> np.ndarray:
+        nb = self._read.get(x)
+        if nb is None:
+            nb = self._read[x] = self.rep.neighbors(x)
+        mine = self._updates(x)
+        if mine.start == mine.stop:
+            return nb
+        named = self._other[mine].tolist()
+        copies = {y: int(np.count_nonzero(nb == y)) for y in set(named)}
+        for y, o in zip(named, self._op[mine].tolist()):
+            if o == 1:
+                copies[y] += 1
+            elif copies[y]:
+                copies[y] -= 1
+        keep = np.ones(nb.size, dtype=bool)
+        for y in copies:  # a handful at most: the batch's updates to x
+            keep &= nb != y
+        named = np.fromiter(copies, dtype=np.int64, count=len(copies))
+        return np.concatenate([nb[keep], np.repeat(named, list(copies.values()))])

@@ -20,15 +20,17 @@ stamped symmetric, one bottom-up :func:`repro.core.frontier.pull`, as in
 
 Beyond the paper's operations, :meth:`add_edge` (reroot + link, supporting
 arbitrary edge insertions) and :meth:`cut_with_replacement` (spanning-forest
-maintenance under deletions, searching the smaller side for a replacement
-edge) round the structure out into a usable dynamic-connectivity index; both
-are flagged as extensions in DESIGN.md.
+maintenance under deletions: a lockstep walk finds the smaller side of the
+cut in O(smaller side), which is then searched for a replacement edge) round
+the structure out into the dynamic-connectivity index
+:class:`repro.core.connectivity.ConnectivityIndex`; both are flagged as
+extensions in DESIGN.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.core.frontier import expand
 from repro.errors import GraphError, NotInForestError, VertexError
 from repro.machine.profile import ProfileBuilder, WorkProfile
 
-__all__ = ["LinkCutForest", "ConstructionRecord", "chase_roots"]
+__all__ = ["LinkCutForest", "ConstructionRecord", "Cut", "chase_roots"]
 
 _NIL = -1
 
@@ -83,6 +85,16 @@ def _chase_passes(parent: np.ndarray, v: np.ndarray) -> Iterator[np.ndarray]:
         idx, nxt = idx[alive], nxt[alive]
 
 
+class Cut(NamedTuple):
+    """What :meth:`LinkCutForest.cut_with_replacement` did."""
+
+    #: Vertices of the smaller side of the cut, the side it searched.
+    side: list[int]
+    #: The edge ``(x, y)`` that reconnected the two sides, ``x`` on
+    #: :attr:`side`; None when the split stands.
+    replacement: tuple[int, int] | None
+
+
 @dataclass(frozen=True)
 class ConstructionRecord:
     """What building the forest cost (feeds Figure 7's profile)."""
@@ -109,6 +121,8 @@ class LinkCutForest:
         self.version = 0
         #: findroot pointer hops since the last counter reset (profiles).
         self.hops = 0
+        #: adjacency arcs read by :meth:`cut_with_replacement` searches.
+        self.scan_arcs = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -288,38 +302,82 @@ class LinkCutForest:
         self.link(v, u)
         return True
 
-    def cut_with_replacement(self, child: int, rep) -> int | None:
+    def cut_with_replacement(self, child: int, rep) -> Cut:
         """Cut the tree edge above ``child`` and search for a replacement.
 
-        ``rep`` is any adjacency source with ``neighbors(v)`` (a dynamic
-        representation or CSR snapshot) holding the *graph* edges.  After
-        the cut the component splits in two; the **smaller** side is swept
-        for an edge crossing back (one root scan + one pass over the smaller
-        side's adjacency, the classic bound).  If a crossing edge (x, y)
-        with x inside is found, the forest is relinked through it and the
-        far endpoint y is returned; otherwise None and the split stands.
+        ``rep`` is any symmetric adjacency source with ``neighbors(v)`` and
+        ``degree(v)`` (a dynamic representation, a CSR snapshot) holding the
+        graph *after* the deletion, every other tree edge included.  After
+        the cut the tree splits in two; :meth:`_smaller_side` walks both
+        sides in lockstep and stops when the smaller one (the child's on a
+        tie) is exhausted, so the cost is O(smaller side), never O(n).  The
+        replacement is the arc ``(x, y)`` leaving that side with the
+        smallest ``x``, then the smallest ``y``, whatever order ``rep``
+        keeps arcs in; it relinks the forest (``x`` rerooted under ``y``).
+        The arcs read land in :attr:`scan_arcs`.
         """
         old_parent = self.cut(child)
-        roots = self.findroot_batch(np.arange(self.n, dtype=np.int64))
-        child_root = roots[child]
-        parent_root = roots[old_parent]
-        side_child = np.nonzero(roots == child_root)[0]
-        side_parent = np.nonzero(roots == parent_root)[0]
-        sweep = side_child if side_child.size <= side_parent.size else side_parent
+        side, nbrs = self._smaller_side(child, old_parent, rep)
         inside = np.zeros(self.n, dtype=bool)
-        inside[sweep] = True
-        for x in sweep.tolist():
-            nbrs = rep.neighbors(x)
-            outside = nbrs[~inside[nbrs]]
-            for y in outside.tolist():
-                if x == child and y == old_parent:
-                    continue  # the edge being deleted may still be visible
-                if x == old_parent and y == child:
-                    continue
+        inside[side] = True
+        for x in sorted(side):
+            out = nbrs[x][~inside[nbrs[x]]]
+            if out.size:
+                y = int(out.min())
                 self.reroot(x)
-                self.link(x, int(y))
-                return int(y)
-        return None
+                self.link(x, y)
+                return Cut(side, (x, y))
+        return Cut(side, None)
+
+    def _smaller_side(self, a: int, b: int, rep) -> tuple[list[int], dict]:
+        """Vertices of the smaller of the trees rooted at ``a`` and holding
+        ``b`` (``a``'s on a tie), with each one's ``rep`` neighbours.
+
+        Two walks, one per tree, find vertices for free up parent pointers
+        (``b``'s root path) and by reading a vertex's arcs for its children
+        (every tree edge is a graph edge).  A walk has *ended* when it has
+        read every vertex it found: it has its whole tree.  Turns go to the
+        walk whose arcs read so far plus its next vertex's degree are fewer,
+        ``a``'s on a tie, until the sizes decide: ``a``'s walk ended and
+        ``b``'s has found at least as many vertices, or ``b``'s ended and
+        ``a``'s has found more.  The turns keep the two walks' arc counts
+        level, so the larger side is read about as far as the smaller one,
+        plus whatever it takes to find more vertices than the smaller side
+        holds.
+        """
+        parent = self.parent
+        path = [b]
+        while parent[path[-1]] != _NIL:
+            path.append(int(parent[path[-1]]))
+        walks = ([a], path)
+        seen = ({a}, set(path))
+        nbrs: tuple[dict, dict] = ({}, {})
+        head = [0, 0]
+        read = [0, 0]
+        while True:
+            ended = head[0] == len(walks[0]), head[1] == len(walks[1])
+            if ended[0] and len(walks[1]) >= len(walks[0]):
+                s = 0
+                break
+            if ended[1] and len(walks[0]) > len(walks[1]):
+                s = 1
+                break
+            if ended[0] or ended[1]:
+                s = 1 if ended[0] else 0
+            else:
+                s = int(read[0] + rep.degree(walks[0][head[0]])
+                        > read[1] + rep.degree(walks[1][head[1]]))
+            x = walks[s][head[s]]
+            head[s] += 1
+            nb = rep.neighbors(x)
+            nbrs[s][x] = nb
+            read[s] += int(nb.size)
+            for y in nb[parent[nb] == x].tolist():
+                if y not in seen[s]:
+                    seen[s].add(y)
+                    walks[s].append(y)
+        self.scan_arcs += read[0] + read[1]
+        return walks[s], nbrs[s]
 
     def tree_vertices(self, v: int) -> np.ndarray:
         """All vertices in ``v``'s tree (vectorised root comparison)."""

@@ -7,8 +7,10 @@ edges is inserted into a dynamic representation, and batches that age out of
 the window are deleted, exactly the sustained insert+delete churn the
 Hybrid-arr-treap structure exists for (sections 2.1.5, Figure 6).
 
-Optionally maintains a :class:`~repro.core.dynamic_connectivity.DynamicConnectivity`
-index so connectivity queries stay current without per-query rebuilds.
+Optionally maintains a :class:`~repro.core.connectivity.ConnectivityIndex`
+so connectivity queries stay current without per-query rebuilds: each tick
+is one update batch for :meth:`~repro.core.connectivity.ConnectivityIndex
+.apply_batch`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import numpy as np
 from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.csr import CSRGraph
 from repro.adjacency.registry import make_representation
-from repro.core.dynamic_connectivity import DynamicConnectivity
+from repro.core.connectivity import ConnectivityIndex
+from repro.core.update_engine import apply_stream
 from repro.errors import GraphError, StreamError
+from repro.generators.streams import UpdateStream
 from repro.util.validation import check_vertex_ids
 
 __all__ = ["SlidingWindowGraph", "WindowBatch"]
@@ -74,16 +78,13 @@ class SlidingWindowGraph:
         self.window = int(window)
         self._batches: deque[WindowBatch] = deque()
         self._tick = -1
-        self._conn: DynamicConnectivity | None = None
-        if track_connectivity:
-            self._conn = DynamicConnectivity(n, representation, **rep_kwargs)
-            self.rep = self._conn.rep
-        elif isinstance(representation, AdjacencyRepresentation):
+        if isinstance(representation, AdjacencyRepresentation):
             if representation.n != n:
                 raise GraphError("representation vertex count mismatch")
             self.rep = representation
         else:
             self.rep = make_representation(representation, n, **rep_kwargs)
+        self._conn = ConnectivityIndex.from_rep(self.rep) if track_connectivity else None
 
     # ------------------------------------------------------------------ #
 
@@ -121,30 +122,24 @@ class SlidingWindowGraph:
                 raise StreamError("ts must parallel src/dst")
         keep = src != dst
         batch = WindowBatch(self._tick, src[keep], dst[keep], ts[keep])
-
-        if self._conn is not None:
-            for u, v, t in zip(batch.src.tolist(), batch.dst.tolist(),
-                               batch.ts.tolist()):
-                self._conn.insert_edge(u, v, t)
-        else:
-            both_src = np.concatenate([batch.src, batch.dst])
-            both_dst = np.concatenate([batch.dst, batch.src])
-            both_ts = np.concatenate([batch.ts, batch.ts])
-            self.rep.bulk_insert(both_src, both_dst, both_ts)
         self._batches.append(batch)
+        expired = [self._batches.popleft() for _ in range(len(self._batches) - self.window)]
 
-        expired = 0
-        while len(self._batches) > self.window:
-            old = self._batches.popleft()
-            expired += old.size
-            if self._conn is not None:
-                for u, v in zip(old.src.tolist(), old.dst.tolist()):
-                    self._conn.delete_edge(u, v)
-            else:
-                for u, v in zip(old.src.tolist(), old.dst.tolist()):
-                    self.rep.delete(u, v)
-                    self.rep.delete(v, u)
-        return expired
+        # One update batch: this tick's inserts, then the expired deletes.
+        parts = [batch, *expired]
+        stream = UpdateStream(
+            self.n,
+            np.repeat(np.array([1] + [-1] * len(expired), dtype=np.int8),
+                      [b.size for b in parts]),
+            np.concatenate([b.src for b in parts]),
+            np.concatenate([b.dst for b in parts]),
+            np.concatenate([b.ts for b in parts]),
+        )
+        if self._conn is not None:
+            self._conn.apply_batch(stream)
+        else:
+            apply_stream(self.rep, stream, reset_stats=False)
+        return sum(b.size for b in expired)
 
     # ------------------------------------------------------------------ #
 
@@ -155,14 +150,12 @@ class SlidingWindowGraph:
         fresh spanning forest over the snapshot (O(n + m)).
         """
         if self._conn is not None:
-            return self._conn.connected(u, v)
-        from repro.core.connectivity import ConnectivityIndex
-
+            return self._conn.query(u, v)
         return ConnectivityIndex.from_csr(self.snapshot()).query(u, v)
 
     def n_components(self) -> int:
         if self._conn is not None:
-            return self._conn.n_components()
+            return self._conn.forest.n_trees()
         from repro.core.components import connected_components
 
         return connected_components(self.snapshot()).n_components

@@ -1,9 +1,9 @@
-"""``ConnectivityIndex.insert_batch`` must match sequential ``insert_edge``.
+"""``ConnectivityIndex.insert_batch`` must match sequential ``add_edge``.
 
 The fast path routes a whole edge batch through one union-find over root
 space; its contract is that the i-th batched union succeeds exactly when
-the i-th sequential ``insert_edge`` would have linked, so the resulting
-forest partitions (and the per-edge ``linked`` mask) are identical.
+the i-th sequential ``LinkCutForest.add_edge`` would have linked, so the
+resulting forest partitions (and the per-edge ``linked`` mask) are identical.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ def forest_labels(index: ConnectivityIndex) -> np.ndarray:
 def sequential_reference(index: ConnectivityIndex, us, vs) -> np.ndarray:
     linked = np.zeros(len(us), dtype=bool)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        linked[i] = index.insert_edge(u, v)
+        linked[i] = index.forest.add_edge(u, v)
     return linked
 
 

@@ -10,6 +10,7 @@ from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError
 from repro.generators.reference import path_graph
+from repro.generators.streams import UpdateStream
 
 
 class TestQueries:
@@ -61,46 +62,53 @@ class TestQueries:
             idx.construction_profile
 
 
+def updates(*rows):
+    """An update stream over 5 vertices from ``(op, u, v)`` rows."""
+    op, u, v = (np.array([r[i] for r in rows], dtype=np.int64) for i in range(3))
+    return UpdateStream(5, op.astype(np.int8), u, v, np.zeros(len(rows), dtype=np.int64))
+
+
 class TestMaintenance:
     def _line_index(self):
-        csr = build_csr(path_graph(5))
+        """An index over the path 0-1-2-3-4, its forest built from a snapshot."""
         rep = DynArrAdjacency(5)
         for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             rep.insert(u, v)
             rep.insert(v, u)
-        return ConnectivityIndex.from_csr(csr), rep
+        idx = ConnectivityIndex.from_rep(rep)
+        np.testing.assert_array_equal(
+            idx.forest.parent, ConnectivityIndex.from_csr(build_csr(path_graph(5))).forest.parent
+        )
+        return idx
 
     def test_insert_edge(self):
-        idx = ConnectivityIndex(LinkCutForest(4))
-        assert idx.insert_edge(0, 1)
+        idx = ConnectivityIndex.from_rep(DynArrAdjacency(5))
+        idx.apply_batch(updates((1, 0, 1), (1, 1, 0)))
         assert idx.query(0, 1)
-        assert not idx.insert_edge(0, 1)  # already connected
+        assert idx.stats.tree_links == 1  # the second copy is a non-tree edge
+        assert idx.rep.n_arcs == 4
 
     def test_delete_tree_edge_disconnects(self):
-        idx, rep = self._line_index()
-        rep.delete(2, 3)
-        rep.delete(3, 2)
-        assert idx.delete_edge(2, 3, rep)
+        idx = self._line_index()
+        idx.apply_batch(updates((-1, 2, 3)))
         assert not idx.query(0, 4)
         assert idx.query(0, 2) and idx.query(3, 4)
+        assert idx.stats.tree_cuts == 1 and idx.stats.replacements_found == 0
 
     def test_delete_nontree_edge_noop(self):
-        idx, rep = self._line_index()
-        # add a cycle edge 0-4 to the graph and the index
-        rep.insert(0, 4)
-        rep.insert(4, 0)
-        changed = idx.insert_edge(0, 4)
-        assert not changed  # it was a non-tree edge
-        assert not idx.delete_edge(0, 4, rep)
+        idx = self._line_index()
+        idx.apply_batch(updates((1, 0, 4)))  # a cycle edge: non-tree
+        assert idx.stats.tree_links == 0
+        before = idx.forest.parent.copy()
+        idx.apply_batch(updates((-1, 0, 4)))
+        np.testing.assert_array_equal(idx.forest.parent, before)
+        assert idx.stats.tree_cuts == 0
         assert idx.query(0, 4)
 
     def test_delete_with_replacement_keeps_connectivity(self):
-        idx, rep = self._line_index()
-        rep.insert(0, 4)
-        rep.insert(4, 0)
-        idx.insert_edge(0, 4)
-        # now delete tree edge (1,2); cycle provides a replacement
-        rep.delete(1, 2)
-        rep.delete(2, 1)
-        assert idx.delete_edge(1, 2, rep)
+        idx = self._line_index()
+        # the cycle edge 0-4 replaces the tree edge 1-2, in the same batch
+        idx.apply_batch(updates((1, 0, 4), (-1, 1, 2)))
         assert idx.query(0, 4) and idx.query(1, 2)
+        assert idx.stats.replacements_found == 1
+        idx.validate()

@@ -245,8 +245,10 @@ class TestDynamicMaintenance:
         child = 1 if f.parent_of(1) == 2 else 2
         rep.delete(1, 2)
         rep.delete(2, 1)
-        found = f.cut_with_replacement(child, rep)
-        assert found is not None
+        cut = f.cut_with_replacement(child, rep)
+        # A tie: the child's side, {0, 1} or {2, 3}, is searched.
+        assert child in cut.side and len(cut.side) == 2
+        assert cut.replacement in {(0, 3), (3, 0)}
         assert f.connected(1, 2)  # reconnected through 0-3
 
     def test_cut_with_replacement_none_when_bridge(self):
@@ -260,8 +262,42 @@ class TestDynamicMaintenance:
         child = 1 if f.parent_of(1) == 0 else 0
         rep.delete(0, 1)
         rep.delete(1, 0)
-        assert f.cut_with_replacement(child, rep) is None
+        assert f.cut_with_replacement(child, rep) == ([0], None)
         assert not f.connected(0, 1)
+
+    def test_cut_with_replacement_reads_only_the_smaller_side(self):
+        # A long path with one leaf off its middle vertex: cutting the leaf
+        # reads the leaf's arcs and nothing of the 2000-vertex side.
+        n = 2001
+        rep = DynArrAdjacency(n)
+        f = LinkCutForest(n)
+        f.parent[1:n - 1] = np.arange(n - 2)  # the path, rooted at 0
+        f.parent[n - 1] = 1000
+        for v in range(1, n):
+            rep.insert(v, int(f.parent[v]))
+            rep.insert(int(f.parent[v]), v)
+        rep.delete(1000, n - 1)
+        rep.delete(n - 1, 1000)
+        cut = f.cut_with_replacement(n - 1, rep)
+        assert cut == ([n - 1], None)
+        assert f.scan_arcs == 0  # the leaf has no arcs left; the path is never read
+
+    def test_cut_with_replacement_tie_searches_the_child_side(self):
+        # Two triangles joined by the tree edge 2-3, plus the cross edge 0-5:
+        # both sides have three vertices, so the child's side is searched.
+        rep = DynArrAdjacency(6)
+        f = LinkCutForest(6)
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]:
+            rep.insert(u, v)
+            rep.insert(v, u)
+            f.add_edge(u, v)
+        rep.delete(2, 3)
+        rep.delete(3, 2)
+        child = 2 if f.parent_of(2) == 3 else 3
+        cut = f.cut_with_replacement(child, rep)
+        assert child in cut.side and len(cut.side) == 3
+        assert cut.replacement in {(0, 5), (5, 0)}
+        assert f.connected(2, 3)
 
     def test_tree_vertices(self):
         f = LinkCutForest(5)

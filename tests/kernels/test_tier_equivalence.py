@@ -80,9 +80,9 @@ def test_insert_batch_tiers():
         assert sca.total_hops == vec.total_hops
         assert sca.profile.meta == vec.profile.meta
 
-        # insert_edge one edge at a time links exactly the same edges.
-        idx_one = ConnectivityIndex.from_csr(g)
-        one_by_one = [idx_one.insert_edge(int(u), int(v)) for u, v in zip(us, vs)]
+        # add_edge one edge at a time links exactly the same edges.
+        forest_one, _ = LinkCutForest.from_csr(g)
+        one_by_one = [forest_one.add_edge(int(u), int(v)) for u, v in zip(us, vs)]
         assert sca.linked.tolist() == one_by_one
 
 
