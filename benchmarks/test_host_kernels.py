@@ -1,7 +1,8 @@
-"""Gates: the shipped semisort and BFS commit against their sort-based oracles.
+"""Gates: the shipped semisort, BFS commit and query batch against the
+paths they replaced.
 
-Both sides of each ratio are the best of 15 rounds, timed here one after
-the other, and the shipped result must equal the oracle's.
+Both sides of each ratio are the best of several rounds, timed here one
+after the other, and the shipped result must equal the old path's.
 """
 
 from dataclasses import asdict
@@ -13,6 +14,7 @@ from repro.adjacency import bulkops
 from repro.adjacency.csr import build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.core.bfs import bfs
+from repro.core.linkcut import _QUERY_BLOCK, LinkCutForest, chase_roots
 from repro.core.update_engine import _arc_stream
 from repro.generators.parallel import iter_update_chunks
 from repro.generators.rmat import rmat_graph
@@ -80,3 +82,31 @@ def test_host_bfs():
 
 def test_host_timestamped_bfs():
     assert _gate_against_oracle(1.5, ts_range=(20, 80)).n_reached >= 1
+
+
+def _chased_batch(parent, us, vs):
+    """A query batch by root chase, block by block: the small-batch path."""
+    out, hops = np.empty(us.size, dtype=bool), 0
+    for lo in range(0, us.size, _QUERY_BLOCK):
+        (ru, hu), (rv, hv) = (chase_roots(parent, e[lo:lo + _QUERY_BLOCK]) for e in (us, vs))
+        np.equal(ru, rv, out=out[lo:lo + _QUERY_BLOCK])
+        hops += hu + hv
+    return out, hops
+
+
+def test_host_query_resolve():
+    """1 M pairs on a scale-16 forest: gathers from one resolve vs the chase."""
+    forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(16, 8, seed=77)))
+    us, vs = np.random.default_rng(77).integers(0, forest.n, size=(2, 1 << 20))
+    assert forest.resolves(us.size)
+
+    def resolved():
+        before = forest.hops
+        return forest.connected_batch(us, vs), forest.hops - before
+
+    want, got = _chased_batch(forest.parent, us, vs), resolved()
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    chase_s, _ = best_of(lambda: _chased_batch(forest.parent, us, vs), 7)
+    resolve_s, _ = best_of(resolved, 7)
+    ratio = chase_s / resolve_s
+    assert ratio >= 2.0, f"resolved batch only {ratio:.2f}x the chase (floor 2x)"

@@ -159,10 +159,13 @@ class ConnectivityIndex:
         The phase is read-only (no synchronisation), perfectly divisible
         (queries are independent), and entirely dependent random accesses —
         the linked-list-traversal behaviour the paper calls out as having
-        poor serial performance but excellent parallel scaling.
-        ``backend="process"`` chases the pointers from a worker pool over
-        the shared parent array (docs/PARALLEL.md); answers and hop counts
-        are identical to the serial batch.
+        poor serial performance but excellent parallel scaling.  A batch
+        with at least as many endpoints as the forest has vertices is
+        answered by gathers from one whole-forest resolve
+        (:meth:`LinkCutForest.connected_batch`); the profile still counts
+        each endpoint's depth, and ``connectivity.hops_chased`` the hops
+        actually walked.  Every backend answers in this process: a gather
+        costs less than shipping the parent array to workers.
         """
         from repro.parallel.backend import resolve_backend
 
@@ -173,15 +176,19 @@ class ConnectivityIndex:
         be, owned = resolve_backend(backend, workers=workers)
         try:
             with span(
-                "connectivity.query_batch", n_queries=int(us.size), backend=be.name
+                "connectivity.query_batch", n_queries=int(us.size), backend=be.name,
+                resolved=self.forest.resolves(us.size),
             ) as sp:
+                chased = self.forest.hops_chased
                 answers, hops = be.query_batch(self.forest, us, vs)
+                chased = self.forest.hops_chased - chased
                 sp.set(hops=int(hops))
         finally:
             if owned:
                 be.close()
         METRICS.inc("connectivity.queries", int(us.size))
         METRICS.inc("connectivity.hops", int(hops))
+        METRICS.inc("connectivity.hops_chased", chased)
         footprint = float(self.forest.memory_bytes())
         phase = Phase(
             name="findroot",
@@ -466,7 +473,7 @@ class ConnectivityIndex:
             raise GraphError("index holds no graph to audit; build it with from_rep")
         self.forest.validate()
         comps = connected_components(self.rep.to_csr())
-        roots = self.forest.findroot_batch(np.arange(self.n, dtype=np.int64))
+        roots = self.forest.resolve()[0]
         # Trees and components match iff root -> label is a bijection.
         pairs = np.unique(roots * self.n + comps.labels).size
         trees = np.unique(roots).size

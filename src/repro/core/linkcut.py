@@ -45,12 +45,13 @@ __all__ = ["LinkCutForest", "ConstructionRecord", "Cut", "chase_roots"]
 
 _NIL = -1
 
-#: Query pairs :meth:`LinkCutForest.connected_batch` chases at once, so a
-#: batch's temporaries stay a few blocks large (about 3 MiB) whatever its
-#: length.  Chasing a million pairs at once takes about 40 MiB per call, and
-#: whether glibc keeps those pages for the next call or hands them back to
-#: be faulted in again depends on what the process freed before (7 400
-#: faults and a quarter of the query time, in some processes and not others).
+#: Query pairs :meth:`LinkCutForest.connected_batch` chases or gathers at
+#: once, so a batch's temporaries stay a few blocks large (about 3 MiB)
+#: whatever its length.  Chasing a million pairs at once takes about 40 MiB
+#: per call, and whether glibc keeps those pages for the next call or hands
+#: them back to be faulted in again depends on what the process freed before
+#: (7 400 faults and a quarter of the query time, in some processes and not
+#: others).
 _QUERY_BLOCK = 1 << 16
 
 
@@ -58,10 +59,11 @@ def chase_roots(parent: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, i
     """Roots of ``vertices`` (a copy) and the pointer hops the chase took.
 
     The one batch root chase, behind :meth:`LinkCutForest.findroot_batch`
-    and the process backend's query workers: every unfinished chain advances
-    one hop per vector pass (:func:`_chase_passes`), as the simulated machine
-    runs the queries concurrently.  The hop total is the sum of the query
-    depths, what :meth:`LinkCutForest.findroot` counts query by query.
+    and the small batches of :meth:`LinkCutForest.connected_batch`: every
+    unfinished chain advances one hop per vector pass (:func:`_chase_passes`),
+    as the simulated machine runs the queries concurrently.  The hop total
+    is the sum of the query depths, what :meth:`LinkCutForest.findroot`
+    counts query by query.
     """
     v = np.array(vertices, dtype=np.int64)
     return v, sum(int(idx.size) for idx in _chase_passes(parent, v))
@@ -119,8 +121,12 @@ class LinkCutForest:
         self.n = int(n)
         self.parent = np.full(n, _NIL, dtype=np.int64)
         self.version = 0
-        #: findroot pointer hops since the last counter reset (profiles).
+        #: findroot pointer hops since the last counter reset (profiles):
+        #: each query endpoint counts its depth, however it was answered.
         self.hops = 0
+        #: pointer hops actually walked; below :attr:`hops` when a batch was
+        #: answered from one whole-forest :meth:`resolve`.
+        self.hops_chased = 0
         #: adjacency arcs read by :meth:`cut_with_replacement` searches.
         self.scan_arcs = 0
 
@@ -223,6 +229,7 @@ class LinkCutForest:
             v = int(parent[v])
             hops += 1
         self.hops += hops
+        self.hops_chased += hops
         return v
 
     def connected(self, u: int, v: int) -> bool:
@@ -241,34 +248,79 @@ class LinkCutForest:
             raise VertexError("vertex id out of range in findroot_batch")
         roots, hops = chase_roots(self.parent, v)
         self.hops += hops
+        self.hops_chased += hops
         return roots
 
+    def resolves(self, pairs: int) -> bool:
+        """Whether :meth:`connected_batch` answers ``pairs`` queries from one
+        :meth:`resolve`: when they have at least as many endpoints as the
+        forest has vertices, so resolving every vertex once walks no more
+        than chasing every endpoint would."""
+        return 2 * pairs >= self.n
+
     def connected_batch(self, us, vs) -> np.ndarray:
-        """Vectorised connectivity queries (bool array), chased
-        :data:`_QUERY_BLOCK` pairs at a time."""
+        """Vectorised connectivity queries (bool array).
+
+        A batch that :meth:`resolves` packs every vertex's root and depth
+        into one int64 (``root << shift | depth``) and answers each pair with
+        one gather per endpoint: equal roots, and the masked depths summed
+        are the hops the chase would have walked.  A smaller batch chases
+        its endpoints (:meth:`findroot_batch`).  Either way pairs go
+        :data:`_QUERY_BLOCK` at a time and :attr:`hops` advances by the
+        endpoints' depths.
+        """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape or us.ndim != 1:
             raise GraphError("query endpoint arrays must be 1-D and equal length")
         out = np.empty(us.size, dtype=bool)
+        if not self.resolves(us.size):
+            for lo in range(0, us.size, _QUERY_BLOCK):
+                hi = lo + _QUERY_BLOCK
+                np.equal(self.findroot_batch(us[lo:hi]), self.findroot_batch(vs[lo:hi]),
+                         out=out[lo:hi])
+            return out
+        packed, depth = self.resolve()
+        # Roots and depths are below n, so for n < 2**31 the pack fits in 62 bits.
+        shift = max(1, int(depth.max(initial=0)).bit_length())
+        packed <<= shift
+        packed |= depth
+        mask = (1 << shift) - 1
+        hops = 0
         for lo in range(0, us.size, _QUERY_BLOCK):
             hi = lo + _QUERY_BLOCK
-            np.equal(self.findroot_batch(us[lo:hi]), self.findroot_batch(vs[lo:hi]),
-                     out=out[lo:hi])
+            a, b = us[lo:hi], vs[lo:hi]
+            # One reduction per side: a negative id reads as a huge unsigned one.
+            if max(a.view(np.uint64).max(), b.view(np.uint64).max()) >= self.n:
+                raise VertexError("vertex id out of range in connected_batch")
+            a, b = packed[a], packed[b]
+            np.equal(a >> shift, b >> shift, out=out[lo:hi])
+            hops += int((a & mask).sum() + (b & mask).sum())
+        self.hops += hops
+        self.hops_chased += int(depth.sum())
         return out
 
-    def depths(self) -> np.ndarray:
-        """Depth of every vertex (roots at depth 0).
+    def resolve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Root and depth of every vertex, from one chase of all ``n``
+        (:func:`_chase_passes`).
 
-        Every unfinished chain advances one hop per vector pass
-        (:func:`_chase_passes`); pass count equals the maximum tree depth,
-        mirroring how the simulated machine would chase the pointers
-        concurrently.
+        The one whole-forest pass, behind :meth:`connected_batch`,
+        :meth:`depths`, :meth:`tree_vertices` and
+        :meth:`ConnectivityIndex.validate
+        <repro.core.connectivity.ConnectivityIndex.validate>`.  Every
+        unfinished chain advances one hop per vector pass; the pass count
+        is the maximum tree depth, mirroring how the simulated machine would
+        chase the pointers concurrently.  Counts no hops.
         """
+        roots = np.arange(self.n, dtype=np.int64)
         depth = np.zeros(self.n, dtype=np.int64)
-        for idx in _chase_passes(self.parent, np.arange(self.n, dtype=np.int64)):
-            depth[idx] += 1
-        return depth
+        for hop, idx in enumerate(_chase_passes(self.parent, roots), 1):
+            depth[idx] = hop
+        return roots, depth
+
+    def depths(self) -> np.ndarray:
+        """Depth of every vertex (roots at depth 0), from :meth:`resolve`."""
+        return self.resolve()[1]
 
     # ------------------------------------------------------------------ #
     # extensions: general edge insertion / deletion on the forest
@@ -283,6 +335,7 @@ class LinkCutForest:
             nxt = int(self.parent[cur])
             self.parent[cur] = prev
             self.hops += 1
+            self.hops_chased += 1
             prev = cur
             cur = nxt
         self.version += 1
@@ -380,9 +433,10 @@ class LinkCutForest:
         return walks[s], nbrs[s]
 
     def tree_vertices(self, v: int) -> np.ndarray:
-        """All vertices in ``v``'s tree (vectorised root comparison)."""
-        root = self.findroot(v)
-        return np.nonzero(self.findroot_batch(np.arange(self.n)) == root)[0]
+        """All vertices in ``v``'s tree (one :meth:`resolve`)."""
+        self._check(v)
+        roots = self.resolve()[0]
+        return np.flatnonzero(roots == roots[v])
 
     # ------------------------------------------------------------------ #
 

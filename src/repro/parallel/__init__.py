@@ -6,8 +6,9 @@ package *measures* real ones: a pool of worker processes
 (:mod:`~repro.parallel.pool`) operating over the CSR arrays through
 ``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`), with
 deterministic work partitioning (:mod:`~repro.parallel.partition`) and
-drivers for the hottest kernels — level-synchronous BFS, connected
-components by multi-round hooking, and batched connectivity queries.
+drivers for the hottest kernels — level-synchronous BFS and connected
+components by multi-round hooking.  Connectivity query batches stay in the
+parent on every backend (:meth:`ExecutionBackend.query_batch`).
 
 Every driver is bit-identical to its serial counterpart at any worker
 count; ``backend="process"`` is an execution policy, never a semantics
@@ -31,7 +32,6 @@ from repro.parallel.bfs import parallel_bfs, parallel_bfs_profile
 from repro.parallel.components import parallel_connected_components
 from repro.parallel.partition import range_chunks, vpart_owner, weighted_chunks
 from repro.parallel.pool import TaskSpec, WorkerPool, default_workers
-from repro.parallel.queries import parallel_query_batch
 from repro.parallel.shm import ArenaDescriptor, ArraySpec, ShmArena
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "parallel_bfs",
     "parallel_bfs_profile",
     "parallel_connected_components",
-    "parallel_query_batch",
     "WorkerPool",
     "TaskSpec",
     "default_workers",

@@ -31,7 +31,6 @@ from repro.errors import ParallelError
 from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
 from repro.parallel.pool import WorkerPool
-from repro.parallel.queries import parallel_query_batch
 
 if TYPE_CHECKING:  # import cycles: these modules import this one (or the pool)
     from repro.connectit.framework import ConnectItResult, ConnectItSpec
@@ -67,8 +66,15 @@ class ExecutionBackend:
     def query_batch(
         self, forest: LinkCutForest, us: np.ndarray, vs: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Connectivity answers plus the pointer-hop count of the batch."""
-        raise NotImplementedError
+        """Connectivity answers plus the pointer-hop count of the batch.
+
+        In this process on every backend: a large batch is gathers from one
+        whole-forest resolve (:meth:`LinkCutForest.connected_batch`), which
+        costs less than shipping the parent array to workers would.
+        """
+        before = forest.hops
+        answers = forest.connected_batch(us, vs)
+        return answers, forest.hops - before
 
     def connectit_components(self, graph: CSRGraph, spec: "ConnectItSpec") -> "ConnectItResult":
         """Sample-finish connectivity (:mod:`repro.connectit`): one driver,
@@ -121,14 +127,6 @@ class SerialBackend(ExecutionBackend):
         """Run the in-process Shiloach-Vishkin kernel."""
         return connected_components(graph, max_passes=max_passes)
 
-    def query_batch(
-        self, forest: LinkCutForest, us: np.ndarray, vs: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Serial batched findroots, hop-counted via the forest's counter."""
-        before = forest.hops
-        answers = forest.connected_batch(us, vs)
-        return answers, forest.hops - before
-
     def rmat_edges(
         self,
         scale: int,
@@ -179,12 +177,6 @@ class ProcessBackend(ExecutionBackend):
     ) -> ComponentsResult:
         """Run the shared-memory Shiloach-Vishkin driver on the pool."""
         return parallel_connected_components(graph, self.pool, max_passes=max_passes)
-
-    def query_batch(
-        self, forest: LinkCutForest, us: np.ndarray, vs: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Fan the query batch out over the worker pool."""
-        return parallel_query_batch(forest, us, vs, self.pool)
 
     def rmat_edges(
         self,

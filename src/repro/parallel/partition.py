@@ -8,7 +8,7 @@ pure, deterministic index arithmetic:
 
 * :func:`vpart_owner` — the Vpart ownership function, bit-compatible with
   :meth:`repro.adjacency.vpart.VPartAdjacency.owner`;
-* :func:`range_chunks` — contiguous equal-count ranges (edge/arc/query
+* :func:`range_chunks` — contiguous equal-count ranges (edge/arc
   partitioning, the Epart spirit: one hot vertex's arcs may span chunks);
 * :func:`weighted_chunks` — contiguous ranges balanced by a per-item weight
   (frontier vertices weighted by degree, so one high-degree vertex cannot

@@ -192,7 +192,6 @@ def _worker_main(
     import repro.generators.parallel  # noqa: F401
     import repro.parallel.bfs  # noqa: F401
     import repro.parallel.components  # noqa: F401
-    import repro.parallel.queries  # noqa: F401
 
     state: dict[str, Any] = {"task_id": None, "task": None, "busy_since": 0.0, "n_done": 0}
     hb_stop: Any = None

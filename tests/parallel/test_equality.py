@@ -24,8 +24,10 @@ from repro.generators.rmat import rmat_graph
 from repro.generators.reference import to_networkx
 from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
-from repro.parallel.queries import _queries_connected, parallel_query_batch
+from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
+from repro.obs import METRICS
+from repro.parallel.backend import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.parallel.pool import WorkerPool
 from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
@@ -121,35 +123,59 @@ def test_components_match_networkx(pool):
     assert par.n_components == expected
 
 
-def test_query_batch_identical(pool):
-    graph = rmat_graph(9, 8, seed=11)
-    csr = build_csr(graph)
-    forest, _ = LinkCutForest.from_csr(csr)
-    rng = np.random.default_rng(2)
-    us = rng.integers(0, csr.n, size=5000, dtype=np.int64)
-    vs = rng.integers(0, csr.n, size=5000, dtype=np.int64)
+def connectivity_counters():
+    snap = METRICS.snapshot()["counters"]
+    return {k: v for k, v in snap.items() if "connectivity." in k}
 
-    hops_before = forest.hops
-    serial = forest.connected_batch(us, vs)
-    serial_hops = forest.hops - hops_before
-    answers, hops = parallel_query_batch(forest, us, vs, pool)
-    np.testing.assert_array_equal(serial, answers)
-    assert hops == serial_hops
+
+def assert_process_queries_equal_serial(index, us, vs, be):
+    """``query_batch(backend=be)`` answers, counts hops and ticks the
+    ``connectivity.*`` counters as the serial batch does, and submits no
+    pool task."""
+    METRICS.reset()
+    serial = index.query_batch(us, vs)
+    want = connectivity_counters()
+    METRICS.reset()
+    got = index.query_batch(us, vs, backend=be)
+    np.testing.assert_array_equal(got.connected, serial.connected)
+    assert got.total_hops == serial.total_hops
+    assert connectivity_counters() == want
+    assert want["connectivity.queries"] == us.size
+    assert want["connectivity.hops"] == serial.total_hops
+    assert METRICS.counter("parallel.pool.tasks_dispatched").value == 0
+
+
+def test_query_batch_identical():
+    index = ConnectivityIndex.from_csr(build_csr(rmat_graph(9, 8, seed=11)))
+    rng = np.random.default_rng(2)
+    with ProcessBackend(2) as be:
+        be.pool.start()  # a running pool still gets no query task
+        for k in (5000, 100):  # resolved, chased
+            us, vs = rng.integers(0, index.n, size=(2, k))
+            assert index.forest.resolves(k) == (k == 5000)
+            assert_process_queries_equal_serial(index, us, vs, be)
 
 
 def test_query_task_matches_the_serial_batch():
-    # The worker side of the contract, in process: one task over a slice
-    # answers and counts what the serial batch does for those pairs.
+    # Both backends answer query batches in this process through the one
+    # ExecutionBackend.query_batch: neither overrides it, and a slice of a
+    # batch answers and counts what the forest's own batch does.
+    assert SerialBackend.query_batch is ExecutionBackend.query_batch
+    assert ProcessBackend.query_batch is ExecutionBackend.query_batch
     forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
     ends = np.arange(forest.n, dtype=np.int64)
-    views = {"parent": forest.parent, "us": ends, "vs": ends[::-1].copy()}
+    us, vs = ends, ends[::-1].copy()
     lo, hi = 5, forest.n - 3
-    out = _queries_connected(views, {"lo": lo, "hi": hi})
     before = forest.hops
-    np.testing.assert_array_equal(
-        out["connected"], forest.connected_batch(views["us"][lo:hi], views["vs"][lo:hi])
-    )
-    assert out["hops"] == forest.hops - before
+    want = forest.connected_batch(us[lo:hi], vs[lo:hi])
+    want_hops = forest.hops - before
+    METRICS.reset()
+    with ProcessBackend(2) as be:
+        answers, hops = be.query_batch(forest, us[lo:hi], vs[lo:hi])
+        assert not be.pool._started
+    np.testing.assert_array_equal(answers, want)
+    assert hops == want_hops
+    assert METRICS.counter("parallel.pool.tasks_dispatched").value == 0
 
 
 @settings(max_examples=25, deadline=None)

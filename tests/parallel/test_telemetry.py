@@ -11,8 +11,8 @@ from repro.errors import WorkerCrashError
 from repro.generators.rmat import rmat_graph
 from repro.obs import METRICS
 from repro.obs.prof import disable_memory_profiling, enable_memory_profiling
+from repro.parallel.backend import ProcessBackend
 from repro.parallel.pool import TaskSpec, WorkerPool
-from repro.parallel.queries import parallel_query_batch
 
 MB = 1 << 20
 
@@ -108,10 +108,11 @@ class TestWorkerMemory:
 
 
 class TestSerialEqualityContract:
-    def test_worker_connectivity_counters_equal_serial(self, pool):
-        # The acceptance contract: for a deterministic kernel, the
-        # ``workers.`` rollup of a process-backend run equals the counters
-        # the serial backend ticks for the identical batch.
+    def test_worker_connectivity_counters_equal_serial(self):
+        # The acceptance contract: a process-backend query batch ticks the
+        # same ``connectivity.*`` counters as the serial batch, and all of
+        # them in the parent — it sends the pool no task, so no worker
+        # counter and no ``workers.`` rollup appears.
         csr = build_csr(rmat_graph(9, 6, seed=5))
         index = ConnectivityIndex.from_csr(csr)
         rng = np.random.default_rng(11)
@@ -122,16 +123,22 @@ class TestSerialEqualityContract:
         serial = index.query_batch(us, vs)
         serial_hops = METRICS.counter("connectivity.hops").value
         serial_queries = METRICS.counter("connectivity.queries").value
+        serial_chased = METRICS.counter("connectivity.hops_chased").value
         assert serial_queries == 3000 and serial_hops > 0
+        # Resolved: the 512 vertices' depths walked once, fewer than the
+        # depths of the 6 000 endpoints the batch counts.
+        assert 0 < serial_chased < serial_hops
 
         METRICS.reset()
-        connected, hops = parallel_query_batch(index.forest, us, vs, pool)
+        with ProcessBackend(2) as be:
+            be.pool.start()
+            par = index.query_batch(us, vs, backend=be)
         snap = METRICS.snapshot()["counters"]
-        assert np.array_equal(connected, serial.connected)
-        assert hops == serial_hops
-        assert snap["workers.connectivity.hops"] == serial_hops
-        assert snap["workers.connectivity.queries"] == serial_queries
-        assert (
-            snap["worker0.connectivity.hops"] + snap["worker1.connectivity.hops"]
-            == serial_hops
-        )
+        assert np.array_equal(par.connected, serial.connected)
+        assert par.total_hops == serial_hops
+        assert snap["connectivity.hops"] == serial_hops
+        assert snap["connectivity.queries"] == serial_queries
+        assert snap["connectivity.hops_chased"] == serial_chased
+        assert not any(k.startswith("worker") and v for k, v in snap.items()
+                       if "connectivity." in k)
+        assert snap["parallel.pool.tasks_dispatched"] == 0
