@@ -1,5 +1,5 @@
-"""Gates: the shipped semisort, BFS commit and query batch against the
-paths they replaced.
+"""Gates: the shipped semisort, BFS commit, components hook and query batch
+against the paths they replaced.
 
 Both sides of each ratio are the best of several rounds, timed here one
 after the other, and the shipped result must equal the old path's.
@@ -14,6 +14,7 @@ from repro.adjacency import bulkops
 from repro.adjacency.csr import build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.core.bfs import bfs
+from repro.core.components import connected_components, hook_and_jump, hook_min_labels
 from repro.core.linkcut import _QUERY_BLOCK, LinkCutForest, chase_roots
 from repro.core.update_engine import _arc_stream
 from repro.generators.parallel import iter_update_chunks
@@ -110,3 +111,26 @@ def test_host_query_resolve():
     resolve_s, _ = best_of(resolved, 7)
     ratio = chase_s / resolve_s
     assert ratio >= 2.0, f"resolved batch only {ratio:.2f}x the chase (floor 2x)"
+
+
+def _scatter_components(graph):
+    """The pass loop over the two-sided ``minimum.at`` sweep the segmented
+    hook replaced: the oracle."""
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
+    return hook_and_jump(
+        graph.n, lambda prev: hook_min_labels(prev, src, graph.targets), graph.n_arcs, None
+    )
+
+
+def test_host_components_hook():
+    """Scale-16 symmetric snapshot: the segmented-minimum hook vs the scatter."""
+    graph = build_csr(rmat_graph(16, 8, seed=77))
+    assert graph.symmetric
+    res = connected_components(graph)
+    labels, passes, jumps, arcs = _scatter_components(graph)
+    assert np.array_equal(res.labels, labels)
+    assert (res.n_passes, res.jump_rounds, res.arcs_processed) == (passes, jumps, arcs)
+    scatter_s, _ = best_of(lambda: _scatter_components(graph), 7)
+    shipped_s, _ = best_of(lambda: connected_components(graph), 7)
+    ratio = scatter_s / shipped_s
+    assert ratio >= 2.0, f"components only {ratio:.2f}x the minimum.at sweep (floor 2x)"

@@ -193,6 +193,12 @@ class AdjacencyRepresentation(abc.ABC):
         self.stats.searches += 1
         return int(np.count_nonzero(self.neighbors(u) == v))
 
+    def _targets_unordered(self, u: int) -> np.ndarray:
+        """Targets of ``u``'s live arcs as a multiset, in whatever order is
+        cheapest to read (a structure that pays for :meth:`neighbors`' order
+        overrides this)."""
+        return self.neighbors(u)
+
     @property
     def n_arcs(self) -> int:
         """Live arcs currently stored."""

@@ -117,6 +117,9 @@ class BatchedAdjacency(AdjacencyRepresentation):
     def neighbors_with_ts(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         return self.inner.neighbors_with_ts(u)
 
+    def _targets_unordered(self, u: int) -> np.ndarray:
+        return self.inner._targets_unordered(u)
+
     def has_arc(self, u: int, v: int) -> bool:
         return self.inner.has_arc(u, v)
 

@@ -202,6 +202,12 @@ class HybridAdjacency(AdjacencyRepresentation):
             return self.arr.neighbors_with_ts(u)
         return self.treap.neighbors_with_ts(u)
 
+    def _targets_unordered(self, u: int) -> np.ndarray:
+        self.check_vertex(u)
+        if self.mode[u] == _MODE_ARRAY:
+            return self.arr.neighbors(u)
+        return self.treap._targets_unordered(u)
+
     def has_arc(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)

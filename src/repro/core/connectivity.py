@@ -539,7 +539,7 @@ class _GraphAt:
     def neighbors(self, x: int) -> np.ndarray:
         nb = self._read.get(x)
         if nb is None:
-            nb = self._read[x] = self.rep.neighbors(x)
+            nb = self._read[x] = self.rep._targets_unordered(x)
         mine = self._updates(x)
         if mine.start == mine.stop:
             return nb

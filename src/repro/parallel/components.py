@@ -3,18 +3,21 @@
 Each pass of the serial kernel (:func:`repro.core.components
 .connected_components`) hooks every vertex's label to the minimum label
 among its neighbours and then pointer-jumps all chains.  The hook is a
-concurrent-min over arcs — associative and commutative — so it partitions
-cleanly: the arc array is split into contiguous ranges, each worker computes
-its range's min-label proposals against the shared ``labels`` snapshot, and
-the parent folds the proposals together with ``np.minimum.at``.  A min of
-mins over a partition of the arcs equals the min over all arcs, so the
-merged labels are bit-identical to the serial pass at every worker count;
-pointer jumping (O(n), cheap, and already vectorised) stays in the parent.
+minimum over arcs — associative and commutative — so it partitions
+cleanly: the arc array is split into contiguous ranges and each worker runs
+the serial sweep's one body, :func:`~repro.core.components.hook_rows`, on
+its range against the shared ``labels`` snapshot.  A range proposes minima
+for the rows it owns (plus, on a CSR not stamped symmetric, for its arcs'
+targets); a row split at a chunk edge gets a proposal from each side, and
+the parent folds all proposals with ``np.minimum.at``.  A min of mins over
+a partition of the arcs equals the min over all arcs, so the merged labels
+are bit-identical to the serial pass at every worker count; pointer jumping
+(O(n), cheap, and already vectorised) stays in the parent.
 
-The arcs are not shipped: ``dst`` is a slice of the pool's resident
-``targets`` and each range's ``src`` is rebuilt from the resident
-``offsets`` (:meth:`~repro.parallel.pool.WorkerPool.resident`); the only
-per-call shared state is the ``labels`` snapshot of the current pass.
+The arcs are not shipped: each range's targets are a slice of the pool's
+resident ``targets`` and its row runs come from the resident ``offsets``
+(:meth:`~repro.parallel.pool.WorkerPool.resident`); the only per-call
+shared state is the ``labels`` snapshot of the current pass.
 
 Workers return only the entries their range actually improved — for a
 small-world graph the proposal set shrinks geometrically with the pass
@@ -26,7 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.components import ComponentsResult, hook_and_jump, hook_min_labels
+from repro.core.components import (
+    ComponentsResult,
+    component_roots,
+    hook_and_jump,
+    hook_rows,
+    row_runs,
+)
 from repro.obs import METRICS, span
 from repro.parallel.partition import range_chunks
 from repro.parallel.pool import TaskSpec, WorkerPool, task
@@ -39,21 +48,13 @@ __all__ = ["parallel_connected_components"]
 def _components_hook(views: dict, payload: dict) -> dict:
     """One arc range's min-label proposals (worker side)."""
     lo, hi = payload["lo"], payload["hi"]
-    # The range's sources from the resident ``offsets``: vertices first..last-1
-    # own arcs lo..hi-1, the two end vertices possibly only in part.
-    offsets = views["offsets"]
-    first = int(np.searchsorted(offsets, lo, side="right")) - 1
-    last = int(np.searchsorted(offsets, hi, side="left"))
-    owned = np.diff(np.clip(offsets[first : last + 1], lo, hi))
-    src = np.repeat(np.arange(first, last, dtype=np.int64), owned)
+    rows, starts = row_runs(views["offsets"], lo, hi)
     dst = views["targets"][lo:hi]
-    prev = views["labels"]
-    local = hook_min_labels(prev, src, dst)
-    changed = np.nonzero(local != prev)[0]
+    idx, val = hook_rows(views["labels"], rows, starts, dst, payload["symmetric"])
     return {
-        "idx": np.ascontiguousarray(changed),
-        "val": np.ascontiguousarray(local[changed]),
-        "fragment": {"arcs": int(hi - lo), "proposals": int(changed.size)},
+        "idx": idx,
+        "val": val,
+        "fragment": {"arcs": int(hi - lo), "proposals": int(idx.size)},
     }
 
 
@@ -78,7 +79,11 @@ def parallel_connected_components(
         arenas = (resident, arena.descriptor)
         shared_labels = arena.view("labels")
         tasks = [
-            TaskSpec("components.hook", {"lo": lo, "hi": hi}, arenas=arenas)
+            TaskSpec(
+                "components.hook",
+                {"lo": lo, "hi": hi, "symmetric": graph.symmetric},
+                arenas=arenas,
+            )
             for lo, hi in range_chunks(n_arcs, pool.workers)
         ]
 
@@ -94,7 +99,7 @@ def parallel_connected_components(
 
         with span("parallel.components", n=n, arcs=n_arcs, workers=pool.workers) as sp:
             labels, passes, jumps, arcs_processed = hook_and_jump(n, pool_hook, n_arcs, max_passes)
-            sp.set(passes=passes, components=int(np.unique(labels).size))
+            sp.set(passes=passes, components=int(component_roots(labels).size))
     METRICS.inc("parallel.components_runs")
     return ComponentsResult(
         labels,

@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.api import DynamicGraph
 from repro.core.bfs import bfs
-from repro.core.components import connected_components
+from repro.core.components import component_roots, component_sizes, connected_components
 from repro.errors import GraphError, WorkerCrashError
 from repro.obs import METRICS, bind, current_collector, span
 from repro.obs.expose import telemetry_response
@@ -195,10 +195,8 @@ class GraphService:
     def _q_components(self, full: bool) -> dict:
         with self._pinned() as epoch:
             labels = self._labels(epoch)
-            roots, counts = (
-                np.unique(labels, return_counts=True)
-                if labels.size else (np.empty(0, np.int64), np.empty(0, np.int64))
-            )
+            roots = component_roots(labels)
+            counts = component_sizes(labels, roots)
             i = int(np.argmax(counts)) if counts.size else -1
             out = {
                 "n": epoch.snapshot.n,

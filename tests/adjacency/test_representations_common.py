@@ -69,6 +69,8 @@ def assert_agree(rep, model):
     for u in range(rep.n):
         assert rep.degree(u) == model.degree(u), f"degree mismatch at {u}"
         assert sorted(rep.neighbors(u).tolist()) == model.neighbors(u)
+        unordered = rep._targets_unordered(u)  # what a cut's search reads
+        assert unordered.dtype == np.int64 and sorted(unordered.tolist()) == model.neighbors(u)
         copies = [rep.multiplicity(u, v) for v in range(rep.n)]
         assert copies == [model.adj[u][v] for v in range(rep.n)], f"copies at {u}"
 

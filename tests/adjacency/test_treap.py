@@ -238,6 +238,8 @@ class TestExport:
         assert_export_matches_walk(t)
         assert sorted(t.to_arrays()[2].tolist()) == list(range(depth))
         assert check_treap_depth(t, 0) == depth
+        assert t._targets_unordered(0).tolist() == [1] * depth
+        assert t._targets_unordered(1).tolist() == []
         for _ in range(depth):
             assert t.delete(0, 1)
         assert t.n_arcs == 0 and t.root[0] == _NIL

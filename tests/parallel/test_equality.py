@@ -20,6 +20,7 @@ from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.core.update_engine import construct
+from repro.edgelist import EdgeList
 from repro.generators.rmat import rmat_graph
 from repro.generators.reference import to_networkx
 from repro.parallel.bfs import parallel_bfs
@@ -28,6 +29,7 @@ from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
 from repro.obs import METRICS
 from repro.parallel.backend import ExecutionBackend, ProcessBackend, SerialBackend
+from repro.parallel.partition import range_chunks
 from repro.parallel.pool import WorkerPool
 from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
@@ -121,6 +123,40 @@ def test_components_match_networkx(pool):
     # to_networkx keeps all n nodes, so isolated vertices count as components
     expected = nx.number_connected_components(to_networkx(graph))
     assert par.n_components == expected
+
+
+def hub_split_graphs():
+    """A hub (vertex 5) whose row is 0, the leaves 6..39, then 3; the edge
+    40-41; the rest isolated.  Stamped symmetric and not."""
+    leaves = np.arange(6, 40)
+    src = np.concatenate([[5], np.full(leaves.size, 5), [5, 40]])
+    dst = np.concatenate([[0], leaves, [3, 41]])
+    stamped = build_csr(EdgeList(43, src, dst))
+    unstamped = csr_from_arrays(43, np.concatenate([src, dst]), np.concatenate([dst, src]))
+    return stamped, unstamped
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_components_hub_row_split_across_chunks(workers, pool):
+    # At 2 and 3 workers a chunk edge falls inside the hub's row: the hub
+    # gets 0 from the first chunk and 3 from the last, and only the
+    # parent's min keeps 0 (keeping 3 takes an extra pass).
+    for csr in hub_split_graphs():
+        hub_lo, hub_hi = int(csr.offsets[5]), int(csr.offsets[6])
+        assert csr.targets[hub_lo] == 0 and csr.targets[hub_hi - 1] == 3
+        chunks = range_chunks(csr.n_arcs, workers)
+        assert len(chunks) == workers
+        assert any(hub_lo < lo < hub_hi for lo, _ in chunks[1:]) == (workers > 1)
+        serial = connected_components(csr)
+        shared = workers == pool.workers  # the session pool must outlive this test
+        with nullcontext(pool) if shared else WorkerPool(workers, timeout=120.0) as p:
+            par = parallel_connected_components(csr, p)
+        np.testing.assert_array_equal(par.labels, serial.labels)
+        assert par.labels.dtype == serial.labels.dtype
+        assert (par.n_passes, par.jump_rounds, par.arcs_processed) == (
+            serial.n_passes, serial.jump_rounds, serial.arcs_processed)
+        assert par.roots().tolist() == [0, 1, 2, 4, 40, 42]
+        assert len(par.meta["partitions"]) == par.n_passes
 
 
 def connectivity_counters():
