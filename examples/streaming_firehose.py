@@ -13,18 +13,14 @@ traffic" — as a runnable pipeline:
   connectivity index (link-cut forest) stays current;
 * after every batch the monitor answers connectivity questions about
   watched entity pairs and reports component structure;
-* the whole run is *live-instrumented*: per-batch metrics feed the
-  background :class:`~repro.obs.live.TelemetryCollector`, and with
-  ``--serve`` an OpenMetrics endpoint stays up for the duration — point
-  ``python -m repro obs scrape <url> --check`` (or a real Prometheus
-  agent) at it while the firehose runs.
+* every batch ticks the process-wide :data:`repro.obs.METRICS` registry
+  (counters, gauges, a latency histogram), and the run's summary is read
+  straight back from it.
 
-Run:  python examples/streaming_firehose.py [--serve]
+Run:  python examples/streaming_firehose.py
 """
 
 from __future__ import annotations
-
-import sys
 
 from repro import obs
 from repro.core.window import SlidingWindowGraph
@@ -39,9 +35,7 @@ TICKS = 24
 WATCHED = [(0, 1), (2, 3), (10, 500)]
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    serve = "--serve" in argv
+def main() -> None:
     n = 1 << SCALE
     rng = make_rng(99)
     monitor = SlidingWindowGraph(
@@ -49,16 +43,7 @@ def main(argv: list[str] | None = None) -> None:
         track_connectivity=True, seed=1,
     )
 
-    # Live telemetry: the collector scrapes the metrics the loop below
-    # ticks into windowed time series (rates, p50/p99) as the run goes.
     obs.METRICS.reset()
-    collector = obs.enable_live_telemetry(interval=0.25)
-    server = None
-    if serve:
-        server = obs.TelemetryServer(collector=collector)
-        print(f"live metrics: {server.url}/metrics  (scrape with "
-              f"python -m repro obs scrape {server.url} --check)")
-
     print(f"monitoring {n} entities, window = {WINDOW} ticks x {BATCH} interactions")
     print(f"{'tick':>5} {'edges':>8} {'comps':>6} {'expired':>8} {'mem MB':>7} "
           + " ".join(f"{u}~{v}" for u, v in WATCHED))
@@ -85,17 +70,13 @@ def main(argv: list[str] | None = None) -> None:
             )
 
     monitor.validate()
-    collector.tick()  # final scrape so the summary below sees every batch
-    batch_roll = collector.store.rollup("firehose.batches")
+    counters = obs.METRICS.snapshot()["counters"]
     lat = obs.METRICS.histogram("firehose.batch_seconds")
-    print(f"\nlive telemetry: {len(collector.store)} series, "
-          f"{collector.n_ticks} scrapes; batch rate p50 "
-          f"{batch_roll.get('p50', 0.0):.1f}/s; batch latency p50 "
+    print(f"\nmetrics: {counters['firehose.batches']} batches, "
+          f"{counters['firehose.interactions']} interactions, "
+          f"{counters['firehose.expired']} expired; batch rate "
+          f"{lat.count / total.elapsed:.1f}/s; batch latency p50 "
           f"{1e3 * lat.quantile(0.5):.0f}ms p99 {1e3 * lat.quantile(0.99):.0f}ms")
-    if server is not None:
-        print(f"served {server.n_scrapes} scrape(s)")
-        server.close()
-    obs.disable_live_telemetry()
     assert monitor.n_edges == WINDOW * BATCH
     print(f"\nsteady state: {monitor.n_edges} live edges "
           f"({monitor.rep.n_treap_vertices()} hot vertices in treaps); "

@@ -25,17 +25,13 @@ Commands:
   for ``chrome://tracing``, speedscope and flamegraph tools; ``--memprof``
   turns on per-span memory accounting; ``--quiet`` and ``--no-manifest``
   trim the output/provenance for scripted runs;
-* ``obs`` — the live telemetry runtime (docs/OBSERVABILITY.md):
-  ``obs serve`` runs a workload with the background collector on and an
-  OpenMetrics endpoint up, ``obs scrape`` fetches (and with ``--check``
-  structurally validates) a payload from a running endpoint, ``obs top``
-  renders the collector's windowed rollups as a terminal table;
 * ``serve`` — the streaming connectivity service (docs/SERVICE.md): boot
   an HTTP query front end over epoch-rotated CSR snapshots while a writer
   thread drains an R-MAT update stream into the dynamic structure.
   ``--backend process --workers N`` shards ``/components`` across worker
-  processes; ``--duration`` holds the server up for scrapes and external
-  query drivers; ``--report`` writes a JSON latency/throughput summary.
+  processes; ``--duration`` holds the server up for ``/metrics`` scrapes
+  and external query drivers; ``--report`` writes a JSON
+  latency/throughput summary.
 
 The figure reproductions live under ``python -m repro.experiments``.
 """
@@ -392,52 +388,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metrics_url(base: str) -> str:
-    """Normalise ``obs scrape``/``top`` targets to concrete endpoints."""
-    base = base.rstrip("/")
-    return base if base.endswith(("/metrics", "/metrics.json")) else base + "/metrics"
-
-
-def cmd_obs_serve(args: argparse.Namespace) -> int:
-    """Run a workload with the live collector on and an HTTP endpoint up.
-
-    The workload repeats until ``--duration`` elapses (0 = one round), so
-    an external scraper — CI, ``repro obs scrape``, a Prometheus agent —
-    has a live process to poll.  ``--url-file`` publishes the bound URL
-    (useful with ``--port 0``) once the server is accepting requests.
-    """
-    import time as time_mod
-
-    from repro import obs
-
-    obs.METRICS.reset()
-    collector = obs.enable_live_telemetry(interval=args.interval)
-    server = obs.TelemetryServer(collector=collector, host=args.host, port=args.port)
-    if args.url_file:
-        Path(args.url_file).write_text(server.url + "\n")
-    _say(args, f"serving live telemetry on {server.url} "
-               f"(collector interval {args.interval}s)")
-    backend = _resolve_trace_backend(args)
-    deadline = time_mod.monotonic() + args.duration
-    rounds = 0
-    try:
-        while True:
-            _trace_workload(args, backend)
-            rounds += 1
-            obs.METRICS.inc("obs.serve.workload_rounds")
-            if time_mod.monotonic() >= deadline:
-                break
-    finally:
-        backend.close()
-        collector.tick()  # final scrape so short runs still fill windows
-        _say(args, f"ran {rounds} workload round(s); "
-                   f"served {server.n_scrapes} scrape(s); "
-                   f"{len(collector.store)} series collected")
-        server.close()
-        obs.disable_live_telemetry()
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the streaming connectivity service over an R-MAT update stream.
 
@@ -445,8 +395,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     .iter_update_chunks` batches through the service's writer while the
     asyncio front end answers queries from pinned epochs.  The server stays
     up until the stream is drained *and* ``--duration`` has elapsed, so an
-    external driver (CI's ``tools/check_service.py``, ``repro obs scrape``)
-    has a live endpoint to hit.  ``--url-file`` publishes the bound URL;
+    external driver (CI's ``tools/check_service.py``, a ``/metrics``
+    scraper) has a live endpoint to hit.  ``--url-file`` publishes the bound URL;
     ``--report`` writes a JSON summary (stats + query-latency quantiles).
     """
     import json
@@ -460,7 +410,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     obs.METRICS.reset()
     obs.EXEMPLARS.clear()
-    collector = obs.enable_live_telemetry(interval=args.interval)
     n = 1 << args.scale
     graph = DynamicGraph(n, representation=args.representation)
     router = (
@@ -481,12 +430,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         rotate_min_interval=args.rotate_interval,
         reqtrace=tracer if tracer is not None else False,
     )
-    # SLO burn-rate alerts ride the collector's watchdog channel, next to
-    # the worker-health alerts (when the process backend has a pool).
-    watchdog = obs.Watchdog(router.pool if router is not None else None)
-    watchdog.attach_slo(service.slo_query)
-    watchdog.attach_slo(service.slo_update)
-    collector.attach_watchdog(watchdog)
     handle = service.start_background(host=args.host, port=args.port)
     if args.url_file:
         Path(args.url_file).write_text(handle.url + "\n")
@@ -520,7 +463,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         _say(args, "interrupted; shutting down")
     finally:
-        collector.tick()
         stats = service._q_stats()
         lat = obs.METRICS.histogram("service.query.seconds")
         report = {
@@ -534,8 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "p50": lat.quantile(0.50),
                 "p99": lat.quantile(0.99),
             },
-            "slo": service._q_slo()["slos"],
-            "alerts": list(watchdog.alerts),
             "reqtrace": {
                 "config": tracer.config() if tracer is not None else None,
                 "slow_captured": len(tracer.slow()) if tracer is not None else 0,
@@ -546,7 +486,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
             _say(args, f"wrote service report -> {args.report}")
         handle.close()
-        obs.disable_live_telemetry()
         _say(args, f"applied {stats['updates_applied']} updates in "
                    f"{stats['batches_applied']} batch(es) across "
                    f"{stats['epochs_published']} epoch(s); "
@@ -555,91 +494,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: update feeder failed: {feeder_error[0]!r}")
         return 1
     return 0
-
-
-def _fetch(url: str, timeout: float) -> str | None:
-    """GET ``url`` as text; on failure print the ``error:`` line and return None."""
-    import urllib.request
-
-    try:
-        return urllib.request.urlopen(url, timeout=timeout).read().decode()
-    except (OSError, ValueError) as exc:  # URLError is an OSError
-        print(f"error: fetch of {url} failed: {exc}")
-        return None
-
-
-def cmd_obs_scrape(args: argparse.Namespace) -> int:
-    """One-shot scrape of a running endpoint; optionally validate/save it."""
-    from repro.obs.expose import validate_openmetrics
-
-    body = _fetch(_metrics_url(args.url), args.timeout)
-    if body is None:
-        return 2
-    if args.out:
-        Path(args.out).write_text(body)
-        _say(args, f"wrote {len(body)} bytes -> {args.out}")
-    else:
-        print(body, end="")
-    if args.check:
-        try:
-            stats = validate_openmetrics(body)
-        except ValueError as exc:
-            print(f"error: invalid OpenMetrics payload: {exc}")
-            return 1
-        _say(args, f"payload valid: {stats['n_families']} families, "
-                   f"{stats['n_samples']} samples")
-    return 0
-
-
-def cmd_obs_top(args: argparse.Namespace) -> int:
-    """Render a running collector's windowed rollups as a terminal table."""
-    import json
-
-    from repro.obs.expose import format_rollups
-
-    body = _fetch(args.url.rstrip("/") + "/metrics.json", args.timeout)
-    if body is None:
-        return 2
-    print(format_rollups(json.loads(body).get("rollups", {}), top=args.top))
-    return 0
-
-
-def cmd_obs_slo(args: argparse.Namespace) -> int:
-    """Render a running service's SLO burn-rate state from ``GET /slo``."""
-    import json
-
-    body = _fetch(args.url.rstrip("/") + "/slo", args.timeout)
-    if body is None:
-        return 2
-    payload = json.loads(body)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    any_breach = False
-    for name in sorted(payload.get("slos", {})):
-        state = payload["slos"][name]
-        windows = "/".join(f"{w:g}s" for w in state.get("windows_seconds", []))
-        print(f"{name}  windows={windows}  "
-              f"burn-threshold={state.get('burn_threshold')}")
-        for kind in sorted(state.get("objectives", {})):
-            obj = state["objectives"][kind]
-            rates = " ".join(
-                f"{w}={obj['burn_rates'][w]:.2f}"
-                for w in sorted(obj.get("burn_rates", {}))
-            )
-            flag = "BREACHING" if obj.get("breaching") else "ok"
-            any_breach = any_breach or bool(obj.get("breaching"))
-            line = f"  {kind:<12} objective={obj.get('objective')}"
-            if obj.get("threshold_seconds") is not None:
-                line += f" threshold={obj['threshold_seconds']:g}s"
-            print(f"{line}  burn[{rates}]  {flag}")
-        totals = state.get("totals", {})
-        print(f"  totals: {totals.get('events', 0)} events "
-              f"({totals.get('errors', 0)} errors, {totals.get('slow', 0)} slow); "
-              f"{state.get('n_alerts', 0)} alert(s)")
-        for alert in state.get("alerts", []):
-            print(f"  alert: {alert.get('kind')} burn={alert.get('burn_rates')}")
-    return 1 if args.fail_on_breach and any_breach else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,71 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "obs", help="live telemetry: serve/scrape/inspect OpenMetrics endpoints"
-    )
-    obs_sub = p.add_subparsers(dest="obs_command", required=True)
-
-    sp = obs_sub.add_parser(
-        "serve", help="run a workload with the collector on and /metrics up"
-    )
-    sp.add_argument("workload", nargs="?", default="quickstart",
-                    choices=["quickstart", "updates", "bfs", "connectivity",
-                             "components", "connectit"])
-    sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=0,
-                    help="TCP port (default 0 = ephemeral; see --url-file)")
-    sp.add_argument("--url-file", default=None, metavar="PATH",
-                    help="write the bound base URL here once serving")
-    sp.add_argument("--interval", type=float, default=0.25,
-                    help="collector scrape interval in seconds (default: 0.25)")
-    sp.add_argument("--duration", type=float, default=0.0,
-                    help="keep repeating the workload for this many seconds "
-                         "(default: 0 = a single round)")
-    sp.add_argument("--scale", type=int, default=11, help="n = 2^scale")
-    sp.add_argument("--edge-factor", type=int, default=8)
-    sp.add_argument("--updates", type=int, default=2000)
-    sp.add_argument("--queries", type=int, default=10_000)
-    sp.add_argument("--representation", default="hybrid", choices=representations)
-    sp.add_argument("--machine", default="t2", choices=machines)
-    sp.add_argument("--backend", default="serial", choices=["serial", "process"])
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--quiet", "-q", action="store_true")
-    sp.set_defaults(fn=cmd_obs_serve)
-
-    sp = obs_sub.add_parser(
-        "scrape", help="fetch one OpenMetrics payload from a running endpoint"
-    )
-    sp.add_argument("url", help="endpoint base URL (or .../metrics)")
-    sp.add_argument("--check", action="store_true",
-                    help="structurally validate the payload (exit 1 if invalid)")
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the payload here instead of stdout")
-    sp.add_argument("--timeout", type=float, default=10.0)
-    sp.add_argument("--quiet", "-q", action="store_true")
-    sp.set_defaults(fn=cmd_obs_scrape)
-
-    sp = obs_sub.add_parser(
-        "top", help="windowed rollups of a running collector, as a table"
-    )
-    sp.add_argument("url", help="endpoint base URL")
-    sp.add_argument("--top", type=int, default=0,
-                    help="show only the N busiest series (default: all)")
-    sp.add_argument("--timeout", type=float, default=10.0)
-    sp.set_defaults(fn=cmd_obs_top)
-
-    sp = obs_sub.add_parser(
-        "slo", help="burn-rate state of a running service's SLO trackers"
-    )
-    sp.add_argument("url", help="service base URL (GraphService /slo endpoint)")
-    sp.add_argument("--json", action="store_true",
-                    help="print the raw /slo payload instead of the table")
-    sp.add_argument("--fail-on-breach", action="store_true",
-                    help="exit 1 when any objective is currently breaching")
-    sp.add_argument("--timeout", type=float, default=10.0)
-    sp.set_defaults(fn=cmd_obs_slo)
-
-    p = sub.add_parser(
         "serve",
         help="streaming connectivity service: queries over epoch-rotated snapshots",
     )
@@ -818,8 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the bound base URL here once serving")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write a JSON stats + latency report on shutdown")
-    p.add_argument("--interval", type=float, default=0.25,
-                   help="live-collector scrape interval (default: 0.25)")
     p.add_argument("--head-every", type=int, default=10,
                    help="head sampling: keep every Nth request trace "
                         "(default: 10; 0 keeps only slow requests)")

@@ -142,7 +142,7 @@ class UnionFind:
         parent = self.parent
         # The identity, a cache-sized piece at a time: one whole-array arange
         # is a second n-word block, and freeing it makes the allocator trim
-        # and re-fault the heap on every construction (insert_batch builds
+        # and re-fault the heap on every construction (apply_batch builds
         # one structure per batch).
         for lo in range(0, self.n, _FILL_WORDS):
             hi = min(lo + _FILL_WORDS, self.n)
@@ -283,9 +283,9 @@ class UnionFind:
         ``linked[i]`` is True exactly when pair ``i`` merged two distinct
         trees (what :meth:`union` returns per call).  The one bulk entry
         point, for sampling, finish, the finish workers and
-        :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`.
+        :meth:`repro.core.connectivity.ConnectivityIndex.apply_batch`.
         With ``pre_resolved`` True, equal endpoints count one union attempt
-        and nothing else (``insert_batch``'s findroot pass resolved them).
+        and nothing else (``apply_batch``'s findroot pass resolved them).
 
         The one body, :func:`repro.kernels.loops.union_arcs`, runs
         interpreted over the buffers themselves (endpoints as lists, a

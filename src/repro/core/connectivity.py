@@ -34,7 +34,7 @@ from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
 from repro.util.seeding import make_rng
 
-__all__ = ["ConnectivityIndex", "QueryResult", "BatchInsertResult", "MaintenanceStats"]
+__all__ = ["ConnectivityIndex", "QueryResult", "MaintenanceStats"]
 
 #: ALU ops per pointer hop (load, NIL test, loop branch).
 _ALU_PER_HOP = 4.0
@@ -55,23 +55,6 @@ class QueryResult:
     @property
     def hops_per_query(self) -> float:
         return self.total_hops / self.n_queries if self.n_queries else 0.0
-
-
-@dataclass(frozen=True)
-class BatchInsertResult:
-    """Outcome and measured work of one batched edge insertion.
-
-    ``linked[i]`` is True when edge i became a spanning-tree link (it
-    connected two previously separate components); the rest were redundant
-    for connectivity and were never pushed into the forest.
-    """
-
-    linked: np.ndarray
-    n_links: int
-    n_skipped: int
-    total_hops: int
-    profile: WorkProfile
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -236,91 +219,18 @@ class ConnectivityIndex:
     # maintenance under updates
     # ------------------------------------------------------------------ #
 
-    def insert_batch(
-        self,
-        us,
-        vs,
-        *,
-        union_rule: str = "rank",
-        compaction: str = "halving",
-        name: str = "connectivity-insert-batch",
-    ) -> BatchInsertResult:
-        """Link the forest for many edge insertions with a union-find fast path.
-
-        Forest only: the graph's adjacency is the caller's (:meth:`apply_batch`
-        updates both).  Two findroots per edge in a loop would be paid even
-        for an edge redundant for connectivity.  This path resolves all
-        endpoints once with :meth:`~repro.core.linkcut.LinkCutForest
-        .findroot_batch`, then replays the batch through a
-        :class:`repro.connectit.unionfind.UnionFind` over those roots —
-        a union succeeds exactly when the edge joins two components that
-        are still separate *at its position in the batch*, which is
-        precisely when a sequential :meth:`LinkCutForest.add_edge` would
-        have linked the forest.  Only those edges touch the forest; the
-        resulting spanning forest is the one the sequential loop builds, at
-        a fraction of the pointer chases on dense batches.
-
-        ``union_rule`` / ``compaction`` pick the union-find variant
-        (:mod:`repro.connectit`); the measured forest hops and union-find
-        counters land in the returned profile.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape != vs.shape or us.ndim != 1:
-            raise GraphError("insert endpoint arrays must be 1-D and equal length")
-        forest = self.forest
-        hops_before = forest.hops
-        with span(
-            "connectivity.insert_batch", n_edges=int(us.size), variant=f"{union_rule}/{compaction}"
-        ) as sp:
-            linked, uf = self._union_roots(us, vs, union_rule, compaction)
-            # The replay is independent of the forest: resolve the whole
-            # batch, then link the winning edges in batch order.
-            for i in np.flatnonzero(linked).tolist():
-                forest.add_edge(int(us[i]), int(vs[i]))
-            sp.set(links=int(linked.sum()), trees=forest.n_trees())
-        hops = int(forest.hops - hops_before)
-        n_links = int(linked.sum())
-        METRICS.inc("connectivity.batch_inserts", int(us.size))
-        METRICS.inc("connectivity.batch_links", n_links)
-        c = uf.counters
-        phase = Phase(
-            name="insert-batch",
-            alu_ops=_ALU_PER_HOP * hops + _ALU_PER_QUERY * us.size + 2.0 * c.pointer_chases,
-            rand_accesses=float(hops + c.pointer_chases + c.atomics),
-            atomics=float(n_links),
-            footprint_bytes=float(self.forest.memory_bytes() + uf.memory_bytes()),
-        )
-        profile = WorkProfile(
-            name,
-            (phase,),
-            meta={
-                "n_edges": int(us.size),
-                "n_links": n_links,
-                "hops": hops,
-                "union_rule": union_rule,
-                "compaction": compaction,
-                "counters": c.to_dict(),
-                **manifest_meta(),
-            },
-        )
-        return BatchInsertResult(
-            linked=linked,
-            n_links=n_links,
-            n_skipped=int(us.size) - n_links,
-            total_hops=hops,
-            profile=profile,
-        )
-
-    def _union_roots(self, us, vs, union_rule="rank", compaction="halving"):
+    def _union_roots(self, us, vs) -> np.ndarray:
         """Which edges ``(us[i], vs[i])`` join two trees at their position
-        in the batch: (linked mask, the union-find), forest untouched.
+        in the batch, forest untouched: the edges a sequential
+        :meth:`LinkCutForest.add_edge` loop would link.
 
         An edge inside one tree never links and never reaches the
-        union-find (nor its counters).  The rest run over their roots,
-        renumbered in ascending order to ``0..k-1``: every union rule
-        compares ranks, sizes or ids only by order, so the mask is that of a
-        union-find over all ``n`` vertices, at the size of the batch.
+        union-find.  The rest run over their roots, renumbered in ascending
+        order to ``0..k-1``, through one
+        :meth:`~repro.connectit.unionfind.UnionFind.union_arcs`: a union
+        succeeds exactly when its two roots are still apart, whatever the
+        union rule, so the mask is that of a union-find over all ``n``
+        vertices, at the size of the batch.
         """
         from repro.connectit.unionfind import UnionFind
 
@@ -328,10 +238,11 @@ class ConnectivityIndex:
         across = np.flatnonzero(roots[:us.size] != roots[us.size:])
         ids, ends = np.unique(np.concatenate([roots[across], roots[us.size + across]]),
                               return_inverse=True)
-        uf = UnionFind(ids.size, union_rule=union_rule, compaction=compaction)
         linked = np.zeros(us.size, dtype=bool)
-        linked[across] = uf.union_arcs(ends[:across.size], ends[across.size:], pre_resolved=True)
-        return linked, uf
+        linked[across] = UnionFind(ids.size).union_arcs(
+            ends[:across.size], ends[across.size:], pre_resolved=True
+        )
+        return linked
 
     def apply_batch(self, stream: UpdateStream) -> UpdateResult:
         """Apply an undirected update batch to the graph and keep the forest
@@ -342,8 +253,8 @@ class ConnectivityIndex:
         at a time in stream order leaves them, but only a delete that may
         cut a tree edge is taken on its own:
 
-        * Which inserts link is decided for the whole batch at once by
-          :meth:`insert_batch`'s union-find over root space; the linking
+        * Which inserts link is decided for the whole batch at once by one
+          union-find over root space (:meth:`_union_roots`); the linking
           ones join the forest in stream order.  Only a cut that splits a
           tree changes the components, so only such a cut, and only when a
           later insert touches the side it splits off, decides the rest of
@@ -372,7 +283,7 @@ class ConnectivityIndex:
             (parent[src] == dst) | (parent[dst] == src) | np.isin(key, key[inserts])
         )
         links = np.zeros(len(stream), dtype=bool)
-        links[inserts] = self._union_roots(src[inserts], dst[inserts])[0]
+        links[inserts] = self._union_roots(src[inserts], dst[inserts])
         graph = _GraphAt(self.rep, stream)
         with span("connectivity.apply_batch", n_updates=len(stream)) as sp:
             done = j = 0
@@ -391,7 +302,7 @@ class ConnectivityIndex:
                     # of them touches the side split off.
                     rest = inserts[inserts > j]
                     if np.isin(np.concatenate([src[rest], dst[rest]]), cut.side).any():
-                        links[rest] = self._union_roots(src[rest], dst[rest])[0]
+                        links[rest] = self._union_roots(src[rest], dst[rest])
                 j += 1
             self._link(src, dst, links, done, len(stream))
             result = apply_stream(self.rep, stream, reset_stats=False)

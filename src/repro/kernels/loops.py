@@ -43,8 +43,9 @@ def union_arcs(
     ``linked`` arrives all False; ``linked[i]`` is set True exactly when the
     pair merged two distinct trees.  With ``pre_resolved`` True, equal
     endpoints are counted as examined union attempts but perform no finds —
-    the :meth:`repro.core.connectivity.ConnectivityIndex.insert_batch`
-    convention for edges already resolved by the batch findroot pass.
+    the convention of :meth:`repro.core.connectivity.ConnectivityIndex
+    .apply_batch`'s root-space union-find, whose endpoints a batch findroot
+    pass already resolved.
 
     The ticks added to ``c`` are those ``UnionFind.union`` makes pair by
     pair, kept in locals and written once.  An arc whose endpoints are both

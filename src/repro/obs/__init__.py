@@ -16,16 +16,11 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
   (tracemalloc + RSS);
 * :mod:`repro.obs.export` — Chrome-trace / speedscope / folded-stack
   exporters over recorded span streams;
-* :mod:`repro.obs.live` — background telemetry collector (ring-buffer
-  time series with windowed rollups) and the worker watchdog;
 * :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency
-  exemplars), payload validator and the ``repro obs serve`` HTTP
-  endpoint;
+  exemplars), its payload validator and the service's ``/metrics`` routes;
 * :mod:`repro.obs.reqtrace` — a request as a root span on its own
   tracer, with deterministic head sampling, tail capture of slow requests
-  into a bounded store, and the latency exemplar store;
-* :mod:`repro.obs.slo` — rolling availability/latency objectives with
-  multi-window burn-rate alerting feeding the watchdog alert stream.
+  into a bounded store, and the latency exemplar store.
 
 Typical use (what ``python -m repro trace`` does):
 
@@ -54,15 +49,7 @@ from repro.obs.export import (
     write_folded,
     write_speedscope,
 )
-from repro.obs.expose import TelemetryServer, to_openmetrics, validate_openmetrics
-from repro.obs.live import (
-    TelemetryCollector,
-    Watchdog,
-    current_collector,
-    disable_live_telemetry,
-    enable_live_telemetry,
-    live_telemetry_enabled,
-)
+from repro.obs.expose import to_openmetrics, validate_openmetrics
 from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.reqtrace import (
     EXEMPLARS,
@@ -70,7 +57,6 @@ from repro.obs.reqtrace import (
     RequestTrace,
     RequestTracer,
 )
-from repro.obs.slo import SloTracker
 from repro.obs.prof import (
     MemoryProfiler,
     current_memory_profiler,
@@ -84,7 +70,6 @@ from repro.obs.sink import (
     MemorySink,
     TeeSink,
     TraceSink,
-    alerts,
     describe,
     read_jsonl,
 )
@@ -119,7 +104,6 @@ __all__ = [
     "JsonlSink",
     "TeeSink",
     "describe",
-    "alerts",
     "read_jsonl",
     "Span",
     "Tracer",
@@ -132,20 +116,12 @@ __all__ = [
     "activate",
     "bind",
     "format_span_tree",
-    "TelemetryCollector",
-    "Watchdog",
-    "enable_live_telemetry",
-    "disable_live_telemetry",
-    "live_telemetry_enabled",
-    "current_collector",
-    "TelemetryServer",
     "to_openmetrics",
     "validate_openmetrics",
     "RequestTrace",
     "RequestTracer",
     "ExemplarStore",
     "EXEMPLARS",
-    "SloTracker",
     "MemoryProfiler",
     "enable_memory_profiling",
     "disable_memory_profiling",

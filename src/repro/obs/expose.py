@@ -1,4 +1,4 @@
-"""OpenMetrics text exposition for the live telemetry runtime.
+"""OpenMetrics text exposition of the process metrics registry.
 
 Three layers, mirroring how :mod:`repro.obs.export` treats traces:
 
@@ -20,9 +20,8 @@ Three layers, mirroring how :mod:`repro.obs.export` treats traces:
   raises ``ValueError`` naming the first violation, so CI can assert a
   scrape is well-formed without a Prometheus binary in the container;
 * :func:`telemetry_response` — ``/metrics`` (OpenMetrics) and
-  ``/metrics.json`` (raw snapshot plus the collector's windowed rollups),
-  defined once: :class:`TelemetryServer` (``repro obs serve``) serves them
-  over :mod:`repro.util.httpd` and the graph service falls through to them.
+  ``/metrics.json`` (the raw registry snapshot), defined once; the graph
+  service falls through to them.
 
 Only the Python standard library is used — no prometheus_client, no new
 dependencies.
@@ -44,29 +43,23 @@ from __future__ import annotations
 
 import json
 import re
-from functools import partial
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry
 from repro.obs.reqtrace import EXEMPLARS, ExemplarStore
 from repro.util import httpd
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.live import TelemetryCollector
-
 __all__ = [
     "to_openmetrics",
     "validate_openmetrics",
-    "format_rollups",
     "telemetry_response",
-    "TelemetryServer",
     "CONTENT_TYPE",
 ]
 
 #: Content type advertised for ``/metrics`` responses.
 CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-#: Quantiles exposed per histogram, matching the rollup columns.
+#: Quantiles exposed per summary-rendered histogram.
 _QUANTILES = (0.5, 0.99)
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -325,91 +318,10 @@ def _resolve_family(
     return None, None
 
 
-def format_rollups(rollups: dict[str, dict[str, Any]], *, top: int = 0) -> str:
-    """Render collector rollups as an aligned terminal table.
-
-    Counters show their windowed rate statistics (per second), gauges
-    their level statistics.  ``top`` > 0 keeps only the busiest series
-    (by last value); 0 shows everything in first-seen order.
-    """
-    rows = list(rollups.items())
-    if top > 0:
-        rows.sort(key=lambda kv: float(kv[1].get("last", 0.0)), reverse=True)
-        rows = rows[:top]
-    if not rows:
-        return "(no series collected)"
-    width = max(len(name) for name, _ in rows)
-    header = (
-        f"{'metric'.ljust(width)}  {'kind':>7} {'last':>12} "
-        f"{'mean':>10} {'p50':>10} {'p99':>10} {'max':>10}"
-    )
-    lines = [header]
-    for name, r in rows:
-        lines.append(
-            f"{name.ljust(width)}  {r.get('kind', '?'):>7} "
-            f"{_fmt_cell(r.get('last', 0))!s:>12} "
-            f"{_fmt_cell(r.get('mean', 0)):>10} {_fmt_cell(r.get('p50', 0)):>10} "
-            f"{_fmt_cell(r.get('p99', 0)):>10} {_fmt_cell(r.get('max', 0)):>10}"
-        )
-    return "\n".join(lines)
-
-
-def _fmt_cell(v: Any) -> str:
-    f = float(v)
-    if f == int(f) and abs(f) < 1e9:
-        return f"{int(f):,}"
-    return f"{f:,.3f}" if abs(f) >= 0.001 else f"{f:.3g}"
-
-
-def telemetry_response(
-    path: str, registry: MetricsRegistry, collector: "Optional[TelemetryCollector]"
-) -> Optional[httpd.Reply]:
+def telemetry_response(path: str, registry: MetricsRegistry) -> Optional[httpd.Reply]:
     """The reply to ``GET /metrics`` or ``/metrics.json``; None for any other path."""
     if path == "/metrics":
         return 200, CONTENT_TYPE, to_openmetrics(registry)
     if path == "/metrics.json":
-        payload = {
-            "snapshot": registry.snapshot(),
-            "rollups": collector.store.rollups() if collector is not None else {},
-        }
-        return 200, httpd.JSON, json.dumps(payload, sort_keys=True)
+        return 200, httpd.JSON, json.dumps({"snapshot": registry.snapshot()}, sort_keys=True)
     return None
-
-
-class TelemetryServer(httpd.BackgroundServer):
-    """Background HTTP endpoint exposing live metrics (``repro obs serve``).
-
-    Routes:
-
-    * ``GET /metrics`` — OpenMetrics payload from the registry;
-    * ``GET /metrics.json`` — JSON: raw registry snapshot plus the
-      collector's windowed rollups (when a collector is attached);
-    * ``GET /healthz`` — liveness probe (``ok``).
-
-    Bound and serving once constructed (``port=0`` binds an ephemeral port;
-    :attr:`url` reports the bound address), on a daemon event-loop thread
-    that never blocks the workload it observes; :meth:`close` releases it.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        collector: "Optional[TelemetryCollector]" = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.registry = registry if registry is not None else METRICS
-        self.collector = collector
-        self.n_scrapes = 0
-        super().__init__(partial(httpd.start_server, self._handle), host, port)
-
-    async def _handle(self, path: str, params: dict) -> httpd.Reply:
-        """Route one request: the shared telemetry routes, then ``/healthz``."""
-        reply = telemetry_response(path, self.registry, self.collector)
-        if reply is not None:
-            self.n_scrapes += 1
-            return reply
-        if path == "/healthz":
-            return 200, "text/plain", "ok\n"
-        return httpd.not_found(path)

@@ -57,10 +57,9 @@ def interpolated_quantile(
 
     Earlier revisions snapped a quantile to the upper bound of the bucket
     holding its rank, which made p50/p99 step functions of the bucket
-    ladder — visibly wrong once rollups surfaced them live.  Here the
-    target rank is placed *proportionally* between the bucket's bounds
-    (the edge buckets are clamped to the observed ``vmin``/``vmax``), so
-    a uniform distribution reports quantiles within a bucket's resolution
+    ladder.  Here the target rank is placed *proportionally* between the
+    bucket's bounds (the edge buckets are clamped to the observed
+    ``vmin``/``vmax``), so a uniform distribution reports quantiles within a bucket's resolution
     of the exact answer instead of up to a full bucket off.
     """
     if count <= 0:
@@ -122,7 +121,7 @@ class Histogram:
     Tracks count / total / min / max exactly plus per-bucket counts on the
     shared geometric ladder (:data:`BUCKET_BOUNDS`), from which
     :meth:`quantile` reports linearly interpolated p50/p99-style
-    estimates — the resolution the live telemetry rollups surface.  The
+    estimates — the resolution ``/metrics`` and the reports surface.  The
     raw distributions are still analysed offline from traces; the
     in-process histogram answers "how many, how much, how extreme, and
     roughly where the mass sits".

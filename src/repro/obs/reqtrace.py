@@ -28,7 +28,7 @@ span system for that: a request is a *root span on its own
   bucket, rendered as OpenMetrics exemplars by
   :func:`repro.obs.expose.to_openmetrics`.
 
-See docs/OBSERVABILITY.md ("Request tracing & SLOs") for the sampling
+See docs/OBSERVABILITY.md ("Request tracing") for the sampling
 rules and docs/SERVICE.md for the served endpoints.
 """
 

@@ -35,7 +35,6 @@ __all__ = [
     "TeeSink",
     "read_jsonl",
     "describe",
-    "alerts",
 ]
 
 
@@ -125,36 +124,20 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return events
 
 
-def alerts(events: Iterable[dict]) -> list[dict]:
-    """The watchdog alert events of a stream (``type == "alert"``)."""
-    return [e for e in events if e.get("type") == "alert"]
-
-
 def describe(
     events: Iterable[dict],
     *,
     metrics: "MetricsRegistry | None" = None,
     top: int = 12,
 ) -> str:
-    """Human-readable run summary: span tree, alerts, busiest counters.
+    """Human-readable run summary: span tree, then the busiest counters.
 
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or None to
-    skip the counter section).  Watchdog alert events, when present in the
-    stream, are listed between the tree and the counters — a run that
-    tripped the watchdog should not look clean at a glance.
+    skip the counter section).
     """
     from repro.obs.trace import format_span_tree
 
-    events = list(events)
-    lines = [format_span_tree(events)]
-    flagged = alerts(events)
-    if flagged:
-        lines.append("")
-        lines.append(f"-- alerts ({len(flagged)}) --")
-        for e in flagged:
-            attrs = e.get("attrs", {})
-            detail = " ".join(f"{k}={attrs[k]}" for k in sorted(attrs))
-            lines.append(f"  {e.get('name', '?')}  {detail}")
+    lines = [format_span_tree(list(events))]
     if metrics is not None:
         ranked = metrics.top_counters(top)
         if ranked:

@@ -201,7 +201,7 @@ class Tracer:
         self.sink.emit(event)
 
     def emit_event(self, name: str, *, type: str = "event", **fields: object) -> dict:
-        """Emit a non-span event (watchdog alerts, lifecycle markers).
+        """Emit a non-span event (a lifecycle marker).
 
         The event shares the stream with spans but carries its own
         ``type`` so span consumers (:func:`format_span_tree`, the

@@ -36,17 +36,6 @@ Design points:
   current open span, tagged with the worker id) — after the stale-round
   filter, so an abandoned round's spans never orphan into a newer
   request.  One JSONL trace, or one request tree, shows the whole fan-out.
-* **Heartbeats** — with ``heartbeat_interval`` set, each worker runs a
-  tiny daemon thread posting liveness beats (current task, busy time,
-  RSS, tasks completed) onto the result queue.  The parent records the
-  latest beat per worker while draining rounds (and on demand via
-  :meth:`WorkerPool.poll_heartbeats`); the
-  :class:`~repro.obs.live.Watchdog` reads them through
-  :meth:`WorkerPool.heartbeats` / :meth:`WorkerPool.worker_health` to
-  flag stalled, dead, or memory-leaking workers *before* the round's
-  timeout matures into a :class:`~repro.errors.WorkerCrashError`.  The
-  default (``None``) sends nothing — identical traffic and cost to a
-  pool without the feature.
 * **Telemetry aggregation** — each worker ships the delta of its own
   ``METRICS`` registry (and, when the parent has memory profiling on, its
   task's heap/RSS peaks) back with every result.  The parent merges the
@@ -154,57 +143,12 @@ def _worker_views(
     return views
 
 
-def _heartbeat_loop(
-    worker_id: int, result_q: Any, state: dict, interval: float, stop: Any
-) -> None:
-    """Worker-side beat: post liveness onto the result queue until told to stop.
-
-    Beats reuse the result-message shape with the sentinel task id ``-1``
-    and status ``"heartbeat"`` so the parent's drain loop needs no second
-    channel.  ``busy_seconds`` is computed worker-side (clock-skew free);
-    the parent adds queue-delivery staleness from its own receive time.
-    """
-    from repro.obs.prof import rss_bytes
-
-    while not stop.wait(interval):
-        busy_since = state["busy_since"]
-        beat = {
-            "worker": worker_id,
-            "task_id": state["task_id"],
-            "task": state["task"],
-            "busy_seconds": (
-                time.monotonic() - busy_since if state["task_id"] is not None else 0.0
-            ),
-            "n_done": state["n_done"],
-            "rss_bytes": rss_bytes(),
-        }
-        try:
-            result_q.put((-1, worker_id, "heartbeat", beat, [], {}))
-        except (OSError, ValueError):  # pragma: no cover - queue torn down
-            return
-
-
-def _worker_main(
-    worker_id: int, task_q: Any, result_q: Any, heartbeat_interval: float | None = None
-) -> None:
+def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
     # Explicit imports populate the task registry under the spawn method.
     import repro.connectit.framework  # noqa: F401
     import repro.generators.parallel  # noqa: F401
     import repro.parallel.bfs  # noqa: F401
     import repro.parallel.components  # noqa: F401
-
-    state: dict[str, Any] = {"task_id": None, "task": None, "busy_since": 0.0, "n_done": 0}
-    hb_stop: Any = None
-    if heartbeat_interval:
-        import threading
-
-        hb_stop = threading.Event()
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(worker_id, result_q, state, float(heartbeat_interval), hb_stop),
-            name=f"repro-heartbeat-{worker_id}",
-            daemon=True,
-        ).start()
 
     arenas: dict[str, ShmArena] = {}
     while True:
@@ -212,9 +156,6 @@ def _worker_main(
         if msg is None:
             break
         task_id, name, descriptors, payload, traced, memprof = msg
-        state["busy_since"] = time.monotonic()
-        state["task"] = name
-        state["task_id"] = task_id
         events: list[dict] = []
         telemetry: dict = {}
         try:
@@ -247,11 +188,6 @@ def _worker_main(
         except BaseException as exc:  # noqa: BLE001 - relayed to the parent
             detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
             result_q.put((task_id, worker_id, "error", detail, events, telemetry))
-        state["task_id"] = None
-        state["task"] = None
-        state["n_done"] += 1
-    if hb_stop is not None:
-        hb_stop.set()
     for arena in arenas.values():
         arena.close()
 
@@ -300,8 +236,7 @@ def _selftest_fail(views: dict, payload: dict) -> None:
 
 @task("selftest.sleep")
 def _selftest_sleep(views: dict, payload: dict) -> float:
-    # Simulates a stalled worker: busy on one task long enough for the
-    # watchdog to notice, while the heartbeat thread keeps beating.
+    # Simulates a stalled worker: busy on one task past the round timeout.
     seconds = float(payload.get("seconds", 1.0))
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
@@ -328,10 +263,6 @@ class WorkerPool:
         Per-round ceiling in seconds while draining results; a round that
         exceeds it raises :class:`~repro.errors.WorkerCrashError` naming the
         outstanding tasks (hang protection for CI).
-    heartbeat_interval:
-        Seconds between worker liveness beats, or None (default) for no
-        heartbeat traffic at all.  Enable it when a
-        :class:`~repro.obs.live.Watchdog` monitors the pool.
     """
 
     def __init__(
@@ -340,7 +271,6 @@ class WorkerPool:
         *,
         method: str | None = None,
         timeout: float = 300.0,
-        heartbeat_interval: float | None = None,
     ) -> None:
         import multiprocessing as mp
 
@@ -352,17 +282,11 @@ class WorkerPool:
         self._ctx = mp.get_context(method)
         self.method = method
         self.timeout = float(timeout)
-        self.heartbeat_interval = (
-            float(heartbeat_interval) if heartbeat_interval else None
-        )
         self._procs: list[Any] = []
         self._task_qs: list[Any] = []
         self._result_q: Any = None
         self._started = False
         self._closed = False
-        #: Latest heartbeat per worker id (parent receive time under
-        #: ``"received"``); empty unless ``heartbeat_interval`` is set.
-        self._heartbeats: dict[int, dict] = {}
         #: Monotonic task ids across rounds, so a late result from a timed-out
         #: round can never be mistaken for one of the current round's.
         self._task_counter = 0
@@ -385,7 +309,7 @@ class WorkerPool:
             tq = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(wid, tq, self._result_q, self.heartbeat_interval),
+                args=(wid, tq, self._result_q),
                 name=f"repro-worker-{wid}",
                 daemon=True,
             )
@@ -473,9 +397,6 @@ class WorkerPool:
                 deadline, n_expected=len(tasks), n_done=len(results) + len(errors)
             )
             task_id, worker_id, status, out, events, telemetry = got
-            if status == "heartbeat":
-                self._record_heartbeat(worker_id, out)
-                continue
             if not base <= task_id < base + len(tasks):
                 continue  # stale result from an abandoned round
             if events and tracer is not None:
@@ -500,45 +421,8 @@ class WorkerPool:
         return [results[i] for i in range(len(tasks))]
 
     # ------------------------------------------------------------------ #
-    # health
+    # recovery
     # ------------------------------------------------------------------ #
-
-    def heartbeats(self) -> dict[int, dict]:
-        """Latest heartbeat per worker id (empty until beats arrive).
-
-        Each beat carries ``task_id``/``task`` (None when idle),
-        ``busy_seconds`` (worker-side time on the current task),
-        ``n_done``, ``rss_bytes``, and ``received`` — the parent's
-        monotonic clock at delivery, from which consumers derive beat
-        staleness.  Beats are recorded while :meth:`run_tasks` drains a
-        round; between rounds, call :meth:`poll_heartbeats` first.
-        """
-        return {wid: dict(beat) for wid, beat in self._heartbeats.items()}
-
-    def poll_heartbeats(self) -> dict[int, dict]:
-        """Drain pending heartbeats without blocking; returns :meth:`heartbeats`.
-
-        Only safe *between* rounds: any stale task results still sitting
-        in the queue (from a timed-out, abandoned round) are discarded —
-        exactly what :meth:`run_tasks` would do with them.
-        """
-        import queue as queue_mod
-
-        while self._result_q is not None:
-            try:
-                got = self._result_q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                break
-            if got[2] == "heartbeat":
-                self._record_heartbeat(got[1], got[3])
-        return self.heartbeats()
-
-    def worker_health(self) -> list[dict]:
-        """Process liveness per worker: ``{"worker", "alive", "exitcode"}``."""
-        return [
-            {"worker": wid, "alive": proc.is_alive(), "exitcode": proc.exitcode}
-            for wid, proc in enumerate(self._procs)
-        ]
 
     def restart(self) -> "WorkerPool":
         """Replace all workers with fresh processes (clean recovery).
@@ -548,7 +432,6 @@ class WorkerPool:
         results from the previous generation are still filtered out.
         """
         self._reap()
-        self._heartbeats.clear()
         self._closed = False
         METRICS.inc("parallel.pool.restarts")
         return self.start()
@@ -557,16 +440,8 @@ class WorkerPool:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _record_heartbeat(self, worker_id: int, beat: dict) -> None:
-        beat = dict(beat)
-        beat["received"] = self._now()
-        self._heartbeats[worker_id] = beat
-        METRICS.inc("parallel.pool.heartbeats")
-
     @staticmethod
     def _now() -> float:
-        import time
-
         return time.monotonic()
 
     def _drain_one(self, deadline: float, *, n_expected: int, n_done: int) -> tuple:

@@ -43,7 +43,6 @@ from repro.errors import ServiceError
 from repro.generators.streams import UpdateStream
 from repro.obs import METRICS, activate, span
 from repro.obs.reqtrace import RequestTracer
-from repro.obs.slo import SloTracker
 from repro.service.epoch import Epoch, EpochStore
 
 __all__ = ["UpdateDrainer", "keep_large_blocks_on_heap"]
@@ -109,9 +108,6 @@ class UpdateDrainer:
         Optional :class:`~repro.obs.reqtrace.RequestTracer`: each batch
         application becomes a ``kind="update"`` request trace, so slow
         batches land in the same slow-query store as slow queries.
-    slo:
-        Optional :class:`~repro.obs.slo.SloTracker` fed one latency sample
-        per batch (the write-path objective).
     """
 
     def __init__(
@@ -122,15 +118,13 @@ class UpdateDrainer:
         max_queue: int = 8,
         rotate_min_interval: float = 0.0,
         reqtrace: Optional[RequestTracer] = None,
-        slo: Optional[SloTracker] = None,
     ) -> None:
         self.graph = graph
         self.store = store
         self.rotate_min_interval = float(rotate_min_interval)
         self.reqtrace = reqtrace
-        self.slo = slo
         #: Test/fault-injection hook: seconds to sleep inside each batch
-        #: application (counted into the batch latency the SLO sees).
+        #: application (counted into the batch's update trace).
         self.throttle = 0.0
         self._q: "queue.Queue[object]" = queue.Queue(maxsize=int(max_queue))
         self._thread: Optional[threading.Thread] = None
@@ -242,7 +236,6 @@ class UpdateDrainer:
             else None
         )
         root = trace.root if trace is not None else None
-        t_batch = time.perf_counter()
         error: Optional[str] = None
         try:
             with activate(root):
@@ -272,11 +265,8 @@ class UpdateDrainer:
             error = type(exc).__name__
             raise
         finally:
-            batch_seconds = time.perf_counter() - t_batch
             if tracer is not None and trace is not None:
                 tracer.finish(trace, status=500 if error else 200, error=error)
-            if self.slo is not None:
-                self.slo.record(batch_seconds, error=error is not None)
 
     def _run(self) -> None:
         try:

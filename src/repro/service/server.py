@@ -21,11 +21,10 @@ Endpoints (GET, JSON unless noted):
   (``full`` adds the distance array)
 * ``/metrics``, ``/metrics.json`` — the shared telemetry routes
   (:func:`repro.obs.expose.telemetry_response`): OpenMetrics text with
-  trace-id exemplars, and the raw snapshot plus the live collector's rollups
+  trace-id exemplars, and the raw registry snapshot as JSON
 * ``/debug/slow`` — the bounded slow-query store: full span trees of
   requests that breached the latency threshold (``?sampled=1`` adds the
   deterministic head samples)
-* ``/slo`` — burn-rate state of the query/update SLO trackers
 
 Every routed query is the root span of its own
 :class:`~repro.obs.reqtrace.RequestTrace` (deterministic head sampling +
@@ -60,10 +59,9 @@ from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import component_roots, component_sizes, connected_components
 from repro.errors import GraphError, WorkerCrashError
-from repro.obs import METRICS, bind, current_collector, span
+from repro.obs import METRICS, bind, span
 from repro.obs.expose import telemetry_response
 from repro.obs.reqtrace import RequestTracer
-from repro.obs.slo import SloTracker
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
 from repro.service.shards import ShardRouter
@@ -92,9 +90,6 @@ class GraphService:
         :class:`~repro.obs.reqtrace.RequestTracer` (head sampling every
         10th request, 250 ms tail threshold), False disables tracing
         entirely, or pass a configured tracer.
-    slo_query / slo_update:
-        :class:`~repro.obs.slo.SloTracker` instances for the read and
-        write paths (defaults are built when not given).
     """
 
     def __init__(
@@ -106,8 +101,6 @@ class GraphService:
         max_queue: int = 8,
         rotate_min_interval: float = 0.0,
         reqtrace: Union[RequestTracer, bool, None] = None,
-        slo_query: Optional[SloTracker] = None,
-        slo_update: Optional[SloTracker] = None,
     ) -> None:
         self.graph = graph
         self.store = EpochStore()
@@ -117,18 +110,10 @@ class GraphService:
             self.reqtrace = RequestTracer()
         else:
             self.reqtrace = reqtrace
-        self.slo_query = (
-            slo_query if slo_query is not None else SloTracker("service.query")
-        )
-        self.slo_update = (
-            slo_update
-            if slo_update is not None
-            else SloTracker("service.update", latency_threshold_seconds=1.0)
-        )
         self.drainer = UpdateDrainer(
             graph, self.store, max_queue=max_queue,
             rotate_min_interval=rotate_min_interval,
-            reqtrace=self.reqtrace, slo=self.slo_update,
+            reqtrace=self.reqtrace,
         )
         self.router = router
         self._executor = ThreadPoolExecutor(
@@ -269,14 +254,6 @@ class GraphService:
             out["sampled"] = tracer.sampled()
         return out
 
-    def _q_slo(self) -> dict:
-        """Burn-rate state of both trackers (``GET /slo``), checking first."""
-        slos: dict[str, Any] = {}
-        for tracker in (self.slo_query, self.slo_update):
-            tracker.check()
-            slos[tracker.name] = tracker.state()
-        return {"slos": slos}
-
     # ------------------------------------------------------------------ #
     # HTTP plumbing
     # ------------------------------------------------------------------ #
@@ -305,8 +282,6 @@ class GraphService:
             return 200, httpd.JSON, json.dumps(self._q_stats())
         if path == "/debug/slow":
             return 200, httpd.JSON, json.dumps(self._q_debug_slow(params))
-        if path == "/slo":
-            return 200, httpd.JSON, json.dumps(self._q_slo())
         if path == "/connected":
             u, v = qint("u"), qint("v")
             fn = lambda: self._q_connected(u, v)  # noqa: E731
@@ -322,7 +297,7 @@ class GraphService:
                 ts_range = (qint("ts_lo"), qint("ts_hi"))
             fn = lambda: self._q_bfs(source, ts_range, full)  # noqa: E731
         if fn is None:
-            return telemetry_response(path, METRICS, current_collector()) or httpd.not_found(path)
+            return telemetry_response(path, METRICS) or httpd.not_found(path)
         loop = asyncio.get_running_loop()
         tracer = self.reqtrace
         route = path.replace("/", ".")
@@ -359,7 +334,6 @@ class GraphService:
                 tracer.finish(trace, status=status, error=error)
                 if ok:
                     tracer.exemplars.observe("service.query.seconds", elapsed, trace.trace_id)
-            self.slo_query.record(elapsed, error=status >= 500)
         return 200, httpd.JSON, json.dumps(body)
 
     def _exec_traced(self, route: str, fn: Callable[[], dict]) -> Callable[[], dict]:

@@ -1,9 +1,8 @@
 """The one HTTP wire: an asyncio GET-only server and its background handle.
 
-``repro serve`` (:class:`~repro.service.server.GraphService`) and
-``repro obs serve`` (:class:`~repro.obs.expose.TelemetryServer`) both sit on
-this module, so a malformed request, an oversized head or a stalled client
-gets the same answer from either.  A *handler* is
+``repro serve`` (:class:`~repro.service.server.GraphService`) sits on this
+module, and so does any other handler, so a malformed request, an oversized
+head or a stalled client gets the same answer from each.  A *handler* is
 ``async (path, params) -> (status, content_type, body)``; the wire side of
 it lives here and nowhere else:
 

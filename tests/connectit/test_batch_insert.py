@@ -1,9 +1,10 @@
-"""``ConnectivityIndex.insert_batch`` must match sequential ``add_edge``.
+"""Batched inserts through ``ConnectivityIndex.apply_batch`` match sequential ``add_edge``.
 
-The fast path routes a whole edge batch through one union-find over root
-space; its contract is that the i-th batched union succeeds exactly when
-the i-th sequential ``LinkCutForest.add_edge`` would have linked, so the
-resulting forest partitions (and the per-edge ``linked`` mask) are identical.
+``apply_batch`` decides which inserts link with one union-find over root
+space (``ConnectivityIndex._union_roots``); its contract is that the i-th
+batched union succeeds exactly when the i-th sequential
+``LinkCutForest.add_edge`` would have linked, so the linked mask, the
+number of tree links and the forest partitions are identical.
 """
 
 import numpy as np
@@ -12,14 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency.csr import build_csr
-from repro.core.connectivity import BatchInsertResult, ConnectivityIndex
+from repro.adjacency.registry import make_representation
+from repro.api import DynamicGraph
+from repro.connectit.unionfind import COMPACTION_RULES, UNION_RULES, UnionFind
+from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError
 from repro.generators.rmat import rmat_graph
+from repro.generators.streams import UpdateStream
 
 
 def make_index(n: int) -> ConnectivityIndex:
     return ConnectivityIndex(LinkCutForest(n))
+
+
+def rep_index(n: int) -> ConnectivityIndex:
+    """An index that owns an empty undirected graph of ``n`` vertices."""
+    return ConnectivityIndex.from_rep(make_representation("dynarr", n))
+
+
+def inserts(n: int, us, vs) -> UpdateStream:
+    return UpdateStream(n, np.ones(len(us), dtype=np.int8), us, vs, np.zeros(len(us)))
 
 
 def forest_labels(index: ConnectivityIndex) -> np.ndarray:
@@ -48,52 +62,62 @@ def test_insert_batch_matches_sequential(seed):
 
     batched = ConnectivityIndex.from_csr(csr)
     sequential = ConnectivityIndex.from_csr(csr)
-    result = batched.insert_batch(us, vs)
+    linked = batched._union_roots(us, vs)
     ref_linked = sequential_reference(sequential, us, vs)
+    np.testing.assert_array_equal(linked, ref_linked)
 
-    assert isinstance(result, BatchInsertResult)
-    np.testing.assert_array_equal(result.linked, ref_linked)
-    np.testing.assert_array_equal(forest_labels(batched), forest_labels(sequential))
-    assert result.n_links == int(ref_linked.sum())
-    assert result.n_skipped == len(us) - result.n_links
+    # The whole batch through apply_batch: the same links, the same partition.
+    index = ConnectivityIndex.from_rep(DynamicGraph.from_edgelist(graph, seed=1).rep)
+    index.apply_batch(inserts(graph.n, us, vs))
+    assert index.stats.tree_links == int(ref_linked.sum())
+    np.testing.assert_array_equal(forest_labels(index), forest_labels(sequential))
 
 
 def test_insert_batch_empty():
-    index = make_index(16)
+    index = rep_index(16)
     empty = np.array([], dtype=np.int64)
-    result = index.insert_batch(empty, empty)
-    assert result.n_links == 0 and result.n_skipped == 0
-    assert result.linked.size == 0
+    assert index._union_roots(empty, empty).size == 0
+    result = index.apply_batch(inserts(16, empty, empty))
+    assert result.n_updates == 0
+    assert index.stats.tree_links == 0 and index.forest.n_trees() == 16
 
 
 def test_insert_batch_self_loops_and_duplicates():
-    index = make_index(4)
+    index = rep_index(4)
     us = np.array([0, 0, 0, 1, 2], dtype=np.int64)
     vs = np.array([0, 1, 1, 0, 3], dtype=np.int64)
-    result = index.insert_batch(us, vs)
-    assert result.linked.tolist() == [False, True, False, False, True]
+    assert index._union_roots(us, vs).tolist() == [False, True, False, False, True]
+    index.apply_batch(inserts(4, us, vs))
+    assert index.stats.tree_links == 2
     assert index.forest.n_trees() == 2
 
 
 def test_insert_batch_validates_input():
-    index = make_index(8)
-    with pytest.raises(GraphError):
-        index.insert_batch(np.array([0, 1]), np.array([1]))
-    with pytest.raises(GraphError):
-        index.insert_batch(np.array([[0]]), np.array([[1]]))
+    index = rep_index(8)
+    with pytest.raises(GraphError, match="length mismatch"):
+        inserts(8, np.array([0, 1]), np.array([1]))
+    with pytest.raises(GraphError, match="vertex count"):
+        index.apply_batch(inserts(4, np.array([0]), np.array([1])))
+    with pytest.raises(GraphError, match="from_rep"):
+        make_index(8).apply_batch(inserts(8, np.array([0]), np.array([1])))
 
 
 def test_insert_batch_profile_and_meta():
+    # The linked mask does not depend on the union rule: every rule and
+    # compaction over the batch's root space links the same edges.
     index = make_index(32)
     rng = np.random.default_rng(5)
     us = rng.integers(0, 32, size=64, dtype=np.int64)
     vs = rng.integers(0, 32, size=64, dtype=np.int64)
-    result = index.insert_batch(us, vs, union_rule="rem", compaction="splitting")
-    prof = result.profile
-    assert prof.phases[0].name == "insert-batch"
-    assert prof.meta["counters"]["unions"] >= result.n_links
-    assert prof.meta["union_rule"] == "rem"
-    assert prof.meta["n_edges"] == 64
+    linked = index._union_roots(us, vs)
+    roots = index.forest.findroot_batch(np.concatenate([us, vs]))
+    ids, ends = np.unique(roots, return_inverse=True)
+    for rule in UNION_RULES:
+        for comp in COMPACTION_RULES:
+            uf = UnionFind(ids.size, union_rule=rule, compaction=comp)
+            mask = uf.union_arcs(ends[:us.size], ends[us.size:], pre_resolved=True)
+            np.testing.assert_array_equal(mask, linked, err_msg=f"{rule}/{comp}")
+            assert uf.counters.hooks == int(linked.sum())
 
 
 @settings(max_examples=50, deadline=None)
@@ -104,9 +128,11 @@ def test_insert_batch_profile_and_meta():
 def test_hypothesis_insert_batch_matches_sequential(n, edges):
     us = np.array([u % n for u, _ in edges], dtype=np.int64)
     vs = np.array([v % n for _, v in edges], dtype=np.int64)
-    batched = make_index(n)
+    batched = rep_index(n)
     sequential = make_index(n)
-    result = batched.insert_batch(us, vs)
+    linked = batched._union_roots(us, vs)
     ref_linked = sequential_reference(sequential, us, vs)
-    np.testing.assert_array_equal(result.linked, ref_linked)
+    np.testing.assert_array_equal(linked, ref_linked)
+    batched.apply_batch(inserts(n, us, vs))
+    assert batched.stats.tree_links == int(ref_linked.sum())
     np.testing.assert_array_equal(forest_labels(batched), forest_labels(sequential))

@@ -70,7 +70,7 @@ def test_union_arcs_matches_scalar(comp, rule, tier):
 @pytest.mark.parametrize("rule,tier", union_cases(UNION_RULES))
 def test_union_arcs_pre_resolved_convention(rule, tier):
     # Equal endpoints with pre_resolved: one union attempt, nothing else —
-    # the insert_batch contract for edges its findroot pass resolved.
+    # the apply_batch contract for edges its findroot pass resolved.
     n = 10
     src = np.array([3, 3, 4], dtype=np.int64)
     dst = np.array([3, 5, 4], dtype=np.int64)
@@ -164,7 +164,7 @@ def test_union_arcs_settled_branch_matches_oracle(comp, rule, tier, case):
 
 @pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
 def test_union_arcs_pre_resolved_root_space_matches_oracle(comp, rule, tier):
-    # insert_batch hands over roots: equal ones are attempts and nothing
+    # apply_batch hands over roots: equal ones are attempts and nothing
     # else, unequal ones union as usual — and go stale as the batch hooks
     # them, so later arcs name children and settled pairs too.
     forest = np.array([0, 0, 0, 3, 3, 5, 6, 6])

@@ -10,10 +10,12 @@ where one exists.
 import numpy as np
 
 from repro.adjacency.csr import build_csr
+from repro.api import DynamicGraph
 from repro.core.components import connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
 from repro.generators.rmat import rmat_graph
+from repro.generators.streams import UpdateStream
 from tests.retired_tier import stale_tier
 
 
@@ -64,26 +66,30 @@ def test_forest_construction_and_queries_tiers():
 
 
 def test_insert_batch_tiers():
-    g = _csr(scale=8, seed=29)
+    graph = rmat_graph(scale=8, edge_factor=8, seed=29)
+    g = build_csr(graph)
     rng = np.random.default_rng(5)
     us = rng.integers(0, g.n, 1500).astype(np.int64)
     vs = rng.integers(0, g.n, 1500).astype(np.int64)
-    for rule, comp in (("rank", "halving"), ("size", "none"), ("rem", "splitting")):
-        with stale_tier("scalar"):
-            idx_sca = ConnectivityIndex.from_csr(g)
-            sca = idx_sca.insert_batch(us, vs, union_rule=rule, compaction=comp)
-        with stale_tier("vectorised"):
-            idx_vec = ConnectivityIndex.from_csr(g)
-            vec = idx_vec.insert_batch(us, vs, union_rule=rule, compaction=comp)
-        np.testing.assert_array_equal(sca.linked, vec.linked)
-        np.testing.assert_array_equal(idx_sca.forest.parent, idx_vec.forest.parent)
-        assert sca.total_hops == vec.total_hops
-        assert sca.profile.meta == vec.profile.meta
+    stream = UpdateStream(g.n, np.ones(us.size, dtype=np.int8), us, vs, np.zeros(us.size))
+    runs = {}
+    for tier in ("scalar", "vectorised"):
+        with stale_tier(tier):
+            idx = ConnectivityIndex.from_rep(DynamicGraph.from_edgelist(graph, seed=1).rep)
+            linked = idx._union_roots(us, vs)
+            idx.apply_batch(stream)
+            runs[tier] = (idx, linked)
+    (sca, sca_linked), (vec, vec_linked) = runs["scalar"], runs["vectorised"]
+    np.testing.assert_array_equal(sca_linked, vec_linked)
+    np.testing.assert_array_equal(sca.forest.parent, vec.forest.parent)
+    assert sca.forest.hops == vec.forest.hops
+    assert sca.stats == vec.stats
 
-        # add_edge one edge at a time links exactly the same edges.
-        forest_one, _ = LinkCutForest.from_csr(g)
-        one_by_one = [forest_one.add_edge(int(u), int(v)) for u, v in zip(us, vs)]
-        assert sca.linked.tolist() == one_by_one
+    # add_edge one edge at a time links exactly the same edges.
+    forest_one, _ = LinkCutForest.from_csr(g)
+    one_by_one = [forest_one.add_edge(int(u), int(v)) for u, v in zip(us, vs)]
+    assert sca_linked.tolist() == one_by_one
+    assert sca.stats.tree_links == sum(one_by_one)
 
 
 def test_scalar_tier_findroot_batch_matches():

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.expose: OpenMetrics rendering, validation, HTTP."""
+"""Tests for repro.obs.expose: OpenMetrics rendering, validation, the routes."""
 
 import json
 import urllib.error
@@ -6,15 +6,18 @@ import urllib.request
 
 import pytest
 
+from repro.api import DynamicGraph
 from repro.obs.expose import (
-    TelemetryServer,
-    format_rollups,
+    CONTENT_TYPE,
+    telemetry_response,
     to_openmetrics,
     validate_openmetrics,
 )
-from repro.obs.live import TelemetryCollector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.reqtrace import ExemplarStore
+from repro.obs.sink import describe
+from repro.service import GraphService
+from repro.util import httpd
 
 
 def populated_registry():
@@ -206,56 +209,66 @@ class TestValidatorStructure:
 
 
 class TestFormatRollups:
+    """The routes as a handler returns them, and the terminal counter table."""
+
     def test_table_has_header_and_rows(self):
-        out = format_rollups({
-            "a": {"kind": "counter", "last": 10, "mean": 5.0, "p50": 5.0,
-                  "p99": 9.0, "max": 9.5},
-        })
-        assert "metric" in out and "p99" in out and "a" in out
+        status, ctype, body = telemetry_response("/metrics.json", populated_registry())
+        assert (status, ctype) == (200, httpd.JSON)
+        payload = json.loads(body)
+        assert list(payload) == ["snapshot"]
+        assert payload["snapshot"]["counters"] == {"updates.applied": 42}
+        assert payload["snapshot"]["histograms"]["lat.seconds"]["count"] == 3
 
     def test_top_keeps_busiest(self):
-        rollups = {
-            "small": {"kind": "counter", "last": 1},
-            "big": {"kind": "counter", "last": 1000},
-        }
-        out = format_rollups(rollups, top=1)
+        reg = MetricsRegistry()
+        reg.inc("small", 1)
+        reg.inc("big", 1000)
+        out = describe([], metrics=reg, top=1)
+        assert "-- top counters (1 of 2) --" in out
         assert "big" in out and "small" not in out
 
     def test_empty(self):
-        assert format_rollups({}) == "(no series collected)"
+        reg = MetricsRegistry()
+        assert telemetry_response("/nope", reg) is None
+        assert "top counters" not in describe([], metrics=reg)
+        status, ctype, body = telemetry_response("/metrics", reg)
+        assert (status, ctype, body) == (200, CONTENT_TYPE, "# EOF\n")
+
+
+@pytest.fixture(scope="module")
+def service():
+    with GraphService(DynamicGraph(16), query_threads=1).start_background() as handle:
+        yield handle
 
 
 class TestTelemetryServer:
-    def test_metrics_endpoint_serves_valid_payload(self):
-        reg = populated_registry()
-        with TelemetryServer(reg) as server:
-            assert server.port > 0
-            body = urllib.request.urlopen(server.url + "/metrics").read().decode()
-        assert validate_openmetrics(body)["n_families"] == 3
-        assert server.n_scrapes == 1
+    """The service's ``/metrics``, ``/metrics.json``, ``/healthz`` and 404."""
 
-    def test_metrics_json_includes_rollups(self):
-        reg = populated_registry()
-        col = TelemetryCollector(reg, interval=3600)
-        col.tick(now=0.0)
-        with TelemetryServer(reg, collector=col) as server:
-            payload = json.loads(
-                urllib.request.urlopen(server.url + "/metrics.json").read()
-            )
-        assert payload["snapshot"]["counters"]["updates.applied"] == 42
-        assert payload["rollups"]["updates.applied"]["kind"] == "counter"
+    def test_metrics_endpoint_serves_valid_payload(self, service):
+        METRICS.inc("updates.applied", 0)
+        with urllib.request.urlopen(service.url + "/metrics") as r:
+            assert r.headers["Content-Type"] == CONTENT_TYPE
+            body = r.read().decode()
+        stats = validate_openmetrics(body)
+        assert stats["types"]["updates_applied"] == "counter"
 
-    def test_healthz_and_404(self):
-        with TelemetryServer(MetricsRegistry()) as server:
-            ok = urllib.request.urlopen(server.url + "/healthz").read()
-            assert ok == b"ok\n"
+    def test_metrics_json_includes_rollups(self, service):
+        METRICS.inc("updates.applied", 7)
+        payload = json.loads(urllib.request.urlopen(service.url + "/metrics.json").read())
+        assert list(payload) == ["snapshot"]  # the registry snapshot alone
+        assert payload["snapshot"]["counters"]["updates.applied"] >= 7
+
+    def test_healthz_and_404(self, service):
+        health = json.loads(urllib.request.urlopen(service.url + "/healthz").read())
+        assert health["ok"] is True
+        for path in ("/nope", "/slo"):
             with pytest.raises(urllib.error.HTTPError) as exc:
-                urllib.request.urlopen(server.url + "/nope")
+                urllib.request.urlopen(service.url + path)
             assert exc.value.code == 404
 
     def test_stop_releases_socket(self):
-        server = TelemetryServer(MetricsRegistry())
-        url = server.url
-        server.close()
+        handle = GraphService(DynamicGraph(4), query_threads=1).start_background()
+        url = handle.url
+        handle.close()
         with pytest.raises((urllib.error.URLError, OSError)):
             urllib.request.urlopen(url + "/healthz", timeout=0.5)

@@ -1,104 +1,114 @@
-"""Tests for repro.obs.live: collector, time-series windows, watchdog."""
+"""What a metrics reader needs from the registry, and the pool's failure path.
 
+A reader of the process registry (a ``/metrics`` scraper, a benchmark that
+diffs two snapshots) asks for rates from two snapshots, levels, quantiles,
+bounded memory and safety across a reset; :class:`MetricsRegistry`,
+:func:`snapshot_delta` and :class:`Histogram` answer them.  Whether a pool
+worker is dead or wedged is answered by the pool itself: a crash or a round
+timeout raises :class:`~repro.errors.WorkerCrashError`, and
+:meth:`WorkerPool.restart` recovers.
+"""
+
+import threading
 import time
 
 import pytest
 
+from repro.errors import WorkerCrashError
 from repro.obs import MemorySink, disable_tracing, enable_tracing
-from repro.obs.live import (
-    MetricWindow,
-    TelemetryCollector,
-    TimeSeriesStore,
-    Watchdog,
-    current_collector,
-    disable_live_telemetry,
-    enable_live_telemetry,
-    live_telemetry_enabled,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import alerts, describe
+from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry, snapshot_delta
+from repro.obs.prof import disable_memory_profiling, enable_memory_profiling
+from repro.obs.sink import describe
+from repro.parallel.pool import TaskSpec, WorkerPool
 
 
-class StubPool:
-    """Duck-typed WorkerPool for watchdog tests: scripted health/beats."""
-
-    def __init__(self, health=(), beats=None):
-        self._health = list(health)
-        self._beats = dict(beats or {})
-
-    def worker_health(self):
-        return [dict(h) for h in self._health]
-
-    def heartbeats(self):
-        return {k: dict(v) for k, v in self._beats.items()}
+def rate(before: dict, after: dict, name: str, seconds: float) -> float:
+    """A counter's rate between two snapshots taken ``seconds`` apart."""
+    return snapshot_delta(before, after)["counters"].get(name, 0) / seconds
 
 
 class TestMetricWindow:
     def test_counter_rollup_describes_rates(self):
-        w = MetricWindow("c", "counter", maxlen=16)
-        for t, v in [(0.0, 0.0), (1.0, 10.0), (2.0, 40.0)]:
-            w.record(t, v)
-        r = w.rollup()
-        assert r["kind"] == "counter" and r["samples"] == 3
-        assert r["last"] == 40
-        assert r["min"] == 10.0 and r["max"] == 30.0 and r["mean"] == 20.0
+        reg = MetricsRegistry()
+        snaps = [reg.snapshot()]
+        for n in (10, 30):
+            reg.inc("c", n)
+            snaps.append(reg.snapshot())
+        assert snaps[-1]["counters"]["c"] == 40
+        assert [rate(a, b, "c", 1.0) for a, b in zip(snaps, snaps[1:])] == [10.0, 30.0]
 
     def test_gauge_rollup_describes_levels(self):
-        w = MetricWindow("g", "gauge", maxlen=16)
-        for t, v in enumerate([5.0, 1.0, 3.0]):
-            w.record(float(t), v)
-        r = w.rollup()
-        assert r["min"] == 1.0 and r["max"] == 5.0 and r["last"] == 3.0
-        assert r["p50"] == 3.0
+        reg = MetricsRegistry()
+        reg.set("g", 5.0)
+        first = reg.snapshot()
+        for level in (1.0, 3.0):
+            reg.set("g", level)
+        last = reg.snapshot()
+        assert last["gauges"]["g"] == 3.0  # the level, not a sum
+        assert snapshot_delta(first, last)["gauges"] == {"g": 3.0}
+        assert snapshot_delta(last, reg.snapshot())["gauges"] == {}  # unchanged: omitted
 
     def test_window_is_bounded(self):
-        w = MetricWindow("c", "gauge", maxlen=4)
-        for t in range(100):
-            w.record(float(t), float(t))
-        assert len(w.samples) == 4
-        assert w.rollup()["min"] == 96.0  # oldest samples evicted
+        reg = MetricsRegistry()
+        for i in range(20_000):
+            reg.observe("h", float(i))
+        h = reg.histogram("h")
+        assert len(h.buckets) == len(BUCKET_BOUNDS) + 1  # fixed, whatever the count
+        summary = reg.snapshot()["histograms"]["h"]
+        assert summary["count"] == 20_000 and len(summary["buckets"]) == len(h.buckets)
+        assert (summary["min"], summary["max"]) == (0.0, 19_999.0)
 
     def test_quantiles_interpolate_over_window(self):
-        w = MetricWindow("g", "gauge", maxlen=128)
-        for t in range(101):
-            w.record(float(t), float(t))
-        r = w.rollup()
-        assert r["p50"] == pytest.approx(50.0)
-        assert r["p99"] == pytest.approx(99.0)
+        reg = MetricsRegistry()
+        for v in range(1, 102):
+            reg.observe("h", float(v))
+        h = reg.histogram("h")
+        # Within the √2 bucket ladder's resolution of the exact answer.
+        assert h.quantile(0.5) == pytest.approx(51.0, rel=0.2)
+        assert h.quantile(0.99) == pytest.approx(100.0, rel=0.2)
+        assert h.quantile(0.0) == 1.0 and h.quantile(1.0) == 101.0
+        assert h.quantile(0.5) < h.quantile(0.99)
 
     def test_empty_and_single_sample_rollups_are_finite(self):
-        w = MetricWindow("c", "counter", maxlen=4)
-        assert w.rollup() == {
-            "kind": "counter", "samples": 0, "last": 0,
-            "min": 0.0, "max": 0.0, "mean": 0.0, "p50": 0.0, "p99": 0.0,
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
+        assert reg.snapshot()["histograms"]["h"] == {
+            "count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
         }
-        w.record(0.0, 5.0)
-        r = w.rollup()  # one counter sample -> no interval yet
-        assert r["samples"] == 1 and r["last"] == 5 and r["mean"] == 0.0
+        assert h.quantile(0.5) == 0.0
+        reg.observe("h", 5.0)
+        assert h.quantile(0.5) == h.quantile(0.99) == 5.0
+        snap = reg.snapshot()
+        assert snapshot_delta(snap, snap) == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_counter_rate_never_negative_after_reset(self):
-        w = MetricWindow("c", "counter", maxlen=8)
-        w.record(0.0, 100.0)
-        w.record(1.0, 10.0)  # registry was reset between scrapes
-        assert w.rollup()["min"] == 0.0
+        reg = MetricsRegistry()
+        reg.inc("c", 100)
+        reg.observe("h", 1.0)
+        before = reg.snapshot()
+        reg.reset()  # a reset between two reads
+        reg.inc("c", 10)
+        delta = snapshot_delta(before, reg.snapshot())
+        assert "c" not in delta["counters"] and "h" not in delta["histograms"]
+        assert rate(before, reg.snapshot(), "c", 1.0) == 0.0
 
 
 class TestTimeSeriesStore:
     def test_series_cap_drops_new_not_old(self):
-        store = TimeSeriesStore(window=8, max_series=2)
-        store.record("counter", "a", 0.0, 1.0)
-        store.record("counter", "b", 0.0, 1.0)
-        store.record("counter", "c", 0.0, 1.0)  # over the cap
-        assert store.names() == ["a", "b"]
-        assert store.n_dropped_series == 1
-        store.record("counter", "a", 1.0, 2.0)  # existing series still grow
-        assert len(store.window_of("a").samples) == 2
+        reg = MetricsRegistry()
+        reg.inc("a")
+        reg.inc("b")
+        reg.reset()  # names stay registered: no series is dropped
+        assert sorted(reg.snapshot()["counters"]) == ["a", "b"]
+        reg.inc("a", 2)  # an existing series keeps growing
+        assert reg.snapshot()["counters"] == {"a": 2, "b": 0}
 
     def test_rollups_keyed_by_name(self):
-        store = TimeSeriesStore()
-        store.record("gauge", "g", 0.0, 1.5)
-        assert store.rollups()["g"]["last"] == 1.5
-        assert store.rollup("missing") == {}
+        reg = MetricsRegistry()
+        reg.set("g", 1.5)
+        snap = reg.snapshot()
+        assert snap["gauges"]["g"] == 1.5
+        assert "missing" not in snap["gauges"] and "missing" not in snap["counters"]
 
 
 class TestTelemetryCollector:
@@ -107,128 +117,127 @@ class TestTelemetryCollector:
         reg.inc("c", 3)
         reg.set("g", 2.5)
         reg.observe("h", 0.5)
-        col = TelemetryCollector(reg, interval=3600)
-        col.tick(now=0.0)
-        names = col.store.names()
-        assert "c" in names and "g" in names and "h.count" in names
-        assert col.n_ticks == 1
-        # The collector accounts for itself in the same registry.
-        assert reg.counter("obs.live.ticks").value == 1
-        assert reg.histogram("obs.live.scrape_seconds").count == 1
+        snap = reg.snapshot()
+        assert snap["counters"] == {"c": 3}
+        assert snap["gauges"] == {"g": 2.5}
+        assert snap["histograms"]["h"]["count"] == 1
+        assert snap["histograms"]["h"]["p50"] == 0.5
 
     def test_rates_derive_from_consecutive_ticks(self):
         reg = MetricsRegistry()
-        col = TelemetryCollector(reg, interval=3600)
         reg.inc("ops", 10)
-        col.tick(now=0.0)
+        first = reg.snapshot()
         reg.inc("ops", 20)
-        col.tick(now=2.0)
-        r = col.store.rollup("ops")
-        assert r["last"] == 30 and r["mean"] == pytest.approx(10.0)  # 20/2s
+        reg.observe("lat", 0.25)
+        second = reg.snapshot()
+        assert rate(first, second, "ops", 2.0) == pytest.approx(10.0)  # 20 / 2 s
+        assert snapshot_delta(first, second)["histograms"]["lat"]["count"] == 1
 
     def test_background_thread_ticks(self):
+        # A reader on another thread sees counters only ever grow.
         reg = MetricsRegistry()
-        col = TelemetryCollector(reg, interval=0.01)
-        with col:
-            assert col.running
-            deadline = time.monotonic() + 2.0
-            while col.n_ticks < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert not col.running
-        assert col.n_ticks >= 3
+        stop = threading.Event()
+        seen: list[int] = []
+
+        def read():
+            while not stop.is_set():
+                seen.append(reg.snapshot()["counters"].get("ops", 0))
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for _ in range(20_000):
+                reg.inc("ops")
+                reg.observe("lat", 1e-3)
+        finally:
+            stop.set()
+            reader.join()
+        assert seen and seen == sorted(seen)
+        assert reg.snapshot()["counters"]["ops"] == 20_000
 
     def test_attached_watchdog_checked_each_tick(self):
-        reg = MetricsRegistry()
-        col = TelemetryCollector(reg, interval=3600)
-        wd = col.attach_watchdog(
-            Watchdog(StubPool(health=[{"worker": 0, "alive": False, "exitcode": -9}]),
-                     registry=reg)
-        )
-        col.tick(now=0.0)
-        assert [a["kind"] for a in wd.alerts] == ["worker_dead"]
+        # Each worker task's delta lands under its worker and the combined rollup.
+        parent, worker = MetricsRegistry(), MetricsRegistry()
+        for _ in range(2):
+            before = worker.snapshot()
+            worker.inc("kernel.ops", 5)
+            worker.set("memory.peak_bytes", 100.0)
+            parent.merge_snapshot(
+                snapshot_delta(before, worker.snapshot()), prefix="worker0", rollup="workers"
+            )
+        counters = parent.snapshot()["counters"]
+        assert counters["worker0.kernel.ops"] == counters["workers.kernel.ops"] == 10
+        assert parent.gauge("workers.memory.peak_bytes").value == 100.0
 
     def test_module_level_enable_disable(self):
-        try:
-            col = enable_live_telemetry(interval=60.0)
-            assert live_telemetry_enabled() and current_collector() is col
-            assert col.running
-            replacement = enable_live_telemetry(interval=60.0)
-            assert current_collector() is replacement and not col.running
-        finally:
-            disable_live_telemetry()
-        assert not live_telemetry_enabled() and current_collector() is None
-        assert not replacement.running
+        METRICS.inc("reset.check", 3)
+        METRICS.set("reset.level", 2.0)
+        METRICS.observe("reset.lat", 0.5)
+        METRICS.reset()
+        snap = METRICS.snapshot()
+        assert snap["counters"]["reset.check"] == 0
+        assert snap["gauges"]["reset.level"] == 0.0
+        assert snap["histograms"]["reset.lat"]["count"] == 0
+        METRICS.observe("reset.lat", 0.25)  # fresh extremes after the reset
+        assert METRICS.histogram("reset.lat").quantile(0.0) == 0.25
 
 
 class TestWatchdog:
-    def beats(self, *, task_id=7, busy=10.0, received=0.0, rss=None):
-        return {
-            0: {
-                "worker": 0, "task_id": task_id, "task": "selftest.sleep",
-                "busy_seconds": busy, "n_done": 1, "rss_bytes": rss,
-                "received": received,
-            }
-        }
-
-    def healthy(self):
-        return [{"worker": 0, "alive": True, "exitcode": None}]
-
     def test_stalled_worker_alerts_once_per_task(self):
-        reg = MetricsRegistry()
-        pool = StubPool(health=self.healthy(), beats=self.beats(busy=10.0))
-        wd = Watchdog(pool, stall_after=5.0, registry=reg)
-        first = wd.check(now=0.0)
-        assert [a["kind"] for a in first] == ["worker_stalled"]
-        assert first[0]["task_id"] == 7
-        assert first[0]["error_type"] == "WorkerCrashError"
-        assert wd.check(now=1.0) == []  # same episode, no re-alert
-        assert reg.counter("obs.watchdog.alerts").value == 1
-        assert reg.counter("obs.watchdog.worker_stalled").value == 1
+        with WorkerPool(1, timeout=0.3) as pool:
+            with pytest.raises(WorkerCrashError, match="timed out") as exc:
+                pool.run_tasks([TaskSpec("selftest.sleep", {"seconds": 2.0})])
+            assert "0/1 results" in str(exc.value)
 
     def test_stale_heartbeat_counts_toward_stall(self):
-        # Beat says busy 1s, but it was received 10s ago: the worker is
-        # not even beating any more -> treated as stalled.
-        pool = StubPool(health=self.healthy(),
-                        beats=self.beats(busy=1.0, received=0.0))
-        wd = Watchdog(pool, stall_after=5.0, registry=MetricsRegistry())
-        assert [a["kind"] for a in wd.check(now=10.0)] == ["worker_stalled"]
+        # The other worker answered; the round still times out on the wedged one.
+        with WorkerPool(2, timeout=0.5) as pool:
+            with pytest.raises(WorkerCrashError, match="1/2 results"):
+                pool.run_tasks([
+                    TaskSpec("selftest.sleep", {"seconds": 3.0}),
+                    TaskSpec("selftest.echo", {"value": 1}),
+                ])
 
     def test_idle_fast_worker_never_alerts(self):
-        pool = StubPool(health=self.healthy(),
-                        beats=self.beats(task_id=None, busy=0.0))
-        wd = Watchdog(pool, stall_after=0.1, registry=MetricsRegistry())
-        assert wd.check(now=100.0) == []
+        # The timeout bounds a round, not the time a pool sits idle.
+        with WorkerPool(1, timeout=0.3) as pool:
+            assert pool.run_tasks([TaskSpec("selftest.echo", {"value": 1})])[0]["echo"] == 1
+            time.sleep(0.5)
+            assert pool.run_tasks([TaskSpec("selftest.echo", {"value": 2})])[0]["echo"] == 2
 
     def test_memory_episode_resets_when_rss_drops(self):
-        reg = MetricsRegistry()
-        pool = StubPool(health=self.healthy(),
-                        beats=self.beats(task_id=None, rss=2_000_000))
-        wd = Watchdog(pool, rss_limit_bytes=1_000_000, registry=reg)
-        assert [a["kind"] for a in wd.check(now=0.0)] == ["worker_memory"]
-        assert wd.check(now=1.0) == []  # still over: one alert per episode
-        pool._beats = self.beats(task_id=None, rss=500_000)
-        assert wd.check(now=2.0) == []  # back under: episode closed
-        pool._beats = self.beats(task_id=None, rss=3_000_000)
-        assert [a["kind"] for a in wd.check(now=3.0)] == ["worker_memory"]
+        # With memory profiling on, each task ships its heap peak: the worker's
+        # gauge follows the last task, the rollup keeps the high-water mark.
+        enable_memory_profiling()
+        try:
+            with WorkerPool(1, timeout=30.0) as pool:
+                pool.run_tasks([TaskSpec("selftest.tick", {"alloc_bytes": 4 << 20})])
+                high = METRICS.gauge("worker0.memory.peak_bytes").value
+                pool.run_tasks([TaskSpec("selftest.tick", {"alloc_bytes": 0})])
+                low = METRICS.gauge("worker0.memory.peak_bytes").value
+        finally:
+            disable_memory_profiling()
+        assert high >= 4 << 20 > low
+        assert METRICS.gauge("workers.memory.peak_bytes").value >= high
 
     def test_dead_worker_alert_carries_exitcode(self):
-        pool = StubPool(health=[{"worker": 1, "alive": False, "exitcode": -11}])
-        wd = Watchdog(pool, registry=MetricsRegistry())
-        (alert,) = wd.check(now=0.0)
-        assert alert["kind"] == "worker_dead" and alert["exitcode"] == -11
+        pool = WorkerPool(1, timeout=30.0)
+        try:
+            with pytest.raises(WorkerCrashError, match=r"repro-worker-0 \(exit 11\)"):
+                pool.run_tasks([TaskSpec("selftest.exit", {"code": 11})])
+        finally:
+            pool.shutdown()
 
     def test_alerts_enter_trace_stream_and_describe(self):
         sink = MemorySink()
         enable_tracing(sink)
         try:
-            reg = MetricsRegistry()
-            pool = StubPool(health=self.healthy(), beats=self.beats(busy=9.0))
-            Watchdog(pool, stall_after=1.0, registry=reg).check(now=0.0)
+            with WorkerPool(1, timeout=30.0) as pool:
+                with pytest.raises(WorkerCrashError, match="ValueError: wedged"):
+                    pool.run_tasks([TaskSpec("selftest.fail", {"message": "wedged"})])
         finally:
             disable_tracing()
-        flagged = alerts(sink.events)
-        assert len(flagged) == 1
-        assert flagged[0]["name"] == "watchdog.worker_stalled"
-        assert flagged[0]["attrs"]["worker"] == 0
-        text = describe(sink.events)
-        assert "-- alerts (1) --" in text and "watchdog.worker_stalled" in text
+        # The failed task's span is adopted into the parent's stream.
+        names = [e["name"] for e in sink.events]
+        assert "parallel.selftest.fail" in names
+        assert "parallel.selftest.fail" in describe(sink.events)

@@ -8,21 +8,28 @@ Two guarantees are pinned here:
   ``span()`` times the number of instrumentation sites a real workload
   hits must stay far below the workload's own runtime.  This is a
   computed bound, not a noise-prone A/B timing, so it is stable in CI.
-* **The live collector never changes results.**  Enabling the background
-  collector (satellite thread, scrapes, rollups) must leave kernel
-  outputs bit-identical — telemetry observes, it never participates.
+* **A scraper never changes results.**  Rendering ``/metrics`` from a
+  background thread while a workload runs must leave kernel outputs
+  bit-identical — telemetry observes, it never participates.
+* **``repro serve`` leaves nothing behind.**  Its shutdown stops every
+  thread and worker process it started.
 
-The <2% *enabled*-collector wall-clock gate lives in
-``benchmarks/test_obs_overhead.py``, outside tier-1: its paired timings
-need a machine that is not also running the rest of the suite.
+The <2% scraped wall-clock gate lives in ``benchmarks/test_obs_overhead.py``,
+outside tier-1: its paired timings need a machine that is not also running
+the rest of the suite.
 """
 
+import json
+import multiprocessing
+import os
 import threading
 import time
+import urllib.request
 
 import numpy as np
 
 from repro import obs
+from repro.__main__ import main
 from repro.api import DynamicGraph
 from repro.generators import mixed_stream, rmat_graph
 from repro.obs.trace import _NULL_SPAN
@@ -78,7 +85,6 @@ class TestDisabledOverhead:
 
         # ...and time the workload with everything off.
         assert not obs.tracing_enabled()
-        assert not obs.live_telemetry_enabled()
         assert not obs.memory_profiling_enabled()
         t0 = time.perf_counter()
         run_workload()
@@ -92,39 +98,77 @@ class TestDisabledOverhead:
 
 
 class TestZeroResidue:
-    def test_full_stack_disable_leaves_nothing_behind(self):
+    def test_full_stack_disable_leaves_nothing_behind(self, tmp_path):
         tracer = obs.enable_tracing(obs.MemorySink())
-        collector = obs.enable_live_telemetry(interval=0.01)
         obs.enable_memory_profiling()
         with obs.span("residue.check"):
             obs.METRICS.inc("residue.counter")
-        deadline = time.monotonic() + 2.0
-        while collector.n_ticks == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
         obs.disable_memory_profiling()
-        obs.disable_live_telemetry()
         obs.disable_tracing()
-
         assert not obs.tracing_enabled() and obs.current_tracer() is None
-        assert not obs.live_telemetry_enabled() and obs.current_collector() is None
         assert not obs.memory_profiling_enabled()
-        assert not collector.running
         assert obs.span("x") is _NULL_SPAN and obs.emit_event("x") is None
-        lingering = [
-            t.name for t in threading.enumerate()
-            if t.name.startswith("repro-telemetry")
-        ]
-        assert lingering == []
         assert tracer.n_events == 1  # only the span from the enabled window
+
+        # A process-backend service run: the pool starts on the first
+        # /components and everything is gone once the command returns.
+        url_file, report_file = tmp_path / "url.txt", tmp_path / "report.json"
+        before = set(multiprocessing.active_children())
+        threads_before = set(threading.enumerate())
+        workers: list = []
+
+        def drive():
+            deadline = time.monotonic() + 30
+            while not (url_file.exists() and url_file.read_text().strip()):
+                assert time.monotonic() < deadline, "serve never published its URL"
+                time.sleep(0.02)
+            url = url_file.read_text().strip()
+            with urllib.request.urlopen(url + "/components", timeout=30) as r:
+                assert r.status == 200
+            workers.extend(set(multiprocessing.active_children()) - before)
+
+        driver = threading.Thread(target=drive)
+        driver.start()
+        assert main([
+            "serve", "--scale", "7", "--edge-factor", "2", "--backend", "process",
+            "--workers", "2", "--duration", "3", "--url-file", str(url_file),
+            "--report", str(report_file), "--quiet",
+        ]) == 0
+        driver.join()
+
+        report = json.loads(report_file.read_text())
+        assert sorted(report) == [
+            "backend", "max_epoch_lag", "query_latency_seconds", "reqtrace",
+            "scale", "stats", "url",
+        ]
+        assert report["stats"]["queries"] >= 1
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith(("repro-telemetry", "repro-heartbeat"))]
+        started = [t.name for t in set(threading.enumerate()) - threads_before]
+        assert not [n for n in started if n.startswith("repro-")], started
+        assert len(workers) == 2 and obs.METRICS.counter("parallel.pools_started").value == 1
+        for proc in workers:
+            assert not proc.is_alive()
+            assert not os.path.exists(f"/proc/{proc.pid}")
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestCollectorNeutrality:
     def test_results_bit_identical_with_collector_on(self):
         n_off, labels_off, passes_off = run_workload()
-        obs.enable_live_telemetry(interval=0.005)
+        stop, renders = threading.Event(), []
+
+        def scrape():
+            while not stop.wait(0.005):
+                renders.append(obs.to_openmetrics(obs.METRICS))
+
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
         try:
             n_on, labels_on, passes_on = run_workload()
         finally:
-            obs.disable_live_telemetry()
+            stop.set()
+            scraper.join()
+        assert renders
         assert n_on == n_off and passes_on == passes_off
         assert np.array_equal(labels_on, labels_off)

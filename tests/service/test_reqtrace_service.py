@@ -1,21 +1,19 @@
-"""Request tracing and SLOs through the live service, end to end."""
+"""Request tracing and the latency record through the live service, end to end."""
 
 import json
 import time
+import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.__main__ import main
 from repro.api import DynamicGraph
 from repro.errors import WorkerCrashError
 from repro.generators.parallel import iter_update_chunks
 from repro.obs import activate, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
-from repro.obs.live import TelemetryCollector, Watchdog
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.reqtrace import ExemplarStore, RequestTracer
-from repro.obs.slo import SloTracker
 from repro.parallel.pool import TaskSpec, WorkerPool
 from repro.service import GraphService, ShardRouter
 
@@ -164,10 +162,15 @@ class TestEndpoints:
         assert with_sampled["sampled"]  # head_every=1 keeps everything
 
     def test_slo_endpoint_states_both_trackers(self, traced):
-        handle, _, _ = traced
-        slos = get_json(handle.url + "/slo")["slos"]
-        assert sorted(slos) == ["service.query", "service.update"]
-        assert slos["service.query"]["objectives"]["latency"]["breaching"] is False
+        # Read and write latency both live in /metrics.json; /slo is no route.
+        handle, _, batches = traced
+        get_json(handle.url + "/connected?u=0&v=1")
+        histograms = get_json(handle.url + "/metrics.json")["snapshot"]["histograms"]
+        assert histograms["service.query.seconds"]["count"] >= 1
+        assert histograms["service.updates.batch_seconds"]["count"] >= len(batches)
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(handle.url + "/slo", timeout=30)
+        assert exc.value.code == 404
 
     def test_stats_carry_gauges_and_trace_fields(self, traced):
         handle, _, _ = traced
@@ -179,12 +182,12 @@ class TestEndpoints:
         assert stats["slow_captured"] >= 0
 
     def test_gauges_sampled_by_live_collector(self, traced):
+        # A scraper of /metrics.json samples the service's gauges.
         handle, _, _ = traced
         get_json(handle.url + "/connected?u=0&v=1")
-        col = TelemetryCollector(METRICS, interval=3600)
-        col.tick(now=0.0)
-        assert "service.queries.inflight" in col.store.names()
-        assert "service.update_queue.depth" in col.store.names()
+        gauges = get_json(handle.url + "/metrics.json")["snapshot"]["gauges"]
+        assert gauges["service.queries.inflight"] == 0.0
+        assert gauges["service.update_queue.depth"] == 0.0
 
     def test_metrics_payload_carries_query_exemplars(self, traced):
         handle, _, _ = traced
@@ -241,58 +244,43 @@ class TestPoolRestart:
 
 
 class TestSloFaultInjection:
-    def test_throttled_drainer_alerts_once_per_episode(self, capsys):
-        fake = [1000.0]
-        slo_update = SloTracker(
-            "service.update",
-            latency_threshold_seconds=0.001,
-            windows=(5.0, 20.0),
+    def test_throttled_drainer_alerts_once_per_episode(self):
+        tracer = RequestTracer(
+            head_every=0,
+            slow_threshold_seconds=0.05,
             registry=MetricsRegistry(),
-            clock=lambda: fake[0],
+            exemplars=ExemplarStore(),
         )
-        service = GraphService(DynamicGraph(N), slo_update=slo_update)
-        service.drainer.throttle = 0.02  # fault injection: every batch breaches
-        watchdog = Watchdog(None, registry=MetricsRegistry())
-        watchdog.attach_slo(slo_update)
+        service = GraphService(DynamicGraph(N), reqtrace=tracer)
         handle = service.start_background()
         try:
             def drain(seed):
-                batches = list(
-                    iter_update_chunks(SCALE, N, seed=seed, chunk_edges=64)
-                )
-                before = service.drainer.n_batches
+                batches = list(iter_update_chunks(SCALE, N, seed=seed, chunk_edges=64))
+                before = len(tracer.recent())
                 for c in batches:
                     handle.submit(c)
                 deadline = time.monotonic() + 60
-                while service.drainer.n_batches < before + len(batches):
+                while len(tracer.recent()) < before + len(batches):
                     assert time.monotonic() < deadline, "drain stalled"
                     time.sleep(0.01)
+                return len(batches)
 
-            drain(seed=5)
-            first = watchdog.check()
-            assert [a["kind"] for a in first] == ["slo_burn_latency"]
-            assert first[0]["slo"] == "service.update"
-            # same episode: further checks stay silent
-            assert watchdog.check() == []
-            assert len(watchdog.alerts) == 1
+            service.drainer.throttle = 0.08  # fault injection: every batch breaches
+            n_slow = drain(seed=5)
+            slow = get_json(handle.url + "/debug/slow")["slow"]
+            # one kept update trace per slow batch, each with its epoch
+            assert len(slow) == n_slow
+            assert all(r["kind"] == "update" and r["slow"] for r in slow)
+            assert all(r["epoch"] is not None for r in slow)
 
-            # the alert is visible at /slo ...
-            state = get_json(handle.url + "/slo")["slos"]["service.update"]
-            assert state["n_alerts"] == 1
-            assert state["alerts"][0]["kind"] == "slo_burn_latency"
-
-            # ... and through the CLI
-            assert main(["obs", "slo", handle.url]) == 0
-            out = capsys.readouterr().out
-            assert "slo_burn_latency" in out and "service.update" in out
-            assert main(["obs", "slo", handle.url, "--json"]) == 0
-
-            # recovery re-arms; a second breach is a second episode
-            fake[0] = 2000.0
-            assert watchdog.check() == []
+            # recovery: fast batches are summarised, not kept
+            service.drainer.throttle = 0.0
             drain(seed=6)
-            second = watchdog.check()
-            assert [a["kind"] for a in second] == ["slo_burn_latency"]
-            assert len(watchdog.alerts) == 2
+            assert len(get_json(handle.url + "/debug/slow")["slow"]) == n_slow
+
+            # a second breach is a second run of slow traces
+            service.drainer.throttle = 0.08
+            drain(seed=7)
+            assert len(get_json(handle.url + "/debug/slow")["slow"]) > n_slow
         finally:
             handle.close()

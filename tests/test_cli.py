@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import threading
+import time
+from contextlib import contextmanager
+from urllib.request import urlopen
+
 import pytest
 
 from repro.__main__ import main
@@ -242,77 +248,80 @@ class TestTraceFlagsAndExporters:
 
 
 class TestObs:
-    """The ``repro obs`` family: serve a workload, scrape it, inspect it."""
+    """Serve and inspect a run: ``repro serve`` and ``repro trace``; ``obs`` is no command."""
 
-    def serve_fixture(self):
-        from repro import obs
+    SERVE = ["serve", "--scale", "6", "--edge-factor", "2", "--quiet"]
 
-        obs.METRICS.reset()
-        obs.METRICS.inc("updates.applied", 7)
-        obs.METRICS.observe("lat.seconds", 0.25)
-        collector = obs.TelemetryCollector(interval=3600)
-        collector.tick()
-        return obs.TelemetryServer(collector=collector)
+    @contextmanager
+    def serving(self, tmp_path, *extra):
+        """Run ``repro serve`` on a thread; yields its URL while it holds up."""
+        url_file = tmp_path / "url.txt"
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main([
+            *self.SERVE, "--duration", "3", "--url-file", str(url_file), *extra,
+        ])))
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not (url_file.exists() and url_file.read_text().strip()):
+                assert time.monotonic() < deadline, "serve never published its URL"
+                time.sleep(0.02)
+            yield url_file.read_text().strip()
+        finally:
+            thread.join()
+        assert codes == [0]
 
     def test_serve_runs_workload_and_writes_url_file(self, tmp_path, capsys):
-        from repro import obs
-
         url_file = tmp_path / "url.txt"
         assert main([
-            "obs", "serve", "updates", "--scale", "8", "--edge-factor", "4",
-            "--updates", "200", "--url-file", str(url_file),
+            "serve", "--scale", "6", "--edge-factor", "2", "--url-file", str(url_file),
         ]) == 0
         out = capsys.readouterr().out
         assert url_file.read_text().startswith("http://127.0.0.1:")
-        assert "1 workload round(s)" in out and "series collected" in out
-        assert not obs.live_telemetry_enabled()  # clean teardown
+        assert "serving hybrid graph n=2^6" in out
+        assert "updates in" in out and "answered 0 query(ies)" in out
 
-    def test_scrape_check_and_out(self, tmp_path, capsys):
-        with self.serve_fixture() as server:
-            payload = tmp_path / "payload.txt"
-            assert main([
-                "obs", "scrape", server.url, "--check", "--out", str(payload),
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "payload valid:" in out
-            text = payload.read_text()
-        assert text.rstrip().endswith("# EOF")
-        assert "updates_applied_total 7" in text
+    def test_scrape_check_and_out(self, tmp_path):
+        from repro.obs import validate_openmetrics
+
+        report = tmp_path / "report.json"
+        with self.serving(tmp_path, "--report", str(report)) as url:
+            urlopen(url + "/connected?u=0&v=1", timeout=30).read()
+            text = urlopen(url + "/metrics", timeout=30).read().decode()
+        assert validate_openmetrics(text)["n_exemplars"] > 0
+        assert "service_queries_total 1" in text
+        assert json.loads(report.read_text())["stats"]["queries"] == 1
 
     def test_scrape_prints_to_stdout_without_out(self, capsys):
-        with self.serve_fixture() as server:
-            assert main(["obs", "scrape", server.url]) == 0
-            assert "updates_applied_total 7" in capsys.readouterr().out
+        assert main(self.SERVE) == 0
+        assert capsys.readouterr().out == ""
+        assert main(self.SERVE[:-1]) == 0
+        assert "answered 0 query(ies)" in capsys.readouterr().out
 
     def test_scrape_unreachable_endpoint_exits_2(self, capsys):
+        for argv in (
+            ["obs", "scrape", "http://127.0.0.1:9", "--timeout", "0.5"],
+            ["obs", "serve", "quickstart"],
+            [*self.SERVE, "--interval", "0.25"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "invalid choice: 'obs'" in capsys.readouterr().err
+
+    def test_top_renders_rollups(self, tmp_path, capsys):
         assert main([
-            "obs", "scrape", "http://127.0.0.1:9", "--timeout", "0.5",
-        ]) == 2
-        assert "error:" in capsys.readouterr().out
+            "trace", "updates", "--scale", "8", "--edge-factor", "4",
+            "--updates", "200", "--out", str(tmp_path / "t.jsonl"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "-- top counters" in out and "update_engine" in out
 
-    def test_top_renders_rollups(self, capsys):
-        with self.serve_fixture() as server:
-            assert main(["obs", "top", server.url, "--top", "5"]) == 0
-            out = capsys.readouterr().out
-        assert "updates.applied" in out and "p99" in out
-
-    def test_top_and_scrape_work_against_a_service(self, capsys):
-        """The graph service serves the same two telemetry routes."""
-        from repro import obs
-        from repro.api import DynamicGraph
-        from repro.service import GraphService
-
-        obs.METRICS.reset()
-        obs.METRICS.inc("updates.applied", 7)
-        collector = obs.enable_live_telemetry(interval=3600)
-        try:
-            collector.tick()
-            with GraphService(DynamicGraph(16)).start_background() as handle:
-                assert main(["obs", "top", handle.url, "--top", "5"]) == 0
-                out = capsys.readouterr().out
-                assert "updates.applied" in out and "p99" in out
-                assert main(["obs", "scrape", handle.url, "--check"]) == 0
-                out = capsys.readouterr().out
-                assert "updates_applied_total 7" in out and "payload valid:" in out
-        finally:
-            obs.disable_live_telemetry()
+    def test_top_and_scrape_work_against_a_service(self, tmp_path):
+        """The service serves the registry as JSON and as OpenMetrics text."""
+        with self.serving(tmp_path) as url:
+            snapshot = json.loads(urlopen(url + "/metrics.json", timeout=30).read())
+            text = urlopen(url + "/metrics", timeout=30).read().decode()
+        assert list(snapshot) == ["snapshot"]
+        assert snapshot["snapshot"]["counters"]["service.updates.applied"] == 128
+        assert "service_updates_applied_total 128" in text

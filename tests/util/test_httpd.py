@@ -1,4 +1,4 @@
-"""The one HTTP wire: malformed-request matrix over raw sockets, both servers."""
+"""The one HTTP wire: malformed-request matrix over raw sockets, two handlers."""
 
 import json
 import socket
@@ -12,20 +12,27 @@ import pytest
 from repro.api import DynamicGraph
 from repro.errors import GraphError, ServiceError
 from repro.obs import METRICS
-from repro.obs.expose import CONTENT_TYPE, TelemetryServer
+from repro.obs.expose import CONTENT_TYPE, telemetry_response
 from repro.service import GraphService
 from repro.util import httpd
 
 N = 16
 
 
+async def telemetry_handler(path, params):
+    """The telemetry routes alone, as any process can serve them."""
+    if path == "/healthz":
+        return 200, "text/plain", "ok\n"
+    return telemetry_response(path, METRICS) or httpd.not_found(path)
+
+
 @pytest.fixture(scope="module", params=["service", "telemetry"])
 def server(request):
-    """A ``GraphService`` handle or a ``TelemetryServer``: the same wire."""
+    """A ``GraphService`` handle or a bare telemetry handler: the same wire."""
     if request.param == "service":
         handle = GraphService(DynamicGraph(N), query_threads=1).start_background()
     else:
-        handle = TelemetryServer()
+        handle = httpd.BackgroundServer(partial(httpd.start_server, telemetry_handler))
     yield handle
     handle.close()
 
@@ -131,7 +138,7 @@ class TestMalformedRequestMatrix:
             exchange(server, b"GET /metrics.json HTTP/1.1\r\n\r\n"), 200
         )
         assert headers["Content-Type"] == httpd.JSON
-        assert set(json.loads(text)) == {"snapshot", "rollups"}
+        assert set(json.loads(text)) == {"snapshot"}
 
     @pytest.mark.parametrize("target,fragment", [
         ("/connected?u=a&v=1", "must be an integer"),
