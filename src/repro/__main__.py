@@ -22,14 +22,12 @@ Commands:
   Nothing but ``--out`` and the requested exports is written: host timings
   are recorded by ``bench/`` alone (``bench/README.md``).
   ``--chrome``/``--speedscope``/``--folded`` additionally export the trace
-  for ``chrome://tracing``, speedscope and flamegraph tools; ``--memprof``
-  turns on per-span memory accounting; ``--quiet`` and ``--no-manifest``
-  trim the output/provenance for scripted runs;
+  for ``chrome://tracing``, speedscope and flamegraph tools; ``--quiet``
+  and ``--no-manifest`` trim the output/provenance for scripted runs;
 * ``serve`` — the streaming connectivity service (docs/SERVICE.md): boot
   an HTTP query front end over epoch-rotated CSR snapshots while a writer
   thread drains an R-MAT update stream into the dynamic structure.
-  ``--backend process --workers N`` shards ``/components`` across worker
-  processes; ``--duration`` holds the server up for ``/metrics`` scrapes
+  ``--duration`` holds the server up for ``/metrics`` scrapes
   and external query drivers; ``--report`` writes a JSON
   latency/throughput summary.
 
@@ -348,8 +346,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     jsonl = obs.JsonlSink(out)
     obs.METRICS.reset()
     obs.enable_tracing(obs.TeeSink(memory, jsonl), manifest=manifest)
-    if args.memprof:
-        obs.enable_memory_profiling()
     backend = _resolve_trace_backend(args)
     try:
         with obs.span(
@@ -363,8 +359,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 _trace_workload(args, backend)
     finally:
         backend.close()
-        if args.memprof:
-            obs.disable_memory_profiling()
         obs.disable_tracing()
         jsonl.close()
     if manifest is not None:
@@ -406,15 +400,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.api import DynamicGraph
     from repro.generators.parallel import iter_update_chunks
-    from repro.service import GraphService, ShardRouter
+    from repro.service import GraphService
 
     obs.METRICS.reset()
     obs.EXEMPLARS.clear()
     n = 1 << args.scale
     graph = DynamicGraph(n, representation=args.representation)
-    router = (
-        ShardRouter(workers=args.workers) if args.backend == "process" else None
-    )
     tracer = (
         None
         if args.no_reqtrace
@@ -425,7 +416,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     service = GraphService(
         graph,
-        router=router,
         query_threads=args.query_threads,
         rotate_min_interval=args.rotate_interval,
         reqtrace=tracer if tracer is not None else False,
@@ -433,8 +423,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     handle = service.start_background(host=args.host, port=args.port)
     if args.url_file:
         Path(args.url_file).write_text(handle.url + "\n")
-    _say(args, f"serving {args.representation} graph n=2^{args.scale} on {handle.url} "
-               f"(backend={args.backend})")
+    _say(args, f"serving {args.representation} graph n=2^{args.scale} on {handle.url}")
 
     total_edges = args.edges if args.edges else n * args.edge_factor
     feeder_error: list[BaseException] = []
@@ -468,7 +457,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         report = {
             "url": handle.url,
             "scale": args.scale,
-            "backend": args.backend,
             "stats": stats,
             "max_epoch_lag": service.drainer.max_observed_lag,
             "query_latency_seconds": {
@@ -566,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export a speedscope profile (speedscope.app)")
     p.add_argument("--folded", default=None, metavar="PATH",
                    help="also export folded stacks for flamegraph tools")
-    p.add_argument("--memprof", action="store_true",
-                   help="per-span memory accounting (tracemalloc + RSS); "
-                        "spans gain alloc/peak/rss-delta attributes")
     p.add_argument("--quiet", "-q", action="store_true",
                    help="suppress the summary output (artifacts still written)")
     p.add_argument("--no-manifest", action="store_true",
@@ -586,10 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-edges", type=int, default=4096,
                    help="edges per update batch (default: 4096)")
     p.add_argument("--representation", default="hybrid", choices=representations)
-    p.add_argument("--backend", default="serial", choices=["serial", "process"],
-                   help="components execution: serial kernel or sharded workers")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend process")
     p.add_argument("--query-threads", type=int, default=4,
                    help="query executor width (default: 4)")
     p.add_argument("--rotate-interval", type=float, default=0.0,

@@ -12,8 +12,6 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
   instrumented kernels tick at phase granularity;
 * :mod:`repro.obs.sink` — memory ring buffer, JSONL file and tee sinks;
 * :mod:`repro.obs.manifest` — run manifests stamped into every artifact;
-* :mod:`repro.obs.prof` — opt-in per-span memory accounting
-  (tracemalloc + RSS);
 * :mod:`repro.obs.export` — Chrome-trace / speedscope / folded-stack
   exporters over recorded span streams;
 * :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency
@@ -56,14 +54,6 @@ from repro.obs.reqtrace import (
     ExemplarStore,
     RequestTrace,
     RequestTracer,
-)
-from repro.obs.prof import (
-    MemoryProfiler,
-    current_memory_profiler,
-    disable_memory_profiling,
-    enable_memory_profiling,
-    measure_block,
-    memory_profiling_enabled,
 )
 from repro.obs.sink import (
     JsonlSink,
@@ -122,12 +112,6 @@ __all__ = [
     "RequestTracer",
     "ExemplarStore",
     "EXEMPLARS",
-    "MemoryProfiler",
-    "enable_memory_profiling",
-    "disable_memory_profiling",
-    "memory_profiling_enabled",
-    "current_memory_profiler",
-    "measure_block",
     "to_chrome_trace",
     "to_speedscope",
     "to_folded",

@@ -264,9 +264,8 @@ class MetricsRegistry:
         *add* (under ``prefix.`` when given, and again under ``rollup.`` so
         a combined total exists next to the per-worker series), gauges
         *overwrite* under the prefix and take the *max* under the rollup
-        (the rollup of a last-value metric like ``memory.peak_bytes`` is
-        its high-water mark), and histogram summaries merge count/total/
-        min/max exactly.
+        (the rollup of a last-value metric is its high-water mark), and
+        histogram summaries merge count/total/min/max exactly.
         """
 
         def names(base: str) -> list[str]:

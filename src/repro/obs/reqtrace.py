@@ -1,9 +1,8 @@
 """Per-request tracing: sampled request span trees on the one span model.
 
-A served query crosses four execution domains — the asyncio route, the
-query :class:`~concurrent.futures.ThreadPoolExecutor`, the epoch-pinned
-kernel, and (for sharded ``/components``)
-:class:`~repro.parallel.pool.WorkerPool` processes.  There is no second
+A served query crosses three execution domains — the asyncio route, the
+query :class:`~concurrent.futures.ThreadPoolExecutor` and the epoch-pinned
+kernel.  There is no second
 span system for that: a request is a *root span on its own
 :class:`~repro.obs.trace.Tracer`*, and everything else is
 :mod:`repro.obs.trace`.
@@ -15,9 +14,7 @@ span system for that: a request is a *root span on its own
   :func:`~repro.obs.trace.span` — the service's own and the kernels' —
   records into this request's tree and nowhere else (innermost scope
   wins); :func:`~repro.obs.trace.bind` / :func:`~repro.obs.trace.activate`
-  carry the root across the executor hop and into the drainer thread, and
-  :meth:`~repro.obs.trace.Tracer.adopt` folds in the spans pool workers
-  shipped back.
+  carry the root across the executor hop and into the drainer thread.
 * :class:`RequestTracer` — the per-service store and the sampling policy
   applied when a request finishes.  **Head sampling** is deterministic
   (every ``head_every``-th request keeps its spans); **tail sampling**
@@ -80,8 +77,8 @@ class RequestTrace(Tracer):
     :meth:`RequestTracer.finish`), so it is put in scope with
     :func:`~repro.obs.trace.activate` / :func:`~repro.obs.trace.bind`
     rather than entered; spans opened beneath it parent at it, which is what
-    stitches executor-thread, drainer-thread and adopted worker spans into
-    one connected tree.  Every event is stamped with the request identity.
+    stitches executor-thread and drainer-thread spans into one connected
+    tree.  Every event is stamped with the request identity.
     """
 
     sink: _BoundedSink

@@ -62,30 +62,9 @@ __all__ = [
     "activate",
     "bind",
     "format_span_tree",
-    "set_memory_hook",
 ]
 
 _T = TypeVar("_T")
-
-#: Optional per-span memory sampler (installed by :mod:`repro.obs.prof`).
-#: Kept as a module global so the disabled cost is one ``is None`` test on
-#: the *enabled*-tracing path only; when tracing is off, spans are no-ops
-#: and the hook is never consulted.
-_MEM_HOOK: object | None = None
-
-
-def set_memory_hook(hook: object | None) -> None:
-    """Install/remove the span memory sampler (see :mod:`repro.obs.prof`).
-
-    ``hook`` must provide ``on_enter(span)`` and ``on_exit(span)``; it is
-    called around every enabled span, after the span becomes the current
-    one and before the timer starts (entry) / after the timer
-    stops and before the event is emitted (exit), so sampling time is not
-    charged to the span's duration.
-    """
-    global _MEM_HOOK
-    _MEM_HOOK = hook
-
 
 class _NullSpan:
     """Do-nothing span returned while tracing is disabled."""
@@ -138,18 +117,12 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._token = _CURRENT.set(self)
-        hook = _MEM_HOOK
-        if hook is not None:
-            hook.on_enter(self)  # type: ignore[attr-defined]
         self.t_start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type: type | None, exc: object, tb: object) -> bool:
         self.duration = time.perf_counter() - self.t_start
         _CURRENT.reset(self._token)
-        hook = _MEM_HOOK
-        if hook is not None:
-            hook.on_exit(self)  # type: ignore[attr-defined]
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         self.tracer.record(span_event(self))
@@ -342,7 +315,6 @@ _TREE_ATTRS = (
     "sim_seconds",
     "best_seconds",
     "mups",
-    "peak_bytes",
     "error",
 )
 

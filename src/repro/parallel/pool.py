@@ -37,8 +37,7 @@ Design points:
   filter, so an abandoned round's spans never orphan into a newer
   request.  One JSONL trace, or one request tree, shows the whole fan-out.
 * **Telemetry aggregation** — each worker ships the delta of its own
-  ``METRICS`` registry (and, when the parent has memory profiling on, its
-  task's heap/RSS peaks) back with every result.  The parent merges the
+  ``METRICS`` registry back with every result.  The parent merges the
   delta under a ``worker{i}.`` prefix *and* a combined ``workers.``
   rollup (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`), so
   for deterministic kernels ``workers.<counter>`` equals the counter a
@@ -65,12 +64,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.errors import ParallelError, WorkerCrashError
 from repro.obs import METRICS, current_tracer, disable_tracing, enable_tracing, span
 from repro.obs.metrics import snapshot_delta
-from repro.obs.prof import (
-    disable_memory_profiling,
-    enable_memory_profiling,
-    measure_block,
-    memory_profiling_enabled,
-)
 from repro.obs.sink import MemorySink
 from repro.parallel.shm import ArenaDescriptor, ShmArena
 
@@ -155,7 +148,7 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
         msg = task_q.get()
         if msg is None:
             break
-        task_id, name, descriptors, payload, traced, memprof = msg
+        task_id, name, descriptors, payload, traced = msg
         events: list[dict] = []
         telemetry: dict = {}
         try:
@@ -166,21 +159,14 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
             if traced:
                 sink = MemorySink()
                 enable_tracing(sink)
-            if memprof:
-                enable_memory_profiling()
             before = METRICS.snapshot()
             t0 = time.perf_counter()
             try:
-                with measure_block() as mem:
-                    with span(f"parallel.{name}", worker=worker_id, task=task_id):
-                        out = fn(_worker_views(arenas, descriptors), payload)
+                with span(f"parallel.{name}", worker=worker_id, task=task_id):
+                    out = fn(_worker_views(arenas, descriptors), payload)
             finally:
                 telemetry = snapshot_delta(before, METRICS.snapshot())
                 telemetry["exec_seconds"] = time.perf_counter() - t0
-                if mem.enabled:
-                    telemetry["memory"] = mem.meta()
-                if memprof:
-                    disable_memory_profiling()
                 if sink is not None:
                     events = list(sink.events)
                     disable_tracing()
@@ -204,12 +190,11 @@ def _selftest_echo(views: dict, payload: dict) -> dict:
 
 @task("selftest.tick")
 def _selftest_tick(views: dict, payload: dict) -> int:
-    """Tick worker-side metrics (and optionally allocate) for telemetry tests."""
+    """Tick a worker-side counter, gauge and histogram for telemetry tests."""
     n = int(payload.get("n", 1))
     METRICS.inc("selftest.ticks", n)
+    METRICS.set("selftest.level", float(n))
     METRICS.observe("selftest.lat", float(n))
-    blob = bytearray(int(payload.get("alloc_bytes", 0)))
-    del blob
     return n
 
 
@@ -377,7 +362,6 @@ class WorkerPool:
             return []
         self.start()
         tracer = current_tracer()
-        memprof = memory_profiling_enabled()
         base = self._task_counter
         self._task_counter += len(tasks)
         dispatched_at: dict[int, float] = {}
@@ -386,7 +370,7 @@ class WorkerPool:
                 raise ParallelError(f"unknown task {spec.name!r}")
             dispatched_at[base + i] = self._now()
             self._task_qs[i % self.workers].put(
-                (base + i, spec.name, spec.arenas, spec.payload, tracer is not None, memprof)
+                (base + i, spec.name, spec.arenas, spec.payload, tracer is not None)
             )
         METRICS.inc("parallel.pool.tasks_dispatched", len(tasks))
         results: dict[int, Any] = {}
@@ -495,10 +479,9 @@ class WorkerPool:
 
         Kernel counters land twice: once under ``worker{i}.`` (per-worker
         series) and once under ``workers.`` (the combined rollup that is
-        comparable with a serial run's counters).  Execution time and
-        queue wait feed the pool-health histograms; worker memory peaks
-        (shipped only when the parent has memory profiling enabled) land
-        as per-worker gauges with a max rollup.
+        comparable with a serial run's counters); gauges land as
+        per-worker last values with a max rollup.  Execution time and
+        queue wait feed the pool-health histograms.
         """
         METRICS.merge_snapshot(
             {k: telemetry.get(k, {}) for k in ("counters", "gauges", "histograms")},
@@ -511,9 +494,3 @@ class WorkerPool:
             if dispatched is not None:
                 wait = (self._now() - dispatched) - float(exec_seconds)
                 METRICS.observe("parallel.pool.queue_wait_seconds", max(0.0, wait))
-        memory = telemetry.get("memory") or {}
-        peak = memory.get("peak_bytes")
-        if peak is not None:
-            METRICS.set(f"worker{worker_id}.memory.peak_bytes", float(peak))
-            rollup = METRICS.gauge("workers.memory.peak_bytes")
-            rollup.set(max(rollup.value, float(peak)))

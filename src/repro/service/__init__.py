@@ -9,10 +9,6 @@ connectivity/BFS/components queries.  Readers never block the writer:
 * :mod:`repro.service.drainer` — the single writer
   (:class:`UpdateDrainer`) applying batched update streams through the
   vectorised ``apply_arcs`` path and rotating epochs;
-* :mod:`repro.service.shards` — optional process-backend components
-  execution (:class:`ShardRouter`: ``repro.parallel``'s driver over a
-  :class:`~repro.parallel.pool.WorkerPool`, crash recovery), bit-identical
-  to the serial kernel;
 * :mod:`repro.service.server` — the asyncio HTTP front end
   (:class:`GraphService`) and its thread-backed :class:`ServiceHandle`.
 
@@ -23,13 +19,11 @@ See ``docs/SERVICE.md`` for the architecture and consistency model, and
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
 from repro.service.server import GraphService, ServiceHandle
-from repro.service.shards import ShardRouter
 
 __all__ = [
     "Epoch",
     "EpochStore",
     "UpdateDrainer",
-    "ShardRouter",
     "GraphService",
     "ServiceHandle",
 ]

@@ -1,11 +1,10 @@
 """The graph service: routes and query kernels over pinned epochs.
 
 One :class:`GraphService` ties the service pieces together — the
-:class:`~repro.service.epoch.EpochStore` readers pin, the
+:class:`~repro.service.epoch.EpochStore` readers pin and the
 :class:`~repro.service.drainer.UpdateDrainer` that is the structure's only
-writer, and an optional :class:`~repro.service.shards.ShardRouter` for
-process-sharded components queries.  The wire is :mod:`repro.util.httpd`;
-this module is the handler behind it.  The event loop only routes requests
+writer.  The wire is :mod:`repro.util.httpd`; this module is the handler
+behind it.  The event loop only routes requests
 and shapes responses; every graph kernel runs on a small thread pool
 (``run_in_executor``) with its epoch pinned for exactly the kernel's
 duration, so a slow query neither blocks the accept loop nor the writer.
@@ -30,17 +29,14 @@ Every routed query is the root span of its own
 :class:`~repro.obs.reqtrace.RequestTrace` (deterministic head sampling +
 always-keep tail sampling).  The root is bound across the executor hop
 explicitly; beneath it the service's ``service.exec.*`` /
-``service.epoch.read`` spans, the kernels' own spans and — for sharded
-``/components`` — the per-worker hook spans shipped back through the pool
-envelope are all plain :func:`~repro.obs.trace.span` calls landing in that
-request: one connected tree per request, exportable via the Chrome-trace
-exporter.
+``service.epoch.read`` spans and the kernels' own spans are all plain
+:func:`~repro.obs.trace.span` calls landing in that request: one connected
+tree per request, exportable via the Chrome-trace exporter.
 
 Errors map onto status codes through the wire's one
 :func:`~repro.util.httpd.error_status` (bad input is a 400 carrying the
 :class:`~repro.errors.GraphError` message, service-protocol failures are
-503); an unknown path is a 404.  A crashed shard worker is recovered
-transparently (``pool.restart()`` + one retry, then serial fallback).
+503); an unknown path is a 404.
 """
 
 from __future__ import annotations
@@ -58,13 +54,12 @@ import numpy as np
 from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import component_roots, component_sizes, connected_components
-from repro.errors import GraphError, WorkerCrashError
+from repro.errors import GraphError
 from repro.obs import METRICS, bind, span
 from repro.obs.expose import telemetry_response
 from repro.obs.reqtrace import RequestTracer
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
-from repro.service.shards import ShardRouter
 from repro.util import httpd
 
 __all__ = ["GraphService", "ServiceHandle"]
@@ -78,9 +73,6 @@ class GraphService:
     graph:
         The :class:`~repro.api.DynamicGraph` to serve.  Once the service
         starts, all mutation must go through :meth:`submit`.
-    router:
-        Optional :class:`~repro.service.shards.ShardRouter` to execute
-        ``/components`` across worker processes (serial kernel otherwise).
     query_threads:
         Executor width for query kernels (default 4).
     max_queue / rotate_min_interval:
@@ -96,7 +88,6 @@ class GraphService:
         self,
         graph: DynamicGraph,
         *,
-        router: Optional[ShardRouter] = None,
         query_threads: int = 4,
         max_queue: int = 8,
         rotate_min_interval: float = 0.0,
@@ -115,7 +106,6 @@ class GraphService:
             rotate_min_interval=rotate_min_interval,
             reqtrace=self.reqtrace,
         )
-        self.router = router
         self._executor = ThreadPoolExecutor(
             max_workers=int(query_threads), thread_name_prefix="repro-query"
         )
@@ -136,22 +126,9 @@ class GraphService:
 
     def _labels(self, epoch: Epoch) -> np.ndarray:
         """Component labels of one epoch, computed once and memoised."""
-
-        def compute() -> np.ndarray:
-            """Run sharded components, recovering once, else serial fallback."""
-            snap = epoch.snapshot
-            if self.router is not None:
-                try:
-                    return self.router.components(snap)
-                except WorkerCrashError:
-                    self.router.recover()
-                    try:
-                        return self.router.components(snap)
-                    except WorkerCrashError:
-                        METRICS.inc("service.shard.fallbacks")
-            return connected_components(snap).labels
-
-        labels = epoch.cached("components.labels", compute)
+        labels = epoch.cached(
+            "components.labels", lambda: connected_components(epoch.snapshot).labels
+        )
         assert isinstance(labels, np.ndarray)
         return labels
 
@@ -234,7 +211,6 @@ class GraphService:
             "updates_applied": self.drainer.n_updates,
             "queries": self.n_queries,
             "queries_inflight": self._inflight,
-            "sharded": self.router is not None,
             "reqtrace": self.reqtrace is not None,
             "slow_captured": len(self.reqtrace.slow()) if self.reqtrace is not None else 0,
         }
@@ -359,13 +335,11 @@ class GraphService:
         return ServiceHandle(self, host, port)
 
     def close(self) -> None:
-        """Drain and stop the writer, query threads, and shard pool."""
+        """Drain and stop the writer and the query threads."""
         try:
             self.drainer.close()
         finally:
             self._executor.shutdown(wait=True)
-            if self.router is not None:
-                self.router.close()
 
 
 class ServiceHandle(httpd.BackgroundServer):

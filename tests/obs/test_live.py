@@ -17,7 +17,6 @@ import pytest
 from repro.errors import WorkerCrashError
 from repro.obs import MemorySink, disable_tracing, enable_tracing
 from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry, snapshot_delta
-from repro.obs.prof import disable_memory_profiling, enable_memory_profiling
 from repro.obs.sink import describe
 from repro.parallel.pool import TaskSpec, WorkerPool
 
@@ -161,13 +160,13 @@ class TestTelemetryCollector:
         for _ in range(2):
             before = worker.snapshot()
             worker.inc("kernel.ops", 5)
-            worker.set("memory.peak_bytes", 100.0)
+            worker.set("kernel.level", 100.0)
             parent.merge_snapshot(
                 snapshot_delta(before, worker.snapshot()), prefix="worker0", rollup="workers"
             )
         counters = parent.snapshot()["counters"]
         assert counters["worker0.kernel.ops"] == counters["workers.kernel.ops"] == 10
-        assert parent.gauge("workers.memory.peak_bytes").value == 100.0
+        assert parent.gauge("workers.kernel.level").value == 100.0
 
     def test_module_level_enable_disable(self):
         METRICS.inc("reset.check", 3)
@@ -206,19 +205,15 @@ class TestWatchdog:
             assert pool.run_tasks([TaskSpec("selftest.echo", {"value": 2})])[0]["echo"] == 2
 
     def test_memory_episode_resets_when_rss_drops(self):
-        # With memory profiling on, each task ships its heap peak: the worker's
-        # gauge follows the last task, the rollup keeps the high-water mark.
-        enable_memory_profiling()
-        try:
-            with WorkerPool(1, timeout=30.0) as pool:
-                pool.run_tasks([TaskSpec("selftest.tick", {"alloc_bytes": 4 << 20})])
-                high = METRICS.gauge("worker0.memory.peak_bytes").value
-                pool.run_tasks([TaskSpec("selftest.tick", {"alloc_bytes": 0})])
-                low = METRICS.gauge("worker0.memory.peak_bytes").value
-        finally:
-            disable_memory_profiling()
-        assert high >= 4 << 20 > low
-        assert METRICS.gauge("workers.memory.peak_bytes").value >= high
+        # A task's gauge ships back with its result: the worker's series
+        # follows the last task, the rollup keeps the high-water mark.
+        with WorkerPool(1, timeout=30.0) as pool:
+            pool.run_tasks([TaskSpec("selftest.tick", {"n": 5})])
+            high = METRICS.gauge("worker0.selftest.level").value
+            pool.run_tasks([TaskSpec("selftest.tick", {"n": 1})])
+            low = METRICS.gauge("worker0.selftest.level").value
+        assert (high, low) == (5.0, 1.0)
+        assert METRICS.gauge("workers.selftest.level").value == 5.0
 
     def test_dead_worker_alert_carries_exitcode(self):
         pool = WorkerPool(1, timeout=30.0)

@@ -12,7 +12,7 @@ Two guarantees are pinned here:
   background thread while a workload runs must leave kernel outputs
   bit-identical — telemetry observes, it never participates.
 * **``repro serve`` leaves nothing behind.**  Its shutdown stops every
-  thread and worker process it started.
+  thread it started, and it starts no worker process.
 
 The <2% scraped wall-clock gate lives in ``benchmarks/test_obs_overhead.py``,
 outside tier-1: its paired timings need a machine that is not also running
@@ -21,7 +21,6 @@ the rest of the suite.
 
 import json
 import multiprocessing
-import os
 import threading
 import time
 import urllib.request
@@ -85,7 +84,6 @@ class TestDisabledOverhead:
 
         # ...and time the workload with everything off.
         assert not obs.tracing_enabled()
-        assert not obs.memory_profiling_enabled()
         t0 = time.perf_counter()
         run_workload()
         workload_s = time.perf_counter() - t0
@@ -100,18 +98,16 @@ class TestDisabledOverhead:
 class TestZeroResidue:
     def test_full_stack_disable_leaves_nothing_behind(self, tmp_path):
         tracer = obs.enable_tracing(obs.MemorySink())
-        obs.enable_memory_profiling()
         with obs.span("residue.check"):
             obs.METRICS.inc("residue.counter")
-        obs.disable_memory_profiling()
         obs.disable_tracing()
         assert not obs.tracing_enabled() and obs.current_tracer() is None
-        assert not obs.memory_profiling_enabled()
         assert obs.span("x") is _NULL_SPAN and obs.emit_event("x") is None
         assert tracer.n_events == 1  # only the span from the enabled window
+        assert tracer.sink.events[0]["attrs"] == {}  # no sampler decorates spans
 
-        # A process-backend service run: the pool starts on the first
-        # /components and everything is gone once the command returns.
+        # A service run answers /components in-process: no worker process
+        # starts, and every thread is gone once the command returns.
         url_file, report_file = tmp_path / "url.txt", tmp_path / "report.json"
         before = set(multiprocessing.active_children())
         threads_before = set(threading.enumerate())
@@ -130,41 +126,44 @@ class TestZeroResidue:
         driver = threading.Thread(target=drive)
         driver.start()
         assert main([
-            "serve", "--scale", "7", "--edge-factor", "2", "--backend", "process",
-            "--workers", "2", "--duration", "3", "--url-file", str(url_file),
+            "serve", "--scale", "7", "--edge-factor", "2",
+            "--duration", "3", "--url-file", str(url_file),
             "--report", str(report_file), "--quiet",
         ]) == 0
         driver.join()
 
         report = json.loads(report_file.read_text())
         assert sorted(report) == [
-            "backend", "max_epoch_lag", "query_latency_seconds", "reqtrace",
+            "max_epoch_lag", "query_latency_seconds", "reqtrace",
             "scale", "stats", "url",
         ]
         assert report["stats"]["queries"] >= 1
+        assert "sharded" not in report["stats"]
         names = [t.name for t in threading.enumerate()]
         assert not [n for n in names if n.startswith(("repro-telemetry", "repro-heartbeat"))]
         started = [t.name for t in set(threading.enumerate()) - threads_before]
         assert not [n for n in started if n.startswith("repro-")], started
-        assert len(workers) == 2 and obs.METRICS.counter("parallel.pools_started").value == 1
-        for proc in workers:
-            assert not proc.is_alive()
-            assert not os.path.exists(f"/proc/{proc.pid}")
+        assert workers == [] and obs.METRICS.counter("parallel.pools_started").value == 0
         assert set(multiprocessing.active_children()) <= before
 
 
 class TestCollectorNeutrality:
     def test_results_bit_identical_with_collector_on(self):
         n_off, labels_off, passes_off = run_workload()
-        stop, renders = threading.Event(), []
+        stop, rendered, renders = threading.Event(), threading.Event(), []
 
         def scrape():
-            while not stop.wait(0.005):
+            # Render before waiting: the workload starts once a render has landed.
+            while True:
                 renders.append(obs.to_openmetrics(obs.METRICS))
+                rendered.set()
+                if stop.wait(0.005):
+                    return
 
         scraper = threading.Thread(target=scrape)
         scraper.start()
         try:
+            assert rendered.wait(30)
             n_on, labels_on, passes_on = run_workload()
         finally:
             stop.set()

@@ -10,18 +10,12 @@ from repro.core.connectivity import ConnectivityIndex
 from repro.errors import WorkerCrashError
 from repro.generators.rmat import rmat_graph
 from repro.obs import METRICS
-from repro.obs.prof import disable_memory_profiling, enable_memory_profiling
 from repro.parallel.backend import ProcessBackend
 from repro.parallel.pool import TaskSpec, WorkerPool
 
-MB = 1 << 20
 
-
-def tick_specs(n_tasks, n=3, alloc_bytes=0):
-    return [
-        TaskSpec("selftest.tick", {"n": n, "alloc_bytes": alloc_bytes})
-        for _ in range(n_tasks)
-    ]
+def tick_specs(n_tasks, n=3):
+    return [TaskSpec("selftest.tick", {"n": n}) for _ in range(n_tasks)]
 
 
 class TestCounterRollup:
@@ -86,25 +80,31 @@ class TestPoolHealth:
 
 
 class TestWorkerMemory:
+    """Worker gauges: per-worker last values, a max rollup, only what a task changed."""
+
     def test_memory_peaks_shipped_when_profiling_enabled(self, pool):
+        # Worker gauges land per worker and under the rollup.  The second
+        # round changes the level, so its delta carries the gauge whatever
+        # an earlier test left in the session pool's workers.
         METRICS.reset()
-        enable_memory_profiling()
-        try:
-            pool.run_tasks(tick_specs(2, alloc_bytes=8 * MB))
-        finally:
-            disable_memory_profiling()
+        pool.run_tasks(tick_specs(2, n=1))
+        pool.run_tasks([TaskSpec("selftest.tick", {"n": 7}), *tick_specs(1, n=6)])
         snap = METRICS.snapshot()["gauges"]
-        assert snap["workers.memory.peak_bytes"] >= 8 * MB
-        assert snap["worker0.memory.peak_bytes"] >= 8 * MB
-        assert snap["worker1.memory.peak_bytes"] >= 8 * MB
+        assert snap["worker0.selftest.level"] == 7.0
+        assert snap["worker1.selftest.level"] == 6.0
+        assert snap["workers.selftest.level"] == 7.0
 
     def test_no_memory_telemetry_when_profiling_disabled(self, pool):
-        # reset() keeps registered names, so check the value: with
-        # profiling off the workers ship no memory block and nothing
-        # writes the gauge.
+        # A task ships only what it changed in its worker's registry: the
+        # only worker gauges are the task's own (no memory gauge).
         METRICS.reset()
-        pool.run_tasks(tick_specs(2, alloc_bytes=8 * MB))
-        assert METRICS.gauge("workers.memory.peak_bytes").value == 0.0
+        pool.run_tasks(tick_specs(2, n=1))
+        pool.run_tasks(tick_specs(2, n=2))
+        gauges = {k for k, v in METRICS.snapshot()["gauges"].items()
+                  if k.startswith("worker") and v}
+        assert gauges == {
+            "worker0.selftest.level", "worker1.selftest.level", "workers.selftest.level",
+        }
 
 
 class TestSerialEqualityContract:

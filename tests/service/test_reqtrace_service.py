@@ -10,12 +10,12 @@ import pytest
 from repro.api import DynamicGraph
 from repro.errors import WorkerCrashError
 from repro.generators.parallel import iter_update_chunks
-from repro.obs import activate, span
+from repro.obs import METRICS, activate, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.reqtrace import ExemplarStore, RequestTracer
 from repro.parallel.pool import TaskSpec, WorkerPool
-from repro.service import GraphService, ShardRouter
+from repro.service import GraphService
 
 SCALE = 9
 N = 1 << SCALE
@@ -28,12 +28,11 @@ def get_json(url):
 
 
 @pytest.fixture(scope="module")
-def traced(pool):
-    """Live service, process-sharded components, keep-every-trace sampling."""
+def traced():
+    """Live service with keep-every-trace sampling."""
     batches = list(iter_update_chunks(SCALE, 2 * N, seed=23, chunk_edges=512))
     service = GraphService(
         DynamicGraph(N),
-        router=ShardRouter(pool),
         reqtrace=RequestTracer(head_every=1, slow_threshold_seconds=60.0),
     )
     handle = service.start_background()
@@ -53,20 +52,26 @@ def request_tree(service, name):
 
 class TestSpanTree:
     def test_sharded_components_is_one_connected_tree(self, traced):
-        handle, service, _ = traced
-        get_json(handle.url + "/components")
+        # A serial /components: route -> executor -> epoch pin, labels
+        # computed under the pin (a fresh service misses the label memo once).
+        _, _, batches = traced
+        service = GraphService(
+            DynamicGraph(N),
+            reqtrace=RequestTracer(head_every=1, slow_threshold_seconds=60.0),
+        )
+        with service.start_background() as handle:
+            for c in batches:
+                handle.submit(c)
+            service.drainer.close()
+            misses = METRICS.counter("service.epoch.cache_misses").value
+            get_json(handle.url + "/components")
+            assert METRICS.counter("service.epoch.cache_misses").value == misses + 1
         record = request_tree(service, "service.components")
-        names = [e["name"] for e in record["events"]]
-        # route -> executor -> epoch pin -> shard fan-out -> worker spans
-        assert "service.exec.components" in names
-        assert "service.epoch.read" in names
-        assert "parallel.components" in names
-        workers = [
-            e for e in record["events"]
-            if e["name"] == "parallel.components.hook"
-        ]
-        assert workers, "no worker spans adopted across the process boundary"
-        assert all("worker" in e["attrs"] for e in workers)
+        by_name = {e["name"]: e for e in record["events"]}
+        chain = ["service.epoch.read", "service.exec.components", "service.components"]
+        for child, parent in zip(chain, chain[1:]):
+            assert by_name[child]["parent_id"] == by_name[parent]["span_id"]
+        assert not [n for n in by_name if n.startswith("parallel.")]
         # single connected tree: every parent resolves inside the record
         ids = {e["span_id"] for e in record["events"]}
         roots = [e for e in record["events"] if e["parent_id"] is None]
@@ -84,20 +89,15 @@ class TestSpanTree:
     def test_tree_exports_through_the_chrome_exporter(self, traced):
         handle, service, _ = traced
         get_json(handle.url + "/components")
-        # later /components hits the per-epoch label cache (no shard
-        # fan-out), so pick the kept record that did cross the pool
-        records = [
-            r for r in service.reqtrace.sampled()
-            if r["name"] == "service.components"
-            and any(e["name"] == "parallel.components.hook"
-                    for e in r["events"])
-        ]
-        assert records, "no sharded components trace captured"
-        doc = to_chrome_trace(records[-1]["events"])
+        record = request_tree(service, "service.components")
+        doc = to_chrome_trace(record["events"])
         assert validate_chrome_trace(doc) == []
-        # worker spans land on their own lanes
-        tids = {e["tid"] for e in doc["traceEvents"] if e.get("ph") == "X"}
-        assert len(tids) > 1
+        spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+        assert sorted(e["name"] for e in spans) == sorted(
+            e["name"] for e in record["events"]
+        )
+        # no worker took part: every span is on the one parent-process lane
+        assert {e["tid"] for e in spans} == {0}
 
     def test_drainer_batches_traced_with_epoch(self, traced):
         _, service, batches = traced

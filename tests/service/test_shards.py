@@ -1,16 +1,23 @@
-"""Process-backend components: bit-identity with the serial kernel, crash recovery."""
+"""Component labels off the serial path: the process backend and the service memo.
+
+The service computes an epoch's labels one way — the serial kernel, once per
+epoch.  The process backend's components driver (``--backend process``
+outside the service) must stay bit-identical to that kernel, recover from a
+worker crash through ``pool.restart()``, and a backend instance a caller
+passes in stays that caller's to close.
+"""
 
 import numpy as np
 import pytest
 
+from repro.adjacency.csr import build_csr
+from repro.api import DynamicGraph
 from repro.core.components import connected_components
 from repro.errors import WorkerCrashError
 from repro.generators.rmat import rmat_graph
-from repro.adjacency.csr import build_csr
-from repro.api import DynamicGraph
 from repro.obs import METRICS
-from repro.parallel.shm import ArenaDescriptor
-from repro.service import GraphService, ShardRouter
+from repro.parallel.backend import ProcessBackend
+from repro.service import GraphService
 
 
 @pytest.fixture(scope="module")
@@ -18,71 +25,61 @@ def graph():
     return build_csr(rmat_graph(9, 8, seed=17))
 
 
+@pytest.fixture(scope="module")
+def backend():
+    with ProcessBackend(2, timeout=120.0) as be:
+        yield be
+
+
 class TestBitIdentity:
-    def test_labels_match_serial_kernel(self, graph, pool):
+    def test_labels_match_serial_kernel(self, graph, backend):
         expected = connected_components(graph).labels
-        labels = ShardRouter(pool).components(graph)
+        labels = backend.connected_components(graph).labels
         assert np.array_equal(labels, expected)
 
-    def test_empty_graph(self, pool):
+    def test_empty_graph(self, backend):
         empty = build_csr(rmat_graph(4, 0, seed=1))
-        labels = ShardRouter(pool).components(empty)
+        labels = backend.connected_components(empty).labels
         assert np.array_equal(labels, np.arange(1 << 4))
 
 
 class TestCrashRecovery:
     def test_crash_surfaces_and_restart_recovers(self, graph):
-        router = ShardRouter(workers=2)
-        try:
+        with ProcessBackend(2, timeout=120.0) as be:
             expected = connected_components(graph).labels
-            router.pool.start()
-            router.pool._procs[0].terminate()
-            router.pool._procs[0].join(timeout=10)
+            be.pool.start()
+            be.pool._procs[0].terminate()
+            be.pool._procs[0].join(timeout=10)
             with pytest.raises(WorkerCrashError):
-                router.components(graph)
-            router.recover()
-            assert router.n_crashes == 1
-            labels = router.components(graph)
+                be.connected_components(graph)
+            restarts = METRICS.counter("parallel.pool.restarts").value
+            be.pool.restart()
+            assert METRICS.counter("parallel.pool.restarts").value == restarts + 1
+            labels = be.connected_components(graph).labels
             assert np.array_equal(labels, expected)
-        finally:
-            router.close()
 
-    def test_second_crash_falls_back_to_serial_kernel(self, graph):
-        class DeadPool:
-            """A pool whose every round loses a worker, restarts included."""
-
-            workers = 2
-            n_restarts = 0
-
-            def start(self):
-                pass
-
-            def resident(self, graph):
-                return ArenaDescriptor("", ())
-
-            def restart(self):
-                self.n_restarts += 1
-
-            def run_tasks(self, tasks):
-                raise WorkerCrashError("worker 0 died")
-
-        router = ShardRouter(DeadPool())
-        service = GraphService(DynamicGraph(graph.n), router=router)
+    def test_second_crash_falls_back_to_serial_kernel(self):
+        # The service's labels are the serial kernel's, computed once per epoch.
+        g = DynamicGraph.from_edgelist(rmat_graph(9, 8, seed=17))
+        service = GraphService(g, reqtrace=False)
         service.drainer.start()
-        fallbacks = METRICS.counter("service.shard.fallbacks").value
+        misses = METRICS.counter("service.epoch.cache_misses").value
         try:
             with service.store.reading() as epoch:
-                labels = service._labels(epoch)
+                first = service._labels(epoch)
+                again = service._labels(epoch)
+                expected = connected_components(epoch.snapshot).labels
         finally:
             service.close()
-        assert np.array_equal(labels, np.arange(graph.n))
-        assert router.n_crashes == 1 and router.pool.n_restarts == 1
-        assert METRICS.counter("service.shard.fallbacks").value == fallbacks + 1
+        assert again is first
+        assert np.array_equal(first, expected)
+        assert np.unique(expected).size < g.n  # not the trivial labelling
+        assert METRICS.counter("service.epoch.cache_misses").value == misses + 1
 
-    def test_router_borrows_pool_without_owning_it(self, graph, pool):
-        router = ShardRouter(pool)
-        labels = router.components(graph)
-        router.close()  # must NOT shut the borrowed session pool down
-        assert np.array_equal(labels, connected_components(graph).labels)
-        # the shared pool still answers (it would raise if closed)
-        assert np.array_equal(router.components(graph), labels)
+    def test_router_borrows_pool_without_owning_it(self, graph, backend):
+        # A backend instance passed in is borrowed: the call must not close it.
+        g = DynamicGraph.from_edgelist(rmat_graph(9, 8, seed=17))
+        labels = g.connected_components(backend=backend).labels
+        assert np.array_equal(labels, connected_components(g.snapshot()).labels)
+        assert backend.pool._procs and all(p.is_alive() for p in backend.pool._procs)
+        assert np.array_equal(g.connected_components(backend=backend).labels, labels)

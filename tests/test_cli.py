@@ -187,20 +187,26 @@ class TestTraceFlagsAndExporters:
                    folded.read_text().splitlines())
 
     def test_memprof_attaches_span_memory(self, tmp_path, capsys):
+        # Trace spans carry their kernels' attrs in one tree, and no memory
+        # sampler: --memprof is no flag.
         from repro import obs
         from repro.obs import read_jsonl
 
         out = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "bfs", "--scale", "8", "--memprof", "--out", str(out),
-        ]) == 0
+        assert main(["trace", "bfs", "--scale", "8", "--out", str(out)]) == 0
         capsys.readouterr()
-        events = read_jsonl(out)
-        assert all("peak_bytes" in e["attrs"] for e in events)
-        # The CLI turns profiling back off before exiting.
-        from repro.obs.prof import memory_profiling_enabled
-        assert not memory_profiling_enabled()
+        spans = [e for e in read_jsonl(out) if e["type"] == "span"]
+        ids = {e["span_id"] for e in spans}
+        roots = [e for e in spans if e["parent_id"] is None]
+        assert [e["name"] for e in roots] == ["trace.bfs"]
+        assert all(e["parent_id"] in ids for e in spans if e["parent_id"] is not None)
+        bfs = [e for e in spans if e["name"] == "core.bfs"]
+        assert bfs and all(e["attrs"]["reached"] > 0 for e in bfs)
+        assert not any({"peak_bytes", "alloc_bytes"} & set(e["attrs"]) for e in spans)
         assert not obs.tracing_enabled()
+        with pytest.raises(SystemExit):
+            main(["trace", "bfs", "--memprof", "--out", str(out)])
+        capsys.readouterr()
 
     def test_backend_compare_writes_only_the_out_file(
         self, tmp_path, monkeypatch, capsys
