@@ -10,12 +10,13 @@ measures the actual pointer-hop counts into a work profile — the basis for
 Figure 8 (1M queries) and the paper's 7.3M-queries/second headline.  An
 index that owns the graph's adjacency representation (:meth:`ConnectivityIndex
 .from_rep`) also keeps the forest spanning that graph under update batches
-(:meth:`ConnectivityIndex.apply_batch`): an inserted edge joining two trees
-is linked, and a deleted tree edge is cut and replaced from the smaller side
-of the cut when the graph still connects the two sides.  This is the
-O(smaller side) replacement search, not poly-log Holm–de Lichtenberg–Thorup,
-matching the paper's stance that small-world diameters make simple
-structures fast.
+(:meth:`ConnectivityIndex.apply_batch`), apply first and repair after: the
+inserts joining two trees link them, the adjacency takes the batch, and each
+forest edge whose last copy the batch deleted is cut and replaced from the
+smaller side of the cut when the graph still connects the two sides.  This
+is the O(smaller side) replacement search, not poly-log
+Holm–de Lichtenberg–Thorup, matching the paper's stance that small-world
+diameters make simple structures fast.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.csr import CSRGraph
-from repro.core.linkcut import ConstructionRecord, Cut, LinkCutForest
+from repro.core.linkcut import ConstructionRecord, LinkCutForest
 from repro.core.update_engine import UpdateResult, apply_stream
 from repro.errors import GraphError
 from repro.generators.streams import UpdateStream
@@ -62,7 +63,11 @@ class MaintenanceStats:
     """Work counters of :meth:`ConnectivityIndex.apply_batch`, cumulative.
 
     Edge updates, not arcs: ``deletes`` counts deletes that found the edge,
-    ``delete_misses`` the rest.  ``replacement_scan_arcs`` counts the
+    ``delete_misses`` the rest.  Per batch, ``tree_links`` counts the
+    inserts that joined two pre-batch trees, ``tree_cuts`` the forest edges
+    the batch deleted to the last copy, ``replacements_found`` the cuts
+    that relinked, and ``parallel_edge_keeps`` the deleted forest edges
+    whose copies survive the batch.  ``replacement_scan_arcs`` counts the
     adjacency arcs the smaller-side searches read
     (:attr:`LinkCutForest.scan_arcs`).
     """
@@ -220,9 +225,9 @@ class ConnectivityIndex:
     # ------------------------------------------------------------------ #
 
     def _union_roots(self, us, vs) -> np.ndarray:
-        """Which edges ``(us[i], vs[i])`` join two trees at their position
-        in the batch, forest untouched: the edges a sequential
-        :meth:`LinkCutForest.add_edge` loop would link.
+        """Which edges ``(us[i], vs[i])`` join two trees of the forest as it
+        stands, forest untouched: the edges a sequential
+        :meth:`LinkCutForest.add_edge` loop over them would link.
 
         An edge inside one tree never links and never reaches the
         union-find.  The rest run over their roots, renumbered in ascending
@@ -249,96 +254,60 @@ class ConnectivityIndex:
         spanning it; returns the adjacency's :func:`~repro.core.update_engine
         .apply_stream` result.
 
-        The forest and :attr:`stats` come out as applying the updates one
-        at a time in stream order leaves them, but only a delete that may
-        cut a tree edge is taken on its own:
+        Apply first, then repair:
 
-        * Which inserts link is decided for the whole batch at once by one
-          union-find over root space (:meth:`_union_roots`); the linking
-          ones join the forest in stream order.  Only a cut that splits a
-          tree changes the components, so only such a cut, and only when a
-          later insert touches the side it splits off, decides the rest of
-          the batch again.
-        * A *candidate* delete names an edge that was a tree edge when the
-          batch began, one the batch inserts, or a replacement linked
-          earlier in the batch; one vectorised membership test finds them.
-          Any other delete leaves the forest alone.
-        * A candidate that removes the last copy of a tree edge cuts it,
-          and :meth:`LinkCutForest.cut_with_replacement` searches the
-          smaller side of the graph as it stands after that delete
-          (:class:`_GraphAt`).
-        * The adjacency then takes the whole batch in one
-          :func:`~repro.core.update_engine.apply_stream` call.
+        1. The inserts that join two trees of the pre-batch forest link it,
+           in stream order; one union-find over root space picks them
+           (:meth:`_union_roots`).  The forest now spans the graph plus
+           every insert.
+        2. The adjacency takes the whole batch in one
+           :func:`~repro.core.update_engine.apply_stream` call.
+        3. A forest edge the batch deleted is *pending* when its last copy
+           is gone from the graph; one that keeps a copy stays.
+        4. Each pending edge is cut in turn, and
+           :meth:`LinkCutForest.cut_with_replacement` searches the smaller
+           side of the graph plus the pending edges not yet cut
+           (:class:`_Pending`).  Those edges keep the walks whole: without
+           them a walk misses the subtrees that hang below one.  They lie
+           inside one tree, so every arc leaving the side crosses the cut.
+
+        The forest then spans the graph and its trees are the components;
+        which spanning forest it is may differ from the one a per-update
+        loop would leave, except for insert-only batches, where step 1 is
+        that loop.  :attr:`stats` counts the work (:class:`MaintenanceStats`).
         """
         if self.rep is None:
             raise GraphError("index holds no graph to update; build it with from_rep")
         if stream.n != self.n:
             raise GraphError("stream vertex count mismatch")
         op, src, dst = stream.op, stream.src, stream.dst
-        key = np.minimum(src, dst) * self.n + np.maximum(src, dst)
+        f, s = self.forest, self.stats
         inserts = np.flatnonzero(op == 1)
-        deletes = (op == -1) & (src != dst)
-        parent = self.forest.parent
-        candidate = deletes & (
-            (parent[src] == dst) | (parent[dst] == src) | np.isin(key, key[inserts])
-        )
-        links = np.zeros(len(stream), dtype=bool)
-        links[inserts] = self._union_roots(src[inserts], dst[inserts])
-        graph = _GraphAt(self.rep, stream)
         with span("connectivity.apply_batch", n_updates=len(stream)) as sp:
-            done = j = 0
-            while (nxt := np.flatnonzero(candidate[j:])).size:
-                j += int(nxt[0])
-                self._link(src, dst, links, done, j)
-                done = j
-                cut = self._delete(graph, j, int(src[j]), int(dst[j]))
-                if cut is not None and cut.replacement is not None:
-                    x, y = cut.replacement
-                    candidate[j + 1:] |= deletes[j + 1:] & (
-                        key[j + 1:] == min(x, y) * self.n + max(x, y)
-                    )
-                elif cut is not None:
-                    # The split changes which later inserts link only if one
-                    # of them touches the side split off.
-                    rest = inserts[inserts > j]
-                    if np.isin(np.concatenate([src[rest], dst[rest]]), cut.side).any():
-                        links[rest] = self._union_roots(src[rest], dst[rest])
-                j += 1
-            self._link(src, dst, links, done, len(stream))
+            for i in inserts[self._union_roots(src[inserts], dst[inserts])].tolist():
+                f.add_edge(int(src[i]), int(dst[i]))
+                s.tree_links += 1
             result = apply_stream(self.rep, stream, reset_stats=False)
-            sp.set(trees=self.forest.n_trees(), misses=result.misses)
-        s = self.stats
+            hit = (op == -1) & ((f.parent[src] == dst) | (f.parent[dst] == src))
+            keys = np.unique(np.minimum(src[hit], dst[hit]) * self.n
+                             + np.maximum(src[hit], dst[hit]))
+            pending = [(u, v) for u, v in zip((keys // self.n).tolist(), (keys % self.n).tolist())
+                       if not self.rep.has_arc(u, v)]
+            s.parallel_edge_keeps += keys.size - len(pending)
+            graph = _Pending(self.rep, pending)
+            for u, v in pending:
+                graph.drop(u, v)
+                before = f.scan_arcs
+                cut = f.cut_with_replacement(u if f.parent[u] == v else v, graph)
+                s.tree_cuts += 1
+                s.replacement_scan_arcs += f.scan_arcs - before
+                s.replacements_found += cut.replacement is not None
+            sp.set(trees=f.n_trees(), misses=result.misses)
         misses = result.misses // 2
         s.inserts += int(inserts.size)
         s.deletes += len(stream) - int(inserts.size) - misses
         s.delete_misses += misses
         return result
-
-    def _link(self, src, dst, links, lo: int, hi: int) -> None:
-        """Link the forest through the linking inserts among ``lo:hi``."""
-        for i in (lo + np.flatnonzero(links[lo:hi])).tolist():
-            self.forest.add_edge(int(src[i]), int(dst[i]))
-            self.stats.tree_links += 1
-
-    def _delete(self, graph: "_GraphAt", j: int, u: int, v: int) -> Cut | None:
-        """Candidate delete ``j`` of ``(u, v)``: the cut it made, if any."""
-        f, s = self.forest, self.stats
-        if f.parent[u] == v:
-            child = u
-        elif f.parent[v] == u:
-            child = v
-        else:
-            return None  # not a tree edge: the forest still spans the graph
-        graph.at = j + 1
-        if graph.copies(u, v):
-            s.parallel_edge_keeps += 1  # a parallel copy carries the link
-            return None
-        s.tree_cuts += 1
-        before = f.scan_arcs
-        cut = f.cut_with_replacement(child, graph)
-        s.replacement_scan_arcs += f.scan_arcs - before
-        s.replacements_found += cut.replacement is not None
-        return cut
 
     # ------------------------------------------------------------------ #
     # profiles and validation
@@ -395,74 +364,30 @@ class ConnectivityIndex:
             )
 
 
-class _GraphAt:
-    """``rep``'s graph after the first :attr:`at` updates of a batch that
-    has not reached ``rep`` yet: what a cut's search and a candidate's copy
-    count read.
+class _Pending:
+    """``rep``'s graph plus the forest edges a batch deleted that are not
+    cut yet: what a cut's search reads.
 
-    A vertex those updates do not touch reads ``rep`` as it is.  For one
-    they do, its arcs to the vertices they name are counted in ``rep`` and
-    the updates replayed on the counts by apply_stream's per-arc rule: an
-    insert adds a copy, a delete removes one if there is one.  Arcs come
-    back in no particular order, and self-loops as ``rep`` has them (a loop
-    never crosses a cut or forms a tree edge).  ``rep`` does not change
-    while the batch is being planned, so each vertex is read from it once.
-
-    The view exists for speed.  The alternative, one ``apply_stream`` of
-    the updates up to each candidate and searches that read ``rep``
-    itself (about 27 calls per batch), made the forest's share of
-    ``benchmarks/test_connectivity_maintenance.py`` 1.6–1.8 of a
-    from-scratch ``connected_components`` against 0.3–0.5 with the view
-    (2-vCPU container): the segments' ``apply_stream`` calls alone took
-    19.8 ms per batch against 11.8 ms for one call.
+    ``rep`` holds no copy of a pending edge, so a vertex's arcs are its
+    ``rep`` arcs (in no particular order) followed by its pending edges.
+    The degree that weighs the search's turns is ``rep``'s.
     """
 
-    def __init__(self, rep: AdjacencyRepresentation, stream: UpdateStream) -> None:
+    def __init__(self, rep: AdjacencyRepresentation, edges) -> None:
         self.rep = rep
-        self.at = 0
-        self._read: dict[int, np.ndarray] = {}
-        pos = np.flatnonzero(stream.src != stream.dst)
-        ends = np.concatenate([stream.src[pos], stream.dst[pos]])
-        both = np.concatenate([pos, pos])
-        order = np.lexsort((both, ends))  # by vertex, then position
-        self._vertex = ends[order]
-        self._other = np.concatenate([stream.dst[pos], stream.src[pos]])[order]
-        self._pos = both[order]
-        self._op = np.concatenate([stream.op[pos], stream.op[pos]])[order]
+        self._edges: dict[int, list[int]] = {}
+        for u, v in edges:
+            self._edges.setdefault(u, []).append(v)
+            self._edges.setdefault(v, []).append(u)
+
+    def drop(self, u: int, v: int) -> None:
+        self._edges[u].remove(v)
+        self._edges[v].remove(u)
 
     def degree(self, x: int) -> int:
-        """``rep``'s degree of ``x``, which the search weighs its turns by."""
         return self.rep.degree(x)
 
-    def _updates(self, x: int) -> slice:
-        """Where the updates to ``x``'s arcs before :attr:`at` sit."""
-        lo, hi = np.searchsorted(self._vertex, [x, x + 1])
-        return slice(lo, lo + int(np.searchsorted(self._pos[lo:hi], self.at)))
-
-    def copies(self, x: int, y: int) -> int:
-        """Copies of arc x→y."""
-        mine = self._updates(x)
-        m = self.rep.multiplicity(x, y)
-        for o in self._op[mine][self._other[mine] == y].tolist():
-            m = m + 1 if o == 1 else max(m - 1, 0)
-        return m
-
     def neighbors(self, x: int) -> np.ndarray:
-        nb = self._read.get(x)
-        if nb is None:
-            nb = self._read[x] = self.rep._targets_unordered(x)
-        mine = self._updates(x)
-        if mine.start == mine.stop:
-            return nb
-        named = self._other[mine].tolist()
-        copies = {y: int(np.count_nonzero(nb == y)) for y in set(named)}
-        for y, o in zip(named, self._op[mine].tolist()):
-            if o == 1:
-                copies[y] += 1
-            elif copies[y]:
-                copies[y] -= 1
-        keep = np.ones(nb.size, dtype=bool)
-        for y in copies:  # a handful at most: the batch's updates to x
-            keep &= nb != y
-        named = np.fromiter(copies, dtype=np.int64, count=len(copies))
-        return np.concatenate([nb[keep], np.repeat(named, list(copies.values()))])
+        nb = self.rep._targets_unordered(x)
+        extra = self._edges.get(x)
+        return np.concatenate([nb, np.array(extra, dtype=nb.dtype)]) if extra else nb

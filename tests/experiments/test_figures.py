@@ -5,10 +5,22 @@ each ``figNN.run`` returns the plotted series plus checks like "Hybrid ~20x
 Dyn-arr for deletions"; a failure here means the reproduction regressed.
 """
 
+import importlib.util
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import FIGURE_MODULES, get_figure
 from repro.experiments.report import figure_to_dict
+
+REPO = Path(__file__).resolve().parents[2]
+spec = importlib.util.spec_from_file_location(
+    "regen_figures_golden", REPO / "tools" / "regen_figures_golden.py"
+)
+regen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(regen)
 
 
 @pytest.mark.parametrize("name", FIGURE_MODULES)
@@ -35,6 +47,30 @@ def test_figures_deterministic():
     assert sa == sb
     # The whole exported result, not just one series: no host timing leaks in.
     assert figure_to_dict(a) == figure_to_dict(b)
+
+
+def _assert_close(got, want, path="report"):
+    """Equal, floats to a relative 1e-9 (ints, strings and bools exact)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9), (
+            f"{path}: {got!r} != {want!r}"
+        )
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+def test_figures_match_golden():
+    """Every figure and ablation equals the committed report
+    (``tools/regen_figures_golden.py`` rewrites it)."""
+    _assert_close(regen.report(), json.loads(regen.GOLDEN.read_text()))
 
 
 def test_fig05_gap_magnitude():
