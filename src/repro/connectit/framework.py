@@ -227,7 +227,8 @@ def _connectit_finish(views: dict, payload: dict) -> dict:
 
     Returns the range's local spanning-forest edges (the arcs whose union
     succeeded) — a connectivity-equivalent compression of the range — plus
-    the worker's counters for the parent to fold in.
+    the worker's counters and settled / restart counts for the parent to
+    fold in.
     """
     lo, hi = payload["lo"], payload["hi"]
     uf = UnionFind(
@@ -240,6 +241,8 @@ def _connectit_finish(views: dict, payload: dict) -> dict:
         "hook_u": src[linked],
         "hook_v": dst[linked],
         "counters": uf.counters.to_dict(),
+        "settled": uf.settled,
+        "restarts": uf.restarts,
         "fragment": {"arcs": int(hi - lo), "forest_edges": int(np.count_nonzero(linked))},
     }
 
@@ -249,7 +252,8 @@ def _pool_finish(uf: UnionFind, fsrc: np.ndarray, fdst: np.ndarray, pool: Worker
 
     Workers union disjoint arc ranges into private structures and return
     their local spanning forests; the parent replays those (few) edges in
-    chunk order and folds the workers' counters into ``uf.counters``.  The
+    chunk order and folds the workers' counters into ``uf.counters`` (their
+    settled arcs and restarts into ``uf.settled`` / ``uf.restarts``).  The
     replayed edge set has the same connectivity closure as the full finish
     set, so the partition — and the canonical labels — are bit-identical to
     the serial finish at every worker count.
@@ -269,6 +273,8 @@ def _pool_finish(uf: UnionFind, fsrc: np.ndarray, fdst: np.ndarray, pool: Worker
     for out in outs:  # deterministic chunk order
         uf.union_arcs(out["hook_u"], out["hook_v"])
         uf.counters.add(WorkCounters.from_dict(out["counters"]))
+        uf.settled += out["settled"]
+        uf.restarts += out["restarts"]
     return [out["fragment"] for out in outs]
 
 
@@ -286,11 +292,13 @@ def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> C
         sample_counters = uf.counters.snapshot()
         fsrc, fdst = _finish_arcs(graph, uf)
         fragments: list[dict] = []
-        with span("connectit.finish", arcs=int(fsrc.size)):
+        settled, restarts = uf.settled, uf.restarts
+        with span("connectit.finish", arcs=int(fsrc.size)) as fsp:
             if pool is None:
                 uf.union_arcs(fsrc, fdst)
             else:
                 fragments = _pool_finish(uf, fsrc, fdst, pool)
+            fsp.set(settled=uf.settled - settled, restarts=uf.restarts - restarts)
         finish_counters = uf.counters.since(sample_counters)
         labels = uf.components()
         sp.set(

@@ -46,6 +46,9 @@ COMPACTION_RULES = ("full", "splitting", "halving", "none")
 #: Words per piece when the parent buffer is filled with the identity.
 _FILL_WORDS = 8192
 
+#: Arcs per settled-arc mask in :meth:`UnionFind.union_arcs`.
+_BLOCK = 4096
+
 
 @dataclass
 class WorkCounters:
@@ -150,6 +153,10 @@ class UnionFind:
         self._rank = array("b", [0]) * self.n if union_rule == "rank" else None
         self._size = array("q", [1]) * self.n if union_rule == "size" else None
         self.counters = WorkCounters()
+        #: Arcs :meth:`union_arcs` counted as settled without running them,
+        #: and the masks it rebuilt after a watched root was hooked.
+        self.settled = 0
+        self.restarts = 0
 
     @property
     def parent(self) -> np.ndarray:
@@ -296,8 +303,25 @@ class UnionFind:
         them in locals, and for an arc already settled under one root (both
         endpoints the root or its children) it skips the finds — they would
         store only values already there — and adds their ticks in closed
-        form.  Endpoints are validated once per call: an id outside
-        ``[0, n)`` raises :class:`~repro.errors.VertexError`, unequal lengths
+        form.
+
+        Under the rank and size rules the settled arcs are also taken out
+        before the loop, ``_BLOCK`` arcs at a time: three gathers
+        (``parent[src]``, ``parent[dst]``, ``parent`` of the first) mark
+        them, their ticks are added in closed form, and only the rest are
+        turned into lists for the body.  A settled arc writes nothing under
+        any compaction rule and stays settled until its root is hooked; the
+        body is handed those roots as ``watch`` and stops right after it
+        hooks one, and the block is masked again from the next arc.  So
+        parents, ranks, sizes, the mask and the counters are those of the
+        loop over every arc.  Rem's splices re-point children of roots, so
+        that rule runs the body over every arc.  :attr:`settled` and
+        :attr:`restarts` count the arcs taken out and the re-masks; the
+        unsampled finish at scale 16 takes out 979 050 of 1 045 098 arcs
+        (the settled-arc mask entry of ``CHANGES.md``).
+
+        Endpoints are validated once per call: an id outside ``[0, n)``
+        raises :class:`~repro.errors.VertexError`, unequal lengths
         :class:`~repro.errors.GraphError`.
         """
         src = check_vertex_ids(src, self.n, "src")
@@ -305,20 +329,75 @@ class UnionFind:
         check_same_length([("src", src), ("dst", dst)])
         linked = bytearray(src.size)
         c = [0] * 5  # slots in WorkCounters field order
-        loops.union_arcs(
-            self._parent,
-            self._rank,
-            self._size,
-            src.tolist(),
-            dst.tolist(),
-            kernels.RULE_CODES[self.union_rule],
-            kernels.COMP_CODES[self.compaction],
-            linked,
-            pre_resolved,
-            c,
-        )
+        rule = kernels.RULE_CODES[self.union_rule]
+        comp = kernels.COMP_CODES[self.compaction]
+        if self.union_rule == "rem":  # its splices move children of roots: no mask
+            loops.union_arcs(
+                self._parent, None, None, src.tolist(), dst.tolist(),
+                rule, comp, linked, pre_resolved, None, c,
+            )
+        else:
+            self._union_blocks(src, dst, rule, comp, linked, pre_resolved, c)
         self.counters.add(WorkCounters(*c))
         return np.frombuffer(linked, dtype=np.bool_)
+
+    def _union_blocks(
+        self, src: np.ndarray, dst: np.ndarray, rule: int, comp: int,
+        linked: bytearray, pre_resolved: bool, c: list,
+    ) -> None:
+        """:meth:`union_arcs` under rank or size: settled arcs masked out a
+        block at a time, the rest through the body (ticks into ``c``)."""
+        parent = self.parent
+        mask = np.frombuffer(linked, dtype=np.bool_)
+        watch = bytearray(self.n)
+        watched = np.frombuffer(watch, dtype=np.bool_)
+        lo, m = 0, src.size
+        while lo < m:
+            s, d = src[lo:lo + _BLOCK], dst[lo:lo + _BLOCK]
+            pu, pv = parent[s], parent[d]
+            settled = pu == pv  # every settled or equal pair has this
+            if not settled.any():  # nothing to take out or watch: the block runs whole
+                part = bytearray(s.size)
+                loops.union_arcs(
+                    self._parent, self._rank, self._size, s.tolist(), d.tolist(),
+                    rule, comp, part, pre_resolved, None, c,
+                )
+                linked[lo:lo + s.size] = part
+                lo += s.size
+                continue
+            settled &= parent[pu] == pu
+            skip = settled
+            if pre_resolved:  # equal endpoints: an attempt, nothing else
+                same = s == d
+                settled = settled & ~same
+                skip = settled | same
+            run = np.flatnonzero(~skip)
+            roots = pu[settled]
+            watched[roots] = True
+            part = bytearray(run.size)
+            stop = loops.union_arcs(
+                self._parent, self._rank, self._size, s[run].tolist(), d[run].tolist(),
+                rule, comp, part, pre_resolved, watch if roots.size else None, c,
+            )
+            watched[roots] = False
+            mask[lo + run] = np.frombuffer(part, dtype=np.bool_)
+            cut, ran = s.size, run.size
+            if stop >= 0:  # a watched root went under: re-mask after that arc
+                cut, ran = int(run[stop]) + 1, stop + 1
+                self.restarts += 1
+                settled = settled[:cut]
+            k = int(np.count_nonzero(settled))
+            deep = int(np.count_nonzero(settled & (s[:cut] != pu[:cut])))
+            deep += int(np.count_nonzero(settled & (d[:cut] != pv[:cut])))
+            c[0] += 2 * k
+            c[1] += cut - ran  # the arcs taken out: one attempt each
+            if comp == 0:  # per non-root endpoint: one chase
+                c[3] += deep
+            else:  # two chases and a write of the value already there
+                c[3] += 2 * deep
+                c[4] += deep
+            self.settled += k
+            lo += cut
 
     def bulk_hook(self, vertices: np.ndarray, root: int) -> int:
         """Hook singleton ``vertices`` directly under ``root`` (one write each).

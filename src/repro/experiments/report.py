@@ -1,18 +1,15 @@
 """Machine-readable export of the experiment results.
 
-``collect()`` runs the figure reproductions (and optionally the ablations)
-and flattens every series and check into plain dictionaries;
-``write_json()`` persists them — the artifact CI jobs archive next to
-EXPERIMENTS.md, diffable across calibration changes.
+:func:`figure_to_dict` flattens one figure's series and checks into plain
+dictionaries; ``python -m repro.experiments --json`` writes them, one per
+figure and ablation, into the one report document — the artifact CI jobs
+archive next to EXPERIMENTS.md, diffable across calibration changes, and
+the format of the committed golden.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.experiments import FIGURE_MODULES, FigureResult, get_figure
-from repro.obs import ensure_manifest
+from repro.experiments import FIGURE_MODULES, FigureResult
 from repro.util.jsonify import jsonify
 
 __all__ = [
@@ -21,14 +18,12 @@ __all__ = [
     "ablation_runners",
     "figure_index_table",
     "figure_to_dict",
-    "collect",
-    "write_json",
 ]
 
 #: Ordered registry of the ablation sweeps.  Key ``X`` maps to runner
-#: ``repro.experiments.ablations.run_X``; both the CLI (``--ablations``) and
-#: :func:`collect` iterate this tuple, so adding a sweep here is the single
-#: step that wires it everywhere (the help text derives its count from it).
+#: ``repro.experiments.ablations.run_X``; the CLI (``--ablations``) iterates
+#: this tuple, so adding a sweep here is the single step that wires it
+#: everywhere (the help text derives its count from it).
 ABLATIONS: tuple[str, ...] = (
     "resize_policy",
     "degree_thresh",
@@ -154,35 +149,3 @@ def _jsonify_row(row: dict) -> dict:
     # and np.ndarray values, which the previous ad-hoc version passed
     # through and which broke ``json.dump``.
     return jsonify(row)
-
-
-def collect(
-    *,
-    quick: bool = True,
-    figures: list[str] | None = None,
-    include_ablations: bool = False,
-) -> dict:
-    """Run the reproductions and return one JSON-safe document."""
-    names = figures if figures is not None else list(FIGURE_MODULES)
-    doc: dict = {
-        "mode": "quick" if quick else "full",
-        "manifest": ensure_manifest().to_dict(),
-        "figures": {},
-    }
-    for name in names:
-        doc["figures"][name] = figure_to_dict(get_figure(name)(quick=quick))
-    if include_ablations:
-        doc["ablations"] = {}
-        for key, fn in ablation_runners():
-            doc["ablations"][key] = figure_to_dict(fn(quick=quick))
-    doc["all_passed"] = all(
-        f["all_passed"] for f in doc["figures"].values()
-    ) and all(a["all_passed"] for a in doc.get("ablations", {}).values())
-    return doc
-
-
-def write_json(path, **kwargs) -> dict:
-    """Collect and persist; returns the document."""
-    doc = collect(**kwargs)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
-    return doc

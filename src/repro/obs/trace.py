@@ -311,6 +311,8 @@ _TREE_ATTRS = (
     "n_queries",
     "levels",
     "reached",
+    "settled",
+    "restarts",
     "machine",
     "sim_seconds",
     "best_seconds",

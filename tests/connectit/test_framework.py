@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.adjacency.csr import build_csr
 from repro.connectit import (
     SAMPLING_RULES,
@@ -20,6 +21,7 @@ from repro.connectit import (
     connect_components,
     variant_matrix,
 )
+from repro.connectit.framework import _finish_arcs
 from repro.core.components import connected_components
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
@@ -94,6 +96,32 @@ def test_process_backend_bit_identical(graph_family, pool, spec):
     np.testing.assert_array_equal(serial.labels, parallel.labels)
     assert parallel.meta["backend"] == "process"
     assert parallel.meta["workers"] == pool.workers
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_finish_span_reports_settled_arcs(small_rmat_csr, pool, backend):
+    # The finish span carries the arcs the union loop counted in bulk and
+    # the masks it rebuilt; serially they are a bare UnionFind's over the
+    # same finish arcs, and the counters stay those of the per-pair loop.
+    csr = small_rmat_csr
+    ref = UnionFind(csr.n)
+    ref.union_arcs(*_finish_arcs(csr, UnionFind(csr.n)))
+    be = "serial"
+    if backend == "process":
+        be = ProcessBackend.__new__(ProcessBackend)
+        be.pool = pool
+    tracer = obs.enable_tracing(obs.MemorySink())
+    try:
+        result = connect_components(csr, backend=be)
+    finally:
+        obs.disable_tracing()
+    (finish,) = [e for e in tracer.sink.events if e["name"] == "connectit.finish"]
+    attrs = finish["attrs"]
+    assert 0 < attrs["settled"] < attrs["arcs"]
+    assert attrs["restarts"] >= 0
+    if backend == "serial":
+        assert (attrs["settled"], attrs["restarts"]) == (ref.settled, ref.restarts)
+        assert result.counters == ref.counters
 
 
 def test_sampling_reduces_finish_work(small_rmat_csr):

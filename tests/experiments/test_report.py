@@ -1,4 +1,5 @@
-"""Tests for the JSON experiment exporter."""
+"""Tests for the JSON experiment exporter and the report document
+``python -m repro.experiments --json`` writes."""
 
 import json
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import get_figure
-from repro.experiments.report import _jsonify_row, collect, figure_to_dict, write_json
+from repro.experiments.__main__ import main
+from repro.experiments.report import _jsonify_row, figure_to_dict
 
 
 class TestFigureToDict:
@@ -64,23 +66,31 @@ class TestJsonifyRow:
         assert isinstance(out["passed"], bool)
 
 
-class TestCollect:
-    def test_subset(self):
-        doc = collect(quick=True, figures=["fig02", "fig09"])
-        assert set(doc["figures"]) == {"fig02", "fig09"}
-        assert doc["all_passed"] is True
-        assert doc["mode"] == "quick"
+def report(tmp_path, *figures):
+    """The ``--json`` document of a CLI run over ``figures`` (quick scale)."""
+    path = tmp_path / "report.json"
+    assert main([*figures, "--json", str(path)]) == 0
+    return json.loads(path.read_text())
 
-    def test_document_manifest(self):
-        doc = collect(quick=True, figures=["fig09"])
-        json.dumps(doc)
+
+class TestCollect:
+    def test_subset(self, tmp_path):
+        doc = report(tmp_path, "fig02", "fig09")
+        assert [r["module"] for r in doc["results"]] == ["fig02", "fig09"]
+        assert (doc["n_results"], doc["n_failed"]) == (2, 0)
+        assert all(r["all_passed"] for r in doc["results"])
+        assert doc["full_scale"] is False
+
+    def test_document_manifest(self, tmp_path):
+        doc = report(tmp_path, "fig09")
         manifest = doc["manifest"]
         assert manifest["id"] and manifest["git_sha"] and manifest["numpy"]
-        assert doc["figures"]["fig09"]["meta"]["manifest_id"] == manifest["id"]
+        (result,) = doc["results"]
+        assert result["meta"]["manifest_id"] == manifest["id"]
 
-    def test_write_json(self, tmp_path):
-        path = tmp_path / "report.json"
-        doc = write_json(path, quick=True, figures=["fig02"])
-        loaded = json.loads(path.read_text())
-        assert loaded["figures"]["fig02"]["figure"] == "Figure 2"
-        assert loaded["all_passed"] == doc["all_passed"]
+    def test_write_json(self, tmp_path, capsys):
+        doc = report(tmp_path, "fig02")
+        (result,) = doc["results"]
+        assert result["figure"] == "Figure 2"
+        assert doc["n_failed"] == 0
+        assert "wrote report for 1 experiment(s)" in capsys.readouterr().out

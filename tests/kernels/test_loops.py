@@ -2,10 +2,13 @@
 
 These exercise :func:`repro.kernels.loops.union_arcs` head-on against the
 per-pair :meth:`UnionFind.union` oracle across all 12 rule × compaction
-combinations.  ``union_arcs`` and the SV components sweep are one body
-each that reads no tier; every union case also runs with the retired tier
-variable naming ``scalar`` and the deleted ``compiled`` tier, and the sweep
-under ``compiled``, and each must come out as it does with it unset.
+combinations.  The oracle cases also run with the settled-arc mask's block
+shrunk to 1, 2 and 3 arcs, so that block edges and the re-mask after a
+watched root is hooked fall inside every case.  ``union_arcs`` and the SV
+components sweep are one body each that reads no tier; every union case
+also runs with the retired tier variable naming ``scalar`` and the deleted
+``compiled`` tier, and the sweep under ``compiled``, and each must come out
+as it does with it unset.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency.csr import CSRGraph, build_csr
+from repro.connectit import unionfind
 from repro.connectit.unionfind import COMPACTION_RULES, UNION_RULES, UnionFind
 from repro.core.components import connected_components
 from repro.generators.rmat import rmat_graph
@@ -24,6 +28,9 @@ from tests.retired_tier import stale_tier
 
 #: Every (compaction, rule) pair.
 VARIANTS = list(itertools.product(COMPACTION_RULES, UNION_RULES))
+
+#: Settled-arc mask blocks small enough to cut every oracle case.
+SMALL_BLOCKS = (1, 2, 3)
 
 
 def random_arcs(seed, n, k):
@@ -149,6 +156,10 @@ def _settled_cases():
         # Joining two flat stars leaves one root's children at depth 2 with
         # equal parents that are no longer a root: the check must fail.
         "two-stars-joined": (10, two_stars + [(3, 8)] + two_stars + [(6, 7), (9, 1)] * 2, None),
+        # 4 and 5 hang under root 3 when the block is masked, so both (4, 5)
+        # arcs are settled then; (0, 3) hooks 3 below 0 between them, and
+        # the second (4, 5) and the (3, 4) after it must run, not be counted.
+        "hook-demotes-settled": (6, [(4, 5), (0, 3), (4, 5), (3, 4)], [0, 1, 2, 3, 3, 3]),
     }
 
 
@@ -162,14 +173,36 @@ def test_union_arcs_settled_branch_matches_oracle(comp, rule, tier, case):
     check_against_union_oracle(n, arcs, rule, comp, tier, forest=forest)
 
 
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("case", SETTLED_CASES)
+@pytest.mark.parametrize("comp,rule", VARIANTS)
+def test_union_arcs_settled_branch_in_small_blocks(monkeypatch, comp, rule, case, block):
+    monkeypatch.setattr(unionfind, "_BLOCK", block)
+    n, arcs, forest = SETTLED_CASES[case]
+    check_against_union_oracle(n, arcs, rule, comp, forest=forest)
+
+
+#: apply_batch hands over roots: equal ones are attempts and nothing else,
+#: unequal ones union as usual — and go stale as the batch hooks them, so
+#: later arcs name children and settled pairs too.
+ROOT_SPACE_FOREST = np.array([0, 0, 0, 3, 3, 5, 6, 6])
+ROOT_SPACE_ARCS = [(0, 0), (3, 3), (0, 3), (3, 0), (5, 5), (5, 6), (6, 5), (6, 6), (3, 6), (0, 6)]
+
+
 @pytest.mark.parametrize("comp,rule,tier", union_cases(COMPACTION_RULES, UNION_RULES))
 def test_union_arcs_pre_resolved_root_space_matches_oracle(comp, rule, tier):
-    # apply_batch hands over roots: equal ones are attempts and nothing
-    # else, unequal ones union as usual — and go stale as the batch hooks
-    # them, so later arcs name children and settled pairs too.
-    forest = np.array([0, 0, 0, 3, 3, 5, 6, 6])
-    arcs = [(0, 0), (3, 3), (0, 3), (3, 0), (5, 5), (5, 6), (6, 5), (6, 6), (3, 6), (0, 6)]
-    check_against_union_oracle(8, arcs, rule, comp, tier, pre_resolved=True, forest=forest)
+    check_against_union_oracle(
+        8, ROOT_SPACE_ARCS, rule, comp, tier, pre_resolved=True, forest=ROOT_SPACE_FOREST
+    )
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("comp,rule", VARIANTS)
+def test_union_arcs_pre_resolved_root_space_in_small_blocks(monkeypatch, comp, rule, block):
+    monkeypatch.setattr(unionfind, "_BLOCK", block)
+    check_against_union_oracle(
+        8, ROOT_SPACE_ARCS, rule, comp, pre_resolved=True, forest=ROOT_SPACE_FOREST
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,10 +220,28 @@ def test_hypothesis_union_arcs_matches_oracle_on_colliding_arcs(n, arcs, variant
     check_against_union_oracle(n, arcs, rule, comp, pre_resolved=pre_resolved)
 
 
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    arcs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=200),
+    variant=st.sampled_from(VARIANTS),
+    pre_resolved=st.booleans(),
+)
+def test_hypothesis_union_arcs_in_small_blocks(block, n, arcs, variant, pre_resolved):
+    comp, rule = variant
+    arcs = [(u % n, v % n) for u, v in arcs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unionfind, "_BLOCK", block)
+        check_against_union_oracle(n, arcs, rule, comp, pre_resolved=pre_resolved)
+
+
 def test_union_arcs_body_is_self_contained():
     # No helper calls and no module globals: every name a pointer chase
-    # touches is a local, and UnionFind calls this very object.
+    # touches is a local, and UnionFind calls this very object.  ``watch``
+    # is a plain argument, indexed like the others.
     assert set(loops.union_arcs.__code__.co_names) <= {"len", "range"}
+    assert "watch" in loops.union_arcs.__code__.co_varnames
     assert loops.union_arcs.__globals__ is vars(loops)  # never rebound
 
 
