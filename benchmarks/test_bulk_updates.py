@@ -16,15 +16,24 @@ both measured here:
   arrival-order run) is at least 1.3x faster than the per-op replay on the
   same scale-14 graph and stream, and leaves a bit-equal structure;
 * no representation's vectorised path is slower than its scalar path
-  (beyond timing noise).
+  (beyond timing noise);
+* growing the ``dynarr`` pool through an R-MAT construction faults in no
+  more pages than ``memory_bytes()`` spans: a pool past its reservation
+  floor re-slices one reservation instead of copying into fresh pages.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
 import pytest
 
+import repro
 from benchmarks.conftest import best_of
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.csr import csr_from_arrays
@@ -181,4 +190,48 @@ def test_bulk_updates_representation(kind):
     assert vec_seconds / scalar_seconds <= NOISE, (
         f"{kind}: vectorised path slower than scalar "
         f"({vec_seconds:.3f}s vs {scalar_seconds:.3f}s)"
+    )
+
+
+#: Child for ``test_pool_growth_faults``: THP off for itself only, then the
+#: R-MAT scale-17 construction (16 chunks of 65 536 edges, seed 7) with
+#: ``ru_minflt`` summed around each apply.  One warm-up construction first
+#: (the heap's high-water mark), then the best of three.
+_FAULTS_CHILD = """
+import ctypes, json, resource
+ok = ctypes.CDLL(None).prctl(41, 1, 0, 0, 0) == 0  # PR_SET_THP_DISABLE
+from repro.api import DynamicGraph
+from repro.generators.parallel import iter_update_chunks
+
+def construct():
+    g, faults = DynamicGraph(1 << 17, "dynarr"), 0
+    for chunk in iter_update_chunks(17, edge_factor=8, seed=7, chunk_edges=65536):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        g.apply(chunk)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults, g.memory_bytes()
+
+construct()
+runs = [construct() for _ in range(3)]
+print(json.dumps({"thp_off": ok, "faults": min(f for f, _ in runs),
+                  "memory_bytes": runs[0][1], "page": resource.getpagesize()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl and ru_minflt are Linux")
+def test_pool_growth_faults():
+    """Apply-stage page faults of a chunked construction stay within the
+    pages the structure spans: pool growth copies nothing into fresh pages."""
+    path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    if not got["thp_off"]:
+        pytest.skip("PR_SET_THP_DISABLE refused: faults would count huge pages")
+    pages = got["memory_bytes"] // got["page"]
+    assert got["memory_bytes"] == 138_412_032
+    assert got["faults"] <= pages, (
+        f"apply faulted {got['faults']} pages; the structure spans {pages}"
     )

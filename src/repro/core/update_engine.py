@@ -14,11 +14,11 @@ figures always divide by the number of stream updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.adjacency.base import AdjacencyRepresentation, HotStats
+from repro.adjacency.base import AdjacencyRepresentation, HotStats, UpdateStats
 from repro.edgelist import EdgeList
 from repro.generators.streams import UpdateStream, insertion_stream
 from repro.machine.profile import WorkProfile
@@ -99,6 +99,7 @@ def apply_stream(
         raise ValueError(f"probe_scale must be >= 0, got {probe_scale}")
     if reset_stats:
         rep.reset_stats()
+    before = asdict(_update_stats(rep))
     with span(
         "update_engine.apply_stream",
         representation=rep.kind,
@@ -120,7 +121,7 @@ def apply_stream(
             rep.stats.probe_words = int(rep.stats.probe_words * probe_scale)
         phase = rep.phase(phase_name, hot)
         sp.set(n_arc_ops=int(op.size), misses=misses, host_seconds=t.elapsed)
-    _tick_update_metrics(rep, op.size, misses)
+    _tick_update_metrics(rep, op.size, misses, before)
     profile = WorkProfile(
         phase_name,
         (phase,),
@@ -151,32 +152,39 @@ def apply_stream(
     )
 
 
-def _tick_update_metrics(rep: AdjacencyRepresentation, n_arc_ops: int, misses: int) -> None:
+#: The :class:`UpdateStats` fields ticked as ``adjacency.<kind>.<field>``.
+_TICKED_STATS = (
+    "inserts", "deletes", "probe_words", "resize_events", "resize_copied_words",
+    "nodes_visited", "rotations", "migrations", "migration_words",
+)
+
+
+def _update_stats(rep: AdjacencyRepresentation) -> UpdateStats:
+    """The structure's work counters.  Composite structures (hybrid) split
+    them over sub-structures and merge on demand; plain structures count
+    directly into ``.stats``."""
+    combined = getattr(rep, "combined_stats", None)
+    return combined() if callable(combined) else rep.stats
+
+
+def _tick_update_metrics(
+    rep: AdjacencyRepresentation, n_arc_ops: int, misses: int, before: dict[str, int]
+) -> None:
     """Fold one stream's work counters into the process metrics registry.
 
     Ticked once per stream (phase granularity), never per arc — the hot
-    loops stay exactly as fast as before the obs subsystem existed.
+    loops stay exactly as fast as before the obs subsystem existed.  The
+    structure's counters accumulate across streams applied with
+    ``reset_stats=False``, so the registry gets their growth over this
+    stream (``before`` holds them as the stream started).
     """
     METRICS.inc("update_engine.streams")
     METRICS.inc("update_engine.arc_ops", int(n_arc_ops))
     METRICS.inc("update_engine.delete_misses", misses)
-    # Composite structures (hybrid) split counters over sub-structures and
-    # merge them on demand; plain structures count directly into .stats.
-    combined = getattr(rep, "combined_stats", None)
-    s = combined() if callable(combined) else rep.stats
+    after = asdict(_update_stats(rep))
     METRICS.inc_many(
         f"adjacency.{rep.kind}",
-        {
-            "inserts": s.inserts,
-            "deletes": s.deletes,
-            "probe_words": s.probe_words,
-            "resize_events": s.resize_events,
-            "resize_copied_words": s.resize_copied_words,
-            "nodes_visited": s.nodes_visited,
-            "rotations": s.rotations,
-            "migrations": s.migrations,
-            "migration_words": s.migration_words,
-        },
+        {name: after[name] - before[name] for name in _TICKED_STATS},
     )
     METRICS.set(f"adjacency.{rep.kind}.live_arcs", rep.n_arcs)
     METRICS.set(f"adjacency.{rep.kind}.memory_bytes", rep.memory_bytes())

@@ -1,11 +1,15 @@
 """Tests for the chunked memory pool."""
 
+import copy
+import pickle
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.adjacency import bulkops
+from repro.adjacency import bulkops, mempool
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.dynarr import TOMBSTONE, DynArrAdjacency
 from repro.adjacency.epart import EPartAdjacency
@@ -94,6 +98,108 @@ class TestAccounting:
 
 
 # --------------------------------------------------------------------- #
+# growth past the floor re-slices one reservation
+# --------------------------------------------------------------------- #
+
+#: Slots per column of the reservation the tests force on small pools.
+SLOTS = 48
+
+
+def force_reservation(mp, slots: int = SLOTS) -> None:
+    """Every pool reserves ``slots`` slots per column at its first growth."""
+    mp.setattr(mempool, "_RESERVE_FLOOR_BYTES", 0)
+    mp.setattr(mempool, "_RESERVE_SLOTS", slots)
+
+
+@pytest.fixture
+def reserved(monkeypatch):
+    force_reservation(monkeypatch)
+
+
+class TestReservation:
+    def test_growth_inside_reservation_shares_memory(self, reserved):
+        p = IntPool(4, columns=2)
+        p.alloc(3)
+        p.alloc(3)  # the first growth moves into the reservation
+        assert p.data.base.shape == (2, SLOTS)
+        before = p.data
+        before[:, :6] = [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]]
+        p.alloc(10)
+        assert p.capacity == 16 and p.grow_events == 2
+        assert np.shares_memory(p.data, before)
+        assert p.data[:, :6].tolist() == before[:, :6].tolist()
+
+    def test_growth_past_reservation_copies(self, reserved):
+        p = IntPool(4, columns=2)
+        off = p.alloc(40)  # 64 slots: more than the reservation holds
+        assert p.capacity == 64 and p.data.base.shape == (2, 64)
+        q = IntPool(4, columns=2)
+        q.alloc(30)  # 32 slots, inside the reservation
+        q.data[:, :30] = np.arange(60).reshape(2, 30)
+        reservation = q.data
+        q.alloc(20)  # 64 slots: exhausted, so the copy
+        assert not np.shares_memory(q.data, reservation)
+        assert q.data[:, :30].tolist() == np.arange(60).reshape(2, 30).tolist()
+        assert (q.capacity, q.grow_events, off) == (64, 2, 0)
+
+    def test_default_floor(self):
+        small = IntPool(1 << 20)  # 8 MiB -> 16 MiB: copied
+        small.alloc((1 << 20) + 1)
+        assert small.data.base.shape[1] == small.capacity
+        large = IntPool(1 << 21)  # 16 MiB -> 32 MiB: reserved, written nowhere
+        large.alloc((1 << 21) + 1)
+        assert large.data.base.shape[1] == mempool._RESERVE_SLOTS > large.capacity
+
+    @pytest.mark.parametrize("copier", [pickle.loads, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_carry_capacity_not_reservation(self, monkeypatch, copier):
+        force_reservation(monkeypatch, slots=1 << 16)
+        p = IntPool(4, columns=2)
+        p.alloc(50)
+        p.data[:, :50] = np.arange(100).reshape(2, 50)
+        blob = pickle.dumps(p)
+        assert p.capacity * 2 * 8 <= len(blob) < p.capacity * 2 * 8 + 1024
+        q = copier(blob) if copier is pickle.loads else copier(p)
+        assert q.data.nbytes == p.memory_bytes() and not np.shares_memory(q.data, p.data)
+        assert (q.capacity, q.used, q.grow_events) == (p.capacity, p.used, p.grow_events)
+        q.alloc(100)
+        assert q.data[:, :50].tolist() == np.arange(100).reshape(2, 50).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("alloc"), st.integers(0, 24)),
+                st.tuples(st.just("alloc_many"), st.lists(st.integers(0, 9), max_size=5)),
+                st.tuples(st.just("abandon"), st.integers(0, 6)),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_reserved_path_matches_copy_path(self, capacity, columns, ops):
+        def run() -> tuple:
+            p, seen = IntPool(capacity, columns=columns), []
+            for tag, (op, arg) in enumerate(ops):
+                if op == "abandon":
+                    p.abandon(arg)
+                    continue
+                sizes = [arg] if op == "alloc" else arg
+                offs = [p.alloc(arg)] if op == "alloc" else p.alloc_many(arg).tolist()
+                for off, size in zip(offs, sizes):
+                    for c in range(columns):
+                        p.column(c)[off : off + size] = 1000 * c + tag
+                seen.append((p.capacity, p.grow_events, p.used, p.abandoned,
+                             p.memory_bytes(), p.live_bytes(), offs))
+            return seen, p.data[:, : p.used].tolist()
+
+        copied = run()
+        with pytest.MonkeyPatch.context() as mp:
+            force_reservation(mp)
+            assert run() == copied
+
+
+# --------------------------------------------------------------------- #
 # the pool fills nothing: no reader may look past a vertex's ``cnt``
 # --------------------------------------------------------------------- #
 
@@ -101,7 +207,8 @@ class TestAccounting:
 class FillingPool(IntPool):
     """A pool that writes ``fill`` into every slot it has not handed out yet,
     at construction and after every allocation (so also across the whole
-    unused tail after each growth, mid-batch)."""
+    unused tail after each growth, mid-batch, and past the capacity to the
+    end of a reservation, which later growths re-slice)."""
 
     def __init__(self, capacity: int, fill: int) -> None:
         super().__init__(capacity, columns=2)
@@ -110,7 +217,8 @@ class FillingPool(IntPool):
 
     def alloc(self, size: int) -> int:
         off = super().alloc(size)
-        self.data[:, off:] = self.fill
+        tail = self.data if self.data.base is None else self.data.base
+        tail[:, off:] = self.fill
         return off
 
 
@@ -172,6 +280,20 @@ class TestUnfilledPool:
         "kind", ["dynarr", "dynarr-nr", "vpart", "epart", "batched", "hybrid"]
     )
     def test_poisoned_slots_are_never_read(self, kind, path, fill, monkeypatch):
+        self.check_poisoned(kind, path, fill, monkeypatch)
+
+    @pytest.mark.parametrize("fill", [0, 5])
+    @pytest.mark.parametrize("path", ["vectorised", "scalar"])
+    @pytest.mark.parametrize(
+        "kind", ["dynarr", "dynarr-nr", "vpart", "epart", "batched", "hybrid"]
+    )
+    def test_poisoned_reserved_slots_are_never_read(self, kind, path, fill, monkeypatch):
+        # Every pool grows inside a reservation whose tail holds the poison.
+        force_reservation(monkeypatch, slots=1 << 14)
+        arr = self.check_poisoned(kind, path, fill, monkeypatch)
+        assert arr.pool.data.base.shape == (2, 1 << 14)
+
+    def check_poisoned(self, kind, path, fill, monkeypatch) -> DynArrAdjacency:
         # On the vectorised path every batch, the hybrid's array half
         # included, takes the bulk kernels.
         monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
@@ -208,3 +330,4 @@ class TestUnfilledPool:
         assert (arr.cnt > arr.live).any()
         if kind == "hybrid":
             assert twin.stats.migrations > 0
+        return arr

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.api import DynamicGraph
+from repro.core.connectivity import ConnectivityIndex
 from repro.core.update_engine import apply_stream
 from repro.adjacency.registry import make_representation
 from repro.generators.streams import mixed_stream
@@ -63,6 +64,32 @@ class TestApplyStreamSpans:
         snap = obs.METRICS.snapshot()["counters"]
         assert snap["update_engine.streams"] == 2
         assert snap["update_engine.arc_ops"] == 400  # 2 * 100 updates * 2 arcs
+
+    def test_counters_tick_each_stream_once_without_reset(self, small_rmat):
+        # With reset_stats=False the structure's counters run on across
+        # streams; the registry must still get each stream's work once.
+        rep = make_representation("dynarr", small_rmat.n)
+        seen = []
+        for seed in range(3):
+            stream = mixed_stream(small_rmat, 50, insert_frac=1.0, seed=seed)
+            apply_stream(rep, stream, reset_stats=False)
+            seen.append(obs.METRICS.snapshot()["counters"]["adjacency.dynarr.inserts"])
+        assert seen == [100, 200, 300] and rep.stats.inserts == 300
+
+    def test_connectivity_batches_tick_the_merged_stats(self, small_rmat):
+        # ConnectivityIndex.apply_batch applies without a reset, on the
+        # hybrid's merged counters.  Its has_arc checks after the stream
+        # probe outside any stream, so only the update counters compare.
+        g = DynamicGraph.from_edgelist(small_rmat, representation="hybrid")
+        index = ConnectivityIndex.from_rep(g.rep)
+        obs.METRICS.reset()
+        start = g.rep.combined_stats()
+        for seed in range(3):
+            index.apply_batch(mixed_stream(small_rmat, 200, insert_frac=0.75, seed=seed))
+        now, snap = g.rep.combined_stats(), obs.METRICS.snapshot()["counters"]
+        for name in ("inserts", "deletes", "resize_events", "migrations", "migration_words"):
+            assert snap[f"adjacency.hybrid.{name}"] == getattr(now, name) - getattr(start, name)
+        assert now.inserts > start.inserts and now.deletes > start.deletes
 
     def test_profile_meta_carries_manifest(self, graph_and_stream):
         g, stream = graph_and_stream
