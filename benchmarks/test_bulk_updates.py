@@ -15,6 +15,10 @@ both measured here:
 * the ``hybrid`` bulk ``apply_arcs`` (array kernels + the treap's fused
   arrival-order run) is at least 1.3x faster than the per-op replay on the
   same scale-14 graph and stream, and leaves a bit-equal structure;
+* the ``hybrid`` construction (``bulk_insert``: each treap empty at the
+  batch's start built as one Cartesian tree) is at least 2.5x faster than
+  ``apply_arcs`` of the same all-insert stream (the fused arrival-order
+  run) on the scale-14 R-MAT base, and leaves a bit-equal structure;
 * no representation's vectorised path is slower than its scalar path
   (beyond timing noise);
 * growing the ``dynarr`` pool through an R-MAT construction faults in no
@@ -28,7 +32,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from statistics import fmean
+from statistics import fmean, median
 
 import numpy as np
 import pytest
@@ -174,6 +178,56 @@ def test_mixed_apply_hybrid():
     for a, b in zip(rep.to_arrays(), twin.to_arrays()):
         np.testing.assert_array_equal(a, b)
     assert speedup >= 1.3, f"hybrid bulk apply only {speedup:.2f}x faster than per-op"
+
+
+def _structure(rep: HybridAdjacency) -> dict:
+    """Everything a hybrid holds, counters but ``nodes_visited`` /
+    ``rotations`` included: the two construction paths differ only there."""
+    t = rep.treap
+    stats = asdict(rep.combined_stats())
+    del stats["nodes_visited"], stats["rotations"]
+    return {
+        "mode": bytes(rep.mode),
+        "arr": [a.tobytes() for a in (rep.arr.off, rep.arr.cap, rep.arr.cnt, rep.arr.live)],
+        "arr_arcs": [a.tobytes() for a in rep.arr.to_arrays()],
+        "pool": [buf.tobytes() for buf in (t._key, t._prio, t._left, t._right, t._ts)],
+        "roots": t.root.tobytes(),
+        "live_deg": t._live_deg.tobytes(),
+        "free": list(t._free),
+        "prio_block": list(t._prio_block),
+        "stats": stats,
+        "migrations": (rep.stats.migrations, rep.stats.migration_words),
+        "sizes": (rep.n_arcs, rep.memory_bytes()),
+        "arcs": [a.tobytes() for a in rep.to_arrays()],
+    }
+
+
+def test_construction_build_hybrid():
+    """Construction on ``hybrid``: ``bulk_insert``'s Cartesian-tree build
+    must beat the fused arrival-order run >=2.5x, bit for bit."""
+    base = rmat_graph(14, 8, seed=SEED)
+    src = np.concatenate((base.src, base.dst))
+    dst = np.concatenate((base.dst, base.src))
+    ts = None if base.ts is None else np.concatenate((base.ts, base.ts))
+    op = np.ones(src.size, dtype=np.int8)
+
+    def built():
+        rep = HybridAdjacency(base.n, seed=SEED)
+        rep.bulk_insert(src, dst, ts)
+        return rep
+
+    def replayed():
+        rep = HybridAdjacency(base.n, seed=SEED)
+        rep.apply_arcs(op, src, dst, ts)
+        return rep
+
+    build_seconds, rep = best_of(built, 5, stat=median)
+    run_seconds, twin = best_of(replayed, 5, stat=median)
+    speedup = run_seconds / build_seconds
+
+    assert rep.stats.migrations > 0 and rep.stats.rotations == 0
+    assert _structure(rep) == _structure(twin)
+    assert speedup >= 2.5, f"hybrid construction build only {speedup:.2f}x faster than the run"
 
 
 @pytest.mark.parametrize(

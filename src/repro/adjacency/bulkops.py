@@ -37,11 +37,12 @@ plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_csr``:
 Counter equivalence is not best-effort: ``tests/adjacency/test_equivalence``
 asserts bit-identical ``UpdateStats``, adjacency contents, miss counts and
 pool footprints against the scalar reference on randomized and adversarial
-streams.  Representations whose semantics are order-sensitive beyond
-per-vertex grouping (treap rotations consume a shared priority stream) use
-none of these kernels: their bulk path is one fused arrival-order loop
+streams.  Treap updates are order-sensitive beyond per-vertex grouping
+(rotations consume a shared priority stream), so the treap's update batches
+take one fused arrival-order loop
 (:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`) behind the same
-:func:`enabled` switch.
+:func:`enabled` switch; only its construction build sorts, with
+:func:`stable_order` and :func:`group_runs`.
 
 The batch picks its path from its own size (:func:`enabled`): batches
 below :data:`MIN_BULK_SIZE` arcs take the per-op loop (the fixed per-call

@@ -20,6 +20,11 @@ take the vectorised dyn-arr kernels, the rest the treap's fused
 arrival-order run, with migrations at precomputed cut points — every
 counter, pool byte and export identical to per-op ``insert`` / ``delete``,
 which batches below ``bulkops.MIN_BULK_SIZE`` arcs take instead.
+Construction (``bulk_insert``) builds the treap side instead
+(:meth:`HybridAdjacency._build_treap_side`): every treap empty when the
+batch starts, a crossing vertex's migrated block included, becomes one
+Cartesian tree, with the same pool bytes and export; only ``nodes_visited``
+and ``rotations`` count the build's own work.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.adjacency.base import (
     UpdateStats,
 )
 from repro.adjacency.csr import CSRGraph, csr_offsets
-from repro.adjacency.dynarr import DynArrAdjacency
+from repro.adjacency.dynarr import TOMBSTONE, DynArrAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
@@ -126,19 +131,23 @@ class HybridAdjacency(AdjacencyRepresentation):
     # migration
     # ------------------------------------------------------------------ #
 
+    def _vacate(self, us, words: int) -> None:
+        """Move vertices ``us`` to the treap side, ``words`` live arcs in
+        all: their array blocks are abandoned and their counts dropped."""
+        arr = self.arr
+        arr.pool.abandon(int(arr.cap[us][arr.off[us] >= 0].sum()))
+        arr._n_arcs -= words
+        arr.off[us] = -1
+        arr.cap[us] = arr.cnt[us] = arr.live[us] = 0
+        np.frombuffer(self.mode, dtype=np.uint8)[us] = _MODE_TREAP
+        self.stats.migrations += len(us)
+        self.stats.migration_words += words
+
     def _migrate_up(self, u: int) -> None:
         """Move vertex ``u``'s live adjacencies from the array to a treap
         (one fused run, in block order: the priorities per-op inserts draw)."""
         nbr, ts = self.arr.neighbors_with_ts(u)
-        # Clear the array block: drop counts, abandon the block.
-        off = int(self.arr.off[u])
-        if off >= 0:
-            self.arr.pool.abandon(int(self.arr.cap[u]))
-        self.arr._n_arcs -= int(nbr.size)
-        self.arr.off[u] = -1
-        self.arr.cap[u] = 0
-        self.arr.cnt[u] = 0
-        self.arr.live[u] = 0
+        self._vacate([u], int(nbr.size))
         nodes_before = self.treap.stats.nodes_visited
         rot_before = self.treap.stats.rotations
         self.treap._apply_run(None, [u] * int(nbr.size), nbr.tolist(), ts.tolist())
@@ -152,9 +161,6 @@ class HybridAdjacency(AdjacencyRepresentation):
         self.stats.rotations += self.treap.stats.rotations - rot_before
         self.treap.stats.nodes_visited = nodes_before
         self.treap.stats.rotations = rot_before
-        self.mode[u] = _MODE_TREAP
-        self.stats.migrations += 1
-        self.stats.migration_words += int(nbr.size)
 
     # ------------------------------------------------------------------ #
     # hot-path operations
@@ -242,6 +248,9 @@ class HybridAdjacency(AdjacencyRepresentation):
         arrival order, cut only at the migration points, where
         :meth:`_migrate_up` finds the array block exactly as the per-op
         path would.  Counters, pool bytes and exports stay bit-identical.
+        An all-insert batch builds its treap side instead
+        (:meth:`_build_treap_side`): the same pool bytes and exports, the
+        build's own ``nodes_visited`` / ``rotations``.
         """
         k = int(src.size)
         ins_at = np.arange(k) if op is None else np.flatnonzero(op == 1)
@@ -266,7 +275,9 @@ class HybridAdjacency(AdjacencyRepresentation):
         elif idx.size:
             misses = self.arr.apply_arcs(op[idx], src[idx], dst[idx], t[idx])
         idx = np.flatnonzero(on_treap)
-        if idx.size:
+        if idx.size and not (
+            op is None and self._build_treap_side(src, dst, t, idx, owners, cut_at)
+        ):
             ops = None if op is None else op[idx].tolist()
             us, vs, tss = src[idx].tolist(), dst[idx].tolist(), t[idx].tolist()
 
@@ -288,6 +299,46 @@ class HybridAdjacency(AdjacencyRepresentation):
         self._n_arcs = self.arr.n_arcs + self.treap.n_arcs
         return misses
 
+    def _build_treap_side(self, src, dst, t, idx, movers, cut_at) -> bool:
+        """The treap side of an all-insert batch, migrations included, as one
+        :meth:`TreapAdjacency._build_run`; False, with nothing built or
+        migrated, on a priority tie.
+
+        The run holds the treap nodes in the order the per-op path creates
+        them: the arcs at ``idx`` in arrival order, with each crossing
+        vertex's live array block (slot order, as :meth:`_migrate_up` reads
+        it) just before the arc at its cut point ``cut_at``.  A crossing
+        vertex's treap is empty until then, so it is built whole.  Its
+        block's node visits are reclassified to the migration, as
+        :meth:`_migrate_up` does with the fused run's.
+        """
+        arr = self.arr
+        by_arrival = np.argsort(cut_at)
+        movers, hits = movers[by_arrival], np.searchsorted(idx, cut_at[by_arrival])
+        slots = bulkops.gather_index(arr.off[movers], arr.cnt[movers])
+        slots = slots[arr._adj[slots] != TOMBSTONE]
+        sizes = arr.live[movers]
+        # An arc's place in the run: its rank on the treap side, shifted
+        # past every block that goes in at or before it.
+        shift = np.zeros(idx.size, dtype=np.int64)
+        shift[hits] = sizes
+        shift = np.cumsum(shift)
+        at_arc = np.arange(idx.size) + shift
+        at_block = bulkops.gather_index(hits + shift[hits] - sizes, sizes)
+        words = int(slots.size)
+        us, vs, tss = (np.empty(idx.size + words, dtype=np.int64) for _ in range(3))
+        us[at_arc], vs[at_arc], tss[at_arc] = src[idx], dst[idx], t[idx]
+        us[at_block] = np.repeat(movers, sizes)
+        vs[at_block], tss[at_block] = arr._adj[slots], arr._ts[slots]
+        del slots, shift, at_arc, at_block
+        if not self.treap._build_run(us, vs, tss):
+            return False
+        self._vacate(movers, words)
+        self.treap.stats.inserts -= words
+        self.treap.stats.nodes_visited -= words
+        self.stats.nodes_visited += words
+        return True
+
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Partitioned stream application (see :meth:`_apply_partitioned`);
         small batches take the strict per-op loop."""
@@ -298,7 +349,8 @@ class HybridAdjacency(AdjacencyRepresentation):
         return self._apply_partitioned(op, src, dst, t)
 
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Partitioned bulk ingest."""
+        """Partitioned bulk ingest, the treap side built
+        (:meth:`_build_treap_side`)."""
         src, dst, t = self._checked_batch(src, dst, ts)
         if bulkops.enabled(self, src.size):
             self._apply_partitioned(None, src, dst, t)

@@ -26,12 +26,16 @@ nodes go on a free list for reuse.  Insert, delete, split and merge are loops
 over the one root-to-leaf path the textbook recursion follows (equal keys form
 a right spine as deep as their multiplicity, so depth is not logarithmic) and
 count every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
-Batches (``bulk_insert``, ``apply_arcs``, the hybrid's treap side and its
-migrations) run those same loop bodies fused into :meth:`TreapAdjacency.
-_apply_run`, bit-identical to the per-op methods, which remain the public
-API, the path of batches below ``bulkops.MIN_BULK_SIZE`` arcs and the
-oracle.  The whole-structure export is one level-synchronous numpy pass
-over the forest; ``_inorder`` walks a single vertex's treap.
+Update batches (``apply_arcs``, the hybrid's treap side and its migrations)
+run those same loop bodies fused into :meth:`TreapAdjacency._apply_run`,
+bit-identical to the per-op methods, which remain the public API, the path
+of batches below ``bulkops.MIN_BULK_SIZE`` arcs and the oracle.
+Construction (``bulk_insert``, on the hybrid too) builds every treap that is
+empty when the batch starts as one Cartesian tree
+(:meth:`TreapAdjacency._build_run`; Shun & Blelloch 2014): same pool bytes
+and export, its own node-visit count.  The whole-structure export is one
+level-synchronous numpy pass over the forest; ``_inorder`` walks a single
+vertex's treap.
 """
 
 from __future__ import annotations
@@ -51,6 +55,70 @@ from repro.util.validation import check_op_codes
 __all__ = ["TreapAdjacency"]
 
 _NIL = -1
+
+#: Priorities drawn per refill of ``TreapAdjacency._prio_block``.
+_PRIO_BLOCK = 4096
+
+#: Arcs per fused-run call of a build: bounds the run's list scratch.
+_RUN_SLICE = 1 << 14
+
+
+def _cartesian(us, vs, prios, built, n):
+    """The shape of the treaps holding the ``built`` run positions (owner
+    ``us``, key ``vs``, priority ``prios``), one Cartesian tree per owner:
+    ``(order, up, as_right, owners, counts)``, or None on a priority tie.
+
+    ``order`` sorts those positions by (owner, key, descending priority).
+    Each sorted position hangs under the lower of its nearest higher-priority
+    positions before and after it within its owner's segment
+    (:func:`_nearest_higher`): ``up`` is that position (``_NIL`` at a
+    root), ``as_right`` says it is the one before, so the node is its right
+    child.  ``owners`` / ``counts`` are the segments.  Two positions of a
+    segment that share a priority with none higher between them make the
+    shape depend on arrival order; the later one's search stops at the
+    earlier one, which is the tie test.
+    """
+    sel = np.flatnonzero(built)
+    keys = us[sel]
+    keys *= n
+    keys += vs[sel]
+    by_prio = np.argsort(prios[sel])[::-1]
+    order, keys = bulkops.stable_order(keys[by_prio], n * n)
+    order = sel[by_prio[order]]
+    del sel, by_prio
+    keys //= n
+    owners, starts, counts = bulkops.group_runs(keys)
+    del keys
+    prio = prios[order]
+    lo = np.arange(-1, order.size - 1, dtype=np.int64)
+    lo[starts] = _NIL
+    _nearest_higher(prio, lo)
+    has = np.flatnonzero(lo != _NIL)
+    if (prio[lo[has]] == prio[has]).any():
+        return None
+    del has
+    hi = np.arange(1, order.size + 1, dtype=np.int64)
+    hi[starts + counts - 1] = _NIL
+    _nearest_higher(prio, hi)
+    as_right = prio[lo] < prio[hi]
+    del prio
+    as_right |= hi == _NIL
+    as_right &= lo != _NIL
+    return order, np.where(as_right, lo, hi), as_right, owners, counts
+
+
+def _nearest_higher(prio: np.ndarray, near: np.ndarray) -> None:
+    """Move each ``near[i]`` (a neighbour of ``i`` on one side, ``_NIL`` for
+    none) on to ``i``'s nearest position on that side with ``prio`` at least
+    ``prio[i]``, by pointer jumping: a candidate ``c`` with lower priority
+    is replaced by ``near[c]``, which skips only positions below ``prio[c]``.
+    Each round is a few gathers over the positions still moving, so the
+    scratch stays O(positions)."""
+    todo = np.flatnonzero(near != _NIL)
+    while todo.size:
+        todo = todo[prio[near[todo]] < prio[todo]]
+        near[todo] = near[near[todo]]
+        todo = todo[near[todo] != _NIL]
 
 
 class TreapAdjacency(AdjacencyRepresentation):
@@ -86,11 +154,13 @@ class TreapAdjacency(AdjacencyRepresentation):
     # node pool
     # ------------------------------------------------------------------ #
 
+    def _draw_prios(self) -> np.ndarray:
+        """The next block of priorities from the seeded generator."""
+        return self._rng.integers(0, np.iinfo(np.int64).max, size=_PRIO_BLOCK, dtype=np.int64)
+
     def _refill_prios(self) -> list[int]:
         """Draw the next block of priorities (the old one is used up)."""
-        self._prio_block = self._rng.integers(
-            0, np.iinfo(np.int64).max, size=4096, dtype=np.int64
-        ).tolist()
+        self._prio_block = self._draw_prios().tolist()
         return self._prio_block
 
     def _new_node(self, v: int, ts: int) -> int:
@@ -309,9 +379,10 @@ class TreapAdjacency(AdjacencyRepresentation):
         carries the same hole as the per-op methods, starting at
         ``root[u]`` itself.  It draws priorities and reuses free nodes in
         the order the per-op replay would, so pool bytes, roots, free list,
-        unconsumed priorities and every counter come out bit-identical —
-        which is also why it may not regroup the run (see
-        ``docs/PERFORMANCE.md``).
+        unconsumed priorities and every counter come out bit-identical.  The
+        shapes alone would survive a regrouping, the counters not (see
+        ``docs/PERFORMANCE.md``): ``apply_arcs`` feeds the figures, so it
+        keeps arrival order.
         """
         key, prio, left, right, stamp = self._key, self._prio, self._left, self._right, self._ts
         root, deg, free, block = self.root, self._live_deg, self._free, self._prio_block
@@ -389,19 +460,116 @@ class TreapAdjacency(AdjacencyRepresentation):
         self._n_arcs += inserts - deletes
         return misses
 
-    def bulk_insert(self, src, dst, ts=None) -> None:
-        """Batch ingest: one validation, then the fused run.
+    def _build_run(self, us: np.ndarray, vs: np.ndarray, tss: np.ndarray) -> bool:
+        """Insert an all-insert run (int64 arrays in creation order, ids
+        range-checked), building every treap empty at its start in one
+        piece; False, with nothing built, on a priority tie.
 
-        Treap structure depends on the order nodes consume the shared
-        pre-drawn priority stream, so arcs cannot be regrouped — rotations
-        and node-visit counters would diverge from the sequential path.
+        Node ``i`` gets the id and priority the fused run would give it: ids
+        popped off the free list, then appended; priorities popped off the
+        block, refills included.  A treap is the one Cartesian tree of its
+        nodes in (key ascending, equal keys by descending priority) order,
+        whatever order they were inserted in, so the nodes of the empty
+        treaps are sorted that way and each hangs under the lower of its
+        nearest higher-priority neighbours within its owner's run
+        (:func:`_nearest_higher`).  Pool bytes, roots, free list and
+        priority block come out as the per-op replay leaves them; the build
+        counts one node visit per node and no rotation.  Nodes of treaps
+        that already hold keys take :meth:`_apply_run`, fed their
+        pre-assigned ids and priorities through its own free list and block.
+        Two nodes of one built treap that share a priority would make its
+        shape depend on arrival order: then the drawn priorities are left in
+        the block in pop order and the caller replays the run through the
+        fused loop instead.
+        """
+        k = int(us.size)
+        free = self._free
+        reused = min(len(free), k)
+        base = len(self._key)
+        # The pool grows before any scratch exists, so it sits below the
+        # scratch in the heap, which can then give that memory back; each
+        # scratch array is dropped once used.  Both keep peak RSS at the
+        # fused run's.
+        pool = (self._key, self._prio, self._left, self._right, self._ts)
+        if k > reused:
+            pad = bytes(8 * (k - reused))
+            for buf in pool:
+                buf.frombytes(pad)
+            del pad
+        block = self._prio_block
+        fresh = [self._draw_prios() for _ in range(-((len(block) - k) // _PRIO_BLOCK))]
+        # One array whose pops from the end give the fused run's sequence.
+        supply = np.concatenate(fresh[::-1] + [np.array(block, dtype=np.int64)])
+        del fresh
+        rest = supply.size - k
+        prios = supply[rest:][::-1]
+        built = np.frombuffer(self.root, dtype=np.int64)[us] == _NIL
+        shape = _cartesian(us, vs, prios, built, self.n)
+        if shape is None:
+            for buf in pool:
+                del buf[base:]
+            self._prio_block = supply.tolist()
+            return False
+        ids = np.concatenate((
+            np.array(free[len(free) - reused :][::-1], dtype=np.int64),
+            np.arange(base, base + k - reused, dtype=np.int64),
+        ))
+        del free[len(free) - reused :]
+        fused = np.flatnonzero(~built)
+        del built
+        fused_ids, fused_prios = ids[fused], prios[fused]
+        # Every node goes in childless; the fused run rewrites its own.
+        key, pri, left, right, stamp = (np.frombuffer(buf, dtype=np.int64) for buf in pool)
+        key[ids], pri[ids], stamp[ids] = vs, prios, tss
+        left[ids] = right[ids] = _NIL
+        del key, pri, left, right, stamp
+        block = supply[:rest].tolist()
+        del prios, supply
+        order, *shape = shape
+        node = ids[order]
+        del ids, order
+        self._link(node, *shape)
+        del node, shape
+        for at in range(0, fused.size, _RUN_SLICE):
+            part = slice(at, at + _RUN_SLICE)
+            self._free = fused_ids[part][::-1].tolist()
+            self._prio_block = fused_prios[part][::-1].tolist()
+            run = fused[part]
+            self._apply_run(None, us[run].tolist(), vs[run].tolist(), tss[run].tolist())
+        self._free, self._prio_block = free, block
+        return True
+
+    def _link(self, node, up, as_right, owners, counts) -> None:
+        """Hang the built nodes (in :func:`_cartesian` order): each is the
+        right child of ``node[up]`` where ``as_right``, else its left child,
+        and its owner's root where ``up`` is ``_NIL``."""
+        left, right = (np.frombuffer(buf, dtype=np.int64) for buf in (self._left, self._right))
+        top = up == _NIL
+        right[node[up[as_right]]] = node[as_right]
+        as_right |= top
+        left[node[up[~as_right]]] = node[~as_right]
+        np.frombuffer(self.root, dtype=np.int64)[owners] = node[top]
+        np.frombuffer(self._live_deg, dtype=np.int64)[owners] = counts
+        self.stats.nodes_visited += int(node.size)
+        self.stats.inserts += int(node.size)
+        self._n_arcs += int(node.size)
+
+    def bulk_insert(self, src, dst, ts=None) -> None:
+        """Batch ingest: one validation, then :meth:`_build_run` (the fused
+        run on a priority tie).
+
+        Construction is the one path that regroups arcs: a treap empty when
+        the batch starts is built whole from its sorted keys, so its shape,
+        pool bytes and export equal the per-op replay's, but
+        ``nodes_visited`` / ``rotations`` count the build's own work (one
+        visit per node, no rotation).  ``apply_arcs`` keeps arrival order.
         Small batches keep the per-op :meth:`insert` loop.
         """
         src, dst, t = self._checked_batch(src, dst, ts)
-        if bulkops.enabled(self, src.size):
-            self._apply_run(None, src.tolist(), dst.tolist(), t.tolist())
-        else:
+        if not bulkops.enabled(self, src.size):
             self.bulk_insert_scalar(src, dst, t)
+        elif not self._build_run(src, dst, t):
+            self._apply_run(None, src.tolist(), dst.tolist(), t.tolist())
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Mixed stream in arrival order through the fused run (small

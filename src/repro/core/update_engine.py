@@ -202,9 +202,11 @@ def construct(
     """Build ``rep`` from a graph "treated as a series of insertions".
 
     This is the workload of Figures 1–4: every edge arrives as an insertion
-    (optionally shuffled, the paper's hot-burst mitigation).  All-insert
-    streams route through each representation's ``bulk_insert``, which is
-    vectorised for the array-backed structures.
+    (optionally shuffled, the paper's hot-burst mitigation).  The stream
+    goes through ``apply_arcs``, which the treap and the hybrid keep in
+    arrival order, so ``nodes_visited`` / ``rotations`` count per-insert
+    descents; ``DynamicGraph.from_edges`` builds through ``bulk_insert``
+    instead.
     """
     if undirected is None:
         undirected = not graph.directed

@@ -13,10 +13,12 @@ from repro.errors import GraphError
 from repro.generators.streams import UpdateStream
 from tests.adjacency.test_treap import (
     assert_export_matches_walk,
+    build_batches,
     check_export_along,
     drive_pair,
     export_ops,
     fused_batches,
+    tied_prios,
     treap_state,
 )
 
@@ -141,6 +143,54 @@ class TestOperations:
         assert h.stats.migrations == 0
         assert h.arr.stats.inserts == 0
         assert h.treap.stats.inserts == 0
+
+
+class TestBuild:
+    """``bulk_insert`` builds the treap of every vertex whose treap is empty
+    when the batch starts, a crossing vertex's migrated block included;
+    against the per-op twin, with ``drive_pair``'s build counts."""
+
+    @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
+    @given(build_batches)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_op_replay(self, degree_thresh, batches):
+        drive_pair(*hybrid_pair(6, degree_thresh), batches, hybrid_state)
+
+    @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
+    def test_empty_structure_past_the_priority_refill(self, degree_thresh):
+        rng = np.random.default_rng(degree_thresh)
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 40, size=(6000, 2))]
+        bulk, twin = hybrid_pair(40, degree_thresh)
+        drive_pair(bulk, twin, [batch], hybrid_state)
+        assert bulk.stats.migrations == 40 and bulk.stats.rotations == 0
+        assert bulk.treap.n_nodes > 4096  # the run popped past the first block
+
+    @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
+    def test_free_listed_nodes_and_partly_filled_treaps(self, degree_thresh):
+        """Vertex 0's treap holds keys (fused run), vertex 1's was emptied
+        into the free list (built, reusing its nodes), vertex 2 crosses in
+        the batch (built with its block), vertex 3 stays on the array side."""
+        t = degree_thresh
+        fill = [(True, 0, v % 5) for v in range(t + 3)] + [(True, 1, v % 5) for v in range(t + 2)]
+        fill += [(True, 2, 4)] + [(False, 1, v % 5) for v in range(t + 2)]
+        batch = [(True, u, v % 5) for v in range(t + 1) for u in (0, 1, 2)] + [(True, 3, 1)]
+        bulk, twin = hybrid_pair(5, t)
+        drive_pair(bulk, twin, [fill], hybrid_state)
+        assert bytes(bulk.mode[:3]) == bytes([1, 1, 0]) and bulk.treap.degree(1) == 0
+        assert len(bulk.treap._free) == t + 2
+        drive_pair(bulk, twin, [batch], hybrid_state)
+        assert bytes(bulk.mode) == bytes([1, 1, 1, 0, 0]) and bulk.treap._free == []
+
+    @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
+    def test_priority_tie_takes_the_migration_loop(self, degree_thresh, monkeypatch):
+        """Vertex 0's first two treap nodes share a priority with no key
+        between them: the batch takes the fused run and ``_migrate_up``, so
+        even ``nodes_visited`` equals the per-op count."""
+        tied_prios(monkeypatch)
+        batch = [(True, 0, v) for v in range(1, 41)] + [(True, 3, 0)]
+        bulk, twin = hybrid_pair(48, degree_thresh)
+        drive_pair(bulk, twin, [batch], hybrid_state, builds=False)
+        assert bulk.treap.stats.nodes_visited > bulk.treap.stats.inserts  # a build's are equal
 
 
 class TestPartitionedApply:

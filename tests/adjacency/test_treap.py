@@ -9,27 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency import bulkops
-from repro.adjacency.treap import TreapAdjacency, _NIL
+from repro.adjacency.treap import _NIL, _PRIO_BLOCK, TreapAdjacency
 from repro.errors import GraphError
 
 
 def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
-    """Validate BST-by-key and heap-by-priority for vertex u; returns size."""
-    count = 0
-
-    def rec(node, lo, hi, max_prio):
-        nonlocal count
-        if node == _NIL:
-            return
-        count += 1
-        key = t._key[node]
-        assert lo <= key <= hi, "BST order violated"
-        assert t._prio[node] <= max_prio, "heap order violated"
-        rec(t._left[node], lo, key, t._prio[node])
-        rec(t._right[node], key, hi, t._prio[node])
-
-    rec(t.root[u], -(1 << 62), 1 << 62, 1 << 63)
-    return count
+    """Validate vertex u's treap: keys ascending in-order (BST), no child
+    above its parent's priority (heap), and equal keys in descending
+    priority in-order, the canonical form every insert order and the bulk
+    build share.  Returns its size."""
+    order, stack, nd = [], [], t.root[u]
+    while stack or nd != _NIL:
+        while nd != _NIL:
+            stack.append(nd)
+            nd = t._left[nd]
+        nd = stack.pop()
+        order.append(nd)
+        nd = t._right[nd]
+    for nd in order:
+        for child in (t._left[nd], t._right[nd]):
+            assert child == _NIL or t._prio[child] <= t._prio[nd], "heap order violated"
+    for a, b in zip(order, order[1:]):
+        assert t._key[a] <= t._key[b], "BST order violated"
+        if t._key[a] == t._key[b]:
+            assert t._prio[a] >= t._prio[b], "equal keys not in descending priority"
+    return len(order)
 
 
 def check_treap_depth(t: TreapAdjacency, u: int) -> int:
@@ -57,15 +61,22 @@ export_ops = st.lists(
 
 
 def check_export_along(rep, ops):
-    """Apply ``export_ops`` to ``rep``, comparing the exports every ten steps."""
+    """Apply ``export_ops`` to ``rep``, checking the touched treap after
+    every step and comparing the exports every ten steps."""
     for i, (is_insert, u, v) in enumerate(ops):
         if is_insert:
             rep.insert(u, v, ts=i)  # distinct time-stamps on equal keys
         else:
             rep.delete(u, v)
+        check_treap_invariants(treap_of(rep), u)
         if i % 10 == 0:
             assert_export_matches_walk(rep)
     assert_export_matches_walk(rep)
+
+
+def treap_of(rep) -> TreapAdjacency:
+    """The treap a representation keeps (the hybrid's treap side)."""
+    return getattr(rep, "treap", rep)
 
 
 def treap_state(t: TreapAdjacency) -> dict:
@@ -83,6 +94,30 @@ def treap_state(t: TreapAdjacency) -> dict:
     }
 
 
+#: Batches over six sources and four keys, each all inserts (``bulk_insert``:
+#: the treaps empty at its start built, the rest through the fused run) or
+#: mixed (deletes free-list nodes and empty treaps again).
+build_batches = st.lists(
+    st.one_of(
+        st.lists(st.tuples(st.just(True), st.integers(0, 5), st.integers(0, 3)),
+                 min_size=1, max_size=80),
+        st.lists(st.tuples(st.sampled_from([True, True, False]), st.integers(0, 5),
+                           st.integers(0, 3)), max_size=60),
+    ),
+    max_size=4,
+)
+
+
+def tied_prios(monkeypatch):
+    """Every refill's first two pops share a priority; the rest are distinct."""
+    def draw(self):
+        block = np.arange(_PRIO_BLOCK, dtype=np.int64) * 2
+        block[-2] = block[-1]
+        return block
+
+    monkeypatch.setattr(TreapAdjacency, "_draw_prios", draw)
+
+
 #: Batches of (is_insert, u, v) over three sources and four keys: duplicate
 #: arcs, self-loops, delete misses and deletes of a key held several times
 #: all occur within a few dozen operations.
@@ -95,31 +130,76 @@ fused_batches = st.lists(
 )
 
 
-def drive_pair(bulk, twin, batches, state):
+def build_work(rep) -> list[tuple[int, int, int]]:
+    """``(nodes_visited, rotations, credit)`` of each stats object whose
+    first two a bulk build replaces; ``credit`` counts the nodes the build
+    charges one visit each to it: a treap's own inserts and, on the hybrid,
+    the words its migrations move."""
+    t = treap_of(rep)
+    stats = [(t.stats, "inserts")]
+    if t is not rep:
+        stats.insert(0, (rep.stats, "migration_words"))
+    return [(s.nodes_visited, s.rotations, getattr(s, credit)) for s, credit in stats]
+
+
+def without_work(state):
+    """``state`` without ``nodes_visited`` / ``rotations``."""
+    if isinstance(state, dict):
+        drop = ("nodes_visited", "rotations")
+        return {k: without_work(v) for k, v in state.items() if k not in drop}
+    return state
+
+
+def drive_pair(bulk, twin, batches, state, *, builds=True):
     """``bulk`` takes each batch through ``bulk_insert`` / ``apply_arcs``,
     ``twin`` through per-op ``insert`` / ``delete``; ``state`` must agree
-    after every batch.  Time-stamps are distinct across the whole drive."""
+    after every batch, and every treap touched must keep its invariants
+    (the twin's after every step).  Time-stamps are distinct across the
+    whole drive.
+
+    ``nodes_visited`` / ``rotations`` agree batch by batch, except that on
+    a ``bulk_insert`` batch (with ``builds``) the build's count replaces the
+    per-op work on the treaps it builds, those empty when the batch starts:
+    one visit per node, charged as :func:`build_work` says, and no rotation.
+    """
     stamp = 0
     for batch in batches:
         us = [u for _, u, _ in batch]
         vs = [v for _, _, v in batch]
         tss = list(range(stamp, stamp + len(batch)))
         stamp += len(batch)
+        all_inserts = bool(batch) and all(is_insert for is_insert, _, _ in batch)
+        build = builds and all_inserts
+        empty = {u for u in us if treap_of(twin).root[u] == _NIL} if build else set()
+        bulk_before, twin_before = build_work(bulk), build_work(twin)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bulkops, "MIN_BULK_SIZE", 1)  # small batches take the bulk path too
-            if batch and all(is_insert for is_insert, _, _ in batch):
+            if all_inserts:
                 bulk.bulk_insert(us, vs, tss)
                 misses = 0
             else:
                 misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
         expected = 0
+        replaced = [[0, 0, 0] for _ in twin_before]
         for (is_insert, u, v), ts in zip(batch, tss):
+            before = build_work(twin)
             if is_insert:
                 twin.insert(u, v, ts)
             elif not twin.delete(u, v):
                 expected += 1
+            check_treap_invariants(treap_of(twin), u)
+            if u in empty:
+                for r, a, b in zip(replaced, before, build_work(twin)):
+                    r[:] = [x + y - z for x, y, z in zip(r, b, a)]
         assert misses == expected
-        assert state(bulk) == state(twin)
+        for u in set(us):
+            check_treap_invariants(treap_of(bulk), u)
+        assert without_work(state(bulk)) == without_work(state(twin))
+        for b0, b1, t0, t1, (nv, rot, credit) in zip(
+            bulk_before, build_work(bulk), twin_before, build_work(twin), replaced
+        ):
+            assert b1[0] - b0[0] == t1[0] - t0[0] - nv + credit
+            assert b1[1] - b0[1] == t1[1] - t0[1] - rot
 
 
 class TestInsertDelete:
@@ -284,7 +364,7 @@ class TestFusedRun:
     def test_deep_equal_key_spine(self):
         depth = 1100
         assert depth > sys.getrecursionlimit()
-        bulk, twin = TreapAdjacency(2, seed=1), TreapAdjacency(2, seed=1)
+        bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
         drive_pair(bulk, twin, [[(True, 0, 1)] * depth], treap_state)
         assert check_treap_depth(bulk, 0) == depth
         drive_pair(bulk, twin, [[(False, 0, 1)] * depth + [(True, 0, 1)]], treap_state)
@@ -314,6 +394,74 @@ class TestFusedRun:
         with pytest.raises(GraphError):
             t.bulk_insert([0, 0, 0], [1, 2])
         assert treap_state(t) == before
+
+
+class TestBuild:
+    """``bulk_insert`` builds every treap empty at the batch's start in one
+    piece; against the per-op twin, with ``drive_pair``'s build counts."""
+
+    @given(build_batches)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_op_replay(self, batches):
+        drive_pair(TreapAdjacency(6, seed=9), TreapAdjacency(6, seed=9), batches, treap_state)
+
+    def test_empty_structure(self):
+        rng = np.random.default_rng(11)
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 8, size=(300, 2))]
+        bulk, twin = TreapAdjacency(8, seed=4), TreapAdjacency(8, seed=4)
+        drive_pair(bulk, twin, [batch], treap_state)
+        assert bulk.stats.nodes_visited == 300 and bulk.stats.rotations == 0
+        assert twin.stats.nodes_visited > 300
+
+    def test_free_listed_nodes_are_reused_first(self):
+        fill = [(True, 0, v) for v in range(6)] + [(True, 1, 2)]
+        drain = [(False, 0, v) for v in (3, 0, 5, 1)]
+        batch = [(True, u, v) for u in (2, 0, 3) for v in (4, 1, 1)]
+        bulk, twin = TreapAdjacency(6, seed=2), TreapAdjacency(6, seed=2)
+        drive_pair(bulk, twin, [fill, drain], treap_state)
+        assert len(bulk._free) == 4
+        drive_pair(bulk, twin, [batch], treap_state)
+        assert bulk._free == [] and bulk.n_nodes == 7 + 9 - 4
+
+    def test_partly_filled_treaps_take_the_fused_run(self):
+        fill = [(True, 0, v) for v in (5, 1, 3)] + [(False, 0, 4)]  # the fused run
+        batch = [(True, u, v) for v in (2, 4, 3, 0, 3) for u in (1, 0)]
+        bulk, twin = TreapAdjacency(6, seed=8), TreapAdjacency(6, seed=8)
+        drive_pair(bulk, twin, [fill], treap_state)
+        assert bulk.stats == twin.stats
+        drive_pair(bulk, twin, [batch], treap_state)  # vertex 1 built, vertex 0 fused
+        assert bulk.neighbors(0).tolist() == [0, 1, 2, 3, 3, 3, 4, 5]
+        assert bulk.neighbors(1).tolist() == [0, 2, 3, 3, 4]
+
+    def test_run_crosses_three_refills(self):
+        bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
+        fill = [(True, 0, v % 64) for v in range(_PRIO_BLOCK - 96)]
+        drive_pair(bulk, twin, [fill], treap_state)
+        assert len(bulk._prio_block) == 96
+        rng = np.random.default_rng(6)
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(9000, 2))]
+        drive_pair(bulk, twin, [batch], treap_state)
+        assert len(bulk._prio_block) == 4 * _PRIO_BLOCK - (_PRIO_BLOCK - 96) - 9000
+
+    def test_priority_tie_takes_the_fused_run(self, monkeypatch):
+        """The first two nodes of vertex 0's treap share a priority, with no
+        key between them: the whole batch replays through the fused run, so
+        even ``nodes_visited`` equals the per-op count (a build's would be
+        one per node)."""
+        tied_prios(monkeypatch)
+        batch = [(True, 0, 1), (True, 0, 2), (True, 1, 0)] + [(True, 0, v) for v in (5, 0, 3)]
+        bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
+        drive_pair(bulk, twin, [batch], treap_state, builds=False)
+        assert bulk.stats.nodes_visited == twin.stats.nodes_visited > len(batch)
+
+    def test_priority_tie_in_a_partly_filled_treap_still_builds(self, monkeypatch):
+        """The tie falls on vertex 0, which the fused run serves: vertex 1's
+        treap is still built."""
+        tied_prios(monkeypatch)
+        bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
+        drive_pair(bulk, twin, [[(True, 0, 3)]], treap_state)
+        batch = [(True, 0, 1), (True, 0, 2)] + [(True, 1, v) for v in (5, 0, 3, 1)]
+        drive_pair(bulk, twin, [batch], treap_state)
 
 
 class TestSetOperations:
