@@ -275,8 +275,12 @@ class HybridAdjacency(AdjacencyRepresentation):
         elif idx.size:
             misses = self.arr.apply_arcs(op[idx], src[idx], dst[idx], t[idx])
         idx = np.flatnonzero(on_treap)
+        # Crossing vertices in the order they migrate, with the treap-side
+        # position of each one's migrating insert.
+        by_arrival = np.argsort(cut_at)
+        movers, hits = owners[by_arrival], np.searchsorted(idx, cut_at[by_arrival])
         if idx.size and not (
-            op is None and self._build_treap_side(src, dst, t, idx, owners, cut_at)
+            op is None and self._build_treap_side(src, dst, t, idx, movers, hits)
         ):
             ops = None if op is None else op[idx].tolist()
             us, vs, tss = src[idx].tolist(), dst[idx].tolist(), t[idx].tolist()
@@ -286,12 +290,8 @@ class HybridAdjacency(AdjacencyRepresentation):
                     None if ops is None else ops[lo:hi], us[lo:hi], vs[lo:hi], tss[lo:hi]
                 )
 
-            by_arrival = np.argsort(cut_at)
             lo = 0
-            for hi, u in zip(
-                np.searchsorted(idx, cut_at[by_arrival]).tolist(),
-                owners[by_arrival].tolist(),
-            ):
+            for hi, u in zip(hits.tolist(), movers.tolist()):
                 misses += run(lo, hi)
                 self._migrate_up(u)
                 lo = hi
@@ -299,22 +299,21 @@ class HybridAdjacency(AdjacencyRepresentation):
         self._n_arcs = self.arr.n_arcs + self.treap.n_arcs
         return misses
 
-    def _build_treap_side(self, src, dst, t, idx, movers, cut_at) -> bool:
+    def _build_treap_side(self, src, dst, t, idx, movers, hits) -> bool:
         """The treap side of an all-insert batch, migrations included, as one
         :meth:`TreapAdjacency._build_run`; False, with nothing built or
         migrated, on a priority tie.
 
         The run holds the treap nodes in the order the per-op path creates
         them: the arcs at ``idx`` in arrival order, with each crossing
-        vertex's live array block (slot order, as :meth:`_migrate_up` reads
-        it) just before the arc at its cut point ``cut_at``.  A crossing
-        vertex's treap is empty until then, so it is built whole.  Its
-        block's node visits are reclassified to the migration, as
-        :meth:`_migrate_up` does with the fused run's.
+        vertex ``movers[i]``'s live array block (slot order, as
+        :meth:`_migrate_up` reads it) just before the arc at ``idx[hits[i]]``,
+        its migrating insert.  A crossing vertex's treap is empty until
+        then, so it is built whole.  Its block's node visits are
+        reclassified to the migration, as :meth:`_migrate_up` does with the
+        fused run's.
         """
         arr = self.arr
-        by_arrival = np.argsort(cut_at)
-        movers, hits = movers[by_arrival], np.searchsorted(idx, cut_at[by_arrival])
         slots = bulkops.gather_index(arr.off[movers], arr.cnt[movers])
         slots = slots[arr._adj[slots] != TOMBSTONE]
         sizes = arr.live[movers]
