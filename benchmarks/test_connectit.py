@@ -10,15 +10,30 @@
   body keeps its counters in locals, calls nothing and counts an arc
   already settled under one root instead of executing it, and the
   settled-arc mask keeps most such arcs out of the interpreter: 17-20x);
-* the settled-arc mask: ``connect_components`` against the same finish
+* the settled-arc mask: the unsampled baseline
+  (``ConnectItSpec(sampling="none")``) against the same finish
   arcs sent through one call of the loop body with nothing watched (so
   every arc is run by the interpreter): equal labels and counters, and the
   best of three at least 2x faster (4.0-4.5x measured);
+* the mask's cost rule: the k-out sample (2 arcs per vertex, few of
+  them settled) through :meth:`UnionFind.union_arcs` against one call of
+  the loop body with nothing watched: equal counters, and the median of
+  three alternated rounds at most 1.5x the body's.  Its blocks hold a
+  minority of settled arcs, so each runs whole and the two are at parity
+  (0.77-1.24x over 12 trials on 2 vCPUs); before the rule every hook of a
+  watched root re-masked the block, 378 restarts here, 1.97-2.79x;
+* the default's level bound: on a 2^14-vertex path the default
+  (``bfs+rank/halving``, its BFS sample cut after 28 levels) against the
+  unsampled baseline, equal labels and the median of five interleaved
+  rounds at most 1.5x the baseline's (0.97-1.07x measured; an unbounded
+  sample expands one level per vertex, 18-30x);
 * the batched insert path of :meth:`ConnectivityIndex.apply_batch` (one
   union-find over root space, then a link per winning edge) makes the same
   link decisions as the sequential :meth:`LinkCutForest.add_edge` loop, in
   the best of three at least 2x faster than it (5-6x measured).
 """
+
+from statistics import median
 
 import numpy as np
 
@@ -28,8 +43,10 @@ from repro.api import DynamicGraph
 from repro import kernels
 from repro.connectit import ConnectItSpec, UnionFind, WorkCounters, connect_components
 from repro.connectit.framework import _finish_arcs
+from repro.connectit.sampling import _kout_arcs
 from repro.core.components import connected_components
 from repro.core.connectivity import ConnectivityIndex
+from repro.edgelist import EdgeList
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import UpdateStream
 from repro.kernels import loops
@@ -37,6 +54,10 @@ from repro.kernels import loops
 SCALE = 16
 EDGE_FACTOR = 10
 SEED = 31
+#: The k-out sample through ``union_arcs`` over one body call: parity is
+#: what the mask's cost rule buys, and the box's noise spreads it by a
+#: quarter either way; the restart pathology read 2x and more.
+KOUT_MASK_RATIO = 1.5
 
 
 def test_connectit_sampled_components():
@@ -93,12 +114,70 @@ def test_connectit_settled_filter():
         return uf.components(), WorkCounters(*c)
 
     body_seconds, (labels, counters) = best_of(one_body, 3)
-    masked_seconds, result = best_of(lambda: connect_components(csr), 3)
+    masked_seconds, result = best_of(
+        lambda: connect_components(csr, ConnectItSpec(sampling="none")), 3
+    )
 
     np.testing.assert_array_equal(result.labels, labels)
     assert result.counters == counters
     speedup = body_seconds / masked_seconds
     assert speedup >= 2.0, f"settled-arc mask {speedup:.2f}x one body call (floor 2x)"
+
+
+def test_connectit_kout_sample_masking_pays():
+    csr = build_csr(rmat_graph(SCALE, EDGE_FACTOR, seed=SEED))
+    src, dst = _kout_arcs(csr, 2)
+
+    def one_body():
+        uf = UnionFind(csr.n)
+        c = [0] * 5
+        loops.union_arcs(
+            uf._parent, uf._rank, uf._size, src.tolist(), dst.tolist(),
+            kernels.RULE_CODES["rank"], kernels.COMP_CODES["halving"],
+            bytearray(src.size), False, None, c,
+        )
+        return uf, WorkCounters(*c)
+
+    def masked():
+        uf = UnionFind(csr.n)
+        uf.union_arcs(src, dst)
+        return uf, uf.counters
+
+    body_seconds, masked_seconds = [], []
+    for _ in range(3):  # alternated, so drift lands on both sides
+        seconds, (ref, ref_counters) = best_of(one_body, 1)
+        body_seconds.append(seconds)
+        seconds, (uf, counters) = best_of(masked, 1)
+        masked_seconds.append(seconds)
+
+    assert counters == ref_counters
+    np.testing.assert_array_equal(uf.parent, ref.parent)
+    np.testing.assert_array_equal(uf.rank, ref.rank)
+    ratio = median(masked_seconds) / median(body_seconds)
+    assert ratio <= KOUT_MASK_RATIO, (
+        f"union_arcs over the k-out sample {ratio:.2f}x one body call "
+        f"(bound {KOUT_MASK_RATIO}x; {uf.restarts} restarts)"
+    )
+
+
+def test_connectit_default_on_a_path():
+    n = 1 << 14
+    csr = build_csr(
+        EdgeList(n, np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64))
+    )
+    default_seconds, unsampled_seconds = [], []
+    for _ in range(5):  # interleaved, so drift lands on both sides
+        seconds, result = best_of(lambda: connect_components(csr), 1)
+        default_seconds.append(seconds)
+        seconds, baseline = best_of(
+            lambda: connect_components(csr, ConnectItSpec(sampling="none")), 1
+        )
+        unsampled_seconds.append(seconds)
+
+    np.testing.assert_array_equal(result.labels, baseline.labels)
+    assert result.sample.meta["bfs_cut"]
+    ratio = median(default_seconds) / median(unsampled_seconds)
+    assert ratio <= 1.5, f"the default on a path {ratio:.2f}x the unsampled baseline (bound 1.5x)"
 
 
 def test_connectit_insert_batch():

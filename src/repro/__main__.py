@@ -18,7 +18,10 @@ Commands:
   workloads then also time serial vs process, verify bit-identity (exit
   non-zero on a mismatch) and print the measured comparison; the
   ``genscale`` workload does the same for communication-free parallel
-  R-MAT generation plus chunked-stream construction (docs/GENERATORS.md).
+  R-MAT generation plus chunked-stream construction (docs/GENERATORS.md);
+  the ``connectit`` workload runs the default composition and the
+  unsampled baseline on one snapshot and exits non-zero unless their
+  labels are bit-identical.
   Nothing but ``--out`` and the requested exports is written: host timings
   are recorded by ``bench/`` alone (``bench/README.md``).
   ``--chrome``/``--speedscope``/``--folded`` additionally export the trace
@@ -190,10 +193,22 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
     if args.workload in ("quickstart", "connectit"):
         from repro.connectit import ConnectItSpec, connect_components
 
-        res = connect_components(
-            g.snapshot(), ConnectItSpec(sampling="kout"), backend=backend
-        )
+        snap = g.snapshot()
+        res = connect_components(snap, backend=backend)
         sim.sweep(res.profile(), n_items=max(res.counters.unions, 1))
+        if args.workload == "connectit":
+            base = connect_components(snap, ConnectItSpec(sampling="none"), backend=backend)
+            if not np.array_equal(res.labels, base.labels):
+                raise SystemExit(
+                    f"connectit: {res.spec.name} labels differ from the unsampled "
+                    f"baseline {base.spec.name}"
+                )
+            _say(
+                args,
+                f"connectit: default {res.spec.name} {res.counters.unions} unions, "
+                f"baseline {base.spec.name} {base.counters.unions} unions "
+                f"[labels identical; {res.n_components} components]",
+            )
     if args.workload in ("quickstart", "bfs"):
         res = g.bfs(0, ts_range=(20, 70), backend=backend)
         profile = bfs_profile(g.snapshot(), res)

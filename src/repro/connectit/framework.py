@@ -69,12 +69,15 @@ class ConnectItSpec:
 
     ``union_rule`` × ``compaction`` select the union-find variant;
     ``sampling`` selects the sample phase (``"none"`` disables it);
-    ``k`` parameterises ``"kout"`` sampling.
+    ``k`` parameterises ``"kout"`` sampling.  The default,
+    ``bfs+rank/halving``, samples with a level-bounded BFS from the hub
+    and finishes by rank with halving; ``ConnectItSpec(sampling="none")``
+    is the named unsampled baseline.
     """
 
     union_rule: str = "rank"
     compaction: str = "halving"
-    sampling: str = "none"
+    sampling: str = "bfs"
     k: int = 2
 
     def __post_init__(self) -> None:
@@ -211,14 +214,15 @@ def _finish_arcs(graph: CSRGraph, uf: UnionFind) -> tuple[np.ndarray, np.ndarray
     Dropping already-resolved arcs (including all self-loops and every arc
     internal to the sampled giant component) is what makes the finish phase
     cheap; mapping the survivors' endpoints to their current roots keeps
-    the finish unions short without changing which trees they merge.
+    the finish unions short without changing which trees they merge.  The
+    sources' roots are repeated straight from the per-vertex roots, so the
+    targets' roots are the one gather.
     """
-    n = graph.n
-    asrc = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-    adst = graph.targets
     roots = uf.flat_roots()
-    mask = roots[asrc] != roots[adst]
-    return np.ascontiguousarray(roots[asrc[mask]]), np.ascontiguousarray(roots[adst[mask]])
+    rsrc = np.repeat(roots, np.diff(graph.offsets))
+    rdst = roots[graph.targets]
+    mask = rsrc != rdst
+    return rsrc[mask], rdst[mask]
 
 
 @task("connectit.finish")

@@ -16,11 +16,19 @@ are provided:
 ``bfs``
     Breadth-first search from the maximum-degree vertex, then bulk-hook
     every reached vertex directly under the source.  One parent write per
-    reached vertex; the giant component becomes a star in one pass.
+    reached vertex; the giant component becomes a star in one pass.  The
+    traversal stops after :func:`bfs_level_bound` levels (``2 * ceil(log2
+    n)``): one level costs a few numpy calls however narrow it is, so an
+    unbounded sample of a long path would pay one level per vertex.  The
+    vertices it did not reach stay singletons and the finish unions them,
+    so the labels are exact either way.  On the scale-16 R-MAT graphs of
+    the benchmark the hub's depth is 5-7 levels against a bound of 32.
+    This is the default composition
+    (:class:`~repro.connectit.framework.ConnectItSpec`).
 
-``none`` skips sampling (the finish phase sees every arc) and is the
-baseline the :mod:`repro.experiments.ablations` ``connectit_matrix`` grid
-compares against.
+``none`` skips sampling (the finish phase sees every arc): the named
+unsampled baseline, which the :mod:`repro.experiments.ablations`
+``connectit_matrix`` grid compares against.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.errors import GraphError
 
 from repro.connectit.unionfind import UnionFind
 
-__all__ = ["SAMPLING_RULES", "SampleStats", "run_sampling"]
+__all__ = ["SAMPLING_RULES", "SampleStats", "bfs_level_bound", "run_sampling"]
 
 #: Supported sampling strategies for the sample phase.
 SAMPLING_RULES = ("none", "kout", "bfs")
@@ -66,6 +74,11 @@ class SampleStats:
             "giant_fraction": float(self.giant_fraction),
             **self.meta,
         }
+
+
+def bfs_level_bound(n: int) -> int:
+    """Levels the ``bfs`` sample expands on ``n`` vertices: ``2 * ceil(log2 n)``."""
+    return 2 * max(int(n) - 1, 0).bit_length()
 
 
 def _kout_arcs(graph: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +126,23 @@ def run_sampling(graph: CSRGraph, uf: UnionFind, strategy: str, *, k: int = 2) -
     # bfs: traverse from the max-degree vertex, bulk-hook everything reached.
     degrees = np.diff(graph.offsets)
     source = int(np.argmax(degrees))
-    res = bfs(graph, source)
+    bound = bfs_level_bound(graph.n)
+    res = bfs(graph, source, max_levels=bound)
     reached = res.reached()
     others = reached[reached != source]
     stats.attempts = uf.bulk_hook(others, source)
+    levels = res.n_levels - 1  # the last recorded level is the one not expanded
     stats.meta["source"] = source
-    stats.meta["bfs_levels"] = res.n_levels
+    stats.meta["bfs_levels"] = levels
+    stats.meta["bfs_cut"] = levels == bound and _arcs_leave(graph, res.dist, levels)
     stats.giant_root = source
     stats.giant_fraction = float(res.n_reached) / float(graph.n)
     return stats
+
+
+def _arcs_leave(graph: CSRGraph, dist: np.ndarray, level: int) -> bool:
+    """Whether an arc of a vertex at ``level`` reaches a vertex not reached."""
+    frontier = np.flatnonzero(dist == level)
+    starts = graph.offsets[frontier]
+    idx, _ = gather_ranges(starts, graph.offsets[frontier + 1] - starts)
+    return bool((dist[graph.targets[idx]] < 0).any())

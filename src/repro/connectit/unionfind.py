@@ -314,9 +314,12 @@ class UnionFind:
         body is handed those roots as ``watch`` and stops right after it
         hooks one, and the block is masked again from the next arc.  So
         parents, ranks, sizes, the mask and the counters are those of the
-        loop over every arc.  Rem's splices re-point children of roots, so
-        that rule runs the body over every arc.  :attr:`settled` and
-        :attr:`restarts` count the arcs taken out and the re-masks; the
+        loop over every arc.  A block whose mask would take out no more
+        than half its arcs runs whole and unwatched instead: there the
+        body's own settled check costs less than converting the rest again
+        after every watched hook.  Rem's splices re-point children of
+        roots, so that rule runs the body over every arc.  :attr:`settled`
+        and :attr:`restarts` count the arcs taken out and the re-masks; the
         unsampled finish at scale 16 takes out 979 050 of 1 045 098 arcs
         (the settled-arc mask entry of ``CHANGES.md``).
 
@@ -346,7 +349,8 @@ class UnionFind:
         linked: bytearray, pre_resolved: bool, c: list,
     ) -> None:
         """:meth:`union_arcs` under rank or size: settled arcs masked out a
-        block at a time, the rest through the body (ticks into ``c``)."""
+        block at a time where they are most of it, the rest through the
+        body (ticks into ``c``)."""
         parent = self.parent
         mask = np.frombuffer(linked, dtype=np.bool_)
         watch = bytearray(self.n)
@@ -356,7 +360,12 @@ class UnionFind:
             s, d = src[lo:lo + _BLOCK], dst[lo:lo + _BLOCK]
             pu, pv = parent[s], parent[d]
             settled = pu == pv  # every settled or equal pair has this
-            if not settled.any():  # nothing to take out or watch: the block runs whole
+            if settled.any():
+                settled &= parent[pu] == pu
+            # The mask pays only when it takes out most of the block: else the
+            # body's own settled check is cheaper than converting the rest
+            # again after each watched hook, so the block runs whole, unwatched.
+            if 2 * int(np.count_nonzero(settled)) <= s.size:
                 part = bytearray(s.size)
                 loops.union_arcs(
                     self._parent, self._rank, self._size, s.tolist(), d.tolist(),
@@ -365,7 +374,6 @@ class UnionFind:
                 linked[lo:lo + s.size] = part
                 lo += s.size
                 continue
-            settled &= parent[pu] == pu
             skip = settled
             if pre_resolved:  # equal endpoints: an attempt, nothing else
                 same = s == d

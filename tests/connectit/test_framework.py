@@ -22,9 +22,12 @@ from repro.connectit import (
     variant_matrix,
 )
 from repro.connectit.framework import _finish_arcs
+from repro.connectit.sampling import bfs_level_bound, run_sampling
 from repro.core.components import connected_components
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
+from repro.generators.reference import erdos_renyi
+from repro.generators.rmat import rmat_graph
 from repro.parallel.backend import ProcessBackend
 from tests.retired_tier import stale_tier
 
@@ -73,14 +76,15 @@ def test_compiled_tier_bit_identical(graph_family, spec):
 def test_matches_shiloach_vishkin(graph_family):
     _, _, csr = graph_family
     sv = connected_components(csr)
-    for spec in (ConnectItSpec(), ConnectItSpec(sampling="kout"), ConnectItSpec(sampling="bfs")):
+    for sampling in ("none", "kout", "bfs"):
+        spec = ConnectItSpec(sampling=sampling)
         np.testing.assert_array_equal(connect_components(csr, spec).labels, sv.labels)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        ConnectItSpec(),
+        ConnectItSpec(sampling="none"),
         ConnectItSpec(sampling="kout", union_rule="rem", compaction="splitting"),
         ConnectItSpec(sampling="kout", k=4, union_rule="size", compaction="full"),
         ConnectItSpec(sampling="bfs", union_rule="rank", compaction="none"),
@@ -112,7 +116,7 @@ def test_finish_span_reports_settled_arcs(small_rmat_csr, pool, backend):
         be.pool = pool
     tracer = obs.enable_tracing(obs.MemorySink())
     try:
-        result = connect_components(csr, backend=be)
+        result = connect_components(csr, ConnectItSpec(sampling="none"), backend=be)
     finally:
         obs.disable_tracing()
     (finish,) = [e for e in tracer.sink.events if e["name"] == "connectit.finish"]
@@ -125,7 +129,7 @@ def test_finish_span_reports_settled_arcs(small_rmat_csr, pool, backend):
 
 
 def test_sampling_reduces_finish_work(small_rmat_csr):
-    unsampled = connect_components(small_rmat_csr, ConnectItSpec())
+    unsampled = connect_components(small_rmat_csr, ConnectItSpec(sampling="none"))
     for sampling in ("kout", "bfs"):
         sampled = connect_components(small_rmat_csr, ConnectItSpec(sampling=sampling))
         assert sampled.meta["finish_arcs"] < unsampled.meta["finish_arcs"]
@@ -141,7 +145,7 @@ def test_spec_validation():
     with pytest.raises(GraphError):
         ConnectItSpec(sampling="kout", k=0)
     with pytest.raises(GraphError):
-        connect_components(None, ConnectItSpec(), sampling="kout")
+        connect_components(None, ConnectItSpec(sampling="none"), sampling="kout")
 
 
 def test_spec_kwargs_form(er_csr):
@@ -164,7 +168,7 @@ def test_profile_phases_and_meta(small_rmat_csr):
     assert prof.meta["spec"]["name"] == spec.name
     assert prof.meta["counters"]["unions"] == result.counters.unions
     # unsampled composition has no sample phase
-    prof_un = connect_components(small_rmat_csr, ConnectItSpec()).profile()
+    prof_un = connect_components(small_rmat_csr, ConnectItSpec(sampling="none")).profile()
     assert [p.name for p in prof_un.phases] == ["finish"]
 
 
@@ -207,3 +211,107 @@ def test_hypothesis_arbitrary_graphs_match_networkx(n, edges, spec):
     expected = nx_reference_labels(graph)
     result = connect_components(build_csr(graph), spec)
     np.testing.assert_array_equal(result.labels, expected)
+
+
+def _path_csr(n: int):
+    return build_csr(EdgeList(n, np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)))
+
+
+def _small_components_csr():
+    # 1 000 paths of three vertices, 400 isolates, and a 12-leaf star that
+    # holds the maximum degree (the sample's source).
+    tri = np.arange(1000, dtype=np.int64) * 3
+    src = np.concatenate([tri, tri + 1, np.full(12, 3400, dtype=np.int64)])
+    dst = np.concatenate([tri + 1, tri + 2, np.arange(3401, 3413, dtype=np.int64)])
+    return build_csr(EdgeList(3413, src, dst))
+
+
+#: Graphs the default composition must label exactly as SV and the baseline.
+DEFAULT_GRAPHS = {
+    "rmat": lambda: build_csr(rmat_graph(12, 8, seed=5)),
+    "er": lambda: build_csr(erdos_renyi(2000, 0.0015, seed=3)),
+    "path-2^14": lambda: _path_csr(1 << 14),
+    "small-components": _small_components_csr,
+    "directed": lambda: build_csr(rmat_graph(10, 8, seed=9), symmetrize=False),
+}
+
+
+def test_default_spec_is_the_bfs_sample():
+    spec = ConnectItSpec()
+    assert (spec.sampling, spec.union_rule, spec.compaction) == ("bfs", "rank", "halving")
+    assert spec.name == "bfs+rank/halving"
+    assert ConnectItSpec(sampling="none").name == "rank/halving"
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_GRAPHS))
+def test_default_matches_sv_and_unsampled(name):
+    csr = DEFAULT_GRAPHS[name]()
+    default = connect_components(csr)
+    assert default.spec == ConnectItSpec()
+    assert default.sample.strategy == "bfs"
+    np.testing.assert_array_equal(default.labels, connected_components(csr).labels)
+    unsampled = connect_components(csr, ConnectItSpec(sampling="none"))
+    np.testing.assert_array_equal(default.labels, unsampled.labels)
+
+
+def test_level_bound_on_a_path_leaves_the_rest_to_the_finish():
+    n = 1 << 14
+    bound = bfs_level_bound(n)
+    assert bound == 28
+    result = connect_components(_path_csr(n))
+    meta = result.sample.meta
+    assert meta["source"] == 1  # the first vertex of degree 2
+    assert meta["bfs_levels"] == bound and meta["bfs_cut"] is True
+    # The sample holds vertices 0..29 (one level left of vertex 1, 28 right).
+    assert result.sample.attempts == bound + 1
+    assert result.meta["finish_arcs"] == 2 * (n - 1) - 2 * (bound + 1)
+    assert result.finish_counters.hooks == n - (bound + 2)
+    assert result.n_components == 1 and not result.labels.any()
+
+
+@pytest.mark.parametrize("chain,cut", [(12, False), (13, True)])
+def test_bfs_cut_only_when_the_bound_leaves_vertices(chain, cut):
+    # 64 vertices (a bound of 12 levels): the hub 0 starts a chain of
+    # ``chain`` vertices and holds every other vertex as a leaf.  A chain
+    # as long as the bound is reached whole; one vertex more is cut.
+    n = 64
+    chain_src = np.arange(chain, dtype=np.int64)
+    leaves = np.arange(chain + 1, n, dtype=np.int64)
+    src = np.concatenate([chain_src, np.zeros(leaves.size, dtype=np.int64)])
+    dst = np.concatenate([chain_src + 1, leaves])
+    csr = build_csr(EdgeList(n, src, dst))
+    result = connect_components(csr)
+    meta = result.sample.meta
+    assert meta["source"] == 0 and bfs_level_bound(n) == 12
+    assert (meta["bfs_levels"], meta["bfs_cut"]) == (12, cut)
+    assert result.meta["finish_arcs"] == (2 if cut else 0)
+    assert result.n_components == 1
+
+
+def test_bound_does_not_bind_on_rmat(small_rmat_csr):
+    meta = connect_components(small_rmat_csr).sample.meta
+    assert meta["bfs_cut"] is False
+    assert meta["bfs_levels"] < bfs_level_bound(small_rmat_csr.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80),
+    strategy=st.sampled_from(SAMPLING_RULES),
+    directed=st.booleans(),
+)
+def test_hypothesis_finish_arcs_one_gather_matches_endpoint_gathers(n, edges, strategy, directed):
+    # The finish arcs as the source-id repeat plus four gathers built them.
+    src = np.array([u % n for u, _ in edges], dtype=np.int64)
+    dst = np.array([v % n for _, v in edges], dtype=np.int64)
+    csr = build_csr(EdgeList(n, src, dst), symmetrize=not directed)
+    uf = UnionFind(n)
+    run_sampling(csr, uf, strategy)
+    roots = uf.flat_roots()
+    asrc = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.offsets))
+    mask = roots[asrc] != roots[csr.targets]
+    want = (roots[asrc[mask]], roots[csr.targets[mask]])
+    for got, expect in zip(_finish_arcs(csr, uf), want):
+        assert got.dtype == expect.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, expect)

@@ -95,6 +95,8 @@ def test_union_arcs_pre_resolved_convention(rule, tier):
 def check_against_union_oracle(n, arcs, rule, comp, tier=None, pre_resolved=False, forest=None):
     """``union_arcs`` over ``arcs`` vs the per-pair ``union`` loop, everything compared.
 
+    Returns the batch's structure, for its ``settled`` / ``restarts``.
+
     ``forest`` is an optional parent array written into both structures
     first (deep trees the balanced rules would never build themselves).
     With ``pre_resolved`` the oracle skips equal endpoints after counting
@@ -122,6 +124,7 @@ def check_against_union_oracle(n, arcs, rule, comp, tier=None, pre_resolved=Fals
         assert (mine is None) == (theirs is None)
         assert mine is None or mine.tolist() == theirs.tolist()
     assert uf.counters.to_dict() == ref.counters.to_dict()
+    return uf
 
 
 def _star(centre, leaves):
@@ -180,6 +183,30 @@ def test_union_arcs_settled_branch_in_small_blocks(monkeypatch, comp, rule, case
     monkeypatch.setattr(unionfind, "_BLOCK", block)
     n, arcs, forest = SETTLED_CASES[case]
     check_against_union_oracle(n, arcs, rule, comp, forest=forest)
+
+
+#: 1 and 2 hang under root 0, everything else is a singleton (ranks all 0).
+COST_RULE_FOREST = [0, 0, 0, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "arcs,settled,restarts",
+    [
+        # Two of four settled is not most: the block runs whole, unwatched.
+        pytest.param([(1, 2), (3, 4), (5, 6), (2, 1)], 0, 0, id="half-runs-whole"),
+        # Three of four: masked, and no hook reaches root 0.
+        pytest.param([(1, 2), (0, 1), (3, 4), (2, 1)], 3, 0, id="most-masked"),
+        # Masked; (3, 0) hooks root 0 under 3 (equal ranks), so the block
+        # stops after it, and the one arc left is masked again: 1 and 2 now
+        # hang two deep, nothing is settled, and it runs whole.
+        pytest.param([(1, 2), (1, 2), (3, 0), (1, 2)], 2, 1, id="restart-then-whole"),
+    ],
+)
+@pytest.mark.parametrize("comp", COMPACTION_RULES)
+def test_union_arcs_masks_only_blocks_mostly_settled(monkeypatch, comp, arcs, settled, restarts):
+    monkeypatch.setattr(unionfind, "_BLOCK", 4)
+    uf = check_against_union_oracle(8, arcs, "rank", comp, forest=COST_RULE_FOREST)
+    assert (uf.settled, uf.restarts) == (settled, restarts)
 
 
 #: apply_batch hands over roots: equal ones are attempts and nothing else,

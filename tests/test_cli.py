@@ -121,6 +121,28 @@ class TestTrace:
         assert "connectit.sample" in printed
         assert "connectit.finish" in printed
         assert out.exists()
+        # The default and the named unsampled baseline, on one snapshot.
+        line = next(x for x in printed.splitlines() if x.startswith("connectit: default"))
+        assert "bfs+rank/halving" in line and "baseline rank/halving" in line
+        assert "labels identical" in line
+        assert line.count(" unions") == 2
+
+    def test_connectit_workload_fails_on_differing_labels(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import repro.connectit as connectit
+
+        real = connectit.connect_components
+
+        def skewed(graph, spec=None, **kwargs):
+            res = real(graph, spec, **kwargs)
+            if res.spec.sampling == "none":
+                res = dataclasses.replace(res, labels=res.labels[::-1].copy())
+            return res
+
+        monkeypatch.setattr(connectit, "connect_components", skewed)
+        with pytest.raises(SystemExit, match="differ from the unsampled baseline"):
+            main(["trace", "connectit", "--scale", "8", "--out", str(tmp_path / "c.jsonl")])
 
     def test_tracing_disabled_after_run(self, tmp_path):
         from repro import obs
