@@ -19,6 +19,9 @@ both measured here:
   batch's start built as one Cartesian tree) is at least 2.5x faster than
   ``apply_arcs`` of the same all-insert stream (the fused arrival-order
   run) on the scale-14 R-MAT base, and leaves a bit-equal structure;
+* the ``hybrid`` export after a mixed batch (the last export patched) is
+  bit-equal to the full walk in at most half its time, and the treap
+  forest stays within 3 * ceil(log2(largest treap)) levels;
 * no representation's vectorised path is slower than its scalar path
   (beyond timing noise);
 * growing the ``dynarr`` pool through an R-MAT construction faults in no
@@ -47,7 +50,8 @@ from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import TreapAdjacency
 from repro.adjacency.vpart import VPartAdjacency
 from repro.api import DynamicGraph
-from repro.generators import mixed_stream, rmat_graph
+from repro.generators import iter_batches, mixed_stream, rmat_graph
+from repro.obs import METRICS
 
 N = 100_000
 M_LARGE = 1_000_000
@@ -228,6 +232,51 @@ def test_construction_build_hybrid():
     assert rep.stats.migrations > 0 and rep.stats.rotations == 0
     assert _structure(rep) == _structure(twin)
     assert speedup >= 2.5, f"hybrid construction build only {speedup:.2f}x faster than the run"
+
+
+def _forest_levels(t: TreapAdjacency) -> int:
+    """Levels of the whole treap forest: the deepest treap's node count on
+    its longest root-to-leaf path."""
+    left, right, roots = (np.frombuffer(a, dtype=np.int64) for a in (t._left, t._right, t.root))
+    nodes, levels = roots[roots >= 0], 0
+    while nodes.size:
+        kids = np.concatenate((left[nodes], right[nodes]))
+        nodes, levels = kids[kids >= 0], levels + 1
+    return levels
+
+
+def test_patched_export_hybrid():
+    """Rotations on ``hybrid`` (the mixed-update recipe of ``serve_churn``:
+    scale 14, batches of 1 024 updates): each export after a batch is the
+    last one patched, bit-equal to the full walk (``_scatter_inorder``) in
+    at most half its time, median over 12 batches (0.29 measured; 0.44 with
+    ``batch_mixed``'s 4 096-update batches); the self-check never fires.
+    Equal keys in arrival order keep the treap forest logarithmic: at most
+    3 * ceil(log2(largest treap)) levels (a random treap of n nodes is
+    about 2.99 * log2(n) deep; 29-33 levels measured)."""
+    base = rmat_graph(14, 8, seed=SEED)
+    fresh = rmat_graph(14, 16, seed=SEED + 1)
+    stream = mixed_stream(base, 12 * 1024, 0.75, SEED + 2, insert_edges=fresh,
+                          delete_mode="existing")
+    g = DynamicGraph.from_edgelist(base, representation="hybrid")
+    rep = g.rep
+    g.snapshot()
+    counters = [METRICS.counter(f"adjacency.export_{c}") for c in ("patches", "patch_mismatches")]
+    before = [c.value for c in counters]
+    patch_seconds, walk_seconds = [], []
+    for b in iter_batches(stream, 1024):
+        g.apply(b)
+        seconds, got = best_of(rep.to_csr, 1)
+        patch_seconds.append(seconds)
+        seconds, want = best_of(rep._walk_csr, 1)
+        walk_seconds.append(seconds)
+        for name in ("offsets", "targets", "ts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert [c.value - b for c, b in zip(counters, before)] == [12, 0]
+    share = median(patch_seconds) / median(walk_seconds)
+    assert share <= 0.5, f"patched export took {share:.2f} of the walk's time"
+    largest = int(np.frombuffer(rep.treap._live_deg, dtype=np.int64).max())
+    assert _forest_levels(rep.treap) <= 3 * (largest - 1).bit_length()
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ from repro.adjacency.base import (
 )
 from repro.adjacency.csr import CSRGraph, csr_offsets
 from repro.adjacency.dynarr import TOMBSTONE, DynArrAdjacency
+from repro.adjacency.patch import PatchedExport
 from repro.adjacency.treap import TreapAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
@@ -88,7 +89,7 @@ def recommend_degree_thresh(
     return int(np.clip(round(reference * ratio), lo, hi))
 
 
-class HybridAdjacency(AdjacencyRepresentation):
+class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
     """Dyn-arr for low-degree vertices, treaps past ``degree_thresh``.
 
     Parameters
@@ -340,29 +341,39 @@ class HybridAdjacency(AdjacencyRepresentation):
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Partitioned stream application (see :meth:`_apply_partitioned`);
-        small batches take the strict per-op loop."""
+        small batches take the strict per-op loop.  Logged for the next
+        export's patch."""
         op = check_op_codes(op)
-        if not bulkops.enabled(self, op.size):
-            return super().apply_arcs(op, src, dst, ts)
         src, dst, t = self._checked_batch(src, dst, ts, op)
-        return self._apply_partitioned(op, src, dst, t)
+        return self._logged(op, src, dst, t, lambda: (
+            self._apply_partitioned(op, src, dst, t) if bulkops.enabled(self, op.size)
+            else self.apply_arcs_scalar(op, src, dst, t)
+        ))
 
     def bulk_insert(self, src, dst, ts=None) -> None:
         """Partitioned bulk ingest, the treap side built
-        (:meth:`_build_treap_side`)."""
+        (:meth:`_build_treap_side`).  Logged for the next export's patch."""
         src, dst, t = self._checked_batch(src, dst, ts)
-        if bulkops.enabled(self, src.size):
-            self._apply_partitioned(None, src, dst, t)
-        else:
-            self.bulk_insert_scalar(src, dst, t)
+        self._logged(None, src, dst, t, lambda: (
+            self._apply_partitioned(None, src, dst, t) if bulkops.enabled(self, src.size)
+            else self.bulk_insert_scalar(src, dst, t)
+        ))
 
-    def to_csr(self) -> CSRGraph:
-        """A vertex's arcs sit on one side (a migration empties the array
-        block it leaves): offsets from ``arr.live`` plus the treap degrees,
-        then the array side's arcs and the treap's in-order runs are written
-        from their vertex's offset."""
+    def _live_degrees(self) -> np.ndarray:
+        return self.arr.live + np.frombuffer(self.treap._live_deg, dtype=np.int64)
+
+    def _sorted_runs(self) -> np.ndarray:
+        """Treap-side vertices, whose runs are sorted by key."""
+        return np.frombuffer(self.mode, dtype=np.uint8) == _MODE_TREAP
+
+    def _walk_csr(self) -> CSRGraph:
+        """The full export (``to_csr`` patches it when it can).  A vertex's
+        arcs sit on one side (a migration empties the array block it
+        leaves): offsets from the live degrees, then the array side's arcs
+        and the treap's in-order runs are written from their vertex's
+        offset."""
         arr = self.arr
-        offsets = csr_offsets(arr.live + np.frombuffer(self.treap._live_deg, dtype=np.int64))
+        offsets = csr_offsets(self._live_degrees())
         targets = np.empty(int(offsets[-1]), dtype=np.int64)
         ts = np.empty_like(targets)
         at = bulkops.gather_index(offsets[:-1], arr.live)

@@ -23,9 +23,12 @@ updates, traversal and induced subgraphs.
 Implementation notes: nodes live in parallel ``array('q')`` buffers (an
 index-based pool — no per-node objects — that numpy reads in place); deleted
 nodes go on a free list for reuse.  Insert, delete, split and merge are loops
-over the one root-to-leaf path the textbook recursion follows (equal keys form
-a right spine as deep as their multiplicity, so depth is not logarithmic) and
-count every node they touch into :class:`~repro.adjacency.base.UpdateStats`.
+over the one root-to-leaf path the textbook recursion follows and count every
+node they touch into :class:`~repro.adjacency.base.UpdateStats`.  Copies of
+one arc keep arrival order (an insert goes after every equal key) and a
+delete removes the oldest, the leftmost in order — dyn-arr's rule, so both
+arcs of an edge lose the same copy, and copies form a treap as shallow as
+distinct keys would.
 Update batches (``apply_arcs``, the hybrid's treap side and its migrations)
 run those same loop bodies fused into :meth:`TreapAdjacency._apply_run`,
 bit-identical to the per-op methods, which remain the public API, the path
@@ -33,9 +36,11 @@ of batches below ``bulkops.MIN_BULK_SIZE`` arcs and the oracle.
 Construction (``bulk_insert``, on the hybrid too) builds every treap that is
 empty when the batch starts as one Cartesian tree
 (:meth:`TreapAdjacency._build_run`; Shun & Blelloch 2014): same pool bytes
-and export, its own node-visit count.  The whole-structure export is one
-level-synchronous numpy pass over the forest; ``_inorder`` walks a single
-vertex's treap.
+and export, its own node-visit count.  The first whole-structure export is
+one level-synchronous numpy pass over the forest (:meth:`TreapAdjacency.
+_scatter_inorder`); each later one patches the last by the batches logged
+since (:mod:`repro.adjacency.patch`).  ``_inorder`` walks a single vertex's
+treap.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.adjacency import bulkops
 from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.adjacency.base import LOCK_HOLD_PER_NODE
 from repro.adjacency.csr import CSRGraph, csr_offsets
+from repro.adjacency.patch import PatchedExport
 from repro.util.seeding import make_rng
 from repro.util.validation import check_op_codes
 
@@ -68,7 +74,8 @@ def _cartesian(us, vs, prios, built, n):
     ``us``, key ``vs``, priority ``prios``), one Cartesian tree per owner:
     ``(order, up, as_right, owners, counts)``, or None on a priority tie.
 
-    ``order`` sorts those positions by (owner, key, descending priority).
+    ``order`` sorts those positions by (owner, key, arrival): equal keys in
+    arrival order, as the per-op insert leaves them.
     Each sorted position hangs under the lower of its nearest higher-priority
     positions before and after it within its owner's segment
     (:func:`_nearest_higher`): ``up`` is that position (``_NIL`` at a
@@ -82,10 +89,9 @@ def _cartesian(us, vs, prios, built, n):
     keys = us[sel]
     keys *= n
     keys += vs[sel]
-    by_prio = np.argsort(prios[sel])[::-1]
-    order, keys = bulkops.stable_order(keys[by_prio], n * n)
-    order = sel[by_prio[order]]
-    del sel, by_prio
+    order, keys = bulkops.stable_order(keys, n * n)
+    order = sel[order]
+    del sel
     keys //= n
     owners, starts, counts = bulkops.group_runs(keys)
     del keys
@@ -121,7 +127,7 @@ def _nearest_higher(prio: np.ndarray, near: np.ndarray) -> None:
         todo = todo[near[todo] != _NIL]
 
 
-class TreapAdjacency(AdjacencyRepresentation):
+class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
     """Per-vertex adjacency treaps over a shared index-based node pool.
 
     Parameters
@@ -232,7 +238,8 @@ class TreapAdjacency(AdjacencyRepresentation):
         while t != _NIL:
             self.stats.nodes_visited += 1
             if p > prio[t]:
-                self._left[nd], self._right[nd] = self._split(t, k)
+                # Integer keys: ``< k + 1`` sends equal keys before nd.
+                self._left[nd], self._right[nd] = self._split(t, k + 1)
                 break
             col = self._left if k < key[t] else self._right
             at, t = t, col[t]
@@ -240,18 +247,28 @@ class TreapAdjacency(AdjacencyRepresentation):
         return out[0]
 
     def _delete_key(self, t: int, v: int) -> tuple[int, bool]:
-        key = self._key
+        """Remove the oldest copy of ``v``, the leftmost in-order: the
+        descent goes left at every key ``>= v`` down to a leaf, and the
+        last equal key it passed is the one removed."""
+        key, left, right = self._key, self._left, self._right
         out = array("q", (t,))
         col, at = out, 0
+        hit = None
         while t != _NIL:
             self.stats.nodes_visited += 1
-            if v == key[t]:
-                col[at] = self._merge(self._left[t], self._right[t])
-                self._free.append(t)
-                return out[0], True
-            col = self._left if v < key[t] else self._right
+            if v <= key[t]:
+                if v == key[t]:
+                    hit = col, at, t
+                col = left
+            else:
+                col = right
             at, t = t, col[t]
-        return out[0], False
+        if hit is None:
+            return out[0], False
+        col, at, t = hit
+        col[at] = self._merge(left[t], right[t])
+        self._free.append(t)
+        return out[0], True
 
     def _find(self, t: int, v: int) -> int:
         while t != _NIL:
@@ -414,7 +431,7 @@ class TreapAdjacency(AdjacencyRepresentation):
                         lo_col, lo_at, hi_col, hi_at = left, nd, right, nd
                         while t != _NIL:
                             rotations += 1
-                            if key[t] < v:
+                            if key[t] <= v:
                                 lo_col[lo_at] = t
                                 lo_col, lo_at, t = right, t, right[t]
                             else:
@@ -428,29 +445,34 @@ class TreapAdjacency(AdjacencyRepresentation):
                 deg[u] += 1
                 inserts += 1
                 continue
+            hit = _NIL
             while t != _NIL:
                 visited += 1
                 k = key[t]
-                if v == k:
-                    # Merge t's children into the hole t leaves.
-                    a, b = left[t], right[t]
-                    while a != _NIL and b != _NIL:
-                        rotations += 1
-                        if prio[a] > prio[b]:
-                            col[at] = a
-                            col, at, a = right, a, right[a]
-                        else:
-                            col[at] = b
-                            col, at, b = left, b, left[b]
-                    col[at] = b if a == _NIL else a
-                    free.append(t)
-                    deg[u] -= 1
-                    deletes += 1
-                    break
-                col = left if v < k else right
+                if v <= k:
+                    if v == k:
+                        hit, hit_col, hit_at = t, col, at
+                    col = left
+                else:
+                    col = right
                 at, t = t, col[t]
-            else:
+            if hit == _NIL:
                 misses += 1
+                continue
+            # Merge the oldest copy's children into the hole it leaves.
+            col, at, a, b = hit_col, hit_at, left[hit], right[hit]
+            while a != _NIL and b != _NIL:
+                rotations += 1
+                if prio[a] > prio[b]:
+                    col[at] = a
+                    col, at, a = right, a, right[a]
+                else:
+                    col[at] = b
+                    col, at, b = left, b, left[b]
+            col[at] = b if a == _NIL else a
+            free.append(hit)
+            deg[u] -= 1
+            deletes += 1
         stats = self.stats
         stats.nodes_visited += visited
         stats.rotations += rotations
@@ -468,11 +490,10 @@ class TreapAdjacency(AdjacencyRepresentation):
         Node ``i`` gets the id and priority the fused run would give it: ids
         popped off the free list, then appended; priorities popped off the
         block, refills included.  A treap is the one Cartesian tree of its
-        nodes in (key ascending, equal keys by descending priority) order,
-        whatever order they were inserted in, so the nodes of the empty
-        treaps are sorted that way and each hangs under the lower of its
-        nearest higher-priority neighbours within its owner's run
-        (:func:`_nearest_higher`).  Pool bytes, roots, free list and
+        nodes in (key ascending, equal keys in arrival order) order, so the
+        nodes of the empty treaps are sorted that way and each hangs under
+        the lower of its nearest higher-priority neighbours within its
+        owner's run (:func:`_nearest_higher`).  Pool bytes, roots, free list and
         priority block come out as the per-op replay leaves them; the build
         counts one node visit per node and no rotation.  Nodes of treaps
         that already hold keys take :meth:`_apply_run`, fed their
@@ -556,7 +577,7 @@ class TreapAdjacency(AdjacencyRepresentation):
 
     def bulk_insert(self, src, dst, ts=None) -> None:
         """Batch ingest: one validation, then :meth:`_build_run` (the fused
-        run on a priority tie).
+        run on a priority tie), logged for the next export's patch.
 
         Construction is the one path that regroups arcs: a treap empty when
         the batch starts is built whole from its sorted keys, so its shape,
@@ -566,6 +587,9 @@ class TreapAdjacency(AdjacencyRepresentation):
         Small batches keep the per-op :meth:`insert` loop.
         """
         src, dst, t = self._checked_batch(src, dst, ts)
+        self._logged(None, src, dst, t, lambda: self._insert_checked(src, dst, t))
+
+    def _insert_checked(self, src, dst, t) -> None:
         if not bulkops.enabled(self, src.size):
             self.bulk_insert_scalar(src, dst, t)
         elif not self._build_run(src, dst, t):
@@ -573,12 +597,15 @@ class TreapAdjacency(AdjacencyRepresentation):
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Mixed stream in arrival order through the fused run (small
-        batches: the per-op :meth:`insert` / :meth:`delete` loop)."""
+        batches: the per-op :meth:`insert` / :meth:`delete` loop), logged
+        for the next export's patch."""
         op = check_op_codes(op)
         src, dst, t = self._checked_batch(src, dst, ts, op)
-        if bulkops.enabled(self, op.size):
-            return self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist())
-        return self.apply_arcs_scalar(op, src, dst, t)
+        return self._logged(op, src, dst, t, lambda: (
+            self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist())
+            if bulkops.enabled(self, op.size)
+            else self.apply_arcs_scalar(op, src, dst, t)
+        ))
 
     def _scatter_inorder(self, offsets: np.ndarray, targets: np.ndarray, ts: np.ndarray) -> None:
         """Write every vertex's in-order ``(key, stamp)`` run at ``offsets[u]``.
@@ -623,9 +650,17 @@ class TreapAdjacency(AdjacencyRepresentation):
             ts[slot] = stamp[nodes]
             first = np.concatenate((first, slot + 1))[has]
 
-    def to_csr(self) -> CSRGraph:
-        """Offsets from the live degrees, arcs from :meth:`_scatter_inorder`."""
-        offsets = csr_offsets(np.frombuffer(self._live_deg, dtype=np.int64))
+    def _live_degrees(self) -> np.ndarray:
+        return np.frombuffer(self._live_deg, dtype=np.int64)
+
+    def _sorted_runs(self) -> None:
+        """Every run is sorted by key (None)."""
+        return None
+
+    def _walk_csr(self) -> CSRGraph:
+        """The full export: offsets from the live degrees, arcs from
+        :meth:`_scatter_inorder` (``to_csr`` patches this when it can)."""
+        offsets = csr_offsets(self._live_degrees())
         targets = np.empty(int(offsets[-1]), dtype=np.int64)
         ts = np.empty_like(targets)
         self._scatter_inorder(offsets, targets, ts)
@@ -636,8 +671,8 @@ class TreapAdjacency(AdjacencyRepresentation):
     # ------------------------------------------------------------------ #
 
     def _copy_subtree(self, t: int) -> int:
-        """Pre-order copy of subtree ``t``; a stack, not recursion, because
-        the input is a multiset whose equal-key spines are arbitrarily deep."""
+        """Pre-order copy of subtree ``t``; a stack, not recursion, so no
+        treap shape can reach the recursion limit."""
         out = array("q", (_NIL,))
         stack = [(t, out, 0)]
         while stack:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
+from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
@@ -208,7 +209,9 @@ class ConnectItResult:
         )
 
 
-def _finish_arcs(graph: CSRGraph, uf: UnionFind) -> tuple[np.ndarray, np.ndarray]:
+def _finish_arcs(
+    graph: CSRGraph, uf: UnionFind, sample: SampleStats | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Arcs the sample left unresolved, with endpoints mapped to their roots.
 
     Dropping already-resolved arcs (including all self-loops and every arc
@@ -216,11 +219,22 @@ def _finish_arcs(graph: CSRGraph, uf: UnionFind) -> tuple[np.ndarray, np.ndarray
     cheap; mapping the survivors' endpoints to their current roots keeps
     the finish unions short without changing which trees they merge.  The
     sources' roots are repeated straight from the per-vertex roots, so the
-    targets' roots are the one gather.
+    targets' roots are the one gather.  When the ``sample`` that filled
+    ``uf`` is a BFS that was not cut, on a stamped-symmetric CSR, it holds
+    the source's whole component, which no arc leaves, so only the
+    unreached vertices' arcs are read (same arcs, same CSR order).
     """
     roots = uf.flat_roots()
-    rsrc = np.repeat(roots, np.diff(graph.offsets))
-    rdst = roots[graph.targets]
+    if sample is not None and graph.symmetric and not sample.meta.get("bfs_cut", True):
+        rest = np.flatnonzero(roots != roots[sample.giant_root])
+        starts = graph.offsets[rest]
+        counts = graph.offsets[rest + 1] - starts
+        idx, _ = gather_ranges(starts, counts)
+        rsrc = np.repeat(roots[rest], counts)
+        rdst = roots[graph.targets[idx]]
+    else:
+        rsrc = np.repeat(roots, np.diff(graph.offsets))
+        rdst = roots[graph.targets]
     mask = rsrc != rdst
     return rsrc[mask], rdst[mask]
 
@@ -294,7 +308,7 @@ def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> C
         with span("connectit.sample", strategy=spec.sampling):
             stats = run_sampling(graph, uf, spec.sampling, k=spec.k)
         sample_counters = uf.counters.snapshot()
-        fsrc, fdst = _finish_arcs(graph, uf)
+        fsrc, fdst = _finish_arcs(graph, uf, stats)
         fragments: list[dict] = []
         settled, restarts = uf.settled, uf.restarts
         with span("connectit.finish", arcs=int(fsrc.size)) as fsp:

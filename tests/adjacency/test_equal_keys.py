@@ -1,0 +1,115 @@
+"""Copies of one arc: every structure deletes the oldest.
+
+Treaps keep equal keys in arrival order and a delete removes the leftmost
+(oldest) copy, dyn-arr's rule (it tombstones the first match in slot order).
+So deleting one copy of a multi-edge whose copies carry different stamps
+removes the same stamp from ``u -> v`` and from ``v -> u``, on the per-op
+loop, on the fused run and after a bulk build, and on both sides of the
+hybrid.  Which copy goes must not depend on priorities: the two
+directions' treaps draw different ones, and the snapshot would stop being
+its own transpose.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.adjacency import bulkops
+from repro.adjacency.registry import make_representation
+from repro.api import DynamicGraph
+from repro.core.update_engine import _arc_stream
+from repro.generators.streams import UpdateStream
+
+#: ``(op, u, v, ts)``: five self-loop copies on 0, an edge {0, 2} stamped 1,
+#: three more self-loops, the edge {2, 0} stamped 0, then one delete of
+#: {0, 2}: both directions must lose the copy stamped 1, the oldest.
+REPRODUCER = (
+    [(1, 0, 0, 0)] * 5 + [(1, 0, 2, 1)] + [(1, 0, 0, 0)] * 3 + [(1, 2, 0, 0), (-1, 0, 2, 0)]
+)
+
+#: Edges between two vertices the reproducer never touches: enough arcs to
+#: take a batch past ``bulkops.MIN_BULK_SIZE``.
+PADDING = [(1, 5, 6, 7)] * bulkops.MIN_BULK_SIZE
+
+KINDS = {"treap": {}, "hybrid": {"degree_thresh": 1}}
+
+
+def stream(rows) -> UpdateStream:
+    op, u, v, ts = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    return UpdateStream(8, op.astype(np.int8), u, v, ts)
+
+
+def arcs(csr) -> list[tuple[int, int, int]]:
+    """The snapshot as a sorted multiset of ``(u, v, ts)``."""
+    src = np.repeat(np.arange(csr.n), csr.degrees()).tolist()
+    return sorted(zip(src, csr.targets.tolist(), csr.ts.tolist()))
+
+
+def assert_own_transpose(csr):
+    assert arcs(csr) == sorted((v, u, t) for u, v, t in arcs(csr))
+
+
+@pytest.mark.parametrize("path", ["per-op", "fused", "build"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_reproducer_deletes_the_same_copy_both_ways(kind, path):
+    for seed in range(40):
+        if path == "build":
+            # Both arcs of each edge in turn, as ``apply`` writes them, but
+            # through ``bulk_insert``: every treap is built whole.
+            rep = make_representation(kind, 8, seed=seed, **KINDS[kind])
+            _, src, dst, ts = _arc_stream(stream(REPRODUCER[:-1] + PADDING), True)
+            rep.bulk_insert(src, dst, ts)
+            g = DynamicGraph(8, rep)
+            g.apply(stream(REPRODUCER[-1:]))
+        else:
+            g = DynamicGraph(8, kind, seed=seed, **KINDS[kind])
+            g.apply(stream(REPRODUCER + (PADDING if path == "fused" else [])))
+        csr = g.snapshot()
+        assert_own_transpose(csr)
+        assert [t for u, v, t in arcs(csr) if (u, v) == (0, 2)] == [0], seed
+
+
+def test_paths_reach_the_bulk_kernels():
+    """The fused and build cases are past the per-op cut; the per-op one not."""
+    assert 2 * len(REPRODUCER) < bulkops.MIN_BULK_SIZE
+    assert 2 * len(REPRODUCER + PADDING) >= bulkops.MIN_BULK_SIZE
+    assert 2 * len(REPRODUCER[:-1] + PADDING) >= bulkops.MIN_BULK_SIZE
+
+
+#: Stamped multigraph streams: three vertices, so most arcs are parallel
+#: copies; the stamp is the arc's arrival index, so all stamps differ.
+multigraph = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from([1, 1, -1]), st.integers(0, 2), st.integers(0, 2)),
+        min_size=1,
+        max_size=70,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("min_bulk", [bulkops.MIN_BULK_SIZE, 1], ids=["cut", "bulk"])
+@settings(max_examples=40, deadline=None)
+@given(batches=multigraph, seed=st.integers(0, 3))
+def test_multigraph_streams_match_dynarr(batches, seed, min_bulk):
+    """``treap`` and ``hybrid`` snapshots equal dyn-arr's as ``(u, v, ts)``
+    multisets after every batch, whichever path each batch takes."""
+    reps = [
+        make_representation("dynarr", 3),
+        make_representation("treap", 3, seed=seed),
+        make_representation("hybrid", 3, seed=seed, degree_thresh=2),
+    ]
+    stamp = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
+        for batch in batches:
+            op, u, v = (np.array(col, dtype=np.int64) for col in zip(*batch))
+            ts = np.arange(stamp, stamp + op.size)
+            stamp += op.size
+            misses = [rep.apply_arcs(op.astype(np.int8), u, v, ts) for rep in reps]
+            assert misses[1:] == misses[:-1]
+            want = arcs(reps[0].to_csr())
+            for rep in reps[1:]:
+                assert arcs(rep.to_csr()) == want, rep.kind

@@ -9,7 +9,9 @@ built by the batch paths (``default``) and by the per-op loop (``scalar``,
 whose pool layout differs); and the storage states that take different
 export branches.  The allocation budget
 pins what the direct export is for: a tombstone-free dyn-arr snapshot
-allocates little beyond its own result.
+allocates little beyond its own result.  The export chains hold the treap
+and hybrid patch (each export after the first is the last one patched by
+the batches since) to the same reference, and check when it is taken.
 """
 
 import tracemalloc
@@ -20,7 +22,9 @@ import pytest
 from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.registry import make_representation
+from repro.adjacency.treap import TreapAdjacency
 from repro.generators.rmat import rmat_graph
+from repro.obs import METRICS
 
 KINDS = ["dynarr", "dynarr-nr", "treap", "hybrid", "hybrid-downshift", "vpart", "epart", "batched"]
 
@@ -147,3 +151,141 @@ def test_dynarr_snapshot_allocation_budget():
         tracemalloc.stop()
     assert csr.n_arcs == m
     assert peak <= 3.5 * 8 * m, f"snapshot peaked at {peak / (8 * m):.2f} x 8m bytes"
+
+
+# --------------------------------------------------------------------- #
+# export chains: each export after the first is the last one patched
+# --------------------------------------------------------------------- #
+
+#: Kinds whose ``to_csr`` patches the last export (``adjacency/patch.py``).
+PATCHED = {"treap", "hybrid", "hybrid-downshift"}
+
+
+def counter(name):
+    return METRICS.counter(f"adjacency.{name}").value
+
+
+def chain_mixed(rng):
+    """Mixed batches with misses, one export after each: large ones take
+    the bulk kernels, the 20-arc one the per-op loop."""
+    return 40, [("batch", batch(rng, 40, k, 0.6)) for k in (200, 20, 120, 300)]
+
+
+def chain_crossing(rng):
+    # A crossing vertex's run turns from array to treap between two exports.
+    n, batches = crossing(rng)
+    return n, [("batch", b) for b in batches]
+
+
+def chain_several_batches(rng):
+    # Three batches, an all-insert one among them, between two exports.
+    steps = [("batch", batch(rng, 30, 150, 0.7))]
+    steps += [("quiet", batch(rng, 30, k, f)) for k, f in ((90, 0.5), (60, 1.1), (70, 0.4))]
+    return 30, steps + [("batch", batch(rng, 30, 50, 0.6))]
+
+
+def chain_build(rng):
+    # bulk_insert builds the treaps empty at its start; the next batch
+    # deletes from them.
+    return 30, [("build", batch(rng, 30, 240, 1.1)), ("build", batch(rng, 30, 90, 1.1)),
+                ("batch", batch(rng, 30, 160, 0.5))]
+
+
+def chain_per_op(rng):
+    # A per-op insert outside any batch: the next export must walk.
+    return 20, [("batch", batch(rng, 20, 100, 0.8)), ("per-op", (3, 7, 5)),
+                ("batch", batch(rng, 20, 80, 0.6))]
+
+
+CHAINS = {
+    "mixed": chain_mixed,
+    "crossing": chain_crossing,
+    "several-batches": chain_several_batches,
+    "build": chain_build,
+    "per-op": chain_per_op,
+}
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied-prios"])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_export_chain_equals_reference_walk(kind, chain, ties, monkeypatch):
+    """export -> batch -> export ...: every export equals the reference walk;
+    on the patched kinds each one after the first is a patch, except the
+    one after a per-op mutation; the patch's self-check never fires.
+    ``tied-prios`` draws one priority for every node, so each build of a
+    treap with two nodes or more falls back to the fused run."""
+    builds = []
+    build_run = TreapAdjacency._build_run
+    monkeypatch.setattr(
+        TreapAdjacency, "_build_run", lambda t, *a: builds.append(build_run(t, *a)) or builds[-1]
+    )
+    if ties:
+        monkeypatch.setattr(TreapAdjacency, "_draw_prios", lambda t: np.zeros(4096, np.int64))
+    rng = np.random.default_rng(11)
+    n, steps = CHAINS[chain](rng)
+    rep = build(kind, n)
+    # A first export large enough for the logs below; vertex 0 is left
+    # empty for the crossing chain.
+    op, src, dst, ts = batch(rng, n, 10 * n, 1.1)
+    rep.apply_arcs(op, np.maximum(src, 1), dst, ts)
+    exported = rep.to_csr().n_arcs
+    mismatches, misses, walked, logged = counter("export_patch_mismatches"), 0, False, 0
+    for what, arg in steps:
+        before = counter("export_patches")
+        if what == "build":
+            rep.bulk_insert(*arg[1:])
+        elif what == "per-op":
+            rep.insert(*arg)
+            walked = True
+        else:
+            misses += rep.apply_arcs(*arg)
+        logged += arg[1].size if what != "per-op" else 0
+        if what == "quiet":
+            continue
+        got = rep.to_csr()
+        want = csr_from_arrays(n, *rep.to_arrays_scalar())
+        for name in ("offsets", "targets", "ts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # A log longer than the last export (the empty first one included)
+        # is dropped for the walk.
+        patched = kind in PATCHED and not walked and 0 < logged <= exported
+        assert counter("export_patches") - before == patched
+        exported, walked, logged = got.n_arcs, False, 0
+    assert counter("export_patch_mismatches") == mismatches
+    if chain == "mixed":
+        assert misses > 0
+    if chain == "crossing" and kind.startswith("hybrid"):
+        assert rep.stats.migrations > 0
+    if chain == "build" and kind in PATCHED:
+        assert len(builds) == 2 and (False in builds) == ties
+
+
+def test_log_longer_than_the_export_walks():
+    """A log with more arcs than the last export is dropped: the next
+    export walks, and the one after patches again."""
+    rng = np.random.default_rng(3)
+    rep = build("treap", 20)
+    rep.apply_arcs(*batch(rng, 20, 60, 1.1))
+    rep.to_csr()
+    before = counter("export_patches")
+    rep.apply_arcs(*batch(rng, 20, 100, 1.1))
+    assert rep._last is None
+    rep.to_csr()
+    rep.apply_arcs(*batch(rng, 20, 30, 0.5))
+    got = rep.to_csr()
+    assert counter("export_patches") - before == 1
+    assert np.array_equal(got.targets, csr_from_arrays(20, *rep.to_arrays_scalar()).targets)
+
+
+def test_patch_never_writes_the_previous_export():
+    rng = np.random.default_rng(5)
+    rep = build("hybrid", 30)
+    rep.apply_arcs(*batch(rng, 30, 200, 1.1))
+    first = rep.to_csr()
+    kept = [a.copy() for a in (first.offsets, first.targets, first.ts)]
+    rep.apply_arcs(*batch(rng, 30, 150, 0.5))
+    second = rep.to_csr()
+    for a, b in zip(kept, (first.offsets, first.targets, first.ts)):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(first.targets, second.targets)

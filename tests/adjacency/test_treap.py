@@ -1,5 +1,6 @@
 """Tests for the treap representation, including its structural invariants."""
 
+import itertools
 import sys
 from dataclasses import asdict
 
@@ -15,9 +16,10 @@ from repro.errors import GraphError
 
 def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
     """Validate vertex u's treap: keys ascending in-order (BST), no child
-    above its parent's priority (heap), and equal keys in descending
-    priority in-order, the canonical form every insert order and the bulk
-    build share.  Returns its size."""
+    above its parent's priority (heap), and equal keys in arrival order, the
+    form the per-op loop, the fused run and the bulk build share (callers
+    stamp arcs in non-decreasing arrival order, so equal keys' stamps never
+    fall).  Returns its size."""
     order, stack, nd = [], [], t.root[u]
     while stack or nd != _NIL:
         while nd != _NIL:
@@ -32,7 +34,7 @@ def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
     for a, b in zip(order, order[1:]):
         assert t._key[a] <= t._key[b], "BST order violated"
         if t._key[a] == t._key[b]:
-            assert t._prio[a] >= t._prio[b], "equal keys not in descending priority"
+            assert t._ts[a] <= t._ts[b], "equal keys not in arrival order"
     return len(order)
 
 
@@ -150,24 +152,26 @@ def without_work(state):
     return state
 
 
+#: Time-stamps for :func:`drive_pair`, rising across calls.
+_STAMPS = itertools.count()
+
+
 def drive_pair(bulk, twin, batches, state, *, builds=True):
     """``bulk`` takes each batch through ``bulk_insert`` / ``apply_arcs``,
     ``twin`` through per-op ``insert`` / ``delete``; ``state`` must agree
     after every batch, and every treap touched must keep its invariants
-    (the twin's after every step).  Time-stamps are distinct across the
-    whole drive.
+    (the twin's after every step).  Time-stamps rise across every drive
+    (:data:`_STAMPS`), so they witness arrival order across calls too.
 
     ``nodes_visited`` / ``rotations`` agree batch by batch, except that on
     a ``bulk_insert`` batch (with ``builds``) the build's count replaces the
     per-op work on the treaps it builds, those empty when the batch starts:
     one visit per node, charged as :func:`build_work` says, and no rotation.
     """
-    stamp = 0
     for batch in batches:
         us = [u for _, u, _ in batch]
         vs = [v for _, _, v in batch]
-        tss = list(range(stamp, stamp + len(batch)))
-        stamp += len(batch)
+        tss = [next(_STAMPS) for _ in batch]
         all_inserts = bool(batch) and all(is_insert for is_insert, _, _ in batch)
         build = builds and all_inserts
         empty = {u for u in us if treap_of(twin).root[u] == _NIL} if build else set()
@@ -306,9 +310,10 @@ class TestExport:
         t.insert(1, 2, 8)  # reuses the freed node
         assert_export_matches_walk(t)
 
-    def test_parallel_arcs_form_a_deep_chain(self):
-        """Equal keys make a spine as deep as their multiplicity: far past
-        the recursion limit, and one export level per node."""
+    def test_parallel_arcs_past_the_recursion_limit(self):
+        """Equal keys in arrival order: copies of one arc far past the
+        recursion limit export in arrival order, leave oldest first, and
+        form a treap as shallow as distinct keys would."""
         depth = 5000
         assert depth > sys.getrecursionlimit()
         t = TreapAdjacency(2, seed=1)
@@ -316,12 +321,14 @@ class TestExport:
             t.insert(0, 1, ts=i)
         assert t.n_nodes == depth
         assert_export_matches_walk(t)
-        assert sorted(t.to_arrays()[2].tolist()) == list(range(depth))
-        assert check_treap_depth(t, 0) == depth
+        assert t.to_arrays()[2].tolist() == list(range(depth))
+        assert check_treap_depth(t, 0) <= 3 * depth.bit_length()
         assert t._targets_unordered(0).tolist() == [1] * depth
         assert t._targets_unordered(1).tolist() == []
-        for _ in range(depth):
+        for i in range(depth):
             assert t.delete(0, 1)
+            if i % 1000 == 0:  # the oldest copy goes first
+                assert t.neighbors_with_ts(0)[1][0] == i + 1
         assert t.n_arcs == 0 and t.root[0] == _NIL
 
     def test_exports_own_their_memory(self):
@@ -361,12 +368,12 @@ class TestFusedRun:
         drive_pair(bulk, twin, [batch], treap_state)
         assert bulk.n_nodes == 2 and bulk.neighbors(0).tolist() == [2, 3]
 
-    def test_deep_equal_key_spine(self):
+    def test_equal_keys_in_arrival_order_stay_shallow(self):
         depth = 1100
         assert depth > sys.getrecursionlimit()
         bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
         drive_pair(bulk, twin, [[(True, 0, 1)] * depth], treap_state)
-        assert check_treap_depth(bulk, 0) == depth
+        assert check_treap_depth(bulk, 0) <= 3 * depth.bit_length()
         drive_pair(bulk, twin, [[(False, 0, 1)] * depth + [(True, 0, 1)]], treap_state)
         assert bulk.n_arcs == 1
 
@@ -514,8 +521,8 @@ class TestSetOperations:
         assert t.difference_neighbors(0, 1).tolist() == sorted(a - b)
 
     def test_key_held_more_often_than_the_recursion_limit(self):
-        """The operands are multisets: 1 500 parallel arcs make a right
-        spine 1 500 deep, which the copy and the free must not recurse down."""
+        """The operands are multisets: 1 500 parallel arcs, which the copy,
+        the dedup and the free must walk without recursion."""
         t = TreapAdjacency(4, seed=7)
         t.bulk_insert([0] * 1500 + [0, 2, 2], [1] * 1500 + [3, 1, 2])
         visited = t.stats.nodes_visited

@@ -306,12 +306,15 @@ def test_hypothesis_finish_arcs_one_gather_matches_endpoint_gathers(n, edges, st
     src = np.array([u % n for u, _ in edges], dtype=np.int64)
     dst = np.array([v % n for _, v in edges], dtype=np.int64)
     csr = build_csr(EdgeList(n, src, dst), symmetrize=not directed)
+    # Given the sample, an uncut BFS on a symmetric CSR reads only the
+    # unreached vertices' arcs: the same arcs in the same order.
     uf = UnionFind(n)
-    run_sampling(csr, uf, strategy)
+    stats = run_sampling(csr, uf, strategy)
     roots = uf.flat_roots()
     asrc = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.offsets))
     mask = roots[asrc] != roots[csr.targets]
     want = (roots[asrc[mask]], roots[csr.targets[mask]])
-    for got, expect in zip(_finish_arcs(csr, uf), want):
-        assert got.dtype == expect.dtype and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, expect)
+    for sample in (None, stats):
+        for got, expect in zip(_finish_arcs(csr, uf, sample), want):
+            assert got.dtype == expect.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, expect)
