@@ -198,7 +198,7 @@ def _structure(rep: HybridAdjacency) -> dict:
         "roots": t.root.tobytes(),
         "live_deg": t._live_deg.tobytes(),
         "free": list(t._free),
-        "prio_block": list(t._prio_block),
+        "seq": t._seq.tobytes(),
         "stats": stats,
         "migrations": (rep.stats.migrations, rep.stats.migration_words),
         "sizes": (rep.n_arcs, rep.memory_bytes()),

@@ -27,7 +27,7 @@ from repro.generators import mixed_stream, rmat_graph
 SCALE = 11
 UPDATES = 4000
 PAIRS = 7
-INTERVAL = 0.05  # aggressive scrape cadence: several renders per round
+INTERVAL = 0.005  # aggressive scrape cadence: several renders per ≈ 30 ms round
 
 
 def workload():
@@ -65,19 +65,19 @@ def test_obs_collector_overhead():
 
     ratios = []
     baseline_out = scraped_out = None
-    n_renders = 0
+    renders = []
     for _ in range(PAIRS):
         baseline_s, baseline_out = best_of(workload, 1)
         with Scraper() as scraper:
             scraped_s, scraped_out = best_of(workload, 1)
-        n_renders += scraper.n_renders
+        renders.append(scraper.n_renders)
         ratios.append(scraped_s / baseline_s)
 
     overhead_pct = 100.0 * (min(ratios) - 1.0)
     # Scraping observes; it never participates.
     assert scraped_out[0] == baseline_out[0]
     assert np.array_equal(scraped_out[1], baseline_out[1])
-    assert n_renders > 0
+    assert min(renders) > 0, f"a scraped round rendered nothing (renders per round: {renders})"
     assert overhead_pct < 2.0, (
         f"scrape overhead {overhead_pct:.2f}% "
         f"(per-pair ratios: {[round(r, 3) for r in ratios]})"

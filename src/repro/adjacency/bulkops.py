@@ -37,12 +37,13 @@ plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_csr``:
 Counter equivalence is not best-effort: ``tests/adjacency/test_equivalence``
 asserts bit-identical ``UpdateStats``, adjacency contents, miss counts and
 pool footprints against the scalar reference on randomized and adversarial
-streams.  Treap updates are order-sensitive beyond per-vertex grouping
-(rotations consume a shared priority stream), so the treap's update batches
+streams.  A treap's priorities hash its vertex and that vertex's insert
+count, so only per-vertex order matters to it; its update batches still
 take one fused arrival-order loop
-(:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`) behind the same
-:func:`enabled` switch; only its construction build sorts, with
-:func:`stable_order` and :func:`group_runs`.
+(:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`, whose per-insert
+descents the figures count) behind the same :func:`enabled` switch, and
+only its construction build sorts, with :func:`stable_order` and
+:func:`group_runs`.
 
 The batch picks its path from its own size (:func:`enabled`): batches
 below :data:`MIN_BULK_SIZE` arcs take the per-op loop (the fixed per-call

@@ -19,7 +19,10 @@ _apply_partitioned`): arcs whose owner is in array mode when they arrive
 take the vectorised dyn-arr kernels, the rest the treap's fused
 arrival-order run, with migrations at precomputed cut points — every
 counter, pool byte and export identical to per-op ``insert`` / ``delete``,
-which batches below ``bulkops.MIN_BULK_SIZE`` arcs take instead.
+which batches below ``bulkops.MIN_BULK_SIZE`` arcs take instead.  A
+migrated block is its vertex's first treap nodes, so the treap's hashed
+priorities (:mod:`repro.adjacency.treap`) for a whole batch are dealt up
+front.
 Construction (``bulk_insert``) builds the treap side instead
 (:meth:`HybridAdjacency._build_treap_side`): every treap empty when the
 batch starts, a crossing vertex's migrated block included, becomes one
@@ -101,7 +104,7 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         migrates from the array to a treap.  Migration is one-way, as the
         paper describes it: a treap vertex stays a treap vertex.
     seed:
-        Treap priority seed.
+        Seed of the treap's priority hash.
     array_kwargs:
         Extra keyword arguments for the underlying :class:`DynArrAdjacency`.
     """
@@ -144,14 +147,18 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         self.stats.migrations += len(us)
         self.stats.migration_words += words
 
-    def _migrate_up(self, u: int) -> None:
+    def _migrate_up(self, u: int, prios=None) -> None:
         """Move vertex ``u``'s live adjacencies from the array to a treap
-        (one fused run, in block order: the priorities per-op inserts draw)."""
+        (one fused run, in block order: the block is the vertex's first
+        treap nodes; ``prios`` yields their priorities if the caller drew
+        them)."""
         nbr, ts = self.arr.neighbors_with_ts(u)
+        if prios is None:
+            prios = self.treap._prios(np.full(nbr.size, u, dtype=np.int64)).tolist()
         self._vacate([u], int(nbr.size))
         nodes_before = self.treap.stats.nodes_visited
         rot_before = self.treap.stats.rotations
-        self.treap._apply_run(None, [u] * int(nbr.size), nbr.tolist(), ts.tolist())
+        self.treap._apply_run(None, [u] * int(nbr.size), nbr.tolist(), ts.tolist(), prios)
         # Re-inserting into the treap inflated its counters; that work is
         # real but belongs to the migration (done once, outside the
         # per-update lock), so reclassify it — otherwise the treap's
@@ -242,13 +249,14 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         insert of rank ``degree_thresh - cnt0`` migrates it.  Every arc that
         arrives while its owner is in array mode — all arcs of vertices that
         never cross, and a crossing vertex's arcs before its migration point
-        — goes through the vectorised dyn-arr kernels in one call: those
-        arcs consume no treap priorities and the two sides touch disjoint
-        per-vertex state, so hoisting them commutes with the sequential
-        interleaving.  The rest replays through the treap's fused run in
-        arrival order, cut only at the migration points, where
-        :meth:`_migrate_up` finds the array block exactly as the per-op
-        path would.  Counters, pool bytes and exports stay bit-identical.
+        — goes through the vectorised dyn-arr kernels in one call: the two
+        sides touch disjoint per-vertex state and a treap's priorities
+        depend only on its own vertex's inserts, so hoisting them commutes
+        with the sequential interleaving.  The rest replays through the
+        treap's fused run in arrival order (:meth:`_run_treap_side`), cut
+        only at the migration points, where :meth:`_migrate_up` finds the
+        array block exactly as the per-op path would.  Counters, pool bytes
+        and exports stay bit-identical.
         An all-insert batch builds its treap side instead
         (:meth:`_build_treap_side`): the same pool bytes and exports, the
         build's own ``nodes_visited`` / ``rotations``.
@@ -280,30 +288,41 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         # position of each one's migrating insert.
         by_arrival = np.argsort(cut_at)
         movers, hits = owners[by_arrival], np.searchsorted(idx, cut_at[by_arrival])
-        if idx.size and not (
-            op is None and self._build_treap_side(src, dst, t, idx, movers, hits)
-        ):
-            ops = None if op is None else op[idx].tolist()
-            us, vs, tss = src[idx].tolist(), dst[idx].tolist(), t[idx].tolist()
-
-            def run(lo: int, hi: int) -> int:
-                return self.treap._apply_run(
-                    None if ops is None else ops[lo:hi], us[lo:hi], vs[lo:hi], tss[lo:hi]
-                )
-
-            lo = 0
-            for hi, u in zip(hits.tolist(), movers.tolist()):
-                misses += run(lo, hi)
-                self._migrate_up(u)
-                lo = hi
-            misses += run(lo, idx.size)
+        if idx.size and op is None:
+            self._build_treap_side(src, dst, t, idx, movers, hits)
+        elif idx.size:
+            misses += self._run_treap_side(op, src, dst, t, idx, movers, hits)
         self._n_arcs = self.arr.n_arcs + self.treap.n_arcs
         return misses
 
-    def _build_treap_side(self, src, dst, t, idx, movers, hits) -> bool:
+    def _run_treap_side(self, op, src, dst, t, idx, movers, hits) -> int:
+        """The treap side of a mixed batch through the fused run, cut at
+        each crossing vertex ``movers[i]``'s migrating insert ``idx[hits[i]]``
+        for :meth:`_migrate_up`; returns the failed deletes.  The array side
+        is applied, so a mover's live block is the one it migrates, its
+        vertex's first treap nodes: one :meth:`TreapAdjacency._prios` deals
+        the batch's priorities in the order the run and the migrations take
+        them, each block just before its migrating insert."""
+        ins = np.flatnonzero(op[idx] == 1)
+        sizes = self.arr.live[movers]
+        at = np.repeat(np.searchsorted(ins, hits), sizes)
+        owners = np.insert(src[idx[ins]], at, np.repeat(movers, sizes))
+        prios = iter(self.treap._prios(owners).tolist())
+        ops, us, vs, tss = (a.tolist() for a in (op[idx], src[idx], dst[idx], t[idx]))
+
+        def run(lo: int, hi: int) -> int:
+            return self.treap._apply_run(ops[lo:hi], us[lo:hi], vs[lo:hi], tss[lo:hi], prios)
+
+        misses = lo = 0
+        for hi, u in zip(hits.tolist(), movers.tolist()):
+            misses += run(lo, hi)
+            self._migrate_up(u, prios)
+            lo = hi
+        return misses + run(lo, idx.size)
+
+    def _build_treap_side(self, src, dst, t, idx, movers, hits) -> None:
         """The treap side of an all-insert batch, migrations included, as one
-        :meth:`TreapAdjacency._build_run`; False, with nothing built or
-        migrated, on a priority tie.
+        :meth:`TreapAdjacency._build_run`.
 
         The run holds the treap nodes in the order the per-op path creates
         them: the arcs at ``idx`` in arrival order, with each crossing
@@ -331,13 +350,11 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         us[at_block] = np.repeat(movers, sizes)
         vs[at_block], tss[at_block] = arr._adj[slots], arr._ts[slots]
         del slots, shift, at_arc, at_block
-        if not self.treap._build_run(us, vs, tss):
-            return False
+        self.treap._build_run(us, vs, tss)
         self._vacate(movers, words)
         self.treap.stats.inserts -= words
         self.treap.stats.nodes_visited -= words
         self.stats.nodes_visited += words
-        return True
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Partitioned stream application (see :meth:`_apply_partitioned`);

@@ -1,7 +1,7 @@
 """Adjacency treaps (paper section 2.1.4; Seidel & Aragon 1996).
 
 Each vertex's adjacency list is a treap — a binary search tree keyed by the
-neighbour id with a random heap priority per node — giving average-case
+neighbour id with a heap priority per node — giving average-case
 O(log degree) insertion, deletion and search.  This is the paper's answer to
 Dyn-arr's expensive deletions: a treap *actually removes* the node, and the
 cost is logarithmic in the degree rather than linear.
@@ -16,19 +16,22 @@ The trade-offs the paper reports are reproduced structurally here:
 * the memory footprint is larger (five words per arc versus an amortised
   ~two for Dyn-arr) — the paper reports 2–4x.
 
-Set operations (union / intersection / difference) on adjacency sets are
-provided as well; the paper notes they are the building blocks for batched
-updates, traversal and induced subgraphs.
+Set queries (union / intersection / difference of two neighbour sets) are
+read-only numpy set routines over the in-order runs.
 
 Implementation notes: nodes live in parallel ``array('q')`` buffers (an
 index-based pool — no per-node objects — that numpy reads in place); deleted
-nodes go on a free list for reuse.  Insert, delete, split and merge are loops
-over the one root-to-leaf path the textbook recursion follows and count every
-node they touch into :class:`~repro.adjacency.base.UpdateStats`.  Copies of
-one arc keep arrival order (an insert goes after every equal key) and a
-delete removes the oldest, the leftmost in order — dyn-arr's rule, so both
-arcs of an edge lose the same copy, and copies form a treap as shallow as
-distinct keys would.
+nodes go on a free list for reuse.  The ``s``-th node ever created for
+vertex ``u`` gets the priority :func:`_priority` ``(word, u, s)``, a hash
+(Blelloch & Reid-Miller 1998), so no two nodes of one treap tie and a
+treap's shape, its export and each update's node visits and rotations
+depend only on that vertex's own updates.  An insert (a descent, then a
+split) and a delete (a descent, then a merge) are loops over the one
+root-to-leaf path the textbook recursion follows and count every node they
+touch into :class:`~repro.adjacency.base.UpdateStats`.  Copies of one arc keep arrival
+order (an insert goes after every equal key) and a delete removes the
+oldest, the leftmost in order — dyn-arr's rule, so both arcs of an edge lose
+the same copy, and copies form a treap as shallow as distinct keys would.
 Update batches (``apply_arcs``, the hybrid's treap side and its migrations)
 run those same loop bodies fused into :meth:`TreapAdjacency._apply_run`,
 bit-identical to the per-op methods, which remain the public API, the path
@@ -39,8 +42,8 @@ empty when the batch starts as one Cartesian tree
 and export, its own node-visit count.  The first whole-structure export is
 one level-synchronous numpy pass over the forest (:meth:`TreapAdjacency.
 _scatter_inorder`); each later one patches the last by the batches logged
-since (:mod:`repro.adjacency.patch`).  ``_inorder`` walks a single vertex's
-treap.
+since (:mod:`repro.adjacency.patch`).  ``neighbors_with_ts`` walks a single
+vertex's treap.
 """
 
 from __future__ import annotations
@@ -62,28 +65,55 @@ __all__ = ["TreapAdjacency"]
 
 _NIL = -1
 
-#: Priorities drawn per refill of ``TreapAdjacency._prio_block``.
-_PRIO_BLOCK = 4096
-
 #: Arcs per fused-run call of a build: bounds the run's list scratch.
 _RUN_SLICE = 1 << 14
+
+_MASK = (1 << 64) - 1
+#: The vertex term's multiplier (2**64 / golden ratio) and splitmix64's two
+#: finalizer multipliers.
+_U_MIX = 0x9E3779B97F4A7C15
+_F1, _F2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _priority(word: int, u: int, s: int) -> int:
+    """Priority of the ``s``-th node ever created for vertex ``u``:
+    splitmix64's finalizer (a bijection) of ``word ^ u * _U_MIX ^ s`` mod
+    2**64, read as int64.  Distinct ``s`` give distinct priorities, so the
+    nodes of one treap never tie."""
+    z = word ^ (u * _U_MIX & _MASK) ^ s
+    z = (z ^ z >> 30) * _F1 & _MASK
+    z = (z ^ z >> 27) * _F2 & _MASK
+    z ^= z >> 31
+    return z - (z >> 63 << 64)
+
+
+def _priorities(word: int, us: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """:func:`_priority` over int64 arrays of owners and sequence numbers."""
+    z = us.astype(np.uint64)
+    z *= np.uint64(_U_MIX)
+    z ^= np.uint64(word)
+    z ^= ss.view(np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_F1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_F2)
+    z ^= z >> np.uint64(31)
+    return z.view(np.int64)
 
 
 def _cartesian(us, vs, prios, built, n):
     """The shape of the treaps holding the ``built`` run positions (owner
     ``us``, key ``vs``, priority ``prios``), one Cartesian tree per owner:
-    ``(order, up, as_right, owners, counts)``, or None on a priority tie.
+    ``(order, up, as_right, owners, counts)``.
 
     ``order`` sorts those positions by (owner, key, arrival): equal keys in
     arrival order, as the per-op insert leaves them.
     Each sorted position hangs under the lower of its nearest higher-priority
     positions before and after it within its owner's segment
-    (:func:`_nearest_higher`): ``up`` is that position (``_NIL`` at a
-    root), ``as_right`` says it is the one before, so the node is its right
-    child.  ``owners`` / ``counts`` are the segments.  Two positions of a
-    segment that share a priority with none higher between them make the
-    shape depend on arrival order; the later one's search stops at the
-    earlier one, which is the tie test.
+    (:func:`_nearest_higher`; priorities within a segment are distinct):
+    ``up`` is that position (``_NIL`` at a root), ``as_right`` says it is
+    the one before, so the node is its right child.  ``owners`` /
+    ``counts`` are the segments.
     """
     sel = np.flatnonzero(built)
     keys = us[sel]
@@ -99,10 +129,6 @@ def _cartesian(us, vs, prios, built, n):
     lo = np.arange(-1, order.size - 1, dtype=np.int64)
     lo[starts] = _NIL
     _nearest_higher(prio, lo)
-    has = np.flatnonzero(lo != _NIL)
-    if (prio[lo[has]] == prio[has]).any():
-        return None
-    del has
     hi = np.arange(1, order.size + 1, dtype=np.int64)
     hi[starts + counts - 1] = _NIL
     _nearest_higher(prio, hi)
@@ -115,9 +141,9 @@ def _cartesian(us, vs, prios, built, n):
 
 def _nearest_higher(prio: np.ndarray, near: np.ndarray) -> None:
     """Move each ``near[i]`` (a neighbour of ``i`` on one side, ``_NIL`` for
-    none) on to ``i``'s nearest position on that side with ``prio`` at least
-    ``prio[i]``, by pointer jumping: a candidate ``c`` with lower priority
-    is replaced by ``near[c]``, which skips only positions below ``prio[c]``.
+    none) on to ``i``'s nearest position on that side with a higher
+    ``prio``, by pointer jumping: a candidate ``c`` with lower priority is
+    replaced by ``near[c]``, which skips only positions below ``prio[c]``.
     Each round is a few gathers over the positions still moving, so the
     scratch stays O(positions)."""
     todo = np.flatnonzero(near != _NIL)
@@ -135,14 +161,15 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
     n:
         Number of vertices.
     seed:
-        Seed for node priorities (determinism in tests and experiments).
+        Seed of the priority hash's word (determinism in tests and
+        experiments).
     """
 
     kind = "treap"
 
     def __init__(self, n: int, *, seed: int | np.random.Generator | None = None) -> None:
         super().__init__(n)
-        self._rng = make_rng(seed)
+        self._word = int(make_rng(seed).integers(0, 1 << 64, dtype=np.uint64))
         self.root = array("q", [_NIL]) * n
         # Node pool: parallel int64 buffers indexed by node id.
         self._key = array("q")
@@ -152,25 +179,31 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         self._ts = array("q")
         self._free: list[int] = []
         self._live_deg = array("q", [0]) * n
-        # Pre-drawn priorities, refilled in blocks (drawing one random int64
-        # per insert through numpy is slow).
-        self._prio_block: list[int] = []
+        # Nodes ever created per vertex: the next one's sequence number.
+        self._seq = array("q", [0]) * n
 
     # ------------------------------------------------------------------ #
     # node pool
     # ------------------------------------------------------------------ #
 
-    def _draw_prios(self) -> np.ndarray:
-        """The next block of priorities from the seeded generator."""
-        return self._rng.integers(0, np.iinfo(np.int64).max, size=_PRIO_BLOCK, dtype=np.int64)
+    def _prios(self, us: np.ndarray) -> np.ndarray:
+        """Priorities of new nodes for the owners ``us`` (int64, creation
+        order); each owner's sequence number advances past them."""
+        order, owners = bulkops.stable_order(us, self.n)
+        owners, starts, counts = bulkops.group_runs(owners)
+        seq = np.frombuffer(self._seq, dtype=np.int64)
+        ranks = np.repeat(seq[owners] - starts, counts)
+        ranks += np.arange(us.size, dtype=np.int64)
+        seq[owners] += counts
+        ss = np.empty_like(us)
+        ss[order] = ranks
+        del order, ranks
+        return _priorities(self._word, us, ss)
 
-    def _refill_prios(self) -> list[int]:
-        """Draw the next block of priorities (the old one is used up)."""
-        self._prio_block = self._draw_prios().tolist()
-        return self._prio_block
-
-    def _new_node(self, v: int, ts: int) -> int:
-        prio = (self._prio_block or self._refill_prios()).pop()
+    def _new_node(self, u: int, v: int, ts: int) -> int:
+        s = self._seq[u]
+        self._seq[u] = s + 1
+        prio = _priority(self._word, u, s)
         if self._free:
             nd = self._free.pop()
             self._key[nd] = v
@@ -198,59 +231,40 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
     # Each descent carries a *hole* ``col[at]``: the child cell (or, before
     # the first step, a one-off result cell) that receives the next subtree.
 
-    def _split(self, t: int, k: int) -> tuple[int, int]:
-        """Split subtree ``t`` into (< k, >= k) by key.  Counts rotations."""
-        key, left, right = self._key, self._left, self._right
-        out = array("q", (_NIL, _NIL))
-        lo_col, lo_at, hi_col, hi_at = out, 0, out, 1
-        while t != _NIL:
-            self.stats.rotations += 1
-            if key[t] < k:
-                lo_col[lo_at] = t
-                lo_col, lo_at, t = right, t, right[t]
-            else:
-                hi_col[hi_at] = t
-                hi_col, hi_at, t = left, t, left[t]
-        lo_col[lo_at] = hi_col[hi_at] = _NIL
-        return out[0], out[1]
-
-    def _merge(self, a: int, b: int) -> int:
-        """Merge treaps with all keys in ``a`` <= all keys in ``b``."""
-        prio, left, right = self._prio, self._left, self._right
-        out = array("q", (_NIL,))
-        col, at = out, 0
-        while a != _NIL and b != _NIL:
-            self.stats.rotations += 1
-            if prio[a] > prio[b]:
-                col[at] = a
-                col, at, a = right, a, right[a]
-            else:
-                col[at] = b
-                col, at, b = left, b, left[b]
-        col[at] = b if a == _NIL else a
-        return out[0]
-
     def _insert_node(self, t: int, nd: int) -> int:
-        key, prio = self._key, self._prio
+        """Insert node ``nd`` into subtree ``t``: descend while ``nd``'s
+        priority is the lower, then split the rest by key straight into
+        ``nd``'s child cells, equal keys to the left (before ``nd``).
+        Counts the descent's node visits and the split's rotations."""
+        key, prio, left, right = self._key, self._prio, self._left, self._right
         k, p = key[nd], prio[nd]
         out = array("q", (t,))
         col, at = out, 0
         while t != _NIL:
             self.stats.nodes_visited += 1
             if p > prio[t]:
-                # Integer keys: ``< k + 1`` sends equal keys before nd.
-                self._left[nd], self._right[nd] = self._split(t, k + 1)
                 break
-            col = self._left if k < key[t] else self._right
+            col = left if k < key[t] else right
             at, t = t, col[t]
         col[at] = nd
+        lo_col, lo_at, hi_col, hi_at = left, nd, right, nd
+        while t != _NIL:
+            self.stats.rotations += 1
+            if key[t] <= k:
+                lo_col[lo_at] = t
+                lo_col, lo_at, t = right, t, right[t]
+            else:
+                hi_col[hi_at] = t
+                hi_col, hi_at, t = left, t, left[t]
+        lo_col[lo_at] = hi_col[hi_at] = _NIL
         return out[0]
 
     def _delete_key(self, t: int, v: int) -> tuple[int, bool]:
         """Remove the oldest copy of ``v``, the leftmost in-order: the
         descent goes left at every key ``>= v`` down to a leaf, and the
-        last equal key it passed is the one removed."""
-        key, left, right = self._key, self._left, self._right
+        last equal key it passed is the one removed.  Its two subtrees are
+        merged into the hole it leaves, a rotation per merge step."""
+        key, prio, left, right = self._key, self._prio, self._left, self._right
         out = array("q", (t,))
         col, at = out, 0
         hit = None
@@ -266,8 +280,17 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         if hit is None:
             return out[0], False
         col, at, t = hit
-        col[at] = self._merge(left[t], right[t])
         self._free.append(t)
+        a, b = left[t], right[t]
+        while a != _NIL and b != _NIL:
+            self.stats.rotations += 1
+            if prio[a] > prio[b]:
+                col[at] = a
+                col, at, a = right, a, right[a]
+            else:
+                col[at] = b
+                col, at, b = left, b, left[b]
+        col[at] = b if a == _NIL else a
         return out[0], True
 
     def _find(self, t: int, v: int) -> int:
@@ -278,17 +301,6 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
             t = self._left[t] if v < self._key[t] else self._right[t]
         return _NIL
 
-    def _inorder(self, t: int, out_keys: list[int], out_ts: list[int]) -> None:
-        stack: list[int] = []
-        while stack or t != _NIL:
-            while t != _NIL:
-                stack.append(t)
-                t = self._left[t]
-            t = stack.pop()
-            out_keys.append(self._key[t])
-            out_ts.append(self._ts[t])
-            t = self._right[t]
-
     # ------------------------------------------------------------------ #
     # hot-path operations
     # ------------------------------------------------------------------ #
@@ -296,7 +308,7 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
     def insert(self, u: int, v: int, ts: int = 0) -> None:
         self.check_vertex(u)
         self.check_vertex(v)
-        nd = self._new_node(v, ts)
+        nd = self._new_node(u, v, ts)
         self.root[u] = self._insert_node(self.root[u], nd)
         self._live_deg[u] += 1
         self._n_arcs += 1
@@ -319,17 +331,22 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         return self._live_deg[u]
 
     def neighbors(self, u: int) -> np.ndarray:
-        self.check_vertex(u)
-        keys: list[int] = []
-        tss: list[int] = []
-        self._inorder(self.root[u], keys, tss)
-        return np.asarray(keys, dtype=np.int64)
+        return self.neighbors_with_ts(u)[0]
 
     def neighbors_with_ts(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         self.check_vertex(u)
         keys: list[int] = []
         tss: list[int] = []
-        self._inorder(self.root[u], keys, tss)
+        stack: list[int] = []
+        t = self.root[u]
+        while stack or t != _NIL:
+            while t != _NIL:
+                stack.append(t)
+                t = self._left[t]
+            t = stack.pop()
+            keys.append(self._key[t])
+            tss.append(self._ts[t])
+            t = self._right[t]
         return np.asarray(keys, dtype=np.int64), np.asarray(tss, dtype=np.int64)
 
     def _targets_unordered(self, u: int) -> np.ndarray:
@@ -384,33 +401,33 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
     # bulk paths
     # ------------------------------------------------------------------ #
 
-    def _apply_run(self, ops, us, vs, tss) -> int:
+    def _apply_run(self, ops, us, vs, tss, prios) -> int:
         """Apply one run of arcs in arrival order; returns the failed deletes.
 
         The one batch loop over treap nodes: plain lists in (``ops`` holds
-        +1 / -1 codes, None meaning all inserts; ids already range-checked),
-        pool buffers, roots, free list and priority block bound to locals,
-        :meth:`_new_node` / :meth:`_insert_node` / :meth:`_split` inlined for
-        an insert and :meth:`_delete_key` / :meth:`_merge` for a delete,
-        counters kept in local ints and written back once.  Each descent
-        carries the same hole as the per-op methods, starting at
-        ``root[u]`` itself.  It draws priorities and reuses free nodes in
-        the order the per-op replay would, so pool bytes, roots, free list,
-        unconsumed priorities and every counter come out bit-identical.  The
-        shapes alone would survive a regrouping, the counters not (see
-        ``docs/PERFORMANCE.md``): ``apply_arcs`` feeds the figures, so it
-        keeps arrival order.
+        +1 / -1 codes, None meaning all inserts; ids already range-checked;
+        ``prios`` yields the inserts' priorities in turn, from
+        :meth:`_prios`: an iterator shared by several calls carries on
+        where the last one stopped), pool buffers, roots and free list bound
+        to locals, :meth:`_new_node` / :meth:`_insert_node` inlined for an
+        insert and :meth:`_delete_key` for a delete, counters kept in local
+        ints and written back once.  Each descent carries the same hole as
+        the per-op methods, starting at ``root[u]`` itself.  It reuses free
+        nodes in the order the per-op replay would, so pool bytes, roots,
+        free list and every counter come out bit-identical.  An owner-stable
+        regrouping of the run would keep the shapes, the export and the
+        counters, not the node ids; ``apply_arcs`` feeds the figures in
+        arrival order.
         """
         key, prio, left, right, stamp = self._key, self._prio, self._left, self._right, self._ts
-        root, deg, free, block = self.root, self._live_deg, self._free, self._prio_block
+        root, deg, free = self.root, self._live_deg, self._free
+        prios = iter(prios)
         visited = rotations = inserts = deletes = misses = 0
         for o, u, v, lbl in zip(repeat(1) if ops is None else ops, us, vs, tss):
             t = root[u]
             col, at = root, u
             if o == 1:
-                if not block:
-                    block = self._refill_prios()
-                p = block.pop()
+                p = next(prios)
                 if free:
                     nd = free.pop()
                     key[nd] = v
@@ -482,26 +499,22 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         self._n_arcs += inserts - deletes
         return misses
 
-    def _build_run(self, us: np.ndarray, vs: np.ndarray, tss: np.ndarray) -> bool:
+    def _build_run(self, us: np.ndarray, vs: np.ndarray, tss: np.ndarray) -> None:
         """Insert an all-insert run (int64 arrays in creation order, ids
         range-checked), building every treap empty at its start in one
-        piece; False, with nothing built, on a priority tie.
+        piece.
 
         Node ``i`` gets the id and priority the fused run would give it: ids
-        popped off the free list, then appended; priorities popped off the
-        block, refills included.  A treap is the one Cartesian tree of its
-        nodes in (key ascending, equal keys in arrival order) order, so the
-        nodes of the empty treaps are sorted that way and each hangs under
-        the lower of its nearest higher-priority neighbours within its
-        owner's run (:func:`_nearest_higher`).  Pool bytes, roots, free list and
-        priority block come out as the per-op replay leaves them; the build
+        popped off the free list, then appended; priorities from its owner's
+        sequence numbers (:meth:`_prios`).  A treap is the one Cartesian
+        tree of its nodes in (key ascending, equal keys in arrival order)
+        order, so the nodes of the empty treaps are sorted that way and each
+        hangs under the lower of its nearest higher-priority neighbours
+        within its owner's run (:func:`_cartesian`).  Pool bytes, roots and
+        free list come out as the per-op replay leaves them; the build
         counts one node visit per node and no rotation.  Nodes of treaps
         that already hold keys take :meth:`_apply_run`, fed their
-        pre-assigned ids and priorities through its own free list and block.
-        Two nodes of one built treap that share a priority would make its
-        shape depend on arrival order: then the drawn priorities are left in
-        the block in pop order and the caller replays the run through the
-        fused loop instead.
+        pre-assigned ids through its own free list.
         """
         k = int(us.size)
         free = self._free
@@ -517,20 +530,9 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
             for buf in pool:
                 buf.frombytes(pad)
             del pad
-        block = self._prio_block
-        fresh = [self._draw_prios() for _ in range(-((len(block) - k) // _PRIO_BLOCK))]
-        # One array whose pops from the end give the fused run's sequence.
-        supply = np.concatenate(fresh[::-1] + [np.array(block, dtype=np.int64)])
-        del fresh
-        rest = supply.size - k
-        prios = supply[rest:][::-1]
+        prios = self._prios(us)
         built = np.frombuffer(self.root, dtype=np.int64)[us] == _NIL
-        shape = _cartesian(us, vs, prios, built, self.n)
-        if shape is None:
-            for buf in pool:
-                del buf[base:]
-            self._prio_block = supply.tolist()
-            return False
+        order, *shape = _cartesian(us, vs, prios, built, self.n)
         ids = np.concatenate((
             np.array(free[len(free) - reused :][::-1], dtype=np.int64),
             np.arange(base, base + k - reused, dtype=np.int64),
@@ -543,10 +545,7 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         key, pri, left, right, stamp = (np.frombuffer(buf, dtype=np.int64) for buf in pool)
         key[ids], pri[ids], stamp[ids] = vs, prios, tss
         left[ids] = right[ids] = _NIL
-        del key, pri, left, right, stamp
-        block = supply[:rest].tolist()
-        del prios, supply
-        order, *shape = shape
+        del key, pri, left, right, stamp, prios
         node = ids[order]
         del ids, order
         self._link(node, *shape)
@@ -554,11 +553,12 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         for at in range(0, fused.size, _RUN_SLICE):
             part = slice(at, at + _RUN_SLICE)
             self._free = fused_ids[part][::-1].tolist()
-            self._prio_block = fused_prios[part][::-1].tolist()
             run = fused[part]
-            self._apply_run(None, us[run].tolist(), vs[run].tolist(), tss[run].tolist())
-        self._free, self._prio_block = free, block
-        return True
+            self._apply_run(
+                None, us[run].tolist(), vs[run].tolist(), tss[run].tolist(),
+                fused_prios[part].tolist(),
+            )
+        self._free = free
 
     def _link(self, node, up, as_right, owners, counts) -> None:
         """Hang the built nodes (in :func:`_cartesian` order): each is the
@@ -576,8 +576,8 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         self._n_arcs += int(node.size)
 
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Batch ingest: one validation, then :meth:`_build_run` (the fused
-        run on a priority tie), logged for the next export's patch.
+        """Batch ingest: one validation, then :meth:`_build_run`, logged
+        for the next export's patch.
 
         Construction is the one path that regroups arcs: a treap empty when
         the batch starts is built whole from its sorted keys, so its shape,
@@ -587,13 +587,10 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         Small batches keep the per-op :meth:`insert` loop.
         """
         src, dst, t = self._checked_batch(src, dst, ts)
-        self._logged(None, src, dst, t, lambda: self._insert_checked(src, dst, t))
-
-    def _insert_checked(self, src, dst, t) -> None:
-        if not bulkops.enabled(self, src.size):
-            self.bulk_insert_scalar(src, dst, t)
-        elif not self._build_run(src, dst, t):
-            self._apply_run(None, src.tolist(), dst.tolist(), t.tolist())
+        self._logged(None, src, dst, t, lambda: (
+            self._build_run(src, dst, t) if bulkops.enabled(self, src.size)
+            else self.bulk_insert_scalar(src, dst, t)
+        ))
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
         """Mixed stream in arrival order through the fused run (small
@@ -602,7 +599,8 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         op = check_op_codes(op)
         src, dst, t = self._checked_batch(src, dst, ts, op)
         return self._logged(op, src, dst, t, lambda: (
-            self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist())
+            self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist(),
+                            self._prios(src[op == 1]).tolist())
             if bulkops.enabled(self, op.size)
             else self.apply_arcs_scalar(op, src, dst, t)
         ))
@@ -667,134 +665,20 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         return CSRGraph(self.n, offsets, targets, ts, meta={"source": self.kind})
 
     # ------------------------------------------------------------------ #
-    # set operations (paper: union / intersection / difference on treaps)
+    # set queries (read-only: sorted, unique keys of the in-order runs)
     # ------------------------------------------------------------------ #
-
-    def _copy_subtree(self, t: int) -> int:
-        """Pre-order copy of subtree ``t``; a stack, not recursion, so no
-        treap shape can reach the recursion limit."""
-        out = array("q", (_NIL,))
-        stack = [(t, out, 0)]
-        while stack:
-            t, col, at = stack.pop()
-            if t == _NIL:
-                continue
-            nd = col[at] = self._new_node(self._key[t], self._ts[t])
-            self._prio[nd] = self._prio[t]
-            self.stats.nodes_visited += 1
-            stack.append((self._right[t], self._right, nd))
-            stack.append((self._left[t], self._left, nd))
-        return out[0]
-
-    def _union(self, a: int, b: int) -> int:
-        """Destructive set union of two subtrees (duplicates collapse)."""
-        if a == _NIL:
-            return b
-        if b == _NIL:
-            return a
-        self.stats.rotations += 1
-        if self._prio[a] < self._prio[b]:
-            a, b = b, a
-        l, r = self._split(b, self._key[a])
-        # Drop one copy of a duplicated key from the right part.
-        r, dup = self._delete_key(r, self._key[a])
-        if dup:
-            pass  # node already free-listed by _delete_key
-        self._left[a] = self._union(self._left[a], l)
-        self._right[a] = self._union(self._right[a], r)
-        return a
-
-    def _intersect(self, a: int, b: int) -> int:
-        """Destructive set intersection; nodes not in the result are freed."""
-        if a == _NIL or b == _NIL:
-            self._free_subtree(a)
-            self._free_subtree(b)
-            return _NIL
-        self.stats.rotations += 1
-        l, r = self._split(b, self._key[a])
-        r, dup = self._delete_key(r, self._key[a])
-        li = self._intersect(self._left[a], l)
-        ri = self._intersect(self._right[a], r)
-        if dup:
-            self._left[a] = li
-            self._right[a] = ri
-            return a
-        self._free.append(a)
-        return self._merge(li, ri)
-
-    def _difference(self, a: int, b: int) -> int:
-        """Destructive set difference a - b; consumed b-nodes are freed."""
-        if a == _NIL:
-            self._free_subtree(b)
-            return _NIL
-        if b == _NIL:
-            return a
-        self.stats.rotations += 1
-        l, r = self._split(b, self._key[a])
-        r, dup = self._delete_key(r, self._key[a])
-        ld = self._difference(self._left[a], l)
-        rd = self._difference(self._right[a], r)
-        if dup:
-            self._free.append(a)
-            return self._merge(ld, rd)
-        self._left[a] = ld
-        self._right[a] = rd
-        return a
-
-    def _free_subtree(self, t: int) -> None:
-        """Free-list subtree ``t`` in post-order (node, right, left walked
-        off a stack, then reversed — same reason as :meth:`_copy_subtree`)."""
-        order = []
-        stack = [t]
-        while stack:
-            t = stack.pop()
-            if t != _NIL:
-                order.append(t)
-                stack.append(self._left[t])
-                stack.append(self._right[t])
-        self._free.extend(reversed(order))
-
-    def _set_op_arrays(self, u: int, w: int, op: str) -> np.ndarray:
-        self.check_vertex(u)
-        self.check_vertex(w)
-        a = self._copy_subtree(self.root[u])
-        b = self._copy_subtree(self.root[w])
-        # Collapse duplicate keys within each copy first (multiset -> set).
-        a = self._dedup(a)
-        b = self._dedup(b)
-        fn = {"union": self._union, "intersect": self._intersect, "difference": self._difference}[op]
-        res = fn(a, b)
-        keys: list[int] = []
-        tss: list[int] = []
-        self._inorder(res, keys, tss)
-        self._free_subtree(res)
-        return np.asarray(sorted(set(keys)), dtype=np.int64)
-
-    def _dedup(self, t: int) -> int:
-        keys: list[int] = []
-        tss: list[int] = []
-        self._inorder(t, keys, tss)
-        self._free_subtree(t)
-        out = _NIL
-        prev: int | None = None
-        for k_, ts_ in zip(keys, tss):
-            if k_ != prev:
-                nd = self._new_node(k_, ts_)
-                out = self._insert_node(out, nd)
-                prev = k_
-        return out
 
     def union_neighbors(self, u: int, w: int) -> np.ndarray:
         """Sorted union of the two vertices' neighbour *sets*."""
-        return self._set_op_arrays(u, w, "union")
+        return np.union1d(self.neighbors(u), self.neighbors(w))
 
     def intersect_neighbors(self, u: int, w: int) -> np.ndarray:
         """Sorted intersection of the two vertices' neighbour sets."""
-        return self._set_op_arrays(u, w, "intersect")
+        return np.intersect1d(self.neighbors(u), self.neighbors(w))
 
     def difference_neighbors(self, u: int, w: int) -> np.ndarray:
         """Sorted set difference N(u) - N(w)."""
-        return self._set_op_arrays(u, w, "difference")
+        return np.setdiff1d(self.neighbors(u), self.neighbors(w))
 
     # ------------------------------------------------------------------ #
 

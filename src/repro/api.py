@@ -30,7 +30,7 @@ from repro.core.components import ComponentsResult, connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.induced import InducedResult, induced_subgraph
 from repro.core.stconn import STConnResult, st_connectivity
-from repro.core.update_engine import UpdateResult, apply_stream
+from repro.core.update_engine import UpdateResult, apply_stream, symmetric_arcs
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.generators.streams import UpdateStream
@@ -106,13 +106,7 @@ class DynamicGraph:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         t = None if ts is None else np.asarray(ts, dtype=np.int64)
-        if directed:
-            g.rep.bulk_insert(src, dst, t)
-        else:
-            both_src = np.concatenate([src, dst])
-            both_dst = np.concatenate([dst, src])
-            both_t = None if t is None else np.concatenate([t, t])
-            g.rep.bulk_insert(both_src, both_dst, both_t)
+        g.rep.bulk_insert(*((src, dst, t) if directed else symmetric_arcs(src, dst, t)))
         return g
 
     @classmethod
@@ -165,14 +159,7 @@ class DynamicGraph:
                 src = np.asarray(chunk.src, dtype=np.int64)
                 dst = np.asarray(chunk.dst, dtype=np.int64)
                 t = chunk.ts if chunk.ts is None else np.asarray(chunk.ts, np.int64)
-                if directed:
-                    g.rep.bulk_insert(src, dst, t)
-                else:
-                    g.rep.bulk_insert(
-                        np.concatenate([src, dst]),
-                        np.concatenate([dst, src]),
-                        None if t is None else np.concatenate([t, t]),
-                    )
+                g.rep.bulk_insert(*((src, dst, t) if directed else symmetric_arcs(src, dst, t)))
                 n_chunks += 1
                 n_edges += len(src)
                 METRICS.inc("api.chunks_applied")
@@ -186,13 +173,13 @@ class DynamicGraph:
     def insert_edge(self, u: int, v: int, ts: int = 0) -> None:
         """Insert edge (u, v) with time label ``ts``."""
         self.rep.insert(u, v, ts)
-        if not self.directed and u != v:
+        if not self.directed:
             self.rep.insert(v, u, ts)
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete one occurrence of edge (u, v); False if absent."""
         found = self.rep.delete(u, v)
-        if found and not self.directed and u != v:
+        if found and not self.directed:
             self.rep.delete(v, u)
         return found
 
@@ -226,9 +213,9 @@ class DynamicGraph:
     def n_edges(self) -> int:
         """Edge count (arc count halved for undirected graphs).
 
-        Self-loops in undirected graphs are stored once, so the halving is
-        exact only for loop-free streams (the paper's generators may emit
-        self-loops; they count as single arcs here).
+        Every update path stores an undirected edge as two arcs, a self-loop
+        included (it adds 2 to its vertex's degree), so the halving is
+        exact.
         """
         arcs = self.rep.n_arcs
         return arcs // 2 if not self.directed else arcs

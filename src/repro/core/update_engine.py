@@ -24,8 +24,9 @@ from repro.generators.streams import UpdateStream, insertion_stream
 from repro.machine.profile import WorkProfile
 from repro.obs import METRICS, manifest_meta, span
 from repro.util.timing import Timer
+from repro.util.validation import check_same_length
 
-__all__ = ["UpdateResult", "apply_stream", "construct"]
+__all__ = ["UpdateResult", "apply_stream", "construct", "symmetric_arcs"]
 
 
 @dataclass(frozen=True)
@@ -42,24 +43,27 @@ class UpdateResult:
     meta: dict = field(default_factory=dict)
 
 
+def symmetric_arcs(src, dst, ts=None):
+    """``(src, dst, ts)`` of both arcs of every edge, each edge's two arcs
+    adjacent (``u → v``, then ``v → u``), ``ts`` repeated per arc (None
+    stays None).  Copies of one edge then arrive in one order at both
+    endpoints, so an oldest-copy delete drops the same copy from each and a
+    snapshot stays its own transpose.  A self-loop is two arcs, like any
+    edge."""
+    check_same_length([("src", src), ("dst", dst)])
+    both_src = np.empty(2 * len(src), dtype=np.int64)
+    both_dst = np.empty_like(both_src)
+    both_src[0::2] = both_dst[1::2] = src
+    both_src[1::2] = both_dst[0::2] = dst
+    return both_src, both_dst, None if ts is None else np.repeat(np.asarray(ts, np.int64), 2)
+
+
 def _arc_stream(stream: UpdateStream, undirected: bool):
-    """Expand an edge stream into arc arrays (interleaved for undirected)."""
+    """Expand an edge stream into arc arrays (:func:`symmetric_arcs` for
+    undirected)."""
     if not undirected:
         return stream.op, stream.src, stream.dst, stream.ts
-    k = len(stream)
-    op = np.empty(2 * k, dtype=np.int8)
-    src = np.empty(2 * k, dtype=np.int64)
-    dst = np.empty(2 * k, dtype=np.int64)
-    ts = np.empty(2 * k, dtype=np.int64)
-    op[0::2] = stream.op
-    op[1::2] = stream.op
-    src[0::2] = stream.src
-    src[1::2] = stream.dst
-    dst[0::2] = stream.dst
-    dst[1::2] = stream.src
-    ts[0::2] = stream.ts
-    ts[1::2] = stream.ts
-    return op, src, dst, ts
+    return (np.repeat(stream.op, 2), *symmetric_arcs(stream.src, stream.dst, stream.ts))
 
 
 def apply_stream(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.adjacency import bulkops
 from repro.adjacency.registry import make_representation
 from repro.api import DynamicGraph
-from repro.core.update_engine import _arc_stream
+from repro.adjacency.registry import REPRESENTATIONS
 from repro.generators.streams import UpdateStream
 
 #: ``(op, u, v, ts)``: five self-loop copies on 0, an edge {0, 2} stamped 1,
@@ -55,12 +55,11 @@ def assert_own_transpose(csr):
 def test_reproducer_deletes_the_same_copy_both_ways(kind, path):
     for seed in range(40):
         if path == "build":
-            # Both arcs of each edge in turn, as ``apply`` writes them, but
-            # through ``bulk_insert``: every treap is built whole.
-            rep = make_representation(kind, 8, seed=seed, **KINDS[kind])
-            _, src, dst, ts = _arc_stream(stream(REPRODUCER[:-1] + PADDING), True)
-            rep.bulk_insert(src, dst, ts)
-            g = DynamicGraph(8, rep)
+            # ``from_edges`` writes both arcs of each edge in turn, as
+            # ``apply`` does, through ``bulk_insert``: every treap is built
+            # whole.
+            _, u, v, ts = zip(*REPRODUCER[:-1] + PADDING)
+            g = DynamicGraph.from_edges(8, u, v, ts, representation=kind, seed=seed, **KINDS[kind])
             g.apply(stream(REPRODUCER[-1:]))
         else:
             g = DynamicGraph(8, kind, seed=seed, **KINDS[kind])
@@ -75,6 +74,23 @@ def test_paths_reach_the_bulk_kernels():
     assert 2 * len(REPRODUCER) < bulkops.MIN_BULK_SIZE
     assert 2 * len(REPRODUCER + PADDING) >= bulkops.MIN_BULK_SIZE
     assert 2 * len(REPRODUCER[:-1] + PADDING) >= bulkops.MIN_BULK_SIZE
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["per-op", "bulk"])
+@pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+def test_one_edge_written_both_ways_through_from_edges(kind, padded):
+    """Two copies of one edge in opposite orientations with different
+    stamps, ``(0, 2, ts=1)`` then ``(2, 0, ts=0)``, built through
+    ``from_edges``: both endpoints hold them in one arrival order, so one
+    delete leaves a snapshot that is its own transpose, stamps included."""
+    edges = [(0, 2, 1), (2, 0, 0)] + [(5, 6, 7)] * (bulkops.MIN_BULK_SIZE if padded else 0)
+    u, v, ts = zip(*edges)
+    kw = {"degrees": np.full(8, 2 * len(edges))} if kind == "dynarr-nr" else {}
+    g = DynamicGraph.from_edges(8, u, v, ts, representation=kind, **kw)
+    assert g.delete_edge(0, 2)
+    csr = g.snapshot()
+    assert_own_transpose(csr)
+    assert [t for a, b, t in arcs(csr) if (a, b) == (0, 2)] == [0]
 
 
 #: Stamped multigraph streams: three vertices, so most arcs are parallel

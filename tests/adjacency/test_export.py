@@ -22,6 +22,7 @@ import pytest
 from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.registry import make_representation
+from repro.adjacency import treap
 from repro.adjacency.treap import TreapAdjacency
 from repro.generators.rmat import rmat_graph
 from repro.obs import METRICS
@@ -213,15 +214,16 @@ def test_export_chain_equals_reference_walk(kind, chain, ties, monkeypatch):
     """export -> batch -> export ...: every export equals the reference walk;
     on the patched kinds each one after the first is a patch, except the
     one after a per-op mutation; the patch's self-check never fires.
-    ``tied-prios`` draws one priority for every node, so each build of a
-    treap with two nodes or more falls back to the fused run."""
+    ``tied-prios`` drops the vertex from the priority hash, so the k-th
+    node of every treap shares one priority: ties across treaps, which the
+    build's per-owner segments keep apart."""
     builds = []
     build_run = TreapAdjacency._build_run
     monkeypatch.setattr(
-        TreapAdjacency, "_build_run", lambda t, *a: builds.append(build_run(t, *a)) or builds[-1]
+        TreapAdjacency, "_build_run", lambda t, *a: builds.append(a[0].size) or build_run(t, *a)
     )
     if ties:
-        monkeypatch.setattr(TreapAdjacency, "_draw_prios", lambda t: np.zeros(4096, np.int64))
+        monkeypatch.setattr(treap, "_U_MIX", 0)
     rng = np.random.default_rng(11)
     n, steps = CHAINS[chain](rng)
     rep = build(kind, n)
@@ -258,7 +260,7 @@ def test_export_chain_equals_reference_walk(kind, chain, ties, monkeypatch):
     if chain == "crossing" and kind.startswith("hybrid"):
         assert rep.stats.migrations > 0
     if chain == "build" and kind in PATCHED:
-        assert len(builds) == 2 and (False in builds) == ties
+        assert len(builds) == 2
 
 
 def test_log_longer_than_the_export_walks():

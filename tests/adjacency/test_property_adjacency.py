@@ -93,7 +93,7 @@ class TestTreapModel:
             if node == _NIL:
                 return
             assert lo <= t._key[node] <= hi
-            assert t._prio[node] <= max_prio
+            assert t._prio[node] < max_prio  # hashed priorities never tie
             rec(t._left[node], lo, t._key[node], t._prio[node])
             rec(t._right[node], t._key[node], hi, t._prio[node])
 

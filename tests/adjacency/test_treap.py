@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency import bulkops
-from repro.adjacency.treap import _NIL, _PRIO_BLOCK, TreapAdjacency
+from repro.adjacency.hybrid import HybridAdjacency
+from repro.adjacency.treap import _NIL, TreapAdjacency, _priorities, _priority
 from repro.errors import GraphError
 
 
 def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
-    """Validate vertex u's treap: keys ascending in-order (BST), no child
-    above its parent's priority (heap), and equal keys in arrival order, the
+    """Validate vertex u's treap: keys ascending in-order (BST), every child
+    below its parent's priority (strict heap: hashed priorities never tie
+    within a treap), and equal keys in arrival order, the
     form the per-op loop, the fused run and the bulk build share (callers
     stamp arcs in non-decreasing arrival order, so equal keys' stamps never
     fall).  Returns its size."""
@@ -30,7 +32,7 @@ def check_treap_invariants(t: TreapAdjacency, u: int) -> int:
         nd = t._right[nd]
     for nd in order:
         for child in (t._left[nd], t._right[nd]):
-            assert child == _NIL or t._prio[child] <= t._prio[nd], "heap order violated"
+            assert child == _NIL or t._prio[child] < t._prio[nd], "heap order violated"
     for a, b in zip(order, order[1:]):
         assert t._key[a] <= t._key[b], "BST order violated"
         if t._key[a] == t._key[b]:
@@ -88,7 +90,7 @@ def treap_state(t: TreapAdjacency) -> dict:
         "root": t.root.tobytes(),
         "live_deg": t._live_deg.tobytes(),
         "free": list(t._free),
-        "prio_block": list(t._prio_block),
+        "seq": t._seq.tobytes(),
         "stats": asdict(t.stats),
         "n_arcs": t.n_arcs,
         "memory_bytes": t.memory_bytes(),
@@ -108,16 +110,6 @@ build_batches = st.lists(
     ),
     max_size=4,
 )
-
-
-def tied_prios(monkeypatch):
-    """Every refill's first two pops share a priority; the rest are distinct."""
-    def draw(self):
-        block = np.arange(_PRIO_BLOCK, dtype=np.int64) * 2
-        block[-2] = block[-1]
-        return block
-
-    monkeypatch.setattr(TreapAdjacency, "_draw_prios", draw)
 
 
 #: Batches of (is_insert, u, v) over three sources and four keys: duplicate
@@ -156,7 +148,7 @@ def without_work(state):
 _STAMPS = itertools.count()
 
 
-def drive_pair(bulk, twin, batches, state, *, builds=True):
+def drive_pair(bulk, twin, batches, state):
     """``bulk`` takes each batch through ``bulk_insert`` / ``apply_arcs``,
     ``twin`` through per-op ``insert`` / ``delete``; ``state`` must agree
     after every batch, and every treap touched must keep its invariants
@@ -164,7 +156,7 @@ def drive_pair(bulk, twin, batches, state, *, builds=True):
     (:data:`_STAMPS`), so they witness arrival order across calls too.
 
     ``nodes_visited`` / ``rotations`` agree batch by batch, except that on
-    a ``bulk_insert`` batch (with ``builds``) the build's count replaces the
+    a ``bulk_insert`` batch the build's count replaces the
     per-op work on the treaps it builds, those empty when the batch starts:
     one visit per node, charged as :func:`build_work` says, and no rotation.
     """
@@ -173,8 +165,7 @@ def drive_pair(bulk, twin, batches, state, *, builds=True):
         vs = [v for _, _, v in batch]
         tss = [next(_STAMPS) for _ in batch]
         all_inserts = bool(batch) and all(is_insert for is_insert, _, _ in batch)
-        build = builds and all_inserts
-        empty = {u for u in us if treap_of(twin).root[u] == _NIL} if build else set()
+        empty = {u for u in us if treap_of(twin).root[u] == _NIL} if all_inserts else set()
         bulk_before, twin_before = build_work(bulk), build_work(twin)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bulkops, "MIN_BULK_SIZE", 1)  # small batches take the bulk path too
@@ -356,11 +347,15 @@ class TestFusedRun:
         drive_pair(TreapAdjacency(4, seed=9), TreapAdjacency(4, seed=9), batches, treap_state)
 
     def test_run_crosses_the_priority_refill(self):
+        """5 000 inserts, past what one refill of a shared priority stream
+        held: each vertex's sequence number counts the nodes created for
+        it, whatever the other vertices did."""
         rng = np.random.default_rng(5)
         batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(5000, 2))]
         bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
         drive_pair(bulk, twin, [batch], treap_state)
-        assert len(bulk._prio_block) == 2 * 4096 - 5000
+        owners = [u for _, u, _ in batch]
+        assert bulk._seq.tolist() == np.bincount(owners, minlength=64).tolist()
 
     def test_free_list_reuse_inside_one_run(self):
         batch = [(True, 0, 1), (True, 0, 2), (False, 0, 1), (True, 0, 3), (False, 0, 0)]
@@ -441,34 +436,123 @@ class TestBuild:
         assert bulk.neighbors(1).tolist() == [0, 2, 3, 3, 4]
 
     def test_run_crosses_three_refills(self):
+        """A fused fill, then a 9 000-insert build: sequence numbers run on
+        across the two, and deletes never take them back."""
         bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
-        fill = [(True, 0, v % 64) for v in range(_PRIO_BLOCK - 96)]
+        fill = [(True, 0, v % 64) for v in range(4000)] + [(False, 0, 1)] * 3
         drive_pair(bulk, twin, [fill], treap_state)
-        assert len(bulk._prio_block) == 96
+        assert bulk._seq[0] == 4000 and bulk.degree(0) == 3997
         rng = np.random.default_rng(6)
         batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(9000, 2))]
         drive_pair(bulk, twin, [batch], treap_state)
-        assert len(bulk._prio_block) == 4 * _PRIO_BLOCK - (_PRIO_BLOCK - 96) - 9000
+        counts = np.bincount([u for _, u, _ in batch], minlength=64)
+        counts[0] += 4000
+        assert bulk._seq.tolist() == counts.tolist()
 
-    def test_priority_tie_takes_the_fused_run(self, monkeypatch):
-        """The first two nodes of vertex 0's treap share a priority, with no
-        key between them: the whole batch replays through the fused run, so
-        even ``nodes_visited`` equals the per-op count (a build's would be
-        one per node)."""
-        tied_prios(monkeypatch)
-        batch = [(True, 0, 1), (True, 0, 2), (True, 1, 0)] + [(True, 0, v) for v in (5, 0, 3)]
-        bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
-        drive_pair(bulk, twin, [batch], treap_state, builds=False)
-        assert bulk.stats.nodes_visited == twin.stats.nodes_visited > len(batch)
 
-    def test_priority_tie_in_a_partly_filled_treap_still_builds(self, monkeypatch):
-        """The tie falls on vertex 0, which the fused run serves: vertex 1's
-        treap is still built."""
-        tied_prios(monkeypatch)
-        bulk, twin = TreapAdjacency(6, seed=1), TreapAdjacency(6, seed=1)
-        drive_pair(bulk, twin, [[(True, 0, 3)]], treap_state)
-        batch = [(True, 0, 1), (True, 0, 2)] + [(True, 1, v) for v in (5, 0, 3, 1)]
-        drive_pair(bulk, twin, [batch], treap_state)
+def preorder(t: TreapAdjacency, u: int) -> list:
+    """Vertex u's treap in pre-order, ``(key, stamp, priority)`` per node
+    and None per empty child: its shape without node ids."""
+    out, stack = [], [t.root[u]]
+    while stack:
+        nd = stack.pop()
+        if nd == _NIL:
+            out.append(None)
+            continue
+        out.append((t._key[nd], t._ts[nd], t._prio[nd]))
+        stack += (t._right[nd], t._left[nd])
+    return out
+
+
+def owner_stable(owners: list[int], perm: list[int]) -> list[int]:
+    """Arrival positions reordered by the permutation ``perm``, except that
+    each owner's positions stay in arrival order."""
+    slots: dict[int, list[int]] = {}
+    for u, p in zip(owners, perm):
+        slots.setdefault(u, []).append(p)
+    for ps in slots.values():
+        ps.sort(reverse=True)
+    order = [0] * len(owners)
+    for i, u in enumerate(owners):
+        order[slots[u].pop()] = i
+    return order
+
+
+#: A mixed batch over five sources and four keys, a permutation of its
+#: positions and the cut points of its chunks.
+regroup_cases = st.lists(
+    st.tuples(st.sampled_from([1, 1, -1]), st.integers(0, 4), st.integers(0, 3)),
+    min_size=1, max_size=80,
+).flatmap(lambda batch: st.tuples(
+    st.just(batch),
+    st.permutations(range(len(batch))),
+    st.lists(st.integers(1, len(batch)), max_size=4),
+))
+
+
+class TestPriorities:
+    """A node's priority is a hash of its owner and its sequence number."""
+
+    @given(st.integers(0, (1 << 64) - 1),
+           st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40)), max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_numpy_and_inline_forms_agree(self, word, pairs):
+        us = np.array([u for u, _ in pairs], dtype=np.int64)
+        ss = np.array([s for _, s in pairs], dtype=np.int64)
+        got = _priorities(word, us, ss)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_priority(word, u, s) for u, s in pairs]
+
+    def test_splitmix64_finalizer(self):
+        # word 0, vertex 1, node 0: splitmix64's first output from state 0.
+        assert _priority(0, 1, 0) == 0xE220A8397B1DCDAF - (1 << 64)
+
+    def test_per_op_insert_draws_its_vertex_sequence(self):
+        t = TreapAdjacency(4, seed=3)
+        for u, v in [(2, 1), (0, 3), (2, 1), (2, 0)]:
+            t.insert(u, v)
+        assert t.delete(2, 1)
+        t.insert(2, 3)  # reuses the freed node, with sequence number 3
+        assert t._seq.tolist() == [1, 0, 4, 0]
+        prios = sorted(t._prio[nd] for nd in range(t.n_nodes) if nd not in t._free)
+        want = [_priority(t._word, 0, 0)] + [_priority(t._word, 2, s) for s in (1, 2, 3)]
+        assert prios == sorted(want)
+
+    @pytest.mark.parametrize("kind", ["treap", "hybrid"])
+    @given(regroup_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_owner_stable_regrouping_keeps_shapes_exports_and_counters(self, kind, case):
+        """The batch in arrival order as one ``apply_arcs`` against an
+        owner-stable regrouping of it in chunks (the hybrid at
+        ``degree_thresh=2``, so vertices migrate mid-batch): every treap's
+        pre-order, the export and ``nodes_visited`` / ``rotations`` agree.
+        Node ids need not."""
+        batch, perm, cuts = case
+        order = owner_stable([u for _, u, _ in batch], perm)
+
+        def make():
+            if kind == "hybrid":
+                return HybridAdjacency(5, degree_thresh=2, seed=9)
+            return TreapAdjacency(5, seed=9)
+
+        def work(rep):
+            s = rep.combined_stats() if kind == "hybrid" else rep.stats
+            return s.nodes_visited, s.rotations, s.delete_misses
+
+        whole, regrouped = make(), make()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
+            whole.apply_arcs(*(list(col) for col in zip(*batch)), range(len(batch)))
+            lo = 0
+            for hi in sorted(set(cuts) | {len(batch)}):
+                part = [batch[i] for i in order[lo:hi]]
+                regrouped.apply_arcs(*(list(col) for col in zip(*part)), order[lo:hi])
+                lo = hi
+        for u in range(5):
+            assert preorder(treap_of(whole), u) == preorder(treap_of(regrouped), u)
+        for a, b in zip(whole.to_arrays(), regrouped.to_arrays()):
+            assert a.tolist() == b.tolist()
+        assert work(whole) == work(regrouped)
 
 
 class TestSetOperations:
@@ -521,16 +605,33 @@ class TestSetOperations:
         assert t.difference_neighbors(0, 1).tolist() == sorted(a - b)
 
     def test_key_held_more_often_than_the_recursion_limit(self):
-        """The operands are multisets: 1 500 parallel arcs, which the copy,
-        the dedup and the free must walk without recursion."""
+        """The operands are multisets: 1 500 parallel arcs collapse to one
+        key without any walk deeper than the treap."""
         t = TreapAdjacency(4, seed=7)
         t.bulk_insert([0] * 1500 + [0, 2, 2], [1] * 1500 + [3, 1, 2])
-        visited = t.stats.nodes_visited
         assert t.union_neighbors(0, 2).tolist() == [1, 2, 3]
         assert t.intersect_neighbors(0, 2).tolist() == [1]
         assert t.difference_neighbors(0, 2).tolist() == [3]
-        assert t.stats.nodes_visited > visited + 3 * 1503  # every copied node counted
         assert t.degree(0) == 1501 and t.neighbors(2).tolist() == [1, 2]
+
+    def test_queries_leave_the_structure_untouched(self, t):
+        """Pool, free list, counters, ``memory_bytes()`` and sequence
+        numbers: a query changes none of them, nor the shape of a treap
+        built afterwards."""
+        twin = TreapAdjacency(16, seed=4)
+        for u, vs in ((0, [1, 3, 5, 7]), (1, [3, 4, 5, 9])):
+            for v in vs:
+                twin.insert(u, v)
+        before = treap_state(t)
+        for u, w in itertools.product(range(3), repeat=2):
+            t.union_neighbors(u, w)
+            t.intersect_neighbors(u, w)
+            t.difference_neighbors(u, w)
+        assert treap_state(t) == before
+        for rep in (t, twin):
+            for v in [8, 2, 6, 4, 0]:
+                rep.insert(2, v)
+        assert treap_state(t) == treap_state(twin)
 
 
 class TestAccounting:

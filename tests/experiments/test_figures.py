@@ -7,7 +7,6 @@ Dyn-arr for deletions"; a failure here means the reproduction regressed.
 
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -49,28 +48,10 @@ def test_figures_deterministic():
     assert figure_to_dict(a) == figure_to_dict(b)
 
 
-def _assert_close(got, want, path="report"):
-    """Equal, floats to a relative 1e-9 (ints, strings and bools exact)."""
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), path
-        for key in want:
-            _assert_close(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9), (
-            f"{path}: {got!r} != {want!r}"
-        )
-    else:
-        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
-
-
 def test_figures_match_golden():
     """Every figure and ablation equals the committed report
     (``tools/regen_figures_golden.py`` rewrites it)."""
-    _assert_close(regen.report(), json.loads(regen.GOLDEN.read_text()))
+    assert regen.diffs(regen.report(), json.loads(regen.GOLDEN.read_text())) == []
 
 
 def test_fig05_gap_magnitude():
@@ -87,3 +68,25 @@ def test_fig02_headline_scaling():
     da = result.get("Dyn-arr")
     assert 18.0 <= da.speedup_at(64) <= 40.0
     assert 10.0 <= da.mups_at(64) <= 80.0
+
+
+def test_regen_names_what_moved():
+    """The rewrite's summary: one line per moved result, with its moved
+    fields, then the count of unchanged ones; floats to a relative 1e-9."""
+    old = {"n_failed": 0, "results": [
+        {"figure": "Figure 1", "rows": [1.0, 2], "notes": "a"},
+        {"figure": "Figure 2", "rows": [3.0]},
+        {"figure": "Ablation A1", "rows": []},
+    ]}
+    new = {"n_failed": 0, "results": [
+        {"figure": "Figure 1", "rows": [1.0 + 1e-12, 3], "notes": "b"},
+        {"figure": "Figure 2", "rows": [3.0]},
+        {"figure": "Ablation A2", "rows": []},
+    ]}
+    assert regen.diffs(new["results"][0], old["results"][0]) == [".rows[1]", ".notes"]
+    assert regen.changes(new, old) == [
+        "changed Figure 1: 2 values in notes, rows",
+        "added Ablation A2",
+        "removed Ablation A1",
+        "unchanged: 1 of 3",
+    ]

@@ -32,6 +32,19 @@ class TestConstruction:
         assert g.has_edge(0, 1)
         assert not g.has_edge(1, 0)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_ragged_edges_are_rejected(self, directed):
+        # One dst would broadcast into every reverse arc if not checked.
+        for dst in ([1], [1, 2, 3]):
+            with pytest.raises(GraphError):
+                DynamicGraph.from_edges(4, [0, 1], dst, representation="dynarr", directed=directed)
+
+    def test_edges_interleave_their_two_arcs(self):
+        """Each edge's two arcs arrive together, so dyn-arr rows keep the
+        edges' order at both endpoints."""
+        g = DynamicGraph.from_edges(4, [0, 2, 0], [1, 0, 3], [5, 6, 7], representation="dynarr")
+        assert g.rep.neighbors_with_ts(0)[1].tolist() == [5, 6, 7]
+
     def test_ready_made_representation(self):
         rep = DynArrAdjacency(5)
         g = DynamicGraph(5, rep)
@@ -57,10 +70,17 @@ class TestUpdates:
         assert g.n_edges == 0
         assert not g.delete_edge(0, 1)
 
-    def test_self_loop_stored_once(self):
+    def test_self_loop_stored_as_two_arcs(self):
+        """A self-loop is an edge like any other, two arcs on every path:
+        its vertex's degree is 2 and ``n_edges`` halves exactly."""
+        built = DynamicGraph.from_edges(3, [1], [1], representation="dynarr")
         g = DynamicGraph(3)
         g.insert_edge(1, 1)
-        assert g.degree(1) == 1
+        for h in (built, g):
+            assert h.degree(1) == 2 and h.n_edges == 1
+            assert h.delete_edge(1, 1)
+            assert h.degree(1) == 0 and h.n_edges == 0
+            assert not h.delete_edge(1, 1)
 
     def test_apply_stream(self, graph):
         g = DynamicGraph.from_edgelist(graph, representation="dynarr")
