@@ -162,7 +162,7 @@ class TestBuild:
         bulk, twin = hybrid_pair(40, degree_thresh)
         drive_pair(bulk, twin, [batch], hybrid_state)
         assert bulk.stats.migrations == 40 and bulk.stats.rotations == 0
-        assert bulk.treap.n_nodes > 4096  # more than a shared stream's one refill
+        assert bulk.treap.n_nodes > 4096
 
     @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
     def test_free_listed_nodes_and_partly_filled_treaps(self, degree_thresh):

@@ -347,9 +347,8 @@ class TestFusedRun:
         drive_pair(TreapAdjacency(4, seed=9), TreapAdjacency(4, seed=9), batches, treap_state)
 
     def test_run_crosses_the_priority_refill(self):
-        """5 000 inserts, past what one refill of a shared priority stream
-        held: each vertex's sequence number counts the nodes created for
-        it, whatever the other vertices did."""
+        """5 000 inserts over 64 vertices: each vertex's sequence number
+        counts the nodes created for it, whatever the other vertices did."""
         rng = np.random.default_rng(5)
         batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(5000, 2))]
         bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
