@@ -14,9 +14,9 @@ Commands:
   span tree (host time, simulated time, top counters) and export the
   manifest-stamped JSONL trace (see docs/OBSERVABILITY.md).  Takes
   ``--backend process --workers N`` to execute the analysis kernels on the
-  shared-memory worker pool (docs/PARALLEL.md); the ``fig08``/``fig10``
-  workloads then also time serial vs process, verify bit-identity (exit
-  non-zero on a mismatch) and print the measured comparison; the
+  shared-memory worker pool (docs/PARALLEL.md); the ``fig10`` workload
+  then also times serial vs process BFS, verifies bit-identity (exit
+  non-zero on a mismatch) and prints the measured comparison; the
   ``genscale`` workload does the same for communication-free parallel
   R-MAT generation plus chunked-stream construction (docs/GENERATORS.md);
   the ``connectit`` workload runs the default composition and the
@@ -24,8 +24,8 @@ Commands:
   labels are bit-identical.
   Nothing but ``--out`` and the requested exports is written: host timings
   are recorded by ``bench/`` alone (``bench/README.md``).
-  ``--chrome``/``--speedscope``/``--folded`` additionally export the trace
-  for ``chrome://tracing``, speedscope and flamegraph tools; ``--quiet``
+  ``--chrome`` additionally exports the trace as Chrome trace-event JSON
+  (``chrome://tracing``, Perfetto, speedscope.app); ``--quiet``
   and ``--no-manifest`` trim the output/provenance for scripted runs;
 * ``serve`` — the streaming connectivity service (docs/SERVICE.md): boot
   an HTTP query front end over epoch-rotated CSR snapshots while a writer
@@ -184,9 +184,7 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
         sim.sweep(res.profile, n_items=res.n_updates)
     if args.workload in ("quickstart", "connectivity"):
         index = g.spanning_forest()
-        queries = index.random_query_batch(
-            args.queries, seed=args.seed, backend=backend
-        )
+        queries = index.random_query_batch(args.queries, seed=args.seed)
         sim.sweep(queries.profile, n_items=queries.n_queries)
     if args.workload in ("quickstart", "components"):
         g.connected_components(backend=backend)
@@ -194,10 +192,10 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
         from repro.connectit import ConnectItSpec, connect_components
 
         snap = g.snapshot()
-        res = connect_components(snap, backend=backend)
+        res = connect_components(snap)
         sim.sweep(res.profile(), n_items=max(res.counters.unions, 1))
         if args.workload == "connectit":
-            base = connect_components(snap, ConnectItSpec(sampling="none"), backend=backend)
+            base = connect_components(snap, ConnectItSpec(sampling="none"))
             if not np.array_equal(res.labels, base.labels):
                 raise SystemExit(
                     f"connectit: {res.spec.name} labels differ from the unsampled "
@@ -245,45 +243,31 @@ def _compare_with_serial(args, backend, run_serial, run_backend, same, detail):
     )
 
 
-def _trace_backend_compare(args: argparse.Namespace, backend) -> None:
-    """The ``fig08`` / ``fig10`` workloads: measured serial-vs-process runs.
+def _trace_fig10(args: argparse.Namespace, backend) -> None:
+    """The ``fig10`` workload: a measured serial-vs-backend BFS.
 
-    Runs the figure's kernel once on the serial backend and once on the
-    requested one, asserts the results are bit-identical and prints the
-    measured wall-clock comparison.
+    Runs Figure 10's time-filtered BFS once on the serial kernel and once on
+    the requested backend, asserts the results are bit-identical and prints
+    the measured wall-clock comparison.
     """
     from repro import obs
     from repro.adjacency.csr import build_csr
     from repro.core.bfs import bfs
-    from repro.core.connectivity import ConnectivityIndex
     from repro.generators import rmat_graph
 
     ts_range = (0, 1000)
     graph = rmat_graph(args.scale, args.edge_factor, seed=args.seed, ts_range=ts_range)
     with obs.span("trace.build_graph", n=graph.n, m=graph.m):
         csr = build_csr(graph)
-
-    if args.workload == "fig10":
-        source = int(np.argmax(csr.degrees()))
-        _compare_with_serial(
-            args, backend,
-            lambda: bfs(csr, source, ts_range=ts_range),
-            lambda: backend.bfs(csr, source, ts_range=ts_range),
-            lambda a, b: np.array_equal(a.dist, b.dist)
-            and np.array_equal(a.parent, b.parent),
-            lambda r: f"{r.n_levels} levels, {r.n_reached}/{csr.n} reached",
-        )
-    else:  # fig08
-        index = ConnectivityIndex.from_csr(csr)
-        _compare_with_serial(
-            args, backend,
-            lambda: index.random_query_batch(args.queries, seed=args.seed),
-            lambda: index.random_query_batch(
-                args.queries, seed=args.seed, backend=backend
-            ),
-            lambda a, b: np.array_equal(a.connected, b.connected),
-            lambda r: f"{args.queries} queries, {r.hops_per_query:.1f} hops/query",
-        )
+    source = int(np.argmax(csr.degrees()))
+    _compare_with_serial(
+        args, backend,
+        lambda: bfs(csr, source, ts_range=ts_range),
+        lambda: backend.bfs(csr, source, ts_range=ts_range),
+        lambda a, b: np.array_equal(a.dist, b.dist)
+        and np.array_equal(a.parent, b.parent),
+        lambda r: f"{r.n_levels} levels, {r.n_reached}/{csr.n} reached",
+    )
 
 
 def _trace_genscale(args: argparse.Namespace, backend) -> None:
@@ -337,10 +321,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
 
     if args.scale is None:
-        # The figure workloads default to a scale-12 R-MAT instance;
+        # The figure workload defaults to a scale-12 R-MAT instance;
         # genscale defaults a bit larger (it is generation-bound); the
         # quickstart slices stay smaller.
-        if args.workload in ("fig08", "fig10"):
+        if args.workload == "fig10":
             args.scale = 12
         elif args.workload == "genscale":
             args.scale = 14
@@ -366,8 +350,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         with obs.span(
             f"trace.{args.workload}", workload=args.workload, backend=backend.name
         ):
-            if args.workload in ("fig08", "fig10"):
-                _trace_backend_compare(args, backend)
+            if args.workload == "fig10":
+                _trace_fig10(args, backend)
             elif args.workload == "genscale":
                 _trace_genscale(args, backend)
             else:
@@ -386,14 +370,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.chrome:
         p = obs.write_chrome_trace(args.chrome, memory.events, manifest=manifest_dict)
         _say(args, f"wrote Chrome trace (chrome://tracing, Perfetto) -> {p}")
-    if args.speedscope:
-        p = obs.write_speedscope(
-            args.speedscope, memory.events, name=f"repro trace {args.workload}"
-        )
-        _say(args, f"wrote speedscope profile (speedscope.app) -> {p}")
-    if args.folded:
-        p = obs.write_folded(args.folded, memory.events)
-        _say(args, f"wrote folded stacks (flamegraph.pl et al.) -> {p}")
     return 0
 
 
@@ -542,10 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", nargs="?", default="quickstart",
                    choices=["quickstart", "updates", "bfs", "connectivity",
-                            "components", "connectit", "fig08", "fig10",
-                            "genscale"])
+                            "components", "connectit", "fig10", "genscale"])
     p.add_argument("--scale", type=int, default=None,
-                   help="n = 2^scale (default: 11; 12 for fig08/fig10; "
+                   help="n = 2^scale (default: 11; 12 for fig10; "
                         "14 for genscale)")
     p.add_argument("--edge-factor", type=int, default=8)
     p.add_argument("--updates", type=int, default=2000,
@@ -564,11 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL trace path (default: trace-<workload>.jsonl)")
     p.add_argument("--chrome", default=None, metavar="PATH",
                    help="also export a Chrome trace-event JSON "
-                        "(chrome://tracing / Perfetto)")
-    p.add_argument("--speedscope", default=None, metavar="PATH",
-                   help="also export a speedscope profile (speedscope.app)")
-    p.add_argument("--folded", default=None, metavar="PATH",
-                   help="also export folded stacks for flamegraph tools")
+                        "(chrome://tracing / Perfetto / speedscope.app)")
     p.add_argument("--quiet", "-q", action="store_true",
                    help="suppress the summary output (artifacts still written)")
     p.add_argument("--no-manifest", action="store_true",

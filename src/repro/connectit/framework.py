@@ -17,15 +17,10 @@ reduction ConnectIt reports, here measured directly by
 :class:`~repro.machine.profile.WorkProfile`.
 
 The labels are canonical (minimum vertex id per component, the convention
-of :func:`repro.core.components.connected_components`), so every variant —
-and both execution backends — produces bit-identical output for the same
-graph.  ``backend="process"`` partitions the finish arcs over
-:class:`~repro.parallel.pool.WorkerPool` workers via a shared-memory arena;
-each worker unions its range into a private structure and ships back only
-its local spanning-forest edges, which the parent replays in deterministic
-chunk order.  The union of per-chunk spanning forests has the same
-connectivity closure as the full arc set, so the merged partition (and the
-canonical labels) match the serial run exactly.
+of :func:`repro.core.components.connected_components`), so every variant
+produces bit-identical output for the same graph.  Both phases run in this
+process: the finish is one union loop over the surviving arcs
+(:meth:`~repro.connectit.unionfind.UnionFind.union_arcs`).
 """
 
 from __future__ import annotations
@@ -40,9 +35,6 @@ from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
-from repro.parallel.partition import range_chunks
-from repro.parallel.pool import TaskSpec, WorkerPool, task
-from repro.parallel.shm import ShmArena
 
 from repro.connectit.sampling import SAMPLING_RULES, SampleStats, run_sampling
 from repro.connectit.unionfind import (
@@ -203,7 +195,7 @@ class ConnectItResult:
                 "finish_counters": self.finish_counters.to_dict(),
                 "sample": self.sample.to_dict(),
                 "n_components": self.n_components,
-                **{k: v for k, v in self.meta.items() if k != "fragments"},
+                **self.meta,
                 **manifest_meta(),
             },
         )
@@ -239,83 +231,29 @@ def _finish_arcs(
     return rsrc[mask], rdst[mask]
 
 
-@task("connectit.finish")
-def _connectit_finish(views: dict, payload: dict) -> dict:
-    """One finish-arc range, unioned into a private structure (worker side).
+def connect_components(
+    graph: CSRGraph, spec: ConnectItSpec | None = None, **spec_kwargs
+) -> ConnectItResult:
+    """Connected components via one sample-finish composition.
 
-    Returns the range's local spanning-forest edges (the arcs whose union
-    succeeded) — a connectivity-equivalent compression of the range — plus
-    the worker's counters and settled / restart counts for the parent to
-    fold in.
+    ``spec`` selects the variant (or pass the spec fields directly as
+    keyword arguments, e.g. ``sampling="kout", union_rule="rem"``).  The
+    sample and the finish both run in this process.
     """
-    lo, hi = payload["lo"], payload["hi"]
-    uf = UnionFind(
-        payload["n"], union_rule=payload["union_rule"], compaction=payload["compaction"]
-    )
-    src = views["src"][lo:hi]
-    dst = views["dst"][lo:hi]
-    linked = uf.union_arcs(src, dst)
-    return {
-        "hook_u": src[linked],
-        "hook_v": dst[linked],
-        "counters": uf.counters.to_dict(),
-        "settled": uf.settled,
-        "restarts": uf.restarts,
-        "fragment": {"arcs": int(hi - lo), "forest_edges": int(np.count_nonzero(linked))},
-    }
-
-
-def _pool_finish(uf: UnionFind, fsrc: np.ndarray, fdst: np.ndarray, pool: WorkerPool) -> list[dict]:
-    """Finish on the pool; returns the per-chunk fragments.
-
-    Workers union disjoint arc ranges into private structures and return
-    their local spanning forests; the parent replays those (few) edges in
-    chunk order and folds the workers' counters into ``uf.counters`` (their
-    settled arcs and restarts into ``uf.settled`` / ``uf.restarts``).  The
-    replayed edge set has the same connectivity closure as the full finish
-    set, so the partition — and the canonical labels — are bit-identical to
-    the serial finish at every worker count.
-    """
-    if not fsrc.size:
-        return []
-    payload = {"n": uf.n, "union_rule": uf.union_rule, "compaction": uf.compaction}
-    with ShmArena.create({"src": fsrc, "dst": fdst}) as arena:
-        outs = pool.run_tasks(
-            [
-                TaskSpec(
-                    "connectit.finish", {"lo": lo, "hi": hi, **payload}, arenas=(arena.descriptor,)
-                )
-                for lo, hi in range_chunks(int(fsrc.size), pool.workers)
-            ]
-        )
-    for out in outs:  # deterministic chunk order
-        uf.union_arcs(out["hook_u"], out["hook_v"])
-        uf.counters.add(WorkCounters.from_dict(out["counters"]))
-        uf.settled += out["settled"]
-        uf.restarts += out["restarts"]
-    return [out["fragment"] for out in outs]
-
-
-def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> ConnectItResult:
-    """The sample-finish driver: sample in this process, finish here
-    (``pool`` None, the serial backend) or on ``pool``."""
+    if spec is None:
+        spec = ConnectItSpec(**spec_kwargs)
+    elif spec_kwargs:
+        raise GraphError("pass either a ConnectItSpec or spec keyword arguments, not both")
     n = graph.n
     uf = UnionFind(n, union_rule=spec.union_rule, compaction=spec.compaction)
-    workers = 1 if pool is None else pool.start().workers
-    with span(
-        "connectit.components", variant=spec.name, n=n, arcs=graph.n_arcs, workers=workers
-    ) as sp:
+    with span("connectit.components", variant=spec.name, n=n, arcs=graph.n_arcs) as sp:
         with span("connectit.sample", strategy=spec.sampling):
             stats = run_sampling(graph, uf, spec.sampling, k=spec.k)
         sample_counters = uf.counters.snapshot()
         fsrc, fdst = _finish_arcs(graph, uf, stats)
-        fragments: list[dict] = []
         settled, restarts = uf.settled, uf.restarts
         with span("connectit.finish", arcs=int(fsrc.size)) as fsp:
-            if pool is None:
-                uf.union_arcs(fsrc, fdst)
-            else:
-                fragments = _pool_finish(uf, fsrc, fdst, pool)
+            uf.union_arcs(fsrc, fdst)
             fsp.set(settled=uf.settled - settled, restarts=uf.restarts - restarts)
         finish_counters = uf.counters.since(sample_counters)
         labels = uf.components()
@@ -334,43 +272,10 @@ def _connect(graph: CSRGraph, spec: ConnectItSpec, pool: WorkerPool | None) -> C
         finish_counters=finish_counters,
         sample=stats,
         meta={
-            "backend": "serial" if pool is None else "process",
-            "workers": workers,
             "n": n,
             "arcs": graph.n_arcs,
             "sample_arcs": int(stats.attempts),
             "finish_arcs": int(fsrc.size),
             "footprint_bytes": uf.memory_bytes() + int(_ARC_BYTES) * graph.n_arcs,
-            "fragments": fragments,
         },
     )
-
-
-def connect_components(
-    graph: CSRGraph,
-    spec: ConnectItSpec | None = None,
-    *,
-    backend: str | object = "serial",
-    workers: int | None = None,
-    **spec_kwargs,
-) -> ConnectItResult:
-    """Connected components via one sample-finish composition.
-
-    ``spec`` selects the variant (or pass the spec fields directly as
-    keyword arguments, e.g. ``sampling="kout", union_rule="rem"``).
-    ``backend`` follows the repo-wide convention: a string creates and
-    closes a one-shot backend; an :class:`~repro.parallel.backend
-    .ExecutionBackend` instance is reused and left open.
-    """
-    from repro.parallel.backend import resolve_backend
-
-    if spec is None:
-        spec = ConnectItSpec(**spec_kwargs)
-    elif spec_kwargs:
-        raise GraphError("pass either a ConnectItSpec or spec keyword arguments, not both")
-    be, owned = resolve_backend(backend, workers=workers)
-    try:
-        return be.connectit_components(graph, spec)
-    finally:
-        if owned:
-            be.close()

@@ -86,20 +86,15 @@ class WorkCounters:
         )
 
     def add(self, other: "WorkCounters") -> None:
-        """Fold another run's counters into this record (process merge)."""
+        """Fold another record's counters into this one."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> dict:
-        """Plain-int dict (JSON-safe; used in profile meta and worker IPC)."""
+        """Plain-int dict (JSON-safe; used in profile meta)."""
         d = {f.name: int(getattr(self, f.name)) for f in fields(self)}
         d["atomics"] = self.atomics
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkCounters":
-        """Inverse of :meth:`to_dict` (``atomics`` is derived, not stored)."""
-        return cls(**{f.name: int(d.get(f.name, 0)) for f in fields(cls)})
 
 
 class UnionFind:
@@ -289,7 +284,7 @@ class UnionFind:
 
         ``linked[i]`` is True exactly when pair ``i`` merged two distinct
         trees (what :meth:`union` returns per call).  The one bulk entry
-        point, for sampling, finish, the finish workers and
+        point, for sampling, finish and
         :meth:`repro.core.connectivity.ConnectivityIndex.apply_batch`.
         With ``pre_resolved`` True, equal endpoints count one union attempt
         and nothing else (``apply_batch``'s findroot pass resolved them).

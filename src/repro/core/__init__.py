@@ -70,9 +70,7 @@ from repro.core.community import (
     modularity,
 )
 from repro.core.pagerank import PageRankResult, pagerank
-from repro.core.weighted_bc import WeightedBCResult, weighted_betweenness
 from repro.core.window import SlidingWindowGraph, WindowBatch
-from repro.core.evolution import EvolutionTimeline, WindowStats, evolution_timeline
 
 __all__ = [
     "EdgeBetweennessResult",
@@ -83,13 +81,8 @@ __all__ = [
     "modularity",
     "PageRankResult",
     "pagerank",
-    "WeightedBCResult",
-    "weighted_betweenness",
     "SlidingWindowGraph",
     "WindowBatch",
-    "EvolutionTimeline",
-    "WindowStats",
-    "evolution_timeline",
     "core_numbers",
     "total_triangles",
     "triangle_counts",

@@ -209,8 +209,6 @@ class ConnectivityIndex:
         seed: int | np.random.Generator | None = None,
         *,
         name: str = "connectivity-queries",
-        backend: str | object = "serial",
-        workers: int | None = None,
     ) -> QueryResult:
         """``k`` uniform random vertex-pair queries (Figure 8's workload)."""
         if k < 0:
@@ -218,7 +216,7 @@ class ConnectivityIndex:
         rng = make_rng(seed)
         us = rng.integers(0, self.forest.n, size=k, dtype=np.int64)
         vs = rng.integers(0, self.forest.n, size=k, dtype=np.int64)
-        return self.query_batch(us, vs, name=name, backend=backend, workers=workers)
+        return self.query_batch(us, vs, name=name)
 
     # ------------------------------------------------------------------ #
     # maintenance under updates

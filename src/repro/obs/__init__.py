@@ -12,8 +12,8 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
   instrumented kernels tick at phase granularity;
 * :mod:`repro.obs.sink` — memory ring buffer, JSONL file and tee sinks;
 * :mod:`repro.obs.manifest` — run manifests stamped into every artifact;
-* :mod:`repro.obs.export` — Chrome-trace / speedscope / folded-stack
-  exporters over recorded span streams;
+* :mod:`repro.obs.export` — the Chrome trace-event exporter over recorded
+  span streams;
 * :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency
   exemplars), its payload validator and the service's ``/metrics`` routes;
 * :mod:`repro.obs.reqtrace` — a request as a root span on its own
@@ -39,14 +39,7 @@ from repro.obs.manifest import (
     manifest_meta,
     set_manifest,
 )
-from repro.obs.export import (
-    to_chrome_trace,
-    to_folded,
-    to_speedscope,
-    write_chrome_trace,
-    write_folded,
-    write_speedscope,
-)
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.expose import to_openmetrics, validate_openmetrics
 from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.reqtrace import (
@@ -113,9 +106,5 @@ __all__ = [
     "ExemplarStore",
     "EXEMPLARS",
     "to_chrome_trace",
-    "to_speedscope",
-    "to_folded",
     "write_chrome_trace",
-    "write_speedscope",
-    "write_folded",
 ]

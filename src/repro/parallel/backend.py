@@ -32,8 +32,7 @@ from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
 from repro.parallel.pool import WorkerPool
 
-if TYPE_CHECKING:  # import cycles: these modules import this one (or the pool)
-    from repro.connectit.framework import ConnectItResult, ConnectItSpec
+if TYPE_CHECKING:  # import cycle: the generators import the pool
     from repro.generators.rmat import RMATParams
 
 __all__ = ["BACKENDS", "ExecutionBackend", "SerialBackend", "ProcessBackend", "resolve_backend"]
@@ -75,13 +74,6 @@ class ExecutionBackend:
         before = forest.hops
         answers = forest.connected_batch(us, vs)
         return answers, forest.hops - before
-
-    def connectit_components(self, graph: CSRGraph, spec: "ConnectItSpec") -> "ConnectItResult":
-        """Sample-finish connectivity (:mod:`repro.connectit`): one driver,
-        finishing on this backend's ``pool`` when it owns one."""
-        from repro.connectit.framework import _connect
-
-        return _connect(graph, spec, getattr(self, "pool", None))
 
     def rmat_edges(
         self,

@@ -138,7 +138,6 @@ def _worker_views(
 
 def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
     # Explicit imports populate the task registry under the spawn method.
-    import repro.connectit.framework  # noqa: F401
     import repro.generators.parallel  # noqa: F401
     import repro.parallel.bfs  # noqa: F401
     import repro.parallel.components  # noqa: F401

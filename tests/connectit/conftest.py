@@ -15,7 +15,6 @@ from repro.adjacency.csr import build_csr
 from repro.edgelist import EdgeList
 from repro.generators.reference import erdos_renyi, path_graph, star_graph
 from repro.generators.rmat import rmat_graph
-from repro.parallel.pool import WorkerPool
 
 
 def _selfloop_graph() -> EdgeList:
@@ -40,10 +39,3 @@ def graph_family(request):
     g = GRAPHS[request.param]()
     return request.param, g, build_csr(g)
 
-
-@pytest.fixture(scope="session")
-def pool():
-    p = WorkerPool(2, timeout=120.0)
-    p.start()
-    yield p
-    p.shutdown()

@@ -3,8 +3,13 @@
 The acceptance contract of the framework: canonical component labels are
 bit-identical to the networkx reference (and to the repo's Shiloach–Vishkin
 kernel) for every union rule, compaction rule, and sampling strategy, on
-every reference topology, under both execution backends.
+every reference topology.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -12,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import obs
 from repro.adjacency.csr import build_csr
 from repro.connectit import (
@@ -28,7 +34,6 @@ from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.generators.reference import erdos_renyi
 from repro.generators.rmat import rmat_graph
-from repro.parallel.backend import ProcessBackend
 from tests.retired_tier import stale_tier
 
 ALL_SPECS = variant_matrix(samplings=SAMPLING_RULES)
@@ -81,51 +86,45 @@ def test_matches_shiloach_vishkin(graph_family):
         np.testing.assert_array_equal(connect_components(csr, spec).labels, sv.labels)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ConnectItSpec(sampling="none"),
-        ConnectItSpec(sampling="kout", union_rule="rem", compaction="splitting"),
-        ConnectItSpec(sampling="kout", k=4, union_rule="size", compaction="full"),
-        ConnectItSpec(sampling="bfs", union_rule="rank", compaction="none"),
-    ],
-    ids=lambda s: s.name,
-)
-def test_process_backend_bit_identical(graph_family, pool, spec):
-    _, _, csr = graph_family
-    serial = connect_components(csr, spec)
-    be = ProcessBackend.__new__(ProcessBackend)
-    be.pool = pool
-    parallel = connect_components(csr, spec, backend=be)
-    np.testing.assert_array_equal(serial.labels, parallel.labels)
-    assert parallel.meta["backend"] == "process"
-    assert parallel.meta["workers"] == pool.workers
-
-
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_finish_span_reports_settled_arcs(small_rmat_csr, pool, backend):
+def test_finish_span_reports_settled_arcs(small_rmat_csr):
     # The finish span carries the arcs the union loop counted in bulk and
-    # the masks it rebuilt; serially they are a bare UnionFind's over the
-    # same finish arcs, and the counters stay those of the per-pair loop.
+    # the masks it rebuilt: a bare UnionFind's over the same finish arcs,
+    # and the counters stay those of the per-pair loop.
     csr = small_rmat_csr
     ref = UnionFind(csr.n)
     ref.union_arcs(*_finish_arcs(csr, UnionFind(csr.n)))
-    be = "serial"
-    if backend == "process":
-        be = ProcessBackend.__new__(ProcessBackend)
-        be.pool = pool
     tracer = obs.enable_tracing(obs.MemorySink())
     try:
-        result = connect_components(csr, ConnectItSpec(sampling="none"), backend=be)
+        result = connect_components(csr, ConnectItSpec(sampling="none"))
     finally:
         obs.disable_tracing()
     (finish,) = [e for e in tracer.sink.events if e["name"] == "connectit.finish"]
     attrs = finish["attrs"]
     assert 0 < attrs["settled"] < attrs["arcs"]
     assert attrs["restarts"] >= 0
-    if backend == "serial":
-        assert (attrs["settled"], attrs["restarts"]) == (ref.settled, ref.restarts)
-        assert result.counters == ref.counters
+    assert (attrs["settled"], attrs["restarts"]) == (ref.settled, ref.restarts)
+    assert result.counters == ref.counters
+
+
+def test_connect_components_loads_no_parallel_module():
+    # The finish runs in this process, so the package pulls in neither the
+    # worker pool nor the shared-memory arena.
+    code = (
+        "import sys; import numpy as np; from repro.adjacency.csr import build_csr; "
+        "from repro.connectit import connect_components; from repro.edgelist import EdgeList; "
+        "csr = build_csr(EdgeList(4, np.array([0, 2]), np.array([1, 3]))); "
+        "assert connect_components(csr).n_components == 2; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.parallel')))"
+    )
+    src_dir = Path(repro.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src_dir)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sampling_reduces_finish_work(small_rmat_csr):

@@ -1,20 +1,11 @@
-"""Tests for repro.obs.export: chrome / speedscope / folded exporters."""
+"""Tests for repro.obs.export: the Chrome trace-event exporter."""
 
 import json
 
 import numpy as np
 
 from repro import obs
-from repro.obs.export import (
-    to_chrome_trace,
-    to_folded,
-    to_speedscope,
-    validate_chrome_trace,
-    validate_speedscope,
-    write_chrome_trace,
-    write_folded,
-    write_speedscope,
-)
+from repro.obs.export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 
 
 def ev(name, span_id, parent_id, t0, dur, **attrs):
@@ -102,62 +93,3 @@ class TestChromeTrace:
         assert validate_chrome_trace(doc) == []
         assert doc["traceEvents"][0]["args"]["n"] == 4
 
-
-class TestSpeedscope:
-    def test_real_trace_round_trips(self, tmp_path):
-        p = write_speedscope(tmp_path / "p.json", traced_events(), name="t")
-        doc = json.loads(p.read_text())
-        assert validate_speedscope(doc) == []
-        names = [f["name"] for f in doc["shared"]["frames"]]
-        assert set(names) == {"outer", "inner.a", "inner.b"}
-
-    def test_one_profile_per_lane(self):
-        doc = to_speedscope(nested_events())
-        assert [p["name"].split("[")[1] for p in doc["profiles"]] == [
-            "main]",
-            "worker-0]",
-        ]
-        assert validate_speedscope(doc) == []
-
-    def test_stack_discipline_under_overlap(self):
-        # Sibling intervals that overlap (measurement jitter) must still
-        # produce a well-formed open/close sequence.
-        events = [
-            ev("root", 1, None, 0.0, 10.0),
-            ev("a", 2, 1, 1.0, 4.0),
-            ev("b", 3, 1, 3.0, 4.0),  # overlaps a's tail
-        ]
-        assert validate_speedscope(to_speedscope(events)) == []
-
-    def test_validator_flags_unbalanced_stack(self):
-        doc = to_speedscope(nested_events())
-        doc["profiles"][0]["events"].pop()  # drop a close
-        assert any("left open" in p for p in validate_speedscope(doc))
-
-
-class TestFolded:
-    def test_paths_counts_and_self_time(self):
-        lines = to_folded(nested_events()).splitlines()
-        rows = {}
-        for line in lines:
-            path, count, self_ns = line.rsplit(" ", 2)
-            rows[path] = (int(count), int(self_ns))
-        assert rows["root;mid;leaf"] == (1, 2_000_000_000)
-        assert rows["root;mid"] == (1, 3_000_000_000)  # 5s - 2s child
-        # root's self time: 10 - (5 + 6) clamps at zero.
-        assert rows["root"] == (1, 0)
-
-    def test_repeated_paths_aggregate(self):
-        events = [
-            ev("k", 1, None, 0.0, 1.0),
-            ev("k", 2, None, 2.0, 3.0),
-        ]
-        assert to_folded(events) == "k 2 4000000000"
-
-    def test_empty_stream_writes_empty_file(self, tmp_path):
-        p = write_folded(tmp_path / "f.txt", [])
-        assert p.read_text() == ""
-
-    def test_orphaned_parent_promotes_to_root(self):
-        lines = to_folded([ev("lost", 9, 12345, 0.0, 1.0)]).splitlines()
-        assert lines == ["lost 1 1000000000"]

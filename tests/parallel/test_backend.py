@@ -91,8 +91,10 @@ class TestConnectivityIndexBackend:
         forest, record = LinkCutForest.from_csr(csr)
         index = ConnectivityIndex(forest, record)
 
-        serial = index.random_query_batch(2000, seed=5)
-        par = index.random_query_batch(2000, seed=5, backend="process", workers=2)
+        rng = np.random.default_rng(5)
+        us, vs = rng.integers(0, csr.n, size=(2, 2000))
+        serial = index.query_batch(us, vs)
+        par = index.query_batch(us, vs, backend="process", workers=2)
         np.testing.assert_array_equal(serial.connected, par.connected)
         assert serial.total_hops == par.total_hops
         assert par.profile.meta["backend"] == "process"
