@@ -12,16 +12,12 @@ Commands:
   a simulated machine (the Figure 2/4 style table for *your* graph);
 * ``trace`` — run a canned workload with span tracing enabled, print the
   span tree (host time, simulated time, top counters) and export the
-  manifest-stamped JSONL trace (see docs/OBSERVABILITY.md).  Takes
-  ``--backend process --workers N`` to execute the analysis kernels on the
-  shared-memory worker pool (docs/PARALLEL.md); the ``fig10`` workload
-  then also times serial vs process BFS, verifies bit-identity (exit
-  non-zero on a mismatch) and prints the measured comparison; the
-  ``genscale`` workload does the same for communication-free parallel
-  R-MAT generation plus chunked-stream construction (docs/GENERATORS.md);
-  the ``connectit`` workload runs the default composition and the
-  unsampled baseline on one snapshot and exits non-zero unless their
-  labels are bit-identical.
+  manifest-stamped JSONL trace (see docs/OBSERVABILITY.md).  Every
+  workload runs in this process; the worker pool is reached through
+  :class:`repro.parallel.ProcessBackend` (docs/PARALLEL.md).  The
+  ``connectit`` workload runs the default composition and the unsampled
+  baseline on one snapshot and exits non-zero unless their labels are
+  bit-identical.
   Nothing but ``--out`` and the requested exports is written: host timings
   are recorded by ``bench/`` alone (``bench/README.md``).
   ``--chrome`` additionally exports the trace as Chrome trace-event JSON
@@ -155,15 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_trace_backend(args: argparse.Namespace):
-    """Build the (possibly pooled) execution backend the trace asked for."""
-    from repro.parallel.backend import resolve_backend
-
-    be, _ = resolve_backend(args.backend, workers=args.workers)
-    return be
-
-
-def _trace_workload(args: argparse.Namespace, backend) -> None:
+def _trace_workload(args: argparse.Namespace) -> None:
     """The traced workloads: small end-to-end slices of the library."""
     from repro import obs
     from repro.api import DynamicGraph
@@ -187,7 +175,7 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
         queries = index.random_query_batch(args.queries, seed=args.seed)
         sim.sweep(queries.profile, n_items=queries.n_queries)
     if args.workload in ("quickstart", "components"):
-        g.connected_components(backend=backend)
+        g.connected_components()
     if args.workload in ("quickstart", "connectit"):
         from repro.connectit import ConnectItSpec, connect_components
 
@@ -208,136 +196,18 @@ def _trace_workload(args: argparse.Namespace, backend) -> None:
                 f"[labels identical; {res.n_components} components]",
             )
     if args.workload in ("quickstart", "bfs"):
-        res = g.bfs(0, ts_range=(20, 70), backend=backend)
+        res = g.bfs(0, ts_range=(20, 70))
         profile = bfs_profile(g.snapshot(), res)
         sim.sweep(profile, n_items=max(res.total_edges_scanned, 1))
-
-
-def _compare_with_serial(args, backend, run_serial, run_backend, same, detail):
-    """Time ``run_serial()`` against ``run_backend()`` and print the comparison.
-
-    Exits non-zero unless ``same(serial, other)``: the backend's result must
-    be bit-identical to the serial kernel's.  ``detail(serial)`` words what
-    was computed.  Host seconds are printed, not recorded — ``bench/`` is
-    the only ledger (``bench/README.md``).
-    """
-    import time
-
-    t0 = time.perf_counter()
-    serial = run_serial()
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    other = run_backend()
-    other_s = time.perf_counter() - t0
-    if not same(serial, other):
-        raise SystemExit(
-            f"backend {backend.name!r} results differ from serial — "
-            "determinism contract violated"
-        )
-    speedup = serial_s / other_s if other_s > 0 else float("inf")
-    _say(
-        args,
-        f"{args.workload}: serial {serial_s:.3f}s vs {backend.name} "
-        f"({getattr(backend, 'workers', 1)} workers) {other_s:.3f}s -> "
-        f"speedup {speedup:.2f}x [results identical; {detail(serial)}]",
-    )
-
-
-def _trace_fig10(args: argparse.Namespace, backend) -> None:
-    """The ``fig10`` workload: a measured serial-vs-backend BFS.
-
-    Runs Figure 10's time-filtered BFS once on the serial kernel and once on
-    the requested backend, asserts the results are bit-identical and prints
-    the measured wall-clock comparison.
-    """
-    from repro import obs
-    from repro.adjacency.csr import build_csr
-    from repro.core.bfs import bfs
-    from repro.generators import rmat_graph
-
-    ts_range = (0, 1000)
-    graph = rmat_graph(args.scale, args.edge_factor, seed=args.seed, ts_range=ts_range)
-    with obs.span("trace.build_graph", n=graph.n, m=graph.m):
-        csr = build_csr(graph)
-    source = int(np.argmax(csr.degrees()))
-    _compare_with_serial(
-        args, backend,
-        lambda: bfs(csr, source, ts_range=ts_range),
-        lambda: backend.bfs(csr, source, ts_range=ts_range),
-        lambda a, b: np.array_equal(a.dist, b.dist)
-        and np.array_equal(a.parent, b.parent),
-        lambda r: f"{r.n_levels} levels, {r.n_reached}/{csr.n} reached",
-    )
-
-
-def _trace_genscale(args: argparse.Namespace, backend) -> None:
-    """The ``genscale`` workload: measured serial-vs-backend generation.
-
-    Times the serial ``rmat_edges`` draw against the backend's
-    communication-free sliced generation of the same stream, asserts
-    bit-identity, then rebuilds the graph through the streaming
-    :func:`~repro.generators.parallel.iter_edge_chunks` path into a
-    :class:`~repro.api.DynamicGraph` and reports construction MUPS.
-    """
-    import time
-
-    from repro import obs
-    from repro.api import DynamicGraph
-    from repro.generators.parallel import iter_edge_chunks
-    from repro.generators.rmat import rmat_edges
-
-    m = args.edge_factor * (1 << args.scale)
-
-    def draw_serial():
-        with obs.span("trace.generate_serial", scale=args.scale, m=m):
-            return rmat_edges(args.scale, m, seed=args.seed)
-
-    def draw_backend():
-        with obs.span("trace.generate_backend", backend=backend.name, m=m):
-            return backend.rmat_edges(args.scale, m, seed=args.seed)
-
-    _compare_with_serial(
-        args, backend, draw_serial, draw_backend,
-        lambda a, b: np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]),
-        lambda r: f"{m} edges",
-    )
-    with obs.span("trace.chunked_construction", scale=args.scale, m=m):
-        t0 = time.perf_counter()
-        g = DynamicGraph.from_edge_chunks(
-            1 << args.scale,
-            iter_edge_chunks(args.scale, m, seed=args.seed, ts_range=(0, 1000)),
-            representation=args.representation,
-        )
-        construct_s = time.perf_counter() - t0
-    mups = m / construct_s / 1e6 if construct_s > 0 else float("inf")
-    _say(
-        args,
-        f"genscale: chunked construction {g.n_edges} stored edges "
-        f"at {mups:.2f} MUPS",
-    )
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
 
-    if args.scale is None:
-        # The figure workload defaults to a scale-12 R-MAT instance;
-        # genscale defaults a bit larger (it is generation-bound); the
-        # quickstart slices stay smaller.
-        if args.workload == "fig10":
-            args.scale = 12
-        elif args.workload == "genscale":
-            args.scale = 14
-        else:
-            args.scale = 11
     manifest = None
     if not args.no_manifest:
         manifest = obs.RunManifest.capture(
-            seed=args.seed,
-            machine=args.machine,
-            workload=args.workload,
-            backend=args.backend,
-            workers=args.workers,
+            seed=args.seed, machine=args.machine, workload=args.workload
         )
         obs.set_manifest(manifest)
     out = Path(args.out) if args.out else Path(f"trace-{args.workload}.jsonl")
@@ -345,19 +215,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     jsonl = obs.JsonlSink(out)
     obs.METRICS.reset()
     obs.enable_tracing(obs.TeeSink(memory, jsonl), manifest=manifest)
-    backend = _resolve_trace_backend(args)
     try:
-        with obs.span(
-            f"trace.{args.workload}", workload=args.workload, backend=backend.name
-        ):
-            if args.workload == "fig10":
-                _trace_fig10(args, backend)
-            elif args.workload == "genscale":
-                _trace_genscale(args, backend)
-            else:
-                _trace_workload(args, backend)
+        with obs.span(f"trace.{args.workload}", workload=args.workload):
+            _trace_workload(args)
     finally:
-        backend.close()
         obs.disable_tracing()
         jsonl.close()
     if manifest is not None:
@@ -518,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", nargs="?", default="quickstart",
                    choices=["quickstart", "updates", "bfs", "connectivity",
-                            "components", "connectit", "fig10", "genscale"])
-    p.add_argument("--scale", type=int, default=None,
-                   help="n = 2^scale (default: 11; 12 for fig10; "
-                        "14 for genscale)")
+                            "components", "connectit"])
+    p.add_argument("--scale", type=int, default=11, help="n = 2^scale (default: 11)")
     p.add_argument("--edge-factor", type=int, default=8)
     p.add_argument("--updates", type=int, default=2000,
                    help="mixed-stream length for the update workloads")
@@ -529,11 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="connectivity query count")
     p.add_argument("--representation", default="hybrid", choices=representations)
     p.add_argument("--machine", default="t2", choices=machines)
-    p.add_argument("--backend", default="serial", choices=["serial", "process"],
-                   help="execution backend for the analysis kernels "
-                        "(process = shared-memory worker pool)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-backend worker count (default: visible CPUs)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None,
                    help="JSONL trace path (default: trace-<workload>.jsonl)")

@@ -39,13 +39,6 @@ from repro.obs import METRICS, span
 __all__ = ["DynamicGraph"]
 
 
-def _resolve_backend(backend, workers):
-    """Lazy import of the backend resolver (keeps serial paths light)."""
-    from repro.parallel.backend import resolve_backend
-
-    return resolve_backend(backend, workers=workers)
-
-
 class DynamicGraph:
     """A temporal graph under structural updates, with analysis kernels.
 
@@ -257,47 +250,23 @@ class DynamicGraph:
             METRICS.inc("api.snapshot_cache_hits")
         return self._snapshot
 
-    def bfs(
-        self,
-        source: int,
-        *,
-        ts_range: tuple[int, int] | None = None,
-        backend: str | object = "serial",
-        workers: int | None = None,
-    ) -> BFSResult:
+    def bfs(self, source: int, *, ts_range: tuple[int, int] | None = None) -> BFSResult:
         """Breadth-first search over the current snapshot (section 3.3).
 
-        ``backend="process"`` runs the shared-memory multiprocess driver
-        (see docs/PARALLEL.md) — results are bit-identical to the serial
-        kernel.  Pass a :class:`~repro.parallel.ProcessBackend` instance to
-        reuse one worker pool across many calls.
+        For the worker pool, pass :meth:`snapshot` to
+        :meth:`repro.parallel.ProcessBackend.bfs`: the result is bit-identical.
         """
-        be, owned = _resolve_backend(backend, workers)
-        try:
-            with span("api.bfs", source=int(source), backend=be.name):
-                return be.bfs(self.snapshot(), source, ts_range=ts_range)
-        finally:
-            if owned:
-                be.close()
+        with span("api.bfs", source=int(source)):
+            return bfs(self.snapshot(), source, ts_range=ts_range)
 
-    def connected_components(
-        self,
-        *,
-        backend: str | object = "serial",
-        workers: int | None = None,
-    ) -> ComponentsResult:
+    def connected_components(self) -> ComponentsResult:
         """Connected components of the current snapshot.
 
-        ``backend="process"`` hooks labels in parallel over shared memory;
-        the labels (and pass/jump counts) are bit-identical to serial.
+        :meth:`repro.parallel.ProcessBackend.connected_components` hooks the
+        same labels (and pass/jump counts) on the worker pool.
         """
-        be, owned = _resolve_backend(backend, workers)
-        try:
-            with span("api.connected_components", backend=be.name):
-                return be.connected_components(self.snapshot())
-        finally:
-            if owned:
-                be.close()
+        with span("api.connected_components"):
+            return connected_components(self.snapshot())
 
     def spanning_forest(self) -> ConnectivityIndex:
         """Link-cut spanning forest for connectivity queries (section 3.1)."""

@@ -2,9 +2,9 @@
 
 Composable union-find variants (union rules × compaction rules), optional
 sampling phases (k-out, BFS-from-max-degree), and a sample-finish driver
-producing canonical component labels bit-identical across variants and
-execution backends.  See docs/CONNECTIVITY.md for the design and
-docs/ARCHITECTURE.md for where the package sits in the system.
+producing canonical component labels bit-identical across variants.  See
+docs/CONNECTIVITY.md for the design and docs/ARCHITECTURE.md for where the
+package sits in the system.
 """
 
 from repro.connectit.framework import (

@@ -139,8 +139,7 @@ class ConnectivityIndex:
         vs,
         *,
         name: str = "connectivity-queries",
-        backend: str | object = "serial",
-        workers: int | None = None,
+        backend: object = None,
     ) -> QueryResult:
         """Answer many queries and profile the measured pointer work.
 
@@ -152,28 +151,26 @@ class ConnectivityIndex:
         answered by gathers from one whole-forest resolve
         (:meth:`LinkCutForest.connected_batch`); the profile still counts
         each endpoint's depth, and ``connectivity.hops_chased`` the hops
-        actually walked.  Every backend answers in this process: a gather
-        costs less than shipping the parent array to workers.
+        actually walked.  The batch is always answered in this process: a
+        gather costs less than shipping the parent array to workers.  A
+        :class:`~repro.parallel.ProcessBackend` passed as ``backend`` only
+        labels the span and the profile ``"process"``; no task reaches it.
         """
-        from repro.parallel.backend import resolve_backend
-
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape or us.ndim != 1:
             raise GraphError("query endpoint arrays must be 1-D and equal length")
-        be, owned = resolve_backend(backend, workers=workers)
-        try:
-            with span(
-                "connectivity.query_batch", n_queries=int(us.size), backend=be.name,
-                resolved=self.forest.resolves(us.size),
-            ) as sp:
-                chased = self.forest.hops_chased
-                answers, hops = be.query_batch(self.forest, us, vs)
-                chased = self.forest.hops_chased - chased
-                sp.set(hops=int(hops))
-        finally:
-            if owned:
-                be.close()
+        label = "serial" if backend is None else "process"
+        with span(
+            "connectivity.query_batch", n_queries=int(us.size), backend=label,
+            resolved=self.forest.resolves(us.size),
+        ) as sp:
+            chased = self.forest.hops_chased
+            hops = self.forest.hops
+            answers = self.forest.connected_batch(us, vs)
+            hops = self.forest.hops - hops
+            chased = self.forest.hops_chased - chased
+            sp.set(hops=int(hops))
         METRICS.inc("connectivity.queries", int(us.size))
         METRICS.inc("connectivity.hops", int(hops))
         METRICS.inc("connectivity.hops_chased", chased)
@@ -191,8 +188,7 @@ class ConnectivityIndex:
                 "n_queries": int(us.size),
                 "hops": int(hops),
                 "n": self.forest.n,
-                "backend": be.name,
-                "workers": int(getattr(be, "workers", 1)),
+                "backend": label,
                 **manifest_meta(),
             },
         )

@@ -24,8 +24,8 @@ Three layers build on the slice protocol:
   materialised list would not fit in memory;
 * :func:`rmat_edges_parallel` — a :class:`~repro.parallel.pool.WorkerPool`
   driver generating slices in parallel into a
-  :class:`~repro.parallel.shm.ShmArena`, behind the ``backend="process"``
-  switch of :func:`~repro.generators.rmat.rmat_graph`.
+  :class:`~repro.parallel.shm.ShmArena`, bit-identical to the topology
+  draw of :func:`~repro.generators.rmat.rmat_graph`.
 
 Time-stamps in the streaming path follow their own sliceable rule
 (:func:`uniform_timestamps_range`): the serial
@@ -34,9 +34,7 @@ integer rejection sampling, whose variable draw consumption cannot be
 jumped over, so the sliced rule instead floors one uniform double per
 edge, drawn from a :func:`~repro.util.seeding.mix_seed`-derived stream at
 the edge's *global* offset — time labels too are independent of the
-slicing.  (The fully materialised ``rmat_graph(backend="process")`` keeps
-the serial time-stamp rule, so its output is bit-identical to the serial
-:func:`~repro.generators.rmat.rmat_graph` end to end.)
+slicing.
 """
 
 from __future__ import annotations
@@ -370,8 +368,7 @@ def rmat_edges_parallel(
     *,
     params: RMATParams = PAPER_RMAT,
     seed: int | None = None,
-    pool: "WorkerPool | None" = None,
-    workers: int | None = None,
+    pool: "WorkerPool",
     n_slices: int | None = None,
     ts_range: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -380,15 +377,15 @@ def rmat_edges_parallel(
     Each worker regenerates its slices communication-free into a shared
     :class:`~repro.parallel.shm.ShmArena`; the concatenated result is
     bit-identical to the serial ``rmat_edges(scale, m, params, seed)``.
-    Pass an existing ``pool`` to amortise worker start-up, or ``workers``
-    to size a temporary one.  ``n_slices`` defaults to the pool's worker
-    count; more slices than workers gives finer load balancing.
+    The caller owns ``pool`` (it stays up for the next round).  ``n_slices``
+    defaults to the pool's worker count; more slices than workers gives
+    finer load balancing.
 
     Returns ``(src, dst, ts)`` where ``ts`` is None unless ``ts_range``
     was given, in which case it holds sliced time labels (see
     :func:`uniform_timestamps_range`).
     """
-    from repro.parallel.pool import TaskSpec, WorkerPool
+    from repro.parallel.pool import TaskSpec
     from repro.parallel.shm import ShmArena
 
     if m < 0:
@@ -396,9 +393,6 @@ def rmat_edges_parallel(
     if n_slices is not None and n_slices <= 0:
         raise GraphError(f"n_slices must be positive, got {n_slices}")
     seed_int = _require_int_seed(seed)
-    owned = pool is None
-    if pool is None:
-        pool = WorkerPool(workers)
     slices = pool.workers if n_slices is None else int(n_slices)
     names = ("gen_src", "gen_dst") + (("gen_ts",) if ts_range is not None else ())
     arena = ShmArena.allocate({name: (np.int64, (m,)) for name in names})
@@ -436,8 +430,6 @@ def rmat_edges_parallel(
     finally:
         arena.close()
         arena.unlink()
-        if owned:
-            pool.shutdown()
     return src, dst, ts
 
 

@@ -14,7 +14,6 @@ Memory is O(m) int64 plus one float64 scratch per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from repro.errors import GraphError
 from repro.generators.timestamps import uniform_timestamps
 from repro.util.seeding import DEFAULT_SEED, make_rng, mix_seed
 from repro.util.validation import check_probability
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.parallel
-    from repro.parallel.backend import ExecutionBackend
 
 __all__ = ["RMATParams", "PAPER_RMAT", "rmat_edges", "rmat_graph"]
 
@@ -135,8 +131,6 @@ def rmat_graph(
     drop_self_loops: bool = False,
     deduplicate: bool = False,
     shuffle: bool = False,
-    backend: str | "ExecutionBackend" = "serial",
-    workers: int | None = None,
 ) -> EdgeList:
     """Generate a full R-MAT :class:`~repro.edgelist.EdgeList`.
 
@@ -147,35 +141,16 @@ def rmat_graph(
     permutes edge order, as the paper does before the induced-subgraph
     experiment to remove generator locality.
 
-    ``backend`` selects the execution policy for the topology draw:
-    ``"serial"`` (default) runs in-process; ``"process"`` (or an
-    :class:`~repro.parallel.backend.ExecutionBackend` instance) generates
-    slices communication-free on a worker pool (see docs/GENERATORS.md).
-    Output is bit-identical either way, but non-serial backends need an
-    integer (or None) ``seed`` — the slice protocol jumps the seed's
-    PCG64 stream, which an opaque Generator does not allow.
+    For an integer (or None) ``seed``, the topology draw is bit-identical
+    to :func:`~repro.generators.parallel.rmat_edges_parallel`, which
+    generates the same edges communication-free on a worker pool
+    (see docs/GENERATORS.md).
     """
     n = 1 << scale
     if m is None:
         m = edge_factor * n
-    if backend is None or backend == "serial":
-        rng = make_rng(seed)
-        src, dst = rmat_edges(scale, m, params, rng)
-    else:
-        from repro.generators.parallel import _generator_at, _level_stride, _require_int_seed
-        from repro.parallel.backend import resolve_backend
-
-        seed_int = _require_int_seed(seed)
-        be, owned = resolve_backend(backend, workers=workers)
-        try:
-            src, dst = be.rmat_edges(scale, m, params=params, seed=seed_int)
-        finally:
-            if owned:
-                be.close()
-        # Reposition the local rng exactly where the serial path leaves it
-        # (scale levels of draws), so ``shuffle`` below permutes
-        # identically to a serial run with the same seed.
-        rng = _generator_at(seed_int, scale * _level_stride(params, m))
+    rng = make_rng(seed)
+    src, dst = rmat_edges(scale, m, params, rng)
     ts = None
     if ts_range is not None:
         lo, hi = ts_range

@@ -18,17 +18,15 @@ new vertex.  The parent concatenates the chunks *in order* and keeps each
 vertex's earliest pair (:func:`repro.core.frontier.first_occurrence`): the
 earliest chunk holding a vertex wins, which is the serial kernel's flattened
 gather order, so distances, parents and per-level statistics are
-bit-identical to the serial backend at every worker count.
+bit-identical to the serial kernel at every worker count.
 
 Bottom-up levels (:func:`repro.core.bfs.pull_step`, on snapshots stamped
 symmetric) run inline in the parent on the shared ``dist`` view, with the
 serial body; they are not fanned out.
 
 Workers also return a per-partition work-profile fragment (edges scanned,
-frontier vertices, heaviest vertex); the driver folds these into per-level
-partition records that ride along in the profile metadata
-(:func:`parallel_bfs_profile`) while the phase totals remain exactly the
-serial profile's.
+frontier vertices, heaviest vertex); the driver hands them back per level
+through ``fragments_out``.
 """
 
 from __future__ import annotations
@@ -36,16 +34,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adjacency.csr import CSRGraph
-from repro.core.bfs import BFSResult, bfs_profile, level_loop, pull_step
+from repro.core.bfs import BFSResult, level_loop, pull_step
 from repro.core.frontier import expand, first_occurrence
 from repro.errors import VertexError
-from repro.machine.profile import WorkProfile
 from repro.obs import METRICS, span
 from repro.parallel.partition import weighted_chunks
 from repro.parallel.pool import TaskSpec, WorkerPool, task
 from repro.parallel.shm import ShmArena
 
-__all__ = ["parallel_bfs", "parallel_bfs_profile"]
+__all__ = ["parallel_bfs"]
 
 
 @task("bfs.level")
@@ -181,35 +178,3 @@ def parallel_bfs(
     METRICS.inc("bfs.arcs_touched", res.arcs_touched)
     METRICS.inc("parallel.bfs_runs")
     return res
-
-
-def parallel_bfs_profile(
-    graph: CSRGraph,
-    result: BFSResult,
-    fragments: list[list[dict]],
-    *,
-    workers: int,
-    name: str = "bfs",
-    degree_split: bool = True,
-) -> WorkProfile:
-    """The serial work profile plus per-partition fragment metadata.
-
-    Phase totals come from :func:`repro.core.bfs.bfs_profile` over the
-    (bit-identical) result, so simulated numbers are unchanged by the
-    backend; the fragments record how the measured run actually divided per
-    level, which the scaling figures surface next to the simulated curves.
-    """
-    profile = bfs_profile(graph, result, name=name, degree_split=degree_split)
-    return profile.with_meta(
-        backend="process",
-        workers=workers,
-        partitions=[
-            {
-                "level": i,
-                "chunks": len(frags),
-                "edges": [f["edges"] for f in frags],
-                "vertices": [f["vertices"] for f in frags],
-            }
-            for i, frags in enumerate(fragments)
-        ],
-    )

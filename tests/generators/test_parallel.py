@@ -234,15 +234,11 @@ class TestParallelDriver:
         np.testing.assert_array_equal(ref_ts, ts)
 
     def test_rmat_graph_backend_switch(self, pool):
-        from repro.parallel.backend import ProcessBackend
-
-        be = ProcessBackend.__new__(ProcessBackend)
-        be.pool = pool
-        a = rmat_graph(7, 6, seed=17, ts_range=(1, 99), shuffle=True)
-        b = rmat_graph(7, 6, seed=17, ts_range=(1, 99), shuffle=True, backend=be)
-        np.testing.assert_array_equal(a.src, b.src)
-        np.testing.assert_array_equal(a.dst, b.dst)
-        np.testing.assert_array_equal(a.timestamps(), b.timestamps())
+        # The pooled draw is rmat_graph's topology, edge for edge.
+        a = rmat_graph(7, 6, seed=17, ts_range=(1, 99))
+        src, dst, _ = rmat_edges_parallel(7, a.m, seed=17, pool=pool, n_slices=3)
+        np.testing.assert_array_equal(a.src, src)
+        np.testing.assert_array_equal(a.dst, dst)
 
     def test_zero_slices_rejected_like_the_slice_protocol(self, pool):
         # 0 is not "default to one slice per worker": slice_bounds and

@@ -17,7 +17,7 @@ from repro.adjacency.csr import build_csr
 from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
-from repro.core.linkcut import LinkCutForest
+from repro.core.connectivity import ConnectivityIndex
 from repro.errors import WorkerCrashError
 from repro.generators.rmat import rmat_graph
 from repro.parallel.backend import ProcessBackend
@@ -69,7 +69,7 @@ def assert_serial(be, graph, source=0):
 
 
 def test_one_resident_arena_across_calls(csr, created):
-    forest, _ = LinkCutForest.from_csr(csr)
+    index = ConnectivityIndex.from_csr(csr)
     rng = np.random.default_rng(3)
     us, vs = rng.integers(0, csr.n, (2, 5000))
     with ProcessBackend(2) as be:
@@ -78,7 +78,7 @@ def test_one_resident_arena_across_calls(csr, created):
         for _ in range(3):
             be.connected_components(csr)
         for _ in range(2):
-            be.query_batch(forest, us, vs)
+            index.query_batch(us, vs, backend=be)
         # Per-call arenas are gone; what is left is the one snapshot copy.
         (name, size), = created().items()
         assert name == be.pool.resident(csr).shm_name

@@ -1,4 +1,4 @@
-"""Backend selection semantics and the ``backend=`` API thread-through."""
+"""The pool object against the serial kernels on a ``DynamicGraph`` snapshot."""
 
 import numpy as np
 import pytest
@@ -7,53 +7,17 @@ from repro.api import DynamicGraph
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.linkcut import LinkCutForest
 from repro.adjacency.csr import build_csr
-from repro.errors import ParallelError
 from repro.generators.rmat import rmat_graph
-from repro.parallel.backend import (
-    BACKENDS,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.parallel.backend import ProcessBackend
 
 
 class TestResolveBackend:
-    def test_strings_are_owned(self):
-        for name in BACKENDS:
-            be, owned = resolve_backend(name)
-            try:
-                assert owned
-                assert be.name == name
-            finally:
-                be.close()
-
-    def test_instances_are_borrowed(self):
-        be = SerialBackend()
-        got, owned = resolve_backend(be)
-        assert got is be and not owned
-
-        pbe = ProcessBackend(1)
-        try:
-            got, owned = resolve_backend(pbe, workers=1)
-            assert got is pbe and not owned
-        finally:
-            pbe.close()
-
-    def test_worker_mismatch_rejected(self):
-        pbe = ProcessBackend(1)
-        try:
-            with pytest.raises(ParallelError, match="workers"):
-                resolve_backend(pbe, workers=3)
-        finally:
-            pbe.close()
-
-    def test_unknown_backend(self):
-        with pytest.raises(ParallelError, match="unknown backend"):
-            resolve_backend("threads")
-
     def test_close_is_idempotent(self):
-        be, _ = resolve_backend("process", workers=1)
+        be = ProcessBackend(1)
+        be.pool.start()
+        procs = list(be.pool._procs)
         be.close()
+        assert procs and not any(p.is_alive() for p in procs)
         be.close()
 
 
@@ -66,21 +30,23 @@ def graph():
 class TestApiThreadThrough:
     def test_bfs_backends_agree(self, graph):
         serial = graph.bfs(0)
-        par = graph.bfs(0, backend="process", workers=2)
+        with ProcessBackend(2) as be:
+            par = be.bfs(graph.snapshot(), 0)
         np.testing.assert_array_equal(serial.dist, par.dist)
         np.testing.assert_array_equal(serial.parent, par.parent)
         assert serial.frontier_sizes == par.frontier_sizes
 
     def test_components_backends_agree(self, graph):
         serial = graph.connected_components()
-        par = graph.connected_components(backend="process", workers=2)
+        with ProcessBackend(2) as be:
+            par = be.connected_components(graph.snapshot())
         np.testing.assert_array_equal(serial.labels, par.labels)
         assert serial.n_components == par.n_components
 
     def test_backend_instance_is_reusable(self, graph):
         with ProcessBackend(2) as be:
-            first = graph.bfs(0, backend=be)
-            second = graph.bfs(1, backend=be)
+            first = be.bfs(graph.snapshot(), 0)
+            second = be.bfs(graph.snapshot(), 1)
         np.testing.assert_array_equal(first.dist, graph.bfs(0).dist)
         np.testing.assert_array_equal(second.dist, graph.bfs(1).dist)
 
@@ -94,9 +60,10 @@ class TestConnectivityIndexBackend:
         rng = np.random.default_rng(5)
         us, vs = rng.integers(0, csr.n, size=(2, 2000))
         serial = index.query_batch(us, vs)
-        par = index.query_batch(us, vs, backend="process", workers=2)
+        with ProcessBackend(2) as be:
+            par = index.query_batch(us, vs, backend=be)
+            assert not be.pool._started  # a label only: no worker started
         np.testing.assert_array_equal(serial.connected, par.connected)
         assert serial.total_hops == par.total_hops
         assert par.profile.meta["backend"] == "process"
-        assert par.profile.meta["workers"] == 2
-        assert serial.profile.meta["workers"] == 1
+        assert serial.profile.meta["backend"] == "serial"

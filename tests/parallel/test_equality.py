@@ -26,9 +26,8 @@ from repro.generators.reference import to_networkx
 from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
 from repro.core.connectivity import ConnectivityIndex
-from repro.core.linkcut import LinkCutForest
 from repro.obs import METRICS
-from repro.parallel.backend import ExecutionBackend, ProcessBackend, SerialBackend
+from repro.parallel.backend import ProcessBackend
 from repro.parallel.partition import range_chunks
 from repro.parallel.pool import WorkerPool
 from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
@@ -193,24 +192,23 @@ def test_query_batch_identical():
 
 
 def test_query_task_matches_the_serial_batch():
-    # Both backends answer query batches in this process through the one
-    # ExecutionBackend.query_batch: neither overrides it, and a slice of a
-    # batch answers and counts what the forest's own batch does.
-    assert SerialBackend.query_batch is ExecutionBackend.query_batch
-    assert ProcessBackend.query_batch is ExecutionBackend.query_batch
-    forest, _ = LinkCutForest.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
+    # A query batch labelled with a pool is answered in this process: a
+    # slice of a batch answers and counts what the forest's own batch does,
+    # and the pool is never started.
+    index = ConnectivityIndex.from_csr(build_csr(rmat_graph(7, 8, seed=11)))
+    forest = index.forest
     ends = np.arange(forest.n, dtype=np.int64)
     us, vs = ends, ends[::-1].copy()
     lo, hi = 5, forest.n - 3
+    METRICS.reset()
+    with ProcessBackend(2) as be:
+        got = index.query_batch(us[lo:hi], vs[lo:hi], backend=be)
+        assert not be.pool._started
     before = forest.hops
     want = forest.connected_batch(us[lo:hi], vs[lo:hi])
     want_hops = forest.hops - before
-    METRICS.reset()
-    with ProcessBackend(2) as be:
-        answers, hops = be.query_batch(forest, us[lo:hi], vs[lo:hi])
-        assert not be.pool._started
-    np.testing.assert_array_equal(answers, want)
-    assert hops == want_hops
+    np.testing.assert_array_equal(got.connected, want)
+    assert got.total_hops == want_hops > 0
     assert METRICS.counter("parallel.pool.tasks_dispatched").value == 0
 
 

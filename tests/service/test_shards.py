@@ -1,10 +1,10 @@
 """Component labels off the serial path: the process backend and the service memo.
 
 The service computes an epoch's labels one way — the serial kernel, once per
-epoch.  The process backend's components driver (``--backend process``
+epoch.  The pool's components driver (a caller's :class:`ProcessBackend`,
 outside the service) must stay bit-identical to that kernel, recover from a
-worker crash through ``pool.restart()``, and a backend instance a caller
-passes in stays that caller's to close.
+worker crash through ``pool.restart()``, and stay up between calls until its
+holder closes it.
 """
 
 import numpy as np
@@ -77,9 +77,9 @@ class TestCrashRecovery:
         assert METRICS.counter("service.epoch.cache_misses").value == misses + 1
 
     def test_router_borrows_pool_without_owning_it(self, graph, backend):
-        # A backend instance passed in is borrowed: the call must not close it.
+        # A call on a graph's snapshot leaves the pool running for the next.
         g = DynamicGraph.from_edgelist(rmat_graph(9, 8, seed=17))
-        labels = g.connected_components(backend=backend).labels
-        assert np.array_equal(labels, connected_components(g.snapshot()).labels)
+        labels = backend.connected_components(g.snapshot()).labels
+        assert np.array_equal(labels, g.connected_components().labels)
         assert backend.pool._procs and all(p.is_alive() for p in backend.pool._procs)
-        assert np.array_equal(g.connected_components(backend=backend).labels, labels)
+        assert np.array_equal(backend.connected_components(g.snapshot()).labels, labels)

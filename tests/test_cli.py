@@ -175,7 +175,7 @@ class TestSimulate:
 
 class TestTraceFlagsAndExporters:
     WORKLOADS = ["quickstart", "updates", "bfs", "connectivity",
-                 "components", "connectit", "fig10", "genscale"]
+                 "components", "connectit"]
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_every_workload_quiet_no_manifest(self, workload, tmp_path, capsys):
@@ -231,44 +231,29 @@ class TestTraceFlagsAndExporters:
             main(["trace", "bfs", "--memprof", "--out", str(out)])
         capsys.readouterr()
 
-    def test_backend_compare_writes_only_the_out_file(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        for workload in ("fig10", "genscale"):
-            assert main([
-                "trace", workload, "--scale", "8", "--edge-factor", "4",
-                "--out", "t.jsonl",
-            ]) == 0
-            assert "speedup" in capsys.readouterr().out
-            assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+    def test_trace_takes_no_pool_and_labels_none(self, tmp_path, capsys):
+        # Every traced workload runs in this process: there is no flag that
+        # could stamp a pool on serial work, and neither the root span nor
+        # the run manifest names one.
+        import json
 
-    @pytest.mark.parametrize("workload", ["fig10", "genscale"])
-    def test_backend_result_differing_from_serial_exits_nonzero(
-        self, workload, tmp_path, monkeypatch, capsys
-    ):
-        from repro.parallel.backend import SerialBackend
+        from repro.obs import read_jsonl
 
-        class Lossy(SerialBackend):
-            def bfs(self, *args, **kwargs):
-                res = super().bfs(*args, **kwargs)
-                res.dist[0] += 1
-                return res
-
-            def rmat_edges(self, *args, **kwargs):
-                src, dst = super().rmat_edges(*args, **kwargs)
-                src[0] ^= 1
-                return src, dst
-
-        monkeypatch.setattr(
-            "repro.__main__._resolve_trace_backend", lambda args: Lossy()
-        )
-        with pytest.raises(SystemExit, match="differ from serial"):
-            main([
-                "trace", workload, "--scale", "8", "--edge-factor", "4",
-                "--quiet", "--out", str(tmp_path / "t.jsonl"),
-            ])
+        out, chrome = tmp_path / "t.jsonl", tmp_path / "c.json"
+        for flag in (["--backend", "process"], ["--workers", "2"]):
+            with pytest.raises(SystemExit):
+                main(["trace", "components", *flag, "--out", str(out)])
         capsys.readouterr()
+        assert main(["trace", "components", "--scale", "8", "--out", str(out),
+                     "--chrome", str(chrome)]) == 0
+        capsys.readouterr()
+        (root,) = [e for e in read_jsonl(out)
+                   if e["type"] == "span" and e["parent_id"] is None]
+        assert root["name"] == "trace.components"
+        manifest = json.loads(chrome.read_text())["metadata"]
+        assert manifest["extra"] == {"workload": "components"}
+        for attrs in (root["attrs"], manifest, manifest["extra"]):
+            assert not {"backend", "workers"} & set(attrs)
 
 
 class TestObs:
