@@ -1,4 +1,4 @@
-"""Communication-free parallel R-MAT generation and streaming edge chunks.
+"""Communication-free sliced R-MAT generation and streaming edge chunks.
 
 The serial generator (:func:`repro.generators.rmat.rmat_edges`) draws, for
 each of the ``scale`` recursion levels, one batch of ``m`` uniform doubles
@@ -12,7 +12,7 @@ Concatenating the slices of *any* partition is therefore bit-identical to
 the serial output — the invariant the tests, the CI determinism gate and
 the experiment harness all rely on.
 
-Three layers build on the slice protocol:
+Two layers build on the slice protocol:
 
 * :func:`rmat_edges_slice` / :func:`rmat_edges_range` — deterministic
   regeneration of one slice of the serial edge stream;
@@ -21,11 +21,7 @@ Three layers build on the slice protocol:
   :class:`~repro.generators.streams.UpdateStream` chunks (the full edge
   list is never resident), feeding the ``UpdateStream`` builders and
   :func:`~repro.core.update_engine.apply_stream` at scales where the
-  materialised list would not fit in memory;
-* :func:`rmat_edges_parallel` — a :class:`~repro.parallel.pool.WorkerPool`
-  driver generating slices in parallel into a
-  :class:`~repro.parallel.shm.ShmArena`, bit-identical to the topology
-  draw of :func:`~repro.generators.rmat.rmat_graph`.
+  materialised list would not fit in memory.
 
 Time-stamps in the streaming path follow their own sliceable rule
 (:func:`uniform_timestamps_range`): the serial
@@ -40,7 +36,7 @@ slicing.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -51,9 +47,6 @@ from repro.generators.streams import INSERT, UpdateStream
 from repro.obs import METRICS
 from repro.util.seeding import DEFAULT_SEED, mix_seed
 
-if TYPE_CHECKING:  # WorkerPool is only needed by the parallel driver.
-    from repro.parallel.pool import WorkerPool
-
 __all__ = [
     "DEFAULT_CHUNK_EDGES",
     "slice_bounds",
@@ -62,7 +55,6 @@ __all__ = [
     "uniform_timestamps_range",
     "iter_edge_chunks",
     "iter_update_chunks",
-    "rmat_edges_parallel",
 ]
 
 #: Default streaming chunk size: 2^18 edges = 4 MiB per int64 endpoint
@@ -329,121 +321,3 @@ def iter_update_chunks(
             chunk.timestamps(),
             meta={"kind": "insertion", **dict(chunk.meta)},
         )
-
-
-# --------------------------------------------------------------------- #
-# shared-memory parallel driver
-# --------------------------------------------------------------------- #
-
-
-def _slice_task(views: dict, payload: dict) -> int:
-    """Worker-side task: regenerate one slice into the shared arrays.
-
-    Registered as ``generators.rmat_slice`` (see the bottom of the
-    module); the arena carries ``gen_src``/``gen_dst`` (and ``gen_ts``
-    when time labels were requested) views the worker writes its
-    ``[lo, hi)`` range into.  Returns the slice's edge count.
-    """
-    params = RMATParams(*payload["params"], noise=payload["noise"])
-    lo = int(payload["lo"])
-    hi = int(payload["hi"])
-    scale = int(payload["scale"])
-    m = int(payload["m"])
-    seed = int(payload["seed"])
-    src, dst = rmat_edges_range(params, scale, m, seed, lo, hi)
-    views["gen_src"][lo:hi] = src
-    views["gen_dst"][lo:hi] = dst
-    ts_range = payload.get("ts_range")
-    if ts_range is not None:
-        views["gen_ts"][lo:hi] = uniform_timestamps_range(
-            m, int(ts_range[0]), int(ts_range[1]), seed, lo, hi
-        )
-    METRICS.inc("generators.rmat.edges_generated", hi - lo)
-    return hi - lo
-
-
-def rmat_edges_parallel(
-    scale: int,
-    m: int,
-    *,
-    params: RMATParams = PAPER_RMAT,
-    seed: int | None = None,
-    pool: "WorkerPool",
-    n_slices: int | None = None,
-    ts_range: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Generate the full edge list in parallel over a worker pool.
-
-    Each worker regenerates its slices communication-free into a shared
-    :class:`~repro.parallel.shm.ShmArena`; the concatenated result is
-    bit-identical to the serial ``rmat_edges(scale, m, params, seed)``.
-    The caller owns ``pool`` (it stays up for the next round).  ``n_slices``
-    defaults to the pool's worker count; more slices than workers gives
-    finer load balancing.
-
-    Returns ``(src, dst, ts)`` where ``ts`` is None unless ``ts_range``
-    was given, in which case it holds sliced time labels (see
-    :func:`uniform_timestamps_range`).
-    """
-    from repro.parallel.pool import TaskSpec
-    from repro.parallel.shm import ShmArena
-
-    if m < 0:
-        raise GraphError(f"edge count must be >= 0, got {m}")
-    if n_slices is not None and n_slices <= 0:
-        raise GraphError(f"n_slices must be positive, got {n_slices}")
-    seed_int = _require_int_seed(seed)
-    slices = pool.workers if n_slices is None else int(n_slices)
-    names = ("gen_src", "gen_dst") + (("gen_ts",) if ts_range is not None else ())
-    arena = ShmArena.allocate({name: (np.int64, (m,)) for name in names})
-    try:
-        specs = []
-        for idx in range(slices):
-            lo, hi = slice_bounds(m, idx, slices)
-            specs.append(
-                TaskSpec(
-                    "generators.rmat_slice",
-                    {
-                        "params": params.as_tuple(),
-                        "noise": params.noise,
-                        "scale": scale,
-                        "m": m,
-                        "seed": seed_int,
-                        "lo": lo,
-                        "hi": hi,
-                        "ts_range": ts_range,
-                    },
-                    arenas=[arena.descriptor],
-                )
-            )
-        t0 = time.perf_counter()
-        pool.run_tasks(specs)
-        elapsed = time.perf_counter() - t0
-        METRICS.inc("generators.rmat.parallel_rounds")
-        METRICS.set("generators.rmat.parallel_slices", float(slices))
-        if elapsed > 0 and m > 0:
-            METRICS.observe("generators.rmat.parallel_edges_per_second", m / elapsed)
-        # Copy out before the arena goes away.
-        src = np.array(arena.view("gen_src"))
-        dst = np.array(arena.view("gen_dst"))
-        ts = np.array(arena.view("gen_ts")) if ts_range is not None else None
-    finally:
-        arena.close()
-        arena.unlink()
-    return src, dst, ts
-
-
-def _register_pool_task() -> None:
-    """Register the slice task with the worker-pool task registry.
-
-    Kept in a function (called at import time) so importing the slice
-    protocol alone does not *require* the pool machinery — but any
-    process that imports this module, including spawned workers via
-    ``_worker_main``, gets the task registered.
-    """
-    from repro.parallel.pool import task
-
-    task("generators.rmat_slice")(_slice_task)
-
-
-_register_pool_task()

@@ -142,9 +142,9 @@ def rmat_graph(
     experiment to remove generator locality.
 
     For an integer (or None) ``seed``, the topology draw is bit-identical
-    to :func:`~repro.generators.parallel.rmat_edges_parallel`, which
-    generates the same edges communication-free on a worker pool
-    (see docs/GENERATORS.md).
+    to the concatenated slices of
+    :func:`~repro.generators.parallel.rmat_edges_slice`, which regenerates
+    any share of it communication-free (see docs/GENERATORS.md).
     """
     n = 1 << scale
     if m is None:

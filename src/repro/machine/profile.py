@@ -220,12 +220,6 @@ class WorkProfile:
         """Peak working set over the profile."""
         return max(p.footprint_bytes for p in self.phases)
 
-    def with_meta(self, **extra) -> "WorkProfile":
-        """Return a copy with additional metadata entries."""
-        meta = dict(self.meta)
-        meta.update(extra)
-        return WorkProfile(self.name, self.phases, meta)
-
     def collapsed(self, name: str | None = None) -> "WorkProfile":
         """Merge all phases into a single phase (for coarse comparisons)."""
         merged = self.phases[0]

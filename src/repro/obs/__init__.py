@@ -6,8 +6,7 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
 
 * :mod:`repro.obs.trace` — the one span model: nestable spans with a
   no-op disabled path, a context-carried current span (innermost scope
-  wins) and the ``bind`` / ``activate`` / ``adopt`` hops across threads
-  and processes;
+  wins) and the ``bind`` / ``activate`` hops across threads;
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms the
   instrumented kernels tick at phase granularity;
 * :mod:`repro.obs.sink` — memory ring buffer, JSONL file and tee sinks;

@@ -5,9 +5,8 @@ A recorded span stream (the event dicts a :class:`~repro.obs.sink
 flat list; :func:`to_chrome_trace` converts it into the Chrome trace-event
 JSON object format, loadable in ``chrome://tracing``,
 https://ui.perfetto.dev and https://www.speedscope.app: every span becomes
-one complete (``"ph": "X"``) event with microsecond ``ts``/``dur``;
-worker-adopted spans land on their own ``tid`` lane so a process-backend
-fan-out renders as parallel tracks.
+one complete (``"ph": "X"``) event with microsecond ``ts``/``dur`` on the
+one ``main`` thread lane.
 
 :func:`validate_chrome_trace`, used by the test-suite (and usable on any
 artifact), verifies the structural invariants: required fields and
@@ -30,22 +29,13 @@ __all__ = ["to_chrome_trace", "write_chrome_trace", "validate_chrome_trace"]
 #: float rounding on perf_counter deltas, not real overlap.
 _NEST_EPS = 5e-5
 
-#: The tid used for parent-process spans; worker ``i`` maps to ``i + 1``.
+#: The one thread lane every span renders on.
 _MAIN_TID = 0
 
 
 def _spans(events: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
     """The span events of a stream, as plain dicts."""
     return [dict(e) for e in events if e.get("type") == "span"]
-
-
-def _tid_of(span: Mapping[str, Any]) -> int:
-    """Thread-lane id: workers get their own lane, the parent gets lane 0."""
-    worker = span.get("attrs", {}).get("worker")
-    try:
-        return _MAIN_TID if worker is None else int(worker) + 1
-    except (TypeError, ValueError):
-        return _MAIN_TID
 
 
 # --------------------------------------------------------------------- #
@@ -69,10 +59,7 @@ def to_chrome_trace(
     spans = _spans(events)
     t0 = min((float(e.get("t_start", 0.0)) for e in spans), default=0.0)
     trace_events: list[dict[str, Any]] = []
-    tids: set[int] = set()
     for e in spans:
-        tid = _tid_of(e)
-        tids.add(tid)
         args = dict(e.get("attrs", {}))
         args["span_id"] = e.get("span_id")
         if e.get("parent_id") is not None:
@@ -87,19 +74,18 @@ def to_chrome_trace(
                 "ts": (float(e.get("t_start", 0.0)) - t0) * 1e6,
                 "dur": max(0.0, float(e.get("duration", 0.0))) * 1e6,
                 "pid": pid,
-                "tid": tid,
+                "tid": _MAIN_TID,
                 "args": args,
             }
         )
-    for tid in sorted(tids):
-        label = "main" if tid == _MAIN_TID else f"worker-{tid - 1}"
+    if spans:
         trace_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": tid,
-                "args": {"name": label},
+                "tid": _MAIN_TID,
+                "args": {"name": "main"},
             }
         )
     doc: dict[str, Any] = {

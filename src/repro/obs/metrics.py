@@ -32,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "METRICS",
-    "snapshot_delta",
     "BUCKET_BOUNDS",
 ]
 
@@ -167,9 +166,7 @@ class Histogram:
         leaking them would put non-finite floats (or ``NaN`` via
         arithmetic on them) into JSON artifacts, so the empty summary
         pins every field to zero instead.  Non-empty summaries carry the
-        interpolated ``p50``/``p99`` plus the raw bucket counts so
-        summaries merge across processes without losing quantile
-        resolution.
+        interpolated ``p50``/``p99`` plus the raw bucket counts.
         """
         if not self.count:
             return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
@@ -251,62 +248,6 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(
-        self,
-        snapshot: dict,
-        *,
-        prefix: str = "",
-        rollup: str | None = None,
-    ) -> None:
-        """Fold another registry's :meth:`snapshot` (or delta) into this one.
-
-        Used by the process backend to aggregate worker telemetry: counters
-        *add* (under ``prefix.`` when given, and again under ``rollup.`` so
-        a combined total exists next to the per-worker series), gauges
-        *overwrite* under the prefix and take the *max* under the rollup
-        (the rollup of a last-value metric is its high-water mark), and
-        histogram summaries merge count/total/min/max exactly.
-        """
-
-        def names(base: str) -> list[str]:
-            out = [f"{prefix}.{base}" if prefix else base]
-            if rollup:
-                out.append(f"{rollup}.{base}")
-            return out
-
-        for base, value in snapshot.get("counters", {}).items():
-            if value:
-                for name in names(base):
-                    self.counter(name).inc(int(value))
-        for base, value in snapshot.get("gauges", {}).items():
-            target = f"{prefix}.{base}" if prefix else base
-            self.gauge(target).set(float(value))
-            if rollup:
-                g = self.gauge(f"{rollup}.{base}")
-                g.set(max(g.value, float(value)))
-        for base, summary in snapshot.get("histograms", {}).items():
-            count = int(summary.get("count", 0))
-            if not count:
-                continue
-            buckets = summary.get("buckets")
-            for name in names(base):
-                h = self.histogram(name)
-                h.count += count
-                h.total += float(summary.get("total", 0.0))
-                h.min = min(h.min, float(summary.get("min", 0.0)))
-                h.max = max(h.max, float(summary.get("max", 0.0)))
-                if isinstance(buckets, list):
-                    for i, n in enumerate(buckets[: len(h.buckets)]):
-                        if n:
-                            h.buckets[i] += int(n)
-                else:
-                    # A summary without bucket data (older artifact):
-                    # attribute its mass to the bucket of its mean so the
-                    # merged quantiles stay defined, if coarsely.
-                    h.buckets[
-                        bisect_left(BUCKET_BOUNDS, float(summary.get("total", 0.0)) / count)
-                    ] += count
-
     def reset(self) -> None:
         """Zero every metric (names stay registered)."""
         for c in self._counters.values():
@@ -315,52 +256,6 @@ class MetricsRegistry:
             g.reset()
         for h in self._histograms.values():
             h.reset()
-
-
-def snapshot_delta(before: dict, after: dict) -> dict:
-    """What happened between two :meth:`MetricsRegistry.snapshot` calls.
-
-    Counters difference (only positive deltas survive); gauges keep the
-    ``after`` value when it changed; histogram summaries difference their
-    count/total and keep the ``after`` extremes (exact extremes of an
-    interval are not recoverable from two endpoint summaries — for the
-    worker-telemetry use case the registry is fresh per process, so the
-    approximation is exact in practice).  The result is itself snapshot-
-    shaped, so it feeds straight into :meth:`MetricsRegistry
-    .merge_snapshot`.
-    """
-    counters = {}
-    before_c = before.get("counters", {})
-    for name, value in after.get("counters", {}).items():
-        delta = value - before_c.get(name, 0)
-        if delta > 0:
-            counters[name] = delta
-    gauges = {}
-    before_g = before.get("gauges", {})
-    for name, value in after.get("gauges", {}).items():
-        if name not in before_g or before_g[name] != value:
-            gauges[name] = value
-    histograms = {}
-    before_h = before.get("histograms", {})
-    for name, summary in after.get("histograms", {}).items():
-        prior = before_h.get(name, {})
-        count = int(summary.get("count", 0)) - int(prior.get("count", 0))
-        if count > 0:
-            entry = {
-                "count": count,
-                "total": float(summary.get("total", 0.0)) - float(prior.get("total", 0.0)),
-                "min": summary.get("min", 0.0),
-                "max": summary.get("max", 0.0),
-            }
-            after_b = summary.get("buckets")
-            if isinstance(after_b, list):
-                prior_b = prior.get("buckets") or [0] * len(after_b)
-                entry["buckets"] = [
-                    max(0, int(a) - int(b))
-                    for a, b in zip(after_b, list(prior_b) + [0] * len(after_b))
-                ]
-            histograms[name] = entry
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 #: The process-wide registry every instrumented module ticks into.

@@ -31,9 +31,8 @@ per-request tracer, see :mod:`repro.obs.reqtrace`) a kernel's plain
 ``span("core.bfs")`` lands in that request's tree and nowhere else;
 outside any scope it lands on the process tracer.  Context variables do
 not follow work handed to another thread, so :func:`bind` and
-:func:`activate` carry a span across such a hop explicitly, and
-:meth:`Tracer.adopt` folds spans recorded in another process under the
-span open here.
+:func:`activate` carry a span across such a hop explicitly.  Worker
+processes of :mod:`repro.parallel` never trace.
 """
 
 from __future__ import annotations
@@ -190,28 +189,6 @@ class Tracer:
         }
         self.record(event)
         return event
-
-    def adopt(self, events: Iterable[dict], worker: int | None = None) -> None:
-        """Fold span events recorded by another process into this tracer.
-
-        Span ids are remapped into this tracer's id space; the shipped
-        roots (events whose parent is not in the batch) parent at the span
-        open in the adopting context, so the tree stays connected across
-        the process boundary.  ``worker`` tags each adopted span.
-        """
-        cur = _CURRENT.get()
-        parent_open = cur.span_id if cur is not None and cur.tracer is self else None
-        spans = [ev for ev in events if ev.get("type") == "span"]
-        remap = {ev["span_id"]: next(self._ids) for ev in spans}
-        for ev in spans:
-            adopted = dict(ev)
-            adopted["span_id"] = remap[ev["span_id"]]
-            adopted["parent_id"] = remap.get(ev.get("parent_id"), parent_open)
-            attrs = dict(ev.get("attrs", {}))
-            if worker is not None:
-                attrs.setdefault("worker", worker)
-            adopted["attrs"] = attrs
-            self.record(adopted)
 
 
 #: The process-wide tracer (None = tracing disabled).

@@ -23,21 +23,11 @@ count.  Hold a :class:`ProcessBackend` to run them on one reused pool::
 from repro.parallel.backend import ProcessBackend
 from repro.parallel.bfs import parallel_bfs
 from repro.parallel.components import parallel_connected_components
-from repro.parallel.partition import range_chunks, vpart_owner, weighted_chunks
-from repro.parallel.pool import TaskSpec, WorkerPool, default_workers
-from repro.parallel.shm import ArenaDescriptor, ArraySpec, ShmArena
+from repro.parallel.pool import WorkerPool
 
 __all__ = [
     "ProcessBackend",
     "parallel_bfs",
     "parallel_connected_components",
     "WorkerPool",
-    "TaskSpec",
-    "default_workers",
-    "ShmArena",
-    "ArenaDescriptor",
-    "ArraySpec",
-    "range_chunks",
-    "weighted_chunks",
-    "vpart_owner",
 ]

@@ -23,10 +23,6 @@ bit-identical to the serial kernel at every worker count.
 Bottom-up levels (:func:`repro.core.bfs.pull_step`, on snapshots stamped
 symmetric) run inline in the parent on the shared ``dist`` view, with the
 serial body; they are not fanned out.
-
-Workers also return a per-partition work-profile fragment (edges scanned,
-frontier vertices, heaviest vertex); the driver hands them back per level
-through ``fragments_out``.
 """
 
 from __future__ import annotations
@@ -52,24 +48,13 @@ def _bfs_level(views: dict, payload: dict) -> dict:
     offsets, dist = views["offsets"], views["dist"]
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    fragment = {
-        "vertices": int(frontier.size),
-        "edges": total,
-        "max_degree": int(counts.max()) if counts.size else 0,
-    }
-    # Distinct from the canonical ``bfs.edges_scanned`` (ticked once per
-    # traversal by the parent): this one counts per gather call, so fanned
-    # out levels surface per-worker under ``worker{i}.bfs.level.edges``
-    # while inlined levels land in the parent registry directly.
-    METRICS.inc("bfs.level.edges", total)
     slot = np.empty(dist.size, dtype=np.int64)  # scratch, touched only at candidates
     new, owners = expand(
         frontier, starts, counts, views["targets"], dist, slot, views.get("ts"), payload["ts_range"]
     )
     # Fresh arrays, not views of shared memory: the parent writes
     # dist/frontier after the round and the reply is pickled anyway.
-    return {"nbrs": new, "reps": owners, "fragment": fragment}
+    return {"nbrs": new, "reps": owners}
 
 
 #: Levels scanning fewer edges than this run inline in the parent: a queue
@@ -87,16 +72,8 @@ def parallel_bfs(
     ts_range: tuple[int, int] | None = None,
     max_levels: int | None = None,
     small_level_edges: int = SMALL_LEVEL_EDGES,
-    fragments_out: list | None = None,
 ) -> BFSResult:
-    """Multiprocess BFS, bit-identical to :func:`repro.core.bfs.bfs`.
-
-    ``fragments_out``, when given, receives one list per level of the
-    per-partition work fragments the workers reported (levels below
-    ``small_level_edges`` scanned edges carry a single parent-side
-    fragment marked ``"inline"``, bottom-up levels one marked ``"inline"``
-    and ``"pull"``).
-    """
+    """Multiprocess BFS, bit-identical to :func:`repro.core.bfs.bfs`."""
     if not 0 <= source < graph.n:
         raise VertexError(f"source {source} out of range [0, {graph.n})")
     if ts_range is not None and graph.ts is None:
@@ -127,7 +104,6 @@ def parallel_bfs(
             shared_frontier[: frontier.size] = frontier
             if total <= small_level_edges or pool.workers == 1:
                 outs = [_bfs_level(views, {"lo": 0, "hi": frontier.size, "ts_range": ts_range})]
-                outs[0]["fragment"]["inline"] = True
             else:
                 outs = pool.run_tasks(
                     [
@@ -136,24 +112,9 @@ def parallel_bfs(
                         for lo, hi in weighted_chunks(counts, pool.workers)
                     ]
                 )
-            if fragments_out is not None:
-                fragments_out.append([o["fragment"] for o in outs])
             nbrs = np.concatenate([o["nbrs"] for o in outs])
             first = first_occurrence(nbrs, slot)
             return nbrs[first], np.concatenate([o["reps"] for o in outs])[first]
-
-        pulled = pull_step(graph, shared_dist, ts_range)
-
-        def up(level):
-            if fragments_out is not None:
-                fragments_out.append([{
-                    "vertices": res.frontier_sizes[-1],
-                    "edges": res.edges_scanned[-1],
-                    "max_degree": res.max_frontier_degree[-1],
-                    "inline": True,
-                    "pull": True,
-                }])
-            return pulled(level)
 
         with span(
             "parallel.bfs",
@@ -163,7 +124,7 @@ def parallel_bfs(
             filtered=ts_range is not None,
         ) as sp:
             level_loop(res, np.array([source], dtype=np.int64), graph.offsets, step, max_levels,
-                       None if pulled is None else up)
+                       pull_step(graph, shared_dist, ts_range))
             sp.set(
                 levels=res.n_levels,
                 reached=res.n_reached,

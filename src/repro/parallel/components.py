@@ -51,11 +51,7 @@ def _components_hook(views: dict, payload: dict) -> dict:
     rows, starts = row_runs(views["offsets"], lo, hi)
     dst = views["targets"][lo:hi]
     idx, val = hook_rows(views["labels"], rows, starts, dst, payload["symmetric"])
-    return {
-        "idx": idx,
-        "val": val,
-        "fragment": {"arcs": int(hi - lo), "proposals": int(idx.size)},
-    }
+    return {"idx": idx, "val": val}
 
 
 def parallel_connected_components(
@@ -66,15 +62,13 @@ def parallel_connected_components(
 ) -> ComponentsResult:
     """Multiprocess components, bit-identical to the serial kernel.
 
-    The per-pass partition fragments land in ``result.meta`` (and therefore
-    in the work profile built from it).
+    ``result.meta`` names the backend and its worker count.
     """
     n = graph.n
     if n == 0:
         return ComponentsResult(np.arange(0, dtype=np.int64), 0, 0, 0)
     n_arcs = graph.n_arcs
     resident = pool.resident(graph)
-    fragments: list[list[dict]] = []
     with ShmArena.allocate({"labels": (np.int64, (n,))}) as arena:  # this call's state
         arenas = (resident, arena.descriptor)
         shared_labels = arena.view("labels")
@@ -91,7 +85,6 @@ def parallel_connected_components(
             """Fan one hooking sweep out and fold the workers' proposals."""
             shared_labels[...] = prev
             outs = pool.run_tasks(tasks)
-            fragments.append([o["fragment"] for o in outs])
             labels = prev.copy()
             for o in outs:
                 np.minimum.at(labels, o["idx"], o["val"])
@@ -106,12 +99,5 @@ def parallel_connected_components(
         passes,
         jumps,
         arcs_processed,
-        meta={
-            "backend": "process",
-            "workers": pool.workers,
-            "partitions": [
-                {"pass": i, "chunks": len(f), "proposals": [x["proposals"] for x in f]}
-                for i, f in enumerate(fragments)
-            ],
-        },
+        meta={"backend": "process", "workers": pool.workers},
     )

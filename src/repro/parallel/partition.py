@@ -1,13 +1,10 @@
 """Deterministic work partitioning for the process backend.
 
 The paper's update partitioning schemes (section 2.1.3) assign work to
-threads by *vertex ownership* (:mod:`repro.adjacency.vpart`, ``owner(u, p) =
-u % p``) or by *splitting edge work* across threads
-(:mod:`repro.adjacency.epart`).  The process backend reuses both ideas as
-pure, deterministic index arithmetic:
+threads by *vertex ownership* (:mod:`repro.adjacency.vpart`) or by
+*splitting edge work* across threads (:mod:`repro.adjacency.epart`).  The
+process backend splits edge work, as pure, deterministic index arithmetic:
 
-* :func:`vpart_owner` — the Vpart ownership function, bit-compatible with
-  :meth:`repro.adjacency.vpart.VPartAdjacency.owner`;
 * :func:`range_chunks` — contiguous equal-count ranges (edge/arc
   partitioning, the Epart spirit: one hot vertex's arcs may span chunks);
 * :func:`weighted_chunks` — contiguous ranges balanced by a per-item weight
@@ -27,14 +24,7 @@ import numpy as np
 
 from repro.errors import ParallelError
 
-__all__ = ["vpart_owner", "range_chunks", "weighted_chunks"]
-
-
-def vpart_owner(u: int, p: int) -> int:
-    """Owning worker of vertex ``u`` among ``p`` workers (Vpart scheme)."""
-    if p <= 0:
-        raise ParallelError(f"worker count must be positive, got {p}")
-    return int(u) % int(p)
+__all__ = ["range_chunks", "weighted_chunks"]
 
 
 def range_chunks(total: int, parts: int) -> list[tuple[int, int]]:

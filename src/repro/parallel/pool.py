@@ -27,25 +27,13 @@ Design points:
   :class:`~repro.errors.WorkerCrashError` (and a worker that raises
   re-raises here with the worker traceback attached) instead of hanging on
   a queue that will never fill.
-* **Trace adoption** — when a tracer is in scope in the dispatching
-  context (the process tracer, or the request whose span is open there),
-  the task envelope says so, workers record spans into a private
-  in-memory sink and ship the events back with their result, and
-  :meth:`WorkerPool.run_tasks` folds them into that tracer
-  (:meth:`~repro.obs.trace.Tracer.adopt`: fresh span ids, parented at the
-  current open span, tagged with the worker id) — after the stale-round
-  filter, so an abandoned round's spans never orphan into a newer
-  request.  One JSONL trace, or one request tree, shows the whole fan-out.
-* **Telemetry aggregation** — each worker ships the delta of its own
-  ``METRICS`` registry back with every result.  The parent merges the
-  delta under a ``worker{i}.`` prefix *and* a combined ``workers.``
-  rollup (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`), so
-  for deterministic kernels ``workers.<counter>`` equals the counter a
-  serial run would have ticked.  The pool also maintains health metrics:
-  ``parallel.pool.tasks_dispatched`` / ``.tasks_completed`` /
-  ``.task_errors`` counters, a ``parallel.pool.workers`` gauge, and
-  ``parallel.pool.task_seconds`` / ``.queue_wait_seconds`` histograms
-  (wait = round-trip latency minus worker execution time).
+* **Results only** — a worker replies ``(task_id, worker_id, status,
+  out)`` and nothing else.  Workers never trace: each drops the process
+  tracer it inherited at start, so no span of theirs lands in the parent's
+  trace file.  The parent ticks the pool's own metrics:
+  ``parallel.pools_started``, ``parallel.pool.tasks_dispatched`` /
+  ``.tasks_completed`` / ``.task_errors`` / ``.restarts`` counters and a
+  ``parallel.pool.workers`` gauge.
 
 Worker-side task functions are registered with :func:`task` at import time;
 ``_worker_main`` imports the kernel modules explicitly so registration also
@@ -62,9 +50,7 @@ import weakref
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ParallelError, WorkerCrashError
-from repro.obs import METRICS, current_tracer, disable_tracing, enable_tracing, span
-from repro.obs.metrics import snapshot_delta
-from repro.obs.sink import MemorySink
+from repro.obs import METRICS, disable_tracing
 from repro.parallel.shm import ArenaDescriptor, ShmArena
 
 if TYPE_CHECKING:
@@ -137,8 +123,10 @@ def _worker_views(
 
 
 def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
+    # A forked worker inherits the parent's process tracer (and its sink:
+    # with a JSONL file, the parent's trace file); workers never trace.
+    disable_tracing()
     # Explicit imports populate the task registry under the spawn method.
-    import repro.generators.parallel  # noqa: F401
     import repro.parallel.bfs  # noqa: F401
     import repro.parallel.components  # noqa: F401
 
@@ -147,32 +135,16 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
         msg = task_q.get()
         if msg is None:
             break
-        task_id, name, descriptors, payload, traced = msg
-        events: list[dict] = []
-        telemetry: dict = {}
+        task_id, name, descriptors, payload = msg
         try:
             fn = _TASKS.get(name)
             if fn is None:
                 raise ParallelError(f"worker has no task {name!r}; registered: {sorted(_TASKS)}")
-            sink = None
-            if traced:
-                sink = MemorySink()
-                enable_tracing(sink)
-            before = METRICS.snapshot()
-            t0 = time.perf_counter()
-            try:
-                with span(f"parallel.{name}", worker=worker_id, task=task_id):
-                    out = fn(_worker_views(arenas, descriptors), payload)
-            finally:
-                telemetry = snapshot_delta(before, METRICS.snapshot())
-                telemetry["exec_seconds"] = time.perf_counter() - t0
-                if sink is not None:
-                    events = list(sink.events)
-                    disable_tracing()
-            result_q.put((task_id, worker_id, "ok", out, events, telemetry))
+            out = fn(_worker_views(arenas, descriptors), payload)
+            result_q.put((task_id, worker_id, "ok", out))
         except BaseException as exc:  # noqa: BLE001 - relayed to the parent
             detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            result_q.put((task_id, worker_id, "error", detail, events, telemetry))
+            result_q.put((task_id, worker_id, "error", detail))
     for arena in arenas.values():
         arena.close()
 
@@ -183,18 +155,7 @@ def _worker_main(worker_id: int, task_q: Any, result_q: Any) -> None:
 @task("selftest.echo")
 def _selftest_echo(views: dict, payload: dict) -> dict:
     """Echo the payload back (used by pool round-trip tests)."""
-    with span("parallel.selftest.echo.inner"):
-        return {"echo": payload.get("value"), "arrays": sorted(views)}
-
-
-@task("selftest.tick")
-def _selftest_tick(views: dict, payload: dict) -> int:
-    """Tick a worker-side counter, gauge and histogram for telemetry tests."""
-    n = int(payload.get("n", 1))
-    METRICS.inc("selftest.ticks", n)
-    METRICS.set("selftest.level", float(n))
-    METRICS.observe("selftest.lat", float(n))
-    return n
+    return {"echo": payload.get("value"), "arrays": sorted(views)}
 
 
 @task("selftest.mapped")
@@ -298,8 +259,7 @@ class WorkerPool:
                 daemon=True,
             )
             # In an empty context: a forked worker would otherwise inherit the
-            # span open in this thread and record its own spans into a copy
-            # of that span's tracer instead of the sink it ships back.
+            # span open in this thread, and with it that span's tracer.
             contextvars.Context().run(proc.start)
             self._task_qs.append(tq)
             self._procs.append(proc)
@@ -360,17 +320,12 @@ class WorkerPool:
         if not tasks:
             return []
         self.start()
-        tracer = current_tracer()
         base = self._task_counter
         self._task_counter += len(tasks)
-        dispatched_at: dict[int, float] = {}
         for i, spec in enumerate(tasks):
             if spec.name not in _TASKS:
                 raise ParallelError(f"unknown task {spec.name!r}")
-            dispatched_at[base + i] = self._now()
-            self._task_qs[i % self.workers].put(
-                (base + i, spec.name, spec.arenas, spec.payload, tracer is not None)
-            )
+            self._task_qs[i % self.workers].put((base + i, spec.name, spec.arenas, spec.payload))
         METRICS.inc("parallel.pool.tasks_dispatched", len(tasks))
         results: dict[int, Any] = {}
         errors: dict[int, str] = {}
@@ -379,22 +334,15 @@ class WorkerPool:
             got = self._drain_one(
                 deadline, n_expected=len(tasks), n_done=len(results) + len(errors)
             )
-            task_id, worker_id, status, out, events, telemetry = got
+            task_id, _worker_id, status, out = got
             if not base <= task_id < base + len(tasks):
                 continue  # stale result from an abandoned round
-            if events and tracer is not None:
-                # After the staleness filter on purpose: an abandoned
-                # round's spans never orphan into a newer request trace.
-                tracer.adopt(events, worker=worker_id)
-            if telemetry:
-                self._merge_telemetry(worker_id, telemetry, dispatched_at.get(task_id))
             if status == "ok":
                 METRICS.inc("parallel.pool.tasks_completed")
                 results[task_id - base] = out
             else:
                 METRICS.inc("parallel.pool.task_errors")
                 errors[task_id - base] = out
-        METRICS.inc("parallel.tasks", len(tasks))
         if errors:
             first = min(errors)
             raise WorkerCrashError(
@@ -470,26 +418,3 @@ class WorkerPool:
         if held is not None:
             held[1].close()
             held[1].unlink()
-
-    def _merge_telemetry(
-        self, worker_id: int, telemetry: dict, dispatched: float | None
-    ) -> None:
-        """Fold one task's worker telemetry into the parent ``METRICS``.
-
-        Kernel counters land twice: once under ``worker{i}.`` (per-worker
-        series) and once under ``workers.`` (the combined rollup that is
-        comparable with a serial run's counters); gauges land as
-        per-worker last values with a max rollup.  Execution time and
-        queue wait feed the pool-health histograms.
-        """
-        METRICS.merge_snapshot(
-            {k: telemetry.get(k, {}) for k in ("counters", "gauges", "histograms")},
-            prefix=f"worker{worker_id}",
-            rollup="workers",
-        )
-        exec_seconds = telemetry.get("exec_seconds")
-        if exec_seconds is not None:
-            METRICS.observe("parallel.pool.task_seconds", float(exec_seconds))
-            if dispatched is not None:
-                wait = (self._now() - dispatched) - float(exec_seconds)
-                METRICS.observe("parallel.pool.queue_wait_seconds", max(0.0, wait))

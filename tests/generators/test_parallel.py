@@ -1,4 +1,4 @@
-"""Tests for communication-free parallel generation and streaming chunks.
+"""Tests for communication-free sliced generation and streaming chunks.
 
 The heart is the slice-protocol invariant: concatenating the slices (or
 streamed chunks) of *any* partition is bit-identical to the serial
@@ -13,18 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import DynamicGraph
-from repro.errors import GraphError, WorkerCrashError
+from repro.errors import GraphError
 from repro.generators.parallel import (
     iter_edge_chunks,
     iter_update_chunks,
-    rmat_edges_parallel,
     rmat_edges_range,
     rmat_edges_slice,
     slice_bounds,
     uniform_timestamps_range,
 )
-from repro.generators.rmat import PAPER_RMAT, RMATParams, rmat_edges, rmat_graph
-from repro.parallel.pool import WorkerPool
+from repro.generators.rmat import PAPER_RMAT, RMATParams, rmat_edges
 
 NOISY = RMATParams(0.45, 0.22, 0.22, 0.11, noise=0.05)
 
@@ -206,58 +204,3 @@ class TestEdgeChunks:
     def test_from_edge_chunks_rejects_oversized_chunks(self):
         with pytest.raises(GraphError, match="exceeds graph"):
             DynamicGraph.from_edge_chunks(4, iter_edge_chunks(5, 10, seed=1))
-
-
-# --------------------------------------------------------------------- #
-# the worker-pool driver
-# --------------------------------------------------------------------- #
-
-
-@pytest.fixture(scope="module")
-def pool():
-    p = WorkerPool(2, timeout=120.0)
-    p.start()
-    yield p
-    p.shutdown()
-
-
-class TestParallelDriver:
-    def test_bit_identical_with_timestamps(self, pool):
-        scale, m = 8, 1000
-        ref_src, ref_dst = rmat_edges(scale, m, PAPER_RMAT, 11)
-        ref_ts = uniform_timestamps_range(m, 0, 50, 11, 0, m)
-        src, dst, ts = rmat_edges_parallel(
-            scale, m, seed=11, pool=pool, n_slices=5, ts_range=(0, 50)
-        )
-        np.testing.assert_array_equal(ref_src, src)
-        np.testing.assert_array_equal(ref_dst, dst)
-        np.testing.assert_array_equal(ref_ts, ts)
-
-    def test_rmat_graph_backend_switch(self, pool):
-        # The pooled draw is rmat_graph's topology, edge for edge.
-        a = rmat_graph(7, 6, seed=17, ts_range=(1, 99))
-        src, dst, _ = rmat_edges_parallel(7, a.m, seed=17, pool=pool, n_slices=3)
-        np.testing.assert_array_equal(a.src, src)
-        np.testing.assert_array_equal(a.dst, dst)
-
-    def test_zero_slices_rejected_like_the_slice_protocol(self, pool):
-        # 0 is not "default to one slice per worker": slice_bounds and
-        # iter_edge_chunks reject it, and so does the driver.
-        with pytest.raises(GraphError, match="n_slices must be positive"):
-            rmat_edges_parallel(6, 100, seed=3, pool=pool, n_slices=0)
-
-    def test_worker_crash_surfaces_and_pool_survives(self, pool):
-        # An invalid time range is only validated worker-side, so the task
-        # raises in the worker and the parent must surface WorkerCrashError.
-        with pytest.raises(WorkerCrashError, match="non-negative"):
-            rmat_edges_parallel(6, 100, seed=3, pool=pool, ts_range=(-5, 10))
-        # A raised task does not kill the worker, and the failing round's
-        # arena was cleaned up: the pool generates fine immediately after.
-        src, dst, _ = rmat_edges_parallel(6, 100, seed=3, pool=pool)
-        ref_src, ref_dst = rmat_edges(6, 100, PAPER_RMAT, 3)
-        np.testing.assert_array_equal(ref_src, src)
-        np.testing.assert_array_equal(ref_dst, dst)
-
-    def test_generator_seed_rejected(self, pool):
-        with pytest.raises(GraphError, match="integer seed"):
-            rmat_edges_parallel(5, 10, seed=np.random.default_rng(2), pool=pool)

@@ -97,12 +97,6 @@ class TestWorkProfile:
         )
         assert wp.footprint_bytes == 9
 
-    def test_with_meta(self):
-        wp = WorkProfile("x", (Phase("a"),), {"k": 1})
-        wp2 = wp.with_meta(j=2)
-        assert wp2.meta == {"k": 1, "j": 2}
-        assert wp.meta == {"k": 1}
-
     def test_collapsed(self):
         wp = WorkProfile("x", (Phase("a", alu_ops=1), Phase("b", alu_ops=2)))
         c = wp.collapsed()

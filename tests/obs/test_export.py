@@ -22,7 +22,7 @@ def ev(name, span_id, parent_id, t0, dur, **attrs):
 
 
 def nested_events():
-    """root[0,10] > mid[1,5] > leaf[2,2], plus a worker span on its own lane."""
+    """root[0,10] > mid[1,5] > leaf[2,2], plus a span carrying a ``worker`` attr."""
     return [
         ev("leaf", 3, 2, 2.0, 2.0),
         ev("mid", 2, 1, 1.0, 5.0),
@@ -69,10 +69,11 @@ class TestChromeTrace:
     def test_worker_spans_get_own_lane_with_thread_names(self):
         doc = to_chrome_trace(nested_events())
         by_name = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert by_name["root"]["tid"] == 0
-        assert by_name["work"]["tid"] == 1
+        # A ``worker`` attr is an attribute like any other: one lane for all.
+        assert by_name["work"]["args"]["worker"] == 0
+        assert {e["tid"] for e in doc["traceEvents"]} == {0}
         meta = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
-        assert meta == {0: "main", 1: "worker-0"}
+        assert meta == {0: "main"}
 
     def test_manifest_rides_in_metadata(self):
         doc = to_chrome_trace(nested_events(), manifest={"id": "abc", "seed": 1})

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, snapshot_delta
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCounter:
@@ -115,40 +115,6 @@ class TestHistogramQuantiles:
         assert qs == sorted(qs)
         assert qs[0] >= 0.001 and qs[-1] <= 10.0
 
-    def test_merge_preserves_bucket_resolution(self):
-        # Two workers' summaries merged -> quantiles computed from the
-        # combined buckets, not degraded to min/max interpolation.
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for v in range(1, 501):
-            a.observe("lat", float(v))
-        for v in range(501, 1001):
-            b.observe("lat", float(v))
-        parent = MetricsRegistry()
-        parent.merge_snapshot(a.snapshot(), rollup="workers")
-        parent.merge_snapshot(b.snapshot(), rollup="workers")
-        h = parent.histogram("workers.lat")
-        assert h.count == 1000
-        assert h.quantile(0.5) == pytest.approx(500.0, rel=0.05)
-        assert h.quantile(0.99) == pytest.approx(990.0, rel=0.05)
-
-    def test_delta_buckets_round_trip(self):
-        from repro.obs.metrics import snapshot_delta
-
-        reg = MetricsRegistry()
-        for v in (1.0, 2.0):
-            reg.observe("h", v)
-        before = reg.snapshot()
-        for v in (100.0, 200.0, 400.0):
-            reg.observe("h", v)
-        delta = snapshot_delta(before, reg.snapshot())
-        entry = delta["histograms"]["h"]
-        assert entry["count"] == 3
-        assert sum(entry["buckets"]) == 3
-        parent = MetricsRegistry()
-        parent.merge_snapshot(delta)
-        assert parent.histogram("h").quantile(0.99) == pytest.approx(400.0, rel=0.06)
-
 
 class TestRegistry:
     def test_snapshot_is_json_safe(self):
@@ -177,100 +143,3 @@ class TestRegistry:
         assert snap["counters"] == {"c": 0}
         assert snap["gauges"] == {"g": 0.0}
         assert snap["histograms"]["h"]["count"] == 0
-
-
-class TestMergeSnapshot:
-    def worker_snapshot(self):
-        w = MetricsRegistry()
-        w.inc("connectivity.hops", 10)
-        w.set("memory.peak_bytes", 500.0)
-        w.observe("lat", 1.0)
-        w.observe("lat", 3.0)
-        return w.snapshot()
-
-    def test_counters_add_under_prefix_and_rollup(self):
-        reg = MetricsRegistry()
-        reg.merge_snapshot(self.worker_snapshot(), prefix="worker0", rollup="workers")
-        reg.merge_snapshot(self.worker_snapshot(), prefix="worker1", rollup="workers")
-        snap = reg.snapshot()
-        assert snap["counters"]["worker0.connectivity.hops"] == 10
-        assert snap["counters"]["worker1.connectivity.hops"] == 10
-        assert snap["counters"]["workers.connectivity.hops"] == 20
-
-    def test_gauges_set_under_prefix_max_under_rollup(self):
-        reg = MetricsRegistry()
-        big = self.worker_snapshot()
-        small = {"gauges": {"memory.peak_bytes": 100.0}}
-        reg.merge_snapshot(big, prefix="worker0", rollup="workers")
-        reg.merge_snapshot(small, prefix="worker1", rollup="workers")
-        snap = reg.snapshot()
-        assert snap["gauges"]["worker0.memory.peak_bytes"] == 500.0
-        assert snap["gauges"]["worker1.memory.peak_bytes"] == 100.0
-        # The rollup of a last-value metric is its high-water mark.
-        assert snap["gauges"]["workers.memory.peak_bytes"] == 500.0
-
-    def test_histograms_merge_exactly(self):
-        reg = MetricsRegistry()
-        reg.observe("workers.lat", 10.0)
-        reg.merge_snapshot(self.worker_snapshot(), rollup="workers")
-        s = reg.histogram("workers.lat").summary()
-        assert s["count"] == 3 and s["total"] == 14.0
-        assert s["min"] == 1.0 and s["max"] == 10.0
-
-    def test_no_prefix_no_rollup_merges_in_place(self):
-        reg = MetricsRegistry()
-        reg.inc("connectivity.hops", 5)
-        reg.merge_snapshot(self.worker_snapshot())
-        assert reg.counter("connectivity.hops").value == 15
-
-    def test_empty_histograms_and_zero_counters_skipped(self):
-        reg = MetricsRegistry()
-        reg.merge_snapshot(
-            {"counters": {"c": 0}, "histograms": {"h": {"count": 0}}},
-            prefix="worker0",
-        )
-        snap = reg.snapshot()
-        assert snap["counters"] == {} and snap["histograms"] == {}
-
-
-class TestSnapshotDelta:
-    def test_counter_and_gauge_deltas(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 5)
-        reg.set("g", 1.0)
-        before = reg.snapshot()
-        reg.inc("c", 7)
-        reg.inc("new", 2)
-        reg.set("g", 3.0)
-        delta = snapshot_delta(before, reg.snapshot())
-        assert delta["counters"] == {"c": 7, "new": 2}
-        assert delta["gauges"] == {"g": 3.0}
-
-    def test_unchanged_metrics_absent(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 5)
-        reg.set("g", 1.0)
-        snap = reg.snapshot()
-        delta = snapshot_delta(snap, snap)
-        assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_histogram_delta_counts_and_totals(self):
-        reg = MetricsRegistry()
-        reg.observe("h", 1.0)
-        before = reg.snapshot()
-        reg.observe("h", 4.0)
-        reg.observe("h", 2.0)
-        delta = snapshot_delta(before, reg.snapshot())
-        h = delta["histograms"]["h"]
-        assert h["count"] == 2 and h["total"] == 6.0
-
-    def test_round_trips_through_merge(self):
-        # A worker's delta merged into a fresh registry reproduces exactly
-        # what the worker ticked — the aggregation equality contract.
-        worker = MetricsRegistry()
-        before = worker.snapshot()
-        worker.inc("connectivity.hops", 42)
-        delta = snapshot_delta(before, worker.snapshot())
-        parent = MetricsRegistry()
-        parent.merge_snapshot(delta, prefix="worker0", rollup="workers")
-        assert parent.counter("workers.connectivity.hops").value == 42

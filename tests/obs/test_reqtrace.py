@@ -1,7 +1,6 @@
 """Tests for repro.obs.reqtrace: sampling, span trees, propagation, stores."""
 
 import threading
-import time
 
 import pytest
 
@@ -170,42 +169,6 @@ class TestPropagation:
         record = t.finish(trace)
         threaded = next(e for e in record["events"] if e["name"] == "threaded")
         assert threaded["parent_id"] == trace.root.span_id
-
-    @pytest.mark.parametrize("target", ["process", "request"])
-    def test_adopt_remaps_worker_spans_under_open_span(self, target):
-        t = tracer(head_every=1)
-        trace = t.start("route")
-        if target == "process":
-            adopter, scope = obs.enable_tracing(), None
-        else:
-            adopter, scope = trace, trace.root
-        with activate(scope), span("shard") as shard:
-            # Worker spans share the parent's perf_counter domain (same
-            # CLOCK_MONOTONIC), so real adopted intervals nest inside the
-            # shard span; mimic that here.  Their ids (1, 2) collide with
-            # the adopter's own on purpose.
-            now = time.perf_counter()
-            worker_events = [
-                {"type": "span", "name": "parallel.kernel", "span_id": 1,
-                 "parent_id": None, "t_start": now, "duration": 5e-4, "attrs": {}},
-                {"type": "span", "name": "parallel.sub", "span_id": 2,
-                 "parent_id": 1, "t_start": now + 1e-4, "duration": 2e-4,
-                 "attrs": {}},
-            ]
-            time.sleep(0.002)
-            adopter.adopt(worker_events, worker=3)
-        events = adopter.sink.events if target == "process" else t.finish(trace)["events"]
-        by_name = {e["name"]: e for e in events}
-        kernel, sub = by_name["parallel.kernel"], by_name["parallel.sub"]
-        # worker root hangs off the span that was open while adopting
-        assert kernel["parent_id"] == shard.span_id
-        assert sub["parent_id"] == kernel["span_id"]
-        ids = [e["span_id"] for e in events]
-        assert len(ids) == len(set(ids))  # remapped into the adopter's id-space
-        assert kernel["attrs"]["worker"] == 3 and sub["attrs"]["worker"] == 3
-        if target == "request":
-            assert sub["attrs"]["trace_id"] == trace.trace_id
-        assert validate_chrome_trace(to_chrome_trace(events)) == []
 
 
 class TestExemplarStore:

@@ -28,11 +28,18 @@ from repro.parallel.components import parallel_connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.obs import METRICS
 from repro.parallel.backend import ProcessBackend
-from repro.parallel.partition import range_chunks
+from repro.parallel.partition import range_chunks, weighted_chunks
 from repro.parallel.pool import WorkerPool
 from tests.core.bfs_oracle import assert_bfs_equal, unique_commit_bfs
 
 KINDS = sorted(REPRESENTATIONS)
+
+
+def dispatched(run):
+    """``run()``'s result and the pool tasks it dispatched."""
+    before = METRICS.counter("parallel.pool.tasks_dispatched").value
+    out = run()
+    return out, METRICS.counter("parallel.pool.tasks_dispatched").value - before
 
 
 def build_rep(kind, n):
@@ -109,10 +116,12 @@ def test_bfs_vertex_first_reached_from_two_chunks(workers, pool):
     assert_bfs_equal(unique_commit_bfs(csr, 0), serial)
     shared = workers == pool.workers  # the session pool must outlive this test
     with nullcontext(pool) if shared else WorkerPool(workers, timeout=120.0) as p:
-        fragments = []
-        par = parallel_bfs(csr, 0, p, small_level_edges=0, fragments_out=fragments)
+        par = parallel_bfs(csr, 0, p, small_level_edges=0)
+        _, one = dispatched(lambda: parallel_bfs(csr, 0, p, max_levels=1, small_level_edges=0))
+        _, two = dispatched(lambda: parallel_bfs(csr, 0, p, max_levels=2, small_level_edges=0))
     assert_bfs_equal(serial, par)
-    assert len(fragments[1]) == workers and all(f["edges"] for f in fragments[1])
+    # Level 0 is one vertex, one task; level 1 fans out over every worker.
+    assert (one, two - one) == (1, workers)
 
 
 def test_components_match_networkx(pool):
@@ -149,13 +158,13 @@ def test_components_hub_row_split_across_chunks(workers, pool):
         serial = connected_components(csr)
         shared = workers == pool.workers  # the session pool must outlive this test
         with nullcontext(pool) if shared else WorkerPool(workers, timeout=120.0) as p:
-            par = parallel_connected_components(csr, p)
+            par, tasks = dispatched(lambda: parallel_connected_components(csr, p))
         np.testing.assert_array_equal(par.labels, serial.labels)
         assert par.labels.dtype == serial.labels.dtype
         assert (par.n_passes, par.jump_rounds, par.arcs_processed) == (
             serial.n_passes, serial.jump_rounds, serial.arcs_processed)
         assert par.roots().tolist() == [0, 1, 2, 4, 40, 42]
-        assert len(par.meta["partitions"]) == par.n_passes
+        assert tasks == par.n_passes * workers  # every pass fans out
 
 
 def connectivity_counters():
@@ -248,21 +257,25 @@ def test_pull_levels_match_the_oracle(name, pool):
 def test_one_fragment_per_level_pull_levels_marked(pool):
     csr = build_csr(rmat_graph(10, 8, seed=3, ts_range=(1, 100)))
     source = int(np.argmax(csr.degrees()))
-    fragments = []
-    par = parallel_bfs(csr, source, pool, small_level_edges=0, fragments_out=fragments)
+    degrees = csr.degrees()
+
+    def expected_tasks(res, pulls):
+        """One task per weighted chunk of each top-down level; none for a pull."""
+        remaining = csr.n_arcs - np.cumsum(res.edges_scanned)
+        return sum(
+            0 if pulls and total > left
+            else len(weighted_chunks(degrees[res.dist == level], pool.workers))
+            for level, (total, left) in enumerate(zip(res.edges_scanned, remaining))
+        )
+
+    par, tasks = dispatched(lambda: parallel_bfs(csr, source, pool, small_level_edges=0))
     assert par.arcs_touched < par.total_edges_scanned
     # Every level here scans arcs, so each ran a step (the last reaches nothing).
-    assert all(par.edges_scanned) and len(fragments) == par.n_levels
-    pulled = [i for i, frags in enumerate(fragments) if frags[0].get("pull")]
-    assert pulled
-    for i in pulled:
-        (frag,) = fragments[i]
-        assert frag["inline"] and frag["edges"] == par.edges_scanned[i]
-        assert frag["vertices"] == par.frontier_sizes[i]
-        assert frag["max_degree"] == par.max_frontier_degree[i]
+    assert all(par.edges_scanned)
+    assert tasks == expected_tasks(par, pulls=True) < expected_tasks(par, pulls=False)
     # A time-stamp filter never pulls.
-    fragments = []
-    filt = parallel_bfs(csr, source, pool, ts_range=(1, 100), small_level_edges=0,
-                        fragments_out=fragments)
+    filt, tasks = dispatched(
+        lambda: parallel_bfs(csr, source, pool, ts_range=(1, 100), small_level_edges=0)
+    )
     assert filt.arcs_touched == filt.total_edges_scanned
-    assert not any(f.get("pull") for frags in fragments for f in frags)
+    assert tasks == expected_tasks(filt, pulls=False)

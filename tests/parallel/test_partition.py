@@ -1,11 +1,10 @@
-"""Deterministic partitioning: coverage, balance, and Vpart compatibility."""
+"""Deterministic partitioning: coverage and balance."""
 
 import numpy as np
 import pytest
 
-from repro.adjacency.vpart import VPartAdjacency
 from repro.errors import ParallelError
-from repro.parallel.partition import range_chunks, vpart_owner, weighted_chunks
+from repro.parallel.partition import range_chunks, weighted_chunks
 
 
 def assert_covers(chunks, total):
@@ -20,18 +19,6 @@ def assert_covers(chunks, total):
     for (_, hi), (lo2, _) in zip(chunks, chunks[1:]):
         assert hi == lo2
     assert flat == sorted(flat)
-
-
-class TestVpartOwner:
-    def test_matches_vpart_representation(self):
-        rep = VPartAdjacency(32)
-        for u in range(32):
-            for p in (1, 2, 3, 8):
-                assert vpart_owner(u, p) == rep.owner(u, p)
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ParallelError):
-            vpart_owner(3, 0)
 
 
 class TestRangeChunks:

@@ -1,11 +1,16 @@
-"""Worker-pool behaviour: ordering, tracing, and crash resilience."""
+"""Worker-pool behaviour: ordering, workers that never trace, and crash resilience."""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.adjacency.csr import build_csr
 from repro.errors import ParallelError, WorkerCrashError
-from repro.obs import disable_tracing, enable_tracing
-from repro.parallel.pool import TaskSpec, WorkerPool, default_workers
+from repro.generators.rmat import rmat_graph
+from repro.obs import JsonlSink, disable_tracing, enable_tracing, tracing_enabled
+from repro.parallel.bfs import parallel_bfs
+from repro.parallel.pool import _TASKS, TaskSpec, WorkerPool, default_workers
 from repro.parallel.shm import ShmArena
 
 
@@ -43,54 +48,27 @@ class TestBasics:
             p.start()
 
 
-class TestTraceAdoption:
-    def test_worker_spans_adopted_under_parent(self, pool):
-        tracer = enable_tracing()
+class TestWorkersNeverTrace:
+    def test_parent_trace_file_holds_only_parent_spans(self, tmp_path, monkeypatch):
+        # Workers fork after the process tracer (and its open trace file) is
+        # installed; none of them may trace, so the file holds the parent's
+        # spans only and every line of it parses.
+        monkeypatch.setitem(_TASKS, "selftest.traced", lambda views, payload: tracing_enabled())
+        csr = build_csr(rmat_graph(9, 8, seed=4))
+        source = int(np.argmax(csr.degrees()))
+        path = tmp_path / "trace.jsonl"
+        tracer = enable_tracing(JsonlSink(path))
         try:
-            from repro.obs import span
-
-            with span("parent.round"):
-                pool.run_tasks([TaskSpec("selftest.echo", {"value": 5})])
-            events = tracer.sink.events
+            with WorkerPool(2, timeout=60.0) as p:
+                par = parallel_bfs(csr, source, p, small_level_edges=0)
+                probes = p.run_tasks([TaskSpec("selftest.traced", {})] * 2)
         finally:
             disable_tracing()
-        names = [e["name"] for e in events]
-        assert "parallel.selftest.echo" in names
-        assert "parallel.selftest.echo.inner" in names
-        worker_ev = next(e for e in events if e["name"] == "parallel.selftest.echo")
-        assert "worker" in worker_ev["attrs"]
-        parent_ev = next(e for e in events if e["name"] == "parent.round")
-        # adopted root spans hang off the then-open parent span
-        assert worker_ev["parent_id"] == parent_ev["span_id"]
-        # the inner worker span keeps its remapped parent chain
-        inner = next(e for e in events if e["name"] == "parallel.selftest.echo.inner")
-        assert inner["parent_id"] == worker_ev["span_id"]
-
-    def test_workers_forked_inside_an_open_span_still_ship_spans(self):
-        tracer = enable_tracing()
-        try:
-            from repro.obs import span
-
-            with span("parent.round") as parent:
-                with WorkerPool(2, timeout=60.0) as p:
-                    p.run_tasks([TaskSpec("selftest.echo", {"value": 5})])
-            events = tracer.sink.events
-        finally:
-            disable_tracing()
-        worker_ev = next(e for e in events if e["name"] == "parallel.selftest.echo")
-        assert worker_ev["parent_id"] == parent.span_id
-
-    def test_span_ids_do_not_collide_with_parent_ids(self, pool):
-        tracer = enable_tracing()
-        try:
-            from repro.obs import span
-
-            with span("a"), span("b"):
-                pool.run_tasks([TaskSpec("selftest.echo", {"value": 1})])
-            ids = [e["span_id"] for e in tracer.sink.events]
-        finally:
-            disable_tracing()
-        assert len(ids) == len(set(ids))
+            tracer.sink.close()
+        assert par.n_reached > 1
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["name"] for e in events] == ["parallel.bfs"]
+        assert probes == [False, False]
 
 
 class TestCrashResilience:

@@ -4,8 +4,9 @@ The pool answers "is a worker dead or wedged" itself: a worker that dies
 mid-round, or a round that outlives ``timeout``, raises
 :class:`~repro.errors.WorkerCrashError` instead of hanging, and
 :meth:`~repro.parallel.pool.WorkerPool.restart` brings back a clean
-generation whose rounds never see the old one's late results.  Between
-rounds the result queue carries nothing.
+generation whose rounds never see the old one's late results.  The parent
+counts each round's tasks as it dispatches and drains them; between rounds
+the result queue carries nothing.
 """
 
 import queue
@@ -30,25 +31,23 @@ def counter(name):
     return METRICS.counter(name).value
 
 
-class TestHeartbeats:
-    def test_beats_flow_between_rounds(self, pool2):
-        # Each round's results and worker telemetry reach the parent's registry.
+class TestRoundBookkeeping:
+    def test_round_counters_tick_per_task(self, pool2):
+        # Each round's results come back and the parent counts its tasks.
         dispatched = counter("parallel.pool.tasks_dispatched")
         completed = counter("parallel.pool.tasks_completed")
-        task_seconds = METRICS.histogram("parallel.pool.task_seconds").count
         for value in (1, 2):
             out = pool2.run_tasks([TaskSpec("selftest.echo", {"value": value})] * 3)
             assert [o["echo"] for o in out] == [value] * 3
         assert counter("parallel.pool.tasks_dispatched") == dispatched + 6
         assert counter("parallel.pool.tasks_completed") == completed + 6
-        assert METRICS.histogram("parallel.pool.task_seconds").count == task_seconds + 6
 
-    def test_worker_health_reports_alive(self, pool2):
+    def test_started_workers_alive_and_counted(self, pool2):
         assert [p.name for p in pool2._procs] == ["repro-worker-0", "repro-worker-1"]
         assert all(p.is_alive() for p in pool2._procs)
         assert METRICS.gauge("parallel.pool.workers").value == 2
 
-    def test_default_pool_sends_no_heartbeats(self):
+    def test_result_queue_empty_between_rounds(self):
         with WorkerPool(1, timeout=30.0) as pool:
             pool.run_tasks([TaskSpec("selftest.echo", {"value": 1})])
             time.sleep(0.15)
@@ -57,7 +56,7 @@ class TestHeartbeats:
 
 
 class TestStallDetection:
-    def test_stalled_worker_raises_alert_and_pool_recovers(self, pool2):
+    def test_round_timeout_raises_and_pool_recovers(self, pool2):
         restarts = counter("parallel.pool.restarts")
         pool2.timeout = 0.5
         with pytest.raises(WorkerCrashError, match="timed out"):
@@ -87,7 +86,7 @@ class TestStallDetection:
         finally:
             pool.shutdown()
 
-    def test_dead_worker_surfaces_as_watchdog_alert(self):
+    def test_killed_worker_raises_crash_error_naming_it(self):
         pool = WorkerPool(2, timeout=30.0)
         pool.start()
         try:

@@ -216,21 +216,18 @@ class TestPoolRestart:
                             + [TaskSpec("selftest.echo", {"value": 1})] * 3
                         )
                 pool.restart()
-                with span("shard.round2") as round2:
+                with span("shard.round2"):
                     out = pool.run_tasks(
                         [TaskSpec("selftest.echo", {"value": k}) for k in range(4)]
                     )
             assert [o["echo"] for o in out] == [0, 1, 2, 3]
             record = tracer.finish(trace)
             events = record["events"]
-            # new-generation worker spans adopted under the new round's span
-            adopted = [
-                e for e in events
-                if e["name"] == "parallel.selftest.echo"
-                and e["parent_id"] == round2.span_id
+            # Only the parent's spans: workers never trace, so neither
+            # generation's tasks land in the request tree.
+            assert sorted(e["name"] for e in events) == [
+                "service.components", "shard.round1", "shard.round2",
             ]
-            assert len(adopted) == 4
-            assert all(e["attrs"]["trace_id"] == trace.trace_id for e in adopted)
             # no orphans anywhere: every span parents inside the tree
             ids = {e["span_id"] for e in events}
             assert all(
