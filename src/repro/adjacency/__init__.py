@@ -28,7 +28,7 @@ from repro.adjacency.treap import TreapAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.vpart import VPartAdjacency
 from repro.adjacency.epart import EPartAdjacency
-from repro.adjacency.batch import BatchedAdjacency, apply_batched
+from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.compressed import CompressedCSR
 from repro.adjacency.reorder import apply_order, bfs_order, degree_order, locality_gap
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
@@ -46,7 +46,6 @@ __all__ = [
     "VPartAdjacency",
     "EPartAdjacency",
     "BatchedAdjacency",
-    "apply_batched",
     "CompressedCSR",
     "apply_order",
     "bfs_order",

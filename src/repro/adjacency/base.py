@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.adjacency.bulkops import MAX_KEY_N
 from repro.adjacency.csr import CSRGraph, csr_from_arrays
 from repro.errors import VertexError
 from repro.machine.profile import Phase
@@ -131,9 +132,10 @@ class HotStats:
 class AdjacencyRepresentation(abc.ABC):
     """Common behaviour for all dynamic adjacency structures.
 
-    Subclasses implement the arc-level mutators and queries; this base class
-    provides input validation, bulk ingest, the reference snapshot export
-    and work-profile construction.
+    Subclasses implement the arc-level mutators and queries and the two
+    batch entry points; this base class provides input validation, the
+    per-op references the batch paths must equal, the reference snapshot
+    export and work-profile construction.
     """
 
     #: Short registry name, set by subclasses ("dynarr", "treap", ...).
@@ -146,6 +148,10 @@ class AdjacencyRepresentation(abc.ABC):
     def __init__(self, n: int) -> None:
         if n < 0:
             raise VertexError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_KEY_N:
+            # An arc must pack into one int64 key (u * n + v) for the batch
+            # kernels; dyn-arr's four header arrays alone would need ~97 GB.
+            raise VertexError(f"vertex count must be <= {MAX_KEY_N}, got {n}")
         self.n = int(n)
         self.stats = UpdateStats()
         self._arcs_live = 0
@@ -231,12 +237,9 @@ class AdjacencyRepresentation(abc.ABC):
         return self._mutations
 
     def bulk_insert_scalar(self, src, dst, ts=None) -> None:
-        """Reference bulk ingest: a strict loop over :meth:`insert`.
-
-        Kept callable on every representation so the equivalence suite (and
-        any caller wanting the exact sequential semantics) can bypass
-        vectorised overrides.
-        """
+        """Reference bulk ingest: a strict loop over :meth:`insert`, the
+        oracle :meth:`bulk_insert` must equal (the equivalence suite calls
+        it by name)."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
@@ -245,13 +248,10 @@ class AdjacencyRepresentation(abc.ABC):
         for u, v, lbl in zip(src.tolist(), dst.tolist(), t.tolist()):
             ins(u, v, lbl)
 
+    @abc.abstractmethod
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Insert many arcs; the default delegates to the scalar loop.
-
-        Subclasses may vectorise, but must keep counter semantics identical
-        to the sequential path (tests enforce this).
-        """
-        self.bulk_insert_scalar(src, dst, ts)
+        """Insert a batch of arcs, validated as a whole before any is
+        applied, with counters identical to :meth:`bulk_insert_scalar`."""
 
     def apply_arcs_scalar(self, op, src, dst, ts=None) -> int:
         """Reference stream application: strict arrival order, one op at a
@@ -271,20 +271,12 @@ class AdjacencyRepresentation(abc.ABC):
                 misses += 1
         return misses
 
+    @abc.abstractmethod
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Apply a mixed arc stream; returns the number of failed deletes.
-
-        ``op`` holds +1 (insert) / -1 (delete) codes.  All-insert streams
-        (construction workloads) route through :meth:`bulk_insert`; mixed
-        streams process strictly in arrival order unless a subclass provides
-        an equivalence-preserving vectorised override.
-        """
-        op = check_op_codes(op)
-        if op.size and bool(np.all(op == 1)):
-            check_same_length((("op", op), ("src", src)))
-            self.bulk_insert(src, dst, ts)
-            return 0
-        return self.apply_arcs_scalar(op, src, dst, ts)
+        """Apply a mixed arc stream (``op``: +1 insert / -1 delete codes),
+        validated as a whole before any arc is applied; returns the number
+        of failed deletes.  Contents, counters and misses equal
+        :meth:`apply_arcs_scalar`'s."""
 
     def to_arrays_scalar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reference live-arc export: per-vertex :meth:`neighbors_with_ts`."""

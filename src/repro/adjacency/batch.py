@@ -32,7 +32,7 @@ from repro.errors import GraphError
 from repro.machine.profile import Phase
 from repro.util.validation import check_op_codes
 
-__all__ = ["semisort_phase", "BatchedAdjacency", "apply_batched"]
+__all__ = ["semisort_phase", "BatchedAdjacency"]
 
 #: Bytes per update record moved by the semi-sort: (op, src, dst, ts).
 _RECORD_BYTES = 32.0
@@ -127,10 +127,12 @@ class BatchedAdjacency(AdjacencyRepresentation):
         return self.inner.memory_bytes()
 
     def bulk_insert(self, src, dst, ts=None) -> None:
-        """Delegate to the inner structure's (vectorised) bulk ingest."""
+        """Delegate to the inner structure's bulk ingest (an empty batch is
+        no mutation)."""
         before = self.inner.n_arcs
         self.inner.bulk_insert(src, dst, ts)
-        self._n_arcs += self.inner.n_arcs - before
+        if self.inner.n_arcs != before:
+            self._n_arcs = self.inner.n_arcs
 
     def to_csr(self) -> CSRGraph:
         """The inner structure's export, under this wrapper's name."""
@@ -195,29 +197,3 @@ class BatchedAdjacency(AdjacencyRepresentation):
         self.batched_updates = 0
         self.batches = 0
 
-
-def apply_batched(
-    rep: AdjacencyRepresentation,
-    op,
-    src,
-    dst,
-    ts=None,
-    *,
-    batch_size: int,
-) -> int:
-    """Apply an arc stream to any representation in fixed-size batches.
-
-    Convenience driver for experiments that sweep batch sizes; returns the
-    total number of failed deletes.
-    """
-    if batch_size <= 0:
-        raise GraphError(f"batch size must be positive, got {batch_size}")
-    op = check_op_codes(op)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    t = np.zeros(src.size, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-    misses = 0
-    for start in range(0, src.size, batch_size):
-        sl = slice(start, min(start + batch_size, src.size))
-        misses += rep.apply_arcs(op[sl], src[sl], dst[sl], t[sl])
-    return misses

@@ -36,21 +36,15 @@ plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_csr``:
 
 Counter equivalence is not best-effort: ``tests/adjacency/test_equivalence``
 asserts bit-identical ``UpdateStats``, adjacency contents, miss counts and
-pool footprints against the scalar reference on randomized and adversarial
-streams.  A treap's priorities hash its vertex and that vertex's insert
-count, so only per-vertex order matters to it; its update batches still
-take one fused arrival-order loop
+pool footprints against the per-op reference (``apply_arcs_scalar``,
+``bulk_insert_scalar``, called by name) on randomized and adversarial
+streams, from one arc up.  Every batch takes these kernels, whatever its
+size.  A treap's priorities hash its vertex and that vertex's insert count,
+so only per-vertex order matters to it; its update batches take one fused
+arrival-order loop
 (:meth:`repro.adjacency.treap.TreapAdjacency._apply_run`, whose per-insert
-descents the figures count) behind the same :func:`enabled` switch, and
-only its construction build sorts, with :func:`stable_order` and
-:func:`group_runs`.
-
-The batch picks its path from its own size (:func:`enabled`): batches
-below :data:`MIN_BULK_SIZE` arcs take the per-op loop (the fixed per-call
-cost of the grouping and gather passes outweighs the win there), as do
-graphs too large to pack an arc into one key.  The per-op loops
-(``apply_arcs_scalar``, ``bulk_insert_scalar``) are that small-batch path
-and, called by name, the equivalence suite's oracle.
+descents the figures count), and only its construction build sorts, with
+:func:`stable_order` and :func:`group_runs`.
 """
 
 from __future__ import annotations
@@ -60,9 +54,7 @@ import numpy as np
 from repro.errors import GraphError
 
 __all__ = [
-    "MIN_BULK_SIZE",
     "MAX_KEY_N",
-    "enabled",
     "stable_order",
     "group_runs",
     "segment_ranks",
@@ -77,22 +69,13 @@ INSERT = 1
 #: Deleted-slot marker; must match ``repro.adjacency.dynarr.TOMBSTONE``.
 TOMBSTONE = -1
 
-#: Below this many arcs the per-op loop wins (the fixed cost of a dozen
-#: numpy calls per batch).
-MIN_BULK_SIZE = 48
-
 #: Largest vertex count for which an arc (u, v) packs into one int64 key
-#: (u * n + v < 2**63); the mixed kernel falls back to scalar beyond it.
+#: (u * n + v < 2**63); ``AdjacencyRepresentation`` refuses a larger ``n``.
 MAX_KEY_N = int(np.sqrt(np.iinfo(np.int64).max)) - 1
 
 #: Widest packed sort key in bits (key above arrival index, see
 #: :func:`stable_order`): a non-negative int64 with a bit to spare.
 PACK_BITS = 62
-
-
-def enabled(rep, size: int) -> bool:
-    """Should ``rep`` take the vectorised path for a batch of ``size`` arcs?"""
-    return size >= MIN_BULK_SIZE and rep.n <= MAX_KEY_N
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,11 @@ work" on high-degree vertices and motivates the hybrid structure.
 ``Dyn-arr-nr`` — the no-resize upper-bound variant used in Figures 1–3,
 where per-vertex capacities are known a priori — is the same class
 constructed through :meth:`DynArrAdjacency.preallocated`.
+
+A batch (``apply_arcs``, ``bulk_insert``) of any size takes the grouped
+kernels of :mod:`repro.adjacency.bulkops`; ``insert`` / ``delete`` are the
+per-op API, and their loop (``apply_arcs_scalar``) the reference every batch
+equals.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from repro.adjacency.base import AdjacencyRepresentation
 from repro.adjacency.csr import CSRGraph, csr_offsets
 from repro.adjacency.mempool import IntPool
 from repro.errors import GraphError
-from repro.util.validation import check_op_codes, check_vertex_ids
+from repro.util.validation import check_op_codes
 
 __all__ = ["DynArrAdjacency"]
 
@@ -246,29 +251,22 @@ class DynArrAdjacency(AdjacencyRepresentation):
         return hits.size > 0
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Arc-stream application with vectorised fast paths.
+        """Arc-stream application through the grouped kernels.
 
-        All-insert streams (construction workloads, Figures 1–4) route
-        through :meth:`bulk_insert`; mixed streams take the grouped
-        delete-matching kernel (:func:`repro.adjacency.bulkops.apply_mixed`)
-        when enabled, else the strict in-order loop.  Both fast paths keep
-        adjacency contents and :class:`UpdateStats` bit-identical to the
-        scalar path (the equivalence suite enforces this).
+        All-insert streams (construction workloads, Figures 1–4) take
+        :func:`repro.adjacency.bulkops.bulk_insert`, mixed streams the
+        delete-matching kernel (:func:`repro.adjacency.bulkops.apply_mixed`).
+        Both keep adjacency contents and :class:`UpdateStats` bit-identical
+        to :meth:`apply_arcs_scalar` (the equivalence suite enforces this).
         """
         op = check_op_codes(op)
-        if op.size and bool(np.all(op == 1)):
-            self.bulk_insert(src, dst, ts)
+        src, dst, t = self._checked_batch(src, dst, ts, op)
+        if not src.size:
             return 0
-        if bulkops.enabled(self, op.size):
-            src = check_vertex_ids(src, self.n, "src")
-            dst = check_vertex_ids(dst, self.n, "dst")
-            t = (
-                np.zeros(src.size, dtype=np.int64)
-                if ts is None
-                else np.asarray(ts, dtype=np.int64)
-            )
-            return bulkops.apply_mixed(self, op, src, dst, t)
-        return self.apply_arcs_scalar(op, src, dst, ts)
+        if bool(np.all(op == 1)):
+            bulkops.bulk_insert(self, src, dst, t)
+            return 0
+        return bulkops.apply_mixed(self, op, src, dst, t)
 
     # ------------------------------------------------------------------ #
     # bulk ingest (vectorised per-vertex groups, counter-equivalent)
@@ -280,8 +278,8 @@ class DynArrAdjacency(AdjacencyRepresentation):
         ``uniq`` are the touched vertices, ``cnt0`` their occupancy before
         the batch, ``k_ins`` the inserts each received.  Subclasses with
         per-insert side accounting (epart's split-list counter) override
-        this; the scalar fallback path accounts inside :meth:`insert`
-        instead, so implementations must not double-count.
+        this; the per-op path accounts inside :meth:`insert` instead, so
+        implementations must not double-count.
         """
 
     def bulk_insert(self, src, dst, ts=None) -> None:
@@ -293,20 +291,10 @@ class DynArrAdjacency(AdjacencyRepresentation):
         one gathered store.  Final adjacency content and
         :class:`UpdateStats` match the sequential path exactly (tests
         enforce this); only the pool's internal block layout may differ.
-        Small batches fall back to the scalar loop (``MIN_BULK_SIZE``).
         """
-        src = check_vertex_ids(src, self.n, "src")
-        dst = check_vertex_ids(dst, self.n, "dst")
-        if ts is None:
-            ts = np.zeros(src.size, dtype=np.int64)
-        else:
-            ts = np.asarray(ts, dtype=np.int64)
-        if src.size == 0:
-            return
-        if bulkops.enabled(self, src.size):
-            bulkops.bulk_insert(self, src, dst, ts)
-        else:
-            self.bulk_insert_scalar(src, dst, ts)
+        src, dst, t = self._checked_batch(src, dst, ts)
+        if src.size:
+            bulkops.bulk_insert(self, src, dst, t)
 
     def _live_arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(targets, ts)`` of the live arcs, ascending owner then slot: one

@@ -61,8 +61,8 @@ class EPartAdjacency(DynArrAdjacency):
         # the same semantics as the sequential path: an arc is "high" when
         # the occupancy *after* inserting it exceeds the threshold.  Only
         # inserts move the occupancy, so the count depends solely on the
-        # pre-batch occupancy and the per-vertex insert totals — the scalar
-        # fallback accounts per-op inside :meth:`insert` instead.
+        # pre-batch occupancy and the per-vertex insert totals — the per-op
+        # path accounts inside :meth:`insert` instead.
         hi_after = np.maximum(cnt0 + k_ins - self.split_thresh, 0)
         hi_before = np.maximum(cnt0 - self.split_thresh, 0)
         self.hi_arcs += int((hi_after - hi_before).sum())

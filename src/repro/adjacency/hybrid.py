@@ -19,10 +19,9 @@ _apply_partitioned`): arcs whose owner is in array mode when they arrive
 take the vectorised dyn-arr kernels, the rest the treap's fused
 arrival-order run, with migrations at precomputed cut points — every
 counter, pool byte and export identical to per-op ``insert`` / ``delete``,
-which batches below ``bulkops.MIN_BULK_SIZE`` arcs take instead.  A
-migrated block is its vertex's first treap nodes, so the treap's hashed
-priorities (:mod:`repro.adjacency.treap`) for a whole batch are dealt up
-front.
+at every batch size.  A migrated block is its vertex's first treap nodes,
+so the treap's hashed priorities (:mod:`repro.adjacency.treap`) for a whole
+batch are dealt up front.
 Construction (``bulk_insert``) builds the treap side instead
 (:meth:`HybridAdjacency._build_treap_side`): every treap empty when the
 batch starts, a crossing vertex's migrated block included, becomes one
@@ -357,24 +356,17 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         self.stats.nodes_visited += words
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Partitioned stream application (see :meth:`_apply_partitioned`);
-        small batches take the strict per-op loop.  Logged for the next
-        export's patch."""
+        """Partitioned stream application (see :meth:`_apply_partitioned`),
+        logged for the next export's patch."""
         op = check_op_codes(op)
         src, dst, t = self._checked_batch(src, dst, ts, op)
-        return self._logged(op, src, dst, t, lambda: (
-            self._apply_partitioned(op, src, dst, t) if bulkops.enabled(self, op.size)
-            else self.apply_arcs_scalar(op, src, dst, t)
-        ))
+        return self._logged(op, src, dst, t, lambda: self._apply_partitioned(op, src, dst, t))
 
     def bulk_insert(self, src, dst, ts=None) -> None:
         """Partitioned bulk ingest, the treap side built
         (:meth:`_build_treap_side`).  Logged for the next export's patch."""
         src, dst, t = self._checked_batch(src, dst, ts)
-        self._logged(None, src, dst, t, lambda: (
-            self._apply_partitioned(None, src, dst, t) if bulkops.enabled(self, src.size)
-            else self.bulk_insert_scalar(src, dst, t)
-        ))
+        self._logged(None, src, dst, t, lambda: self._apply_partitioned(None, src, dst, t))
 
     def _live_degrees(self) -> np.ndarray:
         return self.arr.live + np.frombuffer(self.treap._live_deg, dtype=np.int64)

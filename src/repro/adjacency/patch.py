@@ -147,7 +147,10 @@ class PatchedExport:
     def _logged(self, op, src, dst, ts, apply):
         """Run ``apply()`` for the validated batch ``(op, src, dst, ts)``
         (``op`` None: all inserts) and log a copy of it while an export
-        exists; returns what ``apply`` returns."""
+        exists; returns what ``apply`` returns.  An empty batch runs
+        nothing and returns 0."""
+        if not src.size:
+            return 0
         before = self._mutations
         out = apply()
         if self._last is not None:
@@ -168,7 +171,7 @@ class PatchedExport:
             if before != key:
                 return None
             key = after
-        if key != self._mutations or not old.n_arcs or self.n > bulkops.MAX_KEY_N:
+        if key != self._mutations or not old.n_arcs:
             return None
         stream = [np.concatenate(col) for col in zip(*(b[2:] for b in self._log))] or [
             np.empty(0, dtype=dt) for dt in (np.int8, np.int64, np.int64, np.int64)

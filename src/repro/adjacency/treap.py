@@ -33,9 +33,9 @@ order (an insert goes after every equal key) and a delete removes the
 oldest, the leftmost in order — dyn-arr's rule, so both arcs of an edge lose
 the same copy, and copies form a treap as shallow as distinct keys would.
 Update batches (``apply_arcs``, the hybrid's treap side and its migrations)
-run those same loop bodies fused into :meth:`TreapAdjacency._apply_run`,
-bit-identical to the per-op methods, which remain the public API, the path
-of batches below ``bulkops.MIN_BULK_SIZE`` arcs and the oracle.
+run those same loop bodies fused into :meth:`TreapAdjacency._apply_run` at
+every batch size, bit-identical to the per-op methods, which remain the
+public API and the oracle.
 Construction (``bulk_insert``, on the hybrid too) builds every treap that is
 empty when the batch starts as one Cartesian tree
 (:meth:`TreapAdjacency._build_run`; Shun & Blelloch 2014): same pool bytes
@@ -584,25 +584,18 @@ class TreapAdjacency(PatchedExport, AdjacencyRepresentation):
         pool bytes and export equal the per-op replay's, but
         ``nodes_visited`` / ``rotations`` count the build's own work (one
         visit per node, no rotation).  ``apply_arcs`` keeps arrival order.
-        Small batches keep the per-op :meth:`insert` loop.
         """
         src, dst, t = self._checked_batch(src, dst, ts)
-        self._logged(None, src, dst, t, lambda: (
-            self._build_run(src, dst, t) if bulkops.enabled(self, src.size)
-            else self.bulk_insert_scalar(src, dst, t)
-        ))
+        self._logged(None, src, dst, t, lambda: self._build_run(src, dst, t))
 
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Mixed stream in arrival order through the fused run (small
-        batches: the per-op :meth:`insert` / :meth:`delete` loop), logged
-        for the next export's patch."""
+        """Mixed stream in arrival order through the fused run, logged for
+        the next export's patch."""
         op = check_op_codes(op)
         src, dst, t = self._checked_batch(src, dst, ts, op)
-        return self._logged(op, src, dst, t, lambda: (
-            self._apply_run(op.tolist(), src.tolist(), dst.tolist(), t.tolist(),
-                            self._prios(src[op == 1]).tolist())
-            if bulkops.enabled(self, op.size)
-            else self.apply_arcs_scalar(op, src, dst, t)
+        return self._logged(op, src, dst, t, lambda: self._apply_run(
+            op.tolist(), src.tolist(), dst.tolist(), t.tolist(),
+            self._prios(src[op == 1]).tolist(),
         ))
 
     def _scatter_inorder(self, offsets: np.ndarray, targets: np.ndarray, ts: np.ndarray) -> None:

@@ -87,11 +87,9 @@ def apply_stream(
     :func:`repro.machine.scale.rmat_size_biased_growth`); the default leaves
     measurements untouched.
 
-    Which path applies the arcs the representation picks from the batch
-    size (:func:`repro.adjacency.bulkops.enabled`); the paths are
-    counter-equivalent (see docs/PERFORMANCE.md), so the simulated work
-    profile is identical either way and only ``host_seconds`` /
-    ``host_mups`` change.
+    The arcs go to ``rep.apply_arcs`` as one batch, whose counters equal
+    the per-op reference's (see docs/PERFORMANCE.md), so the simulated
+    work profile does not depend on how the host applied them.
     ``meta["vectorised"]`` reports whether the bulk kernels applied any of
     this stream's arcs.
     """

@@ -1,8 +1,9 @@
 """The loop bodies of the hot kernels that have no numpy form.
 
 There is one path per kernel and nothing to select between: an adjacency
-batch picks its own path from its size (:func:`repro.adjacency.bulkops.enabled`),
-and a kernel with no numpy form runs its :mod:`~repro.kernels.loops` body.
+batch of any size takes its representation's batch kernels
+(:mod:`repro.adjacency.bulkops`), and a kernel with no numpy form runs its
+:mod:`~repro.kernels.loops` body.
 ``union_arcs`` is a dependent pointer chase, so
 :class:`~repro.connectit.unionfind.UnionFind` always runs
 :func:`loops.union_arcs` interpreted over the ``array`` buffers it stores

@@ -166,7 +166,8 @@ class Histogram:
         leaking them would put non-finite floats (or ``NaN`` via
         arithmetic on them) into JSON artifacts, so the empty summary
         pins every field to zero instead.  Non-empty summaries carry the
-        interpolated ``p50``/``p99`` plus the raw bucket counts.
+        interpolated ``p50``/``p99``; the bucket counts stay on
+        :attr:`buckets`, which the OpenMetrics exposition reads.
         """
         if not self.count:
             return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
@@ -178,7 +179,6 @@ class Histogram:
             "max": self.max,
             "p50": self.quantile(0.5),
             "p99": self.quantile(0.99),
-            "buckets": list(self.buckets),
         }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adjacency.batch import BatchedAdjacency, apply_batched, semisort_phase
+from repro.adjacency.batch import BatchedAdjacency, semisort_phase
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.errors import GraphError
 
@@ -87,21 +87,3 @@ class TestBatchedAdjacency:
         b.reset_stats()
         assert b.batched_updates == 0 and b.batches == 0
         assert b.inner.stats.inserts == 0
-
-
-class TestApplyBatched:
-    def test_partitions_and_applies(self):
-        rep = DynArrAdjacency(6)
-        rng = np.random.default_rng(3)
-        k = 250
-        src = rng.integers(0, 6, k)
-        dst = rng.integers(0, 6, k)
-        op = np.ones(k, dtype=np.int8)
-        misses = apply_batched(rep, op, src, dst, batch_size=64)
-        assert misses == 0
-        assert rep.n_arcs == k
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(GraphError):
-            apply_batched(DynArrAdjacency(4), np.ones(1, dtype=np.int8),
-                          np.array([0]), np.array([1]), batch_size=0)

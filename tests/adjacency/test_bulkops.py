@@ -2,13 +2,17 @@
 
 Covers the grouping primitives (:func:`stable_order` against numpy's stable
 argsort, :func:`segment_ranks`, :func:`group_runs`, :func:`gather_index`),
-the pool's :meth:`alloc_many`, the dispatch gate :func:`enabled`, the op-code
-check at every batched entry point, and the sentinel/constant invariants the
-kernels rely on.  The scalar-vs-vectorised *equivalence* checks live in
+the pool's :meth:`alloc_many`, the one batch path at every size, the
+op-code and length checks at every batched entry point, and the
+sentinel/constant invariants the kernels rely on.  The scalar-vs-vectorised *equivalence* checks live in
 test_equivalence.py.
 """
 
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency import bulkops
-from repro.adjacency.base import HotStats
-from repro.adjacency.batch import BatchedAdjacency, apply_batched
+from repro.adjacency.base import AdjacencyRepresentation, HotStats
+from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.dynarr import DynArrAdjacency, TOMBSTONE
+from repro.adjacency.epart import EPartAdjacency
+from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.mempool import IntPool
-from repro.errors import GraphError, StreamError
+from repro.adjacency.registry import REPRESENTATIONS, make_representation
+from repro.adjacency.treap import TreapAdjacency
+from repro.errors import GraphError, StreamError, VertexError
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import UpdateStream
 from repro.machine.contention import hot_spot_stats
@@ -175,7 +183,7 @@ BAD_OP_CODES = [0, 2, 257, -255]  # the last two wrap to +1 under an int8 cast
 
 @pytest.mark.parametrize("code", BAD_OP_CODES)
 class TestOpCodesCheckedBeforeNarrowing:
-    K = 64  # >= MIN_BULK_SIZE: as shipped, the batch takes the vectorised kernels
+    K = 64
 
     def _batches(self, code):
         rng = np.random.default_rng(1)
@@ -196,18 +204,21 @@ class TestOpCodesCheckedBeforeNarrowing:
             inner.vectorised_arc_ops,
         )
 
-    # MIN_BULK_SIZE as shipped, lowered to 1 (vectorised) and raised past K
-    # (the per-op loop).
-    @pytest.mark.parametrize("min_bulk", [None, 1, 10**9], ids=["None", "vectorised", "scalar"])
-    def test_dynarr_apply_arcs(self, code, min_bulk, monkeypatch):
-        assert self.K >= bulkops.MIN_BULK_SIZE
-        if min_bulk is not None:
-            monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
+    # The batch path at K arcs (``None``) and at the one arc holding the bad
+    # code (``vectorised``), and the per-op reference by name (``scalar``).
+    @pytest.mark.parametrize("path", [None, "one-arc", "scalar"], ids=["None", "vectorised", "scalar"])
+    def test_dynarr_apply_arcs(self, code, path):
         for op, src, dst in self._batches(code):
             rep = DynArrAdjacency(8)
             before = self._state(rep)
             with pytest.raises(GraphError, match="update code"):
-                rep.apply_arcs(op, src, dst)
+                if path == "scalar":
+                    rep.apply_arcs_scalar(op, src, dst)
+                elif path == "one-arc":
+                    at = op.index(code)
+                    rep.apply_arcs(op[at : at + 1], src[at : at + 1], dst[at : at + 1])
+                else:
+                    rep.apply_arcs(op, src, dst)
             assert self._state(rep) == before
 
     def test_batched_apply_arcs(self, code):
@@ -218,16 +229,6 @@ class TestOpCodesCheckedBeforeNarrowing:
                 rep.apply_arcs(op, src, dst)
             assert self._state(rep) == before
             assert rep.batches == rep.batched_updates == 0
-
-    def test_apply_batched(self, code):
-        # The bad code sits in the third batch: nothing of the first two
-        # may have been applied when it is reported.
-        for op, src, dst in self._batches(code):
-            rep = DynArrAdjacency(8)
-            before = self._state(rep)
-            with pytest.raises(GraphError, match="update code"):
-                apply_batched(rep, op, src, dst, batch_size=16)
-            assert self._state(rep) == before
 
     def test_update_stream(self, code):
         with pytest.raises(StreamError, match="update code"):
@@ -344,28 +345,146 @@ class TestAllocMany:
         assert pool.used == 0
 
 
+def make(kind, n):
+    """A ``kind`` instance over ``n`` vertices (dyn-arr-nr with room)."""
+    extra = {"degrees": np.full(n, 256)} if kind == "dynarr-nr" else {}
+    return make_representation(kind, n, **extra)
+
+
+def full_state(rep):
+    """Arc count, mutation count, every counter, footprint and export."""
+    combined = getattr(rep, "combined_stats", None)
+    stats = combined() if callable(combined) else rep.stats
+    g = rep.to_csr()
+    return (
+        rep.n_arcs,
+        rep.mutation_count,
+        asdict(stats),
+        rep.memory_bytes(),
+        rep.vectorised_arc_ops,
+        g.offsets.tolist(),
+        g.targets.tolist(),
+        g.ts.tolist(),
+    )
+
+
+def seeded(rep, seed=0):
+    """Give ``rep`` 200 arcs out of every vertex but the last, and an
+    export its next one may patch."""
+    rng = np.random.default_rng(seed)
+    rep.bulk_insert(rng.integers(0, rep.n - 1, 200), rng.integers(0, rep.n, 200), rng.integers(0, 9, 200))
+    rep.to_csr()
+    return rep
+
+
 class TestDispatchGate:
     def test_tombstone_matches_dynarr(self):
         # bulkops re-declares the sentinel to avoid an import cycle; the two
         # must never drift apart.
         assert bulkops.TOMBSTONE == TOMBSTONE
 
-    def test_default_threshold(self):
-        rep = DynArrAdjacency(4)
-        assert bulkops.MIN_BULK_SIZE == 48
-        assert not bulkops.enabled(rep, bulkops.MIN_BULK_SIZE - 1)
-        assert bulkops.enabled(rep, bulkops.MIN_BULK_SIZE)
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+    def test_one_arc_takes_the_batch_path(self, kind, monkeypatch):
+        # A one-arc batch, through either entry point, never enters the
+        # per-op methods; on the dyn-arr kinds it is counted as the kernels'.
+        rep = seeded(make(kind, 16))
 
-    def test_empty_batch_never_vectorised(self, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
-        rep = DynArrAdjacency(4)
-        assert bulkops.enabled(rep, 1)
-        assert not bulkops.enabled(rep, 0)
+        def refuse(*args):
+            raise AssertionError("a batch entered the per-op path")
 
-    def test_huge_vertex_count_falls_back(self):
-        rep = DynArrAdjacency.__new__(DynArrAdjacency)
-        rep.n = bulkops.MAX_KEY_N + 1
-        assert not bulkops.enabled(rep, 100)
+        for cls in (DynArrAdjacency, EPartAdjacency, TreapAdjacency, HybridAdjacency,
+                    BatchedAdjacency):
+            for name in ("insert", "delete", "apply_arcs_scalar", "bulk_insert_scalar"):
+                monkeypatch.setattr(cls, name, refuse)
+        before = rep.vectorised_arc_ops
+        rep.bulk_insert([15], [4], [5])
+        assert rep.apply_arcs([-1], [15], [4], [0]) == 0
+        assert rep.apply_arcs([-1], [15], [4], [0]) == 1
+        assert rep.n_arcs == 200
+        if kind != "treap":
+            assert rep.vectorised_arc_ops - before == 3
+
+    def test_empty_batch_never_vectorised(self):
+        # An empty batch changes nothing on any kind, through either entry
+        # point: no arc, counter, mutation count, footprint or export moves,
+        # and no kernel runs.
+        for kind in sorted(REPRESENTATIONS):
+            rep = seeded(make(kind, 16))
+            before = full_state(rep)
+            assert rep.apply_arcs([], [], [], []) == 0
+            assert full_state(rep) == before, kind
+            rep.bulk_insert([], [], [])
+            assert full_state(rep) == before, kind
+
+    def test_huge_vertex_count_is_refused(self):
+        # Every kind refuses a vertex count whose arcs would not pack into
+        # one int64 key, before it allocates anything.  The check runs in a
+        # child whose address space is capped, so a regression fails with
+        # MemoryError instead of allocating n-sized arrays.
+        obj = DynArrAdjacency.__new__(DynArrAdjacency)
+        AdjacencyRepresentation.__init__(obj, bulkops.MAX_KEY_N)
+        with pytest.raises(VertexError):
+            AdjacencyRepresentation.__init__(obj, bulkops.MAX_KEY_N + 1)
+        code = textwrap.dedent("""
+            import resource, tracemalloc
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+            import numpy as np
+            from repro.adjacency import bulkops
+            from repro.adjacency.registry import REPRESENTATIONS, make_representation
+            from repro.errors import VertexError
+            for kind in REPRESENTATIONS:
+                extra = {"degrees": np.zeros(1)} if kind == "dynarr-nr" else {}
+                tracemalloc.start()
+                try:
+                    make_representation(kind, bulkops.MAX_KEY_N + 1, **extra)
+                except VertexError:
+                    pass
+                else:
+                    raise SystemExit(kind + " was built")
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 1 << 20, (kind, peak)
+        """)
+        src_dir = Path(bulkops.__file__).parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src_dir), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+#: Ragged batches: one column cut or padded by one arc, at ``K`` arcs.
+RAGGED = ["op-short", "dst-long", "ts-long", "ts-short"]
+
+
+@pytest.mark.parametrize("case", RAGGED)
+@pytest.mark.parametrize("entry", ["apply_arcs", "bulk_insert"])
+@pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+def test_ragged_batch_is_rejected_whole(kind, entry, case):
+    # Every column of a batch must have one length; a ragged batch raises
+    # GraphError before any arc is applied.  ``bulk_insert`` has no op
+    # column, so there ``op-short`` cuts its first column, ``src``.
+    k = 64
+    rng = np.random.default_rng(5)
+    cols = {
+        "op": np.where(rng.random(k + 1) < 0.6, 1, -1).astype(np.int8),
+        "src": rng.integers(0, 16, k + 1),
+        "dst": rng.integers(0, 16, k + 1),
+        "ts": rng.integers(0, 9, k + 1),
+    }
+    name, size = {"op-short": ("op", k - 1), "dst-long": ("dst", k + 1),
+                  "ts-long": ("ts", k + 1), "ts-short": ("ts", k - 1)}[case]
+    if entry == "bulk_insert" and name == "op":
+        name = "src"
+    batch = {c: a[: size if c == name else k] for c, a in cols.items()}
+    rep = seeded(make(kind, 16))
+    before = full_state(rep)
+    with pytest.raises(GraphError, match="length mismatch"):
+        if entry == "apply_arcs":
+            rep.apply_arcs(batch["op"], batch["src"], batch["dst"], batch["ts"])
+        else:
+            rep.bulk_insert(batch["src"], batch["dst"], batch["ts"])
+    assert full_state(rep) == before
 
 
 class TestMutationCounter:

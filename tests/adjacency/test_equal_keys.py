@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adjacency import bulkops
-from repro.adjacency.registry import make_representation
+from repro.adjacency.dynarr import DynArrAdjacency
+from repro.adjacency.registry import REPRESENTATIONS, make_representation
+from repro.adjacency.treap import TreapAdjacency
 from repro.api import DynamicGraph
-from repro.adjacency.registry import REPRESENTATIONS
+from repro.core.update_engine import symmetric_arcs
 from repro.generators.streams import UpdateStream
 
 #: ``(op, u, v, ts)``: five self-loop copies on 0, an edge {0, 2} stamped 1,
@@ -28,9 +29,9 @@ REPRODUCER = (
     [(1, 0, 0, 0)] * 5 + [(1, 0, 2, 1)] + [(1, 0, 0, 0)] * 3 + [(1, 2, 0, 0), (-1, 0, 2, 0)]
 )
 
-#: Edges between two vertices the reproducer never touches: enough arcs to
-#: take a batch past ``bulkops.MIN_BULK_SIZE``.
-PADDING = [(1, 5, 6, 7)] * bulkops.MIN_BULK_SIZE
+#: Edges between two vertices the reproducer never touches: a batch's worth
+#: of arcs elsewhere in the graph.
+PADDING = [(1, 5, 6, 7)] * 48
 
 KINDS = {"treap": {}, "hybrid": {"degree_thresh": 1}}
 
@@ -61,19 +62,46 @@ def test_reproducer_deletes_the_same_copy_both_ways(kind, path):
             _, u, v, ts = zip(*REPRODUCER[:-1] + PADDING)
             g = DynamicGraph.from_edges(8, u, v, ts, representation=kind, seed=seed, **KINDS[kind])
             g.apply(stream(REPRODUCER[-1:]))
-        else:
+        elif path == "fused":
             g = DynamicGraph(8, kind, seed=seed, **KINDS[kind])
-            g.apply(stream(REPRODUCER + (PADDING if path == "fused" else [])))
+            g.apply(stream(REPRODUCER + PADDING))
+        else:
+            # The per-edge API, both arcs of each edge in turn.
+            g = DynamicGraph(8, kind, seed=seed, **KINDS[kind])
+            for op, u, v, ts in REPRODUCER:
+                g.insert_edge(u, v, ts) if op == 1 else g.delete_edge(u, v)
         csr = g.snapshot()
         assert_own_transpose(csr)
         assert [t for u, v, t in arcs(csr) if (u, v) == (0, 2)] == [0], seed
 
 
-def test_paths_reach_the_bulk_kernels():
-    """The fused and build cases are past the per-op cut; the per-op one not."""
-    assert 2 * len(REPRODUCER) < bulkops.MIN_BULK_SIZE
-    assert 2 * len(REPRODUCER + PADDING) >= bulkops.MIN_BULK_SIZE
-    assert 2 * len(REPRODUCER[:-1] + PADDING) >= bulkops.MIN_BULK_SIZE
+def test_paths_reach_the_bulk_kernels(monkeypatch):
+    """The per-op case runs the per-op methods alone; the fused and build
+    cases, however few their arcs, never enter them."""
+    calls = []
+    for cls, name in [(DynArrAdjacency, "insert"), (DynArrAdjacency, "delete"),
+                      (TreapAdjacency, "insert"), (TreapAdjacency, "delete"),
+                      (TreapAdjacency, "_apply_run"), (TreapAdjacency, "_build_run")]:
+        def spy(self, *args, _orig=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, name, spy)
+    for kind in sorted(KINDS):
+        for path in ("per-op", "fused", "build"):
+            calls.clear()
+            g = DynamicGraph(8, kind, seed=1, **KINDS[kind])
+            if path == "per-op":
+                for op, u, v, ts in REPRODUCER:
+                    g.insert_edge(u, v, ts) if op == 1 else g.delete_edge(u, v)
+                # (A hybrid's per-op migration moves a block as one run.)
+                assert {"insert", "delete"} <= set(calls) <= {"insert", "delete", "_apply_run"}
+                continue
+            if path == "build":
+                _, u, v, ts = zip(*REPRODUCER[:-1])
+                g.rep.bulk_insert(*symmetric_arcs(*map(np.asarray, (u, v, ts))))
+            else:
+                g.apply(stream(REPRODUCER))
+            assert calls and not {"insert", "delete"} & set(calls), (kind, path, calls)
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["per-op", "bulk"])
@@ -81,12 +109,18 @@ def test_paths_reach_the_bulk_kernels():
 def test_one_edge_written_both_ways_through_from_edges(kind, padded):
     """Two copies of one edge in opposite orientations with different
     stamps, ``(0, 2, ts=1)`` then ``(2, 0, ts=0)``, built through
-    ``from_edges``: both endpoints hold them in one arrival order, so one
-    delete leaves a snapshot that is its own transpose, stamps included."""
-    edges = [(0, 2, 1), (2, 0, 0)] + [(5, 6, 7)] * (bulkops.MIN_BULK_SIZE if padded else 0)
+    ``from_edges`` (``bulk``, padded to 48 edges) or through the per-op
+    ``bulk_insert_scalar``: both endpoints hold them in one arrival order,
+    so one delete leaves a snapshot that is its own transpose, stamps
+    included."""
+    edges = [(0, 2, 1), (2, 0, 0)] + [(5, 6, 7)] * (48 if padded else 0)
     u, v, ts = zip(*edges)
     kw = {"degrees": np.full(8, 2 * len(edges))} if kind == "dynarr-nr" else {}
-    g = DynamicGraph.from_edges(8, u, v, ts, representation=kind, **kw)
+    if padded:
+        g = DynamicGraph.from_edges(8, u, v, ts, representation=kind, **kw)
+    else:
+        g = DynamicGraph(8, kind, **kw)
+        g.rep.bulk_insert_scalar(*symmetric_arcs(*map(np.asarray, (u, v, ts))))
     assert g.delete_edge(0, 2)
     csr = g.snapshot()
     assert_own_transpose(csr)
@@ -106,26 +140,25 @@ multigraph = st.lists(
 )
 
 
-@pytest.mark.parametrize("min_bulk", [bulkops.MIN_BULK_SIZE, 1], ids=["cut", "bulk"])
+@pytest.mark.parametrize("entry", ["apply_arcs_scalar", "apply_arcs"], ids=["cut", "bulk"])
 @settings(max_examples=40, deadline=None)
 @given(batches=multigraph, seed=st.integers(0, 3))
-def test_multigraph_streams_match_dynarr(batches, seed, min_bulk):
+def test_multigraph_streams_match_dynarr(batches, seed, entry):
     """``treap`` and ``hybrid`` snapshots equal dyn-arr's as ``(u, v, ts)``
-    multisets after every batch, whichever path each batch takes."""
+    multisets after every batch, through the batch path (``bulk``) and the
+    per-op reference (``cut``, the path small batches once took)."""
     reps = [
         make_representation("dynarr", 3),
         make_representation("treap", 3, seed=seed),
         make_representation("hybrid", 3, seed=seed, degree_thresh=2),
     ]
     stamp = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
-        for batch in batches:
-            op, u, v = (np.array(col, dtype=np.int64) for col in zip(*batch))
-            ts = np.arange(stamp, stamp + op.size)
-            stamp += op.size
-            misses = [rep.apply_arcs(op.astype(np.int8), u, v, ts) for rep in reps]
-            assert misses[1:] == misses[:-1]
-            want = arcs(reps[0].to_csr())
-            for rep in reps[1:]:
-                assert arcs(rep.to_csr()) == want, rep.kind
+    for batch in batches:
+        op, u, v = (np.array(col, dtype=np.int64) for col in zip(*batch))
+        ts = np.arange(stamp, stamp + op.size)
+        stamp += op.size
+        misses = [getattr(rep, entry)(op.astype(np.int8), u, v, ts) for rep in reps]
+        assert misses[1:] == misses[:-1]
+        want = arcs(reps[0].to_csr())
+        for rep in reps[1:]:
+            assert arcs(rep.to_csr()) == want, rep.kind

@@ -10,9 +10,9 @@ tests drive two twins through identical streams — one through
 ``apply_arcs`` with every batch size on the bulk path, the other through the
 per-op ``apply_arcs_scalar`` — with seeded sweeps across all seven kinds,
 plus hypothesis-generated adversarial streams for the dyn-arr family, and
-diff all of it.  At the shipped :data:`~repro.adjacency.bulkops.MIN_BULK_SIZE`
-the batch size is the one thing that picks the path; the last test holds
-both sides of that cut to the same contract.
+diff all of it.  A batch of any size takes the batch path; the last tests
+hold batches from one arc up, through both entry points, to the same
+contract.
 
 Every stream runs with the retired tier variable left in the environment,
 naming ``vectorised`` and the deleted ``compiled`` tier: nothing reads it,
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adjacency import bulkops
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.csr import csr_from_arrays
 from repro.adjacency.dynarr import DynArrAdjacency
@@ -38,7 +37,7 @@ from tests.retired_tier import stale_tier
 
 KINDS = ["dynarr", "dynarr-nr", "treap", "hybrid", "vpart", "epart", "batched"]
 
-#: The kinds that apply a whole batch at the cut with the dyn-arr bulk kernels.
+#: The kinds that apply a whole batch with the dyn-arr bulk kernels.
 DYNARR_FAMILY = ["dynarr", "dynarr-nr", "vpart", "epart", "batched"]
 
 #: Values a stale environment may hold in the retired tier variable.
@@ -86,21 +85,13 @@ def size_for(src, dst):
     return max(int(src.max(initial=0)) + 1, int(dst.max(initial=0)) + 1, 2)
 
 
-def apply_bulk(rep, op, src, dst, ts):
-    """``rep.apply_arcs`` with every non-empty batch, however small (and the
-    hybrid's array half of one), on the bulk path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
-        return rep.apply_arcs(op, src, dst, ts)
-
-
 def check_stream(kind, op, src, dst, ts, tier):
     """Full equivalence check of one stream under a stale ``tier``: bulk
     path vs per-op twin."""
     n = size_for(src, dst)
     vec, ref = build(kind, n), build(kind, n)
     with stale_tier(tier):
-        m_vec = apply_bulk(vec, op, src, dst, ts)
+        m_vec = vec.apply_arcs(op, src, dst, ts)
         m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
     assert_equivalent(vec, ref, m_vec, m_ref)
 
@@ -179,7 +170,7 @@ class TestSeededEquivalence:
             rng = np.random.default_rng(50 + trial)
             op, src, dst, ts = make_stream(rng, n, 200, 0.55)
             with stale_tier(tier):
-                m_vec = apply_bulk(vec, op, src, dst, ts)
+                m_vec = vec.apply_arcs(op, src, dst, ts)
                 m_ref = ref.apply_arcs_scalar(op, src, dst, ts)
             assert_equivalent(vec, ref, m_vec, m_ref)
 
@@ -264,15 +255,13 @@ class TestSnapshotPipeline:
 
 
 @pytest.mark.parametrize("insert_frac", [1.1, 0.6], ids=["insert-only", "mixed"])
-@pytest.mark.parametrize(
-    "size", [bulkops.MIN_BULK_SIZE - 1, bulkops.MIN_BULK_SIZE], ids=["below-cut", "at-cut"]
-)
+@pytest.mark.parametrize("size", [47, 48], ids=["below-cut", "at-cut"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_batch_size_cut(kind, size, insert_frac):
-    # At the shipped threshold, a batch one arc short of the cut takes the
-    # per-op loop and a batch at the cut the bulk path; both leave what the
-    # per-op twin leaves.  The batch lands on a structure that already holds
-    # arcs, so the mixed batch's deletes hit.
+    # Either side of the 48 arcs where a per-op path once took over, the
+    # batch takes the batch path and leaves what the per-op twin leaves.
+    # The batch lands on a structure that already holds arcs, so the mixed
+    # batch's deletes hit.
     n = 10
     rng = np.random.default_rng(size)
     base = make_stream(rng, n, 30, 1.1)
@@ -285,4 +274,43 @@ def test_batch_size_cut(kind, size, insert_frac):
     m_twin = twin.apply_arcs_scalar(op, src, dst, ts)
     assert_equivalent(rep, twin, m_rep, m_twin)
     if kind in DYNARR_FAMILY:
-        assert (rep.vectorised_arc_ops > 0) == (size >= bulkops.MIN_BULK_SIZE)
+        assert rep.vectorised_arc_ops == size
+
+
+#: ``UpdateStats`` fields a treap build counts its own way (one visit per
+#: node, no rotation) where the per-op replay counts its descents.
+BUILD_COUNTED = ("nodes_visited", "rotations")
+
+
+@pytest.mark.parametrize("entry", ["apply_arcs", "bulk_insert"])
+@pytest.mark.parametrize("size", [1, 2, 47, 48])
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_batches_equal_per_op(kind, size, entry):
+    # Each entry point at sizes either side of the deleted cut, against the
+    # per-op reference: contents, stats, misses, pool footprint and the
+    # export, patched from one taken before the batch where the kind
+    # patches.  A ``bulk_insert`` builds treaps whole, so on treap and
+    # hybrid only its build counters may differ.
+    n = 10
+    rng = np.random.default_rng(size)
+    base = make_stream(rng, n, 30, 1.1)
+    op, src, dst, ts = make_stream(rng, n, size, 1.1 if entry == "bulk_insert" else 0.6)
+    rep, twin = build(kind, n), build(kind, n)
+    for r in (rep, twin):
+        r.apply_arcs_scalar(*base)
+        r.to_csr()
+    if entry == "bulk_insert":
+        rep.bulk_insert(src, dst, ts)
+        twin.bulk_insert_scalar(src, dst, ts)
+        m_rep = m_twin = 0
+    else:
+        m_rep = rep.apply_arcs(op, src, dst, ts)
+        m_twin = twin.apply_arcs_scalar(op, src, dst, ts)
+    if entry == "bulk_insert" and kind in ("treap", "hybrid"):
+        for r in (rep, twin):
+            for name in BUILD_COUNTED:
+                for stats in (r.stats, getattr(r, "treap", r).stats):
+                    setattr(stats, name, 0)
+    assert_equivalent(rep, twin, m_rep, m_twin)
+    if kind in DYNARR_FAMILY:
+        assert rep.vectorised_arc_ops == size

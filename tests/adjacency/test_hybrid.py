@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.adjacency import bulkops
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.api import DynamicGraph
 from repro.errors import GraphError
@@ -237,8 +236,7 @@ class TestPartitionedApply:
         drive_pair(bulk, twin, [batch], hybrid_state)
         assert bulk.mode[2] == 1 and bulk.treap.n_arcs == 10 and bulk.arr.n_arcs == 1
 
-    def test_empty_batch(self, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
+    def test_empty_batch(self):
         h = HybridAdjacency(3, degree_thresh=1, seed=1)
         h.bulk_insert([0, 0, 1], [1, 2, 0])
         before = hybrid_state(h)
@@ -246,8 +244,7 @@ class TestPartitionedApply:
         assert h.apply_arcs([], [], []) == 0
         assert hybrid_state(h) == before
 
-    def test_balanced_batch_cannot_serve_a_stale_snapshot(self, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
+    def test_balanced_batch_cannot_serve_a_stale_snapshot(self):
         g = DynamicGraph(4, "hybrid", directed=True, degree_thresh=1, seed=1)
         g.rep.bulk_insert([0, 0], [1, 2])  # vertex 0 on the treap side
         assert g.snapshot().neighbors(0).tolist() == [1, 2]
@@ -258,34 +255,40 @@ class TestPartitionedApply:
 
 
 class TestBatchValidation:
-    """Malformed batches raise before any arc is applied, on either path."""
+    """Malformed batches raise before any arc is applied, through the batch
+    entry points and through the per-op references called by name."""
 
-    @pytest.fixture(params=[bulkops.MIN_BULK_SIZE, 1], ids=["scalar", "vectorised"])
-    def h(self, request, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", request.param)
+    @pytest.fixture(params=["_scalar", ""], ids=["scalar", "vectorised"])
+    def h(self, request):
+        """A hybrid with treap vertices, and its ``(apply_arcs, bulk_insert)``
+        pair under test (``scalar``: ``apply_arcs_scalar``,
+        ``bulk_insert_scalar``)."""
         h = HybridAdjacency(4, degree_thresh=1, seed=1)
         h.bulk_insert([0, 0, 1], [1, 2, 0])
-        return h
+        return h, getattr(h, "apply_arcs" + request.param), getattr(h, "bulk_insert" + request.param)
 
     def test_short_dst(self, h):
+        h, apply, _ = h
         before = hybrid_state(h)
         with pytest.raises(GraphError):
-            h.apply_arcs([1, -1, 1], [0, 0, 1], [3, 1])
+            apply([1, -1, 1], [0, 0, 1], [3, 1])
         assert hybrid_state(h) == before
 
     def test_short_ts(self, h):
+        h, apply, bulk = h
         before = hybrid_state(h)
         with pytest.raises(GraphError):
-            h.apply_arcs([1, -1, 1], [0, 0, 1], [3, 1, 2], [7, 8])
+            apply([1, -1, 1], [0, 0, 1], [3, 1, 2], [7, 8])
         with pytest.raises(GraphError):
-            h.bulk_insert([0, 1], [3, 2], [7])
+            bulk([0, 1], [3, 2], [7])
         assert hybrid_state(h) == before
 
     def test_op_code_other_than_insert_or_delete(self, h):
+        h, apply, _ = h
         before = hybrid_state(h)
         for codes in ([1, 0, 2], [1, -1, 257]):
             with pytest.raises(GraphError):
-                h.apply_arcs(codes, [0, 0, 0], [1, 1, 1])
+                apply(codes, [0, 0, 0], [1, 1, 1])
         assert hybrid_state(h) == before
 
 
@@ -300,17 +303,15 @@ class TestExport:
         if not bulk:
             check_export_along(h, ops)
             return
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
-            for lo in range(0, len(ops), 10):
-                chunk = ops[lo : lo + 10]
-                h.apply_arcs(
-                    [1 if is_insert else -1 for is_insert, _, _ in chunk],
-                    [u for _, u, _ in chunk],
-                    [v for _, _, v in chunk],
-                    range(lo, lo + len(chunk)),
-                )
-                assert_export_matches_walk(h)
+        for lo in range(0, len(ops), 10):
+            chunk = ops[lo : lo + 10]
+            h.apply_arcs(
+                [1 if is_insert else -1 for is_insert, _, _ in chunk],
+                [u for _, u, _ in chunk],
+                [v for _, _, v in chunk],
+                range(lo, lo + len(chunk)),
+            )
+            assert_export_matches_walk(h)
         assert_export_matches_walk(h)
 
     def test_every_vertex_on_the_array_side(self):

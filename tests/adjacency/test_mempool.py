@@ -279,8 +279,8 @@ class TestUnfilledPool:
     @pytest.mark.parametrize(
         "kind", ["dynarr", "dynarr-nr", "vpart", "epart", "batched", "hybrid"]
     )
-    def test_poisoned_slots_are_never_read(self, kind, path, fill, monkeypatch):
-        self.check_poisoned(kind, path, fill, monkeypatch)
+    def test_poisoned_slots_are_never_read(self, kind, path, fill):
+        self.check_poisoned(kind, path, fill)
 
     @pytest.mark.parametrize("fill", [0, 5])
     @pytest.mark.parametrize("path", ["vectorised", "scalar"])
@@ -290,13 +290,12 @@ class TestUnfilledPool:
     def test_poisoned_reserved_slots_are_never_read(self, kind, path, fill, monkeypatch):
         # Every pool grows inside a reservation whose tail holds the poison.
         force_reservation(monkeypatch, slots=1 << 14)
-        arr = self.check_poisoned(kind, path, fill, monkeypatch)
+        arr = self.check_poisoned(kind, path, fill)
         assert arr.pool.data.base.shape == (2, 1 << 14)
 
-    def check_poisoned(self, kind, path, fill, monkeypatch) -> DynArrAdjacency:
-        # On the vectorised path every batch, the hybrid's array half
-        # included, takes the bulk kernels.
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
+    def check_poisoned(self, kind, path, fill) -> DynArrAdjacency:
+        # The batch path (every batch, the hybrid's array half included,
+        # takes the bulk kernels) or the per-op reference by name.
         apply = "apply_arcs" if path == "vectorised" else "apply_arcs_scalar"
         twin, poisoned = build(kind, self.N, TOMBSTONE), build(kind, self.N, fill)
         rng = np.random.default_rng(17)

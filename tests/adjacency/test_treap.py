@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adjacency import bulkops
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.treap import _NIL, TreapAdjacency, _priorities, _priority
 from repro.errors import GraphError
@@ -167,13 +166,11 @@ def drive_pair(bulk, twin, batches, state):
         all_inserts = bool(batch) and all(is_insert for is_insert, _, _ in batch)
         empty = {u for u in us if treap_of(twin).root[u] == _NIL} if all_inserts else set()
         bulk_before, twin_before = build_work(bulk), build_work(twin)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)  # small batches take the bulk path too
-            if all_inserts:
-                bulk.bulk_insert(us, vs, tss)
-                misses = 0
-            else:
-                misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
+        if all_inserts:
+            bulk.bulk_insert(us, vs, tss)
+            misses = 0
+        else:
+            misses = bulk.apply_arcs([1 if i else -1 for i, _, _ in batch], us, vs, tss)
         expected = 0
         replaced = [[0, 0, 0] for _ in twin_before]
         for (is_insert, u, v), ts in zip(batch, tss):
@@ -379,21 +376,21 @@ class TestFusedRun:
         assert t.apply_arcs([], [], []) == 0
         assert treap_state(t) == before
 
-    def test_balanced_batch_still_counts_as_a_mutation(self, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", 1)
+    def test_balanced_batch_still_counts_as_a_mutation(self):
         t = TreapAdjacency(3, seed=1)
         t.insert(0, 1)
         before = t.mutation_count
         assert t.apply_arcs([1, -1], [0, 0], [2, 1]) == 0
         assert t.n_arcs == 1 and t.mutation_count > before
 
-    @pytest.mark.parametrize("min_bulk", [bulkops.MIN_BULK_SIZE, 1], ids=["scalar", "vectorised"])
-    def test_ragged_bulk_insert_is_rejected_whole(self, min_bulk, monkeypatch):
-        monkeypatch.setattr(bulkops, "MIN_BULK_SIZE", min_bulk)
+    @pytest.mark.parametrize("entry", ["bulk_insert_scalar", "bulk_insert"],
+                             ids=["scalar", "vectorised"])
+    def test_ragged_bulk_insert_is_rejected_whole(self, entry):
+        # The per-op reference by name, and the batch path.
         t = TreapAdjacency(8, seed=1)
         before = treap_state(t)
         with pytest.raises(GraphError):
-            t.bulk_insert([0, 0, 0], [1, 2])
+            getattr(t, entry)([0, 0, 0], [1, 2])
         assert treap_state(t) == before
 
 
@@ -539,14 +536,12 @@ class TestPriorities:
             return s.nodes_visited, s.rotations, s.delete_misses
 
         whole, regrouped = make(), make()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bulkops, "MIN_BULK_SIZE", 1)
-            whole.apply_arcs(*(list(col) for col in zip(*batch)), range(len(batch)))
-            lo = 0
-            for hi in sorted(set(cuts) | {len(batch)}):
-                part = [batch[i] for i in order[lo:hi]]
-                regrouped.apply_arcs(*(list(col) for col in zip(*part)), order[lo:hi])
-                lo = hi
+        whole.apply_arcs(*(list(col) for col in zip(*batch)), range(len(batch)))
+        lo = 0
+        for hi in sorted(set(cuts) | {len(batch)}):
+            part = [batch[i] for i in order[lo:hi]]
+            regrouped.apply_arcs(*(list(col) for col in zip(*part)), order[lo:hi])
+            lo = hi
         for u in range(5):
             assert preorder(treap_of(whole), u) == preorder(treap_of(regrouped), u)
         for a, b in zip(whole.to_arrays(), regrouped.to_arrays()):

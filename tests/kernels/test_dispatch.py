@@ -1,10 +1,10 @@
-"""What picks a batch's path, now that the batch size alone does.
+"""Nothing picks a batch's path: there is one.
 
 A silent import that never reaches for numba, the stubs bench/run.py
-records, each batch body's call site, the per-op (``scalar``) and bulk
-(``vectorised``) paths of an adjacency batch, and wrappers handing their
-batch to the dyn-arr they own.  A stale value in the retired tier variable
-is never read.
+records, each batch body's call site, an adjacency batch of any size on its
+batch path (the per-op loops run only when called by name, as the
+reference), and wrappers handing their batch to the dyn-arr they own.  A
+stale value in the retired tier variable is never read.
 """
 
 import os
@@ -22,6 +22,7 @@ from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
+from repro.adjacency.treap import TreapAdjacency
 from repro.connectit.unionfind import UnionFind
 from repro.core.linkcut import LinkCutForest, chase_roots
 from repro.kernels import loops
@@ -36,26 +37,32 @@ def mixed_batch(n, k, seed):
 
 class TestPrecedence:
     def test_default_is_probe_result(self):
-        # The stub bench/run.py records as the default names the path a
-        # batch at the cut runs when nobody asks for anything: no numba,
-        # the vectorised kernels.
+        # The stub bench/run.py records as the default names the path every
+        # batch runs, down to one arc: no numba, the vectorised kernels.
         assert not kernels.numba_available()
         assert kernels.default_tier() == "vectorised"
         rep = DynArrAdjacency(8)
-        k = bulkops.MIN_BULK_SIZE
-        rep.bulk_insert(np.arange(k) % 8, np.arange(k)[::-1] % 8)
-        assert rep.vectorised_arc_ops == k
+        for k in (1, 2, 47, 48):
+            rep.bulk_insert(np.arange(k) % 8, np.arange(k)[::-1] % 8)
+        assert rep.vectorised_arc_ops == 98
 
-    def test_none_attribute_falls_through(self):
-        # No representation carries a path of its own: for every kind the
-        # gate falls through to the batch size alone.
-        sizes = range(2 * bulkops.MIN_BULK_SIZE)
+    def test_none_attribute_falls_through(self, monkeypatch):
+        # No representation carries a path of its own, and no batch size
+        # picks one: for every kind, batches of 1 to 96 arcs through either
+        # entry point never enter the per-op methods.
+        def refuse(*args):
+            raise AssertionError("a batch entered the per-op path")
+
+        for cls in (DynArrAdjacency, TreapAdjacency, HybridAdjacency, BatchedAdjacency):
+            for name in ("insert", "delete", "apply_arcs_scalar", "bulk_insert_scalar"):
+                monkeypatch.setattr(cls, name, refuse)
         for kind in REPRESENTATIONS:
-            extra = {"degrees": np.full(8, 4)} if kind == "dynarr-nr" else {}
+            extra = {"degrees": np.full(8, 4096)} if kind == "dynarr-nr" else {}
             rep = make_representation(kind, 8, **extra)
-            assert [bulkops.enabled(rep, k) for k in sizes] == [
-                k >= bulkops.MIN_BULK_SIZE for k in sizes
-            ], kind
+            for k in range(1, 97):
+                op, src, dst = mixed_batch(8, k, k)
+                rep.apply_arcs(op, src, dst)
+                rep.bulk_insert(src, dst)
 
 
 class TestValidation:
@@ -135,20 +142,21 @@ class TestBulkopsInteraction:
         assert rep.vectorised_arc_ops == 0 and rep.n_arcs > 0
 
     def test_vectorised_tier_keeps_bulkops_dispatch(self):
-        # A stale environment naming the per-op tier no longer takes a large
-        # batch off the kernels.
+        # A stale environment naming the per-op tier takes no batch, large
+        # or small, off the kernels.
         rep = DynArrAdjacency(8)
         with stale_tier("scalar"):
-            assert bulkops.enabled(rep, 10_000)
             rep.apply_arcs(*mixed_batch(8, 10_000, 2))
-        assert rep.vectorised_arc_ops == 10_000
+            rep.apply_arcs(*mixed_batch(8, 3, 2))
+        assert rep.vectorised_arc_ops == 10_003
 
     def test_scalar_tier_applies_scalar_semantics(self):
-        # Batches below the cut take the per-op loop: the same misses and
-        # stats as the oracle, and nothing counted as vectorised.
+        # Small batches (47 arcs, where a per-op loop once took over) take
+        # the kernels with the oracle's semantics: the same misses and
+        # stats, every arc counted as vectorised.
         op, src, dst = mixed_batch(8, 300, 0)
         a, b = DynArrAdjacency(8), DynArrAdjacency(8)
-        step = bulkops.MIN_BULK_SIZE - 1
+        step = 47
         m_a = sum(
             a.apply_arcs(op[i : i + step], src[i : i + step], dst[i : i + step])
             for i in range(0, op.size, step)
@@ -156,19 +164,19 @@ class TestBulkopsInteraction:
         m_b = b.apply_arcs_scalar(op, src, dst)
         assert m_a == m_b
         assert asdict(a.stats) == asdict(b.stats)
-        assert a.vectorised_arc_ops == 0
+        assert a.vectorised_arc_ops == 300
 
     @pytest.mark.parametrize(
         "make", [lambda: HybridAdjacency(64, seed=1), lambda: BatchedAdjacency(64)],
         ids=["hybrid", "batched"],
     )
     def test_wrapper_tier_reaches_the_inner_dynarr(self, make):
-        # The dyn-arr a wrapper owns runs the path the wrapper's batch size
-        # picks, not one it picks for itself.
+        # A wrapper hands even a small batch to the dyn-arr it owns, whose
+        # kernels apply it: every arc of a fresh structure's batch.
         op, src, dst = mixed_batch(64, 400, 3)
         rep = make()
-        small = bulkops.MIN_BULK_SIZE - 1
+        small = 47
         rep.apply_arcs(op[:small], src[:small], dst[:small])
-        assert rep.vectorised_arc_ops == 0
+        assert rep.vectorised_arc_ops == small
         rep.apply_arcs(op[small:], src[small:], dst[small:])
-        assert rep.vectorised_arc_ops > 0
+        assert rep.vectorised_arc_ops > small
