@@ -135,15 +135,12 @@ class AdjacencyRepresentation(abc.ABC):
     Subclasses implement the arc-level mutators and queries and the two
     batch entry points; this base class provides input validation, the
     per-op references the batch paths must equal, the reference snapshot
-    export and work-profile construction.
+    export, the one view of the work counters (:meth:`combined_stats`) and
+    work-profile construction.
     """
 
     #: Short registry name, set by subclasses ("dynarr", "treap", ...).
     kind: str = "abstract"
-
-    #: Arc operations the :mod:`repro.adjacency.bulkops` kernels applied
-    #: (which path ran; not a work counter).
-    vectorised_arc_ops: int = 0
 
     def __init__(self, n: int) -> None:
         if n < 0:
@@ -330,6 +327,11 @@ class AdjacencyRepresentation(abc.ABC):
         """Raise :class:`~repro.errors.VertexError` for an out-of-range id."""
         if not 0 <= u < self.n:
             raise VertexError(f"vertex id {u} out of range [0, {self.n})")
+
+    def combined_stats(self) -> UpdateStats:
+        """All of the structure's work counters: ``stats`` here; a structure
+        that splits them over parts (hybrid) merges them."""
+        return self.stats
 
     def reset_stats(self) -> None:
         """Zero the work counters (e.g. after construction, before deletes)."""

@@ -11,9 +11,9 @@ This module provides both pieces:
 
 * :func:`semisort_phase` — the machine-independent work profile of the
   parallel semi-sort alone (Figure 3's upper-bound series);
-* :class:`BatchedAdjacency` — a working batched representation: updates are
-  buffered, semi-sorted, and applied per vertex group onto an inner
-  Dyn-arr, with the sort's work charged in the profile.
+* :class:`BatchedAdjacency` — a working batched representation: Dyn-arr
+  storage, whose every batch is semi-sorted by vertex and applied one
+  vertex group at a time, with the sort's work charged in the profile.
 
 The host-side sort is :func:`repro.adjacency.bulkops.stable_order` (one
 packed-key ``ndarray.sort``); :func:`semisort_phase` charges the *modelled*
@@ -24,13 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adjacency.base import AdjacencyRepresentation, HotStats
-from repro.adjacency.bulkops import stable_order
-from repro.adjacency.csr import CSRGraph
+from repro.adjacency.base import HotStats
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.errors import GraphError
 from repro.machine.profile import Phase
-from repro.util.validation import check_op_codes
 
 __all__ = ["semisort_phase", "BatchedAdjacency"]
 
@@ -73,102 +70,37 @@ def semisort_phase(n_updates: int, n_vertices: int, name: str = "semisort") -> P
     )
 
 
-class BatchedAdjacency(AdjacencyRepresentation):
-    """Batched semi-sorted application onto an inner Dyn-arr.
+class BatchedAdjacency(DynArrAdjacency):
+    """Dyn-arr storage with the semi-sort charged in the profile.
 
-    Single-update calls are legal but forfeit the batching benefit; the
-    intended entry point is :meth:`apply_arcs`, which semi-sorts the whole
-    batch and applies each vertex's updates contiguously.
+    Every Dyn-arr batch is already applied one vertex run at a time: its
+    grouping step is the semi-sort (:func:`~repro.adjacency.bulkops.stable_order`),
+    stable, so each vertex's updates keep their arrival order.  What this
+    class adds is the cost model: the batches it applied and their updates,
+    charged through :func:`semisort_phase`.  Single-update calls are legal
+    but forfeit the batching benefit.
     """
 
     kind = "batched"
 
-    def __init__(self, n: int, *, inner: AdjacencyRepresentation | None = None, **kwargs) -> None:
-        super().__init__(n)
-        self.inner = inner if inner is not None else DynArrAdjacency(n, **kwargs)
-        if self.inner.n != n:
-            raise GraphError("inner representation vertex count mismatch")
+    def __init__(self, n: int, **kwargs) -> None:
+        super().__init__(n, **kwargs)
         #: Updates that went through the batched path (for the sort profile).
         self.batched_updates = 0
         self.batches = 0
 
-    @property
-    def vectorised_arc_ops(self) -> int:
-        return self.inner.vectorised_arc_ops
-
-    # Delegated single-op interface -------------------------------------- #
-
-    def insert(self, u: int, v: int, ts: int = 0) -> None:
-        self.inner.insert(u, v, ts)
-        self._n_arcs += 1
-
-    def delete(self, u: int, v: int) -> bool:
-        found = self.inner.delete(u, v)
-        if found:
-            self._n_arcs -= 1
-        return found
-
-    def degree(self, u: int) -> int:
-        return self.inner.degree(u)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.inner.neighbors(u)
-
-    def neighbors_with_ts(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.inner.neighbors_with_ts(u)
-
-    def _targets_unordered(self, u: int) -> np.ndarray:
-        return self.inner._targets_unordered(u)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return self.inner.has_arc(u, v)
-
-    def memory_bytes(self) -> int:
-        return self.inner.memory_bytes()
-
-    def bulk_insert(self, src, dst, ts=None) -> None:
-        """Delegate to the inner structure's bulk ingest (an empty batch is
-        no mutation)."""
-        before = self.inner.n_arcs
-        self.inner.bulk_insert(src, dst, ts)
-        if self.inner.n_arcs != before:
-            self._n_arcs = self.inner.n_arcs
-
-    def to_csr(self) -> CSRGraph:
-        """The inner structure's export, under this wrapper's name."""
-        g = self.inner.to_csr()
-        g.meta["source"] = self.kind
-        return g
-
-    # Batched path -------------------------------------------------------- #
-
     def apply_arcs(self, op, src, dst, ts=None) -> int:
-        """Semi-sort the batch by source vertex, then apply per vertex.
-
-        Within a vertex, original arrival order is preserved (the packed-key
-        semisort :func:`~repro.adjacency.bulkops.stable_order` returns the
-        stable order), so the final structure state matches in-order
-        application whenever updates to distinct vertices commute — which
-        they do, since each update touches exactly one source vertex's list.
-        The inner structure receives a grouped stream, which its own
-        grouping step recognises and does not sort again.
-        """
-        op = check_op_codes(op)
-        src, dst, t = self._checked_batch(src, dst, ts, op)
-        if src.size == 0:
-            return 0
-        order, grouped = stable_order(src, self.n)
-        misses = self.inner.apply_arcs(op[order], grouped, dst[order], t[order])
-        applied = int(src.size)
-        self.batched_updates += applied
-        self.batches += 1
-        self._n_arcs = self.inner.n_arcs
+        """Dyn-arr's grouped application, counted as one batch when it
+        carries any update."""
+        misses = super().apply_arcs(op, src, dst, ts)
+        k = int(np.size(src))
+        if k:
+            self.batched_updates += k
+            self.batches += 1
         return misses
 
-    # Profiles ------------------------------------------------------------ #
-
     def phase(self, name: str, hot: HotStats | None = None) -> Phase:
-        """Inner-structure work plus the semi-sort passes.
+        """Dyn-arr work plus the semi-sort passes.
 
         Batching removes hot-vertex *contention* (each vertex is owned by
         one thread within a batch) but not the load-imbalance cap (that
@@ -176,15 +108,15 @@ class BatchedAdjacency(AdjacencyRepresentation):
         serial floor while ``max_unit_frac`` stays.
         """
         hot = hot or HotStats()
-        inner = self.inner.phase(f"{name}/apply", HotStats(hot.total_ops, 0, hot.max_unit_frac))
+        apply = super().phase(f"{name}/apply", HotStats(hot.total_ops, 0, hot.max_unit_frac))
         sort = semisort_phase(self.batched_updates, self.n, name=f"{name}/semisort")
-        merged = sort.merged_with(inner)
+        merged = sort.merged_with(apply)
         return Phase(
             name=name,
             alu_ops=merged.alu_ops,
             seq_bytes=merged.seq_bytes,
             rand_accesses=merged.rand_accesses,
-            footprint_bytes=max(inner.footprint_bytes, sort.footprint_bytes),
+            footprint_bytes=max(apply.footprint_bytes, sort.footprint_bytes),
             atomics=merged.atomics,
             atomic_max_addr=0.0,
             barriers=merged.barriers,
@@ -192,8 +124,6 @@ class BatchedAdjacency(AdjacencyRepresentation):
         )
 
     def reset_stats(self) -> None:
-        self.stats.reset()
-        self.inner.reset_stats()
+        super().reset_stats()
         self.batched_updates = 0
         self.batches = 0
-

@@ -6,7 +6,8 @@ interpreter-level call per arc cannot come near the memory-bound regime the
 machine model reasons about.  This module supplies the batch-sorted
 group-by-owner kernels (the strategy ConnectIt and GBBS use for batched
 updates) that the :class:`~repro.adjacency.dynarr.DynArrAdjacency` family
-plugs into ``apply_arcs`` / ``bulk_insert`` / ``to_csr``:
+(Vpart, Epart and the batched kind are subclasses) plugs into ``apply_arcs`` /
+``bulk_insert`` / ``to_csr``:
 
 * **Grouping** — one packed-key semisort by owning vertex
   (:func:`stable_order`: the arrival index rides in the low bits of a unique
@@ -109,11 +110,11 @@ def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     need no ``keys[order]`` gather.
 
     What it does depends only on the input: keys already non-decreasing (a
-    stream :class:`~repro.adjacency.batch.BatchedAdjacency` grouped, the
-    reference export's ``src``) return the identity and ``keys`` itself, not a
-    copy; a key too wide to pack (``bound`` and arrival index together past
-    :data:`PACK_BITS`, reachable only for (owner, target) pair keys on graphs
-    beyond about 2**24 vertices) takes the comparison sort.
+    stream already grouped by owner, the reference export's ``src``) return the
+    identity and ``keys`` itself, not a copy; a key too wide to pack
+    (``bound`` and arrival index together past :data:`PACK_BITS`, reachable
+    only for (owner, target) pair keys on graphs beyond about 2**24
+    vertices) takes the comparison sort.
     """
     m = int(keys.size)
     if m < 2 or (keys[1:] >= keys[:-1]).all():
@@ -246,7 +247,6 @@ def bulk_insert(rep, src: np.ndarray, dst: np.ndarray, ts: np.ndarray) -> None:
     rep.live[uniq] += counts
     rep.stats.inserts += int(s.size)
     rep._n_arcs += int(s.size)
-    rep.vectorised_arc_ops += int(s.size)
     rep._account_bulk(uniq, cnt0, counts)
 
 
@@ -378,6 +378,5 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
     rep.stats.delete_misses += n_miss
     rep.stats.probe_words += probe_words
     rep._n_arcs += n_ins_total - n_succ
-    rep.vectorised_arc_ops += n_ins_total + n_succ + n_miss
     rep._account_bulk(uniq, cnt0, k_ins)
     return n_miss

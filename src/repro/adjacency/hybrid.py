@@ -126,10 +126,6 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         self.treap = TreapAdjacency(n, seed=seed)
         self.mode = bytearray(n)  # _MODE_ARRAY / _MODE_TREAP per vertex
 
-    @property
-    def vectorised_arc_ops(self) -> int:
-        return self.arr.vectorised_arc_ops
-
     # ------------------------------------------------------------------ #
     # migration
     # ------------------------------------------------------------------ #

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.adjacency.base import AdjacencyRepresentation, HotStats, UpdateStats
+from repro.adjacency.base import AdjacencyRepresentation, HotStats
 from repro.edgelist import EdgeList
 from repro.generators.streams import UpdateStream, insertion_stream
 from repro.machine.profile import WorkProfile
@@ -90,8 +90,8 @@ def apply_stream(
     The arcs go to ``rep.apply_arcs`` as one batch, whose counters equal
     the per-op reference's (see docs/PERFORMANCE.md), so the simulated
     work profile does not depend on how the host applied them.
-    ``meta["vectorised"]`` reports whether the bulk kernels applied any of
-    this stream's arcs.
+    ``meta["vectorised"]`` reports whether this stream applied a batch
+    (whether it held any arc).
     """
     if rep.n != stream.n:
         raise ValueError(
@@ -101,7 +101,7 @@ def apply_stream(
         raise ValueError(f"probe_scale must be >= 0, got {probe_scale}")
     if reset_stats:
         rep.reset_stats()
-    before = asdict(_update_stats(rep))
+    before = asdict(rep.combined_stats())
     with span(
         "update_engine.apply_stream",
         representation=rep.kind,
@@ -111,11 +111,9 @@ def apply_stream(
     ) as sp:
         op, src, dst, ts = _arc_stream(stream, undirected)
         hot = HotStats.from_keys(src, rep.n)
-        bulk_before = rep.vectorised_arc_ops
         with Timer() as t:
             with span(f"adjacency.{rep.kind}.apply_arcs", n_arc_ops=int(op.size)):
                 misses = rep.apply_arcs(op, src, dst, ts)
-        fast_path = rep.vectorised_arc_ops > bulk_before
         if probe_scale != 1.0:
             # Applies to the representation's own counters only: for the hybrid
             # structure the long scans live in treaps at scale (its array probes
@@ -136,7 +134,6 @@ def apply_stream(
             "deletes": stream.n_deletes,
             "undirected": undirected,
             "misses": misses,
-            "vectorised": fast_path,
             "host_seconds": t.elapsed,
             "host_mups": (len(stream) / t.elapsed / 1e6) if t.elapsed > 0 else 0.0,
             **manifest_meta(),
@@ -150,7 +147,7 @@ def apply_stream(
         host_seconds=t.elapsed,
         profile=profile,
         hot=hot,
-        meta={"vectorised": fast_path},
+        meta={"vectorised": op.size > 0},
     )
 
 
@@ -159,14 +156,6 @@ _TICKED_STATS = (
     "inserts", "deletes", "probe_words", "resize_events", "resize_copied_words",
     "nodes_visited", "rotations", "migrations", "migration_words",
 )
-
-
-def _update_stats(rep: AdjacencyRepresentation) -> UpdateStats:
-    """The structure's work counters.  Composite structures (hybrid) split
-    them over sub-structures and merge on demand; plain structures count
-    directly into ``.stats``."""
-    combined = getattr(rep, "combined_stats", None)
-    return combined() if callable(combined) else rep.stats
 
 
 def _tick_update_metrics(
@@ -183,7 +172,7 @@ def _tick_update_metrics(
     METRICS.inc("update_engine.streams")
     METRICS.inc("update_engine.arc_ops", int(n_arc_ops))
     METRICS.inc("update_engine.delete_misses", misses)
-    after = asdict(_update_stats(rep))
+    after = asdict(rep.combined_stats())
     METRICS.inc_many(
         f"adjacency.{rep.kind}",
         {name: after[name] - before[name] for name in _TICKED_STATS},

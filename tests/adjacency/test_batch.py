@@ -62,8 +62,10 @@ class TestBatchedAdjacency:
         op = np.ones(3, dtype=np.int8)
         b.apply_arcs(op, np.array([0, 1, 0]), np.array([1, 2, 2]))
         b.apply_arcs(op[:1], np.array([2]), np.array([3]))
+        b.apply_arcs([], [], [])
         assert b.batches == 2
         assert b.batched_updates == 4
+        assert b.stats.inserts == 4
 
     def test_phase_includes_sort_and_drops_hot_serialisation(self):
         from repro.adjacency.base import HotStats
@@ -77,13 +79,9 @@ class TestBatchedAdjacency:
         assert ph.atomic_max_addr == 0.0  # per-vertex ownership in a batch
         assert ph.max_unit_frac == pytest.approx(0.6)  # imbalance remains
 
-    def test_inner_vertex_mismatch(self):
-        with pytest.raises(GraphError):
-            BatchedAdjacency(4, inner=DynArrAdjacency(5))
-
     def test_reset_stats(self):
         b = BatchedAdjacency(4)
         b.apply_arcs(np.ones(2, dtype=np.int8), np.array([0, 1]), np.array([1, 2]))
         b.reset_stats()
         assert b.batched_updates == 0 and b.batches == 0
-        assert b.inner.stats.inserts == 0
+        assert b.stats.inserts == 0

@@ -152,30 +152,34 @@ class TestStableOrder:
         assert order.tolist() == [3, 1, 4, 0, 2] and sorted_keys.tolist() == [0, 1, 1, 5, 5]
 
     def test_batched_hands_its_inner_dynarr_a_grouped_stream(self, monkeypatch):
-        # BatchedAdjacency sorts once; the inner Dyn-arr's grouping step
-        # must find the stream grouped and return it as-is.
+        # BatchedAdjacency is Dyn-arr storage: its batch reaches the Dyn-arr
+        # kernels as sent, and their grouping step is the one semi-sort.
+        # The batched kind sorts exactly what a plain Dyn-arr sorts and ends
+        # with its arcs and counters.
         seen = []
         real = bulkops.stable_order
 
         def spy(keys, bound):
-            out = real(keys, bound)
-            seen.append((keys, out))
-            return out
+            seen.append(keys.copy())
+            return real(keys, bound)
 
         monkeypatch.setattr(bulkops, "stable_order", spy)  # the kernels' calls only
         rng = np.random.default_rng(8)
         src, dst = rng.integers(0, 32, size=500), rng.integers(0, 32, size=500)
         for op in (np.ones(500, dtype=np.int8), rng.choice([1, -1], size=500).astype(np.int8)):
             seen.clear()
-            rep, ref = BatchedAdjacency(32), DynArrAdjacency(32)
-            assert rep.apply_arcs(op, src, dst) == ref.apply_arcs(op, src, dst)
-            inner_keys, (order, sorted_keys) = seen[0]
-            assert bool(np.all(inner_keys[1:] >= inner_keys[:-1]))
-            assert sorted_keys is inner_keys
-            assert order.tolist() == list(range(500))
+            rep = BatchedAdjacency(32)
+            misses = rep.apply_arcs(op, src, dst)
+            by_rep = seen[:]
+            seen.clear()
+            ref = DynArrAdjacency(32)
+            assert misses == ref.apply_arcs(op, src, dst)
+            assert np.array_equal(by_rep[0], src)
+            assert len(by_rep) == len(seen)
+            assert all(np.array_equal(a, b) for a, b in zip(by_rep, seen))
             for got, want in zip(rep.to_arrays(), ref.to_arrays()):
                 assert np.array_equal(got, want)
-            assert rep.inner.stats == ref.stats
+            assert rep.stats == ref.stats
 
 
 BAD_OP_CODES = [0, 2, 257, -255]  # the last two wrap to +1 under an int8 cast
@@ -194,14 +198,12 @@ class TestOpCodesCheckedBeforeNarrowing:
 
     @staticmethod
     def _state(rep):
-        inner = getattr(rep, "inner", rep)
         return (
             rep.n_arcs,
             rep.mutation_count,
-            asdict(inner.stats),
-            inner.pool.used,
-            inner.cnt.tolist(),
-            inner.vectorised_arc_ops,
+            asdict(rep.stats),
+            rep.pool.used,
+            rep.cnt.tolist(),
         )
 
     # The batch path at K arcs (``None``) and at the one arc holding the bad
@@ -353,15 +355,12 @@ def make(kind, n):
 
 def full_state(rep):
     """Arc count, mutation count, every counter, footprint and export."""
-    combined = getattr(rep, "combined_stats", None)
-    stats = combined() if callable(combined) else rep.stats
     g = rep.to_csr()
     return (
         rep.n_arcs,
         rep.mutation_count,
-        asdict(stats),
+        asdict(rep.combined_stats()),
         rep.memory_bytes(),
-        rep.vectorised_arc_ops,
         g.offsets.tolist(),
         g.targets.tolist(),
         g.ts.tolist(),
@@ -386,7 +385,8 @@ class TestDispatchGate:
     @pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
     def test_one_arc_takes_the_batch_path(self, kind, monkeypatch):
         # A one-arc batch, through either entry point, never enters the
-        # per-op methods; on the dyn-arr kinds it is counted as the kernels'.
+        # per-op methods, and is applied: the arc lands, then one delete
+        # hits and the next misses.
         rep = seeded(make(kind, 16))
 
         def refuse(*args):
@@ -396,21 +396,28 @@ class TestDispatchGate:
                     BatchedAdjacency):
             for name in ("insert", "delete", "apply_arcs_scalar", "bulk_insert_scalar"):
                 monkeypatch.setattr(cls, name, refuse)
-        before = rep.vectorised_arc_ops
         rep.bulk_insert([15], [4], [5])
+        assert rep.n_arcs == 201 and rep.degree(15) == 1
         assert rep.apply_arcs([-1], [15], [4], [0]) == 0
         assert rep.apply_arcs([-1], [15], [4], [0]) == 1
         assert rep.n_arcs == 200
-        if kind != "treap":
-            assert rep.vectorised_arc_ops - before == 3
 
-    def test_empty_batch_never_vectorised(self):
+    def test_empty_batch_never_vectorised(self, monkeypatch):
         # An empty batch changes nothing on any kind, through either entry
         # point: no arc, counter, mutation count, footprint or export moves,
         # and no kernel runs.
         for kind in sorted(REPRESENTATIONS):
+            monkeypatch.undo()
             rep = seeded(make(kind, 16))
             before = full_state(rep)
+
+            def refuse(*args):
+                raise AssertionError(f"{kind}: an empty batch ran a kernel")
+
+            for name in ("bulk_insert", "apply_mixed"):
+                monkeypatch.setattr(bulkops, name, refuse)
+            for name in ("_apply_run", "_build_run"):
+                monkeypatch.setattr(TreapAdjacency, name, refuse)
             assert rep.apply_arcs([], [], [], []) == 0
             assert full_state(rep) == before, kind
             rep.bulk_insert([], [], [])

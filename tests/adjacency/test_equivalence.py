@@ -37,9 +37,6 @@ from tests.retired_tier import stale_tier
 
 KINDS = ["dynarr", "dynarr-nr", "treap", "hybrid", "vpart", "epart", "batched"]
 
-#: The kinds that apply a whole batch with the dyn-arr bulk kernels.
-DYNARR_FAMILY = ["dynarr", "dynarr-nr", "vpart", "epart", "batched"]
-
 #: Values a stale environment may hold in the retired tier variable.
 TIERS = ["vectorised", "compiled"]
 
@@ -64,8 +61,7 @@ def build(kind, n, seed=7):
 
 
 def full_stats(rep):
-    combined = getattr(rep, "combined_stats", None)
-    return asdict(combined() if callable(combined) else rep.stats)
+    return asdict(rep.combined_stats())
 
 
 def observable_state(rep):
@@ -273,8 +269,6 @@ def test_batch_size_cut(kind, size, insert_frac):
     m_rep = rep.apply_arcs(op, src, dst, ts)
     m_twin = twin.apply_arcs_scalar(op, src, dst, ts)
     assert_equivalent(rep, twin, m_rep, m_twin)
-    if kind in DYNARR_FAMILY:
-        assert rep.vectorised_arc_ops == size
 
 
 #: ``UpdateStats`` fields a treap build counts its own way (one visit per
@@ -312,5 +306,3 @@ def test_small_batches_equal_per_op(kind, size, entry):
                 for stats in (r.stats, getattr(r, "treap", r).stats):
                     setattr(stats, name, 0)
     assert_equivalent(rep, twin, m_rep, m_twin)
-    if kind in DYNARR_FAMILY:
-        assert rep.vectorised_arc_ops == size

@@ -1,12 +1,16 @@
 """Tests for the update engine."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.adjacency.hybrid import HybridAdjacency
+from repro.adjacency.registry import REPRESENTATIONS, make_representation
 from repro.adjacency.treap import TreapAdjacency
-from repro.core.update_engine import apply_stream, construct
+from repro.core.update_engine import _TICKED_STATS, apply_stream, construct, symmetric_arcs
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import (
     UpdateStream,
@@ -75,20 +79,61 @@ class TestApplyStream:
         assert res.profile.meta["representation"] == "dynarr"
 
     @pytest.mark.parametrize(
-        "make, ran_vectorised",
+        "make",
         [
-            (DynArrAdjacency, True),
-            (lambda n: HybridAdjacency(n, seed=1), True),
-            # The treap runs no bulkops kernel on a mixed stream (its bulk
-            # path is its own fused arrival-order loop).
-            (lambda n: TreapAdjacency(n, seed=1), False),
+            DynArrAdjacency,
+            lambda n: HybridAdjacency(n, seed=1),
+            lambda n: TreapAdjacency(n, seed=1),
         ],
         ids=["dynarr", "hybrid", "treap"],
     )
-    def test_vectorised_meta_reports_the_path_that_ran(self, graph, make, ran_vectorised):
+    def test_vectorised_meta_reports_the_path_that_ran(self, graph, make):
+        # Every kind applies a stream as one batch, so the flag says whether
+        # the stream held an arc; the profile does not carry it.
         res = apply_stream(make(graph.n), mixed_stream(graph, 500, 0.5, seed=3))
-        assert res.meta["vectorised"] is ran_vectorised
-        assert res.profile.meta["vectorised"] is ran_vectorised
+        assert res.meta["vectorised"] is True
+        assert "vectorised" not in res.profile.meta
+        empty = UpdateStream(graph.n, np.empty(0, np.int8), np.empty(0), np.empty(0), np.empty(0))
+        assert apply_stream(make(graph.n), empty).meta["vectorised"] is False
+
+    @pytest.mark.parametrize("kind", sorted(REPRESENTATIONS))
+    def test_stream_counters_reach_the_registry(self, graph, kind):
+        # The registry's adjacency.<kind>.* deltas over one stream are the
+        # per-op reference's counters for that stream, on every kind; on the
+        # dyn-arr family, probe_scale scales the probe words the profile
+        # charges.
+        base, stream = insertion_stream(graph), mixed_stream(graph, 400, 0.5, seed=5)
+        ends = np.concatenate([base.src, base.dst, stream.src, stream.dst])
+        extra = {"degrees": np.bincount(ends, minlength=graph.n)} if kind == "dynarr-nr" else {}
+        op = np.repeat(stream.op, 2)
+        src, dst, ts = symmetric_arcs(stream.src, stream.dst, stream.ts)
+
+        ref = make_representation(kind, graph.n, **extra)
+        base_arcs = symmetric_arcs(base.src, base.dst, base.ts)
+        ref.apply_arcs_scalar(np.ones(2 * graph.m, np.int8), *base_arcs)
+        ref.reset_stats()
+        ref_misses = ref.apply_arcs_scalar(op, src, dst, ts)
+        want = asdict(ref.combined_stats() if kind == "hybrid" else ref.stats)
+
+        rep = make_representation(kind, graph.n, **extra)
+        apply_stream(rep, base)
+        start = obs.METRICS.snapshot()["counters"]
+        res = apply_stream(rep, stream)
+        now = obs.METRICS.snapshot()["counters"]
+        got = {f: now.get(f"adjacency.{kind}.{f}", 0) - start.get(f"adjacency.{kind}.{f}", 0)
+               for f in _TICKED_STATS}
+        assert got["inserts"] == int((op == 1).sum())
+        assert got == {f: want[f] for f in _TICKED_STATS}
+        assert res.misses == ref_misses
+
+        if kind in ("dynarr", "dynarr-nr", "vpart", "epart", "batched"):
+            scaled_rep = make_representation(kind, graph.n, **extra)
+            apply_stream(scaled_rep, base)
+            scaled = apply_stream(scaled_rep, stream, probe_scale=3.0)
+            words = want["probe_words"]
+            assert words > 0 and scaled_rep.stats.probe_words == 3 * words
+            extra_bytes = scaled.profile.phases[0].seq_bytes - res.profile.phases[0].seq_bytes
+            assert extra_bytes == 8.0 * 2 * words
 
     def test_hot_stats_from_arc_sources(self, graph):
         rep = DynArrAdjacency(graph.n)

@@ -1,6 +1,6 @@
 """The environment variable that once picked a kernel tier.
 
-Nothing in :mod:`repro` reads it: the batch size alone picks a batch's path.
+Nothing in :mod:`repro` reads it: every batch takes its kind's one batch path.
 An environment written for an older checkout may still set it, to one of
 the old tier names (``scalar``, ``vectorised``, ``compiled``) or to anything
 else.  Tests that run under :func:`stale_tier` hold the code to results
