@@ -1,10 +1,10 @@
-"""Gate: the cost of an external ``/metrics`` scraper on a real workload.
+"""Gate: the cost of an external ``/metrics.json`` scraper on a real workload.
 
-With a background thread rendering the process registry as OpenMetrics
-text (:func:`repro.obs.expose.to_openmetrics`, what every ``GET /metrics``
-does) at an aggressive interval, a representative update+components
-workload must run within 2% of its unscraped wall clock, with
-bit-identical results.
+With a background thread rendering the process registry's
+``/metrics.json`` body (``json.dumps`` of its snapshot, what every
+``GET /metrics.json`` does) at an aggressive interval, a representative
+update+components workload must run within 2% of its unscraped wall
+clock, with bit-identical results.
 
 Shared machines show ±10-40% *per-round* wall-clock noise, so a naive A/B
 comparison flakes regardless of round count.  The gate instead runs
@@ -15,6 +15,7 @@ per-pair ratio**: a true scrape cost of X% inflates *every* pair by
 ratio isolates the systematic component.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -39,7 +40,7 @@ def workload():
 
 
 class Scraper:
-    """A daemon thread rendering ``/metrics`` every ``INTERVAL`` seconds."""
+    """A daemon thread rendering ``/metrics.json`` every ``INTERVAL`` seconds."""
 
     def __init__(self) -> None:
         self.n_renders = 0
@@ -48,7 +49,7 @@ class Scraper:
 
     def _run(self) -> None:
         while not self._stop.wait(INTERVAL):
-            obs.to_openmetrics(obs.METRICS)
+            json.dumps({"snapshot": obs.METRICS.snapshot()}, sort_keys=True)
             self.n_renders += 1
 
     def __enter__(self) -> "Scraper":

@@ -19,8 +19,8 @@ The statistic is built to resolve 2%:
   A noise spike moves a median by one rank, a real cost moves every pair.
 
 The traced arm prices everything the tracer adds on the hot path: trace
-start/finish, the contextvar bind into the executor, the executor and
-epoch-pin spans and exemplar recording.  A second service, booted without
+start/finish, the contextvar bind into the executor and the executor and
+epoch-pin spans.  A second service, booted without
 a tracer, answers the same storm for the bit-identity check.
 """
 

@@ -26,7 +26,7 @@ Commands:
 * ``serve`` — the streaming connectivity service (docs/SERVICE.md): boot
   an HTTP query front end over epoch-rotated CSR snapshots while a writer
   thread drains an R-MAT update stream into the dynamic structure.
-  ``--duration`` holds the server up for ``/metrics`` scrapes
+  ``--duration`` holds the server up for ``/metrics.json`` scrapes
   and external query drivers; ``--report`` writes a JSON
   latency/throughput summary.
 
@@ -241,7 +241,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     .iter_update_chunks` batches through the service's writer while the
     asyncio front end answers queries from pinned epochs.  The server stays
     up until the stream is drained *and* ``--duration`` has elapsed, so an
-    external driver (CI's ``tools/check_service.py``, a ``/metrics``
+    external driver (CI's ``tools/check_service.py``, a ``/metrics.json``
     scraper) has a live endpoint to hit.  ``--url-file`` publishes the bound URL;
     ``--report`` writes a JSON summary (stats + query-latency quantiles).
     """
@@ -255,7 +255,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import GraphService
 
     obs.METRICS.reset()
-    obs.EXEMPLARS.clear()
     n = 1 << args.scale
     graph = DynamicGraph(n, representation=args.representation)
     tracer = (

@@ -13,11 +13,12 @@ machine-independent work accounting in :mod:`repro.machine.profile` (see
 * :mod:`repro.obs.manifest` — run manifests stamped into every artifact;
 * :mod:`repro.obs.export` — the Chrome trace-event exporter over recorded
   span streams;
-* :mod:`repro.obs.expose` — OpenMetrics text exposition (with latency
-  exemplars), its payload validator and the service's ``/metrics`` routes;
 * :mod:`repro.obs.reqtrace` — a request as a root span on its own
-  tracer, with deterministic head sampling, tail capture of slow requests
-  into a bounded store, and the latency exemplar store.
+  tracer, with deterministic head sampling and tail capture of slow
+  requests into a bounded store.
+
+The registry is served as JSON only: the graph service's
+``/metrics.json`` is one ``json.dumps`` of :meth:`MetricsRegistry.snapshot`.
 
 Typical use (what ``python -m repro trace`` does):
 
@@ -39,14 +40,8 @@ from repro.obs.manifest import (
     set_manifest,
 )
 from repro.obs.export import to_chrome_trace, write_chrome_trace
-from repro.obs.expose import to_openmetrics, validate_openmetrics
 from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.reqtrace import (
-    EXEMPLARS,
-    ExemplarStore,
-    RequestTrace,
-    RequestTracer,
-)
+from repro.obs.reqtrace import RequestTrace, RequestTracer
 from repro.obs.sink import (
     JsonlSink,
     MemorySink,
@@ -98,12 +93,8 @@ __all__ = [
     "activate",
     "bind",
     "format_span_tree",
-    "to_openmetrics",
-    "validate_openmetrics",
     "RequestTrace",
     "RequestTracer",
-    "ExemplarStore",
-    "EXEMPLARS",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -120,7 +120,7 @@ class Histogram:
     Tracks count / total / min / max exactly plus per-bucket counts on the
     shared geometric ladder (:data:`BUCKET_BOUNDS`), from which
     :meth:`quantile` reports linearly interpolated p50/p99-style
-    estimates — the resolution ``/metrics`` and the reports surface.  The
+    estimates — the resolution ``/metrics.json`` and the reports surface.  The
     raw distributions are still analysed offline from traces; the
     in-process histogram answers "how many, how much, how extreme, and
     roughly where the mass sits".
@@ -167,7 +167,7 @@ class Histogram:
         arithmetic on them) into JSON artifacts, so the empty summary
         pins every field to zero instead.  Non-empty summaries carry the
         interpolated ``p50``/``p99``; the bucket counts stay on
-        :attr:`buckets`, which the OpenMetrics exposition reads.
+        :attr:`buckets`, which :meth:`quantile` interpolates.
         """
         if not self.count:
             return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}

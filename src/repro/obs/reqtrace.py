@@ -21,9 +21,6 @@ span system for that: a request is a *root span on its own
   always keeps requests whose total latency breaches
   ``slow_threshold_seconds``, into a bounded in-memory slow-query store
   (served at ``GET /debug/slow``).
-* :class:`ExemplarStore` — most-recent trace id per latency-histogram
-  bucket, rendered as OpenMetrics exemplars by
-  :func:`repro.obs.expose.to_openmetrics`.
 
 See docs/OBSERVABILITY.md ("Request tracing") for the sampling
 rules and docs/SERVICE.md for the served endpoints.
@@ -35,20 +32,14 @@ import itertools
 import os
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from typing import Any, Optional
 
-from repro.obs.metrics import BUCKET_BOUNDS, METRICS, MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.sink import TraceSink
 from repro.obs.trace import Span, Tracer, span_event
 
-__all__ = [
-    "RequestTrace",
-    "RequestTracer",
-    "ExemplarStore",
-    "EXEMPLARS",
-]
+__all__ = ["RequestTrace", "RequestTracer"]
 
 
 class _BoundedSink(TraceSink):
@@ -108,44 +99,6 @@ class RequestTrace(Tracer):
         super().record(event)
 
 
-class ExemplarStore:
-    """Most recent exemplar per (metric, latency bucket): trace id + value.
-
-    Keyed on the same ``bisect_left(BUCKET_BOUNDS, value)`` index that
-    :meth:`repro.obs.metrics.Histogram.observe` uses, so an exemplar always
-    names a trace whose latency genuinely fell in the rendered bucket.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, dict[int, tuple[str, float]]] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, metric: str, value: float, trace_id: str) -> None:
-        """Record ``trace_id`` as the latest exemplar for ``metric``'s bucket."""
-        idx = bisect_left(BUCKET_BOUNDS, float(value))
-        with self._lock:
-            self._data.setdefault(metric, {})[idx] = (str(trace_id), float(value))
-
-    def for_metric(self, metric: str) -> dict[int, tuple[str, float]]:
-        """Bucket-index → (trace_id, value) map for one metric (a copy)."""
-        with self._lock:
-            return dict(self._data.get(metric, {}))
-
-    def metrics(self) -> list[str]:
-        """Metric names with at least one exemplar recorded."""
-        with self._lock:
-            return sorted(self._data)
-
-    def clear(self) -> None:
-        """Drop all exemplars (tests)."""
-        with self._lock:
-            self._data.clear()
-
-
-#: Process-wide exemplar store the service and ``/metrics`` share.
-EXEMPLARS = ExemplarStore()
-
-
 class RequestTracer:
     """Head+tail-sampled request traces with bounded in-memory stores.
 
@@ -165,9 +118,6 @@ class RequestTracer:
     registry:
         Metrics registry for ``obs.reqtrace.*`` counters (default: process
         registry).
-    exemplars:
-        The :class:`ExemplarStore` latency exemplars go to (default: the
-        process-wide :data:`EXEMPLARS`).
     """
 
     def __init__(
@@ -180,13 +130,11 @@ class RequestTracer:
         max_recent: int = 256,
         max_spans: int = 512,
         registry: Optional[MetricsRegistry] = None,
-        exemplars: Optional[ExemplarStore] = None,
     ) -> None:
         self.head_every = int(head_every)
         self.slow_threshold_seconds = float(slow_threshold_seconds)
         self.max_spans = int(max_spans)
         self.registry = registry if registry is not None else METRICS
-        self.exemplars = exemplars if exemplars is not None else EXEMPLARS
         self._seq = itertools.count(1)
         self._slow: deque[dict[str, Any]] = deque(maxlen=int(max_slow))
         self._sampled: deque[dict[str, Any]] = deque(maxlen=int(max_sampled))

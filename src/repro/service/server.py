@@ -18,9 +18,9 @@ Endpoints (GET, JSON unless noted):
 * ``/component?v=`` — one vertex's label and component size
 * ``/bfs?source=[&ts_lo=&ts_hi=][&full=1]`` — traversal summary
   (``full`` adds the distance array)
-* ``/metrics``, ``/metrics.json`` — the shared telemetry routes
-  (:func:`repro.obs.expose.telemetry_response`): OpenMetrics text with
-  trace-id exemplars, and the raw registry snapshot as JSON
+* ``/metrics.json`` — the process metrics registry's snapshot
+  (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) as
+  ``{"snapshot": ...}``
 * ``/debug/slow`` — the bounded slow-query store: full span trees of
   requests that breached the latency threshold (``?sampled=1`` adds the
   deterministic head samples)
@@ -56,7 +56,6 @@ from repro.core.bfs import bfs
 from repro.core.components import component_roots, component_sizes, connected_components
 from repro.errors import GraphError
 from repro.obs import METRICS, bind, span
-from repro.obs.expose import telemetry_response
 from repro.obs.reqtrace import RequestTracer
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import Epoch, EpochStore
@@ -256,6 +255,8 @@ class GraphService:
             )
         if path == "/stats":
             return 200, httpd.JSON, json.dumps(self._q_stats())
+        if path == "/metrics.json":
+            return 200, httpd.JSON, json.dumps({"snapshot": METRICS.snapshot()}, sort_keys=True)
         if path == "/debug/slow":
             return 200, httpd.JSON, json.dumps(self._q_debug_slow(params))
         if path == "/connected":
@@ -273,7 +274,7 @@ class GraphService:
                 ts_range = (qint("ts_lo"), qint("ts_hi"))
             fn = lambda: self._q_bfs(source, ts_range, full)  # noqa: E731
         if fn is None:
-            return telemetry_response(path, METRICS) or httpd.not_found(path)
+            return httpd.not_found(path)
         loop = asyncio.get_running_loop()
         tracer = self.reqtrace
         route = path.replace("/", ".")
@@ -308,8 +309,6 @@ class GraphService:
                 if ok and body.get("epoch") is not None:
                     trace.root.set(epoch=body["epoch"])
                 tracer.finish(trace, status=status, error=error)
-                if ok:
-                    tracer.exemplars.observe("service.query.seconds", elapsed, trace.trace_id)
         return 200, httpd.JSON, json.dumps(body)
 
     def _exec_traced(self, route: str, fn: Callable[[], dict]) -> Callable[[], dict]:

@@ -155,13 +155,15 @@ class TestBuild:
         drive_pair(*hybrid_pair(6, degree_thresh), batches, hybrid_state)
 
     @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
-    def test_empty_structure_past_the_priority_refill(self, degree_thresh):
+    def test_empty_structure_builds_every_crossing_treap(self, degree_thresh):
+        """One insert batch into an empty hybrid: every vertex crosses, and
+        its treap is built from the batch (every arc on it, no rotation)."""
         rng = np.random.default_rng(degree_thresh)
-        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 40, size=(6000, 2))]
-        bulk, twin = hybrid_pair(40, degree_thresh)
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 16, size=(1200, 2))]
+        bulk, twin = hybrid_pair(16, degree_thresh)
         drive_pair(bulk, twin, [batch], hybrid_state)
-        assert bulk.stats.migrations == 40 and bulk.stats.rotations == 0
-        assert bulk.treap.n_nodes > 4096
+        assert bulk.stats.migrations == 16 and bulk.stats.rotations == 0
+        assert bulk.treap.n_arcs == len(batch)
 
     @pytest.mark.parametrize("degree_thresh", [1, 4, 32])
     def test_free_listed_nodes_and_partly_filled_treaps(self, degree_thresh):

@@ -431,20 +431,21 @@ class TestBuild:
         assert bulk.neighbors(0).tolist() == [0, 1, 2, 3, 3, 3, 4, 5]
         assert bulk.neighbors(1).tolist() == [0, 2, 3, 3, 4]
 
-    def test_run_crosses_three_refills(self):
-        """A fused fill, then a 9 000-insert build: sequence numbers run on
-        across the two, and deletes never take them back."""
-        bulk, twin = TreapAdjacency(64, seed=3), TreapAdjacency(64, seed=3)
-        fill = [(True, 0, v % 64) for v in range(4000)] + [(False, 0, 1)] * 3
+    def test_sequence_numbers_run_on_and_deletes_never_take_them_back(self):
+        """A fused fill with deletes, then an insert batch that runs onto
+        vertex 0's treap and builds the seven empty ones: sequence numbers
+        run on across the two, and deletes never take them back."""
+        bulk, twin = TreapAdjacency(8, seed=3), TreapAdjacency(8, seed=3)
+        fill = [(True, 0, v % 8) for v in range(40)] + [(False, 0, 1)] * 3
         drive_pair(bulk, twin, [fill], treap_state)
-        assert bulk._seq[0] == 4000 and bulk.degree(0) == 3997
+        assert bulk._seq[0] == 40 and bulk.degree(0) == 37
         rng = np.random.default_rng(6)
-        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 64, size=(9000, 2))]
+        batch = [(True, int(u), int(v)) for u, v in rng.integers(0, 8, size=(200, 2))]
+        counts = np.bincount([u for _, u, _ in batch], minlength=8)
+        assert counts.all()  # every vertex takes part: one run, seven builds
         drive_pair(bulk, twin, [batch], treap_state)
-        counts = np.bincount([u for _, u, _ in batch], minlength=64)
-        counts[0] += 4000
+        counts[0] += 40
         assert bulk._seq.tolist() == counts.tolist()
-
 
 def preorder(t: TreapAdjacency, u: int) -> list:
     """Vertex u's treap in pre-order, ``(key, stamp, priority)`` per node

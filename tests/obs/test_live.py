@@ -1,6 +1,6 @@
 """What a metrics reader needs from the registry, and the pool's failure path.
 
-A reader of the process registry (a ``/metrics`` scraper, a benchmark that
+A reader of the process registry (a ``/metrics.json`` scraper, a benchmark that
 diffs two snapshots) asks for rates from two snapshots, levels, quantiles,
 bounded memory and safety across a reset; :class:`MetricsRegistry` and
 :class:`Histogram` answer them.  Whether a pool worker is dead or wedged is

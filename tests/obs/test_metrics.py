@@ -52,7 +52,7 @@ class TestHistogram:
         assert s["min"] == 1.0 and s["max"] == 3.0
         assert 1.0 <= s["p50"] <= s["p99"] <= 3.0
         # The summary carries no bucket list; the counts stay on the
-        # histogram, where the OpenMetrics exposition reads them.
+        # histogram, where the quantile interpolation reads them.
         assert set(s) == {"count", "total", "mean", "min", "max", "p50", "p99"}
         assert sum(reg.histogram("lat").buckets) == 3
 

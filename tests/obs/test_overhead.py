@@ -8,7 +8,7 @@ Two guarantees are pinned here:
   ``span()`` times the number of instrumentation sites a real workload
   hits must stay far below the workload's own runtime.  This is a
   computed bound, not a noise-prone A/B timing, so it is stable in CI.
-* **A scraper never changes results.**  Rendering ``/metrics`` from a
+* **A scraper never changes results.**  Rendering ``/metrics.json`` from a
   background thread while a workload runs must leave kernel outputs
   bit-identical — telemetry observes, it never participates.
 * **``repro serve`` leaves nothing behind.**  Its shutdown stops every
@@ -155,7 +155,7 @@ class TestCollectorNeutrality:
         def scrape():
             # Render before waiting: the workload starts once a render has landed.
             while True:
-                renders.append(obs.to_openmetrics(obs.METRICS))
+                renders.append(json.dumps({"snapshot": obs.METRICS.snapshot()}, sort_keys=True))
                 rendered.set()
                 if stop.wait(0.005):
                     return

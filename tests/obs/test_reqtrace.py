@@ -7,14 +7,13 @@ import pytest
 from repro import obs
 from repro.obs import activate, bind, current_tracer, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
-from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry
-from repro.obs.reqtrace import ExemplarStore, RequestTracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.trace import _NULL_SPAN
 
 
 def tracer(**kw):
     kw.setdefault("registry", MetricsRegistry())
-    kw.setdefault("exemplars", ExemplarStore())
     return RequestTracer(**kw)
 
 
@@ -61,6 +60,13 @@ class TestSampling:
         (child,) = t.finish(a)["events"][1:]
         assert child["attrs"]["trace_id"] == a.trace_id
         assert child["attrs"]["request_id"] == 1
+
+    def test_config_reports_bounds(self):
+        t = tracer(head_every=4, slow_threshold_seconds=0.5, max_slow=9)
+        cfg = t.config()
+        assert cfg["head_every"] == 4
+        assert cfg["slow_threshold_seconds"] == 0.5
+        assert cfg["max_slow"] == 9
 
 
 class TestSpanTree:
@@ -169,35 +175,3 @@ class TestPropagation:
         record = t.finish(trace)
         threaded = next(e for e in record["events"] if e["name"] == "threaded")
         assert threaded["parent_id"] == trace.root.span_id
-
-
-class TestExemplarStore:
-    def test_observe_keys_on_histogram_bucket(self):
-        from bisect import bisect_left
-
-        ex = ExemplarStore()
-        ex.observe("m", 0.004, "t1")
-        idx = bisect_left(BUCKET_BOUNDS, 0.004)
-        assert ex.for_metric("m") == {idx: ("t1", 0.004)}
-
-    def test_latest_exemplar_per_bucket_wins(self):
-        ex = ExemplarStore()
-        ex.observe("m", 0.004, "old")
-        ex.observe("m", 0.004, "new")
-        (tid, _), = ex.for_metric("m").values()
-        assert tid == "new"
-
-    def test_metrics_and_clear(self):
-        ex = ExemplarStore()
-        ex.observe("b", 1.0, "t")
-        ex.observe("a", 1.0, "t")
-        assert ex.metrics() == ["a", "b"]
-        ex.clear()
-        assert ex.metrics() == []
-
-    def test_config_reports_bounds(self):
-        t = tracer(head_every=4, slow_threshold_seconds=0.5, max_slow=9)
-        cfg = t.config()
-        assert cfg["head_every"] == 4
-        assert cfg["slow_threshold_seconds"] == 0.5
-        assert cfg["max_slow"] == 9

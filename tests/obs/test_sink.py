@@ -112,6 +112,17 @@ class TestDescribe:
         text = describe(tracer.sink.events)
         assert "root" in text and "top counters" not in text
 
+    def test_top_keeps_busiest(self):
+        reg = obs.MetricsRegistry()
+        reg.inc("small", 1)
+        reg.inc("big", 1000)
+        out = describe([], metrics=reg, top=1)
+        assert "-- top counters (1 of 2) --" in out
+        assert "big" in out and "small" not in out
+
+    def test_empty_registry_prints_no_counter_table(self):
+        assert "top counters" not in describe([], metrics=obs.MetricsRegistry())
+
 
 class TestNumpyThroughFullTracePath:
     def test_span_attrs_with_numpy_scalars_reach_jsonl(self, tmp_path):

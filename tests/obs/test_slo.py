@@ -17,7 +17,7 @@ import pytest
 from repro.api import DynamicGraph
 from repro.generators.parallel import iter_update_chunks
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.reqtrace import ExemplarStore, RequestTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.service import GraphService
 from repro.service.drainer import UpdateDrainer
 from repro.service.epoch import EpochStore
@@ -29,7 +29,7 @@ QUERY, UPDATE = "service.query.seconds", "service.updates.batch_seconds"
 
 def tracer(**kw):
     kw.setdefault("head_every", 0)
-    return RequestTracer(registry=MetricsRegistry(), exemplars=ExemplarStore(), **kw)
+    return RequestTracer(registry=MetricsRegistry(), **kw)
 
 
 def batches(seed=5):

@@ -1,4 +1,4 @@
-"""HTTP front end: endpoints, error codes, metrics payload, bit-identity."""
+"""HTTP front end: endpoints, error codes, the ``/metrics.json`` snapshot, bit-identity."""
 
 import json
 import threading
@@ -12,7 +12,7 @@ from repro.api import DynamicGraph
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.generators.parallel import iter_update_chunks
-from repro.obs import validate_openmetrics
+from repro.obs import METRICS
 from repro.service import GraphService
 
 SCALE = 9
@@ -89,12 +89,37 @@ class TestEndpoints:
 
     def test_metrics_payload_validates(self, served):
         handle, _, _ = served
-        status, ctype, body = fetch(handle.url + "/metrics")
-        assert status == 200
-        assert "openmetrics" in ctype
-        stats = validate_openmetrics(body)
-        assert stats["n_samples"] > 0
-        assert "service_queries_total" in body
+        get_json(handle.url + "/connected?u=0&v=1")
+        status, ctype, body = fetch(handle.url + "/metrics.json")
+        assert status == 200 and ctype.startswith("application/json")
+        (snapshot,) = json.loads(body).values()
+        assert sorted(snapshot) == ["counters", "gauges", "histograms"]
+        assert snapshot["counters"]["service.queries"] >= 1
+        assert snapshot["histograms"]["service.query.seconds"]["count"] >= 1
+
+    def test_stop_releases_socket(self):
+        handle = GraphService(DynamicGraph(4), query_threads=1).start_background()
+        url = handle.url
+        handle.close()
+        with pytest.raises((urllib.error.URLError, OSError)):
+            urllib.request.urlopen(url + "/healthz", timeout=0.5)
+
+
+class TestMetricsJson:
+    """``/metrics.json``: the process registry's snapshot, nothing else."""
+
+    def test_metrics_json_body_is_the_registry_snapshot(self, served):
+        handle, _, _ = served
+        before = json.dumps({"snapshot": METRICS.snapshot()}, sort_keys=True)
+        _, _, body = fetch(handle.url + "/metrics.json")
+        assert body == before == json.dumps({"snapshot": METRICS.snapshot()}, sort_keys=True)
+
+    def test_metrics_json_includes_rollups(self, served):
+        handle, _, _ = served
+        METRICS.inc("updates.applied", 7)
+        _, payload = get_json(handle.url + "/metrics.json")
+        assert list(payload) == ["snapshot"]  # the registry snapshot alone
+        assert payload["snapshot"]["counters"]["updates.applied"] >= 7
 
 
 class TestErrors:
@@ -116,6 +141,14 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as exc:
             fetch(handle.url + "/nope")
         assert exc.value.code == 404
+
+    def test_retired_routes_are_404(self, served):
+        # The registry is served as /metrics.json only: /metrics and /slo are no routes.
+        handle, _, _ = served
+        for path in ("/slo", "/metrics"):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                fetch(handle.url + path)
+            assert exc.value.code == 404
 
     def test_non_get_is_405(self, served):
         handle, _, _ = served

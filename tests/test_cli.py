@@ -4,6 +4,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from urllib.error import HTTPError
 from urllib.request import urlopen
 
 import pytest
@@ -290,24 +291,22 @@ class TestObs:
         assert "serving hybrid graph n=2^6" in out
         assert "updates in" in out and "answered 0 query(ies)" in out
 
-    def test_scrape_check_and_out(self, tmp_path):
-        from repro.obs import validate_openmetrics
-
+    def test_serve_counts_a_query_in_metrics_and_report(self, tmp_path):
         report = tmp_path / "report.json"
         with self.serving(tmp_path, "--report", str(report)) as url:
             urlopen(url + "/connected?u=0&v=1", timeout=30).read()
-            text = urlopen(url + "/metrics", timeout=30).read().decode()
-        assert validate_openmetrics(text)["n_exemplars"] > 0
-        assert "service_queries_total 1" in text
+            snapshot = json.loads(urlopen(url + "/metrics.json", timeout=30).read())["snapshot"]
+        assert snapshot["counters"]["service.queries"] == 1
+        assert snapshot["histograms"]["service.query.seconds"]["count"] == 1
         assert json.loads(report.read_text())["stats"]["queries"] == 1
 
-    def test_scrape_prints_to_stdout_without_out(self, capsys):
+    def test_serve_quiet_prints_nothing(self, capsys):
         assert main(self.SERVE) == 0
         assert capsys.readouterr().out == ""
         assert main(self.SERVE[:-1]) == 0
         assert "answered 0 query(ies)" in capsys.readouterr().out
 
-    def test_scrape_unreachable_endpoint_exits_2(self, capsys):
+    def test_obs_command_and_interval_flag_are_usage_errors(self, capsys):
         for argv in (
             ["obs", "scrape", "http://127.0.0.1:9", "--timeout", "0.5"],
             ["obs", "serve", "quickstart"],
@@ -318,7 +317,7 @@ class TestObs:
             assert exc.value.code == 2
         assert "invalid choice: 'obs'" in capsys.readouterr().err
 
-    def test_top_renders_rollups(self, tmp_path, capsys):
+    def test_trace_prints_top_counters(self, tmp_path, capsys):
         assert main([
             "trace", "updates", "--scale", "8", "--edge-factor", "4",
             "--updates", "200", "--out", str(tmp_path / "t.jsonl"),
@@ -326,11 +325,12 @@ class TestObs:
         out = capsys.readouterr().out
         assert "-- top counters" in out and "update_engine" in out
 
-    def test_top_and_scrape_work_against_a_service(self, tmp_path):
-        """The service serves the registry as JSON and as OpenMetrics text."""
+    def test_service_serves_the_registry_as_json(self, tmp_path):
+        """``/metrics.json`` is the one metrics route; ``/metrics`` is a 404."""
         with self.serving(tmp_path) as url:
             snapshot = json.loads(urlopen(url + "/metrics.json", timeout=30).read())
-            text = urlopen(url + "/metrics", timeout=30).read().decode()
+            with pytest.raises(HTTPError) as exc:
+                urlopen(url + "/metrics", timeout=30)
         assert list(snapshot) == ["snapshot"]
         assert snapshot["snapshot"]["counters"]["service.updates.applied"] == 128
-        assert "service_updates_applied_total 128" in text
+        assert exc.value.code == 404

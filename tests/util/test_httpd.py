@@ -12,7 +12,6 @@ import pytest
 from repro.api import DynamicGraph
 from repro.errors import GraphError, ServiceError
 from repro.obs import METRICS
-from repro.obs.expose import CONTENT_TYPE, telemetry_response
 from repro.service import GraphService
 from repro.util import httpd
 
@@ -20,10 +19,12 @@ N = 16
 
 
 async def telemetry_handler(path, params):
-    """The telemetry routes alone, as any process can serve them."""
+    """The telemetry route alone, as any process can serve it."""
     if path == "/healthz":
         return 200, "text/plain", "ok\n"
-    return telemetry_response(path, METRICS) or httpd.not_found(path)
+    if path == "/metrics.json":
+        return 200, httpd.JSON, json.dumps({"snapshot": METRICS.snapshot()}, sort_keys=True)
+    return httpd.not_found(path)
 
 
 @pytest.fixture(scope="module", params=["service", "telemetry"])
@@ -127,11 +128,10 @@ class TestMalformedRequestMatrix:
 
     def test_metrics_ignores_query_string(self, server):
         headers, text = check_reply(
-            exchange(server, b"GET /metrics?x=1 HTTP/1.1\r\n\r\n"), 200
+            exchange(server, b"GET /metrics.json?x=1 HTTP/1.1\r\n\r\n"), 200
         )
-        assert headers["Content-Type"] == CONTENT_TYPE
-        assert "version=1.0.0" in headers["Content-Type"]
-        assert text.endswith("# EOF\n")
+        assert headers["Content-Type"] == httpd.JSON
+        assert set(json.loads(text)["snapshot"]) == {"counters", "gauges", "histograms"}
 
     def test_metrics_json(self, server):
         headers, text = check_reply(

@@ -8,9 +8,11 @@ Stdlib-only.  Pointed at a running ``python -m repro serve`` endpoint
    threads (a mix of ``/connected``, ``/bfs``, ``/component``,
    ``/components`` and ``/stats``), asserting every one answers 200 with
    a well-formed JSON body naming its epoch;
-2. scrapes ``/metrics`` and structurally validates the payload with
-   :func:`repro.obs.expose.validate_openmetrics`, asserting the
-   ``service.query.seconds`` histogram carries trace-id exemplars;
+2. reads ``/metrics.json`` and checks the registry snapshot against the
+   storm: exactly ``counters``, ``gauges`` and ``histograms``, every
+   value finite, ``p50 <= p99 <= max`` in every non-empty histogram, and
+   the ``service.queries`` counter and ``service.query.seconds`` count
+   each at least the storm's answered queries;
 3. cross-checks consistency: ``/connected`` answers agree with the
    labels of a ``/components?full=1`` snapshot from the same epoch;
 4. pulls ``/debug/slow?sampled=1`` after the storm and (with
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import threading
 import time
@@ -55,6 +58,27 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[i]
 
 
+def _check_metrics(snapshot: dict, answered: int) -> list[str]:
+    """What is wrong with a ``/metrics.json`` snapshot after ``answered`` queries."""
+    if sorted(snapshot) != ["counters", "gauges", "histograms"]:
+        return [f"snapshot sections {sorted(snapshot)}"]
+    problems = []
+    for section in ("counters", "gauges"):
+        for name, value in snapshot[section].items():
+            if not math.isfinite(value):
+                problems.append(f"{section} {name} = {value}")
+    for name, h in snapshot["histograms"].items():
+        problems += [f"histogram {name} {k} = {v}" for k, v in h.items() if not math.isfinite(v)]
+        if h["count"] and not h["p50"] <= h["p99"] <= h["max"]:
+            problems.append(f"histogram {name}: p50 {h['p50']} p99 {h['p99']} max {h['max']}")
+    queries = snapshot["counters"].get("service.queries", 0)
+    timed = snapshot["histograms"].get("service.query.seconds", {}).get("count", 0)
+    for label, value in (("service.queries", queries), ("service.query.seconds count", timed)):
+        if value < answered:
+            problems.append(f"{label} {value} < {answered} answered queries")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("url", nargs="?", default=None,
@@ -71,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chrome-out", default=None, metavar="PATH",
                         help="write a Chrome trace of the slowest captured "
                              "request here (needs server-side reqtrace)")
-    parser.add_argument("--expect-exemplars", action="store_true",
-                        help="fail unless /metrics carries trace-id exemplars")
     args = parser.parse_args(argv)
 
     base = args.url
@@ -135,22 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     for e in errors[:5]:
         print(f"  FAIL {e}")
 
-    # ---- 2. OpenMetrics validation ----------------------------------- #
-    from repro.obs.expose import validate_openmetrics
-
-    payload, _ = _get(base + "/metrics", args.timeout)
-    try:
-        families = validate_openmetrics(str(payload))
-    except ValueError as exc:
-        print(f"error: invalid OpenMetrics payload: {exc}")
+    # ---- 2. metrics snapshot against the storm ------------------------ #
+    answered = total - len(latencies.get("/stats", []))  # /stats is no query
+    snapshot = _get(base + "/metrics.json", args.timeout)[0]["snapshot"]
+    problems = _check_metrics(snapshot, answered)
+    for p in problems:
+        print(f"error: /metrics.json: {p}")
+    if problems:
         return 1
-    print(f"/metrics payload valid: {families['n_families']} families, "
-          f"{families['n_samples']} samples, "
-          f"{families['n_exemplars']} exemplar(s)")
-    if args.expect_exemplars and not families["n_exemplars"]:
-        print("error: /metrics carries no trace-id exemplars "
-              "(server started with --no-reqtrace?)")
-        return 1
+    print(f"/metrics.json consistent with the storm: "
+          f"{snapshot['counters']['service.queries']} queries counted, "
+          f"{answered} answered")
 
     # ---- 3. consistency cross-check ----------------------------------- #
     comp, _ = _get(base + "/components?full=1", args.timeout)
@@ -214,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
             }
             for route, v in sorted(latencies.items())
         },
-        "openmetrics": {
-            k: families[k] for k in ("n_families", "n_samples", "n_exemplars")
+        "metrics": {
+            section: len(snapshot[section]) for section in ("counters", "gauges", "histograms")
         },
         "reqtrace": {
             "enabled": bool(debug.get("enabled")),
