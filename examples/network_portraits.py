@@ -4,10 +4,11 @@
 The paper's premise (section 1): real-world networks share "a low graph
 diameter, unbalanced degree distributions, self-similarity, and the presence
 of dense sub-graphs", and algorithms should exploit that topology.  This
-example measures the fingerprint on three classical models with the full
-analysis toolkit — R-MAT (the paper's generator), Watts–Strogatz (the
-small-world original) and Erdős–Rényi (the unstructured control) — and shows
-why the R-MAT column is the one that stresses dynamic structures.
+example measures degree skew, effective diameter, clustering and the giant
+component — the statistics ``repro stats`` prints — on three classical
+models: R-MAT (the paper's generator), Watts–Strogatz (the small-world
+original) and Erdős–Rényi (the unstructured control).  It shows why the
+R-MAT column is the one that stresses dynamic structures.
 
 Run:  python examples/network_portraits.py
 """
@@ -15,15 +16,12 @@ Run:  python examples/network_portraits.py
 from __future__ import annotations
 
 from repro.adjacency.csr import build_csr
-from repro.core.community import label_propagation_communities, modularity
 from repro.core.metrics import (
     average_clustering,
-    core_numbers,
     degree_stats,
     effective_diameter,
     giant_component_fraction,
 )
-from repro.core.pagerank import pagerank
 from repro.generators.reference import erdos_renyi, watts_strogatz
 from repro.generators.rmat import rmat_graph
 
@@ -36,9 +34,6 @@ def portrait(name, graph):
     stats = degree_stats(csr)
     eff, _ = effective_diameter(csr, samples=8, seed=1)
     cc = average_clustering(csr, samples=min(300, csr.n), seed=1)
-    comm = label_propagation_communities(csr, seed=1)
-    pr = pagerank(csr)
-    cores = core_numbers(csr)
     return {
         "model": name,
         "max_deg": stats.max,
@@ -47,10 +42,6 @@ def portrait(name, graph):
         "eff_diam": round(eff, 1),
         "clustering": round(cc, 3),
         "giant%": f"{100 * giant_component_fraction(csr):.0f}%",
-        "max_core": int(cores.max()),
-        "communities": comm.n_communities,
-        "modularity": round(modularity(csr, comm.labels), 3),
-        "pr_top_share": f"{100 * sorted(pr.scores)[-20:][0] * 20:.0f}%~",
     }
 
 

@@ -29,7 +29,6 @@ from repro.core.betweenness import BetweennessResult, temporal_betweenness
 from repro.core.components import ComponentsResult, connected_components
 from repro.core.connectivity import ConnectivityIndex
 from repro.core.induced import InducedResult, induced_subgraph
-from repro.core.stconn import STConnResult, st_connectivity
 from repro.core.update_engine import UpdateResult, apply_stream, symmetric_arcs
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
@@ -280,11 +279,6 @@ class DynamicGraph:
             edges = EdgeList(self.n, src, dst, ts=ts, directed=True)
             return induced_subgraph(edges, t_lo, t_hi, **kwargs)
 
-    def st_connectivity(self, s: int, t: int, **kwargs) -> STConnResult:
-        """Is there a path between s and t (bidirectional BFS)?"""
-        with span("api.st_connectivity", s=int(s), t=int(t)):
-            return st_connectivity(self.snapshot(), s, t, **kwargs)
-
     def betweenness(
         self,
         *,
@@ -298,45 +292,11 @@ class DynamicGraph:
                 self.snapshot(), sources=sources, temporal=temporal, seed=seed
             )
 
-    def closeness(self, **kwargs):
-        """Closeness centrality over the snapshot (section 3.4's metric family)."""
-        from repro.core.closeness import closeness_centrality
-
-        return closeness_centrality(self.snapshot(), **kwargs)
-
-    def stress(self, **kwargs):
-        """Stress centrality over the snapshot (section 3.4's metric family)."""
-        from repro.core.closeness import stress_centrality
-
-        return stress_centrality(self.snapshot(), **kwargs)
-
     def shortest_paths(self, source: int, **kwargs):
         """Weighted SSSP by Δ-stepping over the snapshot (extension)."""
         from repro.core.sssp import delta_stepping
 
         return delta_stepping(self.snapshot(), source, **kwargs)
-
-    def earliest_arrival(self, source: int, *, t_start: int = 0, **kwargs):
-        """Earliest-arrival temporal reachability from ``source`` (extension)."""
-        from repro.core.temporal_reach import earliest_arrival
-
-        src, dst, ts = self.rep.to_arrays()
-        edges = EdgeList(self.n, src, dst, ts=ts, directed=True)
-        return earliest_arrival(
-            edges, source, t_start=t_start, symmetrize=False, **kwargs
-        )
-
-    def pagerank(self, **kwargs):
-        """PageRank over the snapshot (extension)."""
-        from repro.core.pagerank import pagerank
-
-        return pagerank(self.snapshot(), **kwargs)
-
-    def communities(self, **kwargs):
-        """Label-propagation communities over the snapshot (extension)."""
-        from repro.core.community import label_propagation_communities
-
-        return label_propagation_communities(self.snapshot(), **kwargs)
 
     def degree_stats(self):
         """Degree-distribution summary of the snapshot (extension)."""

@@ -42,10 +42,8 @@ from repro.util.seeding import pick_sources
 
 __all__ = [
     "BetweennessResult",
-    "EdgeBetweennessResult",
     "brandes_forward",
     "temporal_betweenness",
-    "edge_betweenness",
     "temporal_bc_exact",
 ]
 
@@ -78,15 +76,15 @@ class BetweennessResult:
 
 def brandes_forward(
     graph: CSRGraph, s: int, *, temporal: bool = False
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]], int, int]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int, int]:
     """Brandes' forward pass from ``s``: ``(sigma, level_arcs, levels, edges_scanned)``.
 
     ``sigma[v]`` counts the shortest (with ``temporal``, label-increasing)
     paths from ``s`` to ``v``; ``level_arcs`` holds each level's
-    shortest-path DAG arcs as ``(tails, heads, CSR arc ids)``, which every
-    backward sweep walks in reverse.  Vectorised per level: the frontier's
-    adjacency arcs are gathered with index arithmetic and sigma accumulates
-    by ``np.add.at`` (the PRAM concurrent-add).
+    shortest-path DAG arcs as ``(tails, heads)``, which the backward sweep
+    walks in reverse.  Vectorised per level: the frontier's adjacency arcs
+    are gathered with index arithmetic and sigma accumulates by
+    ``np.add.at`` (the PRAM concurrent-add).
     """
     offsets, targets = graph.offsets, graph.targets
     ts = graph.ts
@@ -100,7 +98,7 @@ def brandes_forward(
 
     frontier = np.array([s], dtype=np.int64)
     level = 0
-    level_arcs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    level_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     edges_scanned = 0
     while frontier.size:
         starts = offsets[frontier]
@@ -115,9 +113,7 @@ def brandes_forward(
         if temporal:
             lab = ts[idx]
             feasible = lab > arr_min[v_arr]
-            v_arr, w_arr, lab, idx = (
-                v_arr[feasible], w_arr[feasible], lab[feasible], idx[feasible]
-            )
+            v_arr, w_arr, lab = v_arr[feasible], w_arr[feasible], lab[feasible]
         else:
             lab = None
         if w_arr.size == 0:
@@ -130,30 +126,25 @@ def brandes_forward(
         # Shortest-path arcs: feasible arcs landing exactly one level deeper
         # (covers both just-discovered vertices and multi-predecessor joins).
         on_sp = dist[w_arr] == level + 1
-        v_sp, w_sp, idx_sp = v_arr[on_sp], w_arr[on_sp], idx[on_sp]
+        v_sp, w_sp = v_arr[on_sp], w_arr[on_sp]
         if v_sp.size:
             np.add.at(sigma, w_sp, sigma[v_sp])
             if temporal:
                 np.minimum.at(arr_min, w_sp, lab[on_sp])
-            level_arcs.append((v_sp, w_sp, idx_sp))
+            level_arcs.append((v_sp, w_sp))
         frontier = fresh
         level += 1
     return sigma, level_arcs, level, edges_scanned
 
 
 def _dependencies(
-    sigma: np.ndarray,
-    level_arcs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    arc_scores: np.ndarray | None = None,
+    sigma: np.ndarray, level_arcs: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """Brandes' backward sweep (unchanged from the static algorithm, per the
-    paper): each vertex's dependency, the source's own entry included.  Each
-    DAG arc's contribution is added to ``arc_scores`` when given."""
+    paper): each vertex's dependency, the source's own entry included."""
     delta = np.zeros(sigma.size, dtype=np.float64)
-    for v_sp, w_sp, idx_sp in reversed(level_arcs):
+    for v_sp, w_sp in reversed(level_arcs):
         contrib = sigma[v_sp] / sigma[w_sp] * (1.0 + delta[w_sp])
-        if arc_scores is not None:
-            np.add.at(arc_scores, idx_sp, contrib)
         np.add.at(delta, v_sp, contrib)
     return delta
 
@@ -237,71 +228,6 @@ def temporal_betweenness(
         edges_scanned=edges_scanned,
         profile=profile,
         temporal=temporal,
-    )
-
-
-@dataclass(frozen=True)
-class EdgeBetweennessResult:
-    """Per-arc betweenness scores over a CSR snapshot.
-
-    ``arc_scores[i]`` is the (extrapolated) number of shortest-path
-    fractions crossing CSR arc ``i``; :meth:`edge_scores` folds the two
-    directions of an undirected edge together.
-    """
-
-    arc_scores: np.ndarray
-    graph: CSRGraph
-    n_sources: int
-    temporal: bool
-    meta: dict = field(default_factory=dict)
-
-    def edge_scores(self) -> dict[tuple[int, int], float]:
-        """Scores per unordered endpoint pair (both arc directions summed)."""
-        src = np.repeat(np.arange(self.graph.n, dtype=np.int64), self.graph.degrees())
-        out: dict[tuple[int, int], float] = {}
-        for u, v, s in zip(src.tolist(), self.graph.targets.tolist(),
-                           self.arc_scores.tolist()):
-            key = (u, v) if u <= v else (v, u)
-            out[key] = out.get(key, 0.0) + s
-        return out
-
-    def top(self, k: int = 10) -> list[tuple[tuple[int, int], float]]:
-        """The k highest-scoring unordered edges."""
-        items = sorted(self.edge_scores().items(), key=lambda kv: -kv[1])
-        return items[:k]
-
-
-def edge_betweenness(
-    graph: CSRGraph,
-    *,
-    sources: np.ndarray | int | None = None,
-    seed=None,
-    temporal: bool = False,
-    name: str = "edge-betweenness",
-) -> EdgeBetweennessResult:
-    """Betweenness of *edges* (paper: "a particular vertex (or an edge)").
-
-    Same traversal machinery as :func:`temporal_betweenness`; each shortest-
-    path DAG arc accumulates its own dependency.  Ordered-pair convention as
-    elsewhere: on undirected graphs, summing an edge's two arc directions
-    gives exactly twice networkx's unordered edge betweenness (tested).
-    """
-    if temporal and graph.ts is None:
-        raise GraphError("temporal edge betweenness needs a time-stamped graph")
-    n = graph.n
-    src_ids = pick_sources(n, sources, seed)
-    arc_scores = np.zeros(graph.n_arcs, dtype=np.float64)
-    for s in src_ids.tolist():
-        sigma, level_arcs, _, _ = brandes_forward(graph, s, temporal=temporal)
-        _dependencies(sigma, level_arcs, arc_scores)
-    if src_ids.size < n:
-        arc_scores *= n / src_ids.size
-    return EdgeBetweennessResult(
-        arc_scores=arc_scores,
-        graph=graph,
-        n_sources=int(src_ids.size),
-        temporal=temporal,
-        meta={"name": name},
     )
 
 

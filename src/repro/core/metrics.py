@@ -3,8 +3,8 @@
 The paper motivates everything with the structural features of real-world
 networks: "a low graph diameter, unbalanced degree distributions,
 self-similarity, and the presence of dense sub-graphs".  This module
-provides the measurements behind those claims — the standard complex-network
-toolkit a SNAP-like framework ships:
+measures the first two, plus local clustering and the giant-component share
+— the statistics ``repro stats`` prints:
 
 * degree-distribution summary (max/mean/heavy-tail fit);
 * clustering coefficients (exact per vertex, or sampled);
@@ -33,9 +33,6 @@ __all__ = [
     "average_clustering",
     "effective_diameter",
     "giant_component_fraction",
-    "triangle_counts",
-    "total_triangles",
-    "core_numbers",
 ]
 
 
@@ -181,68 +178,3 @@ def giant_component_fraction(graph: CSRGraph) -> float:
         return 0.0
     comps = connected_components(graph)
     return comps.largest()[1] / graph.n
-
-
-def triangle_counts(graph: CSRGraph) -> np.ndarray:
-    """Triangles through each vertex (simple-graph semantics).
-
-    The "presence of dense sub-graphs" measurement: per-vertex triangle
-    participation via sorted-neighbour-set intersection, the standard
-    node-iterator algorithm.  Duplicate arcs and self-loops are ignored.
-    """
-    # Simple sorted neighbour arrays, cached once.
-    sets: list[np.ndarray] = []
-    for u in range(graph.n):
-        nbr = np.unique(graph.neighbors(u))
-        sets.append(nbr[nbr != u])
-    out = np.zeros(graph.n, dtype=np.int64)
-    for u in range(graph.n):
-        nu = sets[u]
-        if nu.size < 2:
-            continue
-        links = 0
-        for v in nu.tolist():
-            links += int(np.intersect1d(nu, sets[v], assume_unique=True).size)
-        # Every triangle {u, v, w} contributes the pair (v, w) twice to the
-        # sum (once from v's side, once from w's).
-        out[u] = links // 2
-    return out
-
-
-def total_triangles(graph: CSRGraph) -> int:
-    """Total triangle count of the simple graph."""
-    return int(triangle_counts(graph).sum()) // 3
-
-
-def core_numbers(graph: CSRGraph) -> np.ndarray:
-    """k-core decomposition: the largest k such that each vertex survives
-    in the subgraph of minimum degree k (Matula–Beck peeling).
-
-    Simple-graph semantics; validated against ``networkx.core_number``.
-    """
-    # Build simple-degree view once.
-    simple: list[np.ndarray] = []
-    for u in range(graph.n):
-        nbr = np.unique(graph.neighbors(u))
-        simple.append(nbr[nbr != u])
-    deg = np.array([s.size for s in simple], dtype=np.int64)
-    core = deg.copy()
-    removed = np.zeros(graph.n, dtype=bool)
-    # Lazy-deletion min-heap peeling; adequate for analysis scale.
-    import heapq
-
-    heap = [(int(deg[v]), v) for v in range(graph.n)]
-    heapq.heapify(heap)
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue  # stale entry
-        k = max(k, d)
-        core[v] = k
-        removed[v] = True
-        for w in simple[v].tolist():
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (int(deg[w]), w))
-    return core

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adjacency.compressed import CompressedCSR, _decode_varint, _encode_varint
 from repro.adjacency.csr import build_csr
@@ -159,3 +161,24 @@ class TestReorder:
     def test_locality_gap_empty(self):
         g = EdgeList(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert locality_gap(g) == 0.0
+
+
+class TestCompressionProperties:
+    N = 12
+
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=N - 1),
+                  st.integers(min_value=0, max_value=N - 1)),
+        max_size=50,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_preserves_neighbour_sets(self, pairs):
+        if pairs:
+            src, dst = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+        else:
+            src = dst = np.array([], dtype=np.int64)
+        csr = build_csr(EdgeList(self.N, src, dst))
+        comp = CompressedCSR.from_csr(csr)
+        for u in range(self.N):
+            assert comp.neighbors(u).tolist() == sorted(set(csr.neighbors(u).tolist()))
+            assert comp.degree(u) == len(set(csr.neighbors(u).tolist()))

@@ -343,7 +343,7 @@ class TestFusedRun:
     def test_matches_per_op_replay(self, batches):
         drive_pair(TreapAdjacency(4, seed=9), TreapAdjacency(4, seed=9), batches, treap_state)
 
-    def test_run_crosses_the_priority_refill(self):
+    def test_sequence_numbers_count_nodes_created_per_vertex(self):
         """5 000 inserts over 64 vertices: each vertex's sequence number
         counts the nodes created for it, whatever the other vertices did."""
         rng = np.random.default_rng(5)

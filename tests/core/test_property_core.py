@@ -9,7 +9,6 @@ from repro.adjacency.csr import build_csr
 from repro.core.bfs import bfs
 from repro.core.components import connected_components
 from repro.core.linkcut import LinkCutForest
-from repro.core.stconn import st_connectivity
 from repro.edgelist import EdgeList
 from repro.generators.reference import to_networkx
 
@@ -72,22 +71,6 @@ class TestComponentsProperties:
         labels = connected_components(build_csr(g)).labels
         # a label must itself carry the same label (canonical fixed point)
         assert np.array_equal(labels[labels], labels)
-
-
-class TestSTConnProperties:
-    @given(
-        edges_strategy,
-        st.integers(min_value=0, max_value=N - 1),
-        st.integers(min_value=0, max_value=N - 1),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_networkx(self, pairs, s, t):
-        g = make_graph(pairs)
-        G = to_networkx(g)
-        res = st_connectivity(build_csr(g), s, t)
-        assert res.connected == nx.has_path(G, s, t)
-        if res.connected:
-            assert res.distance == nx.shortest_path_length(G, s, t)
 
 
 class TestLinkCutProperties:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from repro.adjacency.csr import build_csr
@@ -118,3 +120,47 @@ class TestStatistics:
         few = delta_stepping(csr, 0, delta=64)
         many = delta_stepping(csr, 0, delta=2)
         assert many.buckets_processed > few.buckets_processed
+
+
+N = 12
+
+weighted_edges = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=N - 1),
+        st.integers(min_value=0, max_value=N - 1),
+        st.integers(min_value=1, max_value=30),
+    ),
+    max_size=35,
+)
+
+
+def weighted_graph(triples):
+    if triples:
+        src, dst, w = (np.array(x, dtype=np.int64) for x in zip(*triples))
+    else:
+        src = dst = w = np.array([], dtype=np.int64)
+    return EdgeList(N, src, dst, w=w if w.size else None)
+
+
+class TestSSSPProperties:
+    @given(weighted_edges, st.integers(min_value=0, max_value=N - 1),
+           st.integers(min_value=1, max_value=40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dijkstra_any_delta(self, triples, source, delta):
+        csr = build_csr(weighted_graph(triples))
+        mine = delta_stepping(csr, source, delta=delta).dist
+        assert np.allclose(mine, scipy_dist(csr, source))
+
+    @given(weighted_edges, st.integers(min_value=0, max_value=N - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_inequality(self, triples, source):
+        g = weighted_graph(triples)
+        csr = build_csr(g)
+        dist = delta_stepping(csr, source).dist
+        w = csr.weights()
+        for u in range(N):
+            lo, hi = int(csr.offsets[u]), int(csr.offsets[u + 1])
+            for j in range(lo, hi):
+                v = int(csr.targets[j])
+                if np.isfinite(dist[u]):
+                    assert dist[v] <= dist[u] + w[j] + 1e-9

@@ -151,12 +151,6 @@ class TestSnapshotsAndKernels:
             u, v = (int(x) for x in rng.integers(0, g.n, 2))
             assert idx.query(u, v) == comps.same_component(u, v)
 
-    def test_st_connectivity(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        comps = g.connected_components()
-        u, v = 0, int(np.argmax(comps.labels == comps.labels[0]))
-        assert g.st_connectivity(0, 0).connected
-
     def test_induced_interval(self, graph):
         g = DynamicGraph.from_edgelist(graph)
         res = g.induced_interval(10, 50)
@@ -182,17 +176,6 @@ class TestSnapshotsAndKernels:
         g.delete_edge(1, 2)
         assert not g.spanning_forest().query(0, 3)
 
-    def test_closeness(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        res = g.closeness(sources=4, seed=1)
-        assert res.scores.shape == (g.n,)
-        assert res.meta["kind"] == "closeness"
-
-    def test_stress(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        res = g.stress(sources=4, seed=1)
-        assert res.meta["kind"] == "stress"
-
     def test_shortest_paths(self, graph):
         g = DynamicGraph.from_edgelist(graph)
         res = g.shortest_paths(0)
@@ -203,25 +186,6 @@ class TestSnapshotsAndKernels:
 
         mine = _np.where(_np.isfinite(res.dist), res.dist, -1).astype(_np.int64)
         assert _np.array_equal(mine, b.dist)
-
-    def test_earliest_arrival(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        res = g.earliest_arrival(0)
-        assert res.reachable(0)
-        # temporal reachability is a subset of plain reachability
-        plain = set(g.bfs(0).reached().tolist())
-        assert set(res.reached().tolist()) <= plain
-
-    def test_pagerank(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        res = g.pagerank()
-        assert res.scores.sum() == pytest.approx(1.0)
-
-    def test_communities(self, graph):
-        g = DynamicGraph.from_edgelist(graph)
-        res = g.communities(seed=1)
-        assert res.labels.shape == (g.n,)
-        assert res.n_communities >= 1
 
     def test_degree_stats(self, graph):
         g = DynamicGraph.from_edgelist(graph)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
@@ -125,3 +127,27 @@ class TestText:
         p.write_text("0 1 5\n")
         back = read_edgelist(p)
         assert back.ts.tolist() == [5] and back.w is None
+
+
+class TestIOProperties:
+    N = 12
+
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=N - 1),
+                  st.integers(min_value=0, max_value=N - 1),
+                  st.integers(min_value=0, max_value=100)),
+        max_size=30,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_npz_roundtrip(self, tmp_path_factory, triples):
+        if triples:
+            src, dst, ts = (np.array(x, dtype=np.int64) for x in zip(*triples))
+        else:
+            src = dst = ts = np.array([], dtype=np.int64)
+        g = EdgeList(self.N, src, dst, ts=ts)
+        path = tmp_path_factory.mktemp("io") / "g.npz"
+        save_npz(path, g)
+        back = load_npz(path)
+        assert np.array_equal(back.src, g.src)
+        assert np.array_equal(back.dst, g.dst)
+        assert np.array_equal(back.timestamps(), g.timestamps())
