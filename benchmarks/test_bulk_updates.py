@@ -25,7 +25,7 @@ both measured here:
 * no representation's vectorised path is slower than its scalar path
   (beyond timing noise);
 * growing the ``dynarr`` pool through an R-MAT construction faults in no
-  more pages than ``memory_bytes()`` spans: a pool past its reservation
+  more pages than ``model_bytes()`` spans: a pool past its reservation
   floor re-slices one reservation instead of copying into fresh pages.
 """
 
@@ -177,7 +177,7 @@ def test_mixed_apply_hybrid():
 
     assert misses == twin_misses
     assert asdict(rep.combined_stats()) == asdict(twin.combined_stats())
-    assert (rep.n_arcs, rep.memory_bytes()) == (twin.n_arcs, twin.memory_bytes())
+    assert (rep.n_arcs, rep.model_bytes()) == (twin.n_arcs, twin.model_bytes())
     assert bytes(rep.mode) == bytes(twin.mode)
     for a, b in zip(rep.to_arrays(), twin.to_arrays()):
         np.testing.assert_array_equal(a, b)
@@ -201,7 +201,7 @@ def _structure(rep: HybridAdjacency) -> dict:
         "seq": t._seq.tobytes(),
         "stats": stats,
         "migrations": (rep.stats.migrations, rep.stats.migration_words),
-        "sizes": (rep.n_arcs, rep.memory_bytes()),
+        "sizes": (rep.n_arcs, rep.model_bytes()),
         "arcs": [a.tobytes() for a in rep.to_arrays()],
     }
 
@@ -296,6 +296,12 @@ def test_bulk_updates_representation(kind):
     )
 
 
+#: ``memory_bytes()`` after that construction: four int64 headers of 2**17
+#: vertices (4 MiB) and an int32 pool of 2 columns by 2**22 slots (32 MiB),
+#: of which reused blocks leave 3 710 558 slots used for 3 022 182 slots of
+#: live capacity.  The model (``model_bytes()``) charges 138 412 032.
+HOST_BYTES = 37_748_736
+
 #: Child for ``test_pool_growth_faults``: THP off for itself only, then the
 #: R-MAT scale-17 construction (16 chunks of 65 536 edges, seed 7) with
 #: ``ru_minflt`` summed around each apply.  One warm-up construction first
@@ -312,19 +318,21 @@ def construct():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         g.apply(chunk)
         faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return faults, g.memory_bytes()
+    return faults, g.memory_bytes(), g.rep.model_bytes()
 
 construct()
 runs = [construct() for _ in range(3)]
-print(json.dumps({"thp_off": ok, "faults": min(f for f, _ in runs),
-                  "memory_bytes": runs[0][1], "page": resource.getpagesize()}))
+print(json.dumps({"thp_off": ok, "faults": min(f for f, _, _ in runs),
+                  "memory_bytes": runs[0][1], "model_bytes": runs[0][2],
+                  "page": resource.getpagesize()}))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl and ru_minflt are Linux")
 def test_pool_growth_faults():
     """Apply-stage page faults of a chunked construction stay within the
-    pages the structure spans: pool growth copies nothing into fresh pages."""
+    pages the model footprint spans: pool growth copies nothing into fresh
+    pages.  The host arrays (int32 slots, reused blocks) are pinned too."""
     path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
@@ -333,8 +341,9 @@ def test_pool_growth_faults():
     got = json.loads(out.stdout.splitlines()[-1])
     if not got["thp_off"]:
         pytest.skip("PR_SET_THP_DISABLE refused: faults would count huge pages")
-    pages = got["memory_bytes"] // got["page"]
-    assert got["memory_bytes"] == 138_412_032
+    pages = got["model_bytes"] // got["page"]
+    assert got["model_bytes"] == 138_412_032
+    assert got["memory_bytes"] == HOST_BYTES
     assert got["faults"] <= pages, (
-        f"apply faulted {got['faults']} pages; the structure spans {pages}"
+        f"apply faulted {got['faults']} pages; the model spans {pages}"
     )

@@ -62,7 +62,7 @@ def test_host_semisort(monkeypatch):
         assert np.array_equal(getattr(shipped, name)[held], getattr(oracle, name)[held]), name
     assert asdict(shipped.stats) == asdict(oracle.stats)
     assert shipped.pool.used == oracle.pool.used
-    assert shipped.memory_bytes() == oracle.memory_bytes()
+    assert shipped.model_bytes() == oracle.model_bytes()
 
 
 def _gate_against_oracle(floor, **kwargs):

@@ -180,7 +180,13 @@ class AdjacencyRepresentation(abc.ABC):
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:
-        """Bytes held by the structure (its footprint for the cache model)."""
+        """Bytes of the arrays the structure holds."""
+
+    def model_bytes(self) -> int:
+        """Bytes of the paper's C layout, the footprint the cache model and
+        the figures charge; :meth:`memory_bytes` where the arrays held are
+        that layout."""
+        return self.memory_bytes()
 
     # ------------------------------------------------------------------ #
     # derived operations (overridable for speed)
@@ -367,7 +373,7 @@ class AdjacencyRepresentation(abc.ABC):
             alu_ops=alu,
             rand_accesses=rand,
             seq_bytes=seq,
-            footprint_bytes=float(self.memory_bytes()),
+            footprint_bytes=float(self.model_bytes()),
             max_unit_frac=hot.max_unit_frac,
         )
         kwargs.update(self._sync_kwargs(hot))

@@ -18,10 +18,11 @@ updates) that the :class:`~repro.adjacency.dynarr.DynArrAdjacency` family
 * **Capacity replay** — :func:`ensure_capacity` replays the sequential
   doubling schedule in closed form: per vertex, the blocks the one-at-a-time
   path would have allocated, copied and abandoned are summed analytically,
-  so ``resize_events`` / ``resize_copied_words`` and the pool's
-  ``used`` / ``abandoned`` totals are *bit-identical* to the scalar path
-  (only block placement differs, the documented freedom of
-  ``DynArrAdjacency.bulk_insert``).
+  so ``resize_events`` / ``resize_copied_words`` and the pool's model
+  (``used`` / ``abandoned``, hence ``model_bytes()``) are *bit-identical* to
+  the scalar path.  Only the final blocks are placed in host memory, so
+  block placement and the host footprint may differ, the documented freedom
+  of ``DynArrAdjacency.bulk_insert``.
 * **Delete matching** — :func:`apply_mixed` resolves interleaved
   insert/delete streams without a Python loop.  Per (vertex, target) key the
   scalar semantics are a FIFO queue of live occurrences ordered by slot
@@ -37,7 +38,7 @@ updates) that the :class:`~repro.adjacency.dynarr.DynArrAdjacency` family
 
 Counter equivalence is not best-effort: ``tests/adjacency/test_equivalence``
 asserts bit-identical ``UpdateStats``, adjacency contents, miss counts and
-pool footprints against the per-op reference (``apply_arcs_scalar``,
+model footprints against the per-op reference (``apply_arcs_scalar``,
 ``bulk_insert_scalar``, called by name) on randomized and adversarial
 streams, from one arc up.  Every batch takes these kernels, whatever its
 size.  A treap's priorities hash its vertex and that vertex's insert count,
@@ -174,7 +175,9 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
     never shrink the occupancy, so for a batch the growth trajectory depends
     only on the starting occupancy and the number of inserts — summing the
     geometric ladder per vertex gives the exact scalar ``resize_events``,
-    ``resize_copied_words`` and pool ``used``/``abandoned`` totals.
+    ``resize_copied_words`` and pool ``used``/``abandoned`` totals.  Each
+    outgrown block is copied into its final block and then released, so a
+    released block is never read.
     """
     off, cap, cnt = rep.off, rep.cap, rep.cnt
     fresh = off[uniq] < 0
@@ -209,19 +212,17 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
             copied += int(newcap[m].sum())
             newcap[m] *= g
             alloced += int(newcap[m].sum())
-        # The scalar path abandons each outgrown block and allocates every
-        # intermediate size; charge the same totals, then place the final
-        # blocks for real.
-        rep.pool.abandon(copied)
-        dead = alloced - int(newcap.sum())
-        if dead:
-            rep.pool.alloc(dead)
+        # The scalar path also allocates and outgrows every rung between the
+        # first block and the final one: those go to the model only.
+        old_off = off[gv]
+        rep.pool.charge(alloced - int(newcap.sum()))
         new_off = rep.pool.alloc_many(newcap)
         rep._refresh_views()
         used = cnt[gv]
-        to, frm = gather_index(new_off, used), gather_index(off[gv], used)
+        to, frm = gather_index(new_off, used), gather_index(old_off, used)
         rep._adj[to] = rep._adj[frm]
         rep._ts[to] = rep._ts[frm]
+        rep.pool.free_many(old_off, cap[gv])
         off[gv] = new_off
         cap[gv] = newcap
         rep.stats.resize_events += events
@@ -236,13 +237,17 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
 
 def bulk_insert(rep, src: np.ndarray, dst: np.ndarray, ts: np.ndarray) -> None:
     """Grouped vectorised append; counters identical to the scalar loop."""
+    rep._fit_stamps(int(ts.min()), int(ts.max()))
     order, s = stable_order(src, rep.n)
     uniq, _, counts = group_runs(s)
     cnt0 = rep.cnt[uniq]
     ensure_capacity(rep, uniq, counts)
     slots = gather_index(rep.off[uniq] + cnt0, counts)
-    rep._adj[slots] = dst[order]
-    rep._ts[slots] = ts[order]
+    # Cast before the gather: a scatter of the pool's own dtype is faster
+    # than one that casts.
+    dtype = rep._adj.dtype
+    rep._adj[slots] = dst.astype(dtype, copy=False)[order]
+    rep._ts[slots] = ts.astype(dtype, copy=False)[order]
     rep.cnt[uniq] = cnt0 + counts
     rep.live[uniq] += counts
     rep.stats.inserts += int(s.size)
@@ -280,10 +285,14 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
     cnt0_op = np.repeat(cnt0, counts)
 
     # Write every insert up front (slots >= cnt0 never collide with the
-    # pre-batch prefix the delete matching reads below).
+    # pre-batch prefix the delete matching reads below).  Only an insert's
+    # stamp is stored, so only those may widen the pool.
     ins_slots = off_op[ins] + cnt0_op[ins] + vins_before[ins]
-    rep._adj[ins_slots] = d[ins]
-    rep._ts[ins_slots] = t[ins]
+    t_ins = t[ins]
+    if t_ins.size:
+        rep._fit_stamps(int(t_ins.min()), int(t_ins.max()))
+    rep._adj[ins_slots] = d[ins].astype(rep._adj.dtype, copy=False)
+    rep._ts[ins_slots] = t_ins.astype(rep._ts.dtype, copy=False)
 
     n_ins_total = int(ins64.sum())
     n_miss = 0

@@ -34,6 +34,8 @@ __all__ = ["DynArrAdjacency"]
 #: Tombstone marker for deleted slots.
 TOMBSTONE = -1
 
+_I32_MIN, _I32_MAX = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
+
 #: Paper: "We set the size of each adjacency array to km/n initially, and we
 #: find that a value of k = 2 performs reasonably well".
 DEFAULT_K = 2
@@ -105,9 +107,10 @@ class DynArrAdjacency(AdjacencyRepresentation):
         elif pool.columns != 2:
             raise GraphError("DynArrAdjacency needs a 2-column pool (adj, ts)")
         self.pool = pool
-        self._adj = pool.column(0)
-        self._ts = pool.column(1)
-        self._pool_version = pool.grow_events
+        # Vertex ids are stored in the pool: past int32, it starts wide.
+        pool.fit(0, n - 1)
+        self._data = None
+        self._refresh_views()
 
         #: Block start offset per vertex (-1 = not yet allocated).
         self.off = np.full(n, -1, dtype=np.int64)
@@ -139,10 +142,15 @@ class DynArrAdjacency(AdjacencyRepresentation):
     # ------------------------------------------------------------------ #
 
     def _refresh_views(self) -> None:
-        if self._pool_version != self.pool.grow_events:
-            self._adj = self.pool.column(0)
-            self._ts = self.pool.column(1)
-            self._pool_version = self.pool.grow_events
+        """Re-point the column views after the pool grew or widened."""
+        if self._data is not self.pool.data:
+            self._data = self.pool.data
+            self._adj, self._ts = self._data
+
+    def _fit_stamps(self, lo: int, hi: int) -> None:
+        """Widen the pool (once) if a stamp in ``[lo, hi]`` needs int64."""
+        self.pool.fit(lo, hi)
+        self._refresh_views()
 
     def _alloc_block(self, u: int, capacity: int) -> int:
         off = self.pool.alloc(capacity)
@@ -166,7 +174,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         self._refresh_views()
         self._adj[new_off : new_off + used] = self._adj[old_off : old_off + used]
         self._ts[new_off : new_off + used] = self._ts[old_off : old_off + used]
-        self.pool.abandon(old_cap)
+        self.pool.free(old_off, old_cap)
         self.off[u] = new_off
         self.cap[u] = new_cap
         self.stats.resize_events += 1
@@ -179,6 +187,8 @@ class DynArrAdjacency(AdjacencyRepresentation):
     def insert(self, u: int, v: int, ts: int = 0) -> None:
         self.check_vertex(u)
         self.check_vertex(v)
+        if not _I32_MIN <= ts <= _I32_MAX:
+            self._fit_stamps(ts, ts)
         used = int(self.cnt[u])
         if self.off[u] < 0:
             self._alloc_block(u, int(self._cap0[u]))
@@ -224,7 +234,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         if off < 0:
             return np.empty(0, dtype=np.int64)
         block = self._adj[off : off + int(self.cnt[u])]
-        return block[block != TOMBSTONE].copy()
+        return block[block != TOMBSTONE].astype(np.int64)
 
     def neighbors_with_ts(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         self.check_vertex(u)
@@ -235,7 +245,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         used = int(self.cnt[u])
         block = self._adj[off : off + used]
         keep = block != TOMBSTONE
-        return block[keep].copy(), self._ts[off : off + used][keep].copy()
+        return block[keep].astype(np.int64), self._ts[off : off + used][keep].astype(np.int64)
 
     def has_arc(self, u: int, v: int) -> bool:
         self.check_vertex(u)
@@ -297,9 +307,9 @@ class DynArrAdjacency(AdjacencyRepresentation):
             bulkops.bulk_insert(self, src, dst, t)
 
     def _live_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, ts)`` of the live arcs, ascending owner then slot: one
-        gather of the occupied slots (never past ``cnt``), filtered only when
-        tombstones exist."""
+        """``(targets, ts)`` of the live arcs, ascending owner then slot, in
+        the pool's dtype: one gather of the occupied slots (never past
+        ``cnt``), filtered only when tombstones exist."""
         idx = bulkops.gather_index(self.off, self.cnt)
         targets, ts = self._adj[idx], self._ts[idx]
         if idx.size != int(self.live.sum()):
@@ -308,12 +318,18 @@ class DynArrAdjacency(AdjacencyRepresentation):
         return targets, ts
 
     def to_csr(self) -> CSRGraph:
-        """Offsets from ``live``, arcs from :meth:`_live_arcs`."""
-        targets, ts = self._live_arcs()
+        """Offsets from ``live``, arcs from :meth:`_live_arcs` as int64."""
+        targets, ts = (a.astype(np.int64, copy=False) for a in self._live_arcs())
         return CSRGraph(self.n, csr_offsets(self.live), targets, ts, meta={"source": self.kind})
 
     # ------------------------------------------------------------------ #
 
     def memory_bytes(self) -> int:
+        """The four header arrays and the pool's host array."""
         header = self.off.nbytes + self.cap.nbytes + self.cnt.nbytes + self.live.nbytes
         return int(header) + self.pool.memory_bytes()
+
+    def model_bytes(self) -> int:
+        """Four 8-byte header words per vertex and the pool's model
+        capacity: the paper's layout, which never reuses a block."""
+        return 4 * 8 * self.n + self.pool.model_bytes()

@@ -71,8 +71,8 @@ class EPartAdjacency(DynArrAdjacency):
         """Words the end-of-phase merge step streams (all split arcs)."""
         return self.hi_arcs
 
-    def memory_bytes(self) -> int:
-        base = super().memory_bytes()
+    def model_bytes(self) -> int:
+        base = super().model_bytes()
         # Split sub-lists double the storage of the high-degree arcs.
         return int(base + (_SPLIT_SPACE_FACTOR - 1.0) * 16 * self.hi_arcs)
 
@@ -95,7 +95,7 @@ class EPartAdjacency(DynArrAdjacency):
             alu_ops=base.alu_ops + 2.0 * self.merged_arc_words(),
             seq_bytes=base.seq_bytes + merge_bytes,
             rand_accesses=base.rand_accesses,
-            footprint_bytes=float(self.memory_bytes()),
+            footprint_bytes=float(self.model_bytes()),
             atomics=base.atomics,
             atomic_max_addr=base.atomic_max_addr,
             barriers=1.0,  # the merge step is a distinct synchronised phase

@@ -18,14 +18,14 @@ Batches are applied as an exact partition (:meth:`HybridAdjacency.
 _apply_partitioned`): arcs whose owner is in array mode when they arrive
 take the vectorised dyn-arr kernels, the rest the treap's fused
 arrival-order run, with migrations at precomputed cut points — every
-counter, pool byte and export identical to per-op ``insert`` / ``delete``,
+counter, model byte and export identical to per-op ``insert`` / ``delete``,
 at every batch size.  A migrated block is its vertex's first treap nodes,
 so the treap's hashed priorities (:mod:`repro.adjacency.treap`) for a whole
 batch are dealt up front.
 Construction (``bulk_insert``) builds the treap side instead
 (:meth:`HybridAdjacency._build_treap_side`): every treap empty when the
 batch starts, a crossing vertex's migrated block included, becomes one
-Cartesian tree, with the same pool bytes and export; only ``nodes_visited``
+Cartesian tree, with the same model bytes and export; only ``nodes_visited``
 and ``rotations`` count the build's own work.
 """
 
@@ -132,9 +132,10 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
 
     def _vacate(self, us, words: int) -> None:
         """Move vertices ``us`` to the treap side, ``words`` live arcs in
-        all: their array blocks are abandoned and their counts dropped."""
+        all: their array blocks are released and their counts dropped."""
         arr = self.arr
-        arr.pool.abandon(int(arr.cap[us][arr.off[us] >= 0].sum()))
+        held = arr.off[us] >= 0
+        arr.pool.free_many(arr.off[us][held], arr.cap[us][held])
         arr._n_arcs -= words
         arr.off[us] = -1
         arr.cap[us] = arr.cnt[us] = arr.live[us] = 0
@@ -250,10 +251,10 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         with the sequential interleaving.  The rest replays through the
         treap's fused run in arrival order (:meth:`_run_treap_side`), cut
         only at the migration points, where :meth:`_migrate_up` finds the
-        array block exactly as the per-op path would.  Counters, pool bytes
+        array block exactly as the per-op path would.  Counters, model bytes
         and exports stay bit-identical.
         An all-insert batch builds its treap side instead
-        (:meth:`_build_treap_side`): the same pool bytes and exports, the
+        (:meth:`_build_treap_side`): the same model bytes and exports, the
         build's own ``nodes_visited`` / ``rotations``.
         """
         k = int(src.size)
@@ -401,6 +402,9 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
     def memory_bytes(self) -> int:
         return self.arr.memory_bytes() + self.treap.memory_bytes() + len(self.mode)
 
+    def model_bytes(self) -> int:
+        return self.arr.model_bytes() + self.treap.model_bytes() + len(self.mode)
+
     def combined_stats(self) -> UpdateStats:
         """All counters across the array part, treap part and migrations."""
         return self.stats.merged(self.arr.stats).merged(self.treap.stats)
@@ -442,7 +446,7 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
             alu_ops=merged.alu_ops + mig_alu,
             seq_bytes=merged.seq_bytes + mig_bytes,
             rand_accesses=merged.rand_accesses + mig_rand,
-            footprint_bytes=float(self.memory_bytes()),
+            footprint_bytes=float(self.model_bytes()),
             atomics=merged.atomics,
             atomic_max_addr=merged.atomic_max_addr,
             locks=merged.locks,

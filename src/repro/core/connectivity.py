@@ -324,7 +324,7 @@ class ConnectivityIndex:
             name=f"{name}/forest",
             alu_ops=20.0 * surgery + 4.0 * s.replacement_scan_arcs,
             rand_accesses=float(2 * surgery + s.replacement_scan_arcs),
-            footprint_bytes=float(self.forest.memory_bytes() + self.rep.memory_bytes()),
+            footprint_bytes=float(self.forest.memory_bytes() + self.rep.model_bytes()),
             locks=float(surgery),
             lock_hold_cycles=200.0,
         )

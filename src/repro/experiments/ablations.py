@@ -73,7 +73,7 @@ def run_resize_policy(quick: bool = False, seed: int = DEFAULT_SEED) -> FigureRe
                     "initial": init,
                     "resizes": rep.stats.resize_events,
                     "copied_words": rep.stats.resize_copied_words,
-                    "pool_MB": rep.pool.memory_bytes() / 1e6,
+                    "pool_MB": rep.pool.model_bytes() / 1e6,
                     "MUPS@64": _T2.mups_at(res.profile, _FULL, m0),
                 }
             )

@@ -145,13 +145,14 @@ def _fmt(v) -> str:
 def footprint_coefficients(
     rep: AdjacencyRepresentation, n: int, arcs: int, *, header_bytes_per_vertex: float = 40.0
 ) -> tuple[float, float]:
-    """Split a structure's measured footprint into per-vertex/per-arc bytes.
+    """Split a structure's model footprint (``model_bytes()``) into
+    per-vertex/per-arc bytes.
 
     The per-vertex header estimate covers offset/capacity/count/live/root
     arrays (five-ish words); the remainder is attributed to arcs.  Used to
     recompute the footprint at the paper's instance size.
     """
-    mem = float(rep.memory_bytes())
+    mem = float(rep.model_bytes())
     bpe = max(0.0, (mem - header_bytes_per_vertex * n)) / max(arcs, 1)
     return header_bytes_per_vertex, bpe
 

@@ -5,7 +5,7 @@ state*: for the same update stream, the vectorised kernels must leave every
 representation with exactly the same adjacency contents (per-vertex order
 included), the same miss count, the same ``UpdateStats`` counters (inserts,
 deletes, misses, probe words, resize events/copied words, treap counters,
-migrations), the same live-arc count and the same ``memory_bytes``.  These
+migrations), the same live-arc count and the same ``model_bytes``.  These
 tests drive two twins through identical streams — one through
 ``apply_arcs`` with every batch size on the bulk path, the other through the
 per-op ``apply_arcs_scalar`` — with seeded sweeps across all seven kinds,
@@ -68,7 +68,7 @@ def observable_state(rep):
     """Everything the equivalence contract promises, as one comparable dict."""
     return {
         "n_arcs": rep.n_arcs,
-        "memory_bytes": rep.memory_bytes(),
+        "model_bytes": rep.model_bytes(),
         "stats": full_stats(rep),
         "adjacency": [
             tuple(map(tuple, map(np.ndarray.tolist, rep.neighbors_with_ts(u))))

@@ -30,7 +30,7 @@ def hybrid_state(h: HybridAdjacency) -> dict:
         "arr_arrays": [a.tolist() for a in h.arr.to_arrays()],
         "treap": treap_state(h.treap),
         "n_arcs": h.n_arcs,
-        "memory_bytes": h.memory_bytes(),
+        "model_bytes": h.model_bytes(),
         "arrays": [a.tolist() for a in h.to_arrays()],
     }
 
@@ -369,7 +369,7 @@ class TestPhase:
         ph = h.phase("x")
         assert ph.atomics > 0
         assert ph.locks > 0
-        assert ph.footprint_bytes == float(h.memory_bytes())
+        assert ph.footprint_bytes == float(h.model_bytes())
 
     def test_pure_array_phase_has_no_locks(self):
         h = HybridAdjacency(4, degree_thresh=100, seed=1)

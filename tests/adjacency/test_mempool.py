@@ -78,19 +78,40 @@ class TestColumns:
 
 class TestAccounting:
     def test_abandon(self):
+        # A released block counts as abandoned in the model, and the next
+        # allocation of its size takes it back in host memory.
         p = IntPool(16)
-        p.alloc(8)
-        p.abandon(3)
-        assert p.abandoned == 3
-        assert p.live_bytes() == (8 - 3) * 8
+        a, b = p.alloc(4), p.alloc(4)
+        p.free(a, 4)
+        assert (p.abandoned, p.used, p.top) == (4, 8, 8)
+        assert p.alloc(4) == a and p.alloc(2) == 8
+        assert (p.used, p.top) == (14, 10)
+        # Many at once: released blocks first, most recent first, then fresh.
+        p.free_many(np.array([b, a]), np.array([4, 4]))
+        assert p.alloc_many([4, 2, 4, 4]).tolist() == [a, 10, b, 12]
+        assert (p.abandoned, p.used, p.top) == (12, 28, 16)
+        # Ladder rungs: allocated and outgrown in the model, never placed.
+        p.charge(6)
+        assert (p.abandoned, p.used, p.top, p.capacity) == (18, 34, 16, 16)
 
     def test_abandon_negative_rejected(self):
-        with pytest.raises(GraphError):
-            IntPool(4).abandon(-1)
+        for bad in (lambda p: p.free(0, -1), lambda p: p.free_many([0], [-1]),
+                    lambda p: p.charge(-1)):
+            with pytest.raises(GraphError):
+                bad(IntPool(4))
 
     def test_memory_bytes(self):
+        # Host: int32 slots.  Model: 8-byte words over the doubling capacity
+        # of everything the paper's scheme hands out.
         p = IntPool(10, columns=2)
-        assert p.memory_bytes() == 2 * 10 * 8
+        assert (p.memory_bytes(), p.model_bytes()) == (2 * 10 * 4, 2 * 10 * 8)
+        off = p.alloc(8)
+        p.free(off, 8)
+        p.alloc(8)
+        assert (p.memory_bytes(), p.model_bytes()) == (2 * 10 * 4, 2 * 20 * 8)
+        p.fit(0, 1 << 31)
+        assert p.data.dtype == np.int64
+        assert (p.memory_bytes(), p.model_bytes()) == (2 * 10 * 8, 2 * 20 * 8)
 
     def test_invalid_capacity(self):
         with pytest.raises(GraphError):
@@ -143,12 +164,17 @@ class TestReservation:
         assert (q.capacity, q.grow_events, off) == (64, 2, 0)
 
     def test_default_floor(self):
-        small = IntPool(1 << 20)  # 8 MiB -> 16 MiB: copied
-        small.alloc((1 << 20) + 1)
+        small = IntPool(1 << 21)  # 8 MiB -> 16 MiB of int32: copied
+        small.alloc((1 << 21) + 1)
         assert small.data.base.shape[1] == small.capacity
-        large = IntPool(1 << 21)  # 16 MiB -> 32 MiB: reserved, written nowhere
-        large.alloc((1 << 21) + 1)
+        large = IntPool(1 << 22)  # 16 MiB -> 32 MiB: reserved, written nowhere
+        large.alloc((1 << 22) + 1)
         assert large.data.base.shape[1] == mempool._RESERVE_SLOTS > large.capacity
+        wide = IntPool(1 << 21)  # int64: 16 MiB -> 32 MiB, reserved
+        wide.widen()
+        wide.alloc((1 << 21) + 1)
+        assert wide.data.base.shape == (1, mempool._RESERVE_SLOTS)
+        assert wide.data.dtype == wide.data.base.dtype == np.int64
 
     @pytest.mark.parametrize("copier", [pickle.loads, copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_carry_capacity_not_reservation(self, monkeypatch, copier):
@@ -157,7 +183,7 @@ class TestReservation:
         p.alloc(50)
         p.data[:, :50] = np.arange(100).reshape(2, 50)
         blob = pickle.dumps(p)
-        assert p.capacity * 2 * 8 <= len(blob) < p.capacity * 2 * 8 + 1024
+        assert p.capacity * 2 * 4 <= len(blob) < p.capacity * 2 * 4 + 1024
         q = copier(blob) if copier is pickle.loads else copier(p)
         assert q.data.nbytes == p.memory_bytes() and not np.shares_memory(q.data, p.data)
         assert (q.capacity, q.used, q.grow_events) == (p.capacity, p.used, p.grow_events)
@@ -172,26 +198,33 @@ class TestReservation:
             st.one_of(
                 st.tuples(st.just("alloc"), st.integers(0, 24)),
                 st.tuples(st.just("alloc_many"), st.lists(st.integers(0, 9), max_size=5)),
-                st.tuples(st.just("abandon"), st.integers(0, 6)),
+                st.tuples(st.just("charge"), st.integers(0, 6)),
+                st.tuples(st.just("free"), st.integers(0, 30)),
+                st.tuples(st.just("widen"), st.none()),
             ),
             max_size=25,
         ),
     )
     def test_reserved_path_matches_copy_path(self, capacity, columns, ops):
         def run() -> tuple:
-            p, seen = IntPool(capacity, columns=columns), []
+            p, seen, held = IntPool(capacity, columns=columns), [], []
             for tag, (op, arg) in enumerate(ops):
-                if op == "abandon":
-                    p.abandon(arg)
-                    continue
-                sizes = [arg] if op == "alloc" else arg
-                offs = [p.alloc(arg)] if op == "alloc" else p.alloc_many(arg).tolist()
-                for off, size in zip(offs, sizes):
-                    for c in range(columns):
-                        p.column(c)[off : off + size] = 1000 * c + tag
-                seen.append((p.capacity, p.grow_events, p.used, p.abandoned,
-                             p.memory_bytes(), p.live_bytes(), offs))
-            return seen, p.data[:, : p.used].tolist()
+                if op == "charge":
+                    p.charge(arg)
+                elif op == "widen":
+                    p.widen()
+                elif op == "free" and held:
+                    p.free(*held.pop(arg % len(held)))
+                elif op in ("alloc", "alloc_many"):
+                    sizes = [arg] if op == "alloc" else arg
+                    offs = [p.alloc(arg)] if op == "alloc" else p.alloc_many(arg).tolist()
+                    held += zip(offs, sizes)
+                    for off, size in zip(offs, sizes):
+                        for c in range(columns):
+                            p.column(c)[off : off + size] = 1000 * c + tag
+                seen.append((p.capacity, p.grow_events, p.top, p.used, p.abandoned,
+                             p.memory_bytes(), p.model_bytes(), sorted(held)))
+            return seen, [p.data[:, off : off + size].tolist() for off, size in held]
 
         copied = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -206,20 +239,26 @@ class TestReservation:
 
 class FillingPool(IntPool):
     """A pool that writes ``fill`` into every slot it has not handed out yet,
-    at construction and after every allocation (so also across the whole
-    unused tail after each growth, mid-batch, and past the capacity to the
-    end of a reservation, which later growths re-slice)."""
+    at construction and after every bump of its pointer (so also across the
+    whole unused tail after each growth, mid-batch, and past the capacity to
+    the end of a reservation, which later growths re-slice), and into every
+    block it takes back: a reused block holds the poison, not stale arcs."""
 
     def __init__(self, capacity: int, fill: int) -> None:
         super().__init__(capacity, columns=2)
         self.fill = fill
         self.data[:] = fill
 
-    def alloc(self, size: int) -> int:
-        off = super().alloc(size)
+    def _bump(self, size: int) -> int:
+        off = super()._bump(size)
         tail = self.data if self.data.base is None else self.data.base
         tail[:, off:] = self.fill
         return off
+
+    def _push(self, size: int, offs) -> None:
+        offs = np.asarray(offs, dtype=np.int64)
+        self.data[:, bulkops.gather_index(offs, np.full(offs.size, size))] = self.fill
+        super()._push(size, offs)
 
 
 def poison_dead_slots(arr: DynArrAdjacency) -> None:
@@ -262,7 +301,7 @@ def observed(rep) -> dict:
         "neighbors": [rep.neighbors(u).tolist() for u in range(rep.n)],
         "stats": asdict(stats),
         "n_arcs": rep.n_arcs,
-        "memory_bytes": rep.memory_bytes(),
+        "model_bytes": rep.model_bytes(),
     }
 
 

@@ -89,7 +89,8 @@ class TestEPart:
         for rep in (a, b):
             for i in range(10):
                 rep.insert(0, i % 4)
-        assert a.memory_bytes() > b.memory_bytes()
+        assert a.model_bytes() > b.model_bytes()
+        assert a.memory_bytes() == b.memory_bytes()
 
     def test_phase_removes_hot_serialisation(self):
         from repro.adjacency.base import HotStats

@@ -70,7 +70,7 @@ class TestHelpers:
 
     def test_footprint_coefficients(self):
         class FakeRep:
-            def memory_bytes(self):
+            def model_bytes(self):
                 return 10_000
 
         bpv, bpe = footprint_coefficients(FakeRep(), n=100, arcs=500)
@@ -79,7 +79,7 @@ class TestHelpers:
 
     def test_footprint_coefficients_floor(self):
         class TinyRep:
-            def memory_bytes(self):
+            def model_bytes(self):
                 return 10
 
         _, bpe = footprint_coefficients(TinyRep(), n=100, arcs=500)

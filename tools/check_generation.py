@@ -19,7 +19,9 @@ Run by the CI jobs (and locally) in two modes:
     checking that peak RSS stays under ``--max-rss-mb`` (a full
     materialisation at this scale would blow well past the bound), then
     construct a scale-20 :class:`~repro.api.DynamicGraph` through
-    ``DynamicGraph.from_edge_chunks`` and report the stored edge count.
+    ``DynamicGraph.from_edge_chunks`` and report the stored edge count and
+    the bytes per stored arc, host (``memory_bytes()``) and model
+    (``model_bytes()``).
 
 Exit status: 0 clean, 1 gate failure, 2 usage errors.
 """
@@ -147,6 +149,9 @@ def run_smoke(args: argparse.Namespace) -> int:
     mups = cm / build_s / 1e6 if build_s > 0 else float("inf")
     print(f"constructed {g.n_edges} stored edges in {build_s:.1f}s "
           f"({mups:.2f} MUPS), final peak RSS {_max_rss_mb():.0f} MiB")
+    arcs = max(g.rep.n_arcs, 1)
+    print(f"footprint per stored arc: {g.memory_bytes() / arcs:.1f} B host, "
+          f"{g.rep.model_bytes() / arcs:.1f} B model")
     if g.n_edges == 0:
         print("construction stored no edges", file=sys.stderr)
         return 1
