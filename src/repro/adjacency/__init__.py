@@ -30,7 +30,7 @@ from repro.adjacency.vpart import VPartAdjacency
 from repro.adjacency.epart import EPartAdjacency
 from repro.adjacency.batch import BatchedAdjacency
 from repro.adjacency.compressed import CompressedCSR
-from repro.adjacency.reorder import apply_order, bfs_order, degree_order, locality_gap
+from repro.adjacency.reorder import apply_order, bfs_order, locality_gap
 from repro.adjacency.registry import REPRESENTATIONS, make_representation
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "CompressedCSR",
     "apply_order",
     "bfs_order",
-    "degree_order",
     "locality_gap",
     "REPRESENTATIONS",
     "make_representation",

@@ -104,7 +104,7 @@ class UpdateStats:
 
 @dataclass(frozen=True)
 class HotStats:
-    """Stream-level contention statistics (from :mod:`repro.machine.contention`).
+    """Stream-level contention statistics.
 
     ``max_addr_ops`` — operations hitting the hottest single vertex;
     ``max_unit_frac`` — that vertex's fraction of all operations (the load-
@@ -117,12 +117,8 @@ class HotStats:
 
     @staticmethod
     def from_keys(keys: np.ndarray, n: int) -> "HotStats":
-        """Statistics of a stream of vertex ids already validated against ``n``.
-
-        One counting pass over ids in ``[0, n)``; equal to
-        :func:`repro.machine.contention.hot_spot_stats`, which sorts because
-        it takes arbitrary keys.
-        """
+        """Statistics of a stream of vertex ids already validated against ``n``:
+        one counting pass over ids in ``[0, n)``."""
         if not keys.size:
             return HotStats()
         mx = int(np.bincount(keys, minlength=n).max())

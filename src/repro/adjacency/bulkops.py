@@ -59,7 +59,6 @@ __all__ = [
     "MAX_KEY_N",
     "stable_order",
     "group_runs",
-    "segment_ranks",
     "gather_index",
     "ensure_capacity",
     "bulk_insert",
@@ -83,16 +82,6 @@ PACK_BITS = 62
 # --------------------------------------------------------------------- #
 # segmentation primitives
 # --------------------------------------------------------------------- #
-
-
-def segment_ranks(counts: np.ndarray) -> np.ndarray:
-    """``[0..c0), [0..c1), ...`` concatenated, for segment sizes ``counts``."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
 def stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +135,14 @@ def group_runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def gather_index(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat pool indices of the blocks ``[off, off+count)`` concatenated:
-    one repeat of ``off - start`` (``start``: the block's output position)
-    plus each element's output position."""
+    """Flat indices of the ranges ``[off, off+count)`` concatenated: one
+    repeat of ``off - start`` (``start``: the range's output position) plus
+    each element's output position.
+
+    The one range gather: pool blocks here and in the dyn-arr export, a
+    traversal frontier's adjacency ranges in :mod:`repro.core.frontier`, and
+    (``offsets`` all zero) each element's rank within its range.
+    """
     starts = np.cumsum(counts) - counts
     idx = np.repeat(offsets - starts, counts)
     idx += np.arange(idx.size, dtype=np.int64)
@@ -217,7 +211,6 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
         old_off = off[gv]
         rep.pool.charge(alloced - int(newcap.sum()))
         new_off = rep.pool.alloc_many(newcap)
-        rep._refresh_views()
         used = cnt[gv]
         to, frm = gather_index(new_off, used), gather_index(old_off, used)
         rep._adj[to] = rep._adj[frm]
@@ -227,7 +220,6 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
         cap[gv] = newcap
         rep.stats.resize_events += events
         rep.stats.resize_copied_words += copied
-    rep._refresh_views()
 
 
 # --------------------------------------------------------------------- #
@@ -237,7 +229,7 @@ def ensure_capacity(rep, uniq: np.ndarray, k_new: np.ndarray) -> None:
 
 def bulk_insert(rep, src: np.ndarray, dst: np.ndarray, ts: np.ndarray) -> None:
     """Grouped vectorised append; counters identical to the scalar loop."""
-    rep._fit_stamps(int(ts.min()), int(ts.max()))
+    rep.pool.fit(int(ts.min()), int(ts.max()))
     order, s = stable_order(src, rep.n)
     uniq, _, counts = group_runs(s)
     cnt0 = rep.cnt[uniq]
@@ -290,7 +282,7 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
     ins_slots = off_op[ins] + cnt0_op[ins] + vins_before[ins]
     t_ins = t[ins]
     if t_ins.size:
-        rep._fit_stamps(int(t_ins.min()), int(t_ins.max()))
+        rep.pool.fit(int(t_ins.min()), int(t_ins.max()))
     rep._adj[ins_slots] = d[ins].astype(rep._adj.dtype, copy=False)
     rep._ts[ins_slots] = t_ins.astype(rep._ts.dtype, copy=False)
 
@@ -306,7 +298,7 @@ def apply_mixed(rep, op: np.ndarray, src: np.ndarray, dst: np.ndarray, ts: np.nd
         gvals = rep._adj[gidx]
         live_mask = gvals != TOMBSTONE
         gkey = np.repeat(uniq, cnt0)[live_mask] * n + gvals[live_mask]
-        gslot = segment_ranks(cnt0)[live_mask]
+        gslot = gather_index(np.zeros_like(cnt0), cnt0)[live_mask]
         g_order, gkey_s = stable_order(gkey, n * n)  # slots ascending per key
         gslot_s = gslot[g_order]
 

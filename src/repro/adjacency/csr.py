@@ -119,14 +119,6 @@ class CSRGraph:
             total += self.w.nbytes
         return int(total)
 
-    def to_edgelist(self, *, directed: bool = True) -> EdgeList:
-        """Flatten back to an edge list (one line per stored arc)."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        return EdgeList(self.n, src, self.targets.copy(),
-                        ts=None if self.ts is None else self.ts.copy(),
-                        w=None if self.w is None else self.w.copy(),
-                        directed=directed, meta=dict(self.meta))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(n={self.n}, arcs={self.n_arcs})"
 

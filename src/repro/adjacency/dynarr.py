@@ -51,13 +51,11 @@ class DynArrAdjacency(AdjacencyRepresentation):
     initial_capacity:
         Per-vertex starting block size: an int applied to all vertices, or
         an int array of per-vertex capacities.  Defaults to
-        ``max(1, round(k * expected_m / n))`` when ``expected_m`` is given,
-        else 2.
+        ``max(1, round(DEFAULT_K * expected_m / n))`` when ``expected_m`` is
+        given, else 2.
     expected_m:
-        Expected number of arcs, used with ``k`` for the paper's ``km/n``
-        initial-size rule.
-    k:
-        Multiplier in the ``km/n`` rule (paper default 2).
+        Expected number of arcs, used for the paper's ``km/n`` initial-size
+        rule.
     resize:
         When False the structure refuses to grow past the initial
         capacities — the ``Dyn-arr-nr`` optimal case (no resizing overhead).
@@ -73,10 +71,8 @@ class DynArrAdjacency(AdjacencyRepresentation):
         *,
         initial_capacity: int | np.ndarray | None = None,
         expected_m: int | None = None,
-        k: int = DEFAULT_K,
         resize: bool = True,
         growth_factor: int = 2,
-        pool: IntPool | None = None,
     ) -> None:
         super().__init__(n)
         if growth_factor < 2:
@@ -86,7 +82,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
 
         if initial_capacity is None:
             if expected_m is not None and n > 0:
-                initial_capacity = max(1, int(round(k * expected_m / n)))
+                initial_capacity = max(1, int(round(DEFAULT_K * expected_m / n)))
             else:
                 initial_capacity = 2
         if np.isscalar(initial_capacity):
@@ -100,17 +96,11 @@ class DynArrAdjacency(AdjacencyRepresentation):
             np.maximum(cap0, 1, out=cap0)
         self._cap0 = cap0
 
-        if pool is None:
-            # One column for targets, one for time labels; sized so typical
-            # construction needs no pool-level growth.
-            pool = IntPool(max(64, int(cap0.sum()) or 64), columns=2)
-        elif pool.columns != 2:
-            raise GraphError("DynArrAdjacency needs a 2-column pool (adj, ts)")
-        self.pool = pool
+        # One column for targets, one for time labels; sized so typical
+        # construction needs no pool-level growth.
+        self.pool = IntPool(max(64, int(cap0.sum()) or 64), columns=2)
         # Vertex ids are stored in the pool: past int32, it starts wide.
-        pool.fit(0, n - 1)
-        self._data = None
-        self._refresh_views()
+        self.pool.fit(0, n - 1)
 
         #: Block start offset per vertex (-1 = not yet allocated).
         self.off = np.full(n, -1, dtype=np.int64)
@@ -126,14 +116,13 @@ class DynArrAdjacency(AdjacencyRepresentation):
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def preallocated(cls, n: int, degrees, *, slack: int = 0) -> "DynArrAdjacency":
+    def preallocated(cls, n: int, degrees) -> "DynArrAdjacency":
         """``Dyn-arr-nr``: exact per-vertex capacities, resizing disabled.
 
-        ``degrees`` are the out-degrees the structure will hold (arc-level);
-        ``slack`` adds headroom per vertex for streams that overshoot.
+        ``degrees`` are the out-degrees the structure will hold (arc-level).
         """
         deg = np.asarray(degrees, dtype=np.int64)
-        obj = cls(n, initial_capacity=deg + slack, resize=False)
+        obj = cls(n, initial_capacity=deg, resize=False)
         obj.kind = "dynarr-nr"
         return obj
 
@@ -141,20 +130,19 @@ class DynArrAdjacency(AdjacencyRepresentation):
     # internals
     # ------------------------------------------------------------------ #
 
-    def _refresh_views(self) -> None:
-        """Re-point the column views after the pool grew or widened."""
-        if self._data is not self.pool.data:
-            self._data = self.pool.data
-            self._adj, self._ts = self._data
+    @property
+    def _adj(self) -> np.ndarray:
+        """Target column, read through the pool: the pool's array moves when
+        it grows or widens, so no view of it is kept."""
+        return self.pool.data[0]
 
-    def _fit_stamps(self, lo: int, hi: int) -> None:
-        """Widen the pool (once) if a stamp in ``[lo, hi]`` needs int64."""
-        self.pool.fit(lo, hi)
-        self._refresh_views()
+    @property
+    def _ts(self) -> np.ndarray:
+        """Time-label column, read through the pool like :attr:`_adj`."""
+        return self.pool.data[1]
 
     def _alloc_block(self, u: int, capacity: int) -> int:
         off = self.pool.alloc(capacity)
-        self._refresh_views()
         self.off[u] = off
         self.cap[u] = capacity
         return off
@@ -171,7 +159,6 @@ class DynArrAdjacency(AdjacencyRepresentation):
         used = int(self.cnt[u])
         new_cap = max(1, old_cap * self.growth_factor)
         new_off = self.pool.alloc(new_cap)
-        self._refresh_views()
         self._adj[new_off : new_off + used] = self._adj[old_off : old_off + used]
         self._ts[new_off : new_off + used] = self._ts[old_off : old_off + used]
         self.pool.free(old_off, old_cap)
@@ -188,7 +175,7 @@ class DynArrAdjacency(AdjacencyRepresentation):
         self.check_vertex(u)
         self.check_vertex(v)
         if not _I32_MIN <= ts <= _I32_MAX:
-            self._fit_stamps(ts, ts)
+            self.pool.fit(ts, ts)
         used = int(self.cnt[u])
         if self.off[u] < 0:
             self._alloc_block(u, int(self._cap0[u]))

@@ -50,45 +50,13 @@ from repro.errors import GraphError
 from repro.machine.profile import Phase
 from repro.util.validation import check_op_codes
 
-__all__ = ["HybridAdjacency", "DEFAULT_DEGREE_THRESH", "recommend_degree_thresh"]
+__all__ = ["HybridAdjacency", "DEFAULT_DEGREE_THRESH"]
 
 #: The paper's recommended threshold (section 2.1.5).
 DEFAULT_DEGREE_THRESH = 32
 
 _MODE_ARRAY = 0
 _MODE_TREAP = 1
-
-
-def recommend_degree_thresh(
-    insert_frac: float,
-    *,
-    reference: int = DEFAULT_DEGREE_THRESH,
-    lo: int = 4,
-    hi: int = 512,
-) -> int:
-    """Runtime threshold heuristic (paper section 2.1.5).
-
-    *"Given the graph update rate and the insertion to deletion ratio for an
-    application, it may be possible to develop runtime heuristics for a
-    reasonable threshold."*  The cost balance: an array delete scans half
-    the block (≈ thresh/2 words) while a treap insert pays a lock plus a
-    logarithmic descent.  Equating expected per-update overheads gives a
-    threshold proportional to the insert:delete ratio, anchored at the
-    paper's calibration point — 32 for an equal mix:
-
-        thresh ≈ reference * (insert_frac / (1 - insert_frac))
-
-    clipped to [lo, hi].  Insert-only streams return ``hi`` (stay in arrays
-    as long as possible); delete-heavy streams migrate early.
-    """
-    if not 0.0 <= insert_frac <= 1.0:
-        raise GraphError(f"insert_frac must be in [0, 1], got {insert_frac}")
-    if insert_frac >= 1.0:
-        return hi
-    if insert_frac <= 0.0:
-        return lo
-    ratio = insert_frac / (1.0 - insert_frac)
-    return int(np.clip(round(reference * ratio), lo, hi))
 
 
 class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
@@ -104,8 +72,6 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         paper describes it: a treap vertex stays a treap vertex.
     seed:
         Seed of the treap's priority hash.
-    array_kwargs:
-        Extra keyword arguments for the underlying :class:`DynArrAdjacency`.
     """
 
     kind = "hybrid"
@@ -116,13 +82,12 @@ class HybridAdjacency(PatchedExport, AdjacencyRepresentation):
         *,
         degree_thresh: int = DEFAULT_DEGREE_THRESH,
         seed: int | np.random.Generator | None = None,
-        array_kwargs: dict | None = None,
     ) -> None:
         super().__init__(n)
         if degree_thresh < 1:
             raise GraphError(f"degree_thresh must be >= 1, got {degree_thresh}")
         self.degree_thresh = int(degree_thresh)
-        self.arr = DynArrAdjacency(n, **(array_kwargs or {}))
+        self.arr = DynArrAdjacency(n)
         self.treap = TreapAdjacency(n, seed=seed)
         self.mode = bytearray(n)  # _MODE_ARRAY / _MODE_TREAP per vertex
 

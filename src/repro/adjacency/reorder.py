@@ -1,15 +1,13 @@
 """Vertex reordering for locality (paper future work, section 4).
 
 *"We intend to explore ... vertex and edge identifier reordering strategies
-to improve cache performance."*  Two classic strategies plus the metrics to
-judge them:
+to improve cache performance."*  One classic strategy plus the metric to
+judge it:
 
 * **BFS order** — relabel vertices by a breadth-first visit from a
   high-degree root; neighbours land near each other, shrinking both gap
   sizes for :class:`~repro.adjacency.compressed.CompressedCSR` and the
-  working distance of traversals;
-* **degree order** — hubs first; concentrates the hot vertices (which
-  power-law traversals touch constantly) into one cache-resident prefix.
+  working distance of traversals.
 
 ``locality_gap`` quantifies the effect: the mean |u − v| over arcs, the
 quantity gap-compression directly encodes.
@@ -23,7 +21,7 @@ from repro.adjacency.csr import CSRGraph
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 
-__all__ = ["bfs_order", "degree_order", "apply_order", "locality_gap"]
+__all__ = ["bfs_order", "apply_order", "locality_gap"]
 
 
 def bfs_order(csr: CSRGraph, root: int | None = None) -> np.ndarray:
@@ -60,15 +58,6 @@ def bfs_order(csr: CSRGraph, root: int | None = None) -> np.ndarray:
         if unvisited.size == 0:
             break
         start = int(unvisited[0])
-    return perm
-
-
-def degree_order(csr: CSRGraph) -> np.ndarray:
-    """Permutation placing the highest-degree vertices first (ties by id)."""
-    deg = csr.degrees()
-    order = np.lexsort((np.arange(csr.n), -deg))
-    perm = np.empty(csr.n, dtype=np.int64)
-    perm[order] = np.arange(csr.n, dtype=np.int64)
     return perm
 
 

@@ -292,12 +292,6 @@ class DynamicGraph:
                 self.snapshot(), sources=sources, temporal=temporal, seed=seed
             )
 
-    def shortest_paths(self, source: int, **kwargs):
-        """Weighted SSSP by Δ-stepping over the snapshot (extension)."""
-        from repro.core.sssp import delta_stepping
-
-        return delta_stepping(self.snapshot(), source, **kwargs)
-
     def degree_stats(self):
         """Degree-distribution summary of the snapshot (extension)."""
         from repro.core.metrics import degree_stats

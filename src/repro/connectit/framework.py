@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.bulkops import gather_index
 from repro.adjacency.csr import CSRGraph
-from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
 from repro.obs import METRICS, manifest_meta, span
@@ -110,17 +110,11 @@ class ConnectItSpec:
         }
 
 
-def variant_matrix(
-    *,
-    union_rules: tuple[str, ...] = UNION_RULES,
-    compactions: tuple[str, ...] = COMPACTION_RULES,
-    samplings: tuple[str, ...] = ("none",),
-    k: int = 2,
-) -> tuple[ConnectItSpec, ...]:
-    """The cross-product of the requested rule axes, as specs."""
+def variant_matrix() -> tuple[ConnectItSpec, ...]:
+    """Every union rule crossed with every compaction, unsampled, as specs."""
     return tuple(
-        ConnectItSpec(union_rule=u, compaction=c, sampling=s, k=k)
-        for s, u, c in itertools.product(samplings, union_rules, compactions)
+        ConnectItSpec(union_rule=u, compaction=c, sampling="none")
+        for u, c in itertools.product(UNION_RULES, COMPACTION_RULES)
     )
 
 
@@ -221,7 +215,7 @@ def _finish_arcs(
         rest = np.flatnonzero(roots != roots[sample.giant_root])
         starts = graph.offsets[rest]
         counts = graph.offsets[rest + 1] - starts
-        idx, _ = gather_ranges(starts, counts)
+        idx = gather_index(starts, counts)
         rsrc = np.repeat(roots[rest], counts)
         rdst = roots[graph.targets[idx]]
     else:

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.bulkops import gather_index
 from repro.adjacency.csr import CSRGraph
 from repro.core.bfs import bfs
-from repro.core.frontier import gather_ranges
 from repro.errors import GraphError
 
 from repro.connectit.unionfind import UnionFind
@@ -87,7 +87,7 @@ def _kout_arcs(graph: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     degrees = np.diff(offsets)
     take = np.minimum(degrees, k)
     src = np.repeat(np.arange(graph.n, dtype=np.int64), take)
-    idx, _ = gather_ranges(offsets[:-1], take)
+    idx = gather_index(offsets[:-1], take)
     return src, graph.targets[idx]
 
 
@@ -144,5 +144,5 @@ def _arcs_leave(graph: CSRGraph, dist: np.ndarray, level: int) -> bool:
     """Whether an arc of a vertex at ``level`` reaches a vertex not reached."""
     frontier = np.flatnonzero(dist == level)
     starts = graph.offsets[frontier]
-    idx, _ = gather_ranges(starts, graph.offsets[frontier + 1] - starts)
+    idx = gather_index(starts, graph.offsets[frontier + 1] - starts)
     return bool((dist[graph.targets[idx]] < 0).any())

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.bulkops import gather_index
 from repro.adjacency.csr import CSRGraph
-from repro.core.frontier import gather_ranges
 from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.machine.profile import Phase, WorkProfile
@@ -107,7 +107,7 @@ def brandes_forward(
         edges_scanned += total
         if total == 0:
             break
-        idx, _ = gather_ranges(starts, counts)
+        idx = gather_index(starts, counts)
         v_arr = np.repeat(frontier, counts)
         w_arr = targets[idx]
         if temporal:

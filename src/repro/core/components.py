@@ -81,9 +81,6 @@ class ComponentsResult:
         i = int(np.argmax(sizes))
         return int(roots[i]), int(sizes[i])
 
-    def same_component(self, u: int, v: int) -> bool:
-        return bool(self.labels[u] == self.labels[v])
-
     def profile(self, graph: CSRGraph, name: str = "components") -> WorkProfile:
         """Simulated work: per pass, one hooking sweep + pointer jumping."""
         footprint = float(graph.memory_bytes() + self.labels.nbytes)

@@ -119,12 +119,6 @@ class ConnectivityIndex:
     def n(self) -> int:
         return self.forest.n
 
-    @property
-    def construction_profile(self) -> WorkProfile:
-        if self.record is None:
-            raise GraphError("index was not built from a graph; no construction record")
-        return self.record.profile
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -304,35 +298,8 @@ class ConnectivityIndex:
         return result
 
     # ------------------------------------------------------------------ #
-    # profiles and validation
+    # validation
     # ------------------------------------------------------------------ #
-
-    def maintenance_profile(self, name: str = "connectivity-maintenance") -> WorkProfile:
-        """Work profile of the updates so far: the adjacency's phase, then
-        the forest's.
-
-        Links and cuts are O(depth) reroots plus O(1) pointer writes; the
-        dominant term is the replacement search, one dependent access per
-        arc it reads.  Forest surgery serialises per affected tree:
-        structural writes to one tree cannot run beside its queries.
-        """
-        if self.rep is None:
-            raise GraphError("index holds no graph to update; build it with from_rep")
-        s = self.stats
-        surgery = s.tree_links + s.tree_cuts
-        forest = Phase(
-            name=f"{name}/forest",
-            alu_ops=20.0 * surgery + 4.0 * s.replacement_scan_arcs,
-            rand_accesses=float(2 * surgery + s.replacement_scan_arcs),
-            footprint_bytes=float(self.forest.memory_bytes() + self.rep.model_bytes()),
-            locks=float(surgery),
-            lock_hold_cycles=200.0,
-        )
-        return WorkProfile(
-            name,
-            (self.rep.phase(f"{name}/adjacency"), forest),
-            meta={"n": self.n, "edges": self.rep.n_arcs // 2},
-        )
 
     def validate(self) -> None:
         """Audit: the forest's trees are exactly the graph's components.

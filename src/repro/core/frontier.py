@@ -1,10 +1,11 @@
 """The frontier step of a level-synchronous traversal, written once.
 
 Every traversal here flattens its frontier's adjacency ranges into one index
-array (:func:`gather_ranges`); the BFS family then gives each newly reached
-vertex the first arc that reached it in that order (:func:`first_occurrence`)
-by a priority write, never by sorting the candidate arcs — a level stays
-O(arcs scanned), the paper's "optimal O(n + m) work" (section 3.3).
+array (:func:`repro.adjacency.bulkops.gather_index`); the BFS family then
+gives each newly reached vertex the first arc that reached it in that order
+(:func:`first_occurrence`) by a priority write, never by sorting the
+candidate arcs — a level stays O(arcs scanned), the paper's "optimal
+O(n + m) work" (section 3.3).
 :func:`expand` composes the two into one top-down ("push") BFS level.
 
 :func:`pull` is the bottom-up level of a direction-optimizing BFS (GBBS):
@@ -19,20 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_ranges", "first_occurrence", "expand", "pull"]
+from repro.adjacency.bulkops import gather_index
 
-
-def gather_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat slot index of every element of the ranges ``[start, start + count)``.
-
-    Returns ``(idx, ends)`` with ``ends = cumsum(counts)``: flat position
-    ``p`` belongs to range ``searchsorted(ends, p, "right")`` (zero-length
-    ranges are skipped), so no per-slot owner array is ever materialised.
-    """
-    ends = counts.cumsum()
-    idx = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-    idx += (starts - (ends - counts)).repeat(counts)
-    return idx, ends
+__all__ = ["first_occurrence", "expand", "pull"]
 
 
 def first_occurrence(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -63,9 +53,11 @@ def expand(
     ``ts_range``, only arcs stamped inside that inclusive interval), and
     ``owners`` the frontier vertex of its first such arc in gather order.
     The caller commits ``dist``/``parent`` and sorts ``new`` into the next
-    frontier; nothing here is O(n).
+    frontier; nothing here is O(n).  Gathered arc ``p`` belongs to frontier
+    vertex ``searchsorted(ends, p, "right")`` (zero-length ranges are
+    skipped), so no per-arc owner array is materialised.
     """
-    idx, ends = gather_ranges(starts, counts)
+    idx, ends = gather_index(starts, counts), counts.cumsum()
     nbrs = targets[idx]
     fresh = dist[nbrs] < 0
     if ts is not None and ts_range is not None:
@@ -94,7 +86,7 @@ def pull(
     cand = np.flatnonzero((dist < 0) & (offsets[1:] != offsets[:-1]))
     starts = offsets[cand]
     counts = offsets[cand + 1] - starts
-    idx, ends = gather_ranges(starts, counts)
+    idx, ends = gather_index(starts, counts), counts.cumsum()
     nbrs = targets[idx]
     # A neighbour off the frontier masks to n, above every vertex id.
     best = np.minimum.reduceat(np.where(dist[nbrs] == level, nbrs, dist.size), ends - counts)

@@ -143,12 +143,11 @@ def effective_diameter(
     graph: CSRGraph,
     *,
     samples: int = 16,
-    percentile: float = 90.0,
     seed=None,
 ) -> tuple[float, int]:
     """(effective diameter, max observed eccentricity) from sampled BFS.
 
-    Effective diameter: the given percentile of finite pairwise distances
+    Effective diameter: the 90th percentile of finite pairwise distances
     observed from the sampled sources — the standard small-world statistic
     ("90% of pairs within d hops").  The second value is the largest
     eccentricity seen, a lower bound on the true diameter.  ``samples`` is
@@ -156,8 +155,6 @@ def effective_diameter(
     """
     if graph.n == 0:
         return 0.0, 0
-    if not 0 < percentile <= 100:
-        raise GraphError(f"percentile must be in (0, 100], got {percentile}")
     dists = []
     max_ecc = 0
     for s in pick_sources(graph.n, min(samples, graph.n), seed).tolist():
@@ -169,7 +166,7 @@ def effective_diameter(
     if not dists:
         return 0.0, 0
     all_d = np.concatenate(dists)
-    return float(np.percentile(all_d, percentile)), max_ecc
+    return float(np.percentile(all_d, 90.0)), max_ecc
 
 
 def giant_component_fraction(graph: CSRGraph) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.adjacency.bulkops import gather_index
 from repro.adjacency.csr import CSRGraph
-from repro.core.frontier import gather_ranges
 from repro.errors import GraphError, VertexError
 from repro.machine.profile import Phase, WorkProfile
 
@@ -62,7 +62,7 @@ def _relax(frontier, offsets, targets, weights, mask, dist):
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
     total = int(counts.sum())
-    idx, _ = gather_ranges(starts, counts)
+    idx = gather_index(starts, counts)
     sel = mask[idx]
     idx = idx[sel]
     if idx.size == 0:

@@ -94,10 +94,6 @@ class SlidingWindowGraph:
         return self._tick
 
     @property
-    def n_live_batches(self) -> int:
-        return len(self._batches)
-
-    @property
     def n_edges(self) -> int:
         """Live undirected edges (self-loops excluded on ingest)."""
         return sum(b.size for b in self._batches)

@@ -9,7 +9,6 @@ carries a non-negative integer time label λ(e).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class EdgeList:
     def m(self) -> int:
         """Number of stored edges (one per line, regardless of direction)."""
         return int(self.src.size)
-
-    @property
-    def has_timestamps(self) -> bool:
-        return self.ts is not None
 
     def timestamps(self) -> np.ndarray:
         """Time-stamps, defaulting to zeros when none were assigned."""
@@ -154,11 +149,6 @@ class EdgeList:
         if self.w is not None:
             total += self.w.nbytes
         return int(total)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Python-level iteration (tests and small examples only)."""
-        for u, v in zip(self.src.tolist(), self.dst.tolist()):
-            yield u, v
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "directed" if self.directed else "undirected"

@@ -12,7 +12,6 @@ __all__ = [
     "ReproError",
     "GraphError",
     "VertexError",
-    "EdgeError",
     "StreamError",
     "MachineModelError",
     "ProfileError",
@@ -33,10 +32,6 @@ class GraphError(ReproError):
 
 class VertexError(GraphError):
     """A vertex id is out of range or otherwise invalid."""
-
-
-class EdgeError(GraphError):
-    """An edge endpoint/attribute is invalid, or an edge is missing."""
 
 
 class StreamError(ReproError):

@@ -361,7 +361,7 @@ def run_connectit_matrix(quick: bool = False, seed: int = DEFAULT_SEED) -> Figur
     vscale = measured_scale(13, 10, quick)
     vgraph = rmat_graph(vscale, 8, seed=seed)
     vcsr = build_csr(vgraph)
-    for spec in variant_matrix(samplings=("none",)):
+    for spec in variant_matrix():
         res = connect_components(vcsr, spec)
         c = res.counters
         rows.append(

@@ -98,9 +98,6 @@ class FigureResult:
     def all_passed(self) -> bool:
         return all(ok for ok, _ in self.checks.values())
 
-    def failed_checks(self) -> list[str]:
-        return [f"{d}: {detail}" for d, (ok, detail) in self.checks.items() if not ok]
-
     def get(self, label: str) -> SeriesSpec:
         for s in self.series:
             if s.label == label:
@@ -143,15 +140,16 @@ def _fmt(v) -> str:
 
 
 def footprint_coefficients(
-    rep: AdjacencyRepresentation, n: int, arcs: int, *, header_bytes_per_vertex: float = 40.0
+    rep: AdjacencyRepresentation, n: int, arcs: int
 ) -> tuple[float, float]:
     """Split a structure's model footprint (``model_bytes()``) into
     per-vertex/per-arc bytes.
 
-    The per-vertex header estimate covers offset/capacity/count/live/root
-    arrays (five-ish words); the remainder is attributed to arcs.  Used to
-    recompute the footprint at the paper's instance size.
+    The per-vertex header estimate, 40 bytes, covers offset/capacity/count/
+    live/root arrays (five words); the remainder is attributed to arcs.  Used
+    to recompute the footprint at the paper's instance size.
     """
+    header_bytes_per_vertex = 40.0
     mem = float(rep.model_bytes())
     bpe = max(0.0, (mem - header_bytes_per_vertex * n)) / max(arcs, 1)
     return header_bytes_per_vertex, bpe

@@ -11,7 +11,7 @@
 
 from repro.edgelist import EdgeList
 from repro.generators.rmat import RMATParams, rmat_edges, rmat_graph, PAPER_RMAT
-from repro.generators.timestamps import uniform_timestamps, assign_timestamps
+from repro.generators.timestamps import uniform_timestamps
 from repro.generators.streams import (
     UpdateStream,
     INSERT,
@@ -40,7 +40,6 @@ __all__ = [
     "rmat_graph",
     "PAPER_RMAT",
     "uniform_timestamps",
-    "assign_timestamps",
     "UpdateStream",
     "INSERT",
     "DELETE",

@@ -128,8 +128,6 @@ def rmat_graph(
     seed: int | np.random.Generator | None = None,
     ts_range: tuple[int, int] | None = None,
     directed: bool = False,
-    drop_self_loops: bool = False,
-    deduplicate: bool = False,
     shuffle: bool = False,
 ) -> EdgeList:
     """Generate a full R-MAT :class:`~repro.edgelist.EdgeList`.
@@ -167,10 +165,6 @@ def rmat_graph(
         directed=directed,
         meta={"generator": "rmat", "scale": scale, "params": params.as_tuple()},
     )
-    if drop_self_loops:
-        g = g.without_self_loops()
-    if deduplicate:
-        g = g.deduplicated()
     if shuffle:
         g = g.shuffled(rng)
     return g

@@ -119,14 +119,6 @@ class UpdateStream:
             meta=dict(self.meta),
         )
 
-    def inserts_only(self) -> "UpdateStream":
-        """The insertion subsequence, order preserved."""
-        return self.select(np.nonzero(self.op == INSERT)[0])
-
-    def deletes_only(self) -> "UpdateStream":
-        """The deletion subsequence, order preserved."""
-        return self.select(np.nonzero(self.op == DELETE)[0])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"UpdateStream(n={self.n}, len={len(self)}, "

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.edgelist import EdgeList
 from repro.errors import GraphError
 from repro.util.seeding import make_rng
 
-__all__ = ["uniform_timestamps", "assign_timestamps"]
+__all__ = ["uniform_timestamps"]
 
 
 def uniform_timestamps(
@@ -35,13 +34,3 @@ def uniform_timestamps(
         raise GraphError(f"empty time range [{lo}, {hi}]")
     rng = make_rng(seed)
     return rng.integers(lo, hi + 1, size=m, dtype=np.int64)
-
-
-def assign_timestamps(
-    graph: EdgeList,
-    lo: int,
-    hi: int,
-    seed: int | np.random.Generator | None = None,
-) -> EdgeList:
-    """Return a copy of ``graph`` with fresh uniform time-stamps attached."""
-    return graph.with_timestamps(uniform_timestamps(graph.m, lo, hi, seed))

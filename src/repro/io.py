@@ -90,13 +90,11 @@ def read_edgelist(
     *,
     n: int | None = None,
     directed: bool = False,
-    has_ts: bool | None = None,
-    has_w: bool | None = None,
 ) -> EdgeList:
     """Read a whitespace-separated text edge list.
 
-    Column layout is inferred from the first data line when ``has_ts`` /
-    ``has_w`` are not given: 2 columns = endpoints only, 3 = +ts, 4 = +ts+w.
+    Column layout is inferred from the first data line: 2 columns =
+    endpoints only, 3 = +ts, 4 = +ts+w.
     ``n`` defaults to ``max(id) + 1``.  Lines starting with ``#`` are
     skipped; a header written by :func:`write_edgelist` restores ``n`` and
     directedness automatically (explicit arguments win).
@@ -140,12 +138,8 @@ def read_edgelist(
         width = 2
     data = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
     src, dst = data[:, 0], data[:, 1]
-    if has_ts is None:
-        has_ts = width >= 3
-    if has_w is None:
-        has_w = width >= 4
-    ts = data[:, 2] if has_ts and width >= 3 else None
-    w = data[:, 3] if has_w and width >= 4 else None
+    ts = data[:, 2] if width >= 3 else None
+    w = data[:, 3] if width >= 4 else None
     if n is None:
         n = header_n
     if n is None:

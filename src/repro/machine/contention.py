@@ -14,56 +14,7 @@ import numpy as np
 
 from repro.util.validation import as_index_array
 
-__all__ = [
-    "max_multiplicity",
-    "hot_spot_stats",
-    "max_unit_fraction",
-    "effective_parallelism",
-    "windowed_hot_stats",
-]
-
-
-def max_multiplicity(keys) -> int:
-    """Largest number of occurrences of any single key.
-
-    Used for ``atomic_max_addr``: a stream of updates touching vertex
-    counters serialises at least to the hottest counter's count.
-    """
-    arr = as_index_array(keys, "keys")
-    if arr.size == 0:
-        return 0
-    _, counts = np.unique(arr, return_counts=True)
-    return int(counts.max())
-
-
-def hot_spot_stats(keys) -> tuple[int, int, float]:
-    """Return ``(total, max_per_key, max_fraction)`` for a key stream."""
-    arr = as_index_array(keys, "keys")
-    if arr.size == 0:
-        return 0, 0, 0.0
-    _, counts = np.unique(arr, return_counts=True)
-    mx = int(counts.max())
-    return int(arr.size), mx, mx / arr.size
-
-
-def max_unit_fraction(unit_work) -> float:
-    """Largest indivisible share of a divisible workload.
-
-    ``unit_work`` is per-unit work (e.g. per-vertex update counts, or
-    per-vertex adjacency sizes when work is partitioned by vertex).  The
-    result feeds ``Phase.max_unit_frac``.
-    """
-    w = np.asarray(unit_work, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"unit_work must be 1-D, got shape {w.shape}")
-    if w.size == 0:
-        return 0.0
-    if np.any(w < 0):
-        raise ValueError("unit_work entries must be non-negative")
-    total = float(w.sum())
-    if total == 0.0:
-        return 0.0
-    return float(w.max()) / total
+__all__ = ["effective_parallelism", "windowed_hot_stats"]
 
 
 def windowed_hot_stats(keys, window: int) -> tuple[int, float]:

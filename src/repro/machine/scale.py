@@ -37,7 +37,6 @@ from repro.machine.profile import Phase, WorkProfile
 __all__ = [
     "ScaledInstance",
     "scale_profile",
-    "rmat_max_degree_exponent",
     "rmat_size_biased_growth",
 ]
 
@@ -45,47 +44,28 @@ __all__ = [
 RMAT_MAX_DEGREE_EXPONENT = 0.6
 
 
-def rmat_max_degree_exponent(a: float = 0.6) -> float:
-    """Growth exponent of the maximum R-MAT degree in n.
-
-    For an R-MAT graph with dominant quadrant probability ``a`` and m ∝ n,
-    the expected maximum degree grows as ``n ** (1 + log2 a)`` — for
-    a = 0.6 that is n^0.263 per level-count argument, but the paper states
-    the O(n^0.6) bound for its parameterisation; we honour the paper's
-    stated bound by default and expose the analytical form for ablations.
-    """
-    if not 0.25 <= a < 1.0:
-        raise ValueError(f"dominant quadrant probability must be in [0.25, 1), got {a}")
-    return 1.0 + math.log2(a)
-
-
-def rmat_size_biased_growth(
-    scale_measured: int,
-    scale_target: int,
-    *,
-    src_prob: float = 0.75,
-    edge_factor_ratio: float = 1.0,
-) -> float:
+def rmat_size_biased_growth(scale_measured: int, scale_target: int) -> float:
     """Growth of the size-biased mean degree between two R-MAT scales.
 
     Random deletions of *existing* edges pick their endpoint with
     probability proportional to its degree, so the expected Dyn-arr probe
     scan is the size-biased mean degree E[d^2]/E[d].  For R-MAT, a vertex's
     expected out-degree factorises over the scale bits (probability
-    ``src_prob = a+b`` of a 0-bit), giving
+    ``p = a+b`` of a 0-bit, 0.75 for the paper's parameters), giving
 
-        E[d^2]/E[d] = m * (src_prob^2 + (1-src_prob)^2) ** k
+        E[d^2]/E[d] = m * (p^2 + (1-p)^2) ** k
 
     With m ∝ 2^k this quantity grows by a factor of
-    ``(2 * (src_prob^2 + (1-src_prob)^2)) ** Δk`` per scale step — 1.25^Δk
+    ``(2 * (p^2 + (1-p)^2)) ** Δk`` per scale step — 1.25^Δk
     for the paper's parameters — which is precisely why Dyn-arr deletions
     collapse at the paper's 33.5M-vertex scale (Figure 5) while looking
     tolerable at test scale.
     """
     if scale_measured <= 0 or scale_target <= 0:
         raise ProfileError("scales must be positive")
-    q = src_prob * src_prob + (1.0 - src_prob) * (1.0 - src_prob)
-    return edge_factor_ratio * (2.0 * q) ** (scale_target - scale_measured)
+    p = 0.75
+    q = p * p + (1.0 - p) * (1.0 - p)
+    return (2.0 * q) ** (scale_target - scale_measured)
 
 
 @dataclass(frozen=True)
@@ -142,9 +122,9 @@ class ScaledInstance:
         fm = self.footprint_measured_bytes
         return self.footprint_target_bytes / fm if fm > 0 else 1.0
 
-    def hot_spot_scale(self, exponent: float = RMAT_MAX_DEGREE_EXPONENT) -> float:
+    def hot_spot_scale(self) -> float:
         """Growth factor of hottest-vertex counts (max degree scaling)."""
-        return (self.n_target / self.n_measured) ** exponent
+        return (self.n_target / self.n_measured) ** RMAT_MAX_DEGREE_EXPONENT
 
     def diameter_scale(self) -> float:
         """Growth factor for level counts: small-world diameter is O(log n)."""
@@ -155,7 +135,6 @@ def scale_profile(
     profile: WorkProfile,
     instance: ScaledInstance,
     *,
-    hot_exponent: float = RMAT_MAX_DEGREE_EXPONENT,
     scale_barriers_with_diameter: bool = False,
     logdeg_correction: bool = False,
 ) -> WorkProfile:
@@ -172,7 +151,7 @@ def scale_profile(
         davg_m = max(2.0, instance.m_measured / instance.n_measured)
         davg_t = max(2.0, instance.m_target / instance.n_target)
         w *= math.log2(davg_t + 2.0) / math.log2(davg_m + 2.0)
-    hot = instance.hot_spot_scale(hot_exponent)
+    hot = instance.hot_spot_scale()
     # Hot fractions: max_unit counts grow by `hot` while totals grow by `w`.
     frac_scale = hot / w if w > 0 else 1.0
     barrier_scale = instance.diameter_scale() if scale_barriers_with_diameter else 1.0

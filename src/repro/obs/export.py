@@ -29,7 +29,8 @@ __all__ = ["to_chrome_trace", "write_chrome_trace", "validate_chrome_trace"]
 #: float rounding on perf_counter deltas, not real overlap.
 _NEST_EPS = 5e-5
 
-#: The one thread lane every span renders on.
+#: The one process and thread lane every span renders on.
+_PID = 1
 _MAIN_TID = 0
 
 
@@ -47,7 +48,6 @@ def to_chrome_trace(
     events: Iterable[Mapping[str, Any]],
     *,
     manifest: Optional[Mapping[str, Any]] = None,
-    pid: int = 1,
 ) -> dict[str, Any]:
     """Convert span events into a Chrome trace-event JSON document.
 
@@ -73,7 +73,7 @@ def to_chrome_trace(
                 "ph": "X",
                 "ts": (float(e.get("t_start", 0.0)) - t0) * 1e6,
                 "dur": max(0.0, float(e.get("duration", 0.0))) * 1e6,
-                "pid": pid,
+                "pid": _PID,
                 "tid": _MAIN_TID,
                 "args": args,
             }
@@ -83,7 +83,7 @@ def to_chrome_trace(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": _PID,
                 "tid": _MAIN_TID,
                 "args": {"name": "main"},
             }

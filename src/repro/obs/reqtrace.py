@@ -8,7 +8,7 @@ span system for that: a request is a *root span on its own
 :mod:`repro.obs.trace`.
 
 * :class:`RequestTrace` — one request: a per-request tracer whose sink
-  keeps the first ``max_spans`` events and counts the rest, plus the
+  keeps the first :data:`MAX_SPANS` events and counts the rest, plus the
   request's root :class:`~repro.obs.trace.Span`.  While the root (or a
   descendant) is the current span, every plain
   :func:`~repro.obs.trace.span` — the service's own and the kernels' —
@@ -40,6 +40,14 @@ from repro.obs.sink import TraceSink
 from repro.obs.trace import Span, Tracer, span_event
 
 __all__ = ["RequestTrace", "RequestTracer"]
+
+#: Bounds of the slow store (full trees), the head-sample store (full trees)
+#: and the recent-request summary ring.
+MAX_SLOW = 64
+MAX_SAMPLED = 32
+MAX_RECENT = 256
+#: Per-request span cap; excess spans are counted, not stored.
+MAX_SPANS = 512
 
 
 class _BoundedSink(TraceSink):
@@ -82,9 +90,8 @@ class RequestTrace(Tracer):
         kind: str,
         sampled_head: bool,
         attrs: dict[str, Any],
-        max_spans: int,
     ) -> None:
-        super().__init__(_BoundedSink(max_spans))
+        super().__init__(_BoundedSink(MAX_SPANS))
         self.trace_id = trace_id
         self.request_id = request_id
         self.kind = kind
@@ -110,11 +117,6 @@ class RequestTracer:
     slow_threshold_seconds:
         Tail sampling: any request at or above this total latency is always
         kept, into the slow-query store, regardless of the head decision.
-    max_slow / max_sampled / max_recent:
-        Bounds of the slow store (full trees), the head-sample store (full
-        trees) and the recent-request summary ring.
-    max_spans:
-        Per-request span cap; excess spans are counted, not stored.
     registry:
         Metrics registry for ``obs.reqtrace.*`` counters (default: process
         registry).
@@ -125,20 +127,15 @@ class RequestTracer:
         *,
         head_every: int = 10,
         slow_threshold_seconds: float = 0.25,
-        max_slow: int = 64,
-        max_sampled: int = 32,
-        max_recent: int = 256,
-        max_spans: int = 512,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.head_every = int(head_every)
         self.slow_threshold_seconds = float(slow_threshold_seconds)
-        self.max_spans = int(max_spans)
         self.registry = registry if registry is not None else METRICS
         self._seq = itertools.count(1)
-        self._slow: deque[dict[str, Any]] = deque(maxlen=int(max_slow))
-        self._sampled: deque[dict[str, Any]] = deque(maxlen=int(max_sampled))
-        self._recent: deque[dict[str, Any]] = deque(maxlen=int(max_recent))
+        self._slow: deque[dict[str, Any]] = deque(maxlen=MAX_SLOW)
+        self._sampled: deque[dict[str, Any]] = deque(maxlen=MAX_SAMPLED)
+        self._recent: deque[dict[str, Any]] = deque(maxlen=MAX_RECENT)
         self._lock = threading.Lock()
         self._id_prefix = f"{os.getpid() & 0xFFFFFFFF:08x}"
 
@@ -151,7 +148,7 @@ class RequestTracer:
         request_id = next(self._seq)
         sampled_head = self.head_every > 0 and (request_id - 1) % self.head_every == 0
         trace_id = f"{self._id_prefix}{request_id:08x}"
-        return RequestTrace(trace_id, request_id, name, kind, sampled_head, attrs, self.max_spans)
+        return RequestTrace(trace_id, request_id, name, kind, sampled_head, attrs)
 
     def finish(
         self,
@@ -237,5 +234,5 @@ class RequestTracer:
             "max_slow": self._slow.maxlen,
             "max_sampled": self._sampled.maxlen,
             "max_recent": self._recent.maxlen,
-            "max_spans": self.max_spans,
+            "max_spans": MAX_SPANS,
         }

@@ -22,14 +22,8 @@ __all__ = ["ProcessBackend"]
 class ProcessBackend:
     """Shared-memory multiprocess execution (see docs/PARALLEL.md)."""
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        method: str | None = None,
-        timeout: float = 300.0,
-    ) -> None:
-        self.pool = WorkerPool(workers, method=method, timeout=timeout)
+    def __init__(self, workers: int | None = None) -> None:
+        self.pool = WorkerPool(workers)
 
     @property
     def workers(self) -> int:

@@ -50,6 +50,9 @@ __all__ = ["UpdateDrainer", "keep_large_blocks_on_heap"]
 #: Queue sentinel asking the drain loop to finish and exit.
 _CLOSE = object()
 
+#: Bounded queue depth (batches); a full queue blocks producers.
+MAX_QUEUE = 8
+
 #: glibc ``mallopt`` parameters (``malloc.h``) and the largest
 #: ``M_MMAP_THRESHOLD`` a 64-bit glibc accepts (half a 64 MiB arena heap).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -98,8 +101,6 @@ class UpdateDrainer:
         stamped symmetric (and may run bottom-up BFS levels).
     store:
         The :class:`~repro.service.epoch.EpochStore` rotations publish to.
-    max_queue:
-        Bounded queue depth (batches); a full queue blocks producers.
     rotate_min_interval:
         Minimum seconds between epoch publishes (0 = publish after every
         batch).  A final rotation always happens when the drainer closes,
@@ -115,7 +116,6 @@ class UpdateDrainer:
         graph: DynamicGraph,
         store: EpochStore,
         *,
-        max_queue: int = 8,
         rotate_min_interval: float = 0.0,
         reqtrace: Optional[RequestTracer] = None,
     ) -> None:
@@ -126,7 +126,7 @@ class UpdateDrainer:
         #: Test/fault-injection hook: seconds to sleep inside each batch
         #: application (counted into the batch's update trace).
         self.throttle = 0.0
-        self._q: "queue.Queue[object]" = queue.Queue(maxsize=int(max_queue))
+        self._q: "queue.Queue[object]" = queue.Queue(maxsize=MAX_QUEUE)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._last_rotate = 0.0

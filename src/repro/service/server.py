@@ -74,7 +74,7 @@ class GraphService:
         starts, all mutation must go through :meth:`submit`.
     query_threads:
         Executor width for query kernels (default 4).
-    max_queue / rotate_min_interval:
+    rotate_min_interval:
         Forwarded to the :class:`~repro.service.drainer.UpdateDrainer`.
     reqtrace:
         Request tracing: None/True builds a default
@@ -88,7 +88,6 @@ class GraphService:
         graph: DynamicGraph,
         *,
         query_threads: int = 4,
-        max_queue: int = 8,
         rotate_min_interval: float = 0.0,
         reqtrace: Union[RequestTracer, bool, None] = None,
     ) -> None:
@@ -101,8 +100,7 @@ class GraphService:
         else:
             self.reqtrace = reqtrace
         self.drainer = UpdateDrainer(
-            graph, self.store, max_queue=max_queue,
-            rotate_min_interval=rotate_min_interval,
+            graph, self.store, rotate_min_interval=rotate_min_interval,
             reqtrace=self.reqtrace,
         )
         self._executor = ThreadPoolExecutor(

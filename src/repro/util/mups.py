@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["mups", "updates_per_second", "format_rate", "speedup_series"]
+__all__ = ["mups", "updates_per_second", "speedup_series"]
 
 
 def updates_per_second(n_updates: int, seconds: float) -> float:
@@ -26,19 +26,6 @@ def updates_per_second(n_updates: int, seconds: float) -> float:
 def mups(n_updates: int, seconds: float) -> float:
     """Millions of updates per second, the paper's headline metric."""
     return updates_per_second(n_updates, seconds) / 1e6
-
-
-def format_rate(rate_per_second: float) -> str:
-    """Human-readable rate, e.g. ``'25.0 MUPS'`` or ``'7.3 M/s'`` style."""
-    if rate_per_second < 0:
-        raise ValueError(f"negative rate: {rate_per_second}")
-    if rate_per_second >= 1e9:
-        return f"{rate_per_second / 1e9:.2f} GUPS"
-    if rate_per_second >= 1e6:
-        return f"{rate_per_second / 1e6:.2f} MUPS"
-    if rate_per_second >= 1e3:
-        return f"{rate_per_second / 1e3:.2f} KUPS"
-    return f"{rate_per_second:.2f} UPS"
 
 
 def speedup_series(times: Sequence[float]) -> np.ndarray:

@@ -6,7 +6,7 @@ or :class:`numpy.random.Generator`.  The helpers here centralise construction
 so that:
 
 * a single experiment seed reproducibly derives independent per-component
-  streams (via :func:`spawn_rngs` / :func:`mix_seed`), and
+  streams (via :func:`mix_seed`), and
 * tests can assert bit-identical outputs across runs.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["DEFAULT_SEED", "make_rng", "spawn_rngs", "mix_seed", "pick_sources"]
+__all__ = ["DEFAULT_SEED", "make_rng", "mix_seed", "pick_sources"]
 
 #: Seed used throughout examples and benchmarks when the caller does not care.
 DEFAULT_SEED = 20090525  # IPDPS 2009 opening day.
@@ -37,22 +37,6 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
-
-    Uses numpy's ``SeedSequence.spawn`` machinery, which guarantees
-    non-overlapping streams — the standard way to give each simulated thread
-    or each experiment stage its own stream.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    if isinstance(seed, np.random.Generator):
-        return [np.random.default_rng(s) for s in seed.bit_generator.seed_seq.spawn(n)]
-    if seed is None:
-        seed = DEFAULT_SEED
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def mix_seed(seed: int, *components: int | str) -> int:

@@ -19,7 +19,6 @@ __all__ = [
     "check_vertex_ids",
     "check_same_length",
     "check_op_codes",
-    "check_positive",
     "check_probability",
 ]
 
@@ -93,13 +92,6 @@ def check_op_codes(op, name: str = "op") -> np.ndarray:
             f"{name}: update code {bad[0]} is neither +1 (insert) nor -1 (delete)"
         )
     return arr.astype(np.int8, copy=False)
-
-
-def check_positive(value: float, name: str) -> float:
-    """Require ``value > 0``."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 def check_probability(value: float, name: str) -> float:

@@ -1,7 +1,7 @@
 """Unit tests for the shared vectorised bulk-update kernels.
 
 Covers the grouping primitives (:func:`stable_order` against numpy's stable
-argsort, :func:`segment_ranks`, :func:`group_runs`, :func:`gather_index`),
+argsort, :func:`group_runs`, :func:`gather_index`),
 the pool's :meth:`alloc_many`, the one batch path at every size, the
 op-code and length checks at every batched entry point, and the
 sentinel/constant invariants the kernels rely on.  The scalar-vs-vectorised *equivalence* checks live in
@@ -31,7 +31,6 @@ from repro.adjacency.treap import TreapAdjacency
 from repro.errors import GraphError, StreamError, VertexError
 from repro.generators.rmat import rmat_graph
 from repro.generators.streams import UpdateStream
-from repro.machine.contention import hot_spot_stats
 
 
 def assert_stable_order(keys, bound):
@@ -239,6 +238,14 @@ class TestOpCodesCheckedBeforeNarrowing:
             UpdateStream(4, [code], [0], [1], [0])
 
 
+def hot_spot_stats(keys) -> tuple[int, int, float]:
+    """Reference: ``(total, max_per_key, max_fraction)`` by sorting."""
+    if keys.size == 0:
+        return 0, 0, 0.0
+    mx = int(np.unique(keys, return_counts=True)[1].max())
+    return int(keys.size), mx, mx / keys.size
+
+
 class TestHotStatsFromKeys:
     @staticmethod
     def assert_equal_to_hot_spot_stats(keys, n):
@@ -269,10 +276,11 @@ class TestHotStatsFromKeys:
 class TestPrimitives:
     def test_segment_ranks_basic(self):
         counts = np.array([3, 1, 0, 2], dtype=np.int64)
-        assert bulkops.segment_ranks(counts).tolist() == [0, 1, 2, 0, 0, 1]
+        assert bulkops.gather_index(np.zeros_like(counts), counts).tolist() == [0, 1, 2, 0, 0, 1]
 
     def test_segment_ranks_empty(self):
-        assert bulkops.segment_ranks(np.array([], dtype=np.int64)).size == 0
+        empty = np.array([], dtype=np.int64)
+        assert bulkops.gather_index(empty, empty).size == 0
 
     def test_group_runs(self):
         keys = np.array([2, 2, 5, 7, 7, 7], dtype=np.int64)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.adjacency.compressed import CompressedCSR, _decode_varint, _encode_varint
 from repro.adjacency.csr import build_csr
-from repro.adjacency.reorder import apply_order, bfs_order, degree_order, locality_gap
+from repro.adjacency.reorder import apply_order, bfs_order, locality_gap
 from repro.edgelist import EdgeList
 from repro.errors import GraphError, VertexError
 from repro.generators.rmat import rmat_graph
-from repro.generators.reference import path_graph, star_graph
+from repro.generators.reference import path_graph
 
 
 class TestVarint:
@@ -117,11 +117,6 @@ class TestReorder:
         root = int(np.argmax(er_csr.degrees()))
         perm = bfs_order(er_csr)
         assert perm[root] == 0
-
-    def test_degree_order_hubs_first(self):
-        csr = build_csr(star_graph(10))
-        perm = degree_order(csr)
-        assert perm[0] == 0  # the hub gets id 0
 
     def test_apply_order_preserves_structure(self):
         g = path_graph(5)

@@ -86,13 +86,6 @@ class TestDerived:
         csr = build_csr(path_graph(4))
         assert csr.memory_bytes() == (5 + 6) * 8
 
-    def test_to_edgelist_roundtrip(self):
-        g = EdgeList(4, np.array([0, 2]), np.array([1, 3]), ts=np.array([4, 5]),
-                     directed=True)
-        back = build_csr(g).to_edgelist()
-        assert sorted(zip(back.src, back.dst, back.ts)) == [(0, 1, 4), (2, 3, 5)]
-
-
 class TestFromRepresentation:
     def test_snapshot_matches_structure(self):
         rep = DynArrAdjacency(4)
@@ -149,9 +142,10 @@ class TestSymmetricStamp:
         assert build_csr(path_graph(4), symmetrize=False).symmetric is False
 
     def test_carried_stamp_is_dropped(self):
-        # to_edgelist copies meta: rebuilding one-sided must not keep the stamp.
-        back = build_csr(path_graph(4)).to_edgelist()
-        assert back.meta.get("symmetric") is True
+        # An edge list whose meta carries the stamp, rebuilt one-sided, must
+        # not keep it.
+        g = path_graph(4)
+        back = EdgeList(g.n, g.src, g.dst, meta={"symmetric": True})
         assert build_csr(back, symmetrize=False).symmetric is False
 
     def test_unstamped_constructors(self):

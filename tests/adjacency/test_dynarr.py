@@ -1,5 +1,8 @@
 """Tests for the Dyn-arr representation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,7 +64,7 @@ class TestInsert:
         assert r.n_arcs == 2
 
     def test_km_over_n_rule(self):
-        r = DynArrAdjacency(10, expected_m=100, k=2)
+        r = DynArrAdjacency(10, expected_m=100)
         assert int(r._cap0[0]) == 20
 
     def test_growth_factor_validated(self):
@@ -136,13 +139,6 @@ class TestDynArrNR:
         r = DynArrAdjacency.preallocated(2, np.array([1, 1]))
         with pytest.raises(GraphError, match="capacity exceeded"):
             r.bulk_insert(np.array([0, 0]), np.array([1, 1]))
-
-    def test_slack(self):
-        r = DynArrAdjacency.preallocated(2, np.array([1, 1]), slack=2)
-        for _ in range(3):
-            r.insert(0, 1)
-        assert r.degree(0) == 3
-
 
 class TestBulkInsert:
     def _random_arcs(self, n, k, seed):
@@ -221,3 +217,37 @@ class TestMemory:
         for _ in range(8):
             r.insert(0, 1)
         assert r.pool.abandoned > 0
+
+
+class TestCopies:
+    """A deep copy or an unpickled dyn-arr keeps its arcs after its pool
+    grows: the columns are read through the pool, never held as views."""
+
+    @staticmethod
+    def built() -> DynArrAdjacency:
+        r = DynArrAdjacency(8)
+        r.apply_arcs(np.ones(12, dtype=np.int8), np.arange(12) % 8, (np.arange(12) * 3) % 8,
+                     np.arange(12))
+        return r
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("path", ["per-op", "batches"])
+    def test_copy_keeps_arcs_after_pool_growth(self, how, path):
+        original = self.built()
+        twin = copy.deepcopy(original) if how == "deepcopy" else pickle.loads(pickle.dumps(original))
+        capacity = twin.pool.capacity
+        targets = np.arange(200) % 8
+        for rep in (original, twin):
+            if path == "per-op":
+                for i, v in enumerate(targets.tolist()):
+                    rep.insert(1, v, 100 + i)
+            else:
+                for chunk in np.array_split(np.arange(200), 40):
+                    rep.apply_arcs(np.ones(chunk.size, dtype=np.int8), np.full(chunk.size, 1),
+                                   targets[chunk], 100 + chunk)
+        assert twin.pool.capacity > capacity
+        want, got = original.to_csr(), twin.to_csr()
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.targets, want.targets)
+        np.testing.assert_array_equal(got.ts, want.ts)
+        assert twin.neighbors(1).tolist() == original.neighbors(1).tolist()

@@ -270,23 +270,27 @@ def poison_dead_slots(arr: DynArrAdjacency) -> None:
 
 
 def build(kind: str, n: int, fill: int):
-    """A ``kind`` instance whose array storage draws from a FillingPool."""
-    pool = FillingPool(16, fill)
+    """A ``kind`` instance whose array storage draws from a FillingPool,
+    swapped in before anything is stored."""
     if kind == "dynarr":
-        return DynArrAdjacency(n, pool=pool)
-    if kind == "dynarr-nr":
-        rep = DynArrAdjacency(n, initial_capacity=np.full(n, 256), resize=False, pool=pool)
-        rep.kind = "dynarr-nr"
-        return rep
-    if kind == "vpart":
-        return VPartAdjacency(n, pool=pool)
-    if kind == "epart":
-        return EPartAdjacency(n, split_thresh=4, pool=pool)
-    if kind == "batched":
-        return BatchedAdjacency(n, pool=pool)
-    if kind == "hybrid":
-        return HybridAdjacency(n, degree_thresh=5, seed=3, array_kwargs={"pool": pool})
-    raise AssertionError(kind)
+        rep = DynArrAdjacency(n)
+    elif kind == "dynarr-nr":
+        rep = DynArrAdjacency.preallocated(n, np.full(n, 256))
+    elif kind == "vpart":
+        rep = VPartAdjacency(n)
+    elif kind == "epart":
+        rep = EPartAdjacency(n, split_thresh=4)
+    elif kind == "batched":
+        rep = BatchedAdjacency(n)
+    elif kind == "hybrid":
+        rep = HybridAdjacency(n, degree_thresh=5, seed=3)
+    else:
+        raise AssertionError(kind)
+    arr = array_side(rep)
+    assert arr.pool.top == 0
+    arr.pool = FillingPool(16, fill)
+    arr.pool.fit(0, n - 1)
+    return rep
 
 
 def array_side(rep) -> DynArrAdjacency:

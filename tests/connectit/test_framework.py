@@ -6,6 +6,7 @@ kernel) for every union rule, compaction rule, and sampling strategy, on
 every reference topology.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -36,7 +37,9 @@ from repro.generators.reference import erdos_renyi
 from repro.generators.rmat import rmat_graph
 from tests.retired_tier import stale_tier
 
-ALL_SPECS = variant_matrix(samplings=SAMPLING_RULES)
+ALL_SPECS = tuple(
+    dataclasses.replace(spec, sampling=s) for s in SAMPLING_RULES for spec in variant_matrix()
+)
 
 
 def nx_reference_labels(graph) -> np.ndarray:

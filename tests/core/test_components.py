@@ -43,8 +43,8 @@ class TestCorrectness:
         g = EdgeList(6, np.array([0, 1, 3, 4]), np.array([1, 2, 4, 5]))
         res = connected_components(build_csr(g))
         assert res.n_components == 2
-        assert res.same_component(0, 2)
-        assert not res.same_component(2, 3)
+        assert res.labels[0] == res.labels[2]
+        assert res.labels[2] != res.labels[3]
 
     def test_directed_arcs_still_weakly_connect(self):
         # One-directional CSR input: hooking propagates both ways.

@@ -7,7 +7,6 @@ import pytest
 from repro.adjacency.csr import build_csr
 from repro.adjacency.dynarr import DynArrAdjacency
 from repro.core.connectivity import ConnectivityIndex
-from repro.core.linkcut import LinkCutForest
 from repro.errors import GraphError
 from repro.generators.reference import path_graph
 from repro.generators.streams import UpdateStream
@@ -51,16 +50,6 @@ class TestQueries:
     def test_random_query_batch_negative(self, index):
         with pytest.raises(GraphError):
             index.random_query_batch(-1)
-
-    def test_construction_profile_exposed(self, er_csr):
-        idx = ConnectivityIndex.from_csr(er_csr)
-        assert idx.construction_profile.phases
-
-    def test_no_record_raises(self):
-        idx = ConnectivityIndex(LinkCutForest(3))
-        with pytest.raises(GraphError):
-            idx.construction_profile
-
 
 def updates(*rows):
     """An update stream over 5 vertices from ``(op, u, v)`` rows."""

@@ -218,15 +218,6 @@ class TestStreams:
 
 
 class TestProfiles:
-    def test_profile_structure(self):
-        dc = index(10, seed=1)
-        dc.apply_batch(batch(10, (INS, 0, 1), (INS, 1, 2), (INS, 2, 3), (INS, 0, 3)))
-        dc.apply_batch(batch(10, (DEL, 1, 2)))
-        prof = dc.maintenance_profile()
-        assert len(prof.phases) == 2
-        forest_phase = prof.phases[1]
-        assert forest_phase.locks >= dc.stats.tree_links
-
     def test_replacement_scan_counted(self):
         dc = index(4, seed=1)
         dc.apply_batch(batch(4, (INS, 0, 1), (INS, 1, 2), (INS, 2, 3), (INS, 3, 0)))

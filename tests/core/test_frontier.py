@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import expand, first_occurrence, gather_ranges
+from repro.adjacency.bulkops import gather_index
+from repro.core.frontier import expand, first_occurrence
 from tests.core.bfs_oracle import flatten_ranges
 
 
@@ -57,31 +58,26 @@ class TestGatherRanges:
     def test_matches_four_repeat_expression(self, ranges):
         starts = int64([s for s, _ in ranges])
         counts = int64([c for _, c in ranges])
-        idx, ends = gather_ranges(starts, counts)
+        idx = gather_index(starts, counts)
         np.testing.assert_array_equal(idx, flatten_ranges(starts, counts))
-        np.testing.assert_array_equal(ends, np.cumsum(counts))
         assert idx.dtype == np.int64
 
     def test_empty_frontier(self):
-        idx, ends = gather_ranges(int64([]), int64([]))
-        assert idx.size == 0 and ends.size == 0
+        assert gather_index(int64([]), int64([])).size == 0
 
     def test_single_range(self):
-        idx, ends = gather_ranges(int64([7]), int64([3]))
-        assert idx.tolist() == [7, 8, 9]
-        assert ends.tolist() == [3]
+        assert gather_index(int64([7]), int64([3])).tolist() == [7, 8, 9]
 
     def test_zero_length_ranges(self):
-        idx, ends = gather_ranges(int64([4, 9, 9, 20, 30]), int64([0, 2, 0, 1, 0]))
+        idx = gather_index(int64([4, 9, 9, 20, 30]), int64([0, 2, 0, 1, 0]))
         assert idx.tolist() == [9, 10, 20]
-        assert ends.tolist() == [0, 2, 2, 3, 3]
 
     @pytest.mark.parametrize(
         "counts", [[0, 2, 0, 1, 0], [3], [0, 0, 4], [1, 1, 1], [2, 0, 0, 0, 2]]
     )
     def test_searchsorted_recovers_owner(self, counts):
         counts = int64(counts)
-        _, ends = gather_ranges(np.zeros_like(counts), counts)
+        ends = counts.cumsum()
         owner = np.searchsorted(ends, np.arange(int(counts.sum())), "right")
         np.testing.assert_array_equal(owner, np.repeat(np.arange(counts.size), counts))
 

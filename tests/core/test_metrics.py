@@ -119,10 +119,6 @@ class TestDiameter:
         eff, ecc = effective_diameter(csr, samples=8, seed=2)
         assert eff <= 8  # the small-world phenomenon
 
-    def test_percentile_validated(self, er_csr):
-        with pytest.raises(GraphError):
-            effective_diameter(er_csr, percentile=0)
-
     @pytest.mark.parametrize("samples", [0, -3])
     def test_invalid_sample_size(self, er_csr, samples):
         # Used to return (0.0, 0) as if the graph had no finite distance.

@@ -83,7 +83,7 @@ class TestLinkCutProperties:
         comps = connected_components(build_csr(g))
         for u in range(N):
             for v in range(u + 1, N):
-                assert forest.connected(u, v) == comps.same_component(u, v)
+                assert forest.connected(u, v) == (comps.labels[u] == comps.labels[v])
 
     @given(edges_strategy, st.data())
     @settings(max_examples=50, deadline=None)

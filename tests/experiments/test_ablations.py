@@ -19,7 +19,7 @@ def test_registry_matches_module():
 def test_ablation_checks(runner):
     result = runner(quick=True)
     assert result.rows, "ablation produced no table"
-    failures = result.failed_checks()
+    failures = {d: detail for d, (ok, detail) in result.checks.items() if not ok}
     assert not failures, failures
 
 

@@ -39,7 +39,7 @@ class TestFigureResult:
         fig.check("good", True, "detail")
         fig.check("bad", False, "why")
         assert not fig.all_passed
-        assert fig.failed_checks() == ["bad: why"]
+        assert fig.checks == {"good": (True, "detail"), "bad": (False, "why")}
 
     def test_get_series(self):
         fig = FigureResult("F", "t", series=[make_series("a"), make_series("b")])

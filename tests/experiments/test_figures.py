@@ -26,7 +26,7 @@ spec.loader.exec_module(regen)
 def test_figure_shape_checks(name):
     result = get_figure(name)(quick=True)
     assert result.checks, f"{name} defines no shape checks"
-    failures = result.failed_checks()
+    failures = {d: detail for d, (ok, detail) in result.checks.items() if not ok}
     assert not failures, f"{name}: {failures}"
 
 

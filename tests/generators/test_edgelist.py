@@ -53,11 +53,6 @@ class TestDefaults:
     def test_weights_default_one(self):
         assert make().weights().tolist() == [1, 1, 1]
 
-    def test_has_timestamps(self):
-        assert not make().has_timestamps
-        assert make(ts=np.array([1, 2, 3])).has_timestamps
-
-
 class TestDerivedViews:
     def test_degrees_undirected(self):
         g = make()  # path 0-1-2-3
@@ -103,5 +98,3 @@ class TestDerivedViews:
         assert make().memory_bytes() == 2 * 3 * 8
         assert make(ts=np.array([1, 2, 3])).memory_bytes() == 3 * 3 * 8
 
-    def test_iter_edges(self):
-        assert list(make().iter_edges()) == [(0, 1), (1, 2), (2, 3)]

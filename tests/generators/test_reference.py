@@ -14,7 +14,7 @@ from repro.generators.reference import (
     to_networkx,
     watts_strogatz,
 )
-from repro.generators.timestamps import assign_timestamps, uniform_timestamps
+from repro.generators.timestamps import uniform_timestamps
 
 
 class TestDeterministicGraphs:
@@ -100,7 +100,8 @@ class TestToNetworkx:
         assert G.number_of_edges() == g.m
 
     def test_ts_attribute(self):
-        g = assign_timestamps(path_graph(4), 1, 9, seed=1)
+        g = path_graph(4)
+        g = g.with_timestamps(uniform_timestamps(g.m, 1, 9, seed=1))
         G = to_networkx(g)
         assert all("ts" in d for _, _, d in G.edges(data=True))
 

@@ -95,11 +95,11 @@ class TestRmatGraph:
         assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
 
     def test_drop_self_loops(self):
-        g = rmat_graph(8, seed=1, drop_self_loops=True)
+        g = rmat_graph(8, seed=1).without_self_loops()
         assert np.all(g.src != g.dst)
 
     def test_deduplicate(self):
-        g = rmat_graph(6, edge_factor=40, seed=1, deduplicate=True)
+        g = rmat_graph(6, edge_factor=40, seed=1).deduplicated()
         key = g.src * g.n + g.dst
         assert np.unique(key).size == g.m
 

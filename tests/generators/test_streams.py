@@ -49,8 +49,8 @@ class TestUpdateStream:
 
     def test_select_and_filters(self):
         s = make_stream()
-        assert len(s.inserts_only()) == 2
-        assert len(s.deletes_only()) == 1
+        assert len(s.select(np.nonzero(s.op == INSERT)[0])) == 2
+        assert len(s.select(np.nonzero(s.op == DELETE)[0])) == 1
         assert s.select(np.array([2])).src.tolist() == [2]
 
     def test_shuffled_preserves_multiset(self):
@@ -110,7 +110,7 @@ class TestMixedStream:
     def test_deletes_target_existing(self, graph):
         s = mixed_stream(graph, 400, 0.5, seed=4)
         existing = set(zip(graph.src.tolist(), graph.dst.tolist()))
-        d = s.deletes_only()
+        d = s.select(np.nonzero(s.op == DELETE)[0])
         assert all((u, v) in existing for u, v in zip(d.src.tolist(), d.dst.tolist()))
 
     def test_uniform_delete_mode(self, graph):
@@ -124,7 +124,7 @@ class TestMixedStream:
     def test_insert_edges_source(self, graph):
         extra = rmat_graph(9, 2, seed=99)
         s = mixed_stream(graph, 100, 0.9, seed=5, insert_edges=extra)
-        ins = s.inserts_only()
+        ins = s.select(np.nonzero(s.op == INSERT)[0])
         pool = set(zip(extra.src.tolist(), extra.dst.tolist()))
         assert all((u, v) in pool for u, v in zip(ins.src.tolist(), ins.dst.tolist()))
 

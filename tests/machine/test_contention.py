@@ -3,53 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.contention import (
-    effective_parallelism,
-    hot_spot_stats,
-    max_multiplicity,
-    max_unit_fraction,
-    windowed_hot_stats,
-)
-
-
-class TestMaxMultiplicity:
-    def test_basic(self):
-        assert max_multiplicity([1, 2, 2, 3, 2]) == 3
-
-    def test_all_distinct(self):
-        assert max_multiplicity([1, 2, 3]) == 1
-
-    def test_empty(self):
-        assert max_multiplicity([]) == 0
-
-
-class TestHotSpotStats:
-    def test_basic(self):
-        total, mx, frac = hot_spot_stats([0, 0, 0, 1])
-        assert (total, mx) == (4, 3)
-        assert frac == pytest.approx(0.75)
-
-    def test_empty(self):
-        assert hot_spot_stats([]) == (0, 0, 0.0)
-
-
-class TestMaxUnitFraction:
-    def test_basic(self):
-        assert max_unit_fraction([1, 1, 2]) == pytest.approx(0.5)
-
-    def test_all_zero(self):
-        assert max_unit_fraction([0, 0]) == 0.0
-
-    def test_empty(self):
-        assert max_unit_fraction([]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            max_unit_fraction([-1.0])
-
-    def test_2d_rejected(self):
-        with pytest.raises(ValueError):
-            max_unit_fraction(np.ones((2, 2)))
+from repro.machine.contention import effective_parallelism, windowed_hot_stats
 
 
 class TestEffectiveParallelism:

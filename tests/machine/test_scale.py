@@ -6,7 +6,6 @@ from repro.errors import ProfileError
 from repro.machine.profile import Phase, WorkProfile
 from repro.machine.scale import (
     ScaledInstance,
-    rmat_max_degree_exponent,
     rmat_size_biased_growth,
     scale_profile,
 )
@@ -110,12 +109,6 @@ class TestScaleProfile:
 
 
 class TestGrowthFormulas:
-    def test_max_degree_exponent(self):
-        assert rmat_max_degree_exponent(0.5) == pytest.approx(0.0)
-        assert rmat_max_degree_exponent(0.6) == pytest.approx(1 + __import__("math").log2(0.6))
-        with pytest.raises(ValueError):
-            rmat_max_degree_exponent(0.1)
-
     def test_size_biased_growth_paper_params(self):
         # (a+b) = 0.75: factor 1.25 per scale doubling.
         assert rmat_size_biased_growth(11, 12) == pytest.approx(1.25)

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs import activate, bind, current_tracer, span
+from repro.obs import activate, bind, current_tracer, reqtrace, span
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.reqtrace import RequestTracer
@@ -61,12 +61,14 @@ class TestSampling:
         assert child["attrs"]["trace_id"] == a.trace_id
         assert child["attrs"]["request_id"] == 1
 
-    def test_config_reports_bounds(self):
-        t = tracer(head_every=4, slow_threshold_seconds=0.5, max_slow=9)
+    def test_config_reports_bounds(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MAX_SLOW", 9)
+        t = tracer(head_every=4, slow_threshold_seconds=0.5)
         cfg = t.config()
         assert cfg["head_every"] == 4
         assert cfg["slow_threshold_seconds"] == 0.5
         assert cfg["max_slow"] == 9
+        assert (cfg["max_sampled"], cfg["max_recent"], cfg["max_spans"]) == (32, 256, 512)
 
 
 class TestSpanTree:
@@ -103,8 +105,9 @@ class TestSpanTree:
         record = t.finish(trace)
         assert validate_chrome_trace(to_chrome_trace(record["events"])) == []
 
-    def test_span_cap_counts_drops(self):
-        t = tracer(head_every=1, max_spans=2)
+    def test_span_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MAX_SPANS", 2)
+        t = tracer(head_every=1)
         trace = t.start("route")
         with activate(trace.root):
             for _ in range(5):
@@ -115,8 +118,10 @@ class TestSpanTree:
         assert record["n_dropped_spans"] == 3
         assert len(record["events"]) == 3
 
-    def test_stores_are_bounded(self):
-        t = tracer(head_every=0, slow_threshold_seconds=0.0, max_slow=2, max_recent=3)
+    def test_stores_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MAX_SLOW", 2)
+        monkeypatch.setattr(reqtrace, "MAX_RECENT", 3)
+        t = tracer(head_every=0, slow_threshold_seconds=0.0)
         for _ in range(5):
             t.finish(t.start("q"))
         assert len(t.slow()) == 2 and len(t.recent()) == 3

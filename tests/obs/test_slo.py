@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import DynamicGraph
 from repro.generators.parallel import iter_update_chunks
+from repro.obs import reqtrace
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.reqtrace import RequestTracer
 from repro.service import GraphService
@@ -100,8 +101,9 @@ class TestBurnRates:
         (record,) = rt.recent()
         assert (record["status"], record["error"]) == (400, "GraphError")
 
-    def test_old_events_age_out_of_the_window(self):
-        rt = tracer(slow_threshold_seconds=0.0, max_slow=3)
+    def test_old_events_age_out_of_the_window(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MAX_SLOW", 3)
+        rt = tracer(slow_threshold_seconds=0.0)
         with serving(rt) as handle:
             for v in range(8):
                 get(f"{handle.url}/component?v={v}")
@@ -109,8 +111,9 @@ class TestBurnRates:
         assert len(slow) == 3  # bounded: the oldest aged out
         assert [r["request_id"] for r in slow] == [6, 7, 8]
 
-    def test_empty_windows_rejected(self):
-        rt = tracer(slow_threshold_seconds=0.0, max_slow=0)
+    def test_empty_windows_rejected(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "MAX_SLOW", 0)
+        rt = tracer(slow_threshold_seconds=0.0)
         drain(rt, batches())
         assert rt.slow() == []  # a zero-sized store keeps nothing ...
         assert rt.registry.counter("obs.reqtrace.slow").value == len(batches())  # ... counted

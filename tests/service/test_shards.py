@@ -27,7 +27,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def backend():
-    with ProcessBackend(2, timeout=120.0) as be:
+    with ProcessBackend(2) as be:
         yield be
 
 
@@ -45,7 +45,7 @@ class TestBitIdentity:
 
 class TestCrashRecovery:
     def test_crash_surfaces_and_restart_recovers(self, graph):
-        with ProcessBackend(2, timeout=120.0) as be:
+        with ProcessBackend(2) as be:
             expected = connected_components(graph).labels
             be.pool.start()
             be.pool._procs[0].terminate()

@@ -11,7 +11,6 @@ class TestHierarchy:
         [
             errors.GraphError,
             errors.VertexError,
-            errors.EdgeError,
             errors.StreamError,
             errors.MachineModelError,
             errors.ProfileError,
@@ -21,9 +20,8 @@ class TestHierarchy:
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, errors.ReproError)
 
-    def test_vertex_and_edge_are_graph_errors(self):
+    def test_vertex_error_is_a_graph_error(self):
         assert issubclass(errors.VertexError, errors.GraphError)
-        assert issubclass(errors.EdgeError, errors.GraphError)
 
     def test_one_except_catches_everything(self):
         """The documented catch-all contract."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.mups import format_rate, mups, speedup_series, updates_per_second
+from repro.util.mups import mups, speedup_series, updates_per_second
 
 
 class TestRates:
@@ -27,24 +27,6 @@ class TestRates:
     def test_negative_updates_rejected(self):
         with pytest.raises(ValueError):
             updates_per_second(-1, 1.0)
-
-
-class TestFormatRate:
-    @pytest.mark.parametrize(
-        "rate,expect",
-        [
-            (25e6, "25.00 MUPS"),
-            (2.5e9, "2.50 GUPS"),
-            (1500.0, "1.50 KUPS"),
-            (3.0, "3.00 UPS"),
-        ],
-    )
-    def test_units(self, rate, expect):
-        assert format_rate(rate) == expect
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_rate(-1.0)
 
 
 class TestSpeedupSeries:

@@ -1,9 +1,8 @@
 """Tests for repro.util.seeding."""
 
 import numpy as np
-import pytest
 
-from repro.util.seeding import DEFAULT_SEED, make_rng, mix_seed, spawn_rngs
+from repro.util.seeding import DEFAULT_SEED, make_rng, mix_seed
 
 
 class TestMakeRng:
@@ -25,33 +24,6 @@ class TestMakeRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert make_rng(g) is g
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(1, 5)) == 5
-        assert spawn_rngs(1, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-    def test_streams_independent_and_reproducible(self):
-        a1, b1 = spawn_rngs(9, 2)
-        a2, b2 = spawn_rngs(9, 2)
-        xa1 = a1.integers(0, 1 << 40, 50)
-        assert np.array_equal(xa1, a2.integers(0, 1 << 40, 50))
-        assert not np.array_equal(xa1, b1.integers(0, 1 << 40, 50))
-        # b-stream reproducible too
-        b1_fresh = spawn_rngs(9, 2)[1]
-        assert np.array_equal(
-            b1_fresh.integers(0, 100, 10), b2.integers(0, 100, 10)
-        )
-
-    def test_spawn_from_generator(self):
-        g = np.random.default_rng(3)
-        children = spawn_rngs(g, 3)
-        assert len(children) == 3
 
 
 class TestMixSeed:

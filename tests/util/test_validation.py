@@ -7,7 +7,6 @@ from repro.errors import GraphError, VertexError
 from repro.util.validation import (
     as_index_array,
     check_op_codes,
-    check_positive,
     check_probability,
     check_same_length,
     check_vertex_ids,
@@ -97,11 +96,6 @@ class TestCheckOpCodes:
 
 
 class TestScalarChecks:
-    def test_positive(self):
-        assert check_positive(2.0, "x") == 2.0
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
-
     def test_probability(self):
         assert check_probability(0.5, "p") == 0.5
         assert check_probability(0.0, "p") == 0.0
